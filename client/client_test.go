@@ -251,9 +251,11 @@ func TestRemoteSessionUserProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	oid := seedRain(t, c, 1, 1)[0]
-	if text := c.Explain(oid); !strings.Contains(text, "by ana") {
-		t.Fatalf("remote load lineage %q does not credit the connection user", text)
+	// One remote session, one load task: it must answer for every create.
+	for _, oid := range seedRain(t, c, 12, 1) {
+		if text := c.Explain(oid); !strings.Contains(text, "data_load v0 by ana") {
+			t.Fatalf("remote load lineage of %d, %q, does not credit the connection user", oid, text)
+		}
 	}
 }
 

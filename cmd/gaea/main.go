@@ -222,7 +222,12 @@ func main() {
 			fmt.Print(n.String())
 		case "tasks":
 			for _, t := range k.Tasks.All() {
-				fmt.Printf("  task %-4d %-32s v%-2d out=%-4d user=%s\n", t.ID, t.Process, t.Version, t.Output, orDash(t.User))
+				// A load task lists the whole set its session created.
+				out := fmt.Sprint(t.Output)
+				if n := t.NumOutputs(); n > 1 {
+					out = fmt.Sprintf("%d(+%d)", t.Output, n-1)
+				}
+				fmt.Printf("  task %-4d %-32s v%-2d out=%-4s user=%s\n", t.ID, t.Process, t.Version, out, orDash(t.User))
 			}
 		case "explain":
 			if len(args) != 1 {

@@ -22,7 +22,8 @@
 //	k.DefineClass(&catalog.Class{...})
 //	k.DefineProcess(`DEFINE PROCESS ndvi_map ( ... )`)
 //
-//	// Batch ingest: one WAL commit, one invalidation sweep.
+//	// Batch ingest: one WAL commit, one invalidation sweep, and one
+//	// data_load task per class and note listing every OID created.
 //	s := k.Begin(ctx)
 //	for _, obj := range scene {
 //		s.Create(obj, "EOSAT tape 42")

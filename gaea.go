@@ -65,7 +65,8 @@ const (
 
 // Options tunes a Kernel.
 type Options struct {
-	// NoSync disables per-write WAL fsync (for tests and benchmarks).
+	// NoSync disables the per-write WAL fsync and the fsync of each blob
+	// file (for tests and benchmarks).
 	NoSync bool
 	// User is the default user recorded on tasks.
 	User string

@@ -330,7 +330,13 @@ func (m *Manager) Policy() Policy { return m.policy }
 // (the executor's OnRecord hook).
 func (m *Manager) taskRecorded(t *task.Task) { m.addEdges(t) }
 
+// addEdges makes every output of a task a dependent of every input. A
+// load has no inputs, so its whole set of outputs costs nothing here.
 func (m *Manager) addEdges(t *task.Task) {
+	if len(t.Inputs) == 0 {
+		return
+	}
+	outputs := t.Outputs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, oids := range t.Inputs {
@@ -340,9 +346,11 @@ func (m *Manager) addEdges(t *task.Task) {
 				outs = make(map[object.OID]bool)
 				m.deps[in] = outs
 			}
-			if !outs[t.Output] {
-				outs[t.Output] = true
-				m.edges++
+			for _, out := range outputs {
+				if !outs[out] {
+					outs[out] = true
+					m.edges++
+				}
 			}
 		}
 	}

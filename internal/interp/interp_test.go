@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gaea/internal/adt"
 	"gaea/internal/catalog"
@@ -245,6 +248,22 @@ func TestTemporalSingleFlight(t *testing.T) {
 	mid := sptemp.Date(1986, 1, 31)
 
 	const n = 8
+	// Only callers that overlap share a flight, so hold the leader inside
+	// its flight (the staleness hook runs there) until every caller is on
+	// its way in. It used to be the blob fsync that kept the flight open
+	// long enough; a NoSync store no longer does one. Nothing observable
+	// says a waiter has joined, hence the grace period after the count.
+	var entered atomic.Int32
+	var gate sync.Once
+	w.ip.Stale = func(object.OID) bool {
+		gate.Do(func() {
+			for entered.Load() < n {
+				runtime.Gosched()
+			}
+			time.Sleep(20 * time.Millisecond)
+		})
+		return false
+	}
 	var wg sync.WaitGroup
 	oids := make([]object.OID, n)
 	errs := make([]error, n)
@@ -254,6 +273,7 @@ func TestTemporalSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
+			entered.Add(1)
 			oids[i], errs[i] = w.ip.Temporal(context.Background(), "ndvi", mid, sptemp.EmptyBox(), task.RunOptions{})
 		}(i)
 	}

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -254,7 +255,16 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 			return nil, scanErr
 		}
 	}
-	for oid, c := range s.chains {
+	// Index in ascending OID order, so each class's sorted membership
+	// grows by appends: map order would insert every OID at a random
+	// position, a memmove of half the members each.
+	oids := make([]OID, 0, len(s.chains))
+	for oid := range s.chains {
+		oids = append(oids, oid)
+	}
+	slices.Sort(oids)
+	for _, oid := range oids {
+		c := s.chains[oid]
 		sort.SliceStable(c.vers, func(i, j int) bool { return c.vers[i].epoch < c.vers[j].epoch })
 		if !c.head().del {
 			s.indexLocked(c.heap[len("obj_"):], oid, headExt[oid].ext)

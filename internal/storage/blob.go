@@ -22,16 +22,19 @@ var ErrBlobNotFound = errors.New("storage: blob not found")
 // mirroring the paper's image ADT whose internal representation records a
 // filepath: "filepath is the absolute path of the file that stores the
 // actual image data" (§2.1.3). Writes are crash-safe via write-temp +
-// rename; every blob carries a checksum footer.
+// fsync + rename, so a blob is on disk before the WAL group that refers to
+// it; a store opened NoSync skips the fsync as it does the WAL's. Every
+// blob carries a checksum footer.
 type BlobStore struct {
-	dir string
+	dir    string
+	noSync bool
 }
 
-func openBlobStore(dir string) (*BlobStore, error) {
+func openBlobStore(dir string, noSync bool) (*BlobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &BlobStore{dir: dir}, nil
+	return &BlobStore{dir: dir, noSync: noSync}, nil
 }
 
 func (b *BlobStore) path(id BlobID) string {
@@ -62,10 +65,12 @@ func (b *BlobStore) Put(id BlobID, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if !b.noSync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return err
+		}
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)

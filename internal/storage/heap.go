@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -36,9 +37,22 @@ type Heap struct {
 	f     *os.File
 	pages int // page count on disk
 	pool  *bufferPool
-	// freeHint lists pages believed to have free space, kept sorted.
-	freeHint []uint32
+	// freeHint lists pages believed to have free space, ascending by page
+	// number, each with the longest record it can still take when that is
+	// known, so placement skips a page that cannot fit without reading it.
+	freeHint []pageHint
 }
+
+// pageHint is one freeHint entry; room is page.room() as of the last
+// visit, or roomUnknown before the first one and after a change that did
+// not go through insert.
+type pageHint struct {
+	no   uint32
+	room int
+}
+
+// roomUnknown is below anything page.room() returns.
+const roomUnknown = -PageSize
 
 func openHeap(path, name string, poolFrames int) (*Heap, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -59,7 +73,7 @@ func openHeap(path, name string, poolFrames int) (*Heap, error) {
 	// Rebuild the free-space hint lazily: every existing page is a
 	// candidate until proven full.
 	for i := 0; i < h.pages; i++ {
-		h.freeHint = append(h.freeHint, uint32(i))
+		h.freeHint = append(h.freeHint, pageHint{no: uint32(i), room: roomUnknown})
 	}
 	return h, nil
 }
@@ -92,7 +106,7 @@ func (h *Heap) allocPage() (uint32, error) {
 	}
 	h.pages++
 	h.pool.put(no, p)
-	h.freeHint = append(h.freeHint, no)
+	h.freeHint = append(h.freeHint, pageHint{no: no, room: roomUnknown})
 	return no, nil
 }
 
@@ -103,17 +117,25 @@ func (h *Heap) insert(rec []byte) (RID, error) {
 	if len(rec) > MaxRecordLen {
 		return RID{}, fmt.Errorf("%w (%d bytes; store large payloads as blobs)", ErrTooLarge, len(rec))
 	}
-	// Try hinted pages from the back (most recently allocated first).
+	// Try hinted pages from the back (most recently allocated first). A
+	// page whose remembered room is too small is passed over without a
+	// visit, and dropped exactly when a visit would have dropped it.
 	for i := len(h.freeHint) - 1; i >= 0; i-- {
-		no := h.freeHint[i]
-		p, err := h.pool.get(no)
-		if err != nil {
-			return RID{}, err
+		hint := &h.freeHint[i]
+		var p *page
+		if hint.room == roomUnknown || hint.room >= len(rec) {
+			var err error
+			if p, err = h.pool.get(hint.no); err != nil {
+				return RID{}, err
+			}
+			if hint.room == roomUnknown {
+				hint.room = p.room()
+			}
 		}
-		if !p.canInsert(len(rec)) {
+		if hint.room < len(rec) {
 			// Drop the hint only if the page cannot even fit a minimal
 			// record — otherwise keep it for smaller records.
-			if !p.canInsert(64) {
+			if hint.room < 64 {
 				h.freeHint = append(h.freeHint[:i], h.freeHint[i+1:]...)
 			}
 			continue
@@ -122,8 +144,9 @@ func (h *Heap) insert(rec []byte) (RID, error) {
 		if err != nil {
 			continue
 		}
-		h.pool.markDirty(no)
-		return RID{Page: no, Slot: uint16(slot)}, nil
+		hint.room = p.room()
+		h.pool.markDirty(hint.no)
+		return RID{Page: hint.no, Slot: uint16(slot)}, nil
 	}
 	no, err := h.allocPage()
 	if err != nil {
@@ -137,6 +160,7 @@ func (h *Heap) insert(rec []byte) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
+	h.freeHint[len(h.freeHint)-1].room = p.room()
 	h.pool.markDirty(no)
 	return RID{Page: no, Slot: uint16(slot)}, nil
 }
@@ -158,6 +182,9 @@ func (h *Heap) insertAt(rid RID, rec []byte) error {
 		return err
 	}
 	h.pool.markDirty(rid.Page)
+	if i, ok := h.hintIndex(rid.Page); ok {
+		h.freeHint[i].room = roomUnknown
+	}
 	return nil
 }
 
@@ -207,14 +234,20 @@ func (h *Heap) del(rid RID) error {
 	return nil
 }
 
+// hintIndex finds page no in freeHint, or where it would be inserted.
+func (h *Heap) hintIndex(no uint32) (int, bool) {
+	i := sort.Search(len(h.freeHint), func(i int) bool { return h.freeHint[i].no >= no })
+	return i, i < len(h.freeHint) && h.freeHint[i].no == no
+}
+
+// rehint makes page no a placement candidate again and forgets what was
+// remembered of its room.
 func (h *Heap) rehint(no uint32) {
-	i := sort.Search(len(h.freeHint), func(i int) bool { return h.freeHint[i] >= no })
-	if i < len(h.freeHint) && h.freeHint[i] == no {
-		return
+	i, ok := h.hintIndex(no)
+	if !ok {
+		h.freeHint = slices.Insert(h.freeHint, i, pageHint{no: no})
 	}
-	h.freeHint = append(h.freeHint, 0)
-	copy(h.freeHint[i+1:], h.freeHint[i:])
-	h.freeHint[i] = no
+	h.freeHint[i].room = roomUnknown
 }
 
 // scan visits every live record in RID order. Returning false from fn

@@ -93,14 +93,23 @@ func (p *page) deadSpace() int {
 	return PageSize - p.freeEnd() - used
 }
 
-// canInsert reports whether a record of length n fits, possibly after
-// compaction, reusing a dead slot when available.
-func (p *page) canInsert(n int) bool {
-	need := n
-	if p.firstDeadSlot() < 0 {
-		need += slotSize
+// room returns the longest record insert accepts — possibly after
+// compaction, reusing a dead slot when there is one — in one pass over
+// the slot array. It is negative when not even a slot fits.
+func (p *page) room() int {
+	used, dead := 0, false
+	for i := 0; i < p.nslots(); i++ {
+		if off, length := p.slot(i); off != 0 {
+			used += length
+		} else {
+			dead = true
+		}
 	}
-	return p.freeSpace()+p.deadSpace() >= need
+	room := PageSize - used - (pageHdrLen + p.nslots()*slotSize)
+	if !dead {
+		room -= slotSize
+	}
+	return room
 }
 
 func (p *page) firstDeadSlot() int {

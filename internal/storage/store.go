@@ -59,8 +59,9 @@ const epochKey = "mvcc/epoch"
 type Options struct {
 	// PoolFrames is the buffer-pool capacity per heap (default 64).
 	PoolFrames int
-	// NoSync disables per-append fsync of the WAL. Faster, loses the last
-	// writes on a crash; tests and benchmarks use it.
+	// NoSync disables per-append fsync of the WAL and the fsync of each
+	// blob file. Faster, loses the last writes on a crash; tests and
+	// benchmarks use it.
 	NoSync bool
 	// Metrics is the registry the store reports into (nil = unobserved):
 	// WAL growth/appends/fsyncs, buffer-pool hits/misses across heaps,
@@ -77,7 +78,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	blobs, err := openBlobStore(filepath.Join(dir, "blobs"))
+	blobs, err := openBlobStore(filepath.Join(dir, "blobs"), opts.NoSync)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -294,9 +295,18 @@ func TestStoreMetaOps(t *testing.T) {
 	}
 }
 
+// TestBlobStore runs with and without the blob fsync (Options.NoSync).
 func TestBlobStore(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestStore(t, dir)
+	for _, noSync := range []bool{true, false} {
+		t.Run(fmt.Sprintf("NoSync=%v", noSync), func(t *testing.T) { testBlobStore(t, noSync) })
+	}
+}
+
+func testBlobStore(t *testing.T, noSync bool) {
+	s, err := Open(t.TempDir(), Options{NoSync: noSync})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	blobs := s.Blobs()
 
@@ -376,5 +386,55 @@ func TestStoreDeleteFreesSpaceForReuse(t *testing.T) {
 	}
 	if pagesAfter > pagesBefore {
 		t.Errorf("space not reused: %d pages grew to %d", pagesBefore, pagesAfter)
+	}
+}
+
+// TestHeapPlacementReadsNoLingeringPages: pages with too little room for
+// the record at hand stay in the free hint (a smaller record may still
+// fit), so placement must pass them over from memory. Visiting each one
+// through the 64-frame pool made buffer misses grow with pages².
+func TestHeapPlacementReadsNoLingeringPages(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50_000; i++ {
+		if _, err := s.Insert("tasks", make([]byte, 100+rng.Intn(31))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, misses := s.BufferStats() // before HeapStats, which reads every page
+	pages, live := s.HeapStats("tasks")
+	if live != 50_000 {
+		t.Fatalf("live = %d", live)
+	}
+	if misses > uint64(2*pages) {
+		t.Errorf("%d buffer misses placing records on %d pages; want O(pages)", misses, pages)
+	}
+}
+
+// TestHeapDeleteInvalidatesRememberedRoom: a page remembered as too full
+// takes records again once a delete has made room on it.
+func TestHeapDeleteInvalidatesRememberedRoom(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	defer s.Close()
+	big := make([]byte, 3000)
+	first, err := s.Insert("h", big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ { // two to a page: pages 0, 1 and 2 are full
+		if _, err := s.Insert("h", big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete("h", first); err != nil {
+		t.Fatal(err)
+	}
+	rid, err := s.Insert("h", big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rid.Page != first.Page {
+		t.Errorf("record placed on page %d, want the freed page %d", rid.Page, first.Page)
 	}
 }

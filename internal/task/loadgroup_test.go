@@ -1,0 +1,148 @@
+package task
+
+import (
+	"encoding/json"
+	"testing"
+
+	"gaea/internal/object"
+	"gaea/internal/storage"
+)
+
+// commitStaged commits staged task records the way a session does — in
+// one object-store batch that pins the task sequence — and publishes them.
+func commitStaged(t *testing.T, e *env, tasks []*Task, recs []object.ExtraRec) {
+	t.Helper()
+	if _, err := e.obj.ApplyBatch(object.BatchOps{Extra: recs, PinSeqs: []string{"task"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range tasks {
+		e.exec.Publish(tk)
+	}
+}
+
+// TestStageExternalSingleOutputKeepsLegacyRecord: a load of one object is
+// recorded in the form every record had before load groups, byte for byte.
+func TestStageExternalSingleOutputKeepsLegacyRecord(t *testing.T) {
+	e := newEnv(t)
+	tasks, recs, err := e.exec.StageExternal("data_load", nil, []object.OID{41}, "landsat_tm", RunOptions{User: "u", Note: "n"})
+	if err != nil || len(tasks) != 1 || len(recs) != 1 {
+		t.Fatalf("staged %d tasks, %d records, %v", len(tasks), len(recs), err)
+	}
+	legacy, err := json.Marshal(struct {
+		ID       ID                      `json:"id"`
+		Process  string                  `json:"process"`
+		Version  int                     `json:"version"`
+		User     string                  `json:"user,omitempty"`
+		Inputs   map[string][]object.OID `json:"inputs"`
+		Output   object.OID              `json:"output"`
+		OutClass string                  `json:"out_class"`
+		Micros   int64                   `json:"micros"`
+		Note     string                  `json:"note,omitempty"`
+	}{ID: tasks[0].ID, Process: "data_load", User: "u", Output: 41, OutClass: "landsat_tm", Note: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(recs[0].Rec) != string(legacy) {
+		t.Errorf("single-output record\n %s\nis not the legacy form\n %s", recs[0].Rec, legacy)
+	}
+}
+
+// TestStageExternalScatteredOutputsSplit: 50,000 outputs with a gap after
+// each — 50,000 runs, far more than one heap record holds — are split
+// over several tasks that together list every output exactly once, and
+// the split survives a reopen.
+func TestStageExternalScatteredOutputsSplit(t *testing.T) {
+	dir := t.TempDir()
+	e := openEnv(t, dir, false)
+	const n = 50_000
+	outputs := make([]object.OID, n)
+	for i := range outputs {
+		outputs[i] = object.OID(1_000_000 + 2*i)
+	}
+	tasks, recs, err := e.exec.StageExternal("data_load", nil, outputs, "landsat_tm", RunOptions{Note: "scattered"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) < 2 {
+		t.Fatalf("%d runs staged as %d task", n, len(tasks))
+	}
+	next := 0
+	for i, tk := range tasks {
+		if len(recs[i].Rec) > storage.MaxRecordLen {
+			t.Fatalf("task %d: record of %d bytes exceeds a page", tk.ID, len(recs[i].Rec))
+		}
+		for _, out := range tk.Outputs() {
+			if next >= n || out != outputs[next] {
+				t.Fatalf("task %d lists %d out of turn", tk.ID, out)
+			}
+			next++
+		}
+	}
+	if next != n {
+		t.Fatalf("tasks list %d outputs, want %d", next, n)
+	}
+	commitStaged(t, e, tasks, recs)
+	check := func(e *env) {
+		t.Helper()
+		for _, i := range []int{0, 1, n / 2, n - 1} {
+			prod, ok := e.exec.Producer(outputs[i])
+			if !ok || prod.Note != "scattered" {
+				t.Fatalf("producer of output %d = %+v, %v", i, prod, ok)
+			}
+			if _, ok := e.exec.Producer(outputs[i] + 1); ok {
+				t.Errorf("the gap after output %d has a producer", i)
+			}
+		}
+		if got := len(e.exec.All()); got != len(tasks) {
+			t.Errorf("%d tasks in the log, want %d", got, len(tasks))
+		}
+	}
+	check(e)
+	if err := e.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(openEnv(t, dir, true))
+}
+
+// TestLoadGroupLineageWalks: ancestors and descendants cross a load
+// group through the member that was actually used, not its siblings.
+func TestLoadGroupLineageWalks(t *testing.T) {
+	e := newEnv(t)
+	group := []object.OID{10, 11, 12, 13}
+	tasks, recs, err := e.exec.StageExternal("data_load", nil, group, "landsat_tm", RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitStaged(t, e, tasks, recs)
+	if len(tasks) != 1 || len(recs[0].Rec) > 160 {
+		t.Fatalf("contiguous group staged as %d tasks, first record %d bytes", len(tasks), len(recs[0].Rec))
+	}
+	if _, err := e.exec.RecordExternal("interpolation", map[string][]object.OID{"src": {12}}, 99, "landsat_tm", RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.exec.Descendants(12); len(got) != 1 || got[0] != 99 {
+		t.Errorf("descendants(12) = %v, want [99]", got)
+	}
+	if got := e.exec.Descendants(11); len(got) != 0 {
+		t.Errorf("descendants(11) = %v, want none", got)
+	}
+	if got := e.exec.Ancestors(99); len(got) != 1 || got[0] != 12 {
+		t.Errorf("ancestors(99) = %v, want [12]", got)
+	}
+	// A later task over one member (a re-load, a refresh) is that member's
+	// newest producer; its siblings keep the group's.
+	ext, err := e.exec.RecordExternal("data_load", nil, 11, "landsat_tm", RunOptions{Note: "reloaded"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prod, _ := e.exec.Producer(11); prod.ID != ext.ID {
+		t.Errorf("producer(11) = task %d, want the newer task %d", prod.ID, ext.ID)
+	}
+	if prod, _ := e.exec.Producer(10); prod.ID != tasks[0].ID {
+		t.Errorf("producer(10) = task %d, want the group's %d", prod.ID, tasks[0].ID)
+	}
+	// Version-0 tasks share one memo key per process; none may be entered.
+	if len(e.exec.memo) != 0 {
+		t.Errorf("external derivations entered the memo: %v", e.exec.memo)
+	}
+}

@@ -3,8 +3,11 @@
 // generate a set of objects (most of the time just one) for the output
 // class." Tasks are the data-object-level derivation records (§2.1.5 item
 // 2): each one stores which process version ran, over which input OIDs,
-// producing which output OID — the derivation history that makes shared
-// data interpretable and experiments reproducible.
+// producing which output OIDs — the derivation history that makes shared
+// data interpretable and experiments reproducible. A derivation has one
+// output; a base-data load has the whole set a session created for one
+// class under one note, so provenance is kept at the coarsest grain that
+// is still exact (one record per load, not one per object).
 //
 // The executor also provides memoisation (an identical instantiation is
 // answered from the recorded task instead of recomputed) and lineage
@@ -23,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -60,13 +64,76 @@ type Task struct {
 	// Inputs maps argument names to the OIDs bound to them, in binding
 	// order.
 	Inputs map[string][]object.OID `json:"inputs"`
-	Output object.OID              `json:"output"`
+	// Output is the object the task generated — the first of them when it
+	// generated a set.
+	Output object.OID `json:"output"`
+	// OutputRuns lists every output of a task that generated a set (a
+	// session's load group), Output included, as ascending disjoint runs.
+	// It is empty for single-output tasks, whose records carry only
+	// "output" — the form every record had before load groups existed.
+	OutputRuns []Run `json:"outputs,omitempty"`
 	// OutClass denormalises the output class for lineage display.
 	OutClass string `json:"out_class"`
 	// Micros is the execution wall time in microseconds.
 	Micros int64 `json:"micros"`
 	// Note is free-form provenance commentary (e.g. the experiment name).
 	Note string `json:"note,omitempty"`
+}
+
+// Run is a contiguous range of output OIDs, encoded as [first, count]: a
+// 1,024-create session whose OIDs were reserved back to back is one run.
+type Run [2]uint64
+
+// Outputs returns every object the task generated, ascending.
+func (t *Task) Outputs() []object.OID {
+	if len(t.OutputRuns) == 0 {
+		return []object.OID{t.Output}
+	}
+	out := make([]object.OID, 0, t.NumOutputs())
+	for _, r := range t.OutputRuns {
+		for i := uint64(0); i < r[1]; i++ {
+			out = append(out, object.OID(r[0]+i))
+		}
+	}
+	return out
+}
+
+// NumOutputs is len(t.Outputs()) without building the slice.
+func (t *Task) NumOutputs() int {
+	if len(t.OutputRuns) == 0 {
+		return 1
+	}
+	n := 0
+	for _, r := range t.OutputRuns {
+		n += int(r[1])
+	}
+	return n
+}
+
+// setOutputs records runs as the task's outputs, in the single-output
+// form when there is just one.
+func (t *Task) setOutputs(runs []Run) {
+	t.Output, t.OutputRuns = object.OID(runs[0][0]), runs
+	if len(runs) == 1 && runs[0][1] == 1 {
+		t.OutputRuns = nil
+	}
+}
+
+// runsOf folds OIDs into ascending [first, count] runs.
+func runsOf(oids []object.OID) []Run {
+	if !slices.IsSorted(oids) {
+		oids = slices.Clone(oids)
+		slices.Sort(oids)
+	}
+	var runs []Run
+	for _, oid := range oids {
+		if n := len(runs); n > 0 && runs[n-1][0]+runs[n-1][1] == uint64(oid) {
+			runs[n-1][1]++
+			continue
+		}
+		runs = append(runs, Run{uint64(oid), 1})
+	}
+	return runs
 }
 
 // Key canonicalises (process, version, inputs) for memoisation.
@@ -118,10 +185,18 @@ type Executor struct {
 	obj *object.Store
 	mgr *process.Manager
 
-	byID     map[ID]*Task
+	byID map[ID]*Task
+	// byOutput maps a single-output task's object to its newest producer;
+	// byRun does the same for the members of load groups, as disjoint
+	// ranges ascending by first OID, so 131,072 loaded objects cost a few
+	// hundred entries, not a map entry each.
 	byOutput map[object.OID]ID
+	byRun    []outRun
 	byInput  map[object.OID][]ID
-	memo     map[string]ID
+	// memo maps a process instantiation to its newest task. External
+	// derivations (version 0) are not process instantiations and are
+	// never entered.
+	memo map[string]ID
 	// flights deduplicates executions in progress per memo key
 	// (single-flight): concurrent identical instantiations wait for the
 	// leader instead of re-deriving.
@@ -134,6 +209,13 @@ type Executor struct {
 type flightVal struct {
 	task  *Task
 	fresh bool
+}
+
+// outRun is one range of byRun: OIDs [first, first+count) were generated
+// by task id.
+type outRun struct {
+	first, count uint64
+	id           ID
 }
 
 const tasksHeap = "tasks"
@@ -166,15 +248,56 @@ func OpenExecutor(st *storage.Store, cat *catalog.Catalog, reg *adt.Registry, ob
 	return e, nil
 }
 
+// indexLocked enters a task into the lineage indexes. The newest task
+// (highest ID) wins an output or a memo key, whatever order records are
+// indexed in: a refresh re-records its output under a later ID, and the
+// open-time scan visits records in heap order, which is not quite ID
+// order.
 func (e *Executor) indexLocked(t *Task) {
 	e.byID[t.ID] = t
-	e.byOutput[t.Output] = t.ID
+	if len(t.OutputRuns) == 0 {
+		if cur, ok := e.byOutput[t.Output]; !ok || cur < t.ID {
+			e.byOutput[t.Output] = t.ID
+		}
+	}
+	for _, r := range t.OutputRuns {
+		e.byRun = slices.Insert(e.byRun, e.runAboveLocked(r[0]), outRun{first: r[0], count: r[1], id: t.ID})
+	}
 	for _, oids := range t.Inputs {
 		for _, oid := range oids {
 			e.byInput[oid] = append(e.byInput[oid], t.ID)
 		}
 	}
-	e.memo[memoKey(t.Process, t.Version, t.Inputs)] = t.ID
+	if t.Version != 0 {
+		key := memoKey(t.Process, t.Version, t.Inputs)
+		if cur, ok := e.memo[key]; !ok || cur < t.ID {
+			e.memo[key] = t.ID
+		}
+	}
+}
+
+// runAboveLocked returns the index of the first byRun entry that starts
+// above oid.
+func (e *Executor) runAboveLocked(oid uint64) int {
+	return sort.Search(len(e.byRun), func(i int) bool { return e.byRun[i].first > oid })
+}
+
+// runIndexLocked finds the byRun entry holding oid.
+func (e *Executor) runIndexLocked(oid object.OID) (int, bool) {
+	i := e.runAboveLocked(uint64(oid)) - 1
+	if i < 0 || uint64(oid)-e.byRun[i].first >= e.byRun[i].count {
+		return 0, false
+	}
+	return i, true
+}
+
+// producerLocked resolves an object to its newest producer task.
+func (e *Executor) producerLocked(oid object.OID) (ID, bool) {
+	id, ok := e.byOutput[oid]
+	if i, inRun := e.runIndexLocked(oid); inRun && (!ok || e.byRun[i].id > id) {
+		return e.byRun[i].id, true
+	}
+	return id, ok
 }
 
 // RunOptions tunes one execution.
@@ -283,12 +406,29 @@ func (e *Executor) outputLive(t *Task) bool {
 func (e *Executor) ForgetOutput(oid object.OID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if i, ok := e.runIndexLocked(oid); ok {
+		// Cut oid out of its load group's range; the other members keep
+		// their producer.
+		r := e.byRun[i]
+		before := uint64(oid) - r.first
+		parts := make([]outRun, 0, 2)
+		if before > 0 {
+			parts = append(parts, outRun{first: r.first, count: before, id: r.id})
+		}
+		if after := r.count - before - 1; after > 0 {
+			parts = append(parts, outRun{first: uint64(oid) + 1, count: after, id: r.id})
+		}
+		e.byRun = slices.Replace(e.byRun, i, i+1, parts...)
+	}
 	id, ok := e.byOutput[oid]
 	if !ok {
 		return
 	}
 	t := e.byID[id]
 	delete(e.byOutput, oid)
+	if t.Version == 0 {
+		return
+	}
 	key := memoKey(t.Process, t.Version, t.Inputs)
 	if e.memo[key] == id {
 		delete(e.memo, key)
@@ -563,7 +703,7 @@ func (e *Executor) All() []*Task {
 func (e *Executor) Producer(oid object.OID) (*Task, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	id, ok := e.byOutput[oid]
+	id, ok := e.producerLocked(oid)
 	if !ok {
 		return nil, false
 	}
@@ -618,9 +758,11 @@ func (e *Executor) Descendants(oid object.OID) []object.OID {
 	var walk func(object.OID)
 	walk = func(o object.OID) {
 		for _, t := range e.Consumers(o) {
-			if !seen[t.Output] {
-				seen[t.Output] = true
-				walk(t.Output)
+			for _, out := range t.Outputs() {
+				if !seen[out] {
+					seen[out] = true
+					walk(out)
+				}
 			}
 		}
 	}
@@ -759,28 +901,52 @@ func (e *Executor) RecordExternal(procName string, inputs map[string][]object.OI
 	})
 }
 
-// StageExternal prepares an external-derivation task for inclusion in an
-// atomic storage batch instead of logging it immediately: the task ID is
-// reserved in memory, and the marshalled heap record is returned for the
-// caller to commit alongside its object mutations (the batch must pin the
-// "task" sequence — object.Store.ApplyBatch accepts it via PinSeqs).
-// After the batch commits, Publish indexes the task.
-func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, output object.OID, outClass string, opts RunOptions) (*Task, object.ExtraRec, error) {
-	t := &Task{
-		ID:       ID(e.st.AllocID("task")),
-		Process:  procName,
-		Version:  0,
-		User:     opts.User,
-		Inputs:   inputs,
-		Output:   output,
-		OutClass: outClass,
-		Note:     opts.Note,
+// maxRunsPerRecord bounds how many runs one task record can hold: the
+// shortest run encodes as `[1,1],`.
+const maxRunsPerRecord = storage.MaxRecordLen / 6
+
+// StageExternal prepares the task of an external derivation that
+// generated a set of objects — a session's creates of one class under one
+// note — for inclusion in an atomic storage batch instead of logging it
+// immediately: the task ID is reserved in memory, and the marshalled heap
+// record is returned for the caller to commit alongside its object
+// mutations (the batch must pin the "task" sequence — object.Store.
+// ApplyBatch accepts it via PinSeqs). After the batch commits, Publish
+// indexes the task. The outputs are recorded as [first, count] runs, so
+// OIDs reserved back to back cost one record of ~150 bytes however many
+// they are; only a set scattered into more runs than a heap record holds
+// is split over several tasks.
+func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, outputs []object.OID, outClass string, opts RunOptions) ([]*Task, []object.ExtraRec, error) {
+	var tasks []*Task
+	var recs []object.ExtraRec
+	for runs := runsOf(outputs); len(runs) > 0; {
+		t := &Task{
+			ID:       ID(e.st.AllocID("task")),
+			Process:  procName,
+			Version:  0,
+			User:     opts.User,
+			Inputs:   inputs,
+			OutClass: outClass,
+			Note:     opts.Note,
+		}
+		n := min(len(runs), maxRunsPerRecord)
+		var rec []byte
+		for {
+			t.setOutputs(runs[:n])
+			var err error
+			if rec, err = json.Marshal(t); err != nil {
+				return nil, nil, err
+			}
+			if len(rec) <= storage.MaxRecordLen || n == 1 {
+				break
+			}
+			n /= 2
+		}
+		tasks = append(tasks, t)
+		recs = append(recs, object.ExtraRec{Heap: tasksHeap, Rec: rec})
+		runs = runs[n:]
 	}
-	rec, err := json.Marshal(t)
-	if err != nil {
-		return nil, object.ExtraRec{}, err
-	}
-	return t, object.ExtraRec{Heap: tasksHeap, Rec: rec}, nil
+	return tasks, recs, nil
 }
 
 // Publish indexes a staged task whose record was committed by a storage

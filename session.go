@@ -117,9 +117,10 @@ func (s *Session) checkStaging() error {
 }
 
 // Create stages a new object (base data) and returns its reserved OID.
-// The load task recording its provenance note is staged with it — even
-// an empty note records the load, so the object is never invisible to
-// lineage. The object becomes retrievable at Commit.
+// Commit records its provenance in a load task shared by every create of
+// the session with the same class and note — even an empty note records
+// the load, so the object is never invisible to lineage. The object
+// becomes retrievable at Commit.
 func (s *Session) Create(obj *object.Object, note string) (object.OID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,14 +233,14 @@ func (s *Session) Prepare() error {
 }
 
 // Commit applies every staged mutation atomically: one WAL batch (one
-// fsync) covering the object records, their load tasks, and the sequence
-// reservations, then one invalidation sweep marking all transitive
-// dependents stale under a single epoch. If the batch fails (validation,
-// conflict, I/O) nothing is applied; if the batch committed but the
-// invalidation sweep then failed, the mutations ARE durable and the
-// error says so — the caller must not re-ingest, and RefreshStale (or
-// re-updating the roots) re-runs the propagation. Either way the session
-// is finished. An empty session commits as a no-op.
+// fsync) covering the object records, one load task per class and note
+// of the creates, and the sequence reservations, then one invalidation
+// sweep marking all transitive dependents stale under a single epoch. If
+// the batch fails (validation, conflict, I/O) nothing is applied; if the
+// batch committed but the invalidation sweep then failed, the mutations
+// ARE durable and the error says so — the caller must not re-ingest, and
+// RefreshStale (or re-updating the roots) re-runs the propagation. Either
+// way the session is finished. An empty session commits as a no-op.
 func (s *Session) Commit() (err error) {
 	_, sp := obs.StartWith(s.ctx, s.k.Tracer, "session/commit")
 	start := time.Now()
@@ -274,19 +275,31 @@ func (s *Session) Commit() (err error) {
 	}
 
 	var ops object.BatchOps
-	var staged []*task.Task
+	// One load task per (class, note) of the creates, in order of first
+	// appearance: its outputs are the whole set this session created.
+	type loadKey struct{ class, note string }
+	var loadOrder []loadKey
+	loads := make(map[loadKey][]object.OID)
 	for _, c := range s.creates {
 		if c.obj == nil {
 			continue // created then deleted within the session
 		}
 		ops.Inserts = append(ops.Inserts, c.obj)
-		t, rec, err := s.k.Tasks.StageExternal("data_load", nil, c.obj.OID, c.obj.Class,
-			task.RunOptions{User: s.user, Note: c.note})
+		key := loadKey{c.obj.Class, c.note}
+		if _, seen := loads[key]; !seen {
+			loadOrder = append(loadOrder, key)
+		}
+		loads[key] = append(loads[key], c.obj.OID)
+	}
+	var staged []*task.Task
+	for _, key := range loadOrder {
+		tasks, recs, err := s.k.Tasks.StageExternal("data_load", nil, loads[key], key.class,
+			task.RunOptions{User: s.user, Note: key.note})
 		if err != nil {
 			return classify(err)
 		}
-		staged = append(staged, t)
-		ops.Extra = append(ops.Extra, rec)
+		staged = append(staged, tasks...)
+		ops.Extra = append(ops.Extra, recs...)
 	}
 	for _, u := range s.updates {
 		if u == nil {
