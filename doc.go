@@ -94,8 +94,10 @@
 // Conn is safe for concurrent use and deadlines bound individual
 // requests, never the connection), streaming queries as server-pushed
 // pages under a credit window (client.Options.StreamWindow), and query
-// results shipped as the stored record bytes — encoded once at commit,
-// never re-encoded per request. Version negotiation is automatic;
+// results shipped as the stored attribute bytes — encoded once at commit,
+// never re-encoded per request: the stored record leaves what its class
+// says (name, frame, attribute names) to the catalog, and the read path
+// splices that back per shipped record. Version negotiation is automatic;
 // client.Options{Protocol: client.ProtocolV1} pins the legacy gob
 // request/response protocol, which every server still accepts.
 //

@@ -53,11 +53,11 @@ type BatchOps struct {
 // ValidateNew checks a new object against its class schema without
 // persisting or assigning anything.
 func (s *Store) ValidateNew(obj *Object) error {
-	cls, err := s.cat.Class(obj.Class)
+	sch, err := s.schema(obj.Class)
 	if err != nil {
 		return err
 	}
-	return s.validate(cls, obj)
+	return s.validate(sch.cls, obj)
 }
 
 // Reserve validates a new object against its class schema and assigns it
@@ -80,34 +80,31 @@ func (s *Store) CheckUpdate(obj *Object) error {
 	if obj.OID == 0 {
 		return fmt.Errorf("%w: update needs an OID", ErrBadAttr)
 	}
-	cls, err := s.cat.Class(obj.Class)
+	sch, err := s.schema(obj.Class)
 	if err != nil {
 		return err
 	}
-	if err := s.validate(cls, obj); err != nil {
+	if err := s.validate(sch.cls, obj); err != nil {
 		return err
 	}
 	s.mu.RLock()
 	c, ok := s.chains[obj.OID]
 	live := ok && !c.head().del
-	heap := ""
-	if ok {
-		heap = c.heap
-	}
 	s.mu.RUnlock()
 	if !live {
 		return fmt.Errorf("%w: oid %d", ErrNotFound, obj.OID)
 	}
-	if heap != heapFor(obj.Class) {
+	if c.sch != sch {
 		return fmt.Errorf("%w: object %d is of class %s, not %s",
-			ErrBadAttr, obj.OID, heap[len("obj_"):], obj.Class)
+			ErrBadAttr, obj.OID, c.sch.cls.Name, obj.Class)
 	}
 	return nil
 }
 
 // ApplyBatch applies a staged set of mutations as one atomic storage
-// batch at one fresh commit epoch, and returns that epoch. Encoding (and
-// blob offload) happens before the store lock is taken; epoch
+// batch at one fresh commit epoch, and returns that epoch. Encoding (with
+// blob offload, and the check that each record fits a page) happens
+// before the store lock is taken; epoch
 // reservation, conflict validation, the WAL group commit, and version
 // publication happen under it, so epochs become visible to readers in
 // commit order. Superseded versions are NOT reclaimed — they stay in
@@ -115,9 +112,9 @@ func (s *Store) CheckUpdate(obj *Object) error {
 // under ReadEpoch, changed) since staging fails the whole batch with
 // ErrConflict.
 func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
-	alloc := func(seq string) (uint64, error) { return s.st.AllocID(seq), nil }
 	type encoded struct {
 		obj   *Object
+		sch   *schema
 		rec   []byte
 		blobs []storage.BlobID
 	}
@@ -129,13 +126,24 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	}
 	encode := func(objs []*Object) ([]encoded, error) {
 		out := make([]encoded, 0, len(objs))
+		var sch *schema // a group is mostly one class: look it up when it changes
 		for _, obj := range objs {
-			rec, blobs, err := s.encodeObject(obj, alloc)
+			if sch == nil || sch.cls.Name != obj.Class {
+				var err error
+				if sch, err = s.schema(obj.Class); err != nil {
+					return nil, err
+				}
+			}
+			rec, blobs, err := encodeObject(sch, obj, s.putBlob)
+			newBlobs = append(newBlobs, blobs...)
 			if err != nil {
 				return nil, err
 			}
-			newBlobs = append(newBlobs, blobs...)
-			out = append(out, encoded{obj: obj, rec: rec, blobs: blobs})
+			if len(rec) > storage.MaxRecordLen {
+				return nil, fmt.Errorf("%w: object %d (class %s) encodes to %d bytes inline, a record holds %d; store large payloads as images",
+					ErrBadAttr, obj.OID, obj.Class, len(rec), storage.MaxRecordLen)
+			}
+			out = append(out, encoded{obj: obj, sch: sch, rec: rec, blobs: blobs})
 		}
 		return out, nil
 	}
@@ -171,12 +179,12 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	// DIFFERENT prepared transaction conflicts regardless of epochs: the
 	// lock holder's commit is already promised.
 	s.mu.RLock()
-	checkTarget := func(oid OID, wantHeap string) (*chain, error) {
-		return s.checkTargetLocked(oid, wantHeap, ops.ReadEpoch, ops.PreparedToken)
+	checkTarget := func(oid OID, want *schema) (*chain, error) {
+		return s.checkTargetLocked(oid, want, ops.ReadEpoch, ops.PreparedToken)
 	}
 	upChains := make([]*chain, len(updates))
 	for i, up := range updates {
-		c, err := checkTarget(up.obj.OID, heapFor(up.obj.Class))
+		c, err := checkTarget(up.obj.OID, up.sch)
 		if err != nil {
 			s.mu.RUnlock()
 			undoBlobs()
@@ -186,7 +194,7 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	}
 	delChains := make([]*chain, len(ops.Deletes))
 	for i, oid := range ops.Deletes {
-		c, err := checkTarget(oid, "")
+		c, err := checkTarget(oid, nil)
 		if err != nil {
 			s.mu.RUnlock()
 			undoBlobs()
@@ -205,17 +213,16 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	insIdx := make([]int, len(inserts))
 	for i, in := range inserts {
 		stampEpoch(in.rec, epoch)
-		insIdx[i] = b.Insert(heapFor(in.obj.Class), in.rec)
+		insIdx[i] = b.Insert(in.sch.heap, in.rec)
 	}
 	upIdx := make([]int, len(updates))
 	for i, up := range updates {
 		stampEpoch(up.rec, epoch)
-		upIdx[i] = b.Insert(upChains[i].heap, up.rec)
+		upIdx[i] = b.Insert(up.sch.heap, up.rec)
 	}
 	delIdx := make([]int, len(ops.Deletes))
 	for i, oid := range ops.Deletes {
-		class := delChains[i].heap[len("obj_"):]
-		delIdx[i] = b.Insert(delChains[i].heap, encodeTombstone(oid, class, epoch))
+		delIdx[i] = b.Insert(delChains[i].sch.heap, encodeTombstone(oid, epoch))
 	}
 	for _, ex := range ops.Extra {
 		b.Insert(ex.Heap, ex.Rec)
@@ -234,7 +241,7 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	s.mu.Lock()
 	for i, in := range inserts {
 		s.chains[in.obj.OID] = &chain{
-			heap: heapFor(in.obj.Class),
+			sch:  in.sch,
 			vers: []version{{epoch: epoch, rid: rids[insIdx[i]], blobs: in.blobs}},
 		}
 		s.indexLocked(in.obj.Class, in.obj.OID, in.obj.Extent)
@@ -249,7 +256,7 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	for i, oid := range ops.Deletes {
 		c := delChains[i]
 		c.vers = append(c.vers, version{epoch: epoch, rid: rids[delIdx[i]], del: true})
-		class := c.heap[len("obj_"):]
+		class := c.sch.cls.Name
 		s.unindexLocked(class, oid)
 		s.changed[class] = append(s.changed[class], changeEnt{epoch: epoch, oid: oid})
 	}
@@ -266,17 +273,24 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	return epoch, nil
 }
 
+// putBlob stores an offloaded image under a fresh blob id: an in-memory
+// reservation that the batch referencing it pins at commit.
+func (s *Store) putBlob(data []byte) (storage.BlobID, error) {
+	id := storage.BlobID(s.st.AllocID("blob"))
+	return id, s.st.Blobs().Put(id, data)
+}
+
 // checkTargetLocked validates one mutation target. Callers hold
 // commitMu (which guards prepLocks) and s.mu at least shared (which
 // guards chains).
-func (s *Store) checkTargetLocked(oid OID, wantHeap string, readEpoch, token uint64) (*chain, error) {
+func (s *Store) checkTargetLocked(oid OID, want *schema, readEpoch, token uint64) (*chain, error) {
 	c, ok := s.chains[oid]
 	if !ok || c.head().del {
 		return nil, fmt.Errorf("%w: oid %d vanished before commit", ErrConflict, oid)
 	}
-	if wantHeap != "" && c.heap != wantHeap {
+	if want != nil && c.sch != want {
 		return nil, fmt.Errorf("%w: object %d is of class %s, not %s",
-			ErrBadAttr, oid, c.heap[len("obj_"):], wantHeap[len("obj_"):])
+			ErrBadAttr, oid, c.sch.cls.Name, want.cls.Name)
 	}
 	if holder, locked := s.prepLocks[oid]; locked && holder != token {
 		return nil, fmt.Errorf("%w: oid %d is locked by prepared transaction %d", ErrConflict, oid, holder)
@@ -301,19 +315,26 @@ func (s *Store) PrepareBatch(ops BatchOps, token uint64) error {
 	if token == 0 {
 		return fmt.Errorf("%w: prepare requires a transaction token", ErrBadAttr)
 	}
+	want := make([]*schema, len(ops.Updates))
+	for i, up := range ops.Updates {
+		var err error
+		if want[i], err = s.schema(up.Class); err != nil {
+			return err
+		}
+	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.mu.RLock()
 	targets := make([]OID, 0, len(ops.Updates)+len(ops.Deletes))
-	for _, up := range ops.Updates {
-		if _, err := s.checkTargetLocked(up.OID, heapFor(up.Class), ops.ReadEpoch, token); err != nil {
+	for i, up := range ops.Updates {
+		if _, err := s.checkTargetLocked(up.OID, want[i], ops.ReadEpoch, token); err != nil {
 			s.mu.RUnlock()
 			return err
 		}
 		targets = append(targets, up.OID)
 	}
 	for _, oid := range ops.Deletes {
-		if _, err := s.checkTargetLocked(oid, "", ops.ReadEpoch, token); err != nil {
+		if _, err := s.checkTargetLocked(oid, nil, ops.ReadEpoch, token); err != nil {
 			s.mu.RUnlock()
 			return err
 		}
@@ -367,11 +388,11 @@ func (s *Store) QueryFromAt(class string, pred sptemp.Extent, after OID, epoch u
 			if oid <= after {
 				continue
 			}
-			heap, v, ok := s.resolve(oid, epoch)
+			sch, v, ok := s.resolve(oid, epoch)
 			if !ok {
 				continue // not visible at this snapshot
 			}
-			rec, err := s.st.Get(heap, v.rid)
+			rec, err := s.st.Get(sch.heap, v.rid)
 			if err != nil {
 				if errors.Is(err, storage.ErrNotFound) {
 					continue
@@ -379,7 +400,7 @@ func (s *Store) QueryFromAt(class string, pred sptemp.Extent, after OID, epoch u
 				yield(0, err)
 				return
 			}
-			ext, err := decodeExtentOnly(rec)
+			ext, err := recordExtent(rec, sch)
 			if err != nil {
 				yield(0, err)
 				return

@@ -1,10 +1,12 @@
 // Package object manages scientific data objects — the instances of
 // non-primitive classes (§2.1.2). Every object carries an OID, its class
 // name, attribute values, and its spatio-temporal extent. Objects persist
-// in the storage engine; large image payloads are offloaded to the blob
-// store (the paper's image ADT likewise stores a filepath, not inline
-// pixels). Per-class grid and interval indexes serve the extent-qualified
-// retrieval that is step 1 of the §2.1.5 query sequence.
+// in the storage engine, one heap per class, as records relative to that
+// class (record.go has both record forms and the one walker over them;
+// no other package knows the layout); large image payloads are offloaded
+// to the blob store (the paper's image ADT likewise stores a filepath,
+// not inline pixels). Per-class grid and interval indexes serve the
+// extent-qualified retrieval that is step 1 of the §2.1.5 query sequence.
 //
 // The store is multi-versioned: every commit happens at a monotonically
 // increasing epoch (reserved from the storage layer and stamped into the
@@ -17,7 +19,6 @@
 package object
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -93,7 +94,7 @@ type version struct {
 // tombstone, when present, is always the newest: OIDs are never reused,
 // so nothing commits after a delete.
 type chain struct {
-	heap string
+	sch  *schema
 	vers []version
 }
 
@@ -158,6 +159,8 @@ type Store struct {
 	commitMu sync.Mutex
 	st       *storage.Store
 	cat      *catalog.Catalog
+	// schemas caches each class's *schema by class name (see record.go).
+	schemas sync.Map
 	// chains holds every OID's version history, including OIDs whose
 	// newest version is a tombstone (still visible to pinned snapshots).
 	chains map[OID]*chain
@@ -204,7 +207,8 @@ func heapFor(class string) string { return "obj_" + class }
 // Open loads the object store, rebuilding version chains and in-memory
 // indexes by scanning each class heap. Every record carries its commit
 // epoch, so the chain order (and the epoch counter) is recovered exactly;
-// superseded versions persist until the next GC.
+// superseded versions persist until the next GC. The scan reads record
+// headers and blob references only: no attribute value is decoded.
 func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	s := &Store{
 		st:        st,
@@ -226,25 +230,32 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	}
 	headExt := make(map[OID]headState)
 	for _, class := range cat.Names() {
-		heap := heapFor(class)
+		sch, err := s.schema(class)
+		if err != nil {
+			return nil, err
+		}
 		var scanErr error
-		err := st.Scan(heap, func(rid storage.RID, raw []byte) bool {
-			obj, blobIDs, epoch, deleted, err := decodeObject(raw)
+		err = st.Scan(sch.heap, func(rid storage.RID, raw []byte) bool {
+			w, err := parseRecord(raw, sch)
+			var blobIDs []storage.BlobID
+			if err == nil {
+				blobIDs, err = w.blobIDs()
+			}
 			if err != nil {
-				scanErr = fmt.Errorf("object: corrupt record %s in %s: %w", rid, heap, err)
+				scanErr = fmt.Errorf("object: corrupt record %s in %s: %w", rid, sch.heap, err)
 				return false
 			}
-			c := s.chains[obj.OID]
+			c := s.chains[w.oid]
 			if c == nil {
-				c = &chain{heap: heap}
-				s.chains[obj.OID] = c
+				c = &chain{sch: sch}
+				s.chains[w.oid] = c
 			}
-			c.vers = append(c.vers, version{epoch: epoch, rid: rid, blobs: blobIDs, del: deleted})
-			if prev, ok := headExt[obj.OID]; !ok || epoch >= prev.epoch {
-				headExt[obj.OID] = headState{epoch: epoch, ext: obj.Extent}
+			c.vers = append(c.vers, version{epoch: w.epoch, rid: rid, blobs: blobIDs, del: w.del})
+			if prev, ok := headExt[w.oid]; !ok || w.epoch >= prev.epoch {
+				headExt[w.oid] = headState{epoch: w.epoch, ext: w.ext}
 			}
-			if epoch > maxEpoch {
-				maxEpoch = epoch
+			if w.epoch > maxEpoch {
+				maxEpoch = w.epoch
 			}
 			return true
 		})
@@ -267,7 +278,7 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 		c := s.chains[oid]
 		sort.SliceStable(c.vers, func(i, j int) bool { return c.vers[i].epoch < c.vers[j].epoch })
 		if !c.head().del {
-			s.indexLocked(c.heap[len("obj_"):], oid, headExt[oid].ext)
+			s.indexLocked(c.sch.cls.Name, oid, headExt[oid].ext)
 		}
 	}
 	if maxEpoch == 0 {
@@ -449,7 +460,7 @@ func (s *Store) RecordSize(oid OID) (int64, error) {
 	}
 	heap := ""
 	if ok {
-		heap = c.heap
+		heap = c.sch.heap
 	}
 	blobIDs := append([]storage.BlobID(nil), v.blobs...)
 	s.mu.RUnlock()
@@ -474,23 +485,23 @@ func (s *Store) RecordSize(oid OID) (int64, error) {
 	return total, nil
 }
 
-// resolve returns the heap and version an OID maps to at an epoch
+// resolve returns the class schema and version an OID maps to at an epoch
 // (^uint64(0) = newest).
-func (s *Store) resolve(oid OID, epoch uint64) (string, version, bool) {
+func (s *Store) resolve(oid OID, epoch uint64) (*schema, version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	c, ok := s.chains[oid]
 	if !ok {
-		return "", version{}, false
+		return nil, version{}, false
 	}
 	if epoch == latestEpoch {
 		if h := c.head(); !h.del {
-			return c.heap, h, true
+			return c.sch, h, true
 		}
-		return "", version{}, false
+		return nil, version{}, false
 	}
 	v, ok := c.visibleAt(epoch)
-	return c.heap, v, ok
+	return c.sch, v, ok
 }
 
 const latestEpoch = ^uint64(0)
@@ -505,33 +516,44 @@ func (s *Store) Get(oid OID) (*Object, error) { return s.getAt(oid, latestEpoch)
 func (s *Store) GetAt(oid OID, epoch uint64) (*Object, error) { return s.getAt(oid, epoch) }
 
 func (s *Store) getAt(oid OID, epoch uint64) (*Object, error) {
-	heap, v, ok := s.resolve(oid, epoch)
+	sch, v, ok := s.resolve(oid, epoch)
 	if !ok {
 		return nil, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
 	}
-	rec, err := s.st.Get(heap, v.rid)
+	rec, err := s.st.Get(sch.heap, v.rid)
 	if err != nil {
 		return nil, err
 	}
-	obj, _, _, _, err := decodeObject(rec)
+	w, err := parseRecord(rec, sch)
 	if err != nil {
 		return nil, err
 	}
-	// Resolve blob references into image values.
+	obj, err := w.object()
+	if err != nil {
+		return nil, err
+	}
+	return obj, resolveImages(obj, s.st.Blobs().Get)
+}
+
+// resolveImages replaces the blobRef placeholders of a decoded object
+// with the images fetch finds under their ids.
+func resolveImages(obj *Object, fetch func(storage.BlobID) ([]byte, error)) error {
 	for name, val := range obj.Attrs {
-		if ref, ok := val.(blobRef); ok {
-			data, err := s.st.Blobs().Get(ref.id)
-			if err != nil {
-				return nil, fmt.Errorf("object: oid %d attribute %q: %w", oid, name, err)
-			}
-			img, err := raster.Unmarshal(data)
-			if err != nil {
-				return nil, fmt.Errorf("object: oid %d attribute %q: %w", oid, name, err)
-			}
-			obj.Attrs[name] = value.Image{Img: img}
+		ref, ok := val.(blobRef)
+		if !ok {
+			continue
 		}
+		data, err := fetch(ref.id)
+		if err != nil {
+			return fmt.Errorf("object: oid %d attribute %q: %w", obj.OID, name, err)
+		}
+		img, err := raster.Unmarshal(data)
+		if err != nil {
+			return fmt.Errorf("object: oid %d attribute %q: %w", obj.OID, name, err)
+		}
+		obj.Attrs[name] = value.Image{Img: img}
 	}
-	return obj, nil
+	return nil
 }
 
 // Delete commits a tombstone for an object at a fresh epoch: it vanishes
@@ -747,11 +769,11 @@ func (s *Store) GC() (int, error) {
 			continue // every version is newer than the horizon
 		}
 		for _, v := range c.vers[:vis] {
-			victims = append(victims, victim{heap: c.heap, rid: v.rid, blobs: v.blobs})
+			victims = append(victims, victim{heap: c.sch.heap, rid: v.rid, blobs: v.blobs})
 		}
 		if vis == len(c.vers)-1 && c.vers[vis].del {
 			// The chain's only reachable state is "deleted": drop it whole.
-			victims = append(victims, victim{heap: c.heap, rid: c.vers[vis].rid, blobs: c.vers[vis].blobs})
+			victims = append(victims, victim{heap: c.sch.heap, rid: c.vers[vis].rid, blobs: c.vers[vis].blobs})
 			delete(s.chains, oid)
 			continue
 		}
@@ -819,15 +841,15 @@ func (s *Store) QueryAt(class string, pred sptemp.Extent, epoch uint64) ([]OID, 
 	candidates := s.candidatesAt(class, pred, epoch)
 	var out []OID
 	for _, oid := range candidates {
-		heap, v, ok := s.resolve(oid, epoch)
+		sch, v, ok := s.resolve(oid, epoch)
 		if !ok {
 			continue
 		}
-		rec, err := s.st.Get(heap, v.rid)
+		rec, err := s.st.Get(sch.heap, v.rid)
 		if err != nil {
 			return nil, err
 		}
-		ext, err := decodeExtentOnly(rec)
+		ext, err := recordExtent(rec, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -902,196 +924,3 @@ type blobRef struct{ id storage.BlobID }
 
 func (blobRef) Type() value.Type { return value.TypeImage }
 func (r blobRef) String() string { return fmt.Sprintf("(image blob %d)", r.id) }
-
-// Object record layout (little endian):
-//
-//	magic "GOB3", oid u64, epoch u64, flags u8,
-//	classLen u16, class,
-//	[tombstone records (flags bit 0) end here]
-//	extent: frameSysLen u16 + sys, frameUnitLen u16 + unit,
-//	        4 x f64 box, hasTime u8, 2 x i64 interval,
-//	nattrs u16, then per attribute:
-//	        nameLen u16, name, kind u8 (0 inline, 1 blob),
-//	        inline: valLen u32 + value.Encode bytes
-//	        blob:   blobID u64
-//
-// epoch is the record's commit epoch — the MVCC version stamp, patched
-// into the encoded bytes when the enclosing batch reserves its epoch.
-// Legacy records decode too: "GOB2" carries a store-wide revision in the
-// same slot (monotonic, so it orders a chain correctly) and no flags
-// byte; "GOBJ" predates both and decodes as epoch 0.
-const (
-	objMagic       = "GOB3"
-	objMagicRev    = "GOB2"
-	objMagicLegacy = "GOBJ"
-
-	flagTombstone = 1
-
-	// epochOffset locates the epoch stamp inside an encoded GOB3 record:
-	// 4 bytes of magic + 8 bytes of OID.
-	epochOffset = 12
-)
-
-// stampEpoch patches the commit epoch into an encoded GOB3 record.
-func stampEpoch(rec []byte, epoch uint64) {
-	binary.LittleEndian.PutUint64(rec[epochOffset:], epoch)
-}
-
-// encodeObject serialises an object as a GOB3 record with a zero epoch
-// placeholder (stamped at commit), offloading images to blobs. alloc
-// issues blob ids: in-memory AllocID reservations the enclosing batch
-// pins at commit.
-func (s *Store) encodeObject(obj *Object, alloc func(string) (uint64, error)) ([]byte, []storage.BlobID, error) {
-	buf := []byte(objMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.OID))
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // epoch, stamped at commit
-	buf = append(buf, 0)                           // flags
-	buf = appendStr16(buf, obj.Class)
-	buf = appendStr16(buf, string(obj.Extent.Frame.System))
-	buf = appendStr16(buf, string(obj.Extent.Frame.Unit))
-	for _, f := range []float64{obj.Extent.Space.MinX, obj.Extent.Space.MinY, obj.Extent.Space.MaxX, obj.Extent.Space.MaxY} {
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(f))
-	}
-	if obj.Extent.HasTime {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.Extent.TimeIv.Start))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.Extent.TimeIv.End))
-
-	names := make([]string, 0, len(obj.Attrs))
-	for n := range obj.Attrs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(names)))
-	var blobIDs []storage.BlobID
-	for _, n := range names {
-		v := obj.Attrs[n]
-		buf = appendStr16(buf, n)
-		if img, ok := v.(value.Image); ok && img.Img != nil {
-			id, err := alloc("blob")
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := s.st.Blobs().Put(storage.BlobID(id), raster.Marshal(img.Img)); err != nil {
-				return nil, nil, err
-			}
-			blobIDs = append(blobIDs, storage.BlobID(id))
-			buf = append(buf, 1)
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-			continue
-		}
-		enc, err := value.Encode(v)
-		if err != nil {
-			return nil, nil, fmt.Errorf("object: attribute %q: %w", n, err)
-		}
-		buf = append(buf, 0)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
-	}
-	return buf, blobIDs, nil
-}
-
-// encodeTombstone serialises a deletion marker for an OID at an epoch.
-func encodeTombstone(oid OID, class string, epoch uint64) []byte {
-	buf := []byte(objMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(oid))
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	buf = append(buf, flagTombstone)
-	buf = appendStr16(buf, class)
-	return buf
-}
-
-func decodeObject(rec []byte) (obj *Object, blobs []storage.BlobID, epoch uint64, deleted bool, err error) {
-	r := &reader{buf: rec}
-	magic := string(r.bytes(4))
-	switch magic {
-	case objMagic, objMagicRev, objMagicLegacy:
-	default:
-		return nil, nil, 0, false, fmt.Errorf("bad object magic")
-	}
-	obj = &Object{Attrs: make(map[string]value.Value)}
-	obj.OID = OID(r.u64())
-	if magic != objMagicLegacy {
-		epoch = r.u64()
-	}
-	if magic == objMagic {
-		deleted = r.u8()&flagTombstone != 0
-	}
-	obj.Class = r.str16()
-	if deleted {
-		if r.err != nil {
-			return nil, nil, 0, false, r.err
-		}
-		return obj, nil, epoch, true, nil
-	}
-	obj.Extent.Frame.System = sptemp.RefSystem(r.str16())
-	obj.Extent.Frame.Unit = sptemp.RefUnit(r.str16())
-	obj.Extent.Space = sptemp.Box{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
-	obj.Extent.HasTime = r.u8() == 1
-	obj.Extent.TimeIv = sptemp.Interval{Start: sptemp.AbsTime(r.u64()), End: sptemp.AbsTime(r.u64())}
-	n := int(r.u16())
-	for i := 0; i < n; i++ {
-		name := r.str16()
-		kind := r.u8()
-		if kind == 1 {
-			id := storage.BlobID(r.u64())
-			obj.Attrs[name] = blobRef{id: id}
-			blobs = append(blobs, id)
-			continue
-		}
-		vn := int(r.u32())
-		enc := r.bytes(vn)
-		if r.err != nil {
-			return nil, nil, 0, false, r.err
-		}
-		v, err := value.Decode(enc)
-		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("attribute %q: %w", name, err)
-		}
-		obj.Attrs[name] = v
-	}
-	if r.err != nil {
-		return nil, nil, 0, false, r.err
-	}
-	return obj, blobs, epoch, false, nil
-}
-
-// decodeExtentOnly reads just the extent header, skipping attribute decode
-// for fast predicate checks. Tombstone records have no extent and are an
-// error here — visibility resolution never hands one to a reader.
-func decodeExtentOnly(rec []byte) (sptemp.Extent, error) {
-	r := &reader{buf: rec}
-	magic := string(r.bytes(4))
-	switch magic {
-	case objMagic, objMagicRev, objMagicLegacy:
-	default:
-		return sptemp.Extent{}, fmt.Errorf("bad object magic")
-	}
-	r.u64() // oid
-	if magic != objMagicLegacy {
-		r.u64() // epoch / rev
-	}
-	if magic == objMagic {
-		if r.u8()&flagTombstone != 0 {
-			return sptemp.Extent{}, fmt.Errorf("object: tombstone record has no extent")
-		}
-	}
-	r.str16()
-	var e sptemp.Extent
-	e.Frame.System = sptemp.RefSystem(r.str16())
-	e.Frame.Unit = sptemp.RefUnit(r.str16())
-	e.Space = sptemp.Box{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
-	e.HasTime = r.u8() == 1
-	e.TimeIv = sptemp.Interval{Start: sptemp.AbsTime(r.u64()), End: sptemp.AbsTime(r.u64())}
-	return e, r.err
-}
-
-func appendStr16(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-func floatBits(f float64) uint64 { return mathFloat64bits(f) }

@@ -1,7 +1,6 @@
 package object
 
 import (
-	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -599,7 +598,11 @@ func TestReopenHealsInterruptedUpdate(t *testing.T) {
 	// Update whose GC never ran would leave behind.
 	newer := sceneObject("nir", 0, day)
 	newer.OID = oid
-	rec, _, err := obj.encodeObject(newer, func(seq string) (uint64, error) { return st.NextID(seq) })
+	sch, err := obj.schema(newer.Class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := encodeObject(sch, newer, obj.putBlob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,68 +644,5 @@ func TestReopenHealsInterruptedUpdate(t *testing.T) {
 	_, records := st2.HeapStats(heapFor("landsat_tm"))
 	if records != 1 {
 		t.Errorf("heap records after GC = %d, want 1", records)
-	}
-}
-
-// TestLegacyRecordDecode: records written before the revision stamp
-// (magic "GOBJ", no rev field) must still open and read correctly.
-func TestLegacyRecordDecode(t *testing.T) {
-	f := newFixture(t)
-	// Hand-encode a legacy record for a region_stats object (no blobs).
-	var buf []byte
-	buf = append(buf, "GOBJ"...)
-	oid := OID(4242)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(oid))
-	buf = appendStr16(buf, "region_stats")
-	buf = appendStr16(buf, string(sptemp.DefaultFrame.System))
-	buf = appendStr16(buf, string(sptemp.DefaultFrame.Unit))
-	for _, v := range []float64{0, 0, 10, 10} {
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(v))
-	}
-	buf = append(buf, 0)                           // no temporal extent
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // interval start
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // interval end
-	buf = binary.LittleEndian.AppendUint16(buf, 2) // two attrs, sorted
-	for _, a := range []struct {
-		name string
-		val  value.Value
-	}{{"mean_rain", value.Float(250)}, {"name", value.String_("west")}} {
-		buf = appendStr16(buf, a.name)
-		enc, err := value.Encode(a.val)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, 0)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
-	}
-
-	obj, blobs, epoch, deleted, err := decodeObject(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obj.OID != oid || obj.Class != "region_stats" || epoch != 0 || deleted || len(blobs) != 0 {
-		t.Errorf("legacy decode = %+v epoch=%d deleted=%v blobs=%v", obj, epoch, deleted, blobs)
-	}
-	if obj.Attrs["mean_rain"].(value.Float) != 250 || obj.Attrs["name"].(value.String_) != "west" {
-		t.Errorf("legacy attrs = %v", obj.Attrs)
-	}
-	ext, err := decodeExtentOnly(buf)
-	if err != nil || ext.Space.MaxX != 10 || ext.HasTime {
-		t.Errorf("legacy extent = %+v, %v", ext, err)
-	}
-
-	// A legacy record in a heap coexists with new-format records across
-	// an open: insert it directly and rebuild the store.
-	if _, err := f.st.Insert(heapFor("region_stats"), buf); err != nil {
-		t.Fatal(err)
-	}
-	obj2, err := Open(f.st, f.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := obj2.Get(oid)
-	if err != nil || got.Attrs["name"].(value.String_) != "west" {
-		t.Errorf("legacy via store = %+v, %v", got, err)
 	}
 }

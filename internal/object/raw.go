@@ -1,20 +1,23 @@
 package object
 
-// Raw record access: the zero-copy path under the v2 wire protocol.
-// Objects are encoded exactly once — at commit, into the GOB3 record the
-// storage engine persists — so the service layer can ship those stored
-// bytes verbatim instead of decoding every attribute into value.Value
-// form and re-encoding it per response. GetRawAt hands out the record
-// (plus the payloads of any offloaded image blobs it references) and
-// DecodeWire reverses it on the client side, producing exactly what
-// GetAt would have.
+// Raw record access: the path under the v2 wire protocol that never
+// decodes a value. An object's attribute values are encoded exactly once
+// — at commit, into the class-relative record the storage engine persists
+// — and the service layer ships those bytes instead of decoding every
+// attribute into value.Value form and re-encoding it per response. What
+// the stored record leaves to its class (class name, frame, attribute
+// names) is stored once, in the catalog; GetRawAt splices it back around
+// the stored attribute bytes per shipped record, so what leaves the
+// package is the self-describing GOB3 form (plus the payloads of any
+// offloaded image blobs it references) and no caller learns how the store
+// lays its records out. DecodeWire reverses it on the client side,
+// producing exactly what GetAt would have.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sort"
 
-	"gaea/internal/raster"
 	"gaea/internal/storage"
 	"gaea/internal/value"
 )
@@ -26,74 +29,35 @@ type BlobPayload struct {
 	Data []byte
 }
 
-// GetRawAt loads the stored GOB3 record of the version visible at a
-// pinned epoch, without decoding it, plus the payload of every blob the
-// record references. The returned record is a private copy (the storage
-// layer copies out of its page cache), so the caller may retain and ship
-// it freely.
+// GetRawAt returns the version visible at a pinned epoch as a
+// self-describing GOB3 record, without decoding any attribute value, plus
+// the payload of every blob the record references. The returned record is
+// private to the caller, who may retain and ship it freely.
 func (s *Store) GetRawAt(oid OID, epoch uint64) ([]byte, []BlobPayload, error) {
-	heap, v, ok := s.resolve(oid, epoch)
+	sch, v, ok := s.resolve(oid, epoch)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
 	}
-	rec, err := s.st.Get(heap, v.rid)
+	rec, err := s.st.Get(sch.heap, v.rid)
 	if err != nil {
 		return nil, nil, err
 	}
-	ids, err := scanBlobIDs(rec)
+	w, err := parseRecord(rec, sch)
+	if err == nil {
+		rec, err = w.wire()
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("object: oid %d: %w", oid, err)
 	}
 	var blobs []BlobPayload
-	for _, id := range ids {
-		data, err := s.st.Blobs().Get(storage.BlobID(id))
+	for _, id := range v.blobs {
+		data, err := s.st.Blobs().Get(id)
 		if err != nil {
 			return nil, nil, fmt.Errorf("object: oid %d blob %d: %w", oid, id, err)
 		}
-		blobs = append(blobs, BlobPayload{ID: id, Data: data})
+		blobs = append(blobs, BlobPayload{ID: uint64(id), Data: data})
 	}
 	return rec, blobs, nil
-}
-
-// scanBlobIDs walks a record's attribute table collecting blob
-// references without decoding any attribute value — the only work the
-// raw path does per record.
-func scanBlobIDs(rec []byte) ([]uint64, error) {
-	r := &reader{buf: rec}
-	magic := string(r.bytes(4))
-	switch magic {
-	case objMagic, objMagicRev, objMagicLegacy:
-	default:
-		return nil, fmt.Errorf("object: bad object magic")
-	}
-	r.u64() // oid
-	if magic != objMagicLegacy {
-		r.u64() // epoch / rev
-	}
-	if magic == objMagic {
-		if r.u8()&flagTombstone != 0 {
-			return nil, fmt.Errorf("object: tombstone record has no payload")
-		}
-	}
-	r.str16()              // class
-	r.str16()              // frame system
-	r.str16()              // frame unit
-	r.bytes(4*8 + 1 + 2*8) // box, hasTime, interval
-	n := int(r.u16())
-	var ids []uint64
-	for i := 0; i < n; i++ {
-		r.str16() // name
-		switch r.u8() {
-		case 1:
-			ids = append(ids, r.u64())
-		default:
-			r.bytes(int(r.u32()))
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return ids, nil
 }
 
 // EncodeWire serialises an object as a self-contained GOB3 record with
@@ -104,75 +68,47 @@ func scanBlobIDs(rec []byte) ([]uint64, error) {
 // an object equal to o. The epoch slot is zero: raw-path consumers pin
 // epochs out of band (cursors, leases), not from the record.
 func EncodeWire(obj *Object) ([]byte, error) {
-	buf := []byte(objMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.OID))
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // epoch slot (unused on the wire)
-	buf = append(buf, 0)                           // flags
-	buf = appendStr16(buf, obj.Class)
-	buf = appendStr16(buf, string(obj.Extent.Frame.System))
-	buf = appendStr16(buf, string(obj.Extent.Frame.Unit))
-	for _, f := range []float64{obj.Extent.Space.MinX, obj.Extent.Space.MinY, obj.Extent.Space.MaxX, obj.Extent.Space.MaxY} {
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(f))
-	}
-	if obj.Extent.HasTime {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.Extent.TimeIv.Start))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.Extent.TimeIv.End))
-
 	names := make([]string, 0, len(obj.Attrs))
 	for n := range obj.Attrs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(names)))
+	buf := appendWireHeader(nil, obj.OID, 0, obj.Class, obj.Extent, len(names))
 	for _, n := range names {
-		enc, err := value.Encode(obj.Attrs[n])
+		buf = appendStr16(buf, n)
+		buf = append(buf, 0, 0, 0, 0, 0) // kind inline, then the length
+		mark := len(buf)
+		enc, err := value.Append(buf, obj.Attrs[n])
 		if err != nil {
 			return nil, fmt.Errorf("object: attribute %q: %w", n, err)
 		}
-		buf = appendStr16(buf, n)
-		buf = append(buf, 0)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
+		binary.LittleEndian.PutUint32(enc[mark-4:], uint32(len(enc)-mark))
+		buf = enc
 	}
 	return buf, nil
 }
 
-// DecodeWire decodes a stored record shipped verbatim over the wire,
-// resolving blob references against the payload table that travelled
+// DecodeWire decodes a GOB3 record shipped over the wire, resolving blob references against the payload table that travelled
 // with it. It produces exactly what GetAt produces for the same version.
 func DecodeWire(rec []byte, blobs []BlobPayload) (*Object, error) {
-	obj, _, _, deleted, err := decodeObject(rec)
+	w, err := parseRecord(rec, nil)
 	if err != nil {
 		return nil, err
 	}
-	if deleted {
-		return nil, fmt.Errorf("object: tombstone record on the wire")
+	obj, err := w.object()
+	if err != nil {
+		return nil, err
 	}
-	for name, val := range obj.Attrs {
-		ref, ok := val.(blobRef)
-		if !ok {
-			continue
-		}
-		var data []byte
-		found := false
+	err = resolveImages(obj, func(id storage.BlobID) ([]byte, error) {
 		for i := range blobs {
-			if blobs[i].ID == uint64(ref.id) {
-				data, found = blobs[i].Data, true
-				break
+			if blobs[i].ID == uint64(id) {
+				return blobs[i].Data, nil
 			}
 		}
-		if !found {
-			return nil, fmt.Errorf("object: oid %d attribute %q: blob %d payload missing", obj.OID, name, ref.id)
-		}
-		img, err := raster.Unmarshal(data)
-		if err != nil {
-			return nil, fmt.Errorf("object: oid %d attribute %q: %w", obj.OID, name, err)
-		}
-		obj.Attrs[name] = value.Image{Img: img}
+		return nil, fmt.Errorf("blob %d payload missing", id)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return obj, nil
 }

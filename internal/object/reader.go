@@ -15,8 +15,13 @@ type reader struct {
 }
 
 func (r *reader) fail(what string) {
+	r.failf("object: truncated record reading %s at offset %d", what, r.off)
+}
+
+// failf records a malformed record; the first error sticks.
+func (r *reader) failf(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("object: truncated record reading %s at offset %d", what, r.off)
+		r.err = fmt.Errorf(format, args...)
 	}
 }
 
@@ -67,6 +72,19 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		r.fail("uvarint")
+		return 0
+	}
+	r.off += n
+	return v
+}
+
 func (r *reader) str16() string {
 	n := int(r.u16())
 	b := r.bytes(n)
@@ -75,5 +93,3 @@ func (r *reader) str16() string {
 	}
 	return string(b)
 }
-
-func mathFloat64bits(f float64) uint64 { return math.Float64bits(f) }

@@ -1,0 +1,455 @@
+package object
+
+// Record forms. An object version exists as bytes in exactly two forms,
+// one per job, and nothing selects between them:
+//
+// The class-relative form is what the store writes. Like a tuple in a
+// relation, it does not repeat what its class says: the heap it lies in
+// names the class, and the (immutable) catalog entry gives the attribute
+// names, their order and, for a spatial class, the frame. Little endian:
+//
+//	flags u8: 0x80 always (so the byte is never the 'G' of "GOB3"),
+//	          0x01 tombstone, 0x02 timed, 0x04 own frame
+//	epoch u64, oid u64                      [a tombstone ends here: 17 B]
+//	box 4 x f64
+//	interval 2 x i64                        (timed only)
+//	frame sysLen u16 + sys, unitLen u16 + unit
+//	                                        (only when not the class's frame,
+//	                                        which validate allows a
+//	                                        non-spatial class alone)
+//	per attribute, in catalog.Class.Attrs order:
+//	        uvarint(len<<1 | isBlob), then len bytes: the value.Encode
+//	        bytes, or (isBlob, len 8) the blob id u64
+//
+// The self-describing form "GOB3" is what leaves the package — the wire,
+// the federation relay — and what directories written before the
+// relative form hold; the store reads it and never writes it:
+//
+//	magic "GOB3", oid u64, epoch u64, flags u8 (0x01 tombstone),
+//	classLen u16, class,
+//	[tombstone records end here]
+//	extent: frameSysLen u16 + sys, frameUnitLen u16 + unit,
+//	        4 x f64 box, hasTime u8, 2 x i64 interval,
+//	nattrs u16, then per attribute in ascending name order:
+//	        nameLen u16, name, kind u8 (0 inline, 1 blob),
+//	        inline: valLen u32 + value.Encode bytes
+//	        blob:   blobID u64
+//
+// epoch is the record's commit epoch — the MVCC version stamp, patched
+// into the encoded bytes when the enclosing batch reserves its epoch.
+// parseRecord is the one walker over both forms; the full decode, the
+// extent check, the reopen scan and the raw path all start from it.
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+
+	"gaea/internal/catalog"
+	"gaea/internal/raster"
+	"gaea/internal/sptemp"
+	"gaea/internal/storage"
+	"gaea/internal/value"
+)
+
+const (
+	wireMagic         = "GOB3"
+	wireFlagTombstone = 0x01
+
+	flagRelative  = 0x80
+	flagTombstone = 0x01
+	flagTimed     = 0x02
+	flagOwnFrame  = 0x04
+
+	// epochOffset locates the epoch stamp inside a relative record: it
+	// follows the flags byte.
+	epochOffset = 1
+	// relHeaderLen is flags + epoch + oid: all of a tombstone.
+	relHeaderLen = 1 + 8 + 8
+)
+
+// schema is what a class contributes to its records: the parts a relative
+// record leaves out, worked out once per class. Class definitions are
+// never overwritten, so a schema is valid for the life of the store.
+type schema struct {
+	cls  *catalog.Class
+	heap string
+	// byName lists indexes into cls.Attrs in ascending name order: the
+	// attribute order of the self-describing form.
+	byName []int
+	// wireFixed is the length of a GOB3 record of this class in the
+	// class's frame, less the attribute payloads.
+	wireFixed int
+}
+
+func newSchema(cls *catalog.Class) *schema {
+	sch := &schema{cls: cls, heap: heapFor(cls.Name), byName: make([]int, len(cls.Attrs))}
+	for i := range sch.byName {
+		sch.byName[i] = i
+	}
+	sort.Slice(sch.byName, func(a, b int) bool {
+		return cls.Attrs[sch.byName[a]].Name < cls.Attrs[sch.byName[b]].Name
+	})
+	sch.wireFixed = 4 + 8 + 8 + 1 + 2 + len(cls.Name) + // magic, oid, epoch, flags, class
+		2 + len(cls.Frame.System) + 2 + len(cls.Frame.Unit) + 4*8 + 1 + 2*8 + 2 // extent, nattrs
+	for _, a := range cls.Attrs {
+		sch.wireFixed += 2 + len(a.Name) + 1
+	}
+	return sch
+}
+
+// schema returns the class's schema, building it on first use.
+func (s *Store) schema(class string) (*schema, error) {
+	if sch, ok := s.schemas.Load(class); ok {
+		return sch.(*schema), nil
+	}
+	cls, err := s.cat.Class(class)
+	if err != nil {
+		return nil, err
+	}
+	sch, _ := s.schemas.LoadOrStore(class, newSchema(cls))
+	return sch.(*schema), nil
+}
+
+// record is a parsed record header with a cursor at its attribute table.
+// The attribute methods (object, blobIDs, wire) consume the cursor, so a
+// record serves one of them.
+type record struct {
+	oid   OID
+	epoch uint64
+	del   bool
+	class string
+	ext   sptemp.Extent
+
+	relative bool
+	sch      *schema
+	n, i     int // attributes in the table, attributes read
+	r        reader
+}
+
+// attr is one entry of a record's attribute table, its value undecoded:
+// value.Encode bytes, or the eight bytes of a blob id.
+type attr struct {
+	name string
+	blob bool
+	data []byte
+}
+
+func (a attr) blobID() storage.BlobID { return storage.BlobID(binary.LittleEndian.Uint64(a.data)) }
+
+// parseRecord reads the header of a record in either form. sch is the
+// class of the heap the record came from; it may be nil for a record
+// that arrived from outside (the wire), which must then be
+// self-describing.
+func parseRecord(rec []byte, sch *schema) (record, error) {
+	w := record{sch: sch, r: reader{buf: rec}}
+	switch {
+	case len(rec) == 0:
+		return w, errors.New("object: empty record")
+	case rec[0]&flagRelative != 0:
+		if sch == nil {
+			return w, errors.New("object: class-relative record read without its class")
+		}
+		w.parseRelative()
+	default:
+		w.parseWire()
+	}
+	return w, w.r.err
+}
+
+func (w *record) parseRelative() {
+	r := &w.r
+	flags := r.u8()
+	if flags&^(flagRelative|flagTombstone|flagTimed|flagOwnFrame) != 0 {
+		r.failf("object: unknown record flags %#x", flags)
+		return
+	}
+	w.relative = true
+	w.class = w.sch.cls.Name
+	w.epoch = r.u64()
+	w.oid = OID(r.u64())
+	if flags&flagTombstone != 0 {
+		w.del = true
+		return
+	}
+	w.ext.Space = sptemp.Box{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
+	if flags&flagTimed != 0 {
+		w.ext.HasTime = true
+		w.ext.TimeIv = sptemp.Interval{Start: sptemp.AbsTime(r.u64()), End: sptemp.AbsTime(r.u64())}
+	}
+	w.ext.Frame = w.sch.cls.Frame
+	if flags&flagOwnFrame != 0 {
+		w.ext.Frame = sptemp.Frame{System: sptemp.RefSystem(r.str16()), Unit: sptemp.RefUnit(r.str16())}
+	}
+	w.n = len(w.sch.cls.Attrs)
+}
+
+func (w *record) parseWire() {
+	r := &w.r
+	if magic := r.bytes(4); magic != nil && string(magic) != wireMagic {
+		r.failf("object: bad object magic")
+		return
+	}
+	w.oid = OID(r.u64())
+	w.epoch = r.u64()
+	w.del = r.u8()&wireFlagTombstone != 0
+	class := r.bytes(int(r.u16()))
+	if w.sch == nil {
+		w.class = string(class)
+	} else if w.class = w.sch.cls.Name; r.err == nil && string(class) != w.class {
+		r.failf("object: record of class %q in the heap of class %q", class, w.class)
+	}
+	if w.del {
+		return
+	}
+	w.ext.Frame = sptemp.Frame{System: sptemp.RefSystem(r.str16()), Unit: sptemp.RefUnit(r.str16())}
+	w.ext.Space = sptemp.Box{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
+	w.ext.HasTime = r.u8() == 1
+	w.ext.TimeIv = sptemp.Interval{Start: sptemp.AbsTime(r.u64()), End: sptemp.AbsTime(r.u64())}
+	w.n = int(r.u16())
+}
+
+// next reads the next attribute table entry; false at the end of the
+// table or on a truncated record (finish tells which).
+func (w *record) next() (attr, bool) {
+	if w.i >= w.n {
+		return attr{}, false
+	}
+	r := &w.r
+	var a attr
+	if w.relative {
+		a.name = w.sch.cls.Attrs[w.i].Name
+		tag := r.uvarint()
+		a.blob = tag&1 != 0
+		a.data = r.bytes(int(min(tag>>1, math.MaxInt32)))
+		if a.blob && len(a.data) != 8 {
+			r.failf("object: blob reference of %d bytes", len(a.data))
+		}
+	} else {
+		a.name = r.str16()
+		if a.blob = r.u8() == 1; a.blob {
+			a.data = r.bytes(8)
+		} else {
+			a.data = r.bytes(int(r.u32()))
+		}
+	}
+	w.i++
+	return a, r.err == nil
+}
+
+// finish reports whether the walk over the attribute table ended well. A
+// relative record has nothing after its last attribute; a GOB3 record
+// may (the old decoder never looked).
+func (w *record) finish() error {
+	if w.r.err == nil && w.relative && w.r.off != len(w.r.buf) {
+		w.r.failf("object: %d bytes after the last attribute", len(w.r.buf)-w.r.off)
+	}
+	return w.r.err
+}
+
+var errTombstone = errors.New("object: tombstone record has no extent or payload")
+
+// object decodes the record in full. Offloaded images come back as
+// blobRef placeholders for the caller to resolve.
+func (w *record) object() (*Object, error) {
+	if w.del {
+		return nil, errTombstone
+	}
+	obj := &Object{OID: w.oid, Class: w.class, Extent: w.ext, Attrs: make(map[string]value.Value, min(w.n, 8))}
+	for a, ok := w.next(); ok; a, ok = w.next() {
+		if a.blob {
+			obj.Attrs[a.name] = blobRef{id: a.blobID()}
+			continue
+		}
+		v, err := value.Decode(a.data)
+		if err != nil {
+			return nil, fmt.Errorf("object: attribute %q: %w", a.name, err)
+		}
+		obj.Attrs[a.name] = v
+	}
+	return obj, w.finish()
+}
+
+// blobIDs collects the record's blob references without decoding any
+// attribute value.
+func (w *record) blobIDs() ([]storage.BlobID, error) {
+	var ids []storage.BlobID
+	for a, ok := w.next(); ok; a, ok = w.next() {
+		if a.blob {
+			ids = append(ids, a.blobID())
+		}
+	}
+	return ids, w.finish()
+}
+
+// wire returns the record in the self-describing form: a GOB3 record as
+// it stands, a relative one with its class's constant parts spliced back
+// around the stored attribute bytes — no value is decoded or re-encoded.
+// The result has the bytes EncodeWire gives the decoded object, plus the
+// epoch.
+func (w *record) wire() ([]byte, error) {
+	if w.del {
+		return nil, errTombstone
+	}
+	if !w.relative {
+		return w.r.buf, nil
+	}
+	var few [8]attr
+	attrs := few[:0]
+	cf, f := w.sch.cls.Frame, w.ext.Frame
+	size := w.sch.wireFixed + len(f.System) + len(f.Unit) - len(cf.System) - len(cf.Unit)
+	for a, ok := w.next(); ok; a, ok = w.next() {
+		attrs = append(attrs, a)
+		if size += len(a.data); !a.blob {
+			size += 4
+		}
+	}
+	if err := w.finish(); err != nil {
+		return nil, err
+	}
+	buf := appendWireHeader(make([]byte, 0, size), w.oid, w.epoch, w.class, w.ext, w.n)
+	for _, i := range w.sch.byName {
+		a := attrs[i]
+		buf = appendStr16(buf, a.name)
+		if a.blob {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.data)))
+		}
+		buf = append(buf, a.data...)
+	}
+	return buf, nil
+}
+
+// recordExtent reads just the extent of a stored record, for predicate
+// checks. Tombstone records have no extent and are an error here —
+// visibility resolution never hands one to a reader.
+func recordExtent(rec []byte, sch *schema) (sptemp.Extent, error) {
+	w, err := parseRecord(rec, sch)
+	if err == nil && w.del {
+		err = errTombstone
+	}
+	return w.ext, err
+}
+
+// stampEpoch patches the commit epoch into an encoded relative record.
+func stampEpoch(rec []byte, epoch uint64) {
+	binary.LittleEndian.PutUint64(rec[epochOffset:], epoch)
+}
+
+// encodeObject serialises an object as a relative record with a zero
+// epoch placeholder (stamped at commit), offloading images through put.
+// The blob ids are returned with an error too: they name what was
+// written before it (and what a failed put may have left half-written),
+// for the caller to remove.
+func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobID, error)) ([]byte, []storage.BlobID, error) {
+	attrs := sch.cls.Attrs
+	if len(obj.Attrs) != len(attrs) {
+		return nil, nil, fmt.Errorf("%w: object %d has %d attributes, class %s has %d",
+			ErrBadAttr, obj.OID, len(obj.Attrs), sch.cls.Name, len(attrs))
+	}
+	ext := &obj.Extent
+	flags := byte(flagRelative)
+	if ext.HasTime {
+		flags |= flagTimed
+	}
+	if ext.Frame != sch.cls.Frame {
+		flags |= flagOwnFrame
+	}
+	buf := make([]byte, 0, relHeaderLen+4*8+2*8+12*len(attrs))
+	buf = append(buf, flags)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // epoch, stamped at commit
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.OID))
+	buf = appendBox(buf, ext.Space)
+	if ext.HasTime {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.Start))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.End))
+	}
+	if flags&flagOwnFrame != 0 {
+		buf = appendStr16(buf, string(ext.Frame.System))
+		buf = appendStr16(buf, string(ext.Frame.Unit))
+	}
+	var blobIDs []storage.BlobID
+	for _, a := range attrs {
+		v, ok := obj.Attrs[a.Name]
+		if !ok {
+			return nil, blobIDs, fmt.Errorf("%w: object %d: attribute %q missing", ErrBadAttr, obj.OID, a.Name)
+		}
+		if img, ok := v.(value.Image); ok && img.Img != nil {
+			id, err := put(raster.Marshal(img.Img))
+			blobIDs = append(blobIDs, id)
+			if err != nil {
+				return nil, blobIDs, err
+			}
+			buf = append(buf, 8<<1|1)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+			continue
+		}
+		mark := len(buf)
+		enc, err := value.Append(append(buf, 0), v)
+		if err != nil {
+			return nil, blobIDs, fmt.Errorf("object: attribute %q: %w", a.Name, err)
+		}
+		buf = sealSpan(enc, mark)
+	}
+	return buf, blobIDs, nil
+}
+
+// sealSpan writes uvarint(len<<1) over the one-byte placeholder at mark
+// for the value appended after it, making room first when the length
+// needs more than the one byte (values of 64 bytes and up).
+func sealSpan(buf []byte, mark int) []byte {
+	n := len(buf) - mark - 1
+	var tag [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(tag[:], uint64(n)<<1)
+	if k > 1 {
+		buf = append(buf, tag[:k-1]...)
+		copy(buf[mark+k:], buf[mark+1:mark+1+n])
+	}
+	copy(buf[mark:], tag[:k])
+	return buf
+}
+
+// encodeTombstone serialises a deletion marker for an OID at an epoch.
+func encodeTombstone(oid OID, epoch uint64) []byte {
+	buf := make([]byte, 0, relHeaderLen)
+	buf = append(buf, flagRelative|flagTombstone)
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	return binary.LittleEndian.AppendUint64(buf, uint64(oid))
+}
+
+// appendWireHeader writes a GOB3 record up to and including its
+// attribute count.
+func appendWireHeader(buf []byte, oid OID, epoch uint64, class string, ext sptemp.Extent, nattrs int) []byte {
+	buf = append(buf, wireMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(oid))
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	buf = append(buf, 0) // flags
+	buf = appendStr16(buf, class)
+	buf = appendStr16(buf, string(ext.Frame.System))
+	buf = appendStr16(buf, string(ext.Frame.Unit))
+	buf = appendBox(buf, ext.Space)
+	if ext.HasTime {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.Start))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.End))
+	return binary.LittleEndian.AppendUint16(buf, uint16(nattrs))
+}
+
+func appendBox(buf []byte, b sptemp.Box) []byte {
+	for _, f := range [...]float64{b.MinX, b.MinY, b.MaxX, b.MaxY} {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	}
+	return buf
+}
+
+func appendStr16(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
+	return append(buf, s...)
+}

@@ -31,10 +31,13 @@ const (
 )
 
 // Encode serialises a value to its internal representation.
-func Encode(v Value) ([]byte, error) {
-	var buf []byte
-	return appendValue(buf, v)
-}
+func Encode(v Value) ([]byte, error) { return Append(nil, v) }
+
+// Append appends a value's internal representation to buf, so a caller
+// laying several values into one record encodes them in place. On error
+// the returned slice is nil and buf's contents past its length are
+// unspecified.
+func Append(buf []byte, v Value) ([]byte, error) { return appendValue(buf, v) }
 
 func appendValue(buf []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
@@ -205,7 +208,7 @@ func decodeValue(buf []byte) (Value, []byte, error) {
 		r := int(binary.LittleEndian.Uint32(rest))
 		c := int(binary.LittleEndian.Uint32(rest[4:]))
 		rest = rest[8:]
-		if r <= 0 || c <= 0 || r*c > 1<<26 {
+		if r <= 0 || c <= 0 || r > 1<<26 || c > 1<<26 || r*c > 1<<26 { // each bounded first: the product of two u32 can wrap
 			return nil, nil, fmt.Errorf("value: implausible matrix dims %dx%d", r, c)
 		}
 		if err := need(r * c * 8); err != nil {

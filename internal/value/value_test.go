@@ -294,6 +294,12 @@ func TestDecodeCorruption(t *testing.T) {
 	if _, err := Decode(sb[:len(sb)-3]); err == nil {
 		t.Error("truncated set must fail")
 	}
+	// Matrix dimensions whose product wraps to a negative length.
+	wrap := []byte{tagMatrix, 0, 0, 0, 0x80, 0, 0, 0, 0x80}
+	wrap = append(wrap, make([]byte, 64)...)
+	if _, err := Decode(wrap); err == nil {
+		t.Error("2^31 x 2^31 matrix must fail")
+	}
 }
 
 func TestEncodeNilPayloads(t *testing.T) {

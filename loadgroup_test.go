@@ -6,15 +6,18 @@ package gaea
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"gaea/internal/catalog"
 	"gaea/internal/object"
 	"gaea/internal/sptemp"
+	"gaea/internal/storage"
 	"gaea/internal/value"
 )
 
@@ -336,40 +339,20 @@ func TestSessionLoadGroupTornTail(t *testing.T) {
 // task record per created object — opens, and every object explains
 // exactly as the writing commit rendered it (explain.golden).
 func TestOpenPerObjectTaskLog(t *testing.T) {
-	src := filepath.Join("testdata", "per-object-tasks")
-	dir := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(filepath.Join(src, "explain.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir, golden := copyPerObjectTasks(t)
 	k, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	var got strings.Builder
 	for oid := object.OID(1); oid <= 7; oid++ {
-		fmt.Fprintf(&got, "== %d\n%s", oid, k.Explain(oid))
 		prod, ok := k.Tasks.Producer(oid)
 		if !ok || prod.Output != oid || prod.NumOutputs() != 1 {
 			t.Errorf("producer of %d = %+v, %v", oid, prod, ok)
 		}
 	}
-	if got.String() != string(golden) {
-		t.Errorf("explain drifted from the writing commit:\ngot:\n%swant:\n%s", got.String(), golden)
+	if got := explainAll(k, 7); got != golden {
+		t.Errorf("explain drifted from the writing commit:\ngot:\n%swant:\n%s", got, golden)
 	}
 	if got := k.Tasks.Descendants(3); len(got) != 1 || got[0] != 7 {
 		t.Errorf("descendants(3) = %v, want [7]", got)
@@ -381,5 +364,147 @@ func TestOpenPerObjectTaskLog(t *testing.T) {
 	}
 	if prod, ok := k.Tasks.Producer(oid); !ok || prod.Note != "new" {
 		t.Errorf("producer of a new create = %+v, %v", prod, ok)
+	}
+}
+
+// copyPerObjectTasks copies testdata/per-object-tasks — a directory an
+// earlier commit wrote: self-describing GOB3 object records, one task
+// record per object — into a scratch directory, and returns it with the
+// Explain of objects 1–7 as that commit rendered it.
+func copyPerObjectTasks(t *testing.T) (dir, golden string) {
+	t.Helper()
+	src := filepath.Join("testdata", "per-object-tasks")
+	dir = t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() == "explain.golden" {
+			golden = string(data)
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, golden
+}
+
+func explainAll(k *Kernel, last object.OID) string {
+	var b strings.Builder
+	for oid := object.OID(1); oid <= last; oid++ {
+		fmt.Fprintf(&b, "== %d\n%s", oid, k.Explain(oid))
+	}
+	return b.String()
+}
+
+// TestOpenSelfDescribingHeaps: a directory whose object heaps hold GOB3
+// records opens and answers as its writer saw it, then takes an update, a
+// delete and a create — class-relative records in the same heaps — and a
+// GC, a checkpoint and a reopen, and still answers every Get, Query and
+// Explain with both record forms side by side.
+func TestOpenSelfDescribingHeaps(t *testing.T) {
+	ctx := context.Background()
+	dir, golden := copyPerObjectTasks(t)
+	k, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := explainAll(k, 7); got != golden {
+		t.Fatalf("explain drifted from the writing commit:\ngot:\n%swant:\n%s", got, golden)
+	}
+	want := map[object.OID]*object.Object{}
+	for oid := object.OID(1); oid <= 7; oid++ {
+		o, err := k.Objects.Get(oid)
+		if err != nil {
+			t.Fatalf("get %d: %v", oid, err)
+		}
+		want[oid] = o
+	}
+	all := Request{Class: "rain", Pred: sptemp.Extent{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox()}, Strategies: []Strategy{Retrieve}}
+	if res, err := k.Query(ctx, all); err != nil || len(res.OIDs) != 6 {
+		t.Fatalf("query rain = %v, %v; want the 6 loaded objects", res, err)
+	}
+
+	upd := &object.Object{OID: 2, Class: "rain", Attrs: map[string]value.Value{"mm": value.Float(77)}, Extent: want[2].Extent}
+	if err := k.UpdateObject(ctx, upd); err != nil {
+		t.Fatal(err)
+	}
+	want[2] = upd
+	if err := k.DeleteObject(ctx, 4); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, 4)
+	created := rainObject(9, 7000)
+	oid, err := k.CreateObject(ctx, created, "new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[oid] = created
+
+	check := func(k *Kernel, when string) {
+		t.Helper()
+		for oid, w := range want {
+			got, err := k.Objects.Get(oid)
+			if err != nil || !reflect.DeepEqual(got, w) {
+				t.Errorf("%s: get %d = %+v, %v; want %+v", when, oid, got, err, w)
+			}
+			rec, blobs, err := k.Objects.GetRawAt(oid, k.Objects.CurrentEpoch())
+			if err != nil {
+				t.Errorf("%s: raw %d: %v", when, oid, err)
+				continue
+			}
+			if got, err := object.DecodeWire(rec, blobs); err != nil || !reflect.DeepEqual(got, w) {
+				t.Errorf("%s: raw %d decodes to %+v, %v; want %+v", when, oid, got, err, w)
+			}
+		}
+		if _, err := k.Objects.Get(4); !errors.Is(err, object.ErrNotFound) {
+			t.Errorf("%s: deleted object 4: %v", when, err)
+		}
+		res, err := k.Query(ctx, all)
+		if err != nil || len(res.OIDs) != 6 { // 6 loaded - 1 deleted + 1 created
+			t.Errorf("%s: query rain = %v, %v; want 6 objects", when, res, err)
+		}
+		// Lineage that the changes did not touch reads as the writer left it.
+		if got, wantEx := k.Explain(7), golden[strings.Index(golden, "== 7\n")+len("== 7\n"):]; got != wantEx {
+			t.Errorf("%s: explain 7 = %q, want %q", when, got, wantEx)
+		}
+	}
+	check(k, "before GC")
+	if _, err := k.Checkpoint(); err != nil { // GC, then log compaction
+		t.Fatal(err)
+	}
+	check(k, "after checkpoint")
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k2.Close()
+	check(k2, "after reopen")
+	// Both forms really are side by side: GOB3 records start with 'G',
+	// relative ones with a byte whose high bit is set.
+	var selfDescribing, relative int
+	if err := k2.Store.Scan("obj_rain", func(_ storage.RID, rec []byte) bool {
+		if rec[0] == 'G' {
+			selfDescribing++
+		} else if rec[0]&0x80 != 0 {
+			relative++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Loaded 1,3,5,6 untouched; 2's new version and the created object.
+	if selfDescribing != 4 || relative != 2 {
+		t.Errorf("obj_rain holds %d GOB3 and %d relative records, want 4 and 2", selfDescribing, relative)
 	}
 }
