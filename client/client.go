@@ -712,7 +712,8 @@ func (s *remoteSnapshot) Get(oid object.OID) (*object.Object, error) {
 		return nil, err
 	}
 	if resp.Raw != nil {
-		// v2 ships the stored record verbatim; decode it here.
+		// v2 ships a GOB3 record holding the stored value bytes; decode
+		// it here.
 		return object.DecodeWire(resp.Raw.Rec, resp.Raw.Blobs)
 	}
 	if len(resp.Objects) != 1 {

@@ -17,6 +17,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -290,6 +291,48 @@ func TestRemoteStreamByteBudget(t *testing.T) {
 	}
 	if st.Cursor() != "" {
 		t.Fatalf("exhausted stream left cursor %q", st.Cursor())
+	}
+}
+
+// TestRemoteWorldBoxQuery: one remote query whose box covers 4e12 grid
+// cells answers with every object, and so does one after an object that
+// wide has been stored. While the extent index enumerated covered cells,
+// either took the serving process down with it ("fatal error: runtime:
+// out of memory"), not just the request.
+func TestRemoteWorldBoxQuery(t *testing.T) {
+	k := openKernel(t)
+	_, addr := startServer(t, k, gaea.ServeOptions{})
+	c := dial(t, addr)
+	oids := seedRain(t, c, 64, 1)
+
+	world := sptemp.NewBox(-1e7, -1e7, 1e7, 1e7)
+	req := gaea.Request{Class: "rain", Pred: sptemp.TimelessExtent(sptemp.DefaultFrame, world)}
+	res, err := c.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.OIDs, oids) {
+		t.Fatalf("world-box query answered %d objects, want all %d in order", len(res.OIDs), len(oids))
+	}
+
+	wide := rainObject(2, 0)
+	wide.Extent.Space = world
+	s := c.Begin(ctx)
+	staged, err := s.Create(wide, "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	wideOID, _ := s.Committed(staged)
+	if res, err = c.Query(ctx, req); err != nil || len(res.OIDs) != len(oids)+1 {
+		t.Fatalf("world-box query after a world-box object: %d objects, err %v", len(res.OIDs), err)
+	}
+	// A tile-sized query now finds its tile and the wide object, no other.
+	tile := gaea.Request{Class: "rain", Pred: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(41, 1, 42, 2))}
+	if res, err = c.Query(ctx, tile); err != nil || !slices.Equal(res.OIDs, []object.OID{oids[2], wideOID}) {
+		t.Fatalf("tile query = %v, err %v; want [%d %d]", res, err, oids[2], wideOID)
 	}
 }
 

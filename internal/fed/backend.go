@@ -254,8 +254,8 @@ func (b *fedBackend) StreamPage(ctx context.Context, req query.Request, epoch ui
 	return objs, cursor, false, nil
 }
 
-// StreamPageRaw drains one page as stored-record bytes. The federation
-// cannot ship shard records verbatim (their OIDs lack the shard tag),
+// StreamPageRaw drains one page as GOB3 records. The federation cannot
+// pass a shard's records on as they arrive (their OIDs lack the shard tag),
 // so each object is re-encoded after tagging; blob payloads ride inline
 // in the record, as EncodeWire leaves them. served is always true —
 // downstream kernels already ran their own fallback chains, so there is

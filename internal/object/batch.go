@@ -1,9 +1,9 @@
 package object
 
 import (
-	"errors"
 	"fmt"
 	"iter"
+	"sort"
 
 	"gaea/internal/catalog"
 	"gaea/internal/sptemp"
@@ -237,28 +237,44 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	}
 
 	// The batch is durable: publish the new versions and the epoch in one
-	// short exclusive window.
-	s.mu.Lock()
+	// short exclusive window (the new chains are built before it opens).
+	newChains := make([]*chain, len(inserts))
 	for i, in := range inserts {
-		s.chains[in.obj.OID] = &chain{
+		newChains[i] = &chain{
 			sch:  in.sch,
 			vers: []version{{epoch: epoch, rid: rids[insIdx[i]], blobs: in.blobs}},
+			ext:  in.obj.Extent,
 		}
-		s.indexLocked(in.obj.Class, in.obj.OID, in.obj.Extent)
+	}
+	s.mu.Lock()
+	for i, in := range inserts {
+		s.chains[in.obj.OID] = newChains[i]
+		s.indexLocked(newChains[i], in.obj.OID)
 	}
 	for i, up := range updates {
 		c := upChains[i]
 		c.vers = append(c.vers, version{epoch: epoch, rid: rids[upIdx[i]], blobs: up.blobs})
-		class := up.obj.Class
-		s.indexLocked(class, up.obj.OID, up.obj.Extent)
-		s.changed[class] = append(s.changed[class], changeEnt{epoch: epoch, oid: up.obj.OID})
+		// An update that leaves the indexed part of the extent alone (the
+		// usual one: new values, same place and time) leaves the indexes
+		// alone.
+		old, ext := c.ext, up.obj.Extent
+		moved := old.Space != ext.Space || old.HasTime != ext.HasTime || (ext.HasTime && old.TimeIv != ext.TimeIv)
+		if moved {
+			s.unindexLocked(c, up.obj.OID)
+		}
+		c.ext = ext
+		if moved {
+			s.indexLocked(c, up.obj.OID)
+		}
+		ci := s.classes[c.sch.cls.Name]
+		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: up.obj.OID})
 	}
 	for i, oid := range ops.Deletes {
 		c := delChains[i]
+		s.unindexLocked(c, oid)
 		c.vers = append(c.vers, version{epoch: epoch, rid: rids[delIdx[i]], del: true})
-		class := c.sch.cls.Name
-		s.unindexLocked(class, oid)
-		s.changed[class] = append(s.changed[class], changeEnt{epoch: epoch, oid: oid})
+		ci := s.classes[c.sch.cls.Name]
+		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: oid})
 	}
 	s.epoch = epoch
 	after := s.AfterCommit
@@ -370,43 +386,35 @@ func (s *Store) dropPrepared(token uint64) {
 
 // QueryFromAt streams the OIDs of class objects whose extent matches pred
 // at the snapshot epoch, in ascending OID order, starting strictly after
-// `after` (0 = from the start). The candidate set is collected from the
-// newest-version indexes plus the changed-overlay up front (cheap — OIDs
-// only), but visibility resolution and extent verification happen lazily
-// per pull. The caller must hold a pin on the epoch for the duration of
-// the iteration, which makes resolution stable: a candidate visible at
-// the epoch cannot be reclaimed mid-drain, so a consumer resuming from a
-// cursor sees exactly the snapshot — no skips, no phantoms.
+// `after` (0 = from the start). The candidate set — newest-version indexes
+// plus the changed-overlay, OIDs only — is collected once per (class,
+// predicate, epoch) and remembered (walkCandidates), so a walk resumed
+// page after page seeks to its cursor and touches the candidates of its
+// page, not the whole predicate again; visibility resolution and extent
+// verification happen lazily per pull. The caller must hold a pin on the
+// epoch for the duration of the iteration, which makes resolution stable:
+// a candidate visible at the epoch cannot be reclaimed mid-drain, so a
+// consumer resuming from a cursor sees exactly the snapshot — no skips,
+// no phantoms.
 func (s *Store) QueryFromAt(class string, pred sptemp.Extent, after OID, epoch uint64) iter.Seq2[OID, error] {
 	return func(yield func(OID, error) bool) {
 		if !s.cat.Exists(class) {
 			yield(0, fmt.Errorf("%w: class %q", catalog.ErrClassNotFound, class))
 			return
 		}
-		candidates := s.candidatesAt(class, pred, epoch)
-		for _, oid := range candidates {
-			if oid <= after {
-				continue
-			}
-			sch, v, ok := s.resolve(oid, epoch)
-			if !ok {
-				continue // not visible at this snapshot
-			}
-			rec, err := s.st.Get(sch.heap, v.rid)
-			if err != nil {
-				if errors.Is(err, storage.ErrNotFound) {
-					continue
-				}
-				yield(0, err)
-				return
-			}
-			ext, err := recordExtent(rec, sch)
+		candidates := s.walkCandidates(class, pred, epoch)
+		from := sort.Search(len(candidates), func(i int) bool { return candidates[i] > after })
+		examined := 0
+		defer func() { s.examined.Add(int64(examined)) }()
+		for _, oid := range candidates[from:] {
+			examined++
+			ext, ok, err := s.extentAt(oid, epoch)
 			if err != nil {
 				yield(0, err)
 				return
 			}
-			if !ext.Matches(pred) {
-				continue
+			if !ok || !ext.Matches(pred) {
+				continue // not visible at this snapshot, or not in it there
 			}
 			if !yield(oid, nil) {
 				return

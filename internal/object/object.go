@@ -6,7 +6,9 @@
 // no other package knows the layout); large image payloads are offloaded
 // to the blob store (the paper's image ADT likewise stores a filepath,
 // not inline pixels). Per-class grid and interval indexes serve the
-// extent-qualified retrieval that is step 1 of the §2.1.5 query sequence.
+// extent-qualified retrieval that is step 1 of the §2.1.5 query sequence;
+// the extents they index live on the version chains, the one per-object
+// map the store keeps.
 //
 // The store is multi-versioned: every commit happens at a monotonically
 // increasing epoch (reserved from the storage layer and stamped into the
@@ -19,6 +21,7 @@
 package object
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -93,28 +96,32 @@ type version struct {
 // amortised O(1) append however long the history grows between GCs. A
 // tombstone, when present, is always the newest: OIDs are never reused,
 // so nothing commits after a delete.
+//
+// ext is the extent of the newest live version: what the class's extent
+// indexes describe (they keep ids only and are told the extent to remove),
+// and what an extent check of that version reads instead of its record.
+// Nothing reads it under a tombstone.
 type chain struct {
 	sch  *schema
 	vers []version
+	ext  sptemp.Extent
 }
 
 // head returns the newest version.
 func (c *chain) head() version { return c.vers[len(c.vers)-1] }
 
 // visibleAt resolves the version a snapshot pinned at epoch sees: the
-// newest version at or below it. The second return is false when the
-// object does not exist at that epoch (born later, or deleted at or
-// before it).
-func (c *chain) visibleAt(epoch uint64) (version, bool) {
+// newest version at or below it (latestEpoch, the largest epoch there is,
+// sees the head). ok is false when the object does not exist at that
+// epoch (born later, or deleted at or before it); isHead tells whether
+// the version is the newest, whose extent is c.ext.
+func (c *chain) visibleAt(epoch uint64) (v version, isHead, ok bool) {
 	for i := len(c.vers) - 1; i >= 0; i-- {
 		if v := c.vers[i]; v.epoch <= epoch {
-			if v.del {
-				return version{}, false
-			}
-			return v, true
+			return v, i == len(c.vers)-1, !v.del
 		}
 	}
-	return version{}, false
+	return version{}, false, false
 }
 
 // changeEnt records that an object of a class changed (update or delete)
@@ -124,6 +131,19 @@ func (c *chain) visibleAt(epoch uint64) (version, bool) {
 type changeEnt struct {
 	epoch uint64
 	oid   OID
+}
+
+// classIndex is what the store keeps per class beside the chains: the
+// extent indexes and sorted membership over the NEWEST live versions,
+// rebuilt at open, and the overlay log snapshot readers add to them. The
+// indexes hold OIDs only; each member's extent is its chain's ext.
+type classIndex struct {
+	grid    *sptemp.GridIndex
+	times   sptemp.IntervalIndex
+	members []OID
+	// changed is (epoch, oid) per update or delete, ascending by epoch,
+	// pruned by GC.
+	changed []changeEnt
 }
 
 // MVCCStats summarises version-store health for Kernel.Stats.
@@ -147,7 +167,7 @@ type MVCCStats struct {
 
 // Store persists objects and serves extent queries.
 //
-// Locking: mu guards the in-memory maps (chains, indexes, pins, epoch);
+// Locking: mu guards the in-memory maps (chains, classes, pins, epoch);
 // readers hold it shared and briefly — never across storage I/O.
 // commitMu serialises mutators (ApplyBatch, GC) across their whole
 // validate → reserve-epoch → storage-commit → publish window, so epochs
@@ -162,16 +182,16 @@ type Store struct {
 	// schemas caches each class's *schema by class name (see record.go).
 	schemas sync.Map
 	// chains holds every OID's version history, including OIDs whose
-	// newest version is a tombstone (still visible to pinned snapshots).
+	// newest version is a tombstone (still visible to pinned snapshots),
+	// and with it the newest extent: the only per-object map in the store.
 	chains map[OID]*chain
-	// Per-class extent indexes and membership over the NEWEST live
-	// versions, rebuilt at open. Snapshot readers overlay `changed`.
-	spatial  map[string]*sptemp.GridIndex
-	temporal map[string]*sptemp.IntervalIndex
-	members  map[string][]OID
-	// changed is the per-class overlay log: (epoch, oid) per update or
-	// delete, ascending by epoch, pruned by GC.
-	changed map[string][]changeEnt
+	// classes holds the per-class indexes over those extents, by class
+	// name; a class enters with its first object.
+	classes map[string]*classIndex
+	// memo remembers the candidate sets of recent snapshot walks, so that
+	// a paged scan collects its candidates once, not once per page (see
+	// walkCandidates for why a remembered set stays right).
+	memo candMemo
 	// epoch is the latest PUBLISHED commit epoch: reservations advance the
 	// storage counter first, but readers see a new epoch only once its
 	// batch is committed and indexed, which happens under mu.
@@ -200,6 +220,12 @@ type Store struct {
 	// no-op as nil, so unobserved stores pay nothing).
 	gcRuns *obs.Counter
 	gcNS   *obs.Histogram
+	// examined counts the candidate OIDs QueryAt and QueryFromAt handled:
+	// once when a candidate set is collected from the indexes and overlay,
+	// once more per candidate resolved through its chain and checked.
+	// Against the objects returned it shows whether a scan's cost follows
+	// what it ships (2 per object) or pages × the box it searches.
+	examined *obs.Counter
 }
 
 func heapFor(class string) string { return "obj_" + class }
@@ -214,21 +240,11 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 		st:        st,
 		cat:       cat,
 		chains:    make(map[OID]*chain),
-		spatial:   make(map[string]*sptemp.GridIndex),
-		temporal:  make(map[string]*sptemp.IntervalIndex),
-		members:   make(map[string][]OID),
-		changed:   make(map[string][]changeEnt),
+		classes:   make(map[string]*classIndex),
 		pins:      make(map[uint64]int),
 		prepLocks: make(map[OID]uint64),
 	}
 	var maxEpoch uint64
-	// headExt remembers the newest-seen version's extent per OID during
-	// the scan, so indexing below needs no second pass over storage.
-	type headState struct {
-		epoch uint64
-		ext   sptemp.Extent
-	}
-	headExt := make(map[OID]headState)
 	for _, class := range cat.Names() {
 		sch, err := s.schema(class)
 		if err != nil {
@@ -250,9 +266,17 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 				c = &chain{sch: sch}
 				s.chains[w.oid] = c
 			}
+			// Heap order is not epoch order. Keep the newest version seen
+			// so far last, so that its extent is at hand whenever a newer
+			// one arrives and indexing below needs no second pass over
+			// storage; the rest is sorted once the scan is done.
+			n := len(c.vers)
 			c.vers = append(c.vers, version{epoch: w.epoch, rid: rid, blobs: blobIDs, del: w.del})
-			if prev, ok := headExt[w.oid]; !ok || w.epoch >= prev.epoch {
-				headExt[w.oid] = headState{epoch: w.epoch, ext: w.ext}
+			switch {
+			case n > 0 && w.epoch < c.vers[n-1].epoch:
+				c.vers[n-1], c.vers[n] = c.vers[n], c.vers[n-1]
+			case !w.del:
+				c.ext = w.ext
 			}
 			if w.epoch > maxEpoch {
 				maxEpoch = w.epoch
@@ -266,9 +290,9 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 			return nil, scanErr
 		}
 	}
-	// Index in ascending OID order, so each class's sorted membership
-	// grows by appends: map order would insert every OID at a random
-	// position, a memmove of half the members each.
+	// Index in ascending OID order, so each class's sorted membership and
+	// posting lists grow by appends: map order would insert every OID at a
+	// random position, a memmove of half the members each.
 	oids := make([]OID, 0, len(s.chains))
 	for oid := range s.chains {
 		oids = append(oids, oid)
@@ -276,9 +300,11 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	slices.Sort(oids)
 	for _, oid := range oids {
 		c := s.chains[oid]
-		sort.SliceStable(c.vers, func(i, j int) bool { return c.vers[i].epoch < c.vers[j].epoch })
+		if len(c.vers) > 1 {
+			slices.SortStableFunc(c.vers, func(a, b version) int { return cmp.Compare(a.epoch, b.epoch) })
+		}
 		if !c.head().del {
-			s.indexLocked(c.sch.cls.Name, oid, headExt[oid].ext)
+			s.indexLocked(c, oid)
 		}
 	}
 	if maxEpoch == 0 {
@@ -300,57 +326,42 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	return s, nil
 }
 
-// indexLocked registers an object's newest extent in the per-class
-// indexes and membership.
-func (s *Store) indexLocked(class string, oid OID, ext sptemp.Extent) {
-	gi, ok := s.spatial[class]
-	if !ok {
-		gi = sptemp.NewGridIndex(spatialCellFor(ext.Space))
-		s.spatial[class] = gi
+// headBox is the extent indexes' lookup: the box of an indexed object's
+// newest version. Callers hold mu.
+func (s *Store) headBox(id uint64) sptemp.Box { return s.chains[OID(id)].ext.Space }
+
+// indexLocked enters an object, by the extent on its chain, into its
+// class's newest-version indexes and membership.
+func (s *Store) indexLocked(c *chain, oid OID) {
+	class := c.sch.cls.Name
+	ci := s.classes[class]
+	if ci == nil {
+		ci = &classIndex{grid: sptemp.NewGridIndex(spatialCellFor(c.ext.Space), s.headBox)}
+		s.classes[class] = ci
 	}
-	gi.Insert(uint64(oid), ext.Space)
-	ti, ok := s.temporal[class]
-	if !ok {
-		ti = sptemp.NewIntervalIndex()
-		s.temporal[class] = ti
+	ci.grid.Insert(uint64(oid), c.ext.Space)
+	if c.ext.HasTime {
+		ci.times.Insert(uint64(oid), c.ext.TimeIv)
 	}
-	if ext.HasTime {
-		ti.Insert(uint64(oid), ext.TimeIv)
-	} else {
-		ti.Delete(uint64(oid))
+	if n := len(ci.members); n == 0 || ci.members[n-1] < oid {
+		ci.members = append(ci.members, oid)
+	} else if i, found := slices.BinarySearch(ci.members, oid); !found {
+		ci.members = slices.Insert(ci.members, i, oid)
 	}
-	s.members[class] = insertSorted(s.members[class], oid)
 }
 
-// unindexLocked removes an object from the newest-version indexes (its
-// chain — and so its visibility to pinned snapshots — is untouched).
-func (s *Store) unindexLocked(class string, oid OID) {
-	if gi := s.spatial[class]; gi != nil {
-		gi.Delete(uint64(oid))
+// unindexLocked removes an object, still carrying the extent it was
+// indexed by, from the newest-version indexes (its chain — and so its
+// visibility to pinned snapshots — is untouched).
+func (s *Store) unindexLocked(c *chain, oid OID) {
+	ci := s.classes[c.sch.cls.Name]
+	ci.grid.Delete(uint64(oid), c.ext.Space)
+	if c.ext.HasTime {
+		ci.times.Delete(uint64(oid), c.ext.TimeIv)
 	}
-	if ti := s.temporal[class]; ti != nil {
-		ti.Delete(uint64(oid))
+	if i, found := slices.BinarySearch(ci.members, oid); found {
+		ci.members = slices.Delete(ci.members, i, i+1)
 	}
-	s.members[class] = removeSorted(s.members[class], oid)
-}
-
-func insertSorted(s []OID, o OID) []OID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= o })
-	if i < len(s) && s[i] == o {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = o
-	return s
-}
-
-func removeSorted(s []OID, o OID) []OID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= o })
-	if i < len(s) && s[i] == o {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
 }
 
 // spatialCellFor sizes grid cells off the first-seen extent so typical
@@ -441,7 +452,7 @@ func (s *Store) ExistsAt(oid OID, epoch uint64) bool {
 	if !ok {
 		return false
 	}
-	_, ok = c.visibleAt(epoch)
+	_, _, ok = c.visibleAt(epoch)
 	return ok
 }
 
@@ -486,7 +497,7 @@ func (s *Store) RecordSize(oid OID) (int64, error) {
 }
 
 // resolve returns the class schema and version an OID maps to at an epoch
-// (^uint64(0) = newest).
+// (latestEpoch = newest).
 func (s *Store) resolve(oid OID, epoch uint64) (*schema, version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -494,14 +505,36 @@ func (s *Store) resolve(oid OID, epoch uint64) (*schema, version, bool) {
 	if !ok {
 		return nil, version{}, false
 	}
-	if epoch == latestEpoch {
-		if h := c.head(); !h.del {
-			return c.sch, h, true
-		}
-		return nil, version{}, false
-	}
-	v, ok := c.visibleAt(epoch)
+	v, _, ok := c.visibleAt(epoch)
 	return c.sch, v, ok
+}
+
+// extentAt returns the extent of the version of an object visible at an
+// epoch; ok is false when there is none. The newest version's extent is on
+// the chain; only an older one is read back from its record, and a record
+// GC took meanwhile (the caller held no pin) reads as not visible.
+func (s *Store) extentAt(oid OID, epoch uint64) (ext sptemp.Extent, ok bool, err error) {
+	s.mu.RLock()
+	c, found := s.chains[oid]
+	if !found {
+		s.mu.RUnlock()
+		return ext, false, nil
+	}
+	v, isHead, ok := c.visibleAt(epoch)
+	ext = c.ext
+	s.mu.RUnlock()
+	if !ok || isHead {
+		return ext, ok, nil
+	}
+	rec, err := s.st.Get(c.sch.heap, v.rid)
+	if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
+			err = nil
+		}
+		return ext, false, err
+	}
+	ext, err = recordExtent(rec, c.sch)
+	return ext, err == nil, err
 }
 
 const latestEpoch = ^uint64(0)
@@ -575,14 +608,20 @@ func (s *Store) Delete(oid OID) error {
 func (s *Store) Members(class string) []OID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]OID(nil), s.members[class]...)
+	if ci := s.classes[class]; ci != nil {
+		return slices.Clone(ci.members)
+	}
+	return nil
 }
 
 // Count returns the number of live objects of a class at the newest epoch.
 func (s *Store) Count(class string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.members[class])
+	if ci := s.classes[class]; ci != nil {
+		return len(ci.members)
+	}
+	return 0
 }
 
 // CurrentEpoch returns the latest published commit epoch: the read epoch
@@ -651,15 +690,17 @@ func (s *Store) Unpin(epoch uint64) {
 
 // RegisterMetrics folds version-store health into the registry: the
 // published epoch, stored versions, pins and the GC horizon as gauges,
-// GC activity as counters/latency. The cheap gauges read under the
-// store's shared lock without walking chains; only mvcc_live_versions
-// pays the chain walk, and only when a snapshot is taken.
+// GC activity as counters/latency, and the candidates the extent queries
+// examined. The cheap gauges read under the store's shared lock without
+// walking chains; only mvcc_live_versions pays the chain walk, and only
+// when a snapshot is taken.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	s.gcRuns = reg.Counter("mvcc_gc_runs_total")
 	s.gcNS = reg.Histogram("mvcc_gc_ns")
+	s.examined = reg.Counter("object_candidates_examined_total")
 	reg.GaugeFunc("mvcc_epoch", func() int64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
@@ -782,12 +823,13 @@ func (s *Store) GC() (int, error) {
 			c.vers = append([]version(nil), c.vers[vis:]...)
 		}
 	}
-	for class, ents := range s.changed {
-		i := sort.Search(len(ents), func(i int) bool { return ents[i].epoch > horizon })
-		if i == len(ents) {
-			delete(s.changed, class)
+	for _, ci := range s.classes {
+		i := sort.Search(len(ci.changed), func(i int) bool { return ci.changed[i].epoch > horizon })
+		if i == len(ci.changed) {
+			ci.changed = nil
 		} else if i > 0 {
-			s.changed[class] = append([]changeEnt(nil), ents[i:]...)
+			// Copy to release the pruned prefix's backing memory.
+			ci.changed = slices.Clone(ci.changed[i:])
 		}
 	}
 	if horizon > s.gcFloor {
@@ -839,25 +881,17 @@ func (s *Store) QueryAt(class string, pred sptemp.Extent, epoch uint64) ([]OID, 
 		return nil, fmt.Errorf("%w: class %q", catalog.ErrClassNotFound, class)
 	}
 	candidates := s.candidatesAt(class, pred, epoch)
+	s.examined.Add(int64(len(candidates)))
 	var out []OID
 	for _, oid := range candidates {
-		sch, v, ok := s.resolve(oid, epoch)
-		if !ok {
-			continue
-		}
-		rec, err := s.st.Get(sch.heap, v.rid)
+		ext, ok, err := s.extentAt(oid, epoch)
 		if err != nil {
 			return nil, err
 		}
-		ext, err := recordExtent(rec, sch)
-		if err != nil {
-			return nil, err
-		}
-		if ext.Matches(pred) {
+		if ok && ext.Matches(pred) {
 			out = append(out, oid)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
 
@@ -865,41 +899,116 @@ func (s *Store) QueryAt(class string, pred sptemp.Extent, epoch uint64) ([]OID, 
 // the newest-version index matches, plus — for snapshot reads — every
 // object of the class changed after the epoch (its snapshot extent may
 // differ from the indexed one, or it may have been deleted since). The
-// result is sorted and deduplicated.
+// result is ascending, each OID once, and the caller's own.
 func (s *Store) candidatesAt(class string, pred sptemp.Extent, epoch uint64) []OID {
 	s.mu.RLock()
+	ci := s.classes[class]
+	if ci == nil {
+		s.mu.RUnlock()
+		return nil
+	}
 	var candidates []OID
 	switch {
-	case !pred.Space.IsEmpty() && s.spatial[class] != nil:
-		for _, id := range s.spatial[class].Search(pred.Space) {
-			candidates = append(candidates, OID(id))
-		}
-	case pred.HasTime && s.temporal[class] != nil:
-		for _, id := range s.temporal[class].Search(pred.TimeIv) {
-			candidates = append(candidates, OID(id))
-		}
+	case !pred.Space.IsEmpty():
+		candidates = oidsOf(ci.grid.Search(pred.Space))
+	case pred.HasTime:
+		candidates = oidsOf(ci.times.Search(pred.TimeIv))
 	default:
-		candidates = append(candidates, s.members[class]...)
+		candidates = slices.Clone(ci.members)
 	}
+	// The indexes answer in ascending order; only the overlay can break it.
+	indexed := len(candidates)
 	if epoch != latestEpoch {
-		ents := s.changed[class]
-		i := sort.Search(len(ents), func(i int) bool { return ents[i].epoch > epoch })
-		for _, e := range ents[i:] {
+		i := sort.Search(len(ci.changed), func(i int) bool { return ci.changed[i].epoch > epoch })
+		for _, e := range ci.changed[i:] {
 			candidates = append(candidates, e.oid)
 		}
 	}
 	s.mu.RUnlock()
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	out := candidates[:0]
-	var last OID
-	for _, oid := range candidates {
-		if len(out) > 0 && oid == last {
-			continue
-		}
-		out = append(out, oid)
-		last = oid
+	if len(candidates) > indexed {
+		slices.Sort(candidates)
+		candidates = slices.Compact(candidates)
+	}
+	s.examined.Add(int64(len(candidates)))
+	return candidates
+}
+
+func oidsOf(ids []uint64) []OID {
+	out := make([]OID, len(ids))
+	for i, id := range ids {
+		out[i] = OID(id)
 	}
 	return out
+}
+
+// candMemo is a small fixed set of recently collected candidate slices,
+// newest replacing oldest. The slices are shared between walks and never
+// written after they enter.
+type candMemo struct {
+	mu   sync.Mutex
+	ents [8]candEnt
+	next int
+}
+
+type candKey struct {
+	class string
+	pred  sptemp.Extent
+	epoch uint64
+}
+
+type candEnt struct {
+	key   candKey
+	cands []OID
+}
+
+// get returns the slice remembered under k, nil when there is none (an
+// empty candidate set is not worth remembering).
+func (m *candMemo) get(k candKey) []OID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.ents {
+		if m.ents[i].key == k {
+			return m.ents[i].cands
+		}
+	}
+	return nil
+}
+
+func (m *candMemo) put(k candKey, cands []OID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ents[m.next] = candEnt{key: k, cands: cands}
+	m.next = (m.next + 1) % len(m.ents)
+}
+
+// walkCandidates is candidatesAt for a walk that comes back page after
+// page: the set collected for (class, predicate, epoch) is remembered, so
+// that a page costs what it examines rather than a search of the whole
+// predicate. The result is shared and must not be written.
+//
+// Why a remembered set stays right for as long as its epoch is readable.
+// Say it was collected at time T for epoch e, with e published and not
+// behind the GC horizon. An object in e's answer either has not changed
+// since e — then its newest version is the one e sees, it matches, and the
+// newest-version index held it at T — or changed after e and by T — then
+// the overlay held it at T, GC having pruned nothing above e — or changes
+// only after T, in which case it was still unchanged at T and the first
+// case applies. So the set covers e's answer at every later time, and the
+// per-candidate check through the chain, which is never remembered, keeps
+// the answer exact. The horizon only moves forward, so an epoch readable
+// now was readable at T; an unreadable one, or the moving "newest" of an
+// unpinned read, is collected afresh and not remembered.
+func (s *Store) walkCandidates(class string, pred sptemp.Extent, epoch uint64) []OID {
+	if epoch == latestEpoch || s.CheckEpoch(epoch) != nil {
+		return s.candidatesAt(class, pred, epoch)
+	}
+	key := candKey{class: class, pred: pred, epoch: epoch}
+	if cands := s.memo.get(key); cands != nil {
+		return cands
+	}
+	cands := s.candidatesAt(class, pred, epoch)
+	s.memo.put(key, cands)
+	return cands
 }
 
 // NearestInTime returns up to k class members closest in time to t,
@@ -907,16 +1016,11 @@ func (s *Store) candidatesAt(class string, pred sptemp.Extent, epoch uint64) []O
 func (s *Store) NearestInTime(class string, t sptemp.AbsTime, k int) []OID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ti := s.temporal[class]
-	if ti == nil {
+	ci := s.classes[class]
+	if ci == nil {
 		return nil
 	}
-	ids := ti.Nearest(t, k)
-	out := make([]OID, len(ids))
-	for i, id := range ids {
-		out[i] = OID(id)
-	}
-	return out
+	return oidsOf(ci.times.Nearest(t, k))
 }
 
 // blobRef is the placeholder value stored inline for offloaded images.

@@ -2,7 +2,12 @@ package object
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"gaea/internal/catalog"
@@ -645,4 +650,272 @@ func TestReopenHealsInterruptedUpdate(t *testing.T) {
 	if records != 1 {
 		t.Errorf("heap records after GC = %d, want 1", records)
 	}
+}
+
+// defineStation adds a small timed, spatial class for the model tests.
+func defineStation(t *testing.T, cat *catalog.Catalog) {
+	t.Helper()
+	if err := cat.Define(&catalog.Class{
+		Name: "station", Kind: catalog.KindBase,
+		Attrs: []catalog.Attr{{Name: "mm", Type: value.TypeFloat}},
+		Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func stationAt(oid OID, b sptemp.Box, iv sptemp.Interval) *Object {
+	return &Object{OID: oid, Class: "station", Attrs: map[string]value.Value{"mm": value.Float(1)},
+		Extent: sptemp.NewExtent(sptemp.DefaultFrame, b, iv)}
+}
+
+// pagedAt drains QueryFromAt the way a paged stream does: a fresh walk
+// per page, resumed strictly after the last OID of the page before.
+func pagedAt(s *Store, pred sptemp.Extent, epoch uint64, pageSize int) ([]OID, error) {
+	var got []OID
+	for after := OID(0); ; {
+		n := 0
+		for oid, err := range s.QueryFromAt("station", pred, after, epoch) {
+			if err != nil {
+				return nil, err
+			}
+			got, after = append(got, oid), oid
+			if n++; n == pageSize {
+				break
+			}
+		}
+		if n < pageSize {
+			return got, nil
+		}
+	}
+}
+
+// TestSnapshotQueriesAgainstModel drives random inserts, updates (same
+// extent, moved, re-timed) and deletes, pinning an epoch now and then, and
+// after every step checks QueryAt and the paged QueryFromAt at every
+// pinned epoch and at the newest state against a brute-force model of what
+// each epoch held — through GC passes, and at the end through a reopen,
+// whose heap scan meets the versions of an object in any order.
+func TestSnapshotQueriesAgainstModel(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.Open(dir, storage.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineStation(t, cat)
+	s, err := Open(st, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := rand.New(rand.NewSource(7))
+	randBox := func() sptemp.Box {
+		x, y := float64(r.Intn(12))*10, float64(r.Intn(4))*10
+		if r.Intn(10) == 0 {
+			return sptemp.NewBox(x, y, x+400, y+400) // far wider than a cell
+		}
+		return sptemp.NewBox(x, y, x+10, y+10)
+	}
+	randIv := func() sptemp.Interval {
+		start := sptemp.AbsTime(r.Intn(6) * 100)
+		return sptemp.Interval{Start: start, End: start + sptemp.AbsTime(r.Intn(300))}
+	}
+	preds := []sptemp.Extent{
+		{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox()},
+		sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(20, 0, 40, 10)),
+		sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(-1e7, -1e7, 1e7, 1e7)),
+		sptemp.NewExtent(sptemp.DefaultFrame, sptemp.NewBox(0, 0, 60, 20), sptemp.Interval{Start: 150, End: 320}),
+		{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox(), HasTime: true, TimeIv: sptemp.Interval{Start: 100, End: 250}},
+	}
+
+	type snapshot struct {
+		epoch uint64
+		exts  map[OID]sptemp.Extent
+	}
+	live := make(map[OID]sptemp.Extent)
+	var pinned []snapshot
+	check := func(s *Store, epoch uint64, exts map[OID]sptemp.Extent, what string) {
+		t.Helper()
+		for i, pred := range preds {
+			var want []OID
+			for oid, ext := range exts {
+				if ext.Matches(pred) {
+					want = append(want, oid)
+				}
+			}
+			slices.Sort(want)
+			got, err := s.QueryAt("station", pred, epoch)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s, predicate %d: QueryAt = %v, %v; the model says %v", what, i, got, err, want)
+			}
+			if epoch != latestEpoch {
+				if got, err := pagedAt(s, pred, epoch, 3); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s, predicate %d: pages of 3 = %v, %v; the model says %v", what, i, got, err, want)
+				}
+			}
+		}
+	}
+
+	for step := 0; step < 300; step++ {
+		oids := slices.Sorted(maps.Keys(live))
+		switch op := r.Intn(10); {
+		case op < 3 || len(oids) == 0:
+			o := stationAt(0, randBox(), randIv())
+			oid, err := s.Insert(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[oid] = o.Extent
+		case op < 8:
+			oid := oids[r.Intn(len(oids))]
+			ext := live[oid]
+			switch r.Intn(3) {
+			case 0: // same extent: the indexes are left alone
+			case 1:
+				ext.Space = randBox()
+			case 2:
+				ext.TimeIv = randIv()
+			}
+			if err := s.Update(stationAt(oid, ext.Space, ext.TimeIv)); err != nil {
+				t.Fatal(err)
+			}
+			live[oid] = ext
+		default:
+			oid := oids[r.Intn(len(oids))]
+			if err := s.Delete(oid); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, oid)
+		}
+		if step%25 == 10 {
+			pinned = append(pinned, snapshot{epoch: s.Pin(), exts: maps.Clone(live)})
+		}
+		if step%60 == 59 {
+			// Release the oldest pin and collect behind it.
+			s.Unpin(pinned[0].epoch)
+			pinned = pinned[1:]
+			if _, err := s.GC(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(s, latestEpoch, live, fmt.Sprintf("step %d, newest", step))
+		for _, p := range pinned {
+			check(s, p.epoch, p.exts, fmt.Sprintf("step %d, epoch %d", step, p.epoch))
+		}
+	}
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := storage.Open(dir, storage.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	cat2, err := catalog.Open(st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(st2, cat2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s2, latestEpoch, live, "after reopen")
+	if got, want := s2.Members("station"), slices.Sorted(maps.Keys(live)); !slices.Equal(got, want) {
+		t.Errorf("members after reopen = %v, want %v", got, want)
+	}
+}
+
+// TestWalkCandidatesConcurrent: more paged walks than the candidate memo
+// has slots run at one pinned epoch, each over its own box, while a writer
+// moves and deletes objects and GC runs; every walk must concatenate to
+// QueryAt at that epoch. Run under -race it is also the memo's data-race
+// test.
+func TestWalkCandidatesConcurrent(t *testing.T) {
+	f := newFixture(t)
+	defineStation(t, f.cat)
+	s := f.obj
+	const n = 600
+	iv := sptemp.Interval{Start: 0, End: 10}
+	var batch BatchOps
+	for i := range n {
+		o := stationAt(0, sptemp.NewBox(float64(i)*20, 0, float64(i)*20+10, 10), iv)
+		if _, err := s.Reserve(o); err != nil {
+			t.Fatal(err)
+		}
+		batch.Inserts = append(batch.Inserts, o)
+	}
+	if _, err := s.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	epoch := s.Pin()
+	defer s.Unpin(epoch)
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; i < n; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			o := batch.Inserts[(i*7)%n]
+			var err error
+			switch i % 3 {
+			case 0:
+				err = s.Update(stationAt(o.OID, sptemp.NewBox(1e6, 0, 1e6+10, 10), iv))
+			case 1:
+				err = s.Update(stationAt(o.OID, sptemp.NewBox(40, 0, 50, 10), iv))
+			case 2:
+				err = s.Delete(o.OID)
+			}
+			if err != nil && !errors.Is(err, ErrNotFound) {
+				t.Errorf("writer: %v", err)
+				return
+			}
+			if i%50 == 49 {
+				if _, err := s.GC(); err != nil {
+					t.Errorf("gc: %v", err)
+					return
+				}
+			}
+		}
+	}()
+
+	const walkers = 2*len(s.memo.ents) + 3
+	var wg sync.WaitGroup
+	for w := range walkers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			from := float64(w * 25 * 20)
+			pred := sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(from, 0, from+100*20, 10))
+			want, err := s.QueryAt("station", pred, epoch)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for round := 0; round < 3; round++ {
+				got, err := pagedAt(s, pred, epoch, 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("walker %d round %d: pages hold %d objects, QueryAt %d", w, round, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
 }

@@ -286,8 +286,9 @@ func (qe *Executor) StreamAt(ctx context.Context, req Request, atEpoch uint64) (
 // order, OIDs ascending, resuming strictly after the request cursor,
 // skipping stale objects unless ServeStale — and invokes visit for each
 // hit. This is the v2 wire protocol's zero-copy page handoff: the
-// service layer's visit fetches the stored record bytes and ships them
-// verbatim, cutting the page when its byte budget fills.
+// service layer's visit fetches each hit's raw record (object.GetRawAt:
+// the stored value bytes in a re-assembled GOB3 header) and ships it as
+// it is, cutting the page when its byte budget fills.
 //
 // visit returns (take, err): take=false cuts the page BEFORE the offered
 // object (the cursor is minted at the last object taken, so the refused

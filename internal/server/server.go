@@ -103,16 +103,16 @@ type Backend interface {
 	// fallback chain (snapshot streams must not derive).
 	StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) (objs []wire.Object, cursor string, fellBack bool, err error)
 	// StreamPageRaw drains one retrieval-only page at a pinned epoch the
-	// CALLER holds, as stored record bytes shipped verbatim (the v2
-	// zero-copy path): no object is decoded or re-encoded. The page cuts
+	// CALLER holds, as GOB3 records holding the stored value bytes (the
+	// v2 raw path): no value is decoded or re-encoded. The page cuts
 	// when its byte footprint approaches maxBytes; served reports whether
 	// retrieval produced anything (the caller runs the fallback chain via
 	// StreamPage when a fresh stream serves nothing).
 	StreamPageRaw(ctx context.Context, req query.Request, epoch uint64, maxBytes int) (raws []wire.RawObject, cursor string, served bool, err error)
 	// GetAt loads the version of an object visible at a pinned epoch.
 	GetAt(oid object.OID, epoch uint64) (*object.Object, error)
-	// GetRawAt loads the stored record bytes of the version visible at a
-	// pinned epoch (zero-copy OpSnapGet).
+	// GetRawAt loads the version visible at a pinned epoch as a GOB3
+	// record holding its stored value bytes (raw-path OpSnapGet).
 	GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error)
 	// Pin pins the current commit epoch; PinEpoch re-pins a specific one
 	// (failing with the snapshot-gone error when it fell behind the GC
@@ -223,8 +223,9 @@ type Stats struct {
 	MaxInFlightPerConn int64
 	// PushedPages counts v2 server-push stream pages sent.
 	PushedPages int64
-	// BytesAvoided counts bytes shipped verbatim from storage on the v2
-	// raw path — bytes v1 would have decoded and re-encoded.
+	// BytesAvoided counts record bytes shipped on the v2 raw path without
+	// a value in them being decoded — bytes v1 would have decoded and
+	// re-encoded.
 	BytesAvoided int64
 }
 

@@ -315,8 +315,8 @@ func (s *Server) handleV2(vc *v2conn, id uint64, ctx context.Context, req *wire.
 	vc.finish(id)
 }
 
-// handleSnapGetRaw serves OpSnapGet by shipping the stored record bytes
-// verbatim (the client decodes with object.DecodeWire).
+// handleSnapGetRaw serves OpSnapGet by shipping the backend's raw record
+// as it is (the client decodes with object.DecodeWire).
 func (s *Server) handleSnapGetRaw(req *wire.Request) *wire.Response {
 	l, errResp := s.touchLease(req.Lease)
 	if errResp != nil {
@@ -335,8 +335,8 @@ func (s *Server) handleSnapGetRaw(req *wire.Request) *wire.Response {
 }
 
 // pushStreamV2 runs one server-push stream: pages drain at a pinned
-// epoch and go out under the client's credit window, stored bytes
-// shipped verbatim. Pin discipline matches v1 exactly — a stream that
+// epoch and go out under the client's credit window as raw records, no
+// value decoded. Pin discipline matches v1 exactly — a stream that
 // ends early (limit, cancel, disconnect, shutdown) hands its pin to a
 // cursor lease so the snapshot stays resumable; clean exhaustion
 // unpins; snapshot streams ride their lease's pin and renew it on every

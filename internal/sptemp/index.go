@@ -1,146 +1,231 @@
 package sptemp
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 )
 
-// GridIndex is a uniform-grid spatial index mapping boxes to uint64 ids
-// (object identifiers). Gaea's query layer uses it for step 1 of the
-// retrieval sequence (§2.1.5): find the stored objects whose spatial extent
-// intersects the query box. A uniform grid is adequate because scene
-// extents in a study are similarly sized; the index degrades gracefully to
-// a scan when boxes are huge.
+// GridIndex is a uniform-grid spatial index over boxes identified by
+// uint64 ids (object identifiers). Gaea's query layer uses it for step 1
+// of the retrieval sequence (§2.1.5): find the stored objects whose
+// spatial extent intersects the query box. A uniform grid is adequate
+// because scene extents in a study are similarly sized.
+//
+// What is kept where. The index holds posting lists and nothing else: per
+// occupied cell, the ascending ids of the boxes that cover it. It keeps no
+// box — its owner does (the object store keeps each object's newest extent
+// on its version chain) and hands the index a lookup at construction, so
+// there is one per-object map in the process, not one per index. The price
+// is that Delete must be told the box the id was inserted with.
+//
+// Cells are half-open: a box covers the cells from floor(min/cell) to
+// ceil(max/cell)-1, so a tile whose max edge lies on a cell boundary
+// occupies the cells it has area in and not their neighbours. Touching
+// still counts as intersecting (Box.Intersects), so Search widens the
+// query instead: it probes from ceil(min/cell)-1, the cell a box ending
+// exactly at the query's min edge lies in.
+//
+// Huge boxes degrade to a scan, in both directions. A box covering more
+// than wideCells cells is not enumerated cell by cell: it goes on one
+// "wide" list that every search filters. A query covering more cells than
+// exist walks the occupied cells instead of probing the covered ones. So
+// an insert costs at most wideCells list appends and a search at most
+// O(occupied cells + wide list + matches), whatever the coordinates.
 type GridIndex struct {
-	cell    float64
-	cells   map[gridKey][]uint64
-	entries map[uint64]Box
+	cell  float64
+	boxOf func(id uint64) Box
+	cells map[gridKey][]uint64 // ascending ids per occupied cell
+	wide  []uint64             // ascending ids of boxes covering > wideCells cells
 }
 
-type gridKey struct{ cx, cy int }
+type gridKey struct{ cx, cy int64 }
 
-// NewGridIndex returns a grid index with the given cell size. Cell size
-// must be positive.
-func NewGridIndex(cell float64) *GridIndex {
-	if cell <= 0 {
+const (
+	// wideCells bounds the posting lists one box may enter.
+	wideCells = 64
+	// cellLimit clamps cell coordinates so that infinite or astronomically
+	// large box edges stay exact in float64 and int64 alike. Clamping is
+	// monotonic, which is all the covering argument needs.
+	cellLimit = 1 << 52
+)
+
+// NewGridIndex returns a grid index with the given cell size (1 if not
+// positive). boxOf must return the box an indexed id was last inserted
+// with; Search calls it to filter the cells' candidates exactly.
+func NewGridIndex(cell float64, boxOf func(id uint64) Box) *GridIndex {
+	if !(cell > 0) {
 		cell = 1
 	}
-	return &GridIndex{
-		cell:    cell,
-		cells:   make(map[gridKey][]uint64),
-		entries: make(map[uint64]Box),
+	return &GridIndex{cell: cell, boxOf: boxOf, cells: make(map[gridKey][]uint64)}
+}
+
+func clampCell(f float64) int64 {
+	switch {
+	case f >= cellLimit:
+		return cellLimit
+	case f <= -cellLimit:
+		return -cellLimit
+	case f != f: // NaN: such a box intersects nothing; any fixed cell will do
+		return 0
+	}
+	return int64(f)
+}
+
+// cellRange is an inclusive rectangle of cells.
+type cellRange struct{ x0, x1, y0, y1 int64 }
+
+// count is the number of cells in the range, as a float so that it cannot
+// overflow.
+func (r cellRange) count() float64 {
+	return float64(r.x1-r.x0+1) * float64(r.y1-r.y0+1)
+}
+
+// covered is the cell range a stored box occupies (see the type comment).
+// A degenerate box (a point or a line) occupies the cell its min edge is in.
+func (g *GridIndex) covered(b Box) cellRange {
+	r := cellRange{
+		x0: clampCell(math.Floor(b.MinX / g.cell)),
+		x1: clampCell(math.Ceil(b.MaxX/g.cell) - 1),
+		y0: clampCell(math.Floor(b.MinY / g.cell)),
+		y1: clampCell(math.Ceil(b.MaxY/g.cell) - 1),
+	}
+	r.x1, r.y1 = max(r.x0, r.x1), max(r.y0, r.y1)
+	return r
+}
+
+// probed is the cell range a query must look at to see every box it
+// touches.
+func (g *GridIndex) probed(q Box) cellRange {
+	return cellRange{
+		x0: clampCell(math.Ceil(q.MinX/g.cell) - 1),
+		x1: clampCell(math.Floor(q.MaxX / g.cell)),
+		y0: clampCell(math.Ceil(q.MinY/g.cell) - 1),
+		y1: clampCell(math.Floor(q.MaxY / g.cell)),
 	}
 }
 
-// Len returns the number of indexed entries.
-func (g *GridIndex) Len() int { return len(g.entries) }
-
-func (g *GridIndex) keysFor(b Box) []gridKey {
-	if b.IsEmpty() {
-		return nil
+// insertID adds id to an ascending list; ids mostly arrive in ascending
+// order, which is an append.
+func insertID(ids []uint64, id uint64) []uint64 {
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		return append(ids, id)
 	}
-	x0 := int(b.MinX / g.cell)
-	x1 := int(b.MaxX / g.cell)
-	y0 := int(b.MinY / g.cell)
-	y1 := int(b.MaxY / g.cell)
-	if b.MinX < 0 {
-		x0--
+	i, found := slices.BinarySearch(ids, id)
+	if found {
+		return ids
 	}
-	if b.MaxX < 0 {
-		x1--
-	}
-	if b.MinY < 0 {
-		y0--
-	}
-	if b.MaxY < 0 {
-		y1--
-	}
-	keys := make([]gridKey, 0, (x1-x0+1)*(y1-y0+1))
-	for cx := x0; cx <= x1; cx++ {
-		for cy := y0; cy <= y1; cy++ {
-			keys = append(keys, gridKey{cx, cy})
-		}
-	}
-	return keys
+	return slices.Insert(ids, i, id)
 }
 
-// Insert adds (or re-adds) id with the given box. Inserting an existing id
-// replaces its previous box.
+func removeID(ids []uint64, id uint64) []uint64 {
+	if i, found := slices.BinarySearch(ids, id); found {
+		return slices.Delete(ids, i, i+1)
+	}
+	return ids
+}
+
+// Insert adds id with the given box. An id already indexed must be
+// deleted (with its old box) first. An empty box intersects nothing and
+// is not indexed.
 func (g *GridIndex) Insert(id uint64, b Box) {
-	if _, ok := g.entries[id]; ok {
-		g.Delete(id)
-	}
-	g.entries[id] = b
-	for _, k := range g.keysFor(b) {
-		g.cells[k] = append(g.cells[k], id)
-	}
-}
-
-// Delete removes id from the index. Deleting an absent id is a no-op.
-func (g *GridIndex) Delete(id uint64) {
-	b, ok := g.entries[id]
-	if !ok {
+	if b.IsEmpty() {
 		return
 	}
-	delete(g.entries, id)
-	for _, k := range g.keysFor(b) {
-		ids := g.cells[k]
-		for i, v := range ids {
-			if v == id {
-				ids[i] = ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				break
-			}
-		}
-		if len(ids) == 0 {
-			delete(g.cells, k)
-		} else {
-			g.cells[k] = ids
+	r := g.covered(b)
+	if r.count() > wideCells {
+		g.wide = insertID(g.wide, id)
+		return
+	}
+	for cx := r.x0; cx <= r.x1; cx++ {
+		for cy := r.y0; cy <= r.y1; cy++ {
+			k := gridKey{cx, cy}
+			g.cells[k] = insertID(g.cells[k], id)
 		}
 	}
 }
 
-// Search returns the ids whose boxes intersect q, sorted ascending for
-// deterministic results.
+// Delete removes id, which was inserted with box b. Deleting an absent id
+// is a no-op.
+func (g *GridIndex) Delete(id uint64, b Box) {
+	if b.IsEmpty() {
+		return
+	}
+	r := g.covered(b)
+	if r.count() > wideCells {
+		g.wide = removeID(g.wide, id)
+		return
+	}
+	for cx := r.x0; cx <= r.x1; cx++ {
+		for cy := r.y0; cy <= r.y1; cy++ {
+			k := gridKey{cx, cy}
+			if ids := removeID(g.cells[k], id); len(ids) == 0 {
+				delete(g.cells, k)
+			} else {
+				g.cells[k] = ids
+			}
+		}
+	}
+}
+
+// Search returns the ids whose boxes intersect q, ascending, each once.
 func (g *GridIndex) Search(q Box) []uint64 {
 	if q.IsEmpty() {
 		return nil
 	}
-	seen := make(map[uint64]struct{})
-	var out []uint64
-	for _, k := range g.keysFor(q) {
-		for _, id := range g.cells[k] {
-			if _, dup := seen[id]; dup {
-				continue
+	r := g.probed(q)
+	out := slices.Clone(g.wide)
+	// Every list is ascending, so the concatenation is ascending and free
+	// of duplicates as long as each list starts above the end of the last:
+	// the common case (ids grow with insertion, one cell per box) needs no
+	// sort at all.
+	sorted := true
+	add := func(ids []uint64) {
+		if len(ids) == 0 {
+			return
+		}
+		if len(out) > 0 && ids[0] <= out[len(out)-1] {
+			sorted = false
+		}
+		out = append(out, ids...)
+	}
+	if r.count() > float64(len(g.cells)) {
+		for k, ids := range g.cells {
+			if k.cx >= r.x0 && k.cx <= r.x1 && k.cy >= r.y0 && k.cy <= r.y1 {
+				add(ids)
 			}
-			seen[id] = struct{}{}
-			if g.entries[id].Intersects(q) {
-				out = append(out, id)
+		}
+	} else {
+		for cx := r.x0; cx <= r.x1; cx++ {
+			for cy := r.y0; cy <= r.y1; cy++ {
+				add(g.cells[gridKey{cx, cy}])
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// All returns every indexed id, sorted ascending.
-func (g *GridIndex) All() []uint64 {
-	out := make([]uint64, 0, len(g.entries))
-	for id := range g.entries {
-		out = append(out, id)
+	if !sorted {
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	hits := out[:0]
+	for _, id := range out {
+		if g.boxOf(id).Intersects(q) {
+			hits = append(hits, id)
+		}
+	}
+	return hits
 }
 
-// IntervalIndex indexes temporal intervals by id for overlap queries. It
-// keeps entries sorted by start time; stabbing and range queries binary-
-// search the start list and filter by end, which is O(log n + answer + k)
-// where k is the number of long intervals spanning the probe — fine for the
-// scene-catalogue sizes Gaea manages.
+// IntervalIndex indexes temporal intervals by id for overlap queries: one
+// slice of (interval, id) entries kept sorted by start time, then id.
+// Insert and Delete find their place by binary search (an insert in time
+// order is an append); like GridIndex it keeps no per-id map, so Delete
+// is told the interval the id was inserted with. Stabbing and range
+// queries binary-search the start list and filter by end, which is
+// O(log n + answer + k) where k is the number of intervals starting before
+// the probe and ending before it too — fine for the scene-catalogue sizes
+// Gaea manages. The zero value is an empty index.
 type IntervalIndex struct {
-	byStart []intervalEntry // sorted by Start, then id
-	byID    map[uint64]Interval
-	dirty   bool
+	byStart []intervalEntry // sorted by iv.Start, then id
 }
 
 type intervalEntry struct {
@@ -148,49 +233,35 @@ type intervalEntry struct {
 	id uint64
 }
 
-// NewIntervalIndex returns an empty temporal index.
-func NewIntervalIndex() *IntervalIndex {
-	return &IntervalIndex{byID: make(map[uint64]Interval)}
+func (e intervalEntry) compare(o intervalEntry) int {
+	if c := cmp.Compare(e.iv.Start, o.iv.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.id, o.id)
 }
 
-// Len returns the number of indexed entries.
-func (x *IntervalIndex) Len() int { return len(x.byID) }
-
-// Insert adds (or replaces) id with the given interval.
+// Insert adds id with the given interval. An id already indexed must be
+// deleted (with its old interval) first.
 func (x *IntervalIndex) Insert(id uint64, iv Interval) {
-	if _, ok := x.byID[id]; ok {
-		x.Delete(id)
-	}
-	x.byID[id] = iv
-	x.byStart = append(x.byStart, intervalEntry{iv: iv, id: id})
-	x.dirty = true
-}
-
-// Delete removes id from the index.
-func (x *IntervalIndex) Delete(id uint64) {
-	if _, ok := x.byID[id]; !ok {
+	e := intervalEntry{iv: iv, id: id}
+	if n := len(x.byStart); n == 0 || x.byStart[n-1].compare(e) < 0 {
+		x.byStart = append(x.byStart, e)
 		return
 	}
-	delete(x.byID, id)
-	for i, e := range x.byStart {
-		if e.id == id {
-			x.byStart = append(x.byStart[:i], x.byStart[i+1:]...)
-			break
-		}
-	}
-}
-
-func (x *IntervalIndex) ensureSorted() {
-	if !x.dirty {
+	i, found := slices.BinarySearchFunc(x.byStart, e, intervalEntry.compare)
+	if found {
+		x.byStart[i] = e
 		return
 	}
-	sort.Slice(x.byStart, func(i, j int) bool {
-		if x.byStart[i].iv.Start != x.byStart[j].iv.Start {
-			return x.byStart[i].iv.Start < x.byStart[j].iv.Start
-		}
-		return x.byStart[i].id < x.byStart[j].id
-	})
-	x.dirty = false
+	x.byStart = slices.Insert(x.byStart, i, e)
+}
+
+// Delete removes id, which was inserted with interval iv. Deleting an
+// absent id is a no-op.
+func (x *IntervalIndex) Delete(id uint64, iv Interval) {
+	if i, found := slices.BinarySearchFunc(x.byStart, intervalEntry{iv: iv, id: id}, intervalEntry.compare); found {
+		x.byStart = slices.Delete(x.byStart, i, i+1)
+	}
 }
 
 // Search returns the ids whose intervals intersect q, sorted ascending.
@@ -198,16 +269,26 @@ func (x *IntervalIndex) Search(q Interval) []uint64 {
 	if q.IsEmpty() {
 		return nil
 	}
-	x.ensureSorted()
 	// Every match has Start <= q.End; scan that prefix and filter by End.
-	n := sort.Search(len(x.byStart), func(i int) bool { return x.byStart[i].iv.Start > q.End })
+	n, _ := slices.BinarySearchFunc(x.byStart, q.End, func(e intervalEntry, end AbsTime) int {
+		if e.iv.Start > end {
+			return 1
+		}
+		return -1
+	})
 	var out []uint64
+	sorted := true
 	for _, e := range x.byStart[:n] {
 		if e.iv.Intersects(q) {
+			if len(out) > 0 && e.id < out[len(out)-1] {
+				sorted = false
+			}
 			out = append(out, e.id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if !sorted {
+		slices.Sort(out)
+	}
 	return out
 }
 
@@ -215,7 +296,6 @@ func (x *IntervalIndex) Search(q Interval) []uint64 {
 // (distance 0 when the interval contains t), ordered by distance then id.
 // Temporal interpolation uses it to pick bracketing observations.
 func (x *IntervalIndex) Nearest(t AbsTime, k int) []uint64 {
-	x.ensureSorted()
 	type cand struct {
 		dist int64
 		id   uint64
@@ -233,28 +313,16 @@ func (x *IntervalIndex) Nearest(t AbsTime, k int) []uint64 {
 		}
 		cands = append(cands, cand{dist: d, id: e.id})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k = min(k, len(cands))
 	out := make([]uint64, 0, k)
 	for _, c := range cands[:k] {
 		out = append(out, c.id)
 	}
-	return out
-}
-
-// All returns every indexed id, sorted ascending.
-func (x *IntervalIndex) All() []uint64 {
-	out := make([]uint64, 0, len(x.byID))
-	for id := range x.byID {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -126,5 +126,11 @@ func DecodeVectorCursor(s string) ([]ShardCursor, error) {
 	if uint64(len(comps)) != n {
 		return nil, fmt.Errorf("wire: bad vector cursor: truncated")
 	}
+	// What the checks above let through and is still not canonical — a
+	// padded uvarint, a done flag other than 0 or 1 — shows as a different
+	// re-encoding.
+	if EncodeVectorCursor(comps) != s {
+		return nil, fmt.Errorf("wire: vector cursor is not in canonical form")
+	}
 	return comps, nil
 }

@@ -77,8 +77,9 @@ const (
 	// PageEnd marks the final page of a stream; its cursor field is the
 	// resume token ("" = exhausted).
 	PageEnd byte = 1 << 0
-	// PageRaw marks a page whose objects travel as stored record bytes
-	// (decode with object.DecodeWire) rather than encoded wire Objects.
+	// PageRaw marks a page whose objects travel as GOB3 records holding
+	// their stored value bytes (decode with object.DecodeWire) rather
+	// than encoded wire Objects.
 	PageRaw byte = 1 << 1
 	// PageStats marks a SubscribeStats push: the body after the page
 	// header is one JSON-encoded stats delta, and the header's epoch
@@ -99,8 +100,10 @@ const OpStreamPush Op = 32
 // ring). It never appears in v1 traffic.
 const OpSubscribeStats Op = 33
 
-// RawObject is one object shipped as its stored record bytes plus the
-// payloads of any image blobs the record references.
+// RawObject is one object shipped as a GOB3 record — the stored value
+// bytes, never decoded on the way, inside the self-describing header the
+// object store re-assembles from the class — plus the payloads of any
+// image blobs the record references.
 type RawObject struct {
 	Rec   []byte
 	Blobs []object.BlobPayload
@@ -768,8 +771,8 @@ func DecodePageHeader(d *Dec) PageHeader {
 	return PageHeader{Flags: d.U8(), Epoch: d.Uvarint(), Cursor: d.Str(), Count: int(d.Uvarint())}
 }
 
-// AppendRawObject appends one raw object: record bytes verbatim plus its
-// blob payload table.
+// AppendRawObject appends one raw object: its record bytes as they are
+// plus its blob payload table.
 func AppendRawObject(f *Frame, r *RawObject) {
 	f.Bytes(r.Rec)
 	f.Uvarint(uint64(len(r.Blobs)))

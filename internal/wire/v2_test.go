@@ -339,7 +339,7 @@ func TestOutQueueFail(t *testing.T) {
 // Allocation discipline.
 
 // steadyResponse builds the response the server's v2 hot path ships for
-// a snapshot point read: a raw object travelling as stored bytes.
+// a snapshot point read: a raw object travelling as a record.
 func steadyResponse(rec, blob []byte) *Response {
 	return &Response{
 		Code:  CodeOK,

@@ -536,8 +536,9 @@ type StatsPayload struct {
 	MaxInFlightPerConn int64
 	// PushedPages counts v2 server-push stream pages sent since start.
 	PushedPages int64
-	// BytesAvoided counts bytes shipped verbatim from storage on the v2
-	// raw path — bytes that v1 would have decoded and re-encoded.
+	// BytesAvoided counts record bytes shipped on the v2 raw path without
+	// a value in them being decoded — bytes that v1 would have decoded
+	// and re-encoded.
 	BytesAvoided int64
 	// ObsJSON carries the kernel's full observability export — the
 	// structured stats snapshot, recent traces, and the slow-op log — as
@@ -569,7 +570,9 @@ type Response struct {
 	N       int            // OpRefresh: refreshed count
 	Text    string         // OpExplain, OpExplainQuery
 	Stats   *StatsPayload  // OpStats
-	// Raw carries OpSnapGet's object as stored record bytes on the v2
-	// zero-copy path (decode with object.DecodeWire); v1 never sets it.
+	// Raw carries OpSnapGet's object as a GOB3 record on the v2 raw path:
+	// the stored value bytes, undecoded, inside the self-describing
+	// header object.Store.GetRawAt re-assembles (decode with
+	// object.DecodeWire); v1 never sets it.
 	Raw *RawObject
 }

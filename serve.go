@@ -82,8 +82,9 @@ type ServerStats struct {
 	MaxInFlightPerConn int64
 	// PushedPages counts v2 server-push stream pages sent.
 	PushedPages int64
-	// BytesAvoided counts object bytes shipped verbatim from storage on
-	// the v2 zero-copy path — bytes v1 would have decoded and re-encoded.
+	// BytesAvoided counts record bytes shipped on the v2 raw path without
+	// a value in them being decoded — bytes v1 would have decoded and
+	// re-encoded.
 	BytesAvoided int64
 }
 
@@ -323,11 +324,12 @@ func (b kernelBackend) StreamPage(ctx context.Context, req query.Request, epoch 
 	return objs, cursor, inner.FellBack(), nil
 }
 
-// StreamPageRaw drains one retrieval-only page as stored record bytes —
-// the v2 zero-copy path. The same byte budget as StreamPage applies
-// (half the frame limit, cut before the first object that would
-// overflow), but no object is decoded: the page ships exactly what the
-// storage engine holds, plus the payloads of any referenced blobs.
+// StreamPageRaw drains one retrieval-only page as raw records — the v2
+// raw path. The same byte budget as StreamPage applies (half the frame
+// limit, cut before the first object that would overflow), but no value
+// is decoded: each object ships as the GOB3 record object.Store.GetRawAt
+// re-assembles around the value bytes the storage engine holds, plus the
+// payloads of any referenced blobs.
 func (b kernelBackend) StreamPageRaw(ctx context.Context, req query.Request, epoch uint64, maxBytes int) ([]wire.RawObject, string, bool, error) {
 	if err := b.k.checkOpen(); err != nil {
 		return nil, "", false, err
@@ -375,8 +377,8 @@ func (b kernelBackend) GetAt(oid object.OID, epoch uint64) (*object.Object, erro
 	return o, classify(err)
 }
 
-// GetRawAt loads the stored record bytes of the version visible at a
-// pinned epoch, for verbatim shipping (v2 OpSnapGet).
+// GetRawAt loads the version visible at a pinned epoch as a GOB3 record
+// holding its stored value bytes, to ship as it is (v2 OpSnapGet).
 func (b kernelBackend) GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error) {
 	if err := b.k.checkOpen(); err != nil {
 		return wire.RawObject{}, err
