@@ -1,4 +1,4 @@
-// Benchmark harness: one benchmark per experiment in DESIGN.md §3.
+// Benchmark harness: one benchmark per experiment of the reproduction.
 // The paper's evaluation is architectural (Figures 1-5, no quantitative
 // tables), so each figure is reproduced as an executable scenario and the
 // benchmarks measure the costs the design implies: metadata overhead,

@@ -20,12 +20,13 @@
 //     reference provisional OIDs freely. Validation that the embedded
 //     kernel performs eagerly at stage time happens at Commit.
 //
-//   - Streams are paged: each page is one round trip, and the
-//     epoch-carrying cursor in every page means a NEW connection — after
-//     a crash, a reconnect, or on a different client entirely — resumes
-//     the exact MVCC snapshot, with no skipped and no phantom objects.
-//     The server holds the snapshot pin under a lease, renewed by every
-//     page; a client that wanders off simply lets the lease expire.
+//   - Streams are server-push: one request, then pages arrive ahead of
+//     the consumer under a credit window. The epoch-carrying cursor a
+//     stream stops at means a NEW connection — after a crash, a
+//     reconnect, or on a different client entirely — resumes the exact
+//     MVCC snapshot, with no skipped and no phantom objects. The server
+//     holds the snapshot pin under a lease; a client that wanders off
+//     simply lets the lease expire.
 //
 //   - Snapshots are leases. Abandoning a remote snapshot without
 //     Release is safe — the server expires it — but subsequent use
@@ -44,13 +45,11 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gaea"
 	"gaea/internal/object"
 	"gaea/internal/obs"
-	"gaea/internal/query"
 	"gaea/internal/wire"
 )
 
@@ -132,28 +131,19 @@ type Options struct {
 	// the caller's Request.Limit doesn't dictate one (0 = 256; the
 	// server caps it at its own page size).
 	PageSize int
-	// Protocol pins the wire protocol: 0 negotiates v2 (the multiplexed
-	// binary protocol), ProtocolV1 forces the legacy strict
-	// request/response gob protocol.
-	Protocol int
-	// StreamWindow is the page credit window for v2 push streams: how
-	// many pages the server may push ahead of the consumer (0 = 2).
-	// Larger windows hide more latency; smaller ones bound client-side
+	// StreamWindow is the page credit window for push streams: how many
+	// pages the server may push ahead of the consumer (0 = 2). Larger
+	// windows hide more latency; smaller ones bound client-side
 	// buffering.
 	StreamWindow int
 	// Tracer, when set, records a client-side span around each query and
-	// commit, and propagates the trace ID to the server over protocol v2
-	// so the server's spans for the same request join the client's trace
-	// (one remote call = one cross-process trace). Nil disables client
-	// tracing; v1 connections trace locally but do not propagate (the v1
-	// frame format is frozen).
+	// commit, and propagates the trace ID to the server so the server's
+	// spans for the same request join the client's trace (one remote
+	// call = one cross-process trace). Nil disables client tracing.
 	Tracer *gaea.Tracer
 }
 
-// ProtocolV1 forces the legacy v1 wire protocol (Options.Protocol).
-const ProtocolV1 = 1
-
-// defaultStreamWindow is the v2 push-stream credit window when
+// defaultStreamWindow is the push-stream credit window when
 // Options.StreamWindow is zero.
 const defaultStreamWindow = 2
 
@@ -228,21 +218,7 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	if opts.Protocol == ProtocolV1 {
-		lc := &legacyConn{opts: opts, nc: nc}
-		// DialTimeout bounds the whole connection attempt, handshake
-		// included: an endpoint that accepts but never answers must not
-		// hang Dial.
-		//lint:gaea-allow ctxflow Dial has no caller context by design; DialTimeout is the bound
-		hctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		if _, err := lc.roundTrip(hctx, &wire.Request{Op: wire.OpHello, User: opts.User}); err != nil {
-			nc.Close()
-			return nil, err
-		}
-		return &Conn{opts: opts, t: lc}, nil
-	}
-	t, err := newV2Transport(nc, opts, timeout)
+	t, err := newTransport(nc, opts, timeout)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -251,31 +227,20 @@ func Dial(addr string, opts Options) (*Conn, error) {
 }
 
 // Conn is a connection to a served kernel, implementing Kernel. It is
-// safe for concurrent use. Under protocol v2 (the default) concurrent
-// calls multiplex over the one connection — many requests in flight,
-// completions matched by request ID, so a slow query never delays an
-// interleaved fast one. Under the legacy v1 protocol (Options.Protocol)
-// calls serialise on the connection. All server-held state a Conn
-// references — snapshot leases, stream cursors — is
-// connection-independent, so a stream or snapshot outlives the Conn
+// safe for concurrent use: concurrent calls multiplex over the one
+// connection — many requests in flight, completions matched by request
+// ID, so a slow query never delays an interleaved fast one. All
+// server-held state a Conn references — snapshot leases, stream cursors
+// — is connection-independent, so a stream or snapshot outlives the Conn
 // that created it as far as the server is concerned (until its lease
 // expires).
 type Conn struct {
 	opts Options
-	t    transport
-}
-
-// transport is one wire-protocol binding: the v2 multiplexer or the
-// legacy v1 request/response loop.
-type transport interface {
-	roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error)
-	close() error
+	t    *transport
 }
 
 func (c *Conn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if ctx != nil {
-		// Propagated only by the v2 framer; gob never sees the unexported
-		// fields, so v1 frames are unchanged.
 		req.SetTrace(obs.TraceID(ctx))
 		req.SetParentSpan(obs.SpanID(ctx))
 	}
@@ -306,73 +271,12 @@ func (c *Conn) traced(ctx context.Context) context.Context {
 // their own. Idempotent.
 func (c *Conn) Close() error { return c.t.close() }
 
-// legacyConn is the v1 transport: one gob frame each way per round
-// trip, serialised on a mutex.
-type legacyConn struct {
-	opts Options
-
-	// closed is independent of mu so close never queues behind a
-	// stalled round trip — closing the socket is what unblocks it.
-	closed atomic.Bool
-
-	mu sync.Mutex // serialises round trips (request/response protocol)
-	nc net.Conn
-}
-
 // defaultRequestTimeout bounds round trips that carry no context (Stats,
 // Explain, snapshot Get, lease renewals — all cheap server-side): a
 // silently-partitioned peer must not hang them forever. Operations that
 // can legitimately run long (queries with derivation, RefreshStale,
 // commits) take the caller's context instead.
 const defaultRequestTimeout = 30 * time.Second
-
-// roundTrip sends one request frame and reads one response frame. A
-// transport failure mid-frame leaves the stream unsynchronisable, so it
-// poisons the connection: the conn is closed and every later call fails
-// fast (redial for a fresh one — all server-held state, leases and
-// cursors, is connection-independent). Context cancellation interrupts
-// an in-flight round trip by expiring the socket deadline; the
-// interrupted response is unrecoverable, so that poisons the connection
-// too. (The server finishes the request on its side regardless — the
-// wire carries no cancellation.)
-func (c *legacyConn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return nil, fmt.Errorf("%w: connection closed", gaea.ErrClosed)
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		_ = c.nc.SetDeadline(time.Time{})
-		stop := context.AfterFunc(ctx, func() { _ = c.nc.SetDeadline(time.Now()) })
-		defer stop()
-	} else {
-		// No context: still bound the I/O so a partitioned peer cannot
-		// hang the call (and the mutex behind it) forever.
-		_ = c.nc.SetDeadline(time.Now().Add(defaultRequestTimeout))
-	}
-	fail := func(err error) (*wire.Response, error) {
-		c.closed.Store(true)
-		_ = c.nc.Close()
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	if err := wire.WriteFrame(c.nc, req); err != nil {
-		return fail(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadFrame(c.nc, c.opts.MaxFrame, &resp); err != nil {
-		return fail(err)
-	}
-	if resp.Code != wire.CodeOK {
-		return nil, errorFor(resp.Code, resp.Err)
-	}
-	return &resp, nil
-}
 
 // errorFor maps a wire code back onto the public taxonomy, preserving
 // the server-side error text.
@@ -403,15 +307,6 @@ func errorFor(code wire.Code, msg string) error {
 		return fmt.Errorf("client: remote error (%s): %s", code, msg)
 	}
 	return fmt.Errorf("%w: remote: %s", sentinel, msg)
-}
-
-// close closes the v1 connection, aborting any in-flight round trip
-// (its caller gets a transport error). Idempotent.
-func (c *legacyConn) close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	return c.nc.Close()
 }
 
 // Query implements Kernel.
@@ -543,149 +438,14 @@ func (c *Conn) Snapshot(ctx context.Context) (Snapshot, error) {
 	return &remoteSnapshot{c: c, lease: resp.Lease, epoch: resp.Epoch}, nil
 }
 
-// QueryStream implements Kernel: under v2, one request starts a
-// server-push stream whose pages arrive ahead of the consumer under a
-// credit window; under v1, pages of req.Limit-capped size are fetched
-// lazily as the consumer pulls. Either way the cursor resumes the exact
-// snapshot on any connection.
+// QueryStream implements Kernel: one request starts a server-push
+// stream whose pages arrive ahead of the consumer under a credit window;
+// the cursor resumes the exact snapshot on any connection.
 func (c *Conn) QueryStream(ctx context.Context, req gaea.Request) (Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if t, ok := c.t.(*v2transport); ok {
-		return &pushStream{c: c, t: t, ctx: ctx, req: req, cursor: req.Cursor}, nil
-	}
-	return &remoteStream{c: c, ctx: ctx, req: req, op: wire.OpStream, cursor: req.Cursor}, nil
-}
-
-// remoteStream pulls pages over the wire lazily. It mirrors the
-// embedded Stream contract: single use, Cursor() reports where
-// iteration stopped (down to the exact object, synthesised client-side
-// when the consumer breaks mid-page), empty cursor = exhausted.
-type remoteStream struct {
-	c     *Conn
-	ctx   context.Context
-	req   gaea.Request
-	op    wire.Op
-	lease uint64 // snapshot streams only
-
-	mu       sync.Mutex
-	cursor   string
-	consumed bool
-}
-
-func (s *remoteStream) claim() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.consumed {
-		return false
-	}
-	s.consumed = true
-	return true
-}
-
-func (s *remoteStream) setCursor(c string) {
-	s.mu.Lock()
-	s.cursor = c
-	s.mu.Unlock()
-}
-
-// Cursor reports the resume token; pass it as Request.Cursor on any
-// backend (embedded or remote, same or new connection) to continue at
-// the same snapshot.
-func (s *remoteStream) Cursor() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cursor
-}
-
-// All returns the lazily-paged sequence.
-func (s *remoteStream) All() iter.Seq2[*object.Object, error] {
-	return func(yield func(*object.Object, error) bool) {
-		if !s.claim() {
-			yield(nil, fmt.Errorf("%w: stream already consumed", query.ErrBadRequest))
-			return
-		}
-		ctx, sp := obs.Start(s.c.traced(s.ctx), "client/query_stream")
-		defer sp.End()
-		sp.Annotate("class", s.req.Class)
-		remaining := s.req.Limit // 0 = unlimited
-		cursor := s.req.Cursor
-		for {
-			if err := ctx.Err(); err != nil {
-				yield(nil, err)
-				return
-			}
-			page := s.c.opts.PageSize
-			if page <= 0 {
-				page = 256
-			}
-			if remaining > 0 && remaining < page {
-				page = remaining
-			}
-			q := wire.FromQuery(s.req)
-			q.Cursor = cursor
-			q.Limit = page
-			resp, err := s.c.roundTrip(ctx, &wire.Request{Op: s.op, Query: &q, Lease: s.lease})
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			for i := range resp.Objects {
-				o, err := resp.Objects[i].ToObject()
-				if err != nil {
-					yield(nil, err)
-					return
-				}
-				if !yield(o, nil) {
-					// Consumer stopped mid-page: synthesise the exact resume
-					// point from the page's epoch and the last object seen.
-					s.stopAt(resp, o)
-					return
-				}
-				if remaining > 0 {
-					remaining--
-					if remaining == 0 {
-						if i < len(resp.Objects)-1 || resp.Cursor != "" {
-							s.stopAt(resp, o)
-						} else {
-							s.setCursor("")
-						}
-						return
-					}
-				}
-			}
-			cursor = resp.Cursor
-			s.setCursor(cursor)
-			if cursor == "" {
-				return // exhausted
-			}
-		}
-	}
-}
-
-// stopAt records the exact resume point when the consumer stops before
-// the stream is exhausted. If the server answered this page with no
-// cursor, it has already released the page's pin (nothing was left to
-// resume from ITS point of view) — so the synthesised cursor's epoch is
-// re-pinned under a fresh cursor lease, best-effort, to keep the resume
-// guarantee. Snapshot streams skip that: their snapshot's own lease
-// holds the epoch.
-func (s *remoteStream) stopAt(resp *wire.Response, o *object.Object) {
-	if resp.Epoch == 0 {
-		// A fallback-produced page (the server marks it with epoch 0):
-		// its objects were derived at epochs newer than the page's
-		// snapshot, so no resume point exists — match the embedded
-		// contract and report not-resumable.
-		s.setCursor("")
-		return
-	}
-	s.setCursor(query.EncodeCursor(resp.Epoch, o.Class, o.OID))
-	if s.op == wire.OpStream && resp.Cursor == "" {
-		// Best-effort under the stream's own context: a loop break must
-		// not block behind a stalled server past the caller's deadline.
-		_, _ = s.c.roundTrip(s.ctx, &wire.Request{Op: wire.OpLease, Epoch: resp.Epoch})
-	}
+	return &pushStream{c: c, ctx: ctx, req: req, cursor: req.Cursor}, nil
 }
 
 // remoteSnapshot is a lease-backed server-side snapshot.
@@ -711,15 +471,10 @@ func (s *remoteSnapshot) Get(oid object.OID) (*object.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Raw != nil {
-		// v2 ships a GOB3 record holding the stored value bytes; decode
-		// it here.
-		return object.DecodeWire(resp.Raw.Rec, resp.Raw.Blobs)
-	}
-	if len(resp.Objects) != 1 {
+	if resp.Raw == nil {
 		return nil, fmt.Errorf("client: malformed snapshot get response")
 	}
-	return resp.Objects[0].ToObject()
+	return object.DecodeWire(resp.Raw.Rec, resp.Raw.Blobs)
 }
 
 func (s *remoteSnapshot) Query(ctx context.Context, req gaea.Request) (*gaea.Result, error) {
@@ -741,10 +496,7 @@ func (s *remoteSnapshot) QueryStream(ctx context.Context, req gaea.Request) (Str
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if t, ok := s.c.t.(*v2transport); ok {
-		return &pushStream{c: s.c, t: t, ctx: ctx, req: req, lease: s.lease, cursor: req.Cursor}, nil
-	}
-	return &remoteStream{c: s.c, ctx: ctx, req: req, op: wire.OpSnapStream, lease: s.lease, cursor: req.Cursor}, nil
+	return &pushStream{c: s.c, ctx: ctx, req: req, lease: s.lease, cursor: req.Cursor}, nil
 }
 
 // remoteSession stages mutations locally and ships the whole batch as

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -727,26 +728,47 @@ func TestRemoteStats(t *testing.T) {
 }
 
 // TestRemoteConnLimit: over MaxConns, new connections are refused with
-// ErrUnavailable and existing ones keep working.
+// ErrUnavailable saying why — on the wire, the magic echo and a
+// connection-level (request ID 0) response carrying the limit text —
+// and existing ones keep working.
 func TestRemoteConnLimit(t *testing.T) {
 	k := openKernel(t)
 	_, addr := startServer(t, k, gaea.ServeOptions{MaxConns: 1})
 	c := dial(t, addr)
-	if _, err := Dial(addr, Options{User: "second"}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("over-limit dial: %v, want ErrUnavailable", err)
+	if _, err := Dial(addr, Options{User: "second"}); !errors.Is(err, ErrUnavailable) ||
+		!strings.Contains(err.Error(), "connection limit") {
+		t.Fatalf("over-limit dial: %v, want ErrUnavailable naming the connection limit", err)
 	}
+
+	raw, err := net.DialTimeout("unix", strings.TrimPrefix(addr, "unix://"), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var magic [len(wire.V2Magic)]byte
+	if _, err := io.ReadFull(raw, magic[:]); err != nil || string(magic[:]) != wire.V2Magic {
+		t.Fatalf("refusal opened with %q, %v; want the magic echo", magic, err)
+	}
+	ft, id, body, err := wire.NewFrameReader(raw, 0).Next()
+	if err != nil || ft != wire.F2Resp || id != 0 {
+		t.Fatalf("refusal frame type %d id %d, %v; want a connection-level Resp", ft, id, err)
+	}
+	resp, err := wire.DecodeResponse(body)
+	if err != nil || resp.Code != wire.CodeUnavailable || !strings.Contains(resp.Err, "connection limit") {
+		t.Fatalf("refusal %+v, %v; want unavailable with the connection-limit text", resp, err)
+	}
+
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("surviving conn broken: %v", err)
 	}
 }
 
-// TestRoundTripContextCancel: on the v1 protocol, a context deadline
-// interrupts an in-flight round trip against a stalled server instead
-// of hanging forever, and the desynchronised connection is poisoned —
-// later calls fail fast rather than reading the wrong frame. (The
-// stalled server below speaks raw v1 gob, so the client is pinned to
-// ProtocolV1; v2 cancellation semantics — abandon without poisoning —
-// are covered by the multiplexing tests.)
+// TestRoundTripContextCancel: a context deadline interrupts an
+// in-flight round trip against a stalled server instead of hanging, and
+// the abandoned request is cancelled server-side with a Cancel frame
+// under its own request ID (the connection itself is not poisoned: the
+// multiplexing tests show it keeps serving).
 func TestRoundTripContextCancel(t *testing.T) {
 	path := sockPath(t)
 	l, err := net.Listen("unix", path)
@@ -754,21 +776,11 @@ func TestRoundTripContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	cancelled := make(chan error, 1)
 	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		var req wire.Request
-		if wire.ReadFrame(conn, 0, &req) != nil {
-			return
-		}
-		_ = wire.WriteFrame(conn, &wire.Response{}) // answer the hello…
-		_ = wire.ReadFrame(conn, 0, &req)           // …swallow the query
-		_ = wire.ReadFrame(conn, 0, &req)           // and stall (unblocks when the client closes)
+		cancelled <- stallOneRequest(l)
 	}()
-	c, err := Dial("unix://"+path, Options{User: "stalled", Protocol: ProtocolV1})
+	c, err := Dial("unix://"+path, Options{User: "stalled"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,9 +795,52 @@ func TestRoundTripContextCancel(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	if _, err := c.Stats(); !errors.Is(err, gaea.ErrClosed) {
-		t.Fatalf("poisoned conn answered %v, want ErrClosed", err)
+	select {
+	case err := <-cancelled:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoned request was never cancelled server-side")
 	}
+}
+
+// stallOneRequest plays a server that completes the handshake, swallows
+// one request, and answers nil once the client cancels that request.
+func stallOneRequest(l net.Listener) error {
+	conn, err := l.Accept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var magic [len(wire.V2Magic)]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
+		return err
+	}
+	fr := wire.NewFrameReader(conn, 0)
+	if _, _, _, err := fr.Next(); err != nil { // the Hello
+		return err
+	}
+	f := wire.AcquireFrame(wire.F2HelloAck, 0)
+	wire.EncodeHello(f, &wire.Hello2{Version: wire.V2Version})
+	b, err := f.Finish()
+	if err == nil {
+		_, err = conn.Write(append([]byte(wire.V2Magic), b...))
+	}
+	wire.ReleaseFrame(f)
+	if err != nil {
+		return err
+	}
+	ft, reqID, _, err := fr.Next()
+	if err != nil || ft != wire.F2Req {
+		return fmt.Errorf("expected a request, got frame %d: %v", ft, err)
+	}
+	ft, id, _, err := fr.Next()
+	if err != nil || ft != wire.F2Cancel || id != reqID {
+		return fmt.Errorf("after request %d: frame %d for id %d, %v; want its Cancel", reqID, ft, id, err)
+	}
+	return nil
 }
 
 // TestMidStreamServerShutdown: a graceful shutdown between pages

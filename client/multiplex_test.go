@@ -1,18 +1,16 @@
 package client
 
-// Protocol v2 multiplexing tests: per-request deadlines (a slow query
-// must not poison or delay an interleaved fast one on the same
-// connection), a torture run of concurrent unary requests, push
-// streams, and cancellations over ONE connection (TestMVCC prefix so
-// the CI shard repeats it under -race -cpu 1,4), mid-stream
-// disconnect, and the v1 compatibility path against a v2 server.
+// Multiplexing tests: per-request deadlines (a slow query must not
+// poison or delay an interleaved fast one on the same connection), a
+// torture run of concurrent unary requests, push streams, and
+// cancellations over ONE connection (TestMVCC prefix so the CI shard
+// repeats it under -race -cpu 1,4), and mid-stream disconnect.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,14 +46,8 @@ func (f *blockingBackend) Epoch() uint64 { return 1 }
 func (f *blockingBackend) QueryAt(ctx context.Context, req query.Request, epoch uint64) (*query.Result, error) {
 	return &query.Result{}, nil
 }
-func (f *blockingBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.Object, string, bool, error) {
+func (f *blockingBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.RawObject, string, bool, error) {
 	return nil, "", false, nil
-}
-func (f *blockingBackend) StreamPageRaw(ctx context.Context, req query.Request, epoch uint64, maxBytes int) ([]wire.RawObject, string, bool, error) {
-	return nil, "", false, nil
-}
-func (f *blockingBackend) GetAt(oid object.OID, epoch uint64) (*object.Object, error) {
-	return &object.Object{OID: oid, Class: "x"}, nil
 }
 func (f *blockingBackend) GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error) {
 	return wire.RawObject{}, nil
@@ -100,8 +92,7 @@ func startBackendServer(t *testing.T, b server.Backend) (*server.Server, string)
 // TestPerRequestDeadline: deadlines bound individual requests, not the
 // connection. A stalled query must not delay an interleaved fast
 // request on the same connection, and its expiry must not poison the
-// connection for later traffic (the v1 transport had both flaws: one
-// 30s bound per round trip, serialised, and poison-on-timeout).
+// connection for later traffic.
 func TestPerRequestDeadline(t *testing.T) {
 	b := newBlockingBackend()
 	srv, addr := startBackendServer(t, b)
@@ -309,77 +300,5 @@ func TestMVCCMultiplexTorture(t *testing.T) {
 	}
 	if streamErr == nil {
 		t.Fatal("stream drained cleanly across a dead connection")
-	}
-}
-
-// TestProtocolV1Compat runs the core remote workload over the legacy
-// v1 protocol against the v2-capable server: the sniffing accept path
-// must keep old clients fully functional (sessions, queries, paged
-// streams, snapshots, stats).
-func TestProtocolV1Compat(t *testing.T) {
-	k := openKernel(t)
-	_, addr := startServer(t, k, gaea.ServeOptions{PageSize: 8})
-	c, err := Dial(addr, Options{User: "legacy", Protocol: ProtocolV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	oids := seedRain(t, c, 20, 1)
-	res, err := c.Query(ctx, rainPred())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.OIDs) != 20 {
-		t.Fatalf("v1 query saw %d objects, want 20", len(res.OIDs))
-	}
-
-	st, err := c.QueryStream(ctx, rainPred())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(drainAll(t, st)); got != 20 {
-		t.Fatalf("v1 stream drained %d objects, want 20", got)
-	}
-
-	snap, err := c.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := snap.Get(oids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Class != "rain" {
-		t.Fatalf("v1 snapshot get: %+v", o)
-	}
-	snap.Release()
-
-	s := c.Begin(ctx)
-	up := rainObject(9, 0)
-	up.OID = oids[0]
-	if err := s.Update(up); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(oids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	res, err = c.Query(ctx, rainPred())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.OIDs) != 19 {
-		t.Fatalf("after v1 update+delete: %d objects, want 19", len(res.OIDs))
-	}
-
-	line, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "server[") {
-		t.Fatalf("v1 stats line %q missing server section", line)
 	}
 }

@@ -37,7 +37,6 @@ type SubscribeOptions struct {
 // concurrent Next calls.
 type StatsFeed struct {
 	c      *Conn
-	t      *v2transport
 	ctx    context.Context
 	pull   *v2pull
 	next   uint64 // last delta's NextSeq: the resume point
@@ -45,14 +44,10 @@ type StatsFeed struct {
 }
 
 // SubscribeStats starts a push subscription for periodic stats/event
-// deltas. Requires protocol v2; a v1 connection answers an error.
+// deltas.
 func (c *Conn) SubscribeStats(ctx context.Context, opts SubscribeOptions) (*StatsFeed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	t, ok := c.t.(*v2transport)
-	if !ok {
-		return nil, fmt.Errorf("%w: stats subscriptions need protocol v2", ErrUnavailable)
 	}
 	window := opts.Window
 	if window <= 0 {
@@ -64,11 +59,11 @@ func (c *Conn) SubscribeStats(ctx context.Context, opts SubscribeOptions) (*Stat
 		Epoch:  opts.FromSeq,
 		Page:   int(opts.Period / time.Millisecond),
 	}
-	pull, err := t.startStream(req, window)
+	pull, err := c.t.startStream(req, window)
 	if err != nil {
 		return nil, err
 	}
-	return &StatsFeed{c: c, t: t, ctx: ctx, pull: pull, next: opts.FromSeq}, nil
+	return &StatsFeed{c: c, ctx: ctx, pull: pull, next: opts.FromSeq}, nil
 }
 
 // Next blocks until the next delta arrives, the context expires, or the
@@ -96,7 +91,7 @@ func (f *StatsFeed) Next() (*gaea.StatsDelta, error) {
 			return nil, fmt.Errorf("%w: malformed stats delta: %v", ErrUnavailable, err)
 		}
 		f.next = delta.NextSeq
-		f.t.credit(f.pull.id, 1)
+		f.c.t.credit(f.pull.id, 1)
 		return &delta, nil
 	}
 }
@@ -111,5 +106,5 @@ func (f *StatsFeed) Close() {
 		return
 	}
 	f.closed = true
-	f.t.cancelStream(f.pull.id)
+	f.c.t.cancelStream(f.pull.id)
 }

@@ -7,7 +7,6 @@ package client
 // top -watch` are built on.
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -121,20 +120,5 @@ func TestSubscribeStatsResumeAfterReconnect(t *testing.T) {
 	if second[0].Fields["creates"] != "4" || second[1].Fields["creates"] != "5" {
 		t.Fatalf("resumed commits = %v, %v; want creates 4 then 5",
 			second[0].Fields, second[1].Fields)
-	}
-}
-
-// TestSubscribeStatsV1Unavailable: the push stream is a v2 feature; a
-// v1 connection answers ErrUnavailable instead of hanging.
-func TestSubscribeStatsV1Unavailable(t *testing.T) {
-	k := openKernel(t)
-	_, addr := startServer(t, k, gaea.ServeOptions{})
-	c, err := Dial(addr, Options{User: "legacy", Protocol: ProtocolV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.SubscribeStats(ctx, SubscribeOptions{}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("v1 SubscribeStats = %v, want ErrUnavailable", err)
 	}
 }

@@ -1,7 +1,7 @@
 package client
 
 // End-to-end tracing across the wire: a traced client propagates its
-// trace ID over the v2 frame, the server adopts it, and the kernel's
+// trace ID in the request frame, the server adopts it, and the kernel's
 // spans land in the SAME trace — one remote call, one cross-process
 // span tree. The TestTrace prefix is re-run by the CI observability
 // shard under -race -cpu 1,4.
@@ -13,7 +13,7 @@ import (
 	"gaea"
 )
 
-// TestTraceStreamPropagation: one remote QueryStream over v2 yields one
+// TestTraceStreamPropagation: one remote QueryStream yields one
 // trace ID on both sides, and the combined tree spans client, server,
 // and kernel layers with at least four spans.
 func TestTraceStreamPropagation(t *testing.T) {
@@ -112,37 +112,6 @@ func TestTraceQueryPropagation(t *testing.T) {
 	}
 	if !strings.HasPrefix(sv.Root, "server/") {
 		t.Fatalf("server trace root %q, want a server/* span", sv.Root)
-	}
-}
-
-// TestTraceV1NoPropagation: a v1 connection still records client-side
-// spans, but the frozen gob frames carry no trace identity — the server
-// mints its own trace, under a different ID.
-func TestTraceV1NoPropagation(t *testing.T) {
-	k := openKernel(t)
-	_, addr := startServer(t, k, gaea.ServeOptions{})
-	tracer := gaea.NewTracer(0, 0, 0)
-	c, err := Dial(addr, Options{User: "tracer", Tracer: tracer, Protocol: ProtocolV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	seedRain(t, c, 3, 1)
-	if _, err := c.Query(ctx, rainPred()); err != nil {
-		t.Fatal(err)
-	}
-	var id uint64
-	for _, tr := range tracer.Recent() {
-		if tr.Root == "client/query" {
-			id = tr.ID
-			break
-		}
-	}
-	if id == 0 {
-		t.Fatal("v1 client recorded no local trace")
-	}
-	if _, ok := k.Tracer.Find(id); ok {
-		t.Fatalf("client trace ID %x crossed a v1 connection", id)
 	}
 }
 

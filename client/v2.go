@@ -1,9 +1,9 @@
 package client
 
-// The protocol v2 transport: request-ID multiplexing over one
-// connection. A writer goroutine drains an outbound queue (coalescing
-// whatever is ready into single socket writes); a reader goroutine
-// demultiplexes completions and server-push stream pages by request ID.
+// The transport: request-ID multiplexing over one connection. A writer
+// goroutine drains an outbound queue (coalescing whatever is ready into
+// single socket writes); a reader goroutine demultiplexes completions
+// and server-push stream pages by request ID.
 // Consequences visible through the Kernel surface:
 //
 //   - Concurrent calls share the connection instead of serialising on
@@ -16,10 +16,7 @@ package client
 //     the consumer under a credit window, with no per-page round trip.
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"iter"
@@ -34,8 +31,8 @@ import (
 	"gaea/internal/wire"
 )
 
-// v2transport multiplexes requests over one connection.
-type v2transport struct {
+// transport multiplexes requests over one connection.
+type transport struct {
 	opts Options
 	nc   net.Conn
 	out  *wire.OutQueue
@@ -47,9 +44,9 @@ type v2transport struct {
 	streams map[uint64]*v2pull
 }
 
-// newV2Transport performs the v2 handshake (bounded by timeout) and
-// starts the reader and writer goroutines.
-func newV2Transport(nc net.Conn, opts Options, timeout time.Duration) (*v2transport, error) {
+// newTransport performs the handshake (bounded by timeout) and starts
+// the reader and writer goroutines.
+func newTransport(nc net.Conn, opts Options, timeout time.Duration) (*transport, error) {
 	_ = nc.SetDeadline(time.Now().Add(timeout))
 	hello := wire.AcquireFrame(wire.F2Hello, 0)
 	wire.EncodeHello(hello, &wire.Hello2{Version: wire.V2Version, User: opts.User})
@@ -63,29 +60,48 @@ func newV2Transport(nc net.Conn, opts Options, timeout time.Duration) (*v2transp
 	buf = append(buf, hb...)
 	_, werr := nc.Write(buf)
 	wire.ReleaseFrame(hello)
-	if werr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, werr)
-	}
-	var pre [8]byte
+	// A server refusing the connection writes its refusal and closes
+	// without reading the Hello, so the write can fail while the reason
+	// waits to be read: report the write error only if no reply follows.
+	var pre [len(wire.V2Magic)]byte
 	if _, err := io.ReadFull(nc, pre[:]); err != nil {
+		if werr != nil {
+			err = werr
+		}
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	if string(pre[:]) != wire.V2Magic {
-		// Not a v2 reply: these bytes start a v1 gob Response — e.g. the
-		// connection-limit refusal the server writes before protocol
-		// sniffing. Parse it so the caller sees the real reason.
-		return nil, parseV1Refusal(nc, pre, opts.MaxFrame)
+		return nil, fmt.Errorf("%w: not a Gaea server", ErrUnavailable)
 	}
 	fr := wire.NewFrameReader(nc, opts.MaxFrame)
-	ft, _, body, err := fr.Next()
-	if err != nil || ft != wire.F2HelloAck {
-		return nil, fmt.Errorf("%w: bad v2 handshake", ErrUnavailable)
+	ft, id, body, err := fr.Next()
+	if err != nil {
+		return nil, fmt.Errorf("%w: handshake: %v", ErrUnavailable, err)
 	}
-	if _, err := wire.DecodeHello(body); err != nil {
-		return nil, fmt.Errorf("%w: bad v2 handshake: %v", ErrUnavailable, err)
+	if ft == wire.F2Resp && id == 0 {
+		// The server refuses the connection (connection limit, shutdown)
+		// and says why.
+		resp, err := wire.DecodeResponse(body)
+		if err != nil {
+			return nil, fmt.Errorf("%w: bad refusal: %v", ErrUnavailable, err)
+		}
+		return nil, errorFor(resp.Code, resp.Err)
+	}
+	if werr != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnavailable, werr)
+	}
+	if ft != wire.F2HelloAck {
+		return nil, fmt.Errorf("%w: bad handshake", ErrUnavailable)
+	}
+	ack, err := wire.DecodeHello(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad handshake: %v", ErrUnavailable, err)
+	}
+	if ack.Version != wire.V2Version {
+		return nil, fmt.Errorf("%w: server speaks protocol revision %d, want %d", ErrUnavailable, ack.Version, wire.V2Version)
 	}
 	_ = nc.SetDeadline(time.Time{})
-	t := &v2transport{
+	t := &transport{
 		opts:    opts,
 		nc:      nc,
 		out:     wire.NewOutQueue(),
@@ -97,33 +113,8 @@ func newV2Transport(nc net.Conn, opts Options, timeout time.Duration) (*v2transp
 	return t, nil
 }
 
-// parseV1Refusal interprets a non-magic handshake reply as a v1 gob
-// Response frame and surfaces its error through the usual taxonomy.
-func parseV1Refusal(nc net.Conn, pre [8]byte, maxFrame int) error {
-	if maxFrame <= 0 {
-		maxFrame = wire.DefaultMaxFrame
-	}
-	n := int(binary.BigEndian.Uint32(pre[:4]))
-	if n < 4 || n > maxFrame {
-		return fmt.Errorf("%w: unexpected handshake reply", ErrUnavailable)
-	}
-	body := make([]byte, n)
-	copy(body, pre[4:])
-	if _, err := io.ReadFull(nc, body[4:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	var resp wire.Response
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&resp); err != nil {
-		return fmt.Errorf("%w: unexpected handshake reply", ErrUnavailable)
-	}
-	if resp.Code != wire.CodeOK {
-		return errorFor(resp.Code, resp.Err)
-	}
-	return fmt.Errorf("%w: server does not speak protocol v2", ErrUnavailable)
-}
-
 // readLoop demultiplexes incoming frames until the connection dies.
-func (t *v2transport) readLoop(fr *wire.FrameReader) {
+func (t *transport) readLoop(fr *wire.FrameReader) {
 	for {
 		ft, id, body, err := fr.Next()
 		if err != nil {
@@ -183,7 +174,7 @@ func (t *v2transport) readLoop(fr *wire.FrameReader) {
 
 // fail poisons the transport: every registered call and stream is
 // terminated with err, the socket closes, and later calls fail fast.
-func (t *v2transport) fail(err error) {
+func (t *transport) fail(err error) {
 	t.mu.Lock()
 	if t.err == nil {
 		t.err = err
@@ -204,16 +195,16 @@ func (t *v2transport) fail(err error) {
 	}
 }
 
-// close implements transport. In-flight calls fail with ErrClosed.
-func (t *v2transport) close() error {
+// close fails in-flight calls with ErrClosed and closes the socket.
+func (t *transport) close() error {
 	t.fail(fmt.Errorf("%w: connection closed", gaea.ErrClosed))
 	return nil
 }
 
-// roundTrip sends one request and waits for its completion. Unlike v1,
-// an expired context or timeout abandons only THIS request — the
-// connection keeps serving everything else.
-func (t *v2transport) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// roundTrip sends one request and waits for its completion. An expired
+// context or timeout abandons only THIS request — the connection keeps
+// serving everything else.
+func (t *transport) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -279,7 +270,7 @@ func (t *v2transport) roundTrip(ctx context.Context, req *wire.Request) (*wire.R
 // abandon gives up on one request without poisoning the connection: the
 // call is deregistered (a late completion is dropped on the floor) and
 // the server is told to cancel the work.
-func (t *v2transport) abandon(id uint64) {
+func (t *transport) abandon(id uint64) {
 	t.mu.Lock()
 	delete(t.calls, id)
 	t.mu.Unlock()
@@ -288,7 +279,7 @@ func (t *v2transport) abandon(id uint64) {
 }
 
 // startStream registers a push stream and sends its request.
-func (t *v2transport) startStream(req *wire.Request, window int) (*v2pull, error) {
+func (t *transport) startStream(req *wire.Request, window int) (*v2pull, error) {
 	t.mu.Lock()
 	if t.err != nil {
 		err := t.err
@@ -316,7 +307,7 @@ func (t *v2transport) startStream(req *wire.Request, window int) (*v2pull, error
 }
 
 // credit grants the server n more pages on a stream.
-func (t *v2transport) credit(id uint64, n int) {
+func (t *transport) credit(id uint64, n int) {
 	f := wire.AcquireFrame(wire.F2Credit, id)
 	wire.EncodeCredit(f, n)
 	_ = t.out.Push(f)
@@ -324,7 +315,7 @@ func (t *v2transport) credit(id uint64, n int) {
 
 // cancelStream deregisters a stream and tells the server to abort it
 // (the server hands the stream's pin to a cursor lease).
-func (t *v2transport) cancelStream(id uint64) {
+func (t *transport) cancelStream(id uint64) {
 	t.mu.Lock()
 	delete(t.streams, id)
 	t.mu.Unlock()
@@ -387,23 +378,12 @@ func decodePage(body []byte) *v2page {
 		}
 		return pg
 	}
-	raw := hdr.Flags&wire.PageRaw != 0
 	for i := 0; i < hdr.Count && d.Err() == nil; i++ {
-		var o *object.Object
-		var err error
-		if raw {
-			ro := wire.DecodeRawObject(d, false)
-			if d.Err() != nil {
-				break
-			}
-			o, err = object.DecodeWire(ro.Rec, ro.Blobs)
-		} else {
-			w := wire.DecodeObject(d)
-			if d.Err() != nil {
-				break
-			}
-			o, err = w.ToObject()
+		ro := wire.DecodeRawObject(d, false)
+		if d.Err() != nil {
+			break
 		}
+		o, err := object.DecodeWire(ro.Rec, ro.Blobs)
 		if err != nil {
 			pg.err = err
 			return pg
@@ -416,14 +396,12 @@ func decodePage(body []byte) *v2page {
 	return pg
 }
 
-// pushStream is the client side of a v2 server-push stream. It mirrors
-// the Stream contract of the v1 paged remoteStream exactly: single use,
-// Cursor() reports where iteration stopped (synthesised mid-page when
-// the consumer breaks), empty cursor = exhausted. The server request is
-// sent lazily at the first pull, like v1's first page fetch.
+// pushStream is the client side of a server-push stream. It mirrors the
+// embedded Stream contract: single use, Cursor() reports where iteration
+// stopped (synthesised mid-page when the consumer breaks), empty cursor
+// = exhausted. The server request is sent lazily at the first pull.
 type pushStream struct {
 	c     *Conn
-	t     *v2transport
 	ctx   context.Context
 	req   gaea.Request
 	lease uint64 // snapshot streams ride their lease's pin
@@ -488,7 +466,7 @@ func (s *pushStream) All() iter.Seq2[*object.Object, error] {
 		}
 		sreq.SetTrace(sp.TraceID())
 		sreq.SetParentSpan(sp.SpanID())
-		pull, err := s.t.startStream(sreq, window)
+		pull, err := s.c.t.startStream(sreq, window)
 		if err != nil {
 			yield(nil, err)
 			return
@@ -499,12 +477,12 @@ func (s *pushStream) All() iter.Seq2[*object.Object, error] {
 			select {
 			case pg = <-pull.pages:
 			case <-s.ctx.Done():
-				s.t.cancelStream(pull.id)
+				s.c.t.cancelStream(pull.id)
 				yield(nil, s.ctx.Err())
 				return
 			}
 			if pg.err != nil {
-				s.t.cancelStream(pull.id) // harmless if already deregistered
+				s.c.t.cancelStream(pull.id) // harmless if already deregistered
 				yield(nil, pg.err)
 				return
 			}
@@ -529,34 +507,33 @@ func (s *pushStream) All() iter.Seq2[*object.Object, error] {
 				s.setCursor(pg.cursor)
 				return
 			}
-			s.t.credit(pull.id, 1)
+			s.c.t.credit(pull.id, 1)
 		}
 	}
 }
 
 // stopAt records the exact resume point when the consumer stops before
-// the stream is exhausted, mirroring the v1 contract: a fallback page
-// (epoch 0) is not resumable; otherwise the cursor is synthesised from
-// the page's epoch and the last object seen. Pin bookkeeping: if the
-// pusher is still running, cancelling it hands its pin to a cursor
-// lease server-side; if it already finished having exhausted the extent
-// (END, empty cursor), the epoch is re-pinned best-effort with OpLease.
-// Snapshot streams skip the re-pin — their snapshot's lease holds the
-// epoch.
+// the stream is exhausted: a fallback page (epoch 0) is not resumable;
+// otherwise the cursor is synthesised from the page's epoch and the last
+// object seen. Pin bookkeeping: if the pusher is still running,
+// cancelling it hands its pin to a cursor lease server-side; if it
+// already finished having exhausted the extent (END, empty cursor), the
+// epoch is re-pinned best-effort with OpLease. Snapshot streams skip the
+// re-pin — their snapshot's lease holds the epoch.
 func (s *pushStream) stopAt(pull *v2pull, pg *v2page, o *object.Object) {
 	if pg.epoch == 0 {
 		s.setCursor("")
 		if !pg.end {
-			s.t.cancelStream(pull.id)
+			s.c.t.cancelStream(pull.id)
 		}
 		return
 	}
 	s.setCursor(query.EncodeCursor(pg.epoch, o.Class, o.OID))
 	if pg.end {
 		if s.lease == 0 && pg.cursor == "" {
-			_, _ = s.t.roundTrip(s.ctx, &wire.Request{Op: wire.OpLease, Epoch: pg.epoch})
+			_, _ = s.c.t.roundTrip(s.ctx, &wire.Request{Op: wire.OpLease, Epoch: pg.epoch})
 		}
 		return
 	}
-	s.t.cancelStream(pull.id)
+	s.c.t.cancelStream(pull.id)
 }

@@ -1,7 +1,7 @@
 // Command gaea-bench regenerates the experiment rows recorded in
 // EXPERIMENTS.md: for every figure of the paper (and the derived
-// experiments of DESIGN.md §3) it runs the scenario, measures it with
-// wall-clock timing, and prints one table per experiment. Absolute numbers
+// experiments C1–C8) it runs the scenario, measures it with wall-clock
+// timing, and prints one table per experiment. Absolute numbers
 // depend on the host; the shapes (who wins, by what factor) are the
 // reproduction targets.
 package main
@@ -60,7 +60,7 @@ var serveClients = flag.Int("serve", 4, "C5 remote client connection count")
 // (CI smoke runs `-only C5 -repeats 1`); -check validates that a
 // previously written BENCH file still parses against the schema.
 var repeats = flag.Int("repeats", 1, "samples per measured grid row (C5/C7)")
-var inflight = flag.String("inflight", "8,32", "C5/C7 v2 pipelining depths (comma-separated requests in flight per connection)")
+var inflight = flag.String("inflight", "8,32", "C5 pipelining depths (comma-separated requests in flight per connection)")
 var jsonDir = flag.String("json", "", "directory to write BENCH_<exp>.json result files (empty = skip)")
 var only = flag.String("only", "", "comma-separated experiment subset, e.g. C5,C7 (empty = all)")
 var check = flag.String("check", "", "validate a BENCH_*.json file against the result schema and exit")
@@ -837,8 +837,7 @@ func expC4() {
 
 // C5: the service layer — the remote protocol grid. N clients run
 // tile-local retrieval (one object per query) against the embedded
-// kernel, a v1 (gob, strict request/response) connection, a v2
-// (multiplexed binary) connection at one request in flight, and v2
+// kernel, a remote connection at one request in flight, and remote
 // pipelined at each -inflight depth sharing the same connections. The
 // workload isolates per-request service overhead: framing, codec,
 // round trip. Each row is repeated -repeats times; -json records the
@@ -962,14 +961,12 @@ func expC5() {
 	}
 	emb := measure("embedded", "embedded (in-process)", "none",
 		func() client.Kernel { return client.Embed(k) }, n, 1)
-	v1 := measure("remote_v1", "remote v1 (gob, strict req/resp)", "v1",
-		dialOpts(client.Options{User: "bench", Protocol: client.ProtocolV1}), n, 1)
-	v2 := measure("remote_v2", "remote v2 (binary, 1 in flight)", "v2",
+	v2 := measure("remote_v2", "remote (1 in flight)", "v2",
 		dialOpts(client.Options{User: "bench"}), n, 1)
 	best := v2
 	for _, depth := range parseInflight() {
 		r := measure(fmt.Sprintf("remote_v2_pipelined_%d", depth),
-			fmt.Sprintf("remote v2 pipelined (%d in flight/conn)", depth), "v2",
+			fmt.Sprintf("remote pipelined (%d in flight/conn)", depth), "v2",
 			dialOpts(client.Options{User: "bench"}), n, depth)
 		if r.Median > best.Median {
 			best = r
@@ -981,8 +978,7 @@ func expC5() {
 	cancel()
 	must(<-served)
 
-	fmt.Printf("\nv2 over v1: %.1fx; best remote (%s): %.0f%% of embedded throughput\n\n",
-		v2.Median/v1.Median, best.Name, 100*best.Median/emb.Median)
+	fmt.Printf("\nbest remote (%s): %.0f%% of embedded throughput\n\n", best.Name, 100*best.Median/emb.Median)
 	writeBench("C5", map[string]any{
 		"clients": n, "queries": queries, "objects": nObj,
 		"repeats": *repeats, "inflight": parseInflight(), "transport": "unix socket",
@@ -1236,10 +1232,10 @@ func expC6() {
 }
 
 // C7: pipelined ingest — W workers share ONE connection, each
-// committing small sessions (8 creates per commit). v1 serialises the
-// round trips behind the connection mutex; v2 multiplexes them, so the
-// commits overlap in the server and the WAL group-commits absorb the
-// fan-in. The kernel runs NoSync so the wire, not fsync, is measured.
+// committing small sessions (8 creates per commit). The connection
+// multiplexes them, so the commits overlap in the server and the WAL
+// group-commits absorb the fan-in. The kernel runs NoSync so the wire,
+// not fsync, is measured.
 func expC7() {
 	const c7Workers = 8
 	const batchSz = 8
@@ -1299,37 +1295,29 @@ func expC7() {
 
 	fmt.Println("| protocol | session commits/s (median) |")
 	fmt.Println("|---|---|")
-	var rows []benchRow
-	measure := func(name, label string, opts client.Options) benchRow {
-		c, err := client.Dial("unix://"+sock, opts)
-		must(err)
-		var samples []float64
-		for r := 0; r < *repeats; r++ {
-			samples = append(samples, runOnce(c))
-		}
-		must(c.Close())
-		row := benchRow{
-			Name: name, Metric: "commits_per_sec",
-			Samples: samples, Median: median(samples),
-			Config: map[string]any{"conns": 1, "workers": c7Workers, "batch": batchSz},
-		}
-		fmt.Printf("| %s | %.0f |\n", label, row.Median)
-		rows = append(rows, row)
-		return row
+	c, err := client.Dial("unix://"+sock, client.Options{User: "bench"})
+	must(err)
+	var samples []float64
+	for r := 0; r < *repeats; r++ {
+		samples = append(samples, runOnce(c))
 	}
-	v1 := measure("remote_v1", "v1 (serialised round trips)", client.Options{User: "bench", Protocol: client.ProtocolV1})
-	v2 := measure("remote_v2", "v2 (multiplexed)", client.Options{User: "bench"})
+	must(c.Close())
+	row := benchRow{
+		Name: "remote_v2", Metric: "commits_per_sec",
+		Samples: samples, Median: median(samples),
+		Config: map[string]any{"conns": 1, "workers": c7Workers, "batch": batchSz},
+	}
+	fmt.Printf("| multiplexed | %.0f |\n\n", row.Median)
 
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	must(srv.Shutdown(sctx))
 	cancel()
 	must(<-served)
 
-	fmt.Printf("\npipelined-commit speedup: %.1fx\n\n", v2.Median/v1.Median)
 	writeBench("C7", map[string]any{
 		"workers": c7Workers, "batch": batchSz, "commits": commits,
 		"repeats": *repeats, "transport": "unix socket",
-	}, rows, k.StatsSnapshot().Metrics.Histograms)
+	}, []benchRow{row}, k.StatsSnapshot().Metrics.Histograms)
 }
 
 // expSlow (-slow) is the observability assertion, not a measurement: a

@@ -472,7 +472,7 @@ func printShardTable(addrs []string, user string, interval time.Duration) bool {
 
 // fedMain is the `gaea fed` verb: a federation router partitioning the
 // object grid by class across served shard kernels, itself served over
-// the same wire protocol — any v1 or v2 client dials it like a kernel.
+// the same wire protocol — any client dials it like a kernel.
 func fedMain(args []string) {
 	fs := flag.NewFlagSet("gaea fed", flag.ExitOnError)
 	shards := fs.String("shards", "", "comma-separated shard server addresses, in stable shard order (required)")
@@ -740,7 +740,7 @@ func traceMain(args []string) {
 		n, len(merged.Spans)-serverSide, serverSide, len(addrs))
 	fmt.Print(merged.Format())
 	if serverSide == 0 {
-		fmt.Fprintln(os.Stderr, "trace: server side of the trace not found (v1 connection, or it aged out of the ring)")
+		fmt.Fprintln(os.Stderr, "trace: server side of the trace not found (it aged out of the ring)")
 		os.Exit(1)
 	}
 }

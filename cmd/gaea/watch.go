@@ -144,7 +144,7 @@ func renderWatch(addrs []string, rows []watchRow) {
 			i, addr, r.state,
 			watchRate(r.rates, "query_total", "fed_queries_total"),
 			watchRate(r.rates, "session_commits_total", "fed_commits_total"),
-			watchRate(r.rates, "server_v1_requests_total", "server_v2_requests_total"),
+			r.rates["server_v2_requests_total"],
 			p99, r.events)
 	}
 	// Busiest rates of the first live endpoint round out the picture.

@@ -89,17 +89,15 @@
 //	cursor := st.Cursor()               // resumes this exact snapshot on
 //	                                    // any later connection
 //
-// Connections speak the multiplexed binary protocol v2 by default: many
-// requests in flight per connection with out-of-order completion (a
-// Conn is safe for concurrent use and deadlines bound individual
-// requests, never the connection), streaming queries as server-pushed
-// pages under a credit window (client.Options.StreamWindow), and query
-// results shipped as the stored attribute bytes — encoded once at commit,
-// never re-encoded per request: the stored record leaves what its class
-// says (name, frame, attribute names) to the catalog, and the read path
-// splices that back per shipped record. Version negotiation is automatic;
-// client.Options{Protocol: client.ProtocolV1} pins the legacy gob
-// request/response protocol, which every server still accepts.
+// Connections speak one multiplexed binary protocol: many requests in
+// flight per connection with out-of-order completion (a Conn is safe
+// for concurrent use and deadlines bound individual requests, never the
+// connection), streaming queries as server-pushed pages under a credit
+// window (client.Options.StreamWindow), and query results shipped as the
+// stored attribute bytes — encoded once at commit, never re-encoded per
+// request: the stored record leaves what its class says (name, frame,
+// attribute names) to the catalog, and the read path splices that back
+// per shipped record.
 //
 // Remote snapshots and stream cursors hold their MVCC pins under
 // server-side leases (ServeOptions.SnapshotLease): every touch renews,

@@ -2,12 +2,11 @@ package fed
 
 // Backend adapts a Router onto internal/server's Backend interface, so
 // the federation can itself be SERVED: `gaea fed` runs an ordinary
-// wire server whose "kernel" is the router, and unmodified v1/v2
-// clients talk to the grid exactly as they would to one kernel. OIDs
-// they see carry shard tags (invisible at one shard, where the tag is
-// the identity), cursors they hold resume across the merge, and their
-// commits ride the single-shard fast path or 2PC as their batch
-// demands.
+// wire server whose "kernel" is the router, and unmodified clients talk
+// to the grid exactly as they would to one kernel. OIDs they see carry
+// shard tags (invisible at one shard, where the tag is the identity),
+// cursors they hold resume across the merge, and their commits ride the
+// single-shard fast path or 2PC as their batch demands.
 //
 // Epoch bookkeeping is the one impedance mismatch: the server's lease
 // machinery pins ONE epoch per snapshot or cursor, but a federation of
@@ -200,125 +199,61 @@ func (b *fedBackend) pageStream(ctx context.Context, req query.Request, epoch ui
 // StreamPage drains one page of the federated merge under the byte
 // budget, exactly like the kernel adapter: cut before the object that
 // would overflow, cursor re-minted so the cut object leads the next
-// page. retrieveOnly is implicit — every downstream path here is a
-// snapshot or cursor stream, which never derives. fellBack is always
-// false: a shard stream that fell back surfaces as a non-resumable
-// (empty) cursor, never as unresumed truncation (a cut there is an
-// error instead).
-func (b *fedBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.Object, string, bool, error) {
+// page. The federation cannot pass a shard's records on as they arrive
+// (their OIDs lack the shard tag), so each object is re-encoded after
+// tagging; blob payloads ride inline in the record, as EncodeWire leaves
+// them. retrieveOnly is implicit and fellBack always false: every
+// downstream path here is a snapshot or cursor stream, and downstream
+// kernels already ran their own fallback chains — a shard stream that
+// fell back surfaces as a non-resumable (empty) cursor, and a cut there
+// is an error instead.
+func (b *fedBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.RawObject, string, bool, error) {
 	st, ereq, err := b.pageStream(ctx, req, epoch)
 	if err != nil {
 		return nil, "", false, err
 	}
-	budget := maxBytes / 2
-	objs := make([]wire.Object, 0, max(ereq.Limit, 0))
-	total := 0
+	pg := server.NewPage(ereq.Limit, maxBytes)
 	prev := make(map[int]shipPos)
 	var cut *object.Object
-	var iterErr error
 	for o, err := range st.All() {
 		if err != nil {
-			iterErr = err
-			break
+			return nil, "", false, err
 		}
-		w, werr := wire.FromObject(o)
-		if werr != nil {
-			iterErr = werr
-			break
+		rec, err := object.EncodeWire(o)
+		if err != nil {
+			return nil, "", false, err
 		}
-		size := wire.ObjectSize(&w)
-		if size > maxBytes {
-			iterErr = fmt.Errorf("%w: object %d (%d bytes) exceeds the frame limit %d",
-				query.ErrBadRequest, o.OID, size, maxBytes)
-			break
+		take, err := pg.Take(o.OID, wire.RawObject{Rec: rec})
+		if err != nil {
+			return nil, "", false, err
 		}
-		if len(objs) > 0 && total+size > budget {
+		if !take {
 			cut = o
 			break
 		}
-		objs = append(objs, w)
-		total += size
 		shard, down := splitOID(uint64(o.OID))
 		prev[shard] = shipPos{class: o.Class, down: down}
 	}
-	if iterErr != nil {
-		return nil, "", false, iterErr
-	}
 	cursor := st.Cursor()
 	if cut != nil {
-		cursor, err = patchCutCursor(cursor, ereq.Cursor, cut, prev)
+		cursor, err = patchCutCursor(cursor, ereq.Cursor, cut, prev, pg.Budget)
 		if err != nil {
 			return nil, "", false, err
 		}
 	}
-	return objs, cursor, false, nil
+	return pg.Raws, cursor, false, nil
 }
 
-// StreamPageRaw drains one page as GOB3 records. The federation cannot
-// pass a shard's records on as they arrive (their OIDs lack the shard tag),
-// so each object is re-encoded after tagging; blob payloads ride inline
-// in the record, as EncodeWire leaves them. served is always true —
-// downstream kernels already ran their own fallback chains, so there is
-// nothing for the caller's StreamPage fallback to add.
-func (b *fedBackend) StreamPageRaw(ctx context.Context, req query.Request, epoch uint64, maxBytes int) ([]wire.RawObject, string, bool, error) {
-	st, ereq, err := b.pageStream(ctx, req, epoch)
-	if err != nil {
-		return nil, "", false, err
-	}
-	budget := maxBytes / 2
-	raws := make([]wire.RawObject, 0, max(ereq.Limit, 0))
-	total := 0
-	prev := make(map[int]shipPos)
-	var cut *object.Object
-	var iterErr error
-	for o, err := range st.All() {
-		if err != nil {
-			iterErr = err
-			break
-		}
-		rec, rerr := object.EncodeWire(o)
-		if rerr != nil {
-			iterErr = rerr
-			break
-		}
-		raw := wire.RawObject{Rec: rec}
-		size := raw.Size()
-		if size > maxBytes {
-			iterErr = fmt.Errorf("%w: object %d (%d bytes) exceeds the frame limit %d",
-				query.ErrBadRequest, o.OID, size, maxBytes)
-			break
-		}
-		if len(raws) > 0 && total+size > budget {
-			cut = o
-			break
-		}
-		raws = append(raws, raw)
-		total += size
-		shard, down := splitOID(uint64(o.OID))
-		prev[shard] = shipPos{class: o.Class, down: down}
-	}
-	if iterErr != nil {
-		return nil, "", false, iterErr
-	}
-	cursor := st.Cursor()
-	if cut != nil {
-		cursor, err = patchCutCursor(cursor, ereq.Cursor, cut, prev)
-		if err != nil {
-			return nil, "", false, err
-		}
-	}
-	return raws, cursor, true, nil
-}
-
-// patchCutCursor rewinds the page cursor after a byte-budget cut: the
-// merged stream already moved past the cut object, so the cut shard's
-// component is re-minted at the last object the page actually shipped
-// from it (or back to its starting position when the page shipped none).
-func patchCutCursor(assembled, inCursor string, cut *object.Object, prev map[int]shipPos) (string, error) {
+// patchCutCursor rewinds the page cursor after a cut at the page's byte
+// budget: the merged stream already moved past the cut object, so the
+// cut shard's component is re-minted at the last object the page
+// actually shipped from it (or back to its starting position when the
+// page shipped none).
+func patchCutCursor(assembled, inCursor string, cut *object.Object, prev map[int]shipPos, budget int) (string, error) {
 	cutShard, _ := splitOID(uint64(cut.OID))
 	if assembled == "" {
-		return "", fmt.Errorf("%w: page byte budget %s exceeded on a non-resumable stream; raise the frame limit or narrow the query",
-			query.ErrBadRequest, "")
+		return "", fmt.Errorf("%w: page byte budget %d exceeded on a non-resumable stream; raise the frame limit or narrow the query",
+			query.ErrBadRequest, budget)
 	}
 	if wire.IsVectorCursor(assembled) {
 		entries, err := wire.DecodeVectorCursor(assembled)
@@ -388,20 +323,15 @@ func initCursorFor(inCursor string, shard int) string {
 	}
 }
 
-// GetAt routes a snapshot point-read through the pinned snapshot set.
-func (b *fedBackend) GetAt(oid object.OID, epoch uint64) (*object.Object, error) {
+// GetRawAt routes a snapshot point-read through the pinned snapshot set
+// and re-encodes it to record bytes (the tagged OID must be in the
+// record).
+func (b *fedBackend) GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error) {
 	pin, err := b.lookupPin(epoch)
 	if err != nil {
-		return nil, err
+		return wire.RawObject{}, err
 	}
-	return pin.snap.Get(oid)
-}
-
-// GetRawAt is GetAt re-encoded to record bytes (the v2 zero-copy
-// surface; the federation re-encodes because the tagged OID must be in
-// the record).
-func (b *fedBackend) GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error) {
-	o, err := b.GetAt(oid, epoch)
+	o, err := pin.snap.Get(oid)
 	if err != nil {
 		return wire.RawObject{}, err
 	}

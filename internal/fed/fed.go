@@ -97,8 +97,7 @@ type Options struct {
 	// a SubscribeStats push subscription open to every shard and derives
 	// up/degraded/down states from its liveness, surfaced in ObsJSON's
 	// fleet block and as shard_up/shard_down events. 0 means the 2s
-	// default; negative disables health monitoring. Monitoring is also
-	// skipped when Client.Protocol forces v1 (the push stream needs v2).
+	// default; negative disables health monitoring.
 	StatsInterval time.Duration
 }
 
@@ -203,7 +202,7 @@ func Open(addrs []string, opts Options) (*Router, error) {
 		r.conns = append(r.conns, c)
 	}
 	r.replayDecisions()
-	if opts.StatsInterval >= 0 && opts.Client.Protocol != client.ProtocolV1 {
+	if opts.StatsInterval >= 0 {
 		interval := opts.StatsInterval
 		if interval == 0 {
 			interval = defaultHealthInterval

@@ -5,7 +5,7 @@ package fed
 // across routers under a concurrent writer and GC, two-phase commit
 // atomicity across shard and coordinator crashes (decision-log replay
 // against durable prepares), presumed abort, heuristic outcomes, and
-// the served-federation compatibility paths (unmodified v1/v2 clients
+// the served-federation compatibility path (an unmodified client
 // against a one-shard federation).
 //
 // Everything shares the TestFed name prefix so the CI race shard can
@@ -26,6 +26,7 @@ import (
 	"gaea/client"
 	"gaea/internal/catalog"
 	"gaea/internal/object"
+	"gaea/internal/query"
 	"gaea/internal/server"
 	"gaea/internal/sptemp"
 	"gaea/internal/value"
@@ -228,6 +229,16 @@ func TestFedOIDTag(t *testing.T) {
 	}
 	if tagOID(0, 99) != 99 {
 		t.Fatal("shard 0 tag must be the identity")
+	}
+}
+
+// TestFedCutCursorBudgetMessage: a page cut on a stream with no resume
+// cursor is refused with an error naming the budget it overflowed.
+func TestFedCutCursorBudgetMessage(t *testing.T) {
+	cut := &object.Object{OID: object.OID(tagOID(1, 7)), Class: "rain"}
+	_, err := patchCutCursor("", "", cut, map[int]shipPos{}, 4096)
+	if !errors.Is(err, query.ErrBadRequest) || !strings.Contains(err.Error(), "page byte budget 4096 exceeded") {
+		t.Fatalf("cut without a cursor: %v, want a bad-request naming the 4096-byte budget", err)
 	}
 }
 
@@ -658,102 +669,96 @@ func serveFed(t *testing.T, r *Router) string {
 	return "unix://" + sock
 }
 
-// TestFedServedCompat runs unmodified v1 and v2 clients against a
-// ONE-shard federation served over the ordinary wire server — the
-// compatibility bar: everything a plain kernel serves, the federation
-// serves.
+// TestFedServedCompat runs an unmodified client against a ONE-shard
+// federation served over the ordinary wire server — the compatibility
+// bar: everything a plain kernel serves, the federation serves.
 func TestFedServedCompat(t *testing.T) {
-	for _, proto := range []struct {
-		name string
-		p    int
-	}{{"v2", 0}, {"v1", client.ProtocolV1}} {
-		t.Run(proto.name, func(t *testing.T) {
-			shard := newShard(t, gaea.ServeOptions{})
-			r := openFed(t, Options{}, shard)
-			addr := serveFed(t, r)
+	t.Run("v2", func(t *testing.T) {
+		shard := newShard(t, gaea.ServeOptions{})
+		r := openFed(t, Options{}, shard)
+		addr := serveFed(t, r)
 
-			c, err := client.Dial(addr, client.Options{User: "compat", Protocol: proto.p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
+		c, err := client.Dial(addr, client.Options{User: "compat"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
 
-			oids := seedFed(t, c, 12, 2.0)
-			if n := countRows(t, c); n != 12 {
-				t.Fatalf("query: %d rows", n)
-			}
+		oids := seedFed(t, c, 12, 2.0)
+		if n := countRows(t, c); n != 12 {
+			t.Fatalf("query: %d rows", n)
+		}
 
-			// Stream with a mid-stream stop and resume on a NEW
-			// connection (the client synthesises the cursor itself).
-			st, err := c.QueryStream(tctx, rainReq())
-			if err != nil {
-				t.Fatal(err)
+		// Stream with a mid-stream stop and resume on a NEW
+		// connection (the client synthesises the cursor itself).
+		st, err := c.QueryStream(tctx, rainReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		part1 := drainN(t, st, 5)
+		cur := st.Cursor()
+		if cur == "" {
+			t.Fatal("stopped stream must be resumable")
+		}
+		c2, err := client.Dial(addr, client.Options{User: "compat"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c2.Close() })
+		st2, err := c2.QueryStream(tctx, gaea.Request{Class: "rain", Pred: rainReq().Pred, Cursor: cur})
+		if err != nil {
+			t.Fatal(err)
+		}
+		part2 := drainN(t, st2, 0)
+		if len(part1)+len(part2) != 12 {
+			t.Fatalf("stream resume: %d + %d rows", len(part1), len(part2))
+		}
+		dup := map[object.OID]bool{}
+		for _, o := range append(part1, part2...) {
+			if dup[o.OID] {
+				t.Fatalf("object %d streamed twice", o.OID)
 			}
-			part1 := drainN(t, st, 5)
-			cur := st.Cursor()
-			if cur == "" {
-				t.Fatal("stopped stream must be resumable")
-			}
-			c2, err := client.Dial(addr, client.Options{User: "compat", Protocol: proto.p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c2.Close() })
-			st2, err := c2.QueryStream(tctx, gaea.Request{Class: "rain", Pred: rainReq().Pred, Cursor: cur})
-			if err != nil {
-				t.Fatal(err)
-			}
-			part2 := drainN(t, st2, 0)
-			if len(part1)+len(part2) != 12 {
-				t.Fatalf("stream resume: %d + %d rows", len(part1), len(part2))
-			}
-			dup := map[object.OID]bool{}
-			for _, o := range append(part1, part2...) {
-				if dup[o.OID] {
-					t.Fatalf("object %d streamed twice", o.OID)
-				}
-				dup[o.OID] = true
-			}
+			dup[o.OID] = true
+		}
 
-			// Snapshot point reads.
-			sn, err := c.Snapshot(tctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sn.Get(oids[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Class != "rain" {
-				t.Fatalf("snapshot get: %+v", got)
-			}
-			sn.Release()
+		// Snapshot point reads.
+		sn, err := c.Snapshot(tctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sn.Get(oids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Class != "rain" {
+			t.Fatalf("snapshot get: %+v", got)
+		}
+		sn.Release()
 
-			// Mutations round-trip (update routes by OID, delete too).
-			got.Attrs["mm"] = value.Float(4.5)
-			s := c.Begin(tctx)
-			if err := s.Update(got); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Delete(oids[1]); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if n := countRows(t, c); n != 11 {
-				t.Fatalf("after delete: %d rows", n)
-			}
+		// Mutations round-trip (update routes by OID, delete too).
+		got.Attrs["mm"] = value.Float(4.5)
+		s := c.Begin(tctx)
+		if err := s.Update(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(oids[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n := countRows(t, c); n != 11 {
+			t.Fatalf("after delete: %d rows", n)
+		}
 
-			stats, err := c.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(stats, "federation") {
-				t.Fatalf("served stats must identify the federation: %q", stats)
-			}
-		})
-	}
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(stats, "federation") {
+			t.Fatalf("served stats must identify the federation: %q", stats)
+		}
+	})
 }
 
 // TestFedServedMultiShard drives a plain v2 client against a SERVED

@@ -2,8 +2,8 @@
 // raster with a declared pixel type, as defined in §2.1.3 of the paper
 // ("(nrows, ncols, pixtype, filepath)" with pixtype one of char, int2,
 // int4, float4, float8). It also provides the synthetic multi-band scene
-// generator that substitutes for Landsat TM / AVHRR imagery (see DESIGN.md
-// §5): the experiments need co-registered bands with plausible correlation
+// generator that substitutes for Landsat TM / AVHRR imagery: the
+// experiments need co-registered bands with plausible correlation
 // structure, not real radiometry.
 package raster
 

@@ -1,6 +1,5 @@
-// Package server implements the Gaea network service: a
-// connection-per-goroutine request/response server speaking the
-// internal/wire protocol over TCP or unix sockets.
+// Package server implements the Gaea network service: a multiplexing
+// server speaking the internal/wire protocol over TCP or unix sockets.
 //
 // The server is written against the narrow Backend interface below
 // rather than the concrete kernel, so it lives under internal/ without
@@ -16,11 +15,11 @@
 //     real OIDs. Kernel atomicity and first-committer-wins validation
 //     apply unchanged.
 //
-//   - Streaming queries are paged. Each page is one request served at an
-//     explicitly pinned MVCC epoch; the epoch-carrying cursor goes back
-//     to the client, and the server transfers its pin into a lease so
-//     the snapshot survives between pages — and across reconnects —
-//     without the client holding a connection open.
+//   - Streaming queries are pushed in pages served at an explicitly
+//     pinned MVCC epoch; the epoch-carrying cursor goes back to the
+//     client, and a stream that ends early transfers its pin into a
+//     lease so the snapshot survives — across reconnects — without the
+//     client holding a connection open.
 //
 //   - Every pin a remote holds is leased. Snapshot opens and stream
 //     cursors pin epochs under a TTL that each touch renews; a janitor
@@ -29,7 +28,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -92,27 +90,18 @@ type Backend interface {
 	// (the caller holds the pin).
 	QueryAt(ctx context.Context, req query.Request, epoch uint64) (*query.Result, error)
 	// StreamPage drains one page of a streaming query at a pinned epoch
-	// the CALLER holds: up to req.Limit objects — already in wire form,
-	// cut early (with the cursor re-minted at the last included object)
-	// once their encoded size approaches maxBytes, so draining stops at
-	// the cut instead of loading objects only to discard them — plus the
-	// resume cursor ("" when exhausted) and whether the page was
-	// produced by the fallback chain (fallback results commit at newer
-	// epochs, so they are not resumable; a fallback page that cannot fit
-	// is an error, not a truncation). retrieveOnly suppresses the
-	// fallback chain (snapshot streams must not derive).
-	StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) (objs []wire.Object, cursor string, fellBack bool, err error)
-	// StreamPageRaw drains one retrieval-only page at a pinned epoch the
-	// CALLER holds, as GOB3 records holding the stored value bytes (the
-	// v2 raw path): no value is decoded or re-encoded. The page cuts
-	// when its byte footprint approaches maxBytes; served reports whether
-	// retrieval produced anything (the caller runs the fallback chain via
-	// StreamPage when a fresh stream serves nothing).
-	StreamPageRaw(ctx context.Context, req query.Request, epoch uint64, maxBytes int) (raws []wire.RawObject, cursor string, served bool, err error)
-	// GetAt loads the version of an object visible at a pinned epoch.
-	GetAt(oid object.OID, epoch uint64) (*object.Object, error)
+	// the CALLER holds: up to req.Limit objects as GOB3 records — cut
+	// early (with the cursor re-minted at the last included object) once
+	// their size approaches maxBytes/2 — plus the resume cursor ("" when
+	// exhausted). Retrieved objects ship their stored value bytes, never
+	// decoded. A fresh stream (no cursor) whose retrieval serves nothing
+	// runs the fallback chain instead, unless retrieveOnly (snapshot
+	// streams must not derive); fellBack reports that, because fallback
+	// results commit at newer epochs and are not resumable — a fallback
+	// page that cannot fit is an error, not a truncation.
+	StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) (raws []wire.RawObject, cursor string, fellBack bool, err error)
 	// GetRawAt loads the version visible at a pinned epoch as a GOB3
-	// record holding its stored value bytes (raw-path OpSnapGet).
+	// record holding its stored value bytes (OpSnapGet).
 	GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error)
 	// Pin pins the current commit epoch; PinEpoch re-pins a specific one
 	// (failing with the snapshot-gone error when it fell behind the GC
@@ -161,8 +150,8 @@ type FlightBackend interface {
 // Options tunes a Server.
 type Options struct {
 	// MaxConns caps concurrently open connections (0 = unlimited). Over
-	// the cap, new connections are answered with CodeUnavailable and
-	// closed.
+	// the cap, new connections are refused with a connection-level
+	// CodeUnavailable response and closed.
 	MaxConns int
 	// LeaseTTL bounds how long a snapshot or stream-cursor pin survives
 	// without a touch (0 = 30s). Expired leases release their pins so
@@ -215,17 +204,16 @@ type Stats struct {
 	ActiveStreams  int64
 	ActiveLeases   int64
 	LeaseExpiries  int64
-	// InFlight counts requests currently executing (v2 connections admit
+	// InFlight counts requests currently executing (a connection admits
 	// many at once).
 	InFlight int64
 	// MaxInFlightPerConn is the high-water mark of concurrent requests on
 	// any single connection since start.
 	MaxInFlightPerConn int64
-	// PushedPages counts v2 server-push stream pages sent.
+	// PushedPages counts server-push stream pages sent.
 	PushedPages int64
-	// BytesAvoided counts record bytes shipped on the v2 raw path without
-	// a value in them being decoded — bytes v1 would have decoded and
-	// re-encoded.
+	// BytesAvoided counts stored record bytes shipped without a value in
+	// them being decoded and re-encoded.
 	BytesAvoided int64
 }
 
@@ -257,7 +245,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]bool // conn -> busy (handling a request)
+	conns     map[net.Conn]bool // conn -> busy (past its handshake)
 	snapLease map[uint64]*lease // by lease id
 	curLease  map[uint64]*lease // by epoch
 	prepared  map[uint64]*preparedTxn
@@ -274,14 +262,12 @@ type Server struct {
 	bytesAvoided atomic.Int64
 
 	// Observability (nil-safe orphans when the backend has no
-	// ObsBackend): per-protocol request counters, a shared request
-	// latency histogram, the tracer requests record spans into, and the
-	// OpStats export hook.
-	tracer  *obs.Tracer
-	obsJSON func() []byte
-	reqV1   *obs.Counter
-	reqV2   *obs.Counter
-	reqNS   *obs.Histogram
+	// ObsBackend): the request counter and latency histogram, the tracer
+	// requests record spans into, and the OpStats export hook.
+	tracer   *obs.Tracer
+	obsJSON  func() []byte
+	requests *obs.Counter
+	reqNS    *obs.Histogram
 
 	// Flight recorder (nil without a FlightBackend): the registry stats
 	// subscriptions snapshot and the event log the server emits into.
@@ -330,8 +316,7 @@ func New(b Backend, opts Options) *Server {
 	if fb, ok := b.(FlightBackend); ok {
 		s.events = fb.Events()
 	}
-	s.reqV1 = reg.Counter("server_v1_requests_total")
-	s.reqV2 = reg.Counter("server_v2_requests_total")
+	s.requests = reg.Counter("server_v2_requests_total")
 	s.reqNS = reg.Histogram("server_request_ns")
 	if reg != nil {
 		reg.GaugeFunc("server_open_conns", s.openConns.Load)
@@ -396,21 +381,40 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // admit registers a connection, enforcing the connection limit. A
-// rejected connection gets one CodeUnavailable response and is closed.
+// refused connection gets the magic echo and one connection-level
+// (request ID 0) CodeUnavailable response, then is closed.
 func (s *Server) admit(conn net.Conn) bool {
 	s.mu.Lock()
-	over := s.draining || (s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns)
+	draining := s.draining
+	over := draining || (s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns)
 	if !over {
 		s.conns[conn] = false
 	}
 	s.mu.Unlock()
 	if over {
-		_ = wire.WriteFrame(conn, &wire.Response{Code: wire.CodeUnavailable, Err: "server: connection limit reached"})
+		msg := "server: connection limit reached"
+		if draining {
+			msg = errShuttingDown.Error()
+		}
+		refuseConn(conn, msg)
 		conn.Close()
 		return false
 	}
 	s.openConns.Add(1)
 	return true
+}
+
+// refuseConn writes the handshake reply of a refused connection: the
+// magic echo, then an ID-0 CodeUnavailable response saying why.
+func refuseConn(conn net.Conn, msg string) {
+	f := wire.AcquireFrame(wire.F2Resp, 0)
+	defer wire.ReleaseFrame(f)
+	wire.EncodeResponse(f, &wire.Response{Code: wire.CodeUnavailable, Err: msg})
+	b, err := f.Finish()
+	if err != nil {
+		return
+	}
+	_, _ = conn.Write(append([]byte(wire.V2Magic), b...))
 }
 
 func (s *Server) dropConn(conn net.Conn) {
@@ -424,139 +428,26 @@ func (s *Server) dropConn(conn net.Conn) {
 	conn.Close()
 }
 
-// setBusy flips a connection's busy flag; Shutdown closes only idle
-// connections, so a handler mid-request finishes writing its response.
-func (s *Server) setBusy(conn net.Conn, busy bool) {
+// markBusy flags a connection that finished its handshake; Shutdown
+// closes only idle connections, and settles busy ones through the drain
+// barrier and the outbound flush first.
+func (s *Server) markBusy(conn net.Conn) {
 	s.mu.Lock()
 	if _, ok := s.conns[conn]; ok {
-		s.conns[conn] = busy
+		s.conns[conn] = true
 	}
 	s.mu.Unlock()
 }
 
-// serveConn sniffs the protocol version and hands the connection to the
-// matching loop. A v2 client leads with the 8-byte magic preamble (whose
-// first byte reads as an implausible v1 frame length); anything else is
-// the start of a v1 frame, replayed into the v1 loop untouched.
+// serveConn checks the magic preamble and runs the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWG.Done()
 	defer s.dropConn(conn)
-	var first [8]byte
-	if _, err := io.ReadFull(conn, first[:4]); err != nil {
-		return
+	var magic [len(wire.V2Magic)]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil || string(magic[:]) != wire.V2Magic {
+		return // not a Gaea client
 	}
-	if string(first[:4]) == wire.V2Magic[:4] {
-		if _, err := io.ReadFull(conn, first[4:]); err != nil {
-			return
-		}
-		if string(first[:]) != wire.V2Magic {
-			return // half a magic is garbage, not a protocol
-		}
-		s.serveV2(conn)
-		return
-	}
-	s.serveV1(conn, io.MultiReader(bytes.NewReader(first[:4]), conn))
-}
-
-// serveV1 is the v1 connection loop: read one request frame, handle,
-// write one response frame. The user from OpHello is connection state.
-// rd replays the sniffed prefix; it is fully consumed by the first
-// frame read, so direct conn reads (the watchdog) stay correct.
-//
-// The busy flag and the request WaitGroup are maintained under s.mu
-// against s.draining: a request is either counted BEFORE Shutdown
-// starts waiting (and then drains to completion) or refused with
-// CodeUnavailable — reqWG.Add can never race reqWG.Wait at zero.
-//
-// Each request runs under its own context, cancelled when the CLIENT
-// goes away mid-request: the protocol is strictly request/response, so
-// while a request is in flight a watchdog read on the socket can only
-// observe a disconnect (EOF/reset → cancel the kernel work, free the
-// MaxConns slot) or a protocol violation (a stray byte → same, the
-// framing is no longer trustworthy). Shutdown's force phase cancels
-// through the shared parent.
-func (s *Server) serveV1(conn net.Conn, rd io.Reader) {
-	user := ""
-	for {
-		var req wire.Request
-		if err := wire.ReadFrame(rd, s.opts.MaxFrame, &req); err != nil {
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				// Only the 4-byte header was consumed, so the stream is
-				// still writable: say WHY before dropping the connection,
-				// instead of a silent close the client cannot distinguish
-				// from a network failure.
-				_ = wire.WriteFrame(conn, &wire.Response{Code: wire.CodeBadRequest, Err: err.Error()})
-			}
-			return // EOF, peer gone, or garbage — drop the connection
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			_ = wire.WriteFrame(conn, &wire.Response{Code: wire.CodeUnavailable, Err: "server: shutting down"})
-			return
-		}
-		s.conns[conn] = true
-		s.reqWG.Add(1)
-		s.mu.Unlock()
-		if req.Op == wire.OpHello {
-			user = req.User
-		}
-
-		reqCtx, cancel := context.WithCancel(s.baseCtx)
-		type peeked struct {
-			n   int
-			err error
-		}
-		wd := make(chan peeked, 1)
-		go func() {
-			var one [1]byte
-			n, err := conn.Read(one[:])
-			if n > 0 || (err != nil && !isTimeout(err)) {
-				cancel() // disconnect or protocol violation: stop the kernel work
-			}
-			wd <- peeked{n: n, err: err}
-		}()
-
-		hctx, sp := obs.Start(s.traceCtx(reqCtx, &req), "server/"+req.Op.String())
-		hstart := time.Now()
-		resp := s.handle(hctx, user, &req)
-		s.reqV1.Inc()
-		s.reqNS.ObserveSince(hstart)
-		if resp.Code != wire.CodeOK {
-			sp.Annotate("code", resp.Code.String())
-		}
-		sp.End()
-
-		// Join the watchdog: poke the read deadline to unblock it, then
-		// decide whether the connection is still sane.
-		_ = conn.SetReadDeadline(time.Now())
-		pk := <-wd
-		_ = conn.SetReadDeadline(time.Time{})
-		cancel()
-		alive := pk.n == 0 && (pk.err == nil || isTimeout(pk.err))
-
-		var werr error
-		if alive {
-			werr = wire.WriteFrame(conn, resp)
-		}
-		s.setBusy(conn, false)
-		s.reqWG.Done()
-		if !alive || werr != nil {
-			return
-		}
-		select {
-		case <-s.quit:
-			return // drained: this connection's last response is written
-		default:
-		}
-	}
-}
-
-// isTimeout reports a deadline-induced read error — the watchdog's
-// normal stop path, not a peer failure.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	s.serveV2(conn)
 }
 
 // handle dispatches one request. Every backend call runs under the
@@ -564,8 +455,6 @@ func isTimeout(err error) bool {
 // wiring remote requests into the kernel's cancellation paths.
 func (s *Server) handle(ctx context.Context, user string, req *wire.Request) *wire.Response {
 	switch req.Op {
-	case wire.OpHello:
-		return &wire.Response{}
 	case wire.OpBegin:
 		return &wire.Response{Epoch: s.b.Epoch()}
 	case wire.OpStats:
@@ -596,8 +485,6 @@ func (s *Server) handle(ctx context.Context, user string, req *wire.Request) *wi
 			return s.errResponse(err)
 		}
 		return &wire.Response{Result: wire.FromResult(res)}
-	case wire.OpStream:
-		return s.handleStream(ctx, user, req)
 	case wire.OpCommit:
 		return s.handleCommit(ctx, user, req)
 	case wire.OpPrepare:
@@ -606,7 +493,7 @@ func (s *Server) handle(ctx context.Context, user string, req *wire.Request) *wi
 		return s.handleDecide(req)
 	case wire.OpSnapOpen:
 		return s.handleSnapOpen()
-	case wire.OpSnapGet, wire.OpSnapQuery, wire.OpSnapStream, wire.OpSnapRelease:
+	case wire.OpSnapGet, wire.OpSnapQuery, wire.OpSnapRelease:
 		return s.handleSnap(ctx, user, req)
 	case wire.OpLease:
 		// A client that stopped mid-page synthesised a resume cursor for
@@ -651,55 +538,6 @@ func badRequest(msg string) *wire.Response {
 
 func (s *Server) errResponse(err error) *wire.Response {
 	return &wire.Response{Code: s.b.Code(err), Err: err.Error()}
-}
-
-// handleStream serves one page of a streaming query. The page runs at an
-// explicitly pinned epoch (the cursor's on resume, the newest
-// otherwise); if the page ends with a resume cursor, the pin is handed
-// to a cursor lease so the snapshot stays resumable — from this
-// connection or a later one — until the lease expires.
-func (s *Server) handleStream(ctx context.Context, user string, req *wire.Request) *wire.Response {
-	if req.Query == nil {
-		return badRequest("query payload missing")
-	}
-	s.streams.Add(1)
-	defer s.streams.Add(-1)
-	q := req.Query.ToQuery(user)
-	pageCap := s.opts.pageSize()
-	if q.Limit <= 0 || q.Limit > pageCap {
-		q.Limit = pageCap
-	}
-	var epoch uint64
-	if q.Cursor != "" {
-		e, err := s.b.CursorEpoch(q.Cursor)
-		if err != nil {
-			return s.errResponse(err)
-		}
-		if err := s.b.PinEpoch(e); err != nil {
-			return s.errResponse(err)
-		}
-		epoch = e
-	} else {
-		epoch = s.b.Pin()
-	}
-	objs, cursor, fellBack, err := s.b.StreamPage(ctx, q, epoch, false, s.opts.maxFrame())
-	if err != nil {
-		s.b.Unpin(epoch)
-		return s.errResponse(err)
-	}
-	resp := &wire.Response{Objects: objs, Cursor: cursor, Epoch: epoch}
-	if fellBack {
-		// Fallback results were derived at epochs newer than the page's
-		// snapshot: no resume point exists, and the client must not mint
-		// one (epoch 0 marks the page not-resumable).
-		resp.Epoch = 0
-	}
-	if resp.Cursor == "" {
-		s.b.Unpin(epoch) // exhausted: nothing left to resume
-	} else {
-		s.leaseCursorEpoch(epoch) // hand the pin to the lease table
-	}
-	return resp
 }
 
 // replayBatch stages a remote batch into a session: reserve real OIDs
@@ -929,19 +767,18 @@ func (s *Server) handleSnap(ctx context.Context, user string, req *wire.Request)
 	}
 	switch req.Op {
 	case wire.OpSnapGet:
-		o, err := s.b.GetAt(object.OID(req.OID), l.epoch)
+		// Ship the backend's record as it is (the client decodes it with
+		// object.DecodeWire).
+		raw, err := s.b.GetRawAt(object.OID(req.OID), l.epoch)
 		if err != nil {
 			return s.errResponse(err)
 		}
-		w, err := wire.FromObject(o)
-		if err != nil {
-			return s.errResponse(err)
-		}
-		if size := wire.ObjectSize(&w); size > s.opts.maxFrame() {
+		if size := raw.Size(); size > s.opts.maxFrame() {
 			return &wire.Response{Code: wire.CodeBadRequest,
-				Err: fmt.Sprintf("server: object %d (%d bytes) exceeds the frame limit %d", o.OID, size, s.opts.maxFrame())}
+				Err: fmt.Sprintf("server: object %d (%d bytes) exceeds the frame limit %d", req.OID, size, s.opts.maxFrame())}
 		}
-		return &wire.Response{Objects: []wire.Object{w}, Epoch: l.epoch}
+		s.bytesAvoided.Add(int64(len(raw.Rec)))
+		return &wire.Response{Raw: &raw, Epoch: l.epoch}
 	case wire.OpSnapQuery:
 		if req.Query == nil {
 			return badRequest("query payload missing")
@@ -951,24 +788,6 @@ func (s *Server) handleSnap(ctx context.Context, user string, req *wire.Request)
 			return s.errResponse(err)
 		}
 		return &wire.Response{Result: wire.FromResult(res), Epoch: l.epoch}
-	case wire.OpSnapStream:
-		if req.Query == nil {
-			return badRequest("query payload missing")
-		}
-		s.streams.Add(1)
-		defer s.streams.Add(-1)
-		q := req.Query.ToQuery(user)
-		pageCap := s.opts.pageSize()
-		if q.Limit <= 0 || q.Limit > pageCap {
-			q.Limit = pageCap
-		}
-		// The lease's pin covers the page: snapshot streams always run at
-		// the lease epoch (a cursor, if present, was cut at that epoch).
-		objs, cursor, _, err := s.b.StreamPage(ctx, q, l.epoch, true, s.opts.maxFrame())
-		if err != nil {
-			return s.errResponse(err)
-		}
-		return &wire.Response{Objects: objs, Cursor: cursor, Epoch: l.epoch}
 	default:
 		return badRequest(fmt.Sprintf("bad snapshot op %s", req.Op))
 	}
@@ -1093,9 +912,9 @@ func (s *Server) ServerStats() Stats {
 }
 
 // Shutdown stops the server gracefully: stop accepting, let in-flight
-// requests finish (each stream page is one request, so draining
-// requests drains streams), then close every connection and release
-// every leased pin. If ctx expires first, in-flight kernel work is
+// requests finish (a stream stops at its next page, handing its pin to
+// a resume lease), then close every connection and release every
+// leased pin. If ctx expires first, in-flight kernel work is
 // cancelled through the per-request context and connections are closed
 // anyway. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -1105,9 +924,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for l := range s.listeners {
 		l.Close()
 	}
-	// Close idle connections now — their readers are blocked in
-	// ReadFrame and would otherwise never notice the shutdown. Busy ones
-	// finish their current response first; their loops then see quit.
+	// Close idle connections now — they have not finished their
+	// handshake. Connections past it are busy for life: the drain
+	// barrier and the outbound flush below settle them first.
 	for conn, busy := range s.conns {
 		if !busy {
 			conn.Close()
@@ -1127,8 +946,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 		s.baseCancel() // cancel in-flight kernel work
 	}
-	// v2 connections queue their final completions on an outbound
-	// writer; flush them before closing the sockets (bounded by ctx — a
+	// Connections queue their final completions on an outbound writer;
+	// flush them before closing the sockets (bounded by ctx — a
 	// client that stopped reading cannot stall shutdown, because the
 	// force-close below fails its queue and unblocks the flush).
 	s.v2mu.Lock()

@@ -1,17 +1,20 @@
 package server
 
-// Unit tests against a fake Backend: per-request cancellation when the
-// client disconnects (or violates the request/response protocol)
-// mid-request, and the explicit error response for over-limit request
-// frames. The full-stack behaviour is covered by gaea/client's
-// integration tests; these pin the server mechanics in isolation.
+// Unit tests against a fake Backend, speaking raw frames: per-request
+// cancellation when the client disconnects (or sends a frame type the
+// protocol does not have) mid-request, and the explicit connection-level
+// error response for over-limit request frames. The full-stack
+// behaviour is covered by gaea/client's integration tests; these pin the
+// server mechanics in isolation.
 
 import (
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,14 +49,8 @@ func (f *fakeBackend) Epoch() uint64                                            
 func (f *fakeBackend) QueryAt(ctx context.Context, req query.Request, epoch uint64) (*query.Result, error) {
 	return &query.Result{}, nil
 }
-func (f *fakeBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.Object, string, bool, error) {
+func (f *fakeBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.RawObject, string, bool, error) {
 	return nil, "", false, nil
-}
-func (f *fakeBackend) StreamPageRaw(ctx context.Context, req query.Request, epoch uint64, maxBytes int) ([]wire.RawObject, string, bool, error) {
-	return nil, "", false, nil
-}
-func (f *fakeBackend) GetAt(oid object.OID, epoch uint64) (*object.Object, error) {
-	return &object.Object{OID: oid, Class: "x"}, nil
 }
 func (f *fakeBackend) GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error) {
 	return wire.RawObject{}, nil
@@ -100,22 +97,69 @@ func startFake(t *testing.T, b Backend, opts Options) (string, *Server) {
 	return path, srv
 }
 
-func rawDial(t *testing.T, path string) net.Conn {
+// rawDial connects and completes the handshake: magic and Hello out,
+// the magic echo and HelloAck back.
+func rawDial(t *testing.T, path string) (net.Conn, *wire.FrameReader) {
 	t.Helper()
 	conn, err := net.DialTimeout("unix", path, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	writeFrame(t, conn, wire.V2Magic, wire.F2Hello, 0, func(f *wire.Frame) {
+		wire.EncodeHello(f, &wire.Hello2{Version: wire.V2Version, User: "raw"})
+	})
+	var magic [len(wire.V2Magic)]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil || string(magic[:]) != wire.V2Magic {
+		t.Fatalf("magic echo %q, %v", magic, err)
+	}
+	fr := wire.NewFrameReader(conn, 0)
+	if ft, _, _, err := fr.Next(); err != nil || ft != wire.F2HelloAck {
+		t.Fatalf("handshake answered frame %d, %v; want HelloAck", ft, err)
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return conn, fr
+}
+
+// writeFrame writes prefix followed by one finished frame.
+func writeFrame(t *testing.T, conn net.Conn, prefix string, ft byte, id uint64, enc func(*wire.Frame)) {
+	t.Helper()
+	f := wire.AcquireFrame(ft, id)
+	defer wire.ReleaseFrame(f)
+	enc(f)
+	b, err := f.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append([]byte(prefix), b...)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func sendQuery(t *testing.T, conn net.Conn) {
 	t.Helper()
-	err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpQuery, Query: &wire.QueryReq{Class: "x"}})
+	writeFrame(t, conn, "", wire.F2Req, 1, func(f *wire.Frame) {
+		wire.EncodeRequest(f, &wire.Request{Op: wire.OpQuery, Query: &wire.QueryReq{Class: "x"}})
+	})
+}
+
+// readResp reads the next frame, which must be a Resp, and decodes it.
+func readResp(t *testing.T, conn net.Conn, fr *wire.FrameReader) (uint64, *wire.Response) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	ft, id, body, err := fr.Next()
+	if err != nil {
+		t.Fatalf("no response: %v", err)
+	}
+	if ft != wire.F2Resp {
+		t.Fatalf("frame type %d, want Resp", ft)
+	}
+	resp, err := wire.DecodeResponse(body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return id, resp
 }
 
 // TestRequestCancelledOnDisconnect: a client that goes away mid-request
@@ -124,7 +168,7 @@ func sendQuery(t *testing.T, conn net.Conn) {
 func TestRequestCancelledOnDisconnect(t *testing.T) {
 	b := newFakeBackend()
 	path, _ := startFake(t, b, Options{})
-	conn := rawDial(t, path)
+	conn, _ := rawDial(t, path)
 	sendQuery(t, conn)
 	select {
 	case <-b.queryStarted:
@@ -142,22 +186,21 @@ func TestRequestCancelledOnDisconnect(t *testing.T) {
 	}
 }
 
-// TestRequestCancelledOnProtocolViolation: a byte arriving while a
-// request is in flight breaks the request/response framing contract —
-// the request is cancelled and the connection dropped.
+// TestRequestCancelledOnProtocolViolation: a frame type the protocol
+// does not have, arriving while a request is in flight, means the
+// framing can no longer be trusted — the request is cancelled and the
+// connection dropped.
 func TestRequestCancelledOnProtocolViolation(t *testing.T) {
 	b := newFakeBackend()
 	path, _ := startFake(t, b, Options{})
-	conn := rawDial(t, path)
+	conn, _ := rawDial(t, path)
 	sendQuery(t, conn)
 	select {
 	case <-b.queryStarted:
 	case <-time.After(5 * time.Second):
 		t.Fatal("query never reached the backend")
 	}
-	if _, err := conn.Write([]byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
+	writeFrame(t, conn, "", 0xFF, 1, func(*wire.Frame) {})
 	select {
 	case err := <-b.queryReturned:
 		if err == nil {
@@ -177,23 +220,20 @@ func TestRequestCancelledOnProtocolViolation(t *testing.T) {
 }
 
 // TestOversizedRequestFrameAnswered: a request frame above MaxFrame is
-// refused with an explicit CodeBadRequest response (only the header was
-// consumed, so the stream is still writable) before the drop.
+// refused with an explicit connection-level (request ID 0)
+// CodeBadRequest response (only the header was consumed, so the stream
+// is still writable) before the drop.
 func TestOversizedRequestFrameAnswered(t *testing.T) {
 	b := newFakeBackend()
 	path, _ := startFake(t, b, Options{MaxFrame: 1 << 10})
-	conn := rawDial(t, path)
+	conn, fr := rawDial(t, path)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 1<<20) // announce 1 MiB against a 1 KiB limit
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var resp wire.Response
-	if err := wire.ReadFrame(conn, 0, &resp); err != nil {
-		t.Fatalf("no error response before drop: %v", err)
-	}
-	if resp.Code != wire.CodeBadRequest {
-		t.Fatalf("code = %v, want bad-request", resp.Code)
+	id, resp := readResp(t, conn, fr)
+	if id != 0 || resp.Code != wire.CodeBadRequest || !strings.Contains(resp.Err, "exceeds maximum size") {
+		t.Fatalf("response id %d %+v, want a connection-level bad-request naming the frame limit", id, resp)
 	}
 }

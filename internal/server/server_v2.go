@@ -1,23 +1,21 @@
 package server
 
-// Protocol v2: one reader goroutine demultiplexes request frames onto
-// per-request handler goroutines; one writer goroutine drains an
+// The connection loop: one reader goroutine demultiplexes request frames
+// onto per-request handler goroutines; one writer goroutine drains an
 // outbound queue, coalescing whatever completions and stream pages are
-// ready into single socket writes. A slow query no longer blocks the
+// ready into single socket writes. A slow query never blocks the
 // connection — responses return in completion order, keyed by the
-// client's request ID — and streaming queries become server-push: after
+// client's request ID — and streaming queries are server-push: after
 // one OpStreamPush the server pushes pages as fast as the client's
 // credit window allows, with no per-page round trip.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"gaea/internal/object"
 	"gaea/internal/obs"
 	"gaea/internal/wire"
 )
@@ -98,9 +96,9 @@ func (st *v2stream) take(ctx context.Context, quit <-chan struct{}) error {
 	}
 }
 
-// serveV2 runs one v2 connection after the magic preamble was sniffed:
-// handshake, then the demultiplexing reader loop. Each admitted request
-// runs in its own goroutine; all writes go through the outbound queue.
+// serveV2 runs one connection after its magic preamble: handshake, then
+// the demultiplexing reader loop. Each admitted request runs in its own
+// goroutine; all writes go through the outbound queue.
 func (s *Server) serveV2(conn net.Conn) {
 	fr := wire.NewFrameReader(conn, s.opts.maxFrame())
 	ft, _, body, err := fr.Next()
@@ -108,8 +106,8 @@ func (s *Server) serveV2(conn net.Conn) {
 		return
 	}
 	hello, err := wire.DecodeHello(body)
-	if err != nil || hello.Version < wire.V2Version {
-		return
+	if err != nil || hello.Version != wire.V2Version {
+		return // a peer built against another frame layout
 	}
 
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -124,10 +122,10 @@ func (s *Server) serveV2(conn net.Conn) {
 		reqs:   make(map[uint64]*v2req),
 	}
 
-	// A v2 connection counts as busy for its whole life: Shutdown must
+	// A connection counts as busy for its whole life: Shutdown must
 	// not sweep it as idle — the drain barrier plus the outbound flush
 	// phase settle its in-flight work first.
-	s.setBusy(conn, true)
+	s.markBusy(conn)
 	s.v2mu.Lock()
 	s.v2conns[vc] = struct{}{}
 	s.v2mu.Unlock()
@@ -190,9 +188,10 @@ func (s *Server) serveV2(conn net.Conn) {
 				vc.refuse(id, wire.CodeBadRequest, "server: "+err.Error())
 				continue
 			}
-			// Admission pairs with the drain barrier exactly like v1: the
-			// request is either counted before Shutdown starts waiting or
-			// refused.
+			// Admission pairs with the drain barrier: under s.mu against
+			// s.draining, the request is either counted before Shutdown
+			// starts waiting (and then drains to completion) or refused —
+			// reqWG.Add can never race reqWG.Wait at zero.
 			s.mu.Lock()
 			if s.draining {
 				s.mu.Unlock()
@@ -292,20 +291,13 @@ func (vc *v2conn) refuse(id uint64, code wire.Code, msg string) {
 	vc.send(id, &wire.Response{Code: code, Err: msg})
 }
 
-// handleV2 runs one unary request to completion. The dispatch table is
-// v1's, so remote semantics are identical; only OpSnapGet diverges, onto
-// the zero-copy raw path.
+// handleV2 runs one unary request to completion.
 func (s *Server) handleV2(vc *v2conn, id uint64, ctx context.Context, req *wire.Request) {
 	defer s.reqWG.Done()
 	ctx, sp := obs.Start(s.traceCtx(ctx, req), "server/"+req.Op.String())
 	start := time.Now()
-	var resp *wire.Response
-	if req.Op == wire.OpSnapGet {
-		resp = s.handleSnapGetRaw(req)
-	} else {
-		resp = s.handle(ctx, vc.user, req)
-	}
-	s.reqV2.Inc()
+	resp := s.handle(ctx, vc.user, req)
+	s.requests.Inc()
 	s.reqNS.ObserveSince(start)
 	if resp.Code != wire.CodeOK {
 		sp.Annotate("code", resp.Code.String())
@@ -315,39 +307,19 @@ func (s *Server) handleV2(vc *v2conn, id uint64, ctx context.Context, req *wire.
 	vc.finish(id)
 }
 
-// handleSnapGetRaw serves OpSnapGet by shipping the backend's raw record
-// as it is (the client decodes with object.DecodeWire).
-func (s *Server) handleSnapGetRaw(req *wire.Request) *wire.Response {
-	l, errResp := s.touchLease(req.Lease)
-	if errResp != nil {
-		return errResp
-	}
-	raw, err := s.b.GetRawAt(object.OID(req.OID), l.epoch)
-	if err != nil {
-		return s.errResponse(err)
-	}
-	if size := raw.Size(); size > s.opts.maxFrame() {
-		return &wire.Response{Code: wire.CodeBadRequest,
-			Err: fmt.Sprintf("server: object %d (%d bytes) exceeds the frame limit %d", req.OID, size, s.opts.maxFrame())}
-	}
-	s.bytesAvoided.Add(int64(len(raw.Rec)))
-	return &wire.Response{Raw: &raw, Epoch: l.epoch}
-}
-
 // pushStreamV2 runs one server-push stream: pages drain at a pinned
-// epoch and go out under the client's credit window as raw records, no
-// value decoded. Pin discipline matches v1 exactly — a stream that
-// ends early (limit, cancel, disconnect, shutdown) hands its pin to a
-// cursor lease so the snapshot stays resumable; clean exhaustion
-// unpins; snapshot streams ride their lease's pin and renew it on every
-// page.
+// epoch and go out under the client's credit window as raw records. A
+// stream that ends early (limit, cancel, disconnect, shutdown) hands its
+// pin to a cursor lease so the snapshot stays resumable; clean
+// exhaustion unpins; snapshot streams ride their lease's pin and renew
+// it on every page.
 func (s *Server) pushStreamV2(vc *v2conn, id uint64, r *v2req, ctx context.Context, req *wire.Request) {
 	defer s.reqWG.Done()
 	defer vc.finish(id)
 	ctx, sp := obs.Start(s.traceCtx(ctx, req), "server/"+req.Op.String())
 	start := time.Now()
 	defer func() {
-		s.reqV2.Inc()
+		s.requests.Inc()
 		s.reqNS.ObserveSince(start)
 		sp.End()
 	}()
@@ -415,7 +387,7 @@ func (s *Server) pushStreamV2(vc *v2conn, id uint64, r *v2req, ctx context.Conte
 
 	cursor := q.Cursor
 	sent := 0
-	for first := true; ; first = false {
+	for {
 		if err := st.take(ctx, s.quit); err != nil {
 			// Cancelled, disconnected, or draining: keep the stream
 			// resumable and best-effort report why (the queue may already
@@ -434,98 +406,45 @@ func (s *Server) pushStreamV2(vc *v2conn, id uint64, r *v2req, ctx context.Conte
 		if total > 0 && total-sent < pageCap {
 			pq.Limit = total - sent
 		}
-		raws, next, served, err := s.b.StreamPageRaw(ctx, pq, epoch, s.opts.maxFrame())
+		raws, next, fellBack, err := s.b.StreamPage(ctx, pq, epoch, snap, s.opts.maxFrame())
 		if err != nil {
 			release(false)
 			vc.send(id, s.errResponse(err))
 			return
 		}
-		if first && !served && next == "" && cursor == "" {
-			// Fresh stream, empty retrieval: run the v1 fallback chain so
-			// derivation — and its error taxonomy — behaves exactly as the
-			// paged protocol did.
-			fq := q
-			fq.Limit = pageCap
-			if total > 0 && total < pageCap {
-				fq.Limit = total
-			}
-			objs, cur, fellBack, err := s.b.StreamPage(ctx, fq, epoch, snap, s.opts.maxFrame())
-			if err != nil {
-				release(false)
-				vc.send(id, s.errResponse(err))
-				return
-			}
-			if fellBack || cur == "" {
-				// Terminal: one decoded page ends the stream. Fallback
-				// results commit at newer epochs, so they are not
-				// resumable (epoch 0).
-				pe := epoch
-				if fellBack {
-					pe = 0
-				}
-				f := wire.AcquireFrame(wire.F2Page, id)
-				wire.EncodePageHeader(f, wire.PageEnd, pe, "", len(objs))
-				for i := range objs {
-					wire.EncodeObject(f, &objs[i])
-				}
-				s.pushedPages.Add(1)
-				_ = vc.out.Push(f)
-				release(false)
-				return
-			}
-			// Retrieval raced into visibility between the two calls: push
-			// the decoded page and resume the raw loop from its cursor.
-			sent += len(objs)
-			done := total > 0 && sent >= total
-			flags := byte(0)
-			endCur := ""
-			if done {
-				flags = wire.PageEnd
-				endCur = cur
-			}
-			f := wire.AcquireFrame(wire.F2Page, id)
-			wire.EncodePageHeader(f, flags, epoch, endCur, len(objs))
-			for i := range objs {
-				wire.EncodeObject(f, &objs[i])
-			}
-			s.pushedPages.Add(1)
-			if err := vc.out.Push(f); err != nil {
-				release(true)
-				return
-			}
-			if done {
-				release(true)
-				return
-			}
-			cursor = cur
-			continue
-		}
 
 		sent += len(raws)
 		done := next == "" || (total > 0 && sent >= total)
-		flags := wire.PageRaw
+		flags := byte(0)
 		endCursor := ""
+		pageEpoch := epoch
+		if fellBack {
+			// Fallback results commit at epochs newer than the stream's
+			// snapshot: the page ends the stream and is not resumable
+			// (epoch 0).
+			done, next, pageEpoch = true, "", 0
+		}
 		if done {
-			flags |= wire.PageEnd
-			if next != "" {
-				endCursor = next // limit hit mid-extent: the resume point
-			}
+			flags = wire.PageEnd
+			endCursor = next // limit hit mid-extent: the resume point
 		}
 		f := wire.AcquireFrame(wire.F2Page, id)
-		wire.EncodePageHeader(f, flags, epoch, endCursor, len(raws))
+		wire.EncodePageHeader(f, flags, pageEpoch, endCursor, len(raws))
 		var payload int
 		for i := range raws {
 			wire.AppendRawObject(f, &raws[i])
 			payload += len(raws[i].Rec)
 		}
 		s.pushedPages.Add(1)
-		s.bytesAvoided.Add(int64(payload))
+		if !fellBack {
+			s.bytesAvoided.Add(int64(payload))
+		}
 		if err := vc.out.Push(f); err != nil {
 			release(true)
 			return
 		}
 		if snap {
-			// Every page renews the snapshot lease, like every v1 touch.
+			// Every page renews the snapshot lease.
 			if _, errResp := s.touchLease(req.Lease); errResp != nil {
 				vc.send(id, errResp)
 				return

@@ -39,7 +39,7 @@ func (s *Server) pushStatsV2(vc *v2conn, id uint64, r *v2req, ctx context.Contex
 	ctx, sp := obs.Start(s.traceCtx(ctx, req), "server/"+req.Op.String())
 	start := time.Now()
 	defer func() {
-		s.reqV2.Inc()
+		s.requests.Inc()
 		s.reqNS.ObserveSince(start)
 		sp.End()
 	}()

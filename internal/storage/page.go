@@ -1,6 +1,6 @@
 // Package storage is the embedded storage engine substrate beneath the
 // Gaea kernel, substituting for the Postgres backend of the paper's
-// prototype (see DESIGN.md §5). It provides durable record storage
+// prototype. It provides durable record storage
 // (slotted-page heap files behind a buffer pool), a redo write-ahead log
 // with crash recovery, persistent sequences, and a file-backed blob store
 // for large image payloads — the same contract the metadata layers would

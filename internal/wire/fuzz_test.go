@@ -46,9 +46,8 @@ func fuzzSeedBodies() [][]byte {
 	add(F2Hello, func(f *Frame) { EncodeHello(f, &Hello2{Version: V2Version, User: "ana"}) })
 	add(F2Req, func(f *Frame) {
 		EncodeRequest(f, &Request{
-			Op:   1,
-			User: "ana",
-			OID:  9,
+			Op:  OpQuery,
+			OID: 9,
 			Query: &QueryReq{
 				Class:      "rainfall",
 				Concept:    "monthly",
@@ -64,8 +63,7 @@ func fuzzSeedBodies() [][]byte {
 	})
 	add(F2Req, func(f *Frame) {
 		EncodeRequest(f, &Request{
-			Op:   2,
-			User: "ana",
+			Op: OpCommit,
 			Batch: &BatchReq{
 				ReadEpoch: 3,
 				Creates: []Create{{
@@ -80,10 +78,9 @@ func fuzzSeedBodies() [][]byte {
 	})
 	add(F2Resp, func(f *Frame) {
 		EncodeResponse(f, &Response{
-			Code:   CodeOK,
-			Epoch:  5,
-			N:      2,
-			Cursor: "c2|5|rainfall|9",
+			Code:  CodeOK,
+			Epoch: 5,
+			N:     2,
 			Result: &ResultPayload{
 				OIDs:     []uint64{1, 2},
 				How:      []string{"retrieve", "derive"},

@@ -1,42 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"testing"
-)
-
-// TestV1FrameIgnoresTrace is the v1 compatibility guarantee of the
-// trace extension: the trace identity lives in an unexported field, so
-// the gob frame a v1 connection writes is byte-for-byte identical
-// whether or not the request was stamped. A v1 server therefore never
-// sees — and never chokes on — tracing.
-func TestV1FrameIgnoresTrace(t *testing.T) {
-	mk := func() *Request {
-		q := QueryReq{Class: "rain", Limit: 7, Cursor: "c"}
-		return &Request{Op: OpQuery, User: "u", Query: &q, Lease: 3}
-	}
-	var plain, stamped bytes.Buffer
-	if err := WriteFrame(&plain, mk()); err != nil {
-		t.Fatal(err)
-	}
-	req := mk()
-	req.SetTrace(0xdeadbeef)
-	if err := WriteFrame(&stamped, req); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), stamped.Bytes()) {
-		t.Fatalf("v1 frame changed when the request was trace-stamped:\nplain   %x\nstamped %x",
-			plain.Bytes(), stamped.Bytes())
-	}
-	// And the stamp never survives a gob round trip.
-	var back Request
-	if err := ReadFrame(bytes.NewReader(stamped.Bytes()), 0, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.TraceID() != 0 {
-		t.Fatalf("trace id %x crossed a v1 frame", back.TraceID())
-	}
-}
+import "testing"
 
 // TestV2FrameCarriesTrace: the v2 binary request frame round-trips the
 // trace identity, and an unstamped request costs zero extra bytes.

@@ -1,13 +1,10 @@
 package wire
 
-// Protocol v2: request-ID multiplexed frames with a hand-rolled binary
-// codec.
-//
-// Where v1 is strict request/response with one gob blob per frame, v2
-// multiplexes many outstanding requests over one connection and encodes
-// everything with varints and length-delimited byte strings — no
-// reflection, no per-frame encoder state, pooled frame buffers, so the
-// steady-state response path allocates nothing.
+// The codec: hand-rolled binary frames, multiplexing many outstanding
+// requests over one connection. Everything is encoded with varints and
+// length-delimited byte strings — no reflection, no per-frame encoder
+// state, pooled frame buffers, so the steady-state response path
+// allocates nothing.
 //
 // Framing:
 //
@@ -25,15 +22,11 @@ package wire
 //	Credit          flow control: grants N more pages to a stream
 //	Cancel          the client abandons a request/stream
 //
-// Version negotiation: a v2 client opens with the 8-byte magic
-// "GAEAWP2\n". The first byte (0x47) reads as a v1 length prefix of
-// ~1.1 GiB — far above any sane frame bound — so a v2-aware server
-// sniffs the first 4 bytes: magic → v2 handshake, anything else →
-// byte-for-byte the v1 loop. The server echoes the magic before its
-// HelloAck, so a v2 client talking to an OLD server (or to a v1-only
-// error path, like the connection-limit refusal that is written before
-// sniffing) detects the mismatch and falls back to parsing the reply as
-// a v1 gob Response.
+// Handshake: the client opens with the 8-byte magic "GAEAWP2\n" and a
+// Hello; the server echoes the magic, then answers HelloAck — or an ID-0
+// Resp when it refuses the connection. A Hello whose version is not
+// V2Version is dropped unanswered, so peers built against a different
+// frame layout fail at the handshake instead of misparsing frames.
 //
 // Flow control: stream pages are server-push, credited in pages. The
 // stream request carries the initial window; each Credit frame grants
@@ -54,12 +47,14 @@ import (
 	"gaea/internal/sptemp"
 )
 
-// V2Magic is the 8-byte preamble a v2 client opens with and a v2 server
-// echoes back. The first byte can never begin a plausible v1 frame.
+// V2Magic is the 8-byte preamble a client opens with and the server
+// echoes back.
 const V2Magic = "GAEAWP2\n"
 
-// V2Version is the protocol revision carried in Hello/HelloAck.
-const V2Version = 2
+// V2Version is the frame-layout revision carried in Hello/HelloAck. Both
+// ends require an exact match: 3 dropped the request's user and the
+// response's cursor slots.
+const V2Version = 3
 
 // The v2 frame types.
 const (
@@ -77,27 +72,23 @@ const (
 	// PageEnd marks the final page of a stream; its cursor field is the
 	// resume token ("" = exhausted).
 	PageEnd byte = 1 << 0
-	// PageRaw marks a page whose objects travel as GOB3 records holding
-	// their stored value bytes (decode with object.DecodeWire) rather
-	// than encoded wire Objects.
-	PageRaw byte = 1 << 1
 	// PageStats marks a SubscribeStats push: the body after the page
 	// header is one JSON-encoded stats delta, and the header's epoch
 	// field carries the subscriber's next event sequence (resume point).
 	PageStats byte = 1 << 2
 )
 
-// OpStreamPush starts a v2 server-push stream (Lease != 0 makes it a
-// snapshot stream). It never appears in v1 traffic.
+// OpStreamPush starts a server-push stream (Lease != 0 makes it a
+// snapshot stream).
 const OpStreamPush Op = 32
 
-// OpSubscribeStats starts a v2 server-push stats subscription: the
+// OpSubscribeStats starts a server-push stats subscription: the
 // server periodically pushes PageStats pages carrying JSON stats/event
 // deltas under the same credit window as OpStreamPush. The request
 // reuses Window as the initial credit grant, Page as the push period in
 // milliseconds (0 = server default), and Epoch as the last event
 // sequence the subscriber has already seen (0 = from the start of the
-// ring). It never appears in v1 traffic.
+// ring).
 const OpSubscribeStats Op = 33
 
 // RawObject is one object shipped as a GOB3 record — the stored value
@@ -412,7 +403,6 @@ func EncodeRequest(f *Frame, req *Request) {
 	}
 	f.U8(byte(req.Op))
 	f.U8(mask)
-	f.Str(req.User)
 	f.Uvarint(req.Lease)
 	f.Uvarint(req.OID)
 	f.Uvarint(req.Epoch)
@@ -435,7 +425,6 @@ func DecodeRequest(body []byte, req *Request) error {
 	d := NewDec(body)
 	req.Op = Op(d.U8())
 	mask := d.U8()
-	req.User = d.Str()
 	req.Lease = d.Uvarint()
 	req.OID = d.Uvarint()
 	req.Epoch = d.Uvarint()
@@ -485,9 +474,9 @@ func decodeQueryReq(d *Dec) *QueryReq {
 	return q
 }
 
-// EncodeObject appends one wire Object (the decoded form — commits and
-// fallback pages; the query path ships RawObjects instead).
-func EncodeObject(f *Frame, o *Object) {
+// encodeObject appends one wire Object: the form a committed batch
+// carries (pages ship RawObjects instead).
+func encodeObject(f *Frame, o *Object) {
 	f.Uvarint(o.OID)
 	f.Str(o.Class)
 	f.extent(&o.Extent)
@@ -498,8 +487,8 @@ func EncodeObject(f *Frame, o *Object) {
 	}
 }
 
-// DecodeObject parses one wire Object.
-func DecodeObject(d *Dec) Object {
+// decodeObject parses one wire Object.
+func decodeObject(d *Dec) Object {
 	var o Object
 	o.OID = d.Uvarint()
 	o.Class = d.Str()
@@ -523,11 +512,11 @@ func encodeBatchReq(f *Frame, b *BatchReq) {
 	for i := range b.Creates {
 		f.Uvarint(b.Creates[i].Prov)
 		f.Str(b.Creates[i].Note)
-		EncodeObject(f, &b.Creates[i].Obj)
+		encodeObject(f, &b.Creates[i].Obj)
 	}
 	f.Uvarint(uint64(len(b.Updates)))
 	for i := range b.Updates {
-		EncodeObject(f, &b.Updates[i])
+		encodeObject(f, &b.Updates[i])
 	}
 	f.Uvarint(uint64(len(b.Deletes)))
 	for _, oid := range b.Deletes {
@@ -541,14 +530,14 @@ func decodeBatchReq(d *Dec) *BatchReq {
 		b.Creates = make([]Create, 0, d.Cap(n))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			c := Create{Prov: d.Uvarint(), Note: d.Str()}
-			c.Obj = DecodeObject(d)
+			c.Obj = decodeObject(d)
 			b.Creates = append(b.Creates, c)
 		}
 	}
 	if n := d.Uvarint(); n > 0 && d.Err() == nil {
 		b.Updates = make([]Object, 0, d.Cap(n))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			b.Updates = append(b.Updates, DecodeObject(d))
+			b.Updates = append(b.Updates, decodeObject(d))
 		}
 	}
 	if n := d.Uvarint(); n > 0 && d.Err() == nil {
@@ -600,7 +589,6 @@ func EncodeResponse(f *Frame, r *Response) {
 	f.Uvarint(r.Epoch)
 	f.Uvarint(r.Lease)
 	f.Uvarint(uint64(r.N))
-	f.Str(r.Cursor)
 	if r.Result != nil {
 		encodeResult(f, r.Result)
 	}
@@ -633,7 +621,6 @@ func DecodeResponse(body []byte) (*Response, error) {
 	r.Epoch = d.Uvarint()
 	r.Lease = d.Uvarint()
 	r.N = int(d.Uvarint())
-	r.Cursor = d.Str()
 	if mask&respHasResult != 0 {
 		r.Result = decodeResult(d)
 	}
@@ -748,8 +735,7 @@ func decodeStats(d *Dec) *StatsPayload {
 
 // EncodePageHeader starts a Page body: flags, the page's snapshot epoch
 // (0 = not resumable, e.g. fallback pages), the END page's cursor, and
-// the object count. Append the objects with AppendRawObject (PageRaw
-// set) or EncodeObject.
+// the object count. Append the objects with AppendRawObject.
 func EncodePageHeader(f *Frame, flags byte, epoch uint64, cursor string, count int) {
 	f.U8(flags)
 	f.Uvarint(epoch)

@@ -37,7 +37,6 @@ func TestV2DecodeResponseHugeOIDCount(t *testing.T) {
 	body = binary.AppendUvarint(body, 1) // epoch
 	body = binary.AppendUvarint(body, 0) // lease
 	body = binary.AppendUvarint(body, 0) // n
-	body = binary.AppendUvarint(body, 0) // cursor: empty
 	body = binary.AppendUvarint(body, hugeCount)
 	if _, err := DecodeResponse(body); err == nil {
 		t.Fatal("huge OID count decoded successfully, want truncation error")
@@ -52,7 +51,6 @@ func TestV2DecodeResultHugeCounts(t *testing.T) {
 		body = binary.AppendUvarint(body, 1) // epoch
 		body = binary.AppendUvarint(body, 0) // lease
 		body = binary.AppendUvarint(body, 0) // n
-		body = binary.AppendUvarint(body, 0) // cursor
 		for i := 0; i < field; i++ {
 			body = binary.AppendUvarint(body, 0) // empty preceding vector
 		}
@@ -65,7 +63,6 @@ func TestV2DecodeResultHugeCounts(t *testing.T) {
 
 func TestV2DecodeBatchHugeCreateCount(t *testing.T) {
 	body := []byte{0, reqHasBatch}
-	body = binary.AppendUvarint(body, 0) // user: empty
 	body = binary.AppendUvarint(body, 0) // lease
 	body = binary.AppendUvarint(body, 0) // oid
 	body = binary.AppendUvarint(body, 0) // epoch
@@ -81,7 +78,6 @@ func TestV2DecodeBatchHugeCreateCount(t *testing.T) {
 
 func TestV2DecodeQueryHugeStrategyCount(t *testing.T) {
 	body := []byte{0, reqHasQuery}
-	body = binary.AppendUvarint(body, 0)           // user
 	body = binary.AppendUvarint(body, 0)           // lease
 	body = binary.AppendUvarint(body, 0)           // oid
 	body = binary.AppendUvarint(body, 0)           // epoch

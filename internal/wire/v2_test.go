@@ -60,7 +60,6 @@ func uvarintAt(b []byte, off int) (uint64, int) {
 func TestV2RequestRoundTrip(t *testing.T) {
 	in := &Request{
 		Op:     OpStreamPush,
-		User:   "ana",
 		Lease:  9,
 		OID:    77,
 		Epoch:  12,
@@ -98,7 +97,7 @@ func TestV2RequestRoundTrip(t *testing.T) {
 	if err := DecodeRequest(v2Body(t, f), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != in.Op || got.User != in.User || got.Lease != in.Lease ||
+	if got.Op != in.Op || got.Lease != in.Lease ||
 		got.OID != in.OID || got.Epoch != in.Epoch || got.Window != in.Window || got.Page != in.Page {
 		t.Fatalf("scalar fields mangled: %+v", got)
 	}
@@ -127,11 +126,10 @@ func TestV2RequestRoundTrip(t *testing.T) {
 
 func TestV2ResponseRoundTrip(t *testing.T) {
 	in := &Response{
-		Code:   CodeOK,
-		Epoch:  40,
-		Lease:  7,
-		N:      3,
-		Cursor: "c2|40|rain|9",
+		Code:  CodeOK,
+		Epoch: 40,
+		Lease: 7,
+		N:     3,
 		Result: &ResultPayload{
 			OIDs:     []uint64{1, 2, 3},
 			How:      []string{"retrieve"},
@@ -152,7 +150,7 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Code != CodeOK || got.Epoch != 40 || got.Lease != 7 || got.N != 3 || got.Cursor != in.Cursor {
+	if got.Code != CodeOK || got.Epoch != 40 || got.Lease != 7 || got.N != 3 {
 		t.Fatalf("scalar fields mangled: %+v", got)
 	}
 	r := got.Result
@@ -227,13 +225,13 @@ func TestV2PageRoundTrip(t *testing.T) {
 		{Rec: []byte("rec-one")},
 		{Rec: []byte("rec-two"), Blobs: []object.BlobPayload{{ID: 1, Data: []byte("blob")}}},
 	}
-	EncodePageHeader(f, PageEnd|PageRaw, 40, "c2|40|rain|2", len(raws))
+	EncodePageHeader(f, PageEnd, 40, "c2|40|rain|2", len(raws))
 	for i := range raws {
 		AppendRawObject(f, &raws[i])
 	}
 	d := NewDec(v2Body(t, f))
 	h := DecodePageHeader(d)
-	if h.Flags != PageEnd|PageRaw || h.Epoch != 40 || h.Cursor != "c2|40|rain|2" || h.Count != 2 {
+	if h.Flags != PageEnd || h.Epoch != 40 || h.Cursor != "c2|40|rain|2" || h.Count != 2 {
 		t.Fatalf("page header mangled: %+v", h)
 	}
 	for i := 0; i < h.Count; i++ {
@@ -258,7 +256,6 @@ func TestV2DecodeTruncated(t *testing.T) {
 	EncodeResponse(f, &Response{
 		Code:   CodeOK,
 		Epoch:  1,
-		Cursor: "c2|1|rain|5",
 		Result: &ResultPayload{OIDs: []uint64{1, 2}, How: []string{"retrieve"}},
 	})
 	body := v2Body(t, f)
@@ -398,24 +395,6 @@ func BenchmarkV2ResponseEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkV1ResponseEncode is the same payload through the v1 gob
-// framing (with its pooled scratch buffer) — the before side of the
-// codec swap.
-func BenchmarkV1ResponseEncode(b *testing.B) {
-	rec := bytes.Repeat([]byte{0xAB}, 256)
-	resp := &Response{Code: CodeOK, Epoch: 40, Objects: []Object{{
-		OID: 7, Class: "rain", Attrs: map[string][]byte{"img": rec},
-	}}}
-	var sink bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink.Reset()
-		if err := WriteFrame(&sink, resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkV2PageEncode: one 32-object raw push page, the bulk-stream
 // hot path.
 func BenchmarkV2PageEncode(b *testing.B) {
@@ -427,7 +406,7 @@ func BenchmarkV2PageEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f := AcquireFrame(F2Page, 9)
-		EncodePageHeader(f, PageRaw, 40, "", len(raws))
+		EncodePageHeader(f, 0, 40, "", len(raws))
 		for j := range raws {
 			AppendRawObject(f, &raws[j])
 		}

@@ -1,22 +1,21 @@
 // Package wire defines the Gaea client/server protocol: length-prefixed
-// gob frames carrying typed requests and responses over a TCP or unix
-// stream.
+// binary frames, multiplexed by request ID, carrying typed requests,
+// responses and server-pushed stream pages over a TCP or unix stream.
 //
-// Framing. Every message is one frame: a 4-byte big-endian payload
-// length followed by a standalone gob blob. Each frame is encoded with a
-// fresh gob stream, so frames are self-contained — a reader can resync
-// at any frame boundary, a reconnecting client starts clean, and a
-// malformed peer can be cut off after one bounded read (frames larger
-// than the configured maximum are refused before allocation).
+// Framing. Every message is one frame: a 4-byte big-endian length, a
+// frame type, the request ID, and a body in the hand-rolled varint codec
+// of v2.go. A reader refuses a frame above its configured maximum before
+// allocating, so a malformed peer is cut off after one bounded read.
 //
-// The protocol is strictly request/response: the client sends one
-// Request frame and reads one Response frame. There is no server push
-// and no interleaving, which keeps one connection usable by a simple
-// mutex-guarded client and makes server shutdown draining trivial
-// (every in-flight unit of work is one request). Streaming queries are
-// served as pages: each page is one round trip, and the epoch-carrying
-// cursor in the response lets the next page — on this connection or any
-// later one — resume the exact MVCC snapshot.
+// A connection opens with an 8-byte magic and a Hello naming the
+// protocol revision and the connection's user; the server echoes the
+// magic and answers HelloAck, or refuses the whole connection with a
+// request-ID-0 Resp (connection limit, shutdown). After that the client
+// may have many requests in flight: each Req gets one Resp, in
+// completion order, and a streaming query is one request answered by
+// pushed Page frames under a credit window. Every page ships its objects
+// as self-describing records (RawObject) — the one object-page form —
+// and the final page carries the epoch-carrying resume cursor.
 //
 // Errors cross the wire as a Code plus the server-side error text. Codes
 // map 1:1 onto the public error taxonomy (gaea.ErrNotFound, ErrConflict,
@@ -25,15 +24,9 @@
 package wire
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"math"
-	"sync"
 
 	"gaea/internal/catalog"
 	"gaea/internal/concept"
@@ -57,119 +50,39 @@ const DefaultMaxFrame = 64 << 20
 // configured maximum.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 
-// v1BufPool recycles the scratch buffers WriteFrame and ReadFrame used
-// to allocate per frame: the gob encoder still allocates its own state,
-// but the frame-sized buffer churn — the dominant allocation for large
-// pages — is gone, and a frame goes out in ONE write (header and body
-// together) instead of two.
-var v1BufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledV1Buf bounds what the pool retains; outsized page buffers are
-// left to the GC rather than parked forever.
-const maxPooledV1Buf = 1 << 20
-
-// WriteFrame gob-encodes msg and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, msg any) error {
-	buf := v1BufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledV1Buf {
-			v1BufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // length prefix, patched below
-	if err := gob.NewEncoder(buf).Encode(msg); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	b := buf.Bytes()
-	if int64(len(b)-4) > math.MaxUint32 {
-		// The length prefix is 32-bit; silently truncating it would
-		// desynchronise the stream.
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(b)-4)
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	_, err := w.Write(b)
-	return err
-}
-
-// v1ReadPool recycles ReadFrame's body buffers.
-var v1ReadPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// ReadFrame reads one length-prefixed frame and gob-decodes it into msg.
-// maxFrame <= 0 takes DefaultMaxFrame.
-func ReadFrame(r io.Reader, maxFrame int, msg any) error {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	// Compare in 64 bits: on 32-bit platforms int(n) can wrap negative
-	// for a hostile length prefix and slip past the bound.
-	if int64(n) > int64(maxFrame) {
-		return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
-	}
-	bp := v1ReadPool.Get().(*[]byte)
-	if cap(*bp) < int(n) {
-		*bp = make([]byte, n)
-	}
-	buf := (*bp)[:n]
-	defer func() {
-		if cap(*bp) <= maxPooledV1Buf {
-			v1ReadPool.Put(bp)
-		}
-	}()
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	// gob copies everything it decodes, so the pooled buffer is free for
-	// reuse the moment Decode returns.
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(msg); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
-}
-
 // Op names a request type.
 type Op uint8
 
-// The protocol operations.
+// The protocol operations. The numbers are fixed: the gaps (1, 5, 10)
+// belonged to retired paged-protocol ops, and a server answers any op it
+// does not know with CodeBadRequest.
 const (
-	OpHello        Op = iota + 1 // handshake: register the connection's user
-	OpBegin                      // fetch the current commit epoch for a session's read view
-	OpStats                      // kernel + server counters
-	OpQuery                      // buffered query (Kernel.Query)
-	OpStream                     // one page of a streaming query (cursor resume)
-	OpCommit                     // a whole staged session in one round trip
-	OpSnapOpen                   // pin a snapshot under a server-side lease
-	OpSnapGet                    // Snapshot.Get
-	OpSnapQuery                  // Snapshot.Query (retrieve-only)
-	OpSnapStream                 // one page of a snapshot stream
-	OpSnapRelease                // release a snapshot lease
-	OpLease                      // lease-pin a cursor epoch (client-synthesised resume points)
-	OpStale                      // list stale OIDs
-	OpRefresh                    // RefreshStale
-	OpExplain                    // derivation history of an object
-	OpExplainQuery               // query preview
-	OpPrepare                    // 2PC phase one: validate + stage a session batch under a txn token
-	OpDecide                     // 2PC phase two: commit (Epoch=1) or abort (Epoch=0) a prepared txn
+	OpBegin        Op = 2  // fetch the current commit epoch for a session's read view
+	OpStats        Op = 3  // kernel + server counters
+	OpQuery        Op = 4  // buffered query (Kernel.Query)
+	OpCommit       Op = 6  // a whole staged session in one round trip
+	OpSnapOpen     Op = 7  // pin a snapshot under a server-side lease
+	OpSnapGet      Op = 8  // Snapshot.Get
+	OpSnapQuery    Op = 9  // Snapshot.Query (retrieve-only)
+	OpSnapRelease  Op = 11 // release a snapshot lease
+	OpLease        Op = 12 // lease-pin a cursor epoch (client-synthesised resume points)
+	OpStale        Op = 13 // list stale OIDs
+	OpRefresh      Op = 14 // RefreshStale
+	OpExplain      Op = 15 // derivation history of an object
+	OpExplainQuery Op = 16 // query preview
+	OpPrepare      Op = 17 // 2PC phase one: validate + stage a session batch under a txn token
+	OpDecide       Op = 18 // 2PC phase two: commit (Epoch=1) or abort (Epoch=0) a prepared txn
 )
 
 // String names the op for logs and errors.
 func (o Op) String() string {
 	switch o {
-	case OpHello:
-		return "hello"
 	case OpBegin:
 		return "begin"
 	case OpStats:
 		return "stats"
 	case OpQuery:
 		return "query"
-	case OpStream:
-		return "stream"
 	case OpCommit:
 		return "commit"
 	case OpSnapOpen:
@@ -178,8 +91,6 @@ func (o Op) String() string {
 		return "snap-get"
 	case OpSnapQuery:
 		return "snap-query"
-	case OpSnapStream:
-		return "snap-stream"
 	case OpSnapRelease:
 		return "snap-release"
 	case OpLease:
@@ -346,18 +257,6 @@ func (w *Object) ToObject() (*object.Object, error) {
 	return o, nil
 }
 
-// ObjectSize approximates an object's encoded footprint (attribute
-// payloads dominate; the fixed overhead term covers the rest). The
-// service layer budgets stream pages with it so image-heavy classes
-// page by bytes, not just by count.
-func ObjectSize(w *Object) int {
-	size := 96 + len(w.Class)
-	for name, enc := range w.Attrs {
-		size += len(name) + len(enc) + 16
-	}
-	return size
-}
-
 // QueryReq is the wire form of a query.Request. The user is connection
 // state (set at Hello), not request state.
 type QueryReq struct {
@@ -430,25 +329,22 @@ type BatchReq struct {
 // Request is one client frame.
 type Request struct {
 	Op    Op
-	User  string    // OpHello
-	Query *QueryReq // OpQuery, OpStream, OpSnapQuery, OpSnapStream, OpExplainQuery
-	Batch *BatchReq // OpCommit
-	Lease uint64    // OpSnapGet/Query/Stream/Release; OpStreamPush (snapshot mode)
+	Query *QueryReq // OpQuery, OpSnapQuery, OpExplainQuery, OpStreamPush
+	Batch *BatchReq // OpCommit, OpPrepare
+	Lease uint64    // OpSnapGet/Query/Release; OpStreamPush (snapshot mode)
 	OID   uint64    // OpSnapGet, OpExplain
 	Epoch uint64    // OpLease: the cursor epoch to keep pinned
-	// Window is the initial page-credit window for OpStreamPush (v2
-	// only): the server never has more un-credited pages in flight.
+	// Window is the initial page-credit window for OpStreamPush: the
+	// server never has more un-credited pages in flight.
 	Window int
 	// Page is the client's per-page object-count preference for
-	// OpStreamPush (v2 only; the server caps it at its own page size).
+	// OpStreamPush (the server caps it at its own page size).
 	// Query.Limit is the TOTAL limit across the whole stream.
 	Page int
 
 	// trace is the client's trace identity, propagated so the server's
-	// span tree shares the caller's trace ID. It is deliberately
-	// unexported: gob never sees unexported fields, so v1 request frames
-	// stay byte-for-byte identical whether or not tracing is on — only
-	// the v2 binary codec carries it, under its own mask bit.
+	// span tree shares the caller's trace ID. It travels under its own
+	// mask bit, so an untraced request pays nothing for it.
 	trace uint64
 	// parent is the caller's span ID within trace, so a relaying hop
 	// (the federation router) can parent the server's spans under its
@@ -460,7 +356,7 @@ type Request struct {
 }
 
 // SetTrace stamps the request with the caller's trace identity
-// (0 clears it; v1 frames never carry it).
+// (0 clears it).
 func (r *Request) SetTrace(id uint64) { r.trace = id }
 
 // TraceID reports the propagated trace identity (0 = untraced).
@@ -534,11 +430,10 @@ type StatsPayload struct {
 	// MaxInFlightPerConn is the high-water mark of concurrent requests
 	// observed on any single connection since start.
 	MaxInFlightPerConn int64
-	// PushedPages counts v2 server-push stream pages sent since start.
+	// PushedPages counts server-push stream pages sent since start.
 	PushedPages int64
-	// BytesAvoided counts record bytes shipped on the v2 raw path without
-	// a value in them being decoded — bytes that v1 would have decoded
-	// and re-encoded.
+	// BytesAvoided counts stored record bytes shipped without a value in
+	// them being decoded and re-encoded.
 	BytesAvoided int64
 	// ObsJSON carries the kernel's full observability export — the
 	// structured stats snapshot, recent traces, and the slow-op log — as
@@ -561,18 +456,15 @@ type Response struct {
 	Code Code
 	Err  string // server-side error text (Code != CodeOK)
 
-	Result  *ResultPayload // OpQuery, OpSnapQuery
-	Objects []Object       // OpStream, OpSnapStream pages; OpSnapGet (one)
-	Cursor  string         // OpStream, OpSnapStream: resume token ("" = exhausted)
-	Epoch   uint64         // OpSnapOpen, stream pages: the pinned snapshot epoch
-	Lease   uint64         // OpSnapOpen: lease id
-	OIDs    []uint64       // OpCommit: real OIDs (parallel to Creates); OpStale
-	N       int            // OpRefresh: refreshed count
-	Text    string         // OpExplain, OpExplainQuery
-	Stats   *StatsPayload  // OpStats
-	// Raw carries OpSnapGet's object as a GOB3 record on the v2 raw path:
-	// the stored value bytes, undecoded, inside the self-describing
-	// header object.Store.GetRawAt re-assembles (decode with
-	// object.DecodeWire); v1 never sets it.
+	Result *ResultPayload // OpQuery, OpSnapQuery
+	Epoch  uint64         // OpBegin: the commit epoch; OpSnapOpen, OpSnapGet, OpLease: the pinned one
+	Lease  uint64         // OpSnapOpen: lease id
+	OIDs   []uint64       // OpCommit, OpPrepare, OpDecide: real OIDs (parallel to Creates); OpStale
+	N      int            // OpRefresh: refreshed count
+	Text   string         // OpExplain, OpExplainQuery
+	Stats  *StatsPayload  // OpStats
+	// Raw carries OpSnapGet's object as a GOB3 record: the stored value
+	// bytes, undecoded, inside the self-describing header
+	// object.Store.GetRawAt re-assembles (decode with object.DecodeWire).
 	Raw *RawObject
 }

@@ -18,10 +18,46 @@ import (
 	"gaea/internal/value"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
+// writeFrames pushes one finished frame per encoder through an OutQueue
+// into a buffer, the way a connection's writer does.
+func writeFrames(t *testing.T, ft byte, encs ...func(*Frame)) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
+	q := NewOutQueue()
+	for i, enc := range encs {
+		f := AcquireFrame(ft, uint64(i+1))
+		enc(f)
+		if err := q.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.Close()
+	if err := q.Run(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// readRequest reads the next frame and decodes it as a request.
+func readRequest(t *testing.T, fr *FrameReader) *Request {
+	t.Helper()
+	ft, _, body, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft != F2Req {
+		t.Fatalf("frame type %d, want Req", ft)
+	}
+	var req Request
+	if err := DecodeRequest(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	return &req
+}
+
+func TestFrameRoundTrip(t *testing.T) {
 	req := &Request{
-		Op: OpStream,
+		Op: OpStreamPush,
 		Query: &QueryReq{
 			Class:      "rain",
 			Pred:       sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(0, 0, 100, 100)),
@@ -30,29 +66,20 @@ func TestFrameRoundTrip(t *testing.T) {
 			Cursor:     "c2|12|rain|44",
 		},
 	}
-	if err := WriteFrame(&buf, req); err != nil {
-		t.Fatal(err)
-	}
 	// A second frame behind the first: framing must not over-read.
-	if err := WriteFrame(&buf, &Request{Op: OpStats}); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := ReadFrame(&buf, 0, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != OpStream || got.Query == nil || got.Query.Class != "rain" ||
+	buf := writeFrames(t, F2Req,
+		func(f *Frame) { EncodeRequest(f, req) },
+		func(f *Frame) { EncodeRequest(f, &Request{Op: OpStats}) })
+	fr := NewFrameReader(buf, 0)
+	got := readRequest(t, fr)
+	if got.Op != OpStreamPush || got.Query == nil || got.Query.Class != "rain" ||
 		got.Query.Limit != 7 || got.Query.Cursor != "c2|12|rain|44" {
 		t.Fatalf("bad round trip: %+v", got)
 	}
 	if got.Query.Pred.Space != sptemp.NewBox(0, 0, 100, 100) {
 		t.Fatalf("bad predicate: %+v", got.Query.Pred)
 	}
-	var second Request
-	if err := ReadFrame(&buf, 0, &second); err != nil {
-		t.Fatal(err)
-	}
-	if second.Op != OpStats {
+	if second := readRequest(t, fr); second.Op != OpStats {
 		t.Fatalf("second frame op = %v", second.Op)
 	}
 }
@@ -60,38 +87,26 @@ func TestFrameRoundTrip(t *testing.T) {
 // An empty-box predicate carries ±Inf coordinates; the codec must not
 // mangle them (encoding/json would).
 func TestFrameEmptyBoxPredicate(t *testing.T) {
-	var buf bytes.Buffer
 	req := &Request{Op: OpQuery, Query: &QueryReq{
 		Class: "rain",
 		Pred:  sptemp.Extent{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox()},
 	}}
-	if err := WriteFrame(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := ReadFrame(&buf, 0, &got); err != nil {
-		t.Fatal(err)
-	}
+	got := readRequest(t, NewFrameReader(writeFrames(t, F2Req, func(f *Frame) { EncodeRequest(f, req) }), 0))
 	if !got.Query.Pred.Space.IsEmpty() {
 		t.Fatalf("empty box decoded non-empty: %+v", got.Query.Pred.Space)
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	big := &Response{Err: string(make([]byte, 4096))}
-	if err := WriteFrame(&buf, big); err != nil {
-		t.Fatal(err)
-	}
-	var got Response
-	err := ReadFrame(&buf, 128, &got)
-	if !errors.Is(err, ErrFrameTooLarge) {
+	big := &Response{Code: CodeInternal, Err: string(make([]byte, 4096))}
+	buf := writeFrames(t, F2Resp, func(f *Frame) { EncodeResponse(f, big) })
+	if _, _, _, err := NewFrameReader(buf, 128).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 // TestObjectRoundTrip ships an object with scalar, box, and image
-// attributes through the wire form and back.
+// attributes through the wire form of a committed batch and back.
 func TestObjectRoundTrip(t *testing.T) {
 	img := raster.MustNew(4, 4, raster.PixFloat8)
 	for i := 0; i < 4; i++ {
@@ -116,16 +131,10 @@ func TestObjectRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Through the framing too, like a real response.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Response{Objects: []Object{w}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := ReadFrame(&buf, 0, &resp); err != nil {
-		t.Fatal(err)
-	}
-	out, err := resp.Objects[0].ToObject()
+	// Through the framing too, like a real commit.
+	req := &Request{Op: OpCommit, Batch: &BatchReq{Updates: []Object{w}}}
+	got := readRequest(t, NewFrameReader(writeFrames(t, F2Req, func(f *Frame) { EncodeRequest(f, req) }), 0))
+	out, err := got.Batch.Updates[0].ToObject()
 	if err != nil {
 		t.Fatal(err)
 	}

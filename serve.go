@@ -74,17 +74,16 @@ type ServerStats struct {
 	// LeaseExpiries counts leases expired by the janitor — abandoned
 	// remote pins that were reclaimed.
 	LeaseExpiries int64
-	// InFlight counts requests currently executing (protocol v2
-	// multiplexes many per connection).
+	// InFlight counts requests currently executing (a connection
+	// multiplexes many).
 	InFlight int64
 	// MaxInFlightPerConn is the high-water mark of concurrent requests
 	// observed on any single connection.
 	MaxInFlightPerConn int64
-	// PushedPages counts v2 server-push stream pages sent.
+	// PushedPages counts server-push stream pages sent.
 	PushedPages int64
-	// BytesAvoided counts record bytes shipped on the v2 raw path without
-	// a value in them being decoded — bytes v1 would have decoded and
-	// re-encoded.
+	// BytesAvoided counts stored record bytes shipped without a value in
+	// them being decoded and re-encoded.
 	BytesAvoided int64
 }
 
@@ -193,7 +192,7 @@ func (s *Server) DebugAddr() string {
 }
 
 // Shutdown stops the server gracefully: stop accepting, drain in-flight
-// requests (streams are paged, so every in-flight unit is one request),
+// requests (a stream stops at its next page under a resume lease),
 // release every remote snapshot and cursor lease. If ctx expires before
 // the drain completes, in-flight kernel work is cancelled and
 // connections are closed anyway. The debug endpoint, if any, closes
@@ -257,17 +256,31 @@ func (b kernelBackend) QueryAt(ctx context.Context, req query.Request, epoch uin
 }
 
 // StreamPage drains one page of a streaming query at an epoch the caller
-// has pinned, converting to wire form as it goes and stopping at half
-// the frame limit — the cut object is the only over-read, and the
-// cursor is re-minted at the last object shipped, so image-heavy
-// classes page by bytes without loading objects they will not send.
-// Also reports whether the page came from the fallback chain (not
-// resumable at this epoch; a fallback page over the budget is an error
-// — its results are committed and retrievable by a fresh query — since
-// truncation without a cursor would silently lose them).
-func (b kernelBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.Object, string, bool, error) {
+// has pinned, as raw records: no value is decoded — each object ships as
+// the GOB3 record object.Store.GetRawAt re-assembles around the value
+// bytes the storage engine holds, plus the payloads of any referenced
+// blobs. The page stops at half the frame limit (the cut object is the
+// only over-read, and the cursor is re-minted at the last object
+// shipped), so image-heavy classes page by bytes. A fresh stream whose
+// retrieval served nothing runs the fallback chain instead (see
+// fallbackPage).
+func (b kernelBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.RawObject, string, bool, error) {
 	if err := b.k.checkOpen(); err != nil {
 		return nil, "", false, err
+	}
+	pg := server.NewPage(req.Limit, maxBytes)
+	cursor, served, err := b.k.Queries.PageRawAt(ctx, req, epoch, func(class string, oid object.OID) (bool, error) {
+		rec, blobs, err := b.k.Objects.GetRawAt(oid, epoch)
+		if err != nil {
+			return false, err
+		}
+		return pg.Take(oid, wire.RawObject{Rec: rec, Blobs: blobs})
+	})
+	if err != nil {
+		return nil, "", false, classify(err)
+	}
+	if served || req.Cursor != "" {
+		return pg.Raws, cursor, false, nil
 	}
 	if retrieveOnly {
 		req.Strategies = []Strategy{Retrieve}
@@ -275,110 +288,55 @@ func (b kernelBackend) StreamPage(ctx context.Context, req query.Request, epoch 
 	if req.User == "" {
 		req.User = b.k.user
 	}
+	return b.fallbackPage(ctx, req, epoch, maxBytes)
+}
+
+// fallbackPage answers a fresh stream whose retrieval served nothing
+// with the query's full strategy chain — derivation or interpolation,
+// or, for a retrieval-only request, the unsatisfied error an embedded
+// stream reports. Its objects are decoded, so they ship re-encoded
+// with object.EncodeWire under the same byte budget. A fallback page
+// that overflows is an error: its results are committed at newer
+// epochs, so there is no cursor to resume from.
+func (b kernelBackend) fallbackPage(ctx context.Context, req query.Request, epoch uint64, maxBytes int) ([]wire.RawObject, string, bool, error) {
 	inner, err := b.k.Queries.StreamAt(ctx, req, epoch)
 	if err != nil {
 		return nil, "", false, classify(err)
 	}
 	st := &Stream{k: b.k, inner: inner}
-	budget := maxBytes / 2
-	objs := make([]wire.Object, 0, req.Limit)
-	total := 0
+	pg := server.NewPage(req.Limit, maxBytes)
 	var last *object.Object
 	cut := false
-	var iterErr error
 	for o, err := range st.All() {
 		if err != nil {
-			iterErr = err
-			break
+			return nil, "", false, err
 		}
-		w, werr := wire.FromObject(o)
-		if werr != nil {
-			iterErr = werr
-			break
+		rec, err := object.EncodeWire(o)
+		if err != nil {
+			return nil, "", false, err
 		}
-		size := wire.ObjectSize(&w)
-		if size > maxBytes {
-			iterErr = fmt.Errorf("%w: object %d (%d bytes) exceeds the frame limit %d",
-				query.ErrBadRequest, o.OID, size, maxBytes)
-			break
+		take, err := pg.Take(o.OID, wire.RawObject{Rec: rec})
+		if err != nil {
+			return nil, "", false, err
 		}
-		if len(objs) > 0 && total+size > budget {
+		if !take {
 			cut = true // o stays unshipped; resume after `last`
 			break
 		}
-		objs = append(objs, w)
-		total += size
 		last = o
 	}
-	if iterErr != nil {
-		return nil, "", false, iterErr
+	if !cut {
+		return pg.Raws, st.Cursor(), inner.FellBack(), nil
 	}
-	if cut && inner.FellBack() {
+	if inner.FellBack() {
 		return nil, "", false, fmt.Errorf("%w: fallback result exceeds the page byte budget %d; "+
-			"the derived objects are committed — re-issue the query to retrieve them", query.ErrBadRequest, budget)
+			"the derived objects are committed — re-issue the query to retrieve them", query.ErrBadRequest, pg.Budget)
 	}
-	cursor := st.Cursor()
-	if cut {
-		cursor = query.EncodeCursor(epoch, last.Class, last.OID)
-	}
-	return objs, cursor, inner.FellBack(), nil
-}
-
-// StreamPageRaw drains one retrieval-only page as raw records — the v2
-// raw path. The same byte budget as StreamPage applies (half the frame
-// limit, cut before the first object that would overflow), but no value
-// is decoded: each object ships as the GOB3 record object.Store.GetRawAt
-// re-assembles around the value bytes the storage engine holds, plus the
-// payloads of any referenced blobs.
-func (b kernelBackend) StreamPageRaw(ctx context.Context, req query.Request, epoch uint64, maxBytes int) ([]wire.RawObject, string, bool, error) {
-	if err := b.k.checkOpen(); err != nil {
-		return nil, "", false, err
-	}
-	req.Strategies = []Strategy{Retrieve}
-	if req.User == "" {
-		req.User = b.k.user
-	}
-	budget := maxBytes / 2
-	cap := req.Limit
-	if cap < 0 {
-		cap = 0
-	}
-	raws := make([]wire.RawObject, 0, cap)
-	total := 0
-	cursor, served, err := b.k.Queries.PageRawAt(ctx, req, epoch, func(class string, oid object.OID) (bool, error) {
-		rec, blobs, err := b.k.Objects.GetRawAt(oid, epoch)
-		if err != nil {
-			return false, err
-		}
-		raw := wire.RawObject{Rec: rec, Blobs: blobs}
-		size := raw.Size()
-		if size > maxBytes {
-			return false, fmt.Errorf("%w: object %d (%d bytes) exceeds the frame limit %d",
-				query.ErrBadRequest, oid, size, maxBytes)
-		}
-		if len(raws) > 0 && total+size > budget {
-			return false, nil // cut before this object; cursor re-minted at the last shipped
-		}
-		raws = append(raws, raw)
-		total += size
-		return true, nil
-	})
-	if err != nil {
-		return nil, "", false, classify(err)
-	}
-	return raws, cursor, served, nil
-}
-
-func (b kernelBackend) GetAt(oid object.OID, epoch uint64) (*object.Object, error) {
-	if err := b.k.checkOpen(); err != nil {
-		return nil, err
-	}
-	o, err := b.k.Objects.GetAt(oid, epoch)
-	return o, classify(err)
+	return pg.Raws, query.EncodeCursor(epoch, last.Class, last.OID), false, nil
 }
 
 // GetRawAt loads the version visible at a pinned epoch as a GOB3 record
-// holding its stored value bytes, to ship as it is (v2 OpSnapGet).
+// holding its stored value bytes, to ship as it is (OpSnapGet).
 func (b kernelBackend) GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, error) {
 	if err := b.k.checkOpen(); err != nil {
 		return wire.RawObject{}, err
