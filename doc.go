@@ -23,7 +23,8 @@
 //	k.DefineProcess(`DEFINE PROCESS ndvi_map ( ... )`)
 //
 //	// Batch ingest: one WAL commit, one invalidation sweep, and one
-//	// data_load task per class and note listing every OID created.
+//	// data_load task per class and note listing every OID created (a
+//	// record of ~40 bytes when the OIDs run back to back).
 //	s := k.Begin(ctx)
 //	for _, obj := range scene {
 //		s.Create(obj, "EOSAT tape 42")
@@ -96,8 +97,9 @@
 // window (client.Options.StreamWindow), and query results shipped as the
 // stored attribute bytes — encoded once at commit, never re-encoded per
 // request: the stored record leaves what its class says (name, frame,
-// attribute names) to the catalog, and the read path splices that back
-// per shipped record.
+// attribute names) to the catalog and keeps its epoch and OID as
+// varints (48 bytes for a one-float gauge), and the read path splices
+// the class's part back per shipped record.
 //
 // Remote snapshots and stream cursors hold their MVCC pins under
 // server-side leases (ServeOptions.SnapshotLease): every touch renews,

@@ -139,7 +139,7 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 			if err != nil {
 				return nil, err
 			}
-			if len(rec) > storage.MaxRecordLen {
+			if len(rec) > storage.MaxRecordLen { // rec is the body behind room for the widest header
 				return nil, fmt.Errorf("%w: object %d (class %s) encodes to %d bytes inline, a record holds %d; store large payloads as images",
 					ErrBadAttr, obj.OID, obj.Class, len(rec), storage.MaxRecordLen)
 			}
@@ -212,13 +212,11 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	b.SetEpoch(epoch)
 	insIdx := make([]int, len(inserts))
 	for i, in := range inserts {
-		stampEpoch(in.rec, epoch)
-		insIdx[i] = b.Insert(in.sch.heap, in.rec)
+		insIdx[i] = b.Insert(in.sch.heap, stamp(in.rec, in.obj.OID, epoch))
 	}
 	upIdx := make([]int, len(updates))
 	for i, up := range updates {
-		stampEpoch(up.rec, epoch)
-		upIdx[i] = b.Insert(up.sch.heap, up.rec)
+		upIdx[i] = b.Insert(up.sch.heap, stamp(up.rec, up.obj.OID, epoch))
 	}
 	delIdx := make([]int, len(ops.Deletes))
 	for i, oid := range ops.Deletes {

@@ -611,8 +611,7 @@ func TestReopenHealsInterruptedUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stampEpoch(rec, obj.CurrentEpoch()+1)
-	if _, err := st.Insert(heapFor("landsat_tm"), rec); err != nil {
+	if _, err := st.Insert(heapFor("landsat_tm"), stamp(rec, oid, obj.CurrentEpoch()+1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -1,16 +1,19 @@
 package object
 
-// Record forms. An object version exists as bytes in exactly two forms,
-// one per job, and nothing selects between them:
+// Record forms. An object version exists as bytes in three forms the
+// store reads, one of which it writes:
 //
-// The class-relative form is what the store writes. Like a tuple in a
-// relation, it does not repeat what its class says: the heap it lies in
-// names the class, and the (immutable) catalog entry gives the attribute
-// names, their order and, for a spatial class, the frame. Little endian:
+// The compact class-relative form is what the store writes. Like a tuple
+// in a relation, it does not repeat what its class says: the heap it lies
+// in names the class, and the (immutable) catalog entry gives the
+// attribute names, their order and, for a spatial class, the frame. Nor
+// does it spend fixed-width words on small numbers: the commit epoch and
+// the OID are uvarints. Little endian:
 //
 //	flags u8: 0x80 always (so the byte is never the 'G' of "GOB3"),
+//	          0x08 always (the uvarint header below),
 //	          0x01 tombstone, 0x02 timed, 0x04 own frame
-//	epoch u64, oid u64                      [a tombstone ends here: 17 B]
+//	epoch uvarint, oid uvarint              [a tombstone ends here: ~5 B]
 //	box 4 x f64
 //	interval 2 x i64                        (timed only)
 //	frame sysLen u16 + sys, unitLen u16 + unit
@@ -21,9 +24,13 @@ package object
 //	        uvarint(len<<1 | isBlob), then len bytes: the value.Encode
 //	        bytes, or (isBlob, len 8) the blob id u64
 //
+// The fixed-header relative form is the same record with 0x08 clear and
+// epoch u64, oid u64 in place of the two uvarints (17 B of header). The
+// store wrote it before the compact form and reads it still.
+//
 // The self-describing form "GOB3" is what leaves the package — the wire,
 // the federation relay — and what directories written before the
-// relative form hold; the store reads it and never writes it:
+// relative forms hold; the store reads it and never writes it:
 //
 //	magic "GOB3", oid u64, epoch u64, flags u8 (0x01 tombstone),
 //	classLen u16, class,
@@ -35,10 +42,12 @@ package object
 //	        inline: valLen u32 + value.Encode bytes
 //	        blob:   blobID u64
 //
-// epoch is the record's commit epoch — the MVCC version stamp, patched
-// into the encoded bytes when the enclosing batch reserves its epoch.
-// parseRecord is the one walker over both forms; the full decode, the
-// extent check, the reopen scan and the raw path all start from it.
+// epoch is the record's commit epoch — the MVCC version stamp. The epoch
+// is not known until the enclosing batch reserves it, so encodeObject
+// leaves headroom in front of the body and stamp writes the header there,
+// right-aligned against the body, once it is. parseRecord is the one
+// walker over all three forms; the full decode, the extent check, the
+// reopen scan and the raw path all start from it.
 
 import (
 	"encoding/binary"
@@ -59,15 +68,14 @@ const (
 	wireFlagTombstone = 0x01
 
 	flagRelative  = 0x80
+	flagCompact   = 0x08
 	flagTombstone = 0x01
 	flagTimed     = 0x02
 	flagOwnFrame  = 0x04
 
-	// epochOffset locates the epoch stamp inside a relative record: it
-	// follows the flags byte.
-	epochOffset = 1
-	// relHeaderLen is flags + epoch + oid: all of a tombstone.
-	relHeaderLen = 1 + 8 + 8
+	// headroom is the room encodeObject leaves in front of a record body
+	// for stamp: the widest header, flags + epoch + oid as uvarints.
+	headroom = 1 + 2*binary.MaxVarintLen64
 )
 
 // schema is what a class contributes to its records: the parts a relative
@@ -162,14 +170,19 @@ func parseRecord(rec []byte, sch *schema) (record, error) {
 func (w *record) parseRelative() {
 	r := &w.r
 	flags := r.u8()
-	if flags&^(flagRelative|flagTombstone|flagTimed|flagOwnFrame) != 0 {
+	if flags&^(flagRelative|flagCompact|flagTombstone|flagTimed|flagOwnFrame) != 0 {
 		r.failf("object: unknown record flags %#x", flags)
 		return
 	}
 	w.relative = true
 	w.class = w.sch.cls.Name
-	w.epoch = r.u64()
-	w.oid = OID(r.u64())
+	if flags&flagCompact != 0 {
+		w.epoch = r.uvarint()
+		w.oid = OID(r.uvarint())
+	} else {
+		w.epoch = r.u64()
+		w.oid = OID(r.u64())
+	}
 	if flags&flagTombstone != 0 {
 		w.del = true
 		return
@@ -335,13 +348,29 @@ func recordExtent(rec []byte, sch *schema) (sptemp.Extent, error) {
 	return w.ext, err
 }
 
-// stampEpoch patches the commit epoch into an encoded relative record.
-func stampEpoch(rec []byte, epoch uint64) {
-	binary.LittleEndian.PutUint64(rec[epochOffset:], epoch)
+// appendHeader appends a compact record header.
+func appendHeader(buf []byte, flags byte, epoch uint64, oid OID) []byte {
+	buf = append(buf, flags)
+	buf = binary.AppendUvarint(buf, epoch)
+	return binary.AppendUvarint(buf, uint64(oid))
 }
 
-// encodeObject serialises an object as a relative record with a zero
-// epoch placeholder (stamped at commit), offloading images through put.
+// stamp writes the header of a record encodeObject left unstamped — its
+// flags, the commit epoch, the OID — right-aligned against the body, and
+// returns the record from there: no copy of the body, no allocation.
+// buf[0] holds the flags throughout (the widest header writes them there
+// itself), so a record may be stamped again, at any epoch.
+func stamp(buf []byte, oid OID, epoch uint64) []byte {
+	var a [headroom]byte
+	hdr := appendHeader(a[:0], buf[0], epoch, oid)
+	at := headroom - len(hdr)
+	copy(buf[at:], hdr)
+	return buf[at:]
+}
+
+// encodeObject serialises an object as a compact relative record whose
+// header is left for stamp to write at commit, offloading images through
+// put.
 // The blob ids are returned with an error too: they name what was
 // written before it (and what a failed put may have left half-written),
 // for the caller to remove.
@@ -352,17 +381,15 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 			ErrBadAttr, obj.OID, len(obj.Attrs), sch.cls.Name, len(attrs))
 	}
 	ext := &obj.Extent
-	flags := byte(flagRelative)
+	flags := byte(flagRelative | flagCompact)
 	if ext.HasTime {
 		flags |= flagTimed
 	}
 	if ext.Frame != sch.cls.Frame {
 		flags |= flagOwnFrame
 	}
-	buf := make([]byte, 0, relHeaderLen+4*8+2*8+12*len(attrs))
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // epoch, stamped at commit
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(obj.OID))
+	buf := make([]byte, headroom, headroom+4*8+2*8+12*len(attrs))
+	buf[0] = flags
 	buf = appendBox(buf, ext.Space)
 	if ext.HasTime {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.Start))
@@ -415,10 +442,7 @@ func sealSpan(buf []byte, mark int) []byte {
 
 // encodeTombstone serialises a deletion marker for an OID at an epoch.
 func encodeTombstone(oid OID, epoch uint64) []byte {
-	buf := make([]byte, 0, relHeaderLen)
-	buf = append(buf, flagRelative|flagTombstone)
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	return binary.LittleEndian.AppendUint64(buf, uint64(oid))
+	return appendHeader(make([]byte, 0, headroom), flagRelative|flagCompact|flagTombstone, epoch, oid)
 }
 
 // appendWireHeader writes a GOB3 record up to and including its

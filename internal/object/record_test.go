@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,23 +33,44 @@ func noBlobs([]byte) (storage.BlobID, error) {
 }
 
 // TestRecordBytes pins the stored bytes per object: a bytes-per-object
-// regression fails here, not only at the benchmark's disk gate.
+// regression fails here, not only at the benchmark's disk gate. The
+// epoch and OID are the largest that still take two and three uvarint
+// bytes — the range a benchmark gauge set lives in.
 func TestRecordBytes(t *testing.T) {
+	const oid, epoch = 1<<21 - 1, 1<<14 - 1
 	gauge := &Object{
-		OID: 1, Class: "gauge",
+		OID: oid, Class: "gauge",
 		Attrs:  map[string]value.Value{"mm": value.Float(12.5)},
 		Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(20, 0, 30, 10)),
 	}
-	rec, _, err := encodeObject(newSchema(gaugeClass), gauge, noBlobs)
+	buf, _, err := encodeObject(newSchema(gaugeClass), gauge, noBlobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec) > 60 {
-		t.Errorf("a gauge is stored in %d bytes, want at most 60", len(rec))
+	if n := len(stamp(buf, oid, epoch)); n > 48 {
+		t.Errorf("a gauge is stored in %d bytes, want at most 48", n)
 	}
-	if n := len(encodeTombstone(1, 2)); n > 17 {
-		t.Errorf("a tombstone is stored in %d bytes, want at most 17", n)
+	if n := len(encodeTombstone(oid, epoch)); n > 6 {
+		t.Errorf("a tombstone is stored in %d bytes, want at most 6", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { stamp(buf, oid, epoch) }); n != 0 {
+		t.Errorf("stamping a record allocates %v times", n)
+	}
+}
+
+// fixedHeader rewrites a compact relative record in the fixed-header
+// form directories written before it hold: the same record with u64
+// epoch and OID.
+func fixedHeader(t testing.TB, rec []byte, sch *schema) []byte {
+	w, err := parseRecord(rec, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(appendHeader(nil, rec[0], w.epoch, w.oid))
+	out := []byte{rec[0] &^ flagCompact}
+	out = binary.LittleEndian.AppendUint64(out, w.epoch)
+	out = binary.LittleEndian.AppendUint64(out, uint64(w.oid))
+	return append(out, rec[n:]...)
 }
 
 // openStore opens a store in dir with the classes given.
@@ -343,10 +366,9 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 	}
 	next := storage.BlobID(7)
 	put := func([]byte) (storage.BlobID, error) { next++; return next, nil }
-	rel := func(o *Object) []byte {
+	rel := func(o *Object, epoch uint64) []byte {
 		rec, _, err := encodeObject(sch, o, put)
-		stampEpoch(must(rec, err), 3)
-		return rec
+		return stamp(must(rec, err), o.OID, epoch)
 	}
 	plain := &Object{
 		OID: 5, Class: "fz",
@@ -362,23 +384,30 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 		Attrs:  map[string]value.Value{"z_name": value.String_("s"), "data": value.Box(sptemp.NewBox(0, 0, 1, 1)), "n": value.Int(4)},
 		Extent: sptemp.TimelessExtent(sptemp.Frame{}, sptemp.EmptyBox()),
 	}
+	widest := *inline
+	widest.OID = math.MaxUint64
 	wireTomb := append(appendWireHeader(nil, 9, 4, "fz", sptemp.Extent{}, 0)[:20], wireFlagTombstone, 2, 0, 'f', 'z')
-	relPlain := rel(plain)
+	relPlain := rel(plain, 3)
 	w, err := parseRecord(relPlain, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return [][]byte{
-		relPlain,                          // relative: timed, own frame, a blob, a long value
-		rel(inline),                       // relative: untimed, class frame, all inline
-		encodeTombstone(5, 4),             // relative tombstone
-		must(w.wire()),                    // GOB3 with a blob reference
-		must(EncodeWire(inline)),          // GOB3, all inline
-		wireTomb,                          // GOB3 tombstone
-		{},                                // empty
-		relPlain[:len(relPlain)-3],        // truncated
-		append(rel(inline), 0),            // trailing byte
-		{flagRelative | 0x40, 0, 0, 0, 0}, // unknown flag
+		relPlain,                            // relative: timed, own frame, a blob, a long value
+		rel(inline, 3),                      // relative: untimed, class frame, all inline
+		encodeTombstone(5, 4),               // relative tombstone
+		must(w.wire()),                      // GOB3 with a blob reference
+		must(EncodeWire(inline)),            // GOB3, all inline
+		wireTomb,                            // GOB3 tombstone
+		{},                                  // empty
+		relPlain[:len(relPlain)-3],          // truncated
+		append(rel(inline, 3), 0),           // trailing byte
+		{flagRelative | 0x40, 0, 0, 0, 0},   // unknown flag
+		fixedHeader(t, relPlain, sch),       // fixed header: timed, own frame, a blob
+		fixedHeader(t, rel(inline, 3), sch), // fixed header, all inline
+		fixedHeader(t, encodeTombstone(5, 4), sch), // fixed-header tombstone
+		rel(&widest, math.MaxUint64),               // widest header: 21 bytes
+		append([]byte{flagRelative | flagCompact | flagTombstone}, bytes.Repeat([]byte{0xff}, 10)...), // epoch uvarint past 64 bits
 	}
 }
 
@@ -393,9 +422,11 @@ func hasImage(o *Object) bool {
 }
 
 // FuzzRecordDecode drives arbitrary bytes through the one record walker
-// as a record of either form: every consumer stays inside the buffer (a
-// panic fails the run), and decode → encode → decode converges on one
-// byte string per form, whose raw-path splice is the EncodeWire bytes.
+// as a heap record and as a wire record: every consumer stays inside the
+// buffer (a panic fails the run), and decode → encode → stamp → decode
+// converges on one byte string per form, whose raw-path splice is the
+// EncodeWire bytes, and which stamping again at the same epoch leaves as
+// it was.
 func FuzzRecordDecode(f *testing.F) {
 	for _, rec := range fuzzSeedRecords(f) {
 		f.Add(rec)
@@ -425,13 +456,21 @@ func FuzzRecordDecode(f *testing.F) {
 				obj.Extent.TimeIv = sptemp.Interval{} // GOB3 has the slot regardless; the relative form keeps no interval for an untimed object
 			}
 
-			rel1, _, err := encodeObject(fz, obj, noBlobs)
+			buf, _, err := encodeObject(fz, obj, noBlobs)
 			if err != nil {
 				t.Fatalf("re-encode of a decoded object: %v", err)
 			}
+			rel1 := slices.Clone(stamp(buf, obj.OID, w.epoch))
 			w1, err := parseRecord(rel1, fz)
 			if err != nil {
 				t.Fatalf("re-decode: %v", err)
+			}
+			if w1.oid != obj.OID || w1.epoch != w.epoch {
+				t.Fatalf("stamped oid %d epoch %d, read back %d, %d", obj.OID, w.epoch, w1.oid, w1.epoch)
+			}
+			stamp(buf, obj.OID, ^w.epoch) // another epoch, mostly another header width
+			if again := stamp(buf, obj.OID, w.epoch); !bytes.Equal(again, rel1) {
+				t.Fatalf("stamping again changed the record:\n%x\n%x", rel1, again)
 			}
 			spliced, err := w1.wire()
 			if err != nil {
@@ -441,6 +480,7 @@ func FuzzRecordDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("wire re-encode: %v", err)
 			}
+			binary.LittleEndian.PutUint64(wire1[12:], w.epoch) // EncodeWire leaves the epoch slot zero
 			if !bytes.Equal(spliced, wire1) {
 				t.Fatalf("splice and EncodeWire differ:\n%x\n%x", spliced, wire1)
 			}
@@ -448,9 +488,12 @@ func FuzzRecordDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("wire re-decode: %v", err)
 			}
-			rel2, _, err := encodeObject(fz, obj2, noBlobs)
-			if err != nil || !bytes.Equal(rel1, rel2) {
-				t.Fatalf("did not converge (%v):\n%x\n%x", err, rel1, rel2)
+			buf2, _, err := encodeObject(fz, obj2, noBlobs)
+			if err != nil {
+				t.Fatalf("re-encode of the wire decode: %v", err)
+			}
+			if rel2 := stamp(buf2, obj2.OID, w.epoch); !bytes.Equal(rel1, rel2) {
+				t.Fatalf("did not converge:\n%x\n%x", rel1, rel2)
 			}
 		}
 	})

@@ -221,8 +221,14 @@ func (pl *Planner) Plan(ctx context.Context, target string, pred sptemp.Extent) 
 		p.Existing = existing
 		return p, nil
 	}
-	if _, err := pl.satisfyOne(st, target, pred, map[string]bool{}, 0, p, newExclusions()); err != nil {
+	ref, err := pl.satisfyOne(st, target, pred, map[string]bool{}, 0, p, newExclusions())
+	if err != nil {
 		return nil, err
+	}
+	if !ref.FromStep {
+		// A target committed since the look above (a concurrent derivation
+		// of the same tile): the plan is to retrieve it.
+		p.Existing = []object.OID{ref.OID}
 	}
 	return p, nil
 }

@@ -338,6 +338,9 @@ func (qe *Executor) tryDerive(ctx context.Context, classes []string, req Request
 			continue
 		}
 		oids, tasks, err := qe.ExecutePlan(ctx, plan, task.RunOptions{User: req.User, Parallelism: req.Parallelism})
+		if err == nil && len(oids) == 0 {
+			err = fmt.Errorf("query: the plan for %s yielded no object", cls)
+		}
 		if err != nil {
 			lastErr = err
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gaea/internal/adt"
@@ -376,5 +377,54 @@ func TestQueryStaleRetrieve(t *testing.T) {
 	text, err := w.qe.Explain(context.Background(), Request{Class: "landcover", Pred: anyPred()})
 	if err != nil || !strings.Contains(text, "(2 stale)") {
 		t.Errorf("explain = %q, %v", text, err)
+	}
+}
+
+// TestDerivePlanRacingCommit: a query whose planning races another
+// query's commit of the very object it needs answers that object, never
+// an empty result. The tile's one landcover is stale, which gives the
+// racing query's planner a hook: its first look for stored targets finds
+// only the stale one, and it is held there while the other query derives
+// and commits a fresh landcover; its second look then finds the fresh
+// one. Before the fix that made a plan of no steps and no stored objects,
+// and the query answered nothing without an error.
+func TestDerivePlanRacingCommit(t *testing.T) {
+	w := newWorld(t)
+	scene := w.insertScene(t, 3, sptemp.Date(1986, 1, 15), 1986)
+	old := w.runClassify(t, scene)
+	isStale := func(oid object.OID) bool { return oid == old }
+	w.qe.Stale = func(oid object.OID, _ uint64) bool { return isStale(oid) }
+	w.exec.Stale = isStale // no refresher: the stale output is derived anew
+
+	looked, release := make(chan struct{}), make(chan struct{})
+	var gated atomic.Bool
+	w.qe.Planner.Stale = func(oid object.OID) bool {
+		if oid == old && gated.CompareAndSwap(false, true) {
+			close(looked)
+			<-release
+		}
+		return isStale(oid)
+	}
+	type answer struct {
+		res *Result
+		err error
+	}
+	racing := make(chan answer)
+	go func() {
+		res, err := w.qe.Run(context.Background(), Request{Class: "landcover", Pred: anyPred()})
+		racing <- answer{res, err}
+	}()
+	<-looked
+	first, err := w.qe.Run(context.Background(), Request{Class: "landcover", Pred: anyPred()})
+	if err != nil || len(first.OIDs) != 1 || first.OIDs[0] == old {
+		t.Fatalf("first query = %+v, %v; want one fresh landcover", first, err)
+	}
+	close(release)
+	got := <-racing
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if len(got.res.OIDs) != 1 || got.res.OIDs[0] != first.OIDs[0] {
+		t.Fatalf("racing query = %+v; want the committed landcover %d", got.res, first.OIDs[0])
 	}
 }

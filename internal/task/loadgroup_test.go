@@ -2,6 +2,7 @@ package task
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"gaea/internal/object"
@@ -20,10 +21,13 @@ func commitStaged(t *testing.T, e *env, tasks []*Task, recs []object.ExtraRec) {
 	}
 }
 
-// TestStageExternalSingleOutputKeepsLegacyRecord: a load of one object is
-// recorded in the form every record had before load groups, byte for byte.
-func TestStageExternalSingleOutputKeepsLegacyRecord(t *testing.T) {
-	e := newEnv(t)
+// TestLegacySingleOutputRecordReads: a task log holding a single-output
+// record in the JSON form every record had before load groups opens
+// beside binary records, and reads as the task StageExternal stages for
+// the same load.
+func TestLegacySingleOutputRecordReads(t *testing.T) {
+	dir := t.TempDir()
+	e := openEnv(t, dir, false)
 	tasks, recs, err := e.exec.StageExternal("data_load", nil, []object.OID{41}, "landsat_tm", RunOptions{User: "u", Note: "n"})
 	if err != nil || len(tasks) != 1 || len(recs) != 1 {
 		t.Fatalf("staged %d tasks, %d records, %v", len(tasks), len(recs), err)
@@ -42,8 +46,21 @@ func TestStageExternalSingleOutputKeepsLegacyRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(recs[0].Rec) != string(legacy) {
-		t.Errorf("single-output record\n %s\nis not the legacy form\n %s", recs[0].Rec, legacy)
+	if _, err := e.st.Insert(tasksHeap, legacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.exec.RecordExternal("data_load", nil, 42, "landsat_tm", RunOptions{User: "u"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = openEnv(t, dir, true)
+	if got, ok := e.exec.Producer(41); !ok || !reflect.DeepEqual(got, tasks[0]) {
+		t.Errorf("legacy record reads as %+v, %v; staged %+v", got, ok, tasks[0])
+	}
+	if got, ok := e.exec.Producer(42); !ok || got.User != "u" || got.Output != 42 {
+		t.Errorf("binary record beside it reads as %+v, %v", got, ok)
 	}
 }
 

@@ -23,7 +23,7 @@ package task
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -55,7 +55,9 @@ var (
 	ErrStaleInput = errors.New("task: input is stale")
 )
 
-// Task is one recorded derivation.
+// Task is one recorded derivation. The log stores it as a binary record
+// (record.go); the json tags name the fields of the JSON records written
+// before that, which the log still reads.
 type Task struct {
 	ID      ID     `json:"id"`
 	Process string `json:"process"`
@@ -69,8 +71,7 @@ type Task struct {
 	Output object.OID `json:"output"`
 	// OutputRuns lists every output of a task that generated a set (a
 	// session's load group), Output included, as ascending disjoint runs.
-	// It is empty for single-output tasks, whose records carry only
-	// "output" — the form every record had before load groups existed.
+	// It is empty for single-output tasks.
 	OutputRuns []Run `json:"outputs,omitempty"`
 	// OutClass denormalises the output class for lineage display.
 	OutClass string `json:"out_class"`
@@ -231,12 +232,12 @@ func OpenExecutor(st *storage.Store, cat *catalog.Catalog, reg *adt.Registry, ob
 	}
 	var scanErr error
 	err := st.Scan(tasksHeap, func(rid storage.RID, rec []byte) bool {
-		var t Task
-		if err := json.Unmarshal(rec, &t); err != nil {
+		t, err := decodeTask(rec)
+		if err != nil {
 			scanErr = fmt.Errorf("task: corrupt record %s: %w", rid, err)
 			return false
 		}
-		e.indexLocked(&t)
+		e.indexLocked(t)
 		return true
 	})
 	if err != nil {
@@ -499,11 +500,7 @@ func (e *Executor) record(t *Task) (*Task, error) {
 		return nil, err
 	}
 	t.ID = ID(id)
-	rec, err := json.Marshal(t)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := e.st.Insert(tasksHeap, rec); err != nil {
+	if _, err := e.st.Insert(tasksHeap, appendTask(make([]byte, 0, recordCap), t)); err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
@@ -901,21 +898,17 @@ func (e *Executor) RecordExternal(procName string, inputs map[string][]object.OI
 	})
 }
 
-// maxRunsPerRecord bounds how many runs one task record can hold: the
-// shortest run encodes as `[1,1],`.
-const maxRunsPerRecord = storage.MaxRecordLen / 6
-
 // StageExternal prepares the task of an external derivation that
 // generated a set of objects — a session's creates of one class under one
 // note — for inclusion in an atomic storage batch instead of logging it
-// immediately: the task ID is reserved in memory, and the marshalled heap
+// immediately: the task ID is reserved in memory, and the encoded heap
 // record is returned for the caller to commit alongside its object
 // mutations (the batch must pin the "task" sequence — object.Store.
 // ApplyBatch accepts it via PinSeqs). After the batch commits, Publish
-// indexes the task. The outputs are recorded as [first, count] runs, so
-// OIDs reserved back to back cost one record of ~150 bytes however many
+// indexes the task. The outputs are recorded as (first, count) runs, so
+// OIDs reserved back to back cost one record of ~40 bytes however many
 // they are; only a set scattered into more runs than a heap record holds
-// is split over several tasks.
+// is split over several tasks, each taking the runs that fit its record.
 func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, outputs []object.OID, outClass string, opts RunOptions) ([]*Task, []object.ExtraRec, error) {
 	var tasks []*Task
 	var recs []object.ExtraRec
@@ -929,21 +922,19 @@ func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID
 			OutClass: outClass,
 			Note:     opts.Note,
 		}
-		n := min(len(runs), maxRunsPerRecord)
-		var rec []byte
-		for {
-			t.setOutputs(runs[:n])
-			var err error
-			if rec, err = json.Marshal(t); err != nil {
-				return nil, nil, err
-			}
-			if len(rec) <= storage.MaxRecordLen || n == 1 {
+		head := appendTaskHead(make([]byte, 0, recordCap), t)
+		// Take runs while they fit, the run count at its widest; the first
+		// is taken regardless.
+		n, size, end := 0, len(head)+binary.MaxVarintLen64, uint64(0)
+		for ; n < len(runs); n++ {
+			if size += runSize(runs[n], end); size > storage.MaxRecordLen && n > 0 {
 				break
 			}
-			n /= 2
+			end = runs[n][0] + runs[n][1]
 		}
+		t.setOutputs(runs[:n])
 		tasks = append(tasks, t)
-		recs = append(recs, object.ExtraRec{Heap: tasksHeap, Rec: rec})
+		recs = append(recs, object.ExtraRec{Heap: tasksHeap, Rec: appendRuns(head, runs[:n])})
 		runs = runs[n:]
 	}
 	return tasks, recs, nil

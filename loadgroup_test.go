@@ -339,7 +339,7 @@ func TestSessionLoadGroupTornTail(t *testing.T) {
 // task record per created object — opens, and every object explains
 // exactly as the writing commit rendered it (explain.golden).
 func TestOpenPerObjectTaskLog(t *testing.T) {
-	dir, golden := copyPerObjectTasks(t)
+	dir, golden := copyFixture(t, "per-object-tasks")
 	k, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -367,13 +367,15 @@ func TestOpenPerObjectTaskLog(t *testing.T) {
 	}
 }
 
-// copyPerObjectTasks copies testdata/per-object-tasks — a directory an
-// earlier commit wrote: self-describing GOB3 object records, one task
-// record per object — into a scratch directory, and returns it with the
-// Explain of objects 1–7 as that commit rendered it.
-func copyPerObjectTasks(t *testing.T) (dir, golden string) {
+// copyFixture copies a directory an earlier commit wrote from testdata
+// into a scratch directory, and returns it with the Explain of objects
+// 1–7 as that commit rendered it. testdata/per-object-tasks holds
+// self-describing GOB3 object records and one JSON task record per
+// object; testdata/relative-records holds fixed-header relative object
+// records, a JSON load-group task and a JSON derivation task.
+func copyFixture(t *testing.T, name string) (dir, golden string) {
 	t.Helper()
-	src := filepath.Join("testdata", "per-object-tasks")
+	src := filepath.Join("testdata", name)
 	dir = t.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {
@@ -410,7 +412,7 @@ func explainAll(k *Kernel, last object.OID) string {
 // Explain with both record forms side by side.
 func TestOpenSelfDescribingHeaps(t *testing.T) {
 	ctx := context.Background()
-	dir, golden := copyPerObjectTasks(t)
+	dir, golden := copyFixture(t, "per-object-tasks")
 	k, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -506,5 +508,157 @@ func TestOpenSelfDescribingHeaps(t *testing.T) {
 	// Loaded 1,3,5,6 untouched; 2's new version and the created object.
 	if selfDescribing != 4 || relative != 2 {
 		t.Errorf("obj_rain holds %d GOB3 and %d relative records, want 4 and 2", selfDescribing, relative)
+	}
+}
+
+// explainSections splits an explain.golden into each object's Explain.
+func explainSections(golden string) map[object.OID]string {
+	out := map[object.OID]string{}
+	for _, sec := range strings.Split(golden, "== ")[1:] {
+		head, body, _ := strings.Cut(sec, "\n")
+		var oid object.OID
+		fmt.Sscan(head, &oid)
+		out[oid] = body
+	}
+	return out
+}
+
+// TestOpenFixedHeaderRecords: a directory whose object heaps hold
+// fixed-header relative records and whose task log holds JSON records —
+// a load group and a derivation with inputs — opens and explains as its
+// writer saw it; then takes an update, a delete, a load and a derivation
+// (compact records and binary tasks in the same heaps), a checkpoint with
+// its GC, and a reopen, and still answers every Get and Explain with both
+// forms of each side by side.
+func TestOpenFixedHeaderRecords(t *testing.T) {
+	ctx := context.Background()
+	dir, golden := copyFixture(t, "relative-records")
+	k, err := Open(dir, Options{NoSync: true, User: "compact"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := explainAll(k, 7); got != golden {
+		t.Fatalf("explain drifted from the writing commit:\ngot:\n%swant:\n%s", got, golden)
+	}
+	want := map[object.OID]*object.Object{}
+	for oid := object.OID(1); oid <= 7; oid++ {
+		o, err := k.Objects.Get(oid)
+		if err != nil {
+			t.Fatalf("get %d: %v", oid, err)
+		}
+		want[oid] = o
+	}
+
+	upd := &object.Object{OID: 2, Class: "rain", Attrs: map[string]value.Value{"mm": value.Float(77)}, Extent: want[2].Extent}
+	if err := k.UpdateObject(ctx, upd); err != nil {
+		t.Fatal(err)
+	}
+	want[2] = upd
+	if err := k.DeleteObject(ctx, 4); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, 4)
+	s := k.Begin(ctx)
+	var loaded []object.OID
+	for i := 0; i < 2; i++ {
+		o := rainObject(float64(50+i), float64(7000+100*i))
+		oid, err := s.Create(o, "new")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[oid] = o
+		loaded = append(loaded, oid)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tk, _, err := k.RunProcess(ctx, "copy_rain", map[string][]object.OID{"x": {5}}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want[tk.Output], err = k.Objects.Get(tk.Output); err != nil {
+		t.Fatal(err)
+	}
+
+	// What every member explains as: the untouched ones as the writer
+	// rendered them, the new ones through the binary tasks.
+	sections := explainSections(golden)
+	explain := map[object.OID]string{}
+	for oid := range want {
+		explain[oid] = sections[oid]
+	}
+	prod, ok := k.Tasks.Producer(loaded[0])
+	if !ok {
+		t.Fatal("the new load has no task")
+	}
+	for _, oid := range loaded {
+		explain[oid] = fmt.Sprintf("object %d (rain) <- task %d: data_load v0 by compact\n", oid, prod.ID)
+	}
+	explain[tk.Output] = fmt.Sprintf("object %d (rain_copy) <- task %d: copy_rain v1 by compact\n  x:\n    %s", tk.Output, tk.ID, sections[5])
+
+	check := func(k *Kernel, when string) {
+		t.Helper()
+		for oid, w := range want {
+			got, err := k.Objects.Get(oid)
+			if err != nil || !reflect.DeepEqual(got, w) {
+				t.Errorf("%s: get %d = %+v, %v; want %+v", when, oid, got, err, w)
+			}
+			rec, blobs, err := k.Objects.GetRawAt(oid, k.Objects.CurrentEpoch())
+			if err != nil {
+				t.Errorf("%s: raw %d: %v", when, oid, err)
+			} else if got, err := object.DecodeWire(rec, blobs); err != nil || !reflect.DeepEqual(got, w) {
+				t.Errorf("%s: raw %d decodes to %+v, %v; want %+v", when, oid, got, err, w)
+			}
+		}
+		if _, err := k.Objects.Get(4); !errors.Is(err, object.ErrNotFound) {
+			t.Errorf("%s: deleted object 4: %v", when, err)
+		}
+		for oid, w := range explain {
+			if got := k.Explain(oid); got != w {
+				t.Errorf("%s: explain %d = %q, want %q", when, oid, got, w)
+			}
+		}
+	}
+	check(k, "before GC")
+	if _, err := k.Checkpoint(); err != nil { // GC, then log compaction
+		t.Fatal(err)
+	}
+	check(k, "after checkpoint")
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k2.Close()
+	check(k2, "after reopen")
+	// Both forms really are side by side in each heap: a fixed-header
+	// record's flags lack the compact bit 0x08; a JSON task starts '{'.
+	count := func(heap string, old func(byte) bool) (oldForm, newForm int) {
+		t.Helper()
+		if err := k2.Store.Scan(heap, func(_ storage.RID, rec []byte) bool {
+			if old(rec[0]) {
+				oldForm++
+			} else {
+				newForm++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return oldForm, newForm
+	}
+	// 1, 3, 5, 6 untouched; 2's new version and the two loaded.
+	if fixed, compact := count("obj_rain", func(b byte) bool { return b&0x88 == 0x80 }); fixed != 4 || compact != 3 {
+		t.Errorf("obj_rain holds %d fixed-header and %d compact records, want 4 and 3", fixed, compact)
+	}
+	if fixed, compact := count("obj_rain_copy", func(b byte) bool { return b&0x88 == 0x80 }); fixed != 1 || compact != 1 {
+		t.Errorf("obj_rain_copy holds %d fixed-header and %d compact records, want 1 and 1", fixed, compact)
+	}
+	// The writer's load group and derivation; the new load and derivation.
+	if json, binary := count("tasks", func(b byte) bool { return b == '{' }); json != 2 || binary != 2 {
+		t.Errorf("the task log holds %d JSON and %d binary records, want 2 and 2", json, binary)
 	}
 }
