@@ -3,7 +3,8 @@
 // tables), so each figure is reproduced as an executable scenario and the
 // benchmarks measure the costs the design implies: metadata overhead,
 // derivation vs retrieval vs memoisation, planner scaling, and the
-// storage substrate. EXPERIMENTS.md records the measured numbers.
+// storage substrate. BENCH.txt records one run of every benchmark in the
+// module; README.md maps each experiment to its benchmark.
 package gaea
 
 import (
@@ -74,9 +75,12 @@ DEFINE COMPOUND PROCESS land_change_detection (
   }
 )`
 
-func benchKernel(b *testing.B) *Kernel {
+// benchKernel opens a kernel with the Figure 3/5 schema: the Landsat,
+// land cover and change-map classes and the processes over them.
+func benchKernel(b *testing.B, opts Options) *Kernel {
 	b.Helper()
-	k, err := Open(b.TempDir(), Options{NoSync: true, User: "bench"})
+	opts.User = "bench"
+	k, err := Open(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func anyPredBench() sptemp.Extent {
 // store a scene object (catalog check, blob offload, WAL, index) and
 // answer a point query for it.
 func BenchmarkFig1KernelPipeline(b *testing.B) {
-	k := benchKernel(b)
+	k := benchKernel(b, Options{NoSync: true})
 	imgs := benchScene(b, 32, 1986)
 	day := sptemp.Date(1986, 6, 19)
 	b.ResetTimer()
@@ -191,7 +195,7 @@ func BenchmarkFig1KernelPipeline(b *testing.B) {
 // hierarchy over derived classes) and measures resolving a concept query
 // through the high-level layer to stored objects.
 func BenchmarkFig2ConceptResolution(b *testing.B) {
-	k := benchKernel(b)
+	k := benchKernel(b, Options{NoSync: true})
 	// Desert-style hierarchy over the landcover class.
 	if err := k.DefineConcept(&concept.Concept{Name: "land cover", Classes: []string{"landcover"}}); err != nil {
 		b.Fatal(err)
@@ -230,7 +234,7 @@ func BenchmarkFig3UnsupervisedClassification(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("process/%dx%d", size, size), func(b *testing.B) {
-			k := benchKernel(b)
+			k := benchKernel(b, Options{NoSync: true})
 			scene := loadBenchScene(b, k, size, 1986)
 			in := map[string][]object.OID{"bands": scene}
 			b.ResetTimer()
@@ -283,7 +287,7 @@ func BenchmarkFig5LandChange(b *testing.B) {
 	b.Run("gaea/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			k := benchKernel(b)
+			k := benchKernel(b, Options{NoSync: true})
 			tm1 := loadBenchScene(b, k, size, 1986)
 			tm2 := loadBenchScene(b, k, size, 1989)
 			in := map[string][]object.OID{"tm1": tm1, "tm2": tm2}
@@ -294,7 +298,7 @@ func BenchmarkFig5LandChange(b *testing.B) {
 		}
 	})
 	b.Run("gaea/memoised", func(b *testing.B) {
-		k := benchKernel(b)
+		k := benchKernel(b, Options{NoSync: true})
 		tm1 := loadBenchScene(b, k, size, 1986)
 		tm2 := loadBenchScene(b, k, size, 1989)
 		in := map[string][]object.OID{"tm1": tm1, "tm2": tm2}
@@ -343,7 +347,7 @@ func BenchmarkFig5LandChange(b *testing.B) {
 func BenchmarkQ1QueryFallback(b *testing.B) {
 	const size = 32
 	b.Run("retrieve", func(b *testing.B) {
-		k := benchKernel(b)
+		k := benchKernel(b, Options{NoSync: true})
 		scene := loadBenchScene(b, k, size, 1986)
 		if _, _, err := k.RunProcess(context.Background(), "unsupervised_classification", map[string][]object.OID{"bands": scene}, RunOptions{}); err != nil {
 			b.Fatal(err)
@@ -357,7 +361,7 @@ func BenchmarkQ1QueryFallback(b *testing.B) {
 		}
 	})
 	b.Run("interpolate", func(b *testing.B) {
-		k := benchKernel(b)
+		k := benchKernel(b, Options{NoSync: true})
 		s1 := loadBenchScene(b, k, size, 1986)
 		s2 := loadBenchScene(b, k, size, 1988)
 		for _, s := range [][]object.OID{s1, s2} {
@@ -369,8 +373,6 @@ func BenchmarkQ1QueryFallback(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Each probe at a slightly different instant forces fresh
 			// interpolation (stored exact matches would short-circuit).
-			at := sptemp.Date(1987, 6, 1).Add(0)
-			_ = at
 			pred := sptemp.NewExtent(sptemp.DefaultFrame, sptemp.EmptyBox(),
 				sptemp.Instant(sptemp.Date(1987, 6, 1)+sptemp.AbsTime(i+1)))
 			if _, err := k.Query(context.Background(), Request{Class: "landcover", Pred: pred, Strategies: []Strategy{Interpolate}}); err != nil {
@@ -381,7 +383,7 @@ func BenchmarkQ1QueryFallback(b *testing.B) {
 	b.Run("derive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			k := benchKernel(b)
+			k := benchKernel(b, Options{NoSync: true})
 			loadBenchScene(b, k, size, 1986)
 			req := Request{Class: "landcover", Pred: anyPredBench()}
 			b.StartTimer()
@@ -493,7 +495,7 @@ DEFINE PROCESS p%d (
 func BenchmarkT1TaskMemoisation(b *testing.B) {
 	const size = 48
 	b.Run("gaea/memo", func(b *testing.B) {
-		k := benchKernel(b)
+		k := benchKernel(b, Options{NoSync: true})
 		scene := loadBenchScene(b, k, size, 1986)
 		in := map[string][]object.OID{"bands": scene}
 		if _, _, err := k.RunProcess(context.Background(), "unsupervised_classification", in, RunOptions{}); err != nil {
@@ -508,7 +510,7 @@ func BenchmarkT1TaskMemoisation(b *testing.B) {
 		}
 	})
 	b.Run("gaea/recompute", func(b *testing.B) {
-		k := benchKernel(b)
+		k := benchKernel(b, Options{NoSync: true})
 		scene := loadBenchScene(b, k, size, 1986)
 		in := map[string][]object.OID{"bands": scene}
 		b.ResetTimer()
@@ -597,7 +599,7 @@ func BenchmarkS1Storage(b *testing.B) {
 	})
 	b.Run("task-memo-lookup", func(b *testing.B) {
 		// The metadata operation Gaea adds to every derivation request.
-		k := benchKernel(b)
+		k := benchKernel(b, Options{NoSync: true})
 		scene := loadBenchScene(b, k, 16, 1986)
 		in := map[string][]object.OID{"bands": scene}
 		if _, _, err := k.RunProcess(context.Background(), "unsupervised_classification", in, RunOptions{}); err != nil {
@@ -614,50 +616,6 @@ func BenchmarkS1Storage(b *testing.B) {
 
 // ---------- C1: concurrent derivation engine ----------
 
-// benchKernelAt opens a durable kernel (WAL fsync on, as in production)
-// with the Figure 3/5 schema and the given worker-pool size.
-func benchKernelAt(b *testing.B, workers int) *Kernel {
-	b.Helper()
-	k, err := Open(b.TempDir(), Options{User: "bench", Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { k.Close() })
-	for _, c := range []*catalog.Class{
-		{
-			Name: "landsat_tm", Kind: catalog.KindBase,
-			Attrs: []catalog.Attr{
-				{Name: "band", Type: value.TypeString},
-				{Name: "data", Type: value.TypeImage},
-			},
-			Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
-		},
-		{
-			Name: "landcover", Kind: catalog.KindDerived, DerivedBy: "unsupervised_classification",
-			Attrs: []catalog.Attr{
-				{Name: "numclass", Type: value.TypeInt},
-				{Name: "data", Type: value.TypeImage},
-			},
-			Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
-		},
-		{
-			Name: "land_cover_changes", Kind: catalog.KindDerived, DerivedBy: "change_map",
-			Attrs: []catalog.Attr{{Name: "data", Type: value.TypeImage}},
-			Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
-		},
-	} {
-		if err := k.DefineClass(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, src := range []string{p20Bench, changeMapBench, lcdBench} {
-		if _, err := k.DefineProcess(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return k
-}
-
 // BenchmarkConcurrentQueries is the concurrent-query scenario: each
 // operation ingests one scene into a fresh spatial tile and answers the
 // landcover query for that tile through the full §2.1.5 path (plan +
@@ -668,7 +626,7 @@ func benchKernelAt(b *testing.B, workers int) *Kernel {
 func BenchmarkConcurrentQueries(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			k := benchKernelAt(b, workers)
+			k := benchKernel(b, Options{Workers: workers})
 			imgs := benchScene(b, 16, 1986)
 			day := sptemp.Date(1986, 6, 19)
 			b.ResetTimer()
@@ -732,7 +690,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 func BenchmarkParallelCompound(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			k := benchKernelAt(b, workers)
+			k := benchKernel(b, Options{Workers: workers})
 			tm1 := loadBenchScene(b, k, 16, 1986)
 			tm2 := loadBenchScene(b, k, 16, 1989)
 			in := map[string][]object.OID{"tm1": tm1, "tm2": tm2}
@@ -757,7 +715,7 @@ func BenchmarkParallelCompound(b *testing.B) {
 func BenchmarkSingleFlightFanIn(b *testing.B) {
 	for _, clients := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			k := benchKernelAt(b, clients)
+			k := benchKernel(b, Options{Workers: clients})
 			scene := loadBenchScene(b, k, 16, 1986)
 			in := map[string][]object.OID{"bands": scene}
 			b.ResetTimer()
@@ -789,104 +747,149 @@ func BenchmarkSingleFlightFanIn(b *testing.B) {
 // BenchmarkUpdateInvalidate measures the derived-data manager's update
 // path: one base scene fans out to fanout change maps (all sharing the
 // 1986 landcover), so updating a single band invalidates fanout+1
-// derived objects, and RefreshStale recomputes them — the independent
-// change maps in parallel on the worker pool. Throughput should scale
-// with workers because the fan-out refreshes are independent.
+// derived objects, and each refresh policy brings them back — manual by
+// RefreshStale, eager by the background refresher, lazy by clients
+// re-issuing their standing derivations, whose stale memo hits refresh
+// the recorded objects in place. Throughput should scale with workers
+// because the fan-out refreshes are independent.
 func BenchmarkUpdateInvalidate(b *testing.B) {
 	const fanout = 6
 	const size = 16
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			k, err := Open(b.TempDir(), Options{
-				NoSync: true, User: "bench", Workers: workers,
-				RefreshPolicy: ManualRefresh, // refresh timing under the benchmark's control
+	for _, policy := range []RefreshPolicy{ManualRefresh, EagerRefresh, LazyRefresh} {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("policy=%s/workers=%d", policy, workers), func(b *testing.B) {
+				k := benchKernel(b, Options{NoSync: true, Workers: workers, RefreshPolicy: policy})
+				ctx := context.Background()
+				base := map[string][]object.OID{"bands": loadBenchScene(b, k, size, 1986)}
+				lc0, _, err := k.RunProcess(ctx, "unsupervised_classification", base, RunOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				maps := make([]map[string][]object.OID, fanout)
+				for i := range maps {
+					scene := loadBenchScene(b, k, size, 1990+i)
+					lci, _, err := k.RunProcess(ctx, "unsupervised_classification", map[string][]object.OID{"bands": scene}, RunOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					maps[i] = map[string][]object.OID{"a": {lc0.Output}, "b": {lci.Output}}
+					if _, _, err := k.RunProcess(ctx, "change_map", maps[i], RunOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// Two variants of the red band to alternate between.
+				variants := [2]*raster.Image{benchScene(b, size, 1986)[0], benchScene(b, size, 1987)[0]}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					o, err := k.Objects.Get(base["bands"][0])
+					if err != nil {
+						b.Fatal(err)
+					}
+					o.Attrs["data"] = value.Image{Img: variants[i%2]}
+					if err := k.UpdateObject(ctx, o); err != nil {
+						b.Fatal(err)
+					}
+					switch policy {
+					case ManualRefresh:
+						n, err := k.RefreshStale(ctx)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if n != fanout+1 {
+							b.Fatalf("refreshed %d, want %d", n, fanout+1)
+						}
+					case EagerRefresh:
+						for len(k.Stale()) > 0 {
+							time.Sleep(200 * time.Microsecond)
+						}
+					case LazyRefresh:
+						if _, _, err := k.RunProcess(ctx, "unsupervised_classification", base, RunOptions{}); err != nil {
+							b.Fatal(err)
+						}
+						for _, in := range maps {
+							if _, _, err := k.RunProcess(ctx, "change_map", in, RunOptions{}); err != nil {
+								b.Fatal(err)
+							}
+						}
+						if n := len(k.Stale()); n > 0 {
+							b.Fatalf("%d objects still stale after the lazy touch", n)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.N*(fanout+1))/b.Elapsed().Seconds(), "refreshes/s")
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { k.Close() })
-			for _, c := range []*catalog.Class{
-				{
-					Name: "landsat_tm", Kind: catalog.KindBase,
-					Attrs: []catalog.Attr{
-						{Name: "band", Type: value.TypeString},
-						{Name: "data", Type: value.TypeImage},
-					},
-					Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
-				},
-				{
-					Name: "landcover", Kind: catalog.KindDerived, DerivedBy: "unsupervised_classification",
-					Attrs: []catalog.Attr{
-						{Name: "numclass", Type: value.TypeInt},
-						{Name: "data", Type: value.TypeImage},
-					},
-					Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
-				},
-				{
-					Name: "land_cover_changes", Kind: catalog.KindDerived, DerivedBy: "change_map",
-					Attrs: []catalog.Attr{{Name: "data", Type: value.TypeImage}},
-					Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
-				},
-			} {
-				if err := k.DefineClass(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, src := range []string{p20Bench, changeMapBench} {
-				if _, err := k.DefineProcess(src); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ctx := context.Background()
-			base := loadBenchScene(b, k, size, 1986)
-			lc0, _, err := k.RunProcess(ctx, "unsupervised_classification", map[string][]object.OID{"bands": base}, RunOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < fanout; i++ {
-				scene := loadBenchScene(b, k, size, 1990+i)
-				lci, _, err := k.RunProcess(ctx, "unsupervised_classification", map[string][]object.OID{"bands": scene}, RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := k.RunProcess(ctx, "change_map", map[string][]object.OID{
-					"a": {lc0.Output}, "b": {lci.Output},
-				}, RunOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Two variants of the red band to alternate between.
-			variants := [2]*raster.Image{benchScene(b, size, 1986)[0], benchScene(b, size, 1987)[0]}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o, err := k.Objects.Get(base[0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				o.Attrs["data"] = value.Image{Img: variants[i%2]}
-				if err := k.UpdateObject(ctx, o); err != nil {
-					b.Fatal(err)
-				}
-				n, err := k.RefreshStale(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != fanout+1 {
-					b.Fatalf("refreshed %d, want %d", n, fanout+1)
-				}
-			}
-			b.ReportMetric(float64(b.N*(fanout+1))/b.Elapsed().Seconds(), "refreshes/s")
-		})
+		}
 	}
 }
 
-// ---------- V2: session-batched ingest ----------
+// ---------- C3: session-batched ingest ----------
 
 // BenchmarkSessionBatchIngest compares loading a batch of objects through
 // N single-op CreateObject commits (each its own WAL commit, load-task
 // record, and invalidation sweep) against ONE session commit (one atomic
-// WAL group, one sweep). The session path is the v2 API's batch-ingest
-// shape.
+// WAL group, one sweep), with the WAL fsync off and on: durable=true is
+// where the session's one fsync per batch pays.
+func BenchmarkSessionBatchIngest(b *testing.B) {
+	const batch = 64
+	openIngest := func(b *testing.B, durable bool) *Kernel {
+		b.Helper()
+		k, err := Open(b.TempDir(), Options{NoSync: !durable, User: "bench"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { k.Close() })
+		if err := k.DefineClass(&catalog.Class{
+			Name: "gauge", Kind: catalog.KindBase,
+			Attrs: []catalog.Attr{{Name: "mm", Type: value.TypeFloat}},
+			Frame: sptemp.DefaultFrame, HasSpatial: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return k
+	}
+	gauge := func(i int) *object.Object {
+		x := float64(i * 20)
+		return &object.Object{
+			Class:  "gauge",
+			Attrs:  map[string]value.Value{"mm": value.Float(float64(i))},
+			Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(x, 0, x+10, 10)),
+		}
+	}
+
+	for _, durable := range []bool{false, true} {
+		b.Run(fmt.Sprintf("durable=%v/per-op", durable), func(b *testing.B) {
+			k := openIngest(b, durable)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < batch; j++ {
+					if _, err := k.CreateObject(context.Background(), gauge(i*batch+j), "tape"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "objects/s")
+		})
+		b.Run(fmt.Sprintf("durable=%v/session", durable), func(b *testing.B) {
+			k := openIngest(b, durable)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := k.Begin(context.Background())
+				for j := 0; j < batch; j++ {
+					if _, err := s.Create(gauge(i*batch+j), "tape"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := s.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "objects/s")
+		})
+	}
+}
+
+// ---------- C4: snapshot readers under a writer ----------
+
 // BenchmarkReadersUnderWriters measures MVCC's core promise: snapshot
 // readers are not serialized behind a batch writer. "idle" drains
 // paginated snapshot streams with no write load; "contended" runs the
@@ -929,18 +932,34 @@ func BenchmarkReadersUnderWriters(b *testing.B) {
 		return k, oids
 	}
 	pred := sptemp.Extent{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox()}
-	drain := func(b *testing.B, k *Kernel) {
+	// drain reads the class page by page and checks the snapshot
+	// contract: one generation (the writer stamps each commit's into every
+	// object), OIDs strictly ascending (none seen twice) and all nObj of
+	// them (none skipped).
+	drain := func(k *Kernel) error {
 		cursor := ""
 		seen := 0
+		gen := value.Float(-1)
+		var last object.OID
 		for {
 			st, err := k.QueryStream(context.Background(), Request{Class: "gauge", Pred: pred, Limit: 64, Cursor: cursor})
 			if err != nil {
-				b.Fatal(err)
+				return err
 			}
-			for _, err := range st.All() {
+			for o, err := range st.All() {
 				if err != nil {
-					b.Fatal(err)
+					return err
 				}
+				mm := o.Attrs["mm"].(value.Float)
+				if gen < 0 {
+					gen = mm
+				} else if mm != gen {
+					return fmt.Errorf("drain straddled a commit: generation %v after %v", mm, gen)
+				}
+				if o.OID <= last {
+					return fmt.Errorf("drain saw OID %d after %d", o.OID, last)
+				}
+				last = o.OID
 				seen++
 			}
 			cursor = st.Cursor()
@@ -949,8 +968,9 @@ func BenchmarkReadersUnderWriters(b *testing.B) {
 			}
 		}
 		if seen != nObj {
-			b.Fatalf("drain saw %d objects, want %d", seen, nObj)
+			return fmt.Errorf("drain saw %d objects, want %d", seen, nObj)
 		}
+		return nil
 	}
 	bench := func(withWriter bool) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -995,7 +1015,10 @@ func BenchmarkReadersUnderWriters(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					drain(b, k)
+					if err := drain(k); err != nil {
+						b.Error(err)
+						return
+					}
 				}
 			})
 			b.StopTimer()
@@ -1009,61 +1032,4 @@ func BenchmarkReadersUnderWriters(b *testing.B) {
 	}
 	b.Run("idle", bench(false))
 	b.Run("contended", bench(true))
-}
-
-func BenchmarkSessionBatchIngest(b *testing.B) {
-	const batch = 64
-	openIngest := func(b *testing.B) *Kernel {
-		b.Helper()
-		k, err := Open(b.TempDir(), Options{NoSync: true, User: "bench"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { k.Close() })
-		if err := k.DefineClass(&catalog.Class{
-			Name: "gauge", Kind: catalog.KindBase,
-			Attrs: []catalog.Attr{{Name: "mm", Type: value.TypeFloat}},
-			Frame: sptemp.DefaultFrame, HasSpatial: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		return k
-	}
-	gauge := func(i int) *object.Object {
-		x := float64(i * 20)
-		return &object.Object{
-			Class:  "gauge",
-			Attrs:  map[string]value.Value{"mm": value.Float(float64(i))},
-			Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(x, 0, x+10, 10)),
-		}
-	}
-
-	b.Run("per-op", func(b *testing.B) {
-		k := openIngest(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				if _, err := k.CreateObject(context.Background(), gauge(i*batch+j), "tape"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "objects/s")
-	})
-	b.Run("session", func(b *testing.B) {
-		k := openIngest(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := k.Begin(context.Background())
-			for j := 0; j < batch; j++ {
-				if _, err := s.Create(gauge(i*batch+j), "tape"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "objects/s")
-	})
 }

@@ -6,8 +6,8 @@
 // data workload uses: sessions, buffered and streaming queries,
 // snapshots, staleness, stats. Embed wraps an in-process *gaea.Kernel
 // onto it; Dial connects to a server over TCP or a unix socket. Code
-// written against client.Kernel — the examples and gaea-bench scenarios
-// — cannot tell the difference except in latency.
+// written against client.Kernel — the examples and the remote
+// benchmarks — cannot tell the difference except in latency.
 //
 // Remote semantics, where they differ from embedded:
 //

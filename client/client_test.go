@@ -37,7 +37,12 @@ var ctx = context.Background()
 // openKernel opens a throwaway kernel with the cheap "rain" class.
 func openKernel(t *testing.T) *gaea.Kernel {
 	t.Helper()
-	k, err := gaea.Open(t.TempDir(), gaea.Options{NoSync: true, User: "tester"})
+	return openKernelOpts(t, gaea.Options{NoSync: true, User: "tester"})
+}
+
+func openKernelOpts(t testing.TB, opts gaea.Options) *gaea.Kernel {
+	t.Helper()
+	k, err := gaea.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +71,7 @@ func rainPred() gaea.Request {
 
 // sockPath returns a short unix socket path (sun_path is ~108 bytes;
 // t.TempDir can exceed it under deep test names).
-func sockPath(t *testing.T) string {
+func sockPath(t testing.TB) string {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "gaea-sock-*")
 	if err != nil {
@@ -78,7 +83,7 @@ func sockPath(t *testing.T) string {
 
 // startServer serves k on a fresh unix socket and returns the server
 // and its dialable address.
-func startServer(t *testing.T, k *gaea.Kernel, opts gaea.ServeOptions) (*gaea.Server, string) {
+func startServer(t testing.TB, k *gaea.Kernel, opts gaea.ServeOptions) (*gaea.Server, string) {
 	t.Helper()
 	path := sockPath(t)
 	l, err := net.Listen("unix", path)
@@ -99,7 +104,7 @@ func startServer(t *testing.T, k *gaea.Kernel, opts gaea.ServeOptions) (*gaea.Se
 	return srv, "unix://" + path
 }
 
-func dial(t *testing.T, addr string) *Conn {
+func dial(t testing.TB, addr string) *Conn {
 	t.Helper()
 	c, err := Dial(addr, Options{User: "remote"})
 	if err != nil {
@@ -111,7 +116,7 @@ func dial(t *testing.T, addr string) *Conn {
 
 // seedRain commits n rain objects through any backend and returns their
 // stored OIDs.
-func seedRain(t *testing.T, b Kernel, n int, gen float64) []object.OID {
+func seedRain(t testing.TB, b Kernel, n int, gen float64) []object.OID {
 	t.Helper()
 	s := b.Begin(ctx)
 	staged := make([]object.OID, n)

@@ -92,7 +92,7 @@ func (b *fedBackend) Epoch() uint64 {
 		return 0
 	}
 	//lint:gaea-allow ctxflow Epoch has no context by interface contract; the dial timeouts bound it
-	resp, err := b.r.shardRoundTrip(context.Background(), 0, "begin", &wire.Request{Op: wire.OpBegin})
+	resp, err := b.r.conns[0].RoundTrip(context.Background(), &wire.Request{Op: wire.OpBegin})
 	if err != nil {
 		return 0
 	}

@@ -88,11 +88,6 @@ type Options struct {
 	// (presumed abort) after others committed. Set it for any federation
 	// that takes cross-shard writes it cares about.
 	DecisionLog string
-	// ShardObserver, when set, is called after every downstream shard
-	// round trip with the shard index, the operation name, and its
-	// duration — the hook gaea-bench uses for per-shard latency
-	// distributions. It must be safe for concurrent use.
-	ShardObserver func(shard int, op string, d time.Duration)
 	// StatsInterval is the shard health probe period: the router keeps
 	// a SubscribeStats push subscription open to every shard and derives
 	// up/degraded/down states from its liveness, surfaced in ObsJSON's
@@ -224,9 +219,8 @@ func (r *Router) replayDecisions() {
 				continue
 			}
 			//lint:gaea-allow ctxflow recovery replay runs once at Open, bounded by the dial timeouts
-			resp, err := r.shardRoundTrip(context.Background(), shard, "decide",
+			_, err := r.conns[shard].RoundTrip(context.Background(),
 				&wire.Request{Op: wire.OpDecide, Lease: p.token, Epoch: 1})
-			_ = resp
 			switch {
 			case err == nil:
 				r.log.ack(p.token, shard)
@@ -299,17 +293,6 @@ func (r *Router) Close() error {
 // Shards reports the federation width.
 func (r *Router) Shards() int { return len(r.conns) }
 
-// shardRoundTrip issues one raw request to a shard, timing it for the
-// ShardObserver hook.
-func (r *Router) shardRoundTrip(ctx context.Context, shard int, op string, req *wire.Request) (*wire.Response, error) {
-	start := time.Now()
-	resp, err := r.conns[shard].RoundTrip(ctx, req)
-	if ob := r.opts.ShardObserver; ob != nil {
-		ob(shard, op, time.Since(start))
-	}
-	return resp, err
-}
-
 // traced installs the router's tracer on ctx (downstream calls stamp
 // the trace and parent-span IDs on the wire, so shard-side spans join
 // the same trace).
@@ -342,11 +325,7 @@ func (r *Router) Query(ctx context.Context, req gaea.Request) (*gaea.Result, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			start := time.Now()
 			res, err := r.conns[shard].Query(ctx, req)
-			if ob := r.opts.ShardObserver; ob != nil {
-				ob(shard, "query", time.Since(start))
-			}
 			results[i], errs[i] = res, err
 			if err != nil && !errors.Is(err, gaea.ErrNoPlan) {
 				cancel() // no point finishing the other shards

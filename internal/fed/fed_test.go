@@ -48,7 +48,7 @@ func rainReq() gaea.Request {
 }
 
 // sockPath returns a short unix socket path (sun_path is ~108 bytes).
-func sockPath(t *testing.T) string {
+func sockPath(t testing.TB) string {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "gaea-fed-*")
 	if err != nil {
@@ -63,9 +63,10 @@ func sockPath(t *testing.T) string {
 // simulation: in-memory prepare locks are gone, the prepare sidecars
 // and WAL survive).
 type testShard struct {
-	t    *testing.T
+	t    testing.TB
 	dir  string
 	opts gaea.ServeOptions
+	sync bool // fsync the WAL on commit; false opens the kernel NoSync
 
 	k       *gaea.Kernel
 	srv     *gaea.Server
@@ -74,9 +75,15 @@ type testShard struct {
 	stopped bool
 }
 
-func newShard(t *testing.T, opts gaea.ServeOptions) *testShard {
+func newShard(t testing.TB, opts gaea.ServeOptions) *testShard {
 	t.Helper()
-	s := &testShard{t: t, dir: t.TempDir(), opts: opts}
+	return startShard(&testShard{t: t, dir: t.TempDir(), opts: opts})
+}
+
+// startShard starts a shard built by the caller and stops it at cleanup.
+func startShard(s *testShard) *testShard {
+	t := s.t
+	t.Helper()
 	s.start(true)
 	t.Cleanup(func() {
 		if !s.stopped {
@@ -88,7 +95,7 @@ func newShard(t *testing.T, opts gaea.ServeOptions) *testShard {
 
 func (s *testShard) start(fresh bool) {
 	s.t.Helper()
-	k, err := gaea.Open(s.dir, gaea.Options{NoSync: true, User: "shard"})
+	k, err := gaea.Open(s.dir, gaea.Options{NoSync: !s.sync, User: "shard"})
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -146,7 +153,7 @@ func addrsOf(shards ...*testShard) []string {
 	return out
 }
 
-func openFed(t *testing.T, opts Options, shards ...*testShard) *Router {
+func openFed(t testing.TB, opts Options, shards ...*testShard) *Router {
 	t.Helper()
 	if opts.Client.User == "" {
 		opts.Client.User = "fed-test"
@@ -161,7 +168,7 @@ func openFed(t *testing.T, opts Options, shards ...*testShard) *Router {
 
 // seedFed commits n rain objects through any Kernel-shaped backend and
 // returns the stored OIDs.
-func seedFed(t *testing.T, k client.Kernel, n int, mm float64) []object.OID {
+func seedFed(t testing.TB, k client.Kernel, n int, mm float64) []object.OID {
 	t.Helper()
 	s := k.Begin(tctx)
 	staged := make([]object.OID, n)
@@ -187,7 +194,7 @@ func seedFed(t *testing.T, k client.Kernel, n int, mm float64) []object.OID {
 }
 
 // drainN consumes up to n objects (0 = all), asserting no stream error.
-func drainN(t *testing.T, st client.Stream, n int) []*object.Object {
+func drainN(t testing.TB, st client.Stream, n int) []*object.Object {
 	t.Helper()
 	var out []*object.Object
 	for o, err := range st.All() {

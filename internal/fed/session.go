@@ -112,7 +112,7 @@ func (s *fedSession) batchFor(shard int) (*shardBatch, error) {
 	if e, ok := s.fixedEpoch[shard]; ok {
 		b.readEpoch = e
 	} else {
-		resp, err := s.r.shardRoundTrip(s.ctx, shard, "begin", &wire.Request{Op: wire.OpBegin})
+		resp, err := s.r.conns[shard].RoundTrip(s.ctx, &wire.Request{Op: wire.OpBegin})
 		if err != nil {
 			return nil, fmt.Errorf("fed: shard %d begin: %w", shard, err)
 		}
@@ -282,7 +282,7 @@ func (s *fedSession) Commit() error {
 // commitSingle is the fast path: the one touched shard commits in its
 // ordinary single-round-trip path, 2PC machinery untouched.
 func (s *fedSession) commitSingle(ctx context.Context, sp *obs.Span, b *shardBatch) error {
-	resp, err := s.r.shardRoundTrip(ctx, b.shard, "commit", &wire.Request{Op: wire.OpCommit, Batch: b.batchReq()})
+	resp, err := s.r.conns[b.shard].RoundTrip(ctx, &wire.Request{Op: wire.OpCommit, Batch: b.batchReq()})
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		return err
@@ -324,7 +324,7 @@ func (s *fedSession) commitTwoPhase(ctx context.Context, sp *obs.Span, touched [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.r.shardRoundTrip(ctx, b.shard, "prepare",
+			_, err := s.r.conns[b.shard].RoundTrip(ctx,
 				&wire.Request{Op: wire.OpPrepare, Lease: token, Batch: b.batchReq()})
 			prepErrs[i] = err
 		}()
@@ -405,7 +405,7 @@ func (s *fedSession) decideFanout(ctx context.Context, touched []*shardBatch, to
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := s.r.shardRoundTrip(ctx, b.shard, "decide",
+			resp, err := s.r.conns[b.shard].RoundTrip(ctx,
 				&wire.Request{Op: wire.OpDecide, Lease: token, Epoch: decision})
 			errs[i] = err
 			if err == nil && oids != nil {

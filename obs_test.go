@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -123,8 +124,10 @@ func TestObsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSlowOpThreshold: under a 1µs threshold every query is a slow op;
-// a negative threshold disables the log entirely.
+// TestSlowOpThreshold: under a 1µs threshold every query is a slow op —
+// a cold derivation included, which leaves its query/run span tree in
+// the log and its latency in query_ns; a negative threshold disables the
+// log entirely.
 func TestSlowOpThreshold(t *testing.T) {
 	run := func(threshold time.Duration) int {
 		k, err := Open(t.TempDir(), Options{NoSync: true, User: "tester", SlowOpThreshold: threshold})
@@ -147,6 +150,19 @@ func TestSlowOpThreshold(t *testing.T) {
 	}
 	if n := run(-1); n != 0 {
 		t.Fatalf("disabled slow-op log still captured %d traces", n)
+	}
+
+	k := openKernelOpts(t, Options{NoSync: true, User: "tester", SlowOpThreshold: time.Microsecond})
+	loadScene(t, k, sptemp.Date(1986, 1, 15), 1986)
+	if _, err := k.Query(context.Background(), Request{Class: "landcover",
+		Pred: sptemp.Extent{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox()}}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(k.Tracer.Slow(), func(tr TraceData) bool { return tr.Root == "query/run" }) {
+		t.Fatalf("no query/run trace among %d slow ops after a cold derivation", len(k.Tracer.Slow()))
+	}
+	if h := k.StatsSnapshot().Metrics.Histograms["query_ns"]; h.Count == 0 || h.Max <= 0 {
+		t.Fatalf("query_ns recorded nothing: %+v", h)
 	}
 }
 
