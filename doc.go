@@ -97,9 +97,10 @@
 // window (client.Options.StreamWindow), and query results shipped as the
 // stored attribute bytes — encoded once at commit, never re-encoded per
 // request: the stored record leaves what its class says (name, frame,
-// attribute names) to the catalog and keeps its epoch and OID as
-// varints (48 bytes for a one-float gauge), and the read path splices
-// the class's part back per shipped record.
+// attribute names) to the catalog and keeps its epoch, its OID and a
+// gridded extent's integral corners and timestamps as varints (about 24
+// bytes for a one-float gauge on a grid tile, 48 with a raw box), and
+// the read path splices the class's part back per shipped record.
 //
 // Remote snapshots and stream cursors hold their MVCC pins under
 // server-side leases (ServeOptions.SnapshotLease): every touch renews,

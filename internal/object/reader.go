@@ -85,6 +85,16 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
+// varint reads a zig-zag varint (binary.AppendVarint's form).
+func (r *reader) varint() int64 {
+	u := r.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
 func (r *reader) str16() string {
 	n := int(r.u16())
 	b := r.bytes(n)

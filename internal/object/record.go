@@ -8,14 +8,24 @@ package object
 // in names the class, and the (immutable) catalog entry gives the
 // attribute names, their order and, for a spatial class, the frame. Nor
 // does it spend fixed-width words on small numbers: the commit epoch and
-// the OID are uvarints. Little endian:
+// the OID are uvarints, and a gridded extent's integral corners and
+// timestamps are varints (the packed extent). Little endian:
 //
 //	flags u8: 0x80 always (so the byte is never the 'G' of "GOB3"),
 //	          0x08 always (the uvarint header below),
-//	          0x01 tombstone, 0x02 timed, 0x04 own frame
+//	          0x01 tombstone, 0x02 timed, 0x04 own frame,
+//	          0x10 packed extent
 //	epoch uvarint, oid uvarint              [a tombstone ends here: ~5 B]
-//	box 4 x f64
-//	interval 2 x i64                        (timed only)
+//	extent, 0x10 clear:
+//	        box 4 x f64
+//	        interval 2 x i64                (timed only)
+//	extent, 0x10 set:
+//	        mask u8: bit i set when box coordinate i (MinX, MinY, MaxX,
+//	                 MaxY) is an integer within ±2^53 and not -0
+//	        per coordinate, in that order: a set one as a zig-zag varint
+//	                 — MaxX, MaxY as their difference from MinX, MinY
+//	                 when both ends are set — a clear one as its raw f64
+//	        start varint, end-start varint  (timed only)
 //	frame sysLen u16 + sys, unitLen u16 + unit
 //	                                        (only when not the class's frame,
 //	                                        which validate allows a
@@ -23,6 +33,15 @@ package object
 //	per attribute, in catalog.Class.Attrs order:
 //	        uvarint(len<<1 | isBlob), then len bytes: the value.Encode
 //	        bytes, or (isBlob, len 8) the blob id u64
+//
+// encodeObject packs an extent only when that is shorter than the raw
+// form, so packing never lengthens a record: an object with no integral
+// coordinate is stored byte for byte as before the packed form existed,
+// and records written then read as they are. A raw coordinate keeps any
+// bit pattern (NaN payloads, ±Inf, -0, subnormals). parseRelative refuses
+// a mask bit past MaxY, a packed coordinate outside ±2^53 — where float64
+// loses integers — and an interval whose end overflows, so a packed
+// extent reads back as exactly the numbers written.
 //
 // The fixed-header relative form is the same record with 0x08 clear and
 // epoch u64, oid u64 in place of the two uvarints (17 B of header). The
@@ -72,6 +91,11 @@ const (
 	flagTombstone = 0x01
 	flagTimed     = 0x02
 	flagOwnFrame  = 0x04
+	flagPacked    = 0x10
+
+	// maxExact bounds a packed box coordinate: every integer of at most
+	// this magnitude is a float64.
+	maxExact = 1 << 53
 
 	// headroom is the room encodeObject leaves in front of a record body
 	// for stamp: the widest header, flags + epoch + oid as uvarints.
@@ -170,7 +194,7 @@ func parseRecord(rec []byte, sch *schema) (record, error) {
 func (w *record) parseRelative() {
 	r := &w.r
 	flags := r.u8()
-	if flags&^(flagRelative|flagCompact|flagTombstone|flagTimed|flagOwnFrame) != 0 {
+	if flags&^(flagRelative|flagCompact|flagTombstone|flagTimed|flagOwnFrame|flagPacked) != 0 {
 		r.failf("object: unknown record flags %#x", flags)
 		return
 	}
@@ -187,16 +211,58 @@ func (w *record) parseRelative() {
 		w.del = true
 		return
 	}
-	w.ext.Space = sptemp.Box{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
-	if flags&flagTimed != 0 {
-		w.ext.HasTime = true
-		w.ext.TimeIv = sptemp.Interval{Start: sptemp.AbsTime(r.u64()), End: sptemp.AbsTime(r.u64())}
+	w.ext.HasTime = flags&flagTimed != 0
+	if flags&flagPacked != 0 {
+		w.parsePacked()
+	} else {
+		w.ext.Space = sptemp.Box{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
+		if w.ext.HasTime {
+			w.ext.TimeIv = sptemp.Interval{Start: sptemp.AbsTime(r.u64()), End: sptemp.AbsTime(r.u64())}
+		}
 	}
 	w.ext.Frame = w.sch.cls.Frame
 	if flags&flagOwnFrame != 0 {
 		w.ext.Frame = sptemp.Frame{System: sptemp.RefSystem(r.str16()), Unit: sptemp.RefUnit(r.str16())}
 	}
 	w.n = len(w.sch.cls.Attrs)
+}
+
+// parsePacked reads a packed extent: the box, and the interval when the
+// record is timed.
+func (w *record) parsePacked() {
+	r := &w.r
+	mask := r.u8()
+	if mask > 0x0f {
+		r.failf("object: packed box mask %#x", mask)
+		return
+	}
+	var c [4]float64
+	var n [4]int64
+	for i := range c {
+		if mask&(1<<i) == 0 {
+			c[i] = r.f64()
+			continue
+		}
+		v := r.varint()
+		if i >= 2 && mask&(1<<(i-2)) != 0 {
+			v += n[i-2] // a width from the min end; if this wraps, v lands near ±2^63
+		}
+		if v < -maxExact || v > maxExact {
+			r.failf("object: packed box coordinate %d outside ±2^53", v)
+			return
+		}
+		n[i], c[i] = v, float64(v)
+	}
+	w.ext.Space = sptemp.Box{MinX: c[0], MinY: c[1], MaxX: c[2], MaxY: c[3]}
+	if w.ext.HasTime {
+		start, width := r.varint(), r.varint()
+		end := start + width
+		if (end < start) != (width < 0) {
+			r.failf("object: packed interval %d + %d overflows", start, width)
+			return
+		}
+		w.ext.TimeIv = sptemp.Interval{Start: sptemp.AbsTime(start), End: sptemp.AbsTime(end)}
+	}
 }
 
 func (w *record) parseWire() {
@@ -388,13 +454,18 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 	if ext.Frame != sch.cls.Frame {
 		flags |= flagOwnFrame
 	}
-	buf := make([]byte, headroom, headroom+4*8+2*8+12*len(attrs))
-	buf[0] = flags
-	buf = appendBox(buf, ext.Space)
-	if ext.HasTime {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.Start))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.End))
+	buf := make([]byte, headroom, headroom+1+4*8+2*binary.MaxVarintLen64+12*len(attrs))
+	var packed bool
+	if buf, packed = appendPacked(buf, ext); packed {
+		flags |= flagPacked
+	} else {
+		buf = appendBox(buf, ext.Space)
+		if ext.HasTime {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.Start))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.End))
+		}
 	}
+	buf[0] = flags
 	if flags&flagOwnFrame != 0 {
 		buf = appendStr16(buf, string(ext.Frame.System))
 		buf = appendStr16(buf, string(ext.Frame.Unit))
@@ -423,6 +494,54 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 		buf = sealSpan(enc, mark)
 	}
 	return buf, blobIDs, nil
+}
+
+// appendPacked appends ext's box, and its interval when timed, in the
+// packed form. It leaves buf as it was and returns false when that form
+// would not be shorter than the raw one, or cannot hold the interval (an
+// end-start that overflows).
+func appendPacked(buf []byte, ext *sptemp.Extent) ([]byte, bool) {
+	mark, raw := len(buf), 4*8
+	c := [4]float64{ext.Space.MinX, ext.Space.MinY, ext.Space.MaxX, ext.Space.MaxY}
+	var n [4]int64
+	var mask byte
+	for i, f := range c {
+		if packable(f) {
+			n[i], mask = int64(f), mask|1<<i
+		}
+	}
+	buf = append(buf, mask)
+	for i, f := range c {
+		switch {
+		case mask&(1<<i) == 0:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+		case i >= 2 && mask&(1<<(i-2)) != 0:
+			buf = binary.AppendVarint(buf, n[i]-n[i-2])
+		default:
+			buf = binary.AppendVarint(buf, n[i])
+		}
+	}
+	if ext.HasTime {
+		start, end := int64(ext.TimeIv.Start), int64(ext.TimeIv.End)
+		width := end - start
+		if (width < 0) != (end < start) {
+			return buf[:mark], false
+		}
+		buf = binary.AppendVarint(buf, start)
+		buf = binary.AppendVarint(buf, width)
+		raw += 2 * 8
+	}
+	if len(buf)-mark >= raw {
+		return buf[:mark], false
+	}
+	return buf, true
+}
+
+// packable reports whether a box coordinate packs as an integer:
+// integral, within ±2^53, and not -0, which an integer cannot tell from
+// +0.
+func packable(f float64) bool {
+	return math.Abs(f) <= maxExact && f == math.Trunc(f) && (f != 0 || !math.Signbit(f))
 }
 
 // sealSpan writes uvarint(len<<1) over the one-byte placeholder at mark

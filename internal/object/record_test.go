@@ -32,23 +32,56 @@ func noBlobs([]byte) (storage.BlobID, error) {
 	return 0, errors.New("unexpected blob offload")
 }
 
+// sceneClass is a Landsat band: a name and an offloaded image per scene.
+var sceneClass = &catalog.Class{
+	Name: "landsat_tm", Kind: catalog.KindBase,
+	Attrs: []catalog.Attr{{Name: "band", Type: value.TypeString}, {Name: "data", Type: value.TypeImage}},
+	Frame: sptemp.DefaultFrame, HasSpatial: true, HasTemporal: true,
+}
+
 // TestRecordBytes pins the stored bytes per object: a bytes-per-object
 // regression fails here, not only at the benchmark's disk gate. The
 // epoch and OID are the largest that still take two and three uvarint
 // bytes — the range a benchmark gauge set lives in.
 func TestRecordBytes(t *testing.T) {
 	const oid, epoch = 1<<21 - 1, 1<<14 - 1
-	gauge := &Object{
-		OID: oid, Class: "gauge",
-		Attrs:  map[string]value.Value{"mm": value.Float(12.5)},
-		Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(20, 0, 30, 10)),
+	gauge := func(box sptemp.Box) *Object {
+		return &Object{
+			OID: oid, Class: "gauge",
+			Attrs:  map[string]value.Value{"mm": value.Float(12.5)},
+			Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, box),
+		}
 	}
-	buf, _, err := encodeObject(newSchema(gaugeClass), gauge, noBlobs)
-	if err != nil {
-		t.Fatal(err)
+	scene := &Object{
+		OID: oid, Class: "landsat_tm",
+		Attrs:  map[string]value.Value{"band": value.String_("red"), "data": value.Image{Img: raster.MustNew(2, 2, raster.PixChar)}},
+		Extent: sptemp.AtInstant(sptemp.DefaultFrame, sptemp.NewBox(3000, 0, 3100, 100), sptemp.Date(1986, 1, 15)),
 	}
-	if n := len(stamp(buf, oid, epoch)); n > 48 {
-		t.Errorf("a gauge is stored in %d bytes, want at most 48", n)
+	put := func([]byte) (storage.BlobID, error) { return 1 << 20, nil }
+	var buf []byte
+	for _, c := range []struct {
+		what string
+		cls  *catalog.Class
+		obj  *Object
+		max  int
+		raw  bool // stored as the unpacked layout, byte for byte
+	}{
+		{"a gauge", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10)), 26, false}, // 48 unpacked
+		{"a Landsat scene", sceneClass, scene, 38, false},                       // 72 unpacked
+		{"a gauge with no integral coordinate", gaugeClass, gauge(sptemp.NewBox(20.5, 0.5, 30.5, 10.5)), 48, true},
+	} {
+		sch := newSchema(c.cls)
+		var err error
+		if buf, _, err = encodeObject(sch, c.obj, put); err != nil {
+			t.Fatal(err)
+		}
+		rec := stamp(buf, oid, epoch)
+		if len(rec) > c.max {
+			t.Errorf("%s is stored in %d bytes, want at most %d", c.what, len(rec), c.max)
+		}
+		if old := legacyRecord(t, rec, sch, false); c.raw && !bytes.Equal(rec, old) {
+			t.Errorf("%s is stored as\n%x\nnot as the unpacked layout\n%x", c.what, rec, old)
+		}
 	}
 	if n := len(encodeTombstone(oid, epoch)); n > 6 {
 		t.Errorf("a tombstone is stored in %d bytes, want at most 6", n)
@@ -58,19 +91,38 @@ func TestRecordBytes(t *testing.T) {
 	}
 }
 
-// fixedHeader rewrites a compact relative record in the fixed-header
-// form directories written before it hold: the same record with u64
+// legacyRecord rewrites a compact relative record in the layout the
+// store wrote before extents were packed: flag 0x10 clear, the box as
+// four f64s and, when timed, the interval as two i64s. With fixed set it
+// also takes the header of the form before that: flag 0x08 clear, u64
 // epoch and OID.
-func fixedHeader(t testing.TB, rec []byte, sch *schema) []byte {
+func legacyRecord(t testing.TB, rec []byte, sch *schema, fixed bool) []byte {
 	w, err := parseRecord(rec, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(appendHeader(nil, rec[0], w.epoch, w.oid))
-	out := []byte{rec[0] &^ flagCompact}
-	out = binary.LittleEndian.AppendUint64(out, w.epoch)
-	out = binary.LittleEndian.AppendUint64(out, uint64(w.oid))
-	return append(out, rec[n:]...)
+	flags := rec[0] &^ flagPacked
+	var out []byte
+	if fixed {
+		out = append(out, flags&^flagCompact)
+		out = binary.LittleEndian.AppendUint64(out, w.epoch)
+		out = binary.LittleEndian.AppendUint64(out, uint64(w.oid))
+	} else {
+		out = appendHeader(out, flags, w.epoch, w.oid)
+	}
+	if w.del {
+		return out
+	}
+	out = appendBox(out, w.ext.Space)
+	if w.ext.HasTime {
+		out = binary.LittleEndian.AppendUint64(out, uint64(w.ext.TimeIv.Start))
+		out = binary.LittleEndian.AppendUint64(out, uint64(w.ext.TimeIv.End))
+	}
+	if flags&flagOwnFrame != 0 {
+		out = appendStr16(out, string(w.ext.Frame.System))
+		out = appendStr16(out, string(w.ext.Frame.Unit))
+	}
+	return append(out, rec[w.r.off:]...)
 }
 
 // openStore opens a store in dir with the classes given.
@@ -164,6 +216,104 @@ func randomValue(rng *rand.Rand, typ value.Type) value.Value {
 	panic("no generator for " + string(typ))
 }
 
+// edgeCoords are box coordinates at the packed form's limits and ones
+// only a raw f64 holds.
+var edgeCoords = []float64{
+	math.Copysign(0, -1),
+	math.Float64frombits(0x7ff8_0000_dead_beef), // a NaN with a payload
+	math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, // subnormal
+	1 << 53, -(1 << 53),
+	1<<53 + 2, -(1<<53 + 2), // integral, past the packed range
+}
+
+// edgeIntervals are intervals at the int64 extremes: end-start overflows
+// in the first two and the last.
+var edgeIntervals = []sptemp.Interval{
+	{Start: math.MinInt64, End: math.MaxInt64},
+	{Start: math.MaxInt64, End: math.MinInt64},
+	{Start: math.MinInt64, End: math.MinInt64},
+	{Start: math.MaxInt64, End: math.MaxInt64},
+	{Start: 0, End: math.MaxInt64},
+	{Start: -1, End: math.MaxInt64},
+}
+
+// randomBox draws a box whose coordinates are all integral (a grid tile),
+// none integral, or mixed: each integral, fractional or an edge
+// coordinate, the corners in any order.
+func randomBox(rng *rand.Rand) sptemp.Box {
+	x := float64(rng.IntN(1000))
+	switch rng.IntN(3) {
+	case 0:
+		return sptemp.NewBox(x, 0, x+10, 10)
+	case 1:
+		return sptemp.NewBox(x+0.5, 0.25, x+10.5, 10.25)
+	}
+	var c [4]float64
+	for i := range c {
+		switch rng.IntN(3) {
+		case 0:
+			c[i] = float64(rng.IntN(2001) - 1000)
+		case 1:
+			c[i] = rng.NormFloat64() * 1e3
+		default:
+			c[i] = edgeCoords[rng.IntN(len(edgeCoords))]
+		}
+	}
+	return sptemp.Box{MinX: c[0], MinY: c[1], MaxX: c[2], MaxY: c[3]}
+}
+
+// edgeClass holds edgeObjects: no frame of its own, no spatial or
+// temporal requirement, so any extent goes.
+var edgeClass = &catalog.Class{
+	Name: "edges", Kind: catalog.KindBase,
+	Attrs: []catalog.Attr{{Name: "k", Type: value.TypeInt}},
+}
+
+// edgeObjects puts every edge coordinate in every corner of an integral
+// box, adds the widest packed box and an unnormalised one, and gives
+// them the edge intervals in turn, or none.
+func edgeObjects() []*Object {
+	boxes := []sptemp.Box{
+		{MinX: -(1 << 53), MinY: -(1 << 53), MaxX: 1 << 53, MaxY: 1 << 53},
+		{MinX: 10, MinY: 10, MaxX: 0, MaxY: -5},
+	}
+	for _, e := range edgeCoords {
+		for i := 0; i < 4; i++ {
+			c := [4]float64{3, -4, 13, 6}
+			c[i] = e
+			boxes = append(boxes, sptemp.Box{MinX: c[0], MinY: c[1], MaxX: c[2], MaxY: c[3]})
+		}
+	}
+	var out []*Object
+	for k, b := range boxes {
+		o := &Object{Class: edgeClass.Name, Attrs: map[string]value.Value{"k": value.Int(int64(k))}}
+		o.Extent.Space = b
+		if j := k % (len(edgeIntervals) + 1); j < len(edgeIntervals) {
+			o.Extent.HasTime, o.Extent.TimeIv = true, edgeIntervals[j]
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// sameObject is reflect.DeepEqual with the box compared bit for bit, so
+// that a NaN equals itself and -0 differs from +0.
+func sameObject(a, b *Object) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	bits := func(b sptemp.Box) [4]uint64 {
+		return [4]uint64{math.Float64bits(b.MinX), math.Float64bits(b.MinY), math.Float64bits(b.MaxX), math.Float64bits(b.MaxY)}
+	}
+	if bits(a.Extent.Space) != bits(b.Extent.Space) {
+		return false
+	}
+	a2, b2 := *a, *b
+	a2.Extent.Space, b2.Extent.Space = sptemp.Box{}, sptemp.Box{}
+	return reflect.DeepEqual(&a2, &b2)
+}
+
 func randomObject(rng *rand.Rand, cls *catalog.Class) *Object {
 	o := &Object{Class: cls.Name, Attrs: map[string]value.Value{}}
 	for _, a := range cls.Attrs {
@@ -173,9 +323,12 @@ func randomObject(rng *rand.Rand, cls *catalog.Class) *Object {
 	if !cls.HasSpatial && rng.IntN(2) == 0 {
 		o.Extent.Frame = sptemp.DefaultFrame // foreign to the class: stored in the record
 	}
-	x := float64(rng.IntN(1000))
-	o.Extent.Space = sptemp.NewBox(x, 0, x+10, 10)
-	if !cls.HasSpatial && rng.IntN(2) == 0 {
+	o.Extent.Space = randomBox(rng)
+	switch {
+	case cls.HasSpatial && o.Extent.Space.IsEmpty(): // refused: a spatial class wants a non-empty box
+		b := o.Extent.Space
+		o.Extent.Space = sptemp.NewBox(b.MinX, b.MinY, b.MaxX, b.MaxY)
+	case !cls.HasSpatial && rng.IntN(4) == 0:
 		o.Extent.Space = sptemp.EmptyBox()
 	}
 	if cls.HasTemporal || rng.IntN(2) == 0 {
@@ -185,10 +338,13 @@ func randomObject(rng *rand.Rand, cls *catalog.Class) *Object {
 	return o
 }
 
-// TestRecordRoundTripProperty: over random classes and objects, what was
-// created is what GetAt returns after a reopen and what the raw path
-// ships, and the shipped record is byte for byte the size EncodeWire
-// gives — the relative form changes what is stored, not what is sent.
+// TestRecordRoundTripProperty: over random classes and objects, and
+// extents at every limit of the packed form, what was created is bit for
+// bit what GetAt returns after a reopen and what the raw path ships, and
+// the shipped record is byte for byte the size EncodeWire gives — the
+// relative form changes what is stored, not what is sent. No stored
+// record is longer than the same object in the unpacked layout, and that
+// layout, compact or fixed-header, reads as the same object.
 func TestRecordRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 93))
 	dir := t.TempDir()
@@ -196,16 +352,21 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		classes = append(classes, randomClass(rng, i))
 	}
-	st, store := openStore(t, dir, classes...)
+	st, store := openStore(t, dir, append(classes, edgeClass)...)
 	var made []*Object
+	insert := func(o *Object) {
+		if _, err := store.Insert(o); err != nil {
+			t.Fatalf("insert %+v: %v", o, err)
+		}
+		made = append(made, o)
+	}
 	for _, cls := range classes {
 		for i := 0; i < 4; i++ {
-			o := randomObject(rng, cls)
-			if _, err := store.Insert(o); err != nil {
-				t.Fatalf("insert %+v into %+v: %v", o, cls, err)
-			}
-			made = append(made, o)
+			insert(randomObject(rng, cls))
 		}
+	}
+	for _, o := range edgeObjects() {
+		insert(o)
 	}
 	// An image attribute with no image cannot be stored, and must leave
 	// nothing behind (covered in depth by TestEncodeFailureRemovesBlobs).
@@ -231,14 +392,14 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	var blobs int
 	for _, want := range made {
 		got, err := store.GetAt(want.OID, epoch)
-		if err != nil || !reflect.DeepEqual(got, want) {
+		if err != nil || !sameObject(got, want) {
 			t.Fatalf("GetAt(%d) = %+v, %v; want %+v", want.OID, got, err, want)
 		}
 		rec, payloads, err := store.GetRawAt(want.OID, epoch)
 		if err != nil {
 			t.Fatalf("GetRawAt(%d): %v", want.OID, err)
 		}
-		if got, err := DecodeWire(rec, payloads); err != nil || !reflect.DeepEqual(got, want) {
+		if got, err := DecodeWire(rec, payloads); err != nil || !sameObject(got, want) {
 			t.Fatalf("DecodeWire(GetRawAt(%d)) = %+v, %v; want %+v", want.OID, got, err, want)
 		}
 		if len(payloads) > 0 {
@@ -257,6 +418,49 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	if blobs == 0 || blobs == len(made) {
 		t.Errorf("%d of %d objects offloaded an image: the draw covers one side only", blobs, len(made))
 	}
+
+	var packed, records int
+	for _, cls := range append(classes, edgeClass) {
+		sch, err := store.schema(cls.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Scan(sch.heap, func(_ storage.RID, rec []byte) bool {
+			records++
+			if rec[0]&flagPacked != 0 {
+				packed++
+			}
+			w, err := parseRecord(rec, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := w.object()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fixed := range []bool{false, true} {
+				old := legacyRecord(t, rec, sch, fixed)
+				if !fixed && len(rec) > len(old) {
+					t.Errorf("oid %d is stored in %d bytes, unpacked in %d:\n%x\n%x", want.OID, len(rec), len(old), rec, old)
+				}
+				ow, err := parseRecord(old, sch)
+				if err != nil {
+					t.Fatalf("unpacked oid %d: %v", want.OID, err)
+				}
+				got, err := ow.object()
+				if err != nil || !sameObject(got, want) || ow.epoch != w.epoch {
+					t.Errorf("unpacked (fixed header %v) oid %d reads as %+v at epoch %d, %v; want %+v at %d", fixed, want.OID, got, ow.epoch, err, want, w.epoch)
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if records != len(made) || packed == 0 || packed == records {
+		t.Errorf("%d of %d stored records packed, %d objects made: the draw covers one side only", packed, records, len(made))
+	}
+
 	ids, err := st.Blobs().IDs()
 	if err != nil {
 		t.Fatal(err)
@@ -392,22 +596,89 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return [][]byte{
-		relPlain,                            // relative: timed, own frame, a blob, a long value
-		rel(inline, 3),                      // relative: untimed, class frame, all inline
-		encodeTombstone(5, 4),               // relative tombstone
-		must(w.wire()),                      // GOB3 with a blob reference
-		must(EncodeWire(inline)),            // GOB3, all inline
-		wireTomb,                            // GOB3 tombstone
-		{},                                  // empty
-		relPlain[:len(relPlain)-3],          // truncated
-		append(rel(inline, 3), 0),           // trailing byte
-		{flagRelative | 0x40, 0, 0, 0, 0},   // unknown flag
-		fixedHeader(t, relPlain, sch),       // fixed header: timed, own frame, a blob
-		fixedHeader(t, rel(inline, 3), sch), // fixed header, all inline
-		fixedHeader(t, encodeTombstone(5, 4), sch), // fixed-header tombstone
-		rel(&widest, math.MaxUint64),               // widest header: 21 bytes
-		append([]byte{flagRelative | flagCompact | flagTombstone}, bytes.Repeat([]byte{0xff}, 10)...), // epoch uvarint past 64 bits
+	seeds := [][]byte{
+		relPlain,                             // relative: packed, timed, own frame, a blob, a long value
+		rel(inline, 3),                       // relative: unpacked, untimed, class frame, all inline
+		encodeTombstone(5, 4),                // relative tombstone
+		must(w.wire()),                       // GOB3 with a blob reference
+		must(EncodeWire(inline)),             // GOB3, all inline
+		wireTomb,                             // GOB3 tombstone
+		{},                                   // empty
+		relPlain[:len(relPlain)-3],           // truncated
+		append(rel(inline, 3), 0),            // trailing byte
+		{flagRelative | 0x40, 0, 0, 0, 0},    // unknown flag
+		legacyRecord(t, relPlain, sch, true), // fixed header: timed, own frame, a blob
+		legacyRecord(t, rel(inline, 3), sch, true),        // fixed header, all inline
+		legacyRecord(t, encodeTombstone(5, 4), sch, true), // fixed-header tombstone
+		legacyRecord(t, relPlain, sch, false),             // compact, unpacked: timed, own frame, a blob
+		rel(&widest, math.MaxUint64),                      // widest header: 21 bytes
+
+		// An epoch uvarint past 64 bits.
+		append([]byte{flagRelative | flagCompact | flagTombstone}, bytes.Repeat([]byte{0xff}, 10)...),
+	}
+	relInline := rel(inline, 3)
+	wi, err := parseRecord(relInline, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, refused := packedSeeds(relInline[wi.r.off:])
+	return slices.Concat(seeds, exact, refused)
+}
+
+// packedSeeds builds packed records by hand around an attribute table,
+// so that they may hold what encodeObject never writes. The exact ones
+// hold each mask value (the odd ones timed); the refused ones a bad mask,
+// a coordinate in a 10-byte uvarint, a width that takes MaxX past 2^53
+// and an end-start that overflows. They are committed, in that order, as
+// packed-NN under testdata/fuzz.
+func packedSeeds(attrs []byte) (exact, refused [][]byte) {
+	rec := func(timed bool, ext ...[]byte) []byte {
+		flags := byte(flagRelative | flagCompact | flagPacked)
+		if timed {
+			flags |= flagTimed
+		}
+		return slices.Concat(appendHeader(nil, flags, 3, 6), slices.Concat(ext...), attrs)
+	}
+	v := func(x int64) []byte { return binary.AppendVarint(nil, x) }
+	raw := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
+	for mask := byte(0); mask < 16; mask++ {
+		ext := [][]byte{{mask}}
+		for i := 0; i < 4; i++ {
+			if mask&(1<<i) != 0 {
+				ext = append(ext, v(int64(i)-1))
+			} else {
+				ext = append(ext, raw)
+			}
+		}
+		timed := mask%2 == 1
+		if timed {
+			ext = append(ext, v(int64(sptemp.Date(1986, 1, 15))), v(86400))
+		}
+		exact = append(exact, rec(timed, ext...))
+	}
+	return exact, [][]byte{
+		rec(false, []byte{0x10}, raw, raw, raw, raw),                                       // a mask bit past MaxY
+		rec(false, []byte{0x01}, binary.AppendUvarint(nil, math.MaxUint64), raw, raw, raw), // MinX in a 10-byte uvarint
+		rec(false, []byte{0x05}, v(maxExact), raw, v(1), raw),                              // MaxX = 2^53 + 1
+		rec(true, []byte{0x0f}, v(0), v(0), v(0), v(0), v(math.MaxInt64), v(1)),            // end = MaxInt64 + 1
+	}
+}
+
+// TestPackedExtentRefused: the reader takes a packed extent under any
+// mask and refuses one encodeObject never writes, so that what it reads
+// is exactly what was written.
+func TestPackedExtentRefused(t *testing.T) {
+	sch := newSchema(fuzzClass)
+	exact, refused := packedSeeds(nil) // the header and extent are all parseRecord reads
+	for _, rec := range exact {
+		if _, err := parseRecord(rec, sch); err != nil {
+			t.Errorf("%x: %v", rec, err)
+		}
+	}
+	for _, rec := range refused {
+		if w, err := parseRecord(rec, sch); err == nil {
+			t.Errorf("%x read as %+v", rec, w.ext)
+		}
 	}
 }
 

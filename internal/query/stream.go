@@ -296,7 +296,7 @@ func (qe *Executor) StreamAt(ctx context.Context, req Request, atEpoch uint64) (
 // is "" when retrieval is exhausted, and served reports whether
 // retrieval produced anything at all — the caller decides about the
 // fallback chain (PageRawAt itself never falls back; fallback pages are
-// not resumable and must travel decoded).
+// not resumable, and their objects ship as object.EncodeWire records).
 func (qe *Executor) PageRawAt(ctx context.Context, req Request, epoch uint64, visit func(class string, oid object.OID) (bool, error)) (cursor string, served bool, err error) {
 	ctx, sp := obs.Start(ctx, "query/page")
 	taken := 0

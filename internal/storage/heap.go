@@ -140,11 +140,18 @@ func (h *Heap) insert(rec []byte) (RID, error) {
 			}
 			continue
 		}
+		n := p.nslots()
 		slot, err := p.insert(rec)
 		if err != nil {
 			continue
 		}
-		hint.room = p.room()
+		if p.nslots() > n {
+			// A new slot: the page had no dead one, so room drops by exactly
+			// what was added — no walk over the slot array per insert.
+			hint.room -= len(rec) + slotSize
+		} else {
+			hint.room = p.room()
+		}
 		h.pool.markDirty(hint.no)
 		return RID{Page: hint.no, Slot: uint16(slot)}, nil
 	}

@@ -48,6 +48,12 @@ const MaxRecordLen = PageSize - pageHdrLen - slotSize
 
 type page struct {
 	buf [PageSize]byte
+	// live counts the leading slots known to be live, so that
+	// firstDeadSlot does not walk them again on every insert. It is kept
+	// in memory only (zero for a page just read or made) and changed under
+	// the heap's exclusive lock by insert and del; the dead slots insertAt
+	// adds all lie past it.
+	live int
 }
 
 func newPage() *page {
@@ -113,11 +119,13 @@ func (p *page) room() int {
 }
 
 func (p *page) firstDeadSlot() int {
-	for i := 0; i < p.nslots(); i++ {
+	for i := p.live; i < p.nslots(); i++ {
 		if off, _ := p.slot(i); off == 0 {
+			p.live = i
 			return i
 		}
 	}
+	p.live = p.nslots()
 	return -1
 }
 
@@ -218,6 +226,7 @@ func (p *page) del(i int) error {
 		return ErrRecDeleted
 	}
 	p.setSlot(i, 0, 0)
+	p.live = min(p.live, i)
 	return nil
 }
 

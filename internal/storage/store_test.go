@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -436,5 +437,57 @@ func TestHeapDeleteInvalidatesRememberedRoom(t *testing.T) {
 	}
 	if rid.Page != first.Page {
 		t.Errorf("record placed on page %d, want the freed page %d", rid.Page, first.Page)
+	}
+}
+
+// TestHeapRememberedRoomExact: under small inserts and deletes, every
+// page's remembered room is what a walk of its slot array gives, and its
+// first dead slot is found past the slots it remembers as live — the
+// figures insert keeps so that it does not walk the slot array per record.
+func TestHeapRememberedRoomExact(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	defer s.Close()
+	h, err := s.heap("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(27))
+	var rids []RID
+	for step := 0; step < 20_000; step++ {
+		if len(rids) > 0 && rng.Intn(4) == 0 {
+			i := rng.Intn(len(rids))
+			if err := s.Delete("h", rids[i]); err != nil {
+				t.Fatal(err)
+			}
+			rids = slices.Delete(rids, i, i+1)
+		} else {
+			rid, err := s.Insert("h", make([]byte, 1+rng.Intn(60)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		if step%97 != 0 {
+			continue
+		}
+		for _, hint := range h.freeHint {
+			p, err := h.pool.get(hint.no)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hint.room != roomUnknown && hint.room != p.room() {
+				t.Fatalf("step %d: page %d remembered room %d, has %d", step, hint.no, hint.room, p.room())
+			}
+			dead := -1
+			for i := 0; i < p.nslots(); i++ {
+				if off, _ := p.slot(i); off == 0 {
+					dead = i
+					break
+				}
+			}
+			if got := p.firstDeadSlot(); got != dead {
+				t.Fatalf("step %d: page %d first dead slot %d, want %d", step, hint.no, got, dead)
+			}
+		}
 	}
 }
