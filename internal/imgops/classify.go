@@ -13,6 +13,44 @@ import (
 // k-means++-style seeding driven by a caller-supplied seed, because the
 // paper's reproducibility goal requires that re-running a task yields the
 // same classification.
+//
+// Exactness contract. The class image is bit for bit the one plain Lloyd
+// iteration gives: every pixel takes the centre of least sqDist, the first
+// in index order on a tie, centres are the means summed in pixel order, an
+// empty cluster is re-seeded at the worst-fitted pixel, and the loop stops
+// at the first pass after the first that changes no assignment. A
+// re-derivation must reproduce its stored output, so no faster kernel may
+// move a single pixel.
+//
+// Lloyd is pruned with Hamerly's bounds, which decide only which pixels need
+// no distance computed at all: per pixel an upper bound on the distance to
+// its centre and a lower bound on the distance to every other centre, per
+// centre half the distance to its nearest other centre. After a recompute a
+// centre's drift raises the upper bounds of its pixels, and the largest
+// drift of the other centres lowers a pixel's lower bound. A pixel is
+// skipped when its upper bound is strictly below the larger of its centre's
+// half distance and its lower bound, as it stands or once tightened to the
+// pixel's distance to its centre; every other pixel runs the plain loop over
+// all k centres, which also takes its bounds afresh.
+//
+// The margin argument. By the triangle inequality a skipped pixel's centre
+// is strictly nearest in real arithmetic, but plain Lloyd compares computed
+// squared distances, so the bounds must also leave room for rounding. Upper
+// bounds are plain roots and sums of non-negative drifts, within a few
+// roundings of a true distance. Lower bounds and half distances carry a
+// relative margin, prune: they are deflated by 1-prune when taken from a
+// root, and each loosening takes prune·(bound + drift) more off than the
+// drift, which covers that step's own roundings. A sqDist of d terms is
+// within (d+2)·2⁻⁵³ of its value and a root within 2⁻⁵³, orders of
+// magnitude below the margin for d < maxPruneBands. So when a pixel is
+// skipped every other centre is truly further than its own by a relative
+// margin near prune/2, far more than sqDist's rounding, and plain Lloyd's
+// strict < picks the same centre whatever the index order. An exact tie is
+// never skipped: that is why the test is strict. Two ends are closed off: a
+// lower bound under minLower, where squared differences may be subnormal
+// and lose their relative precision, or not finite (overflow, ±Inf or NaN
+// pixels and centres) counts as 0; a NaN drift counts as infinite; and an
+// infinite or NaN upper bound never passes the strict test.
 
 // ClassifyOptions tunes Unsuperclassify.
 type ClassifyOptions struct {
@@ -61,17 +99,52 @@ func Unsuperclassify(bands []*raster.Image, k int, opts ClassifyOptions) (*raste
 	counts := make([]int, k)
 	sums := make([]float64, k*d)
 
+	// Hamerly's bounds (see the exactness contract above).
+	upper := make([]float64, n) // distance from a pixel to its centre, or more
+	lower := make([]float64, n) // distance from a pixel to any other centre, or less
+	half := make([]float64, k)  // half the distance to the nearest other centre, or less
+	drift := make([]float64, k) // distance a centre moved in the last recompute
+	old := make([]float64, k*d)
+	pruned := d < maxPruneBands
+
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		changed := 0
 		for i := 0; i < n; i++ {
-			best, bestD := 0, math.Inf(1)
-			v := px[i*d : (i+1)*d]
-			for c := 0; c < k; c++ {
-				dist := sqDist(v, centers[c*d:(c+1)*d])
-				if dist < bestD {
-					best, bestD = c, dist
+			// Both slices are cut to length and capacity d so that the
+			// compiler drops the bounds checks of the distance loops.
+			v := px[i*d : (i+1)*d : (i+1)*d]
+			if pruned && iter > 0 {
+				// Skip the pixel if its bounds prove its centre strictly
+				// nearest: first as they stand, then with the upper bound
+				// tightened.
+				a := assign[i]
+				bound := lower[i]
+				if half[a] > bound {
+					bound = half[a]
+				}
+				if upper[i] < bound {
+					continue
+				}
+				upper[i] = math.Sqrt(sqDist(v, centers[a*d:(a+1)*d]))
+				if upper[i] < bound {
+					continue
 				}
 			}
+			best, bestD, second := 0, math.Inf(1), math.Inf(1)
+			for c := 0; c < k; c++ {
+				w := centers[c*d : (c+1)*d : (c+1)*d]
+				var dist float64
+				for j := range v {
+					t := v[j] - w[j]
+					dist += t * t
+				}
+				if dist < bestD {
+					best, bestD, second = c, dist, bestD
+				} else if dist < second {
+					second = dist
+				}
+			}
+			upper[i], lower[i] = math.Sqrt(bestD), lowerRoot(second)
 			if assign[i] != best {
 				assign[i] = best
 				changed++
@@ -80,6 +153,7 @@ func Unsuperclassify(bands []*raster.Image, k int, opts ClassifyOptions) (*raste
 		if iter > 0 && changed == 0 {
 			break
 		}
+		copy(old, centers)
 		// Recompute centers.
 		for i := range counts {
 			counts[i] = 0
@@ -114,6 +188,9 @@ func Unsuperclassify(bands []*raster.Image, k int, opts ClassifyOptions) (*raste
 			for j := 0; j < d; j++ {
 				centers[c*d+j] = sums[c*d+j] / float64(counts[c])
 			}
+		}
+		if pruned {
+			loosen(upper, lower, half, drift, assign, old, centers, d)
 		}
 	}
 
@@ -183,6 +260,80 @@ func seedCenters(px []float64, n, d, k int, seed uint64) []float64 {
 	return centers
 }
 
+const (
+	// prune is the relative margin by which lower bounds and half distances
+	// are made conservative. It must stay far above the rounding of a
+	// squared distance and its root; within that, its value changes no
+	// classification, only how many pixels are skipped.
+	prune = 1e-9
+	// minLower is the least lower bound trusted: the squares of shorter
+	// distances may be subnormal and lose their relative precision.
+	minLower = 0x1p-480
+	// maxPruneBands bounds the band count for which (d+2)·2⁻⁵³, the
+	// rounding of a squared distance, stays well below prune/2.
+	maxPruneBands = 1 << 20
+)
+
+// lowerRoot turns a computed squared distance into a lower bound on the
+// distance, deflated by the margin.
+func lowerRoot(sq float64) float64 {
+	return trusted(math.Sqrt(sq) * (1 - prune))
+}
+
+// trusted passes a finite lower bound of at least minLower and turns any
+// other (tiny, negative, infinite or NaN) into 0, which skips nothing.
+func trusted(l float64) float64 {
+	if l >= minLower && l < math.Inf(1) {
+		return l
+	}
+	return 0
+}
+
+// loosen carries the bounds across a centre recompute from old to centers:
+// each centre's drift raises the upper bounds of its own pixels, the
+// largest drift of the other centres lowers each pixel's lower bound, and
+// the half distances are taken afresh. A NaN distance between centres is left out of a half distance: a
+// NaN centre wins no pixel until a recompute moves it, and then its drift,
+// like any NaN drift, counts as infinite.
+func loosen(upper, lower, half, drift []float64, assign []int, old, centers []float64, d int) {
+	k := len(half)
+	far, next := 0, 0.0 // the centre that drifted furthest; the furthest drift of the others
+	for c := 0; c < k; c++ {
+		drift[c] = math.Sqrt(sqDist(old[c*d:(c+1)*d], centers[c*d:(c+1)*d]))
+		if math.IsNaN(drift[c]) {
+			drift[c] = math.Inf(1)
+		}
+		if drift[c] > drift[far] {
+			far, next = c, drift[far]
+		} else if c != far && drift[c] > next {
+			next = drift[c]
+		}
+	}
+	for i, a := range assign {
+		upper[i] += drift[a]
+		other := drift[far]
+		if a == far {
+			other = next
+		}
+		lower[i] = trusted(lower[i]*(1-prune) - other*(1+prune))
+	}
+	for c := range half {
+		half[c] = math.Inf(1)
+	}
+	for c := 0; c < k; c++ {
+		for o := c + 1; o < k; o++ {
+			sq := sqDist(centers[c*d:(c+1)*d], centers[o*d:(o+1)*d])
+			if sq < half[c] {
+				half[c] = sq
+			}
+			if sq < half[o] {
+				half[o] = sq
+			}
+		}
+		half[c] = lowerRoot(half[c]) / 2
+	}
+}
+
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -195,6 +346,8 @@ func sqDist(a, b []float64) float64 {
 // WithinClusterSS returns the total within-cluster sum of squared distances
 // of a classification against its source bands — the objective k-means
 // minimises. Tests use it to verify classification quality invariants.
+// Class codes must be integers in 0..255, the range of the char image
+// Unsuperclassify writes.
 func WithinClusterSS(bands []*raster.Image, classes *raster.Image) (float64, error) {
 	if err := checkSameShape(append([]*raster.Image{classes}, bands...)); err != nil {
 		return 0, err
@@ -203,7 +356,10 @@ func WithinClusterSS(bands []*raster.Image, classes *raster.Image) (float64, err
 	n := classes.Pixels()
 	codes := classes.Float64s()
 	k := 0
-	for _, c := range codes {
+	for i, c := range codes {
+		if !(c >= 0 && c <= 255) || c != math.Trunc(c) {
+			return 0, fmt.Errorf("%w: class code %g at pixel %d (want an integer in 0..255)", ErrBadParam, c, i)
+		}
 		if int(c) >= k {
 			k = int(c) + 1
 		}

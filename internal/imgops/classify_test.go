@@ -1,12 +1,343 @@
 package imgops
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"gaea/internal/raster"
 )
+
+// lloydReference is Unsuperclassify as plain Lloyd, every pixel against
+// every centre on every pass: the loop as it stood before the bounds
+// pruned it, kept verbatim as the reference the pruned loop must match
+// bit for bit.
+func lloydReference(bands []*raster.Image, k int, opts ClassifyOptions) (*raster.Image, error) {
+	if err := checkSameShape(bands); err != nil {
+		return nil, err
+	}
+	if k < 1 || k > 255 {
+		return nil, fmt.Errorf("%w: k = %d (want 1..255)", ErrBadParam, k)
+	}
+	opts = opts.withDefaults()
+	d := len(bands)
+	n := bands[0].Pixels()
+	if k > n {
+		return nil, fmt.Errorf("%w: k = %d exceeds pixel count %d", ErrBadParam, k, n)
+	}
+
+	// Pixel vectors, pixel-major for cache-friendly distance loops.
+	px := make([]float64, n*d)
+	for b, im := range bands {
+		vals := im.Float64s()
+		for i, v := range vals {
+			px[i*d+b] = v
+		}
+	}
+
+	centers := seedCenters(px, n, d, k, opts.Seed)
+	assign := make([]int, n)
+	counts := make([]int, k)
+	sums := make([]float64, k*d)
+
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		changed := 0
+		for i := 0; i < n; i++ {
+			best, bestD := 0, math.Inf(1)
+			v := px[i*d : (i+1)*d]
+			for c := 0; c < k; c++ {
+				dist := sqDist(v, centers[c*d:(c+1)*d])
+				if dist < bestD {
+					best, bestD = c, dist
+				}
+			}
+			if assign[i] != best {
+				assign[i] = best
+				changed++
+			}
+		}
+		if iter > 0 && changed == 0 {
+			break
+		}
+		// Recompute centers.
+		for i := range counts {
+			counts[i] = 0
+		}
+		for i := range sums {
+			sums[i] = 0
+		}
+		for i := 0; i < n; i++ {
+			c := assign[i]
+			counts[c]++
+			v := px[i*d : (i+1)*d]
+			dst := sums[c*d : (c+1)*d]
+			for j := range v {
+				dst[j] += v[j]
+			}
+		}
+		for c := 0; c < k; c++ {
+			if counts[c] == 0 {
+				// Re-seed an empty cluster at the point farthest from its
+				// center, deterministically: pick the globally worst-fitted
+				// pixel.
+				worst, worstD := 0, -1.0
+				for i := 0; i < n; i++ {
+					dd := sqDist(px[i*d:(i+1)*d], centers[assign[i]*d:(assign[i]+1)*d])
+					if dd > worstD {
+						worst, worstD = i, dd
+					}
+				}
+				copy(centers[c*d:(c+1)*d], px[worst*d:(worst+1)*d])
+				continue
+			}
+			for j := 0; j < d; j++ {
+				centers[c*d+j] = sums[c*d+j] / float64(counts[c])
+			}
+		}
+	}
+
+	out, err := raster.New(bands[0].Rows(), bands[0].Cols(), raster.PixChar)
+	if err != nil {
+		return nil, err
+	}
+	codes := make([]float64, n)
+	for i, c := range assign {
+		codes[i] = float64(c)
+	}
+	if err := out.SetFloat64s(codes); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// benchScenes are the scenes the repository benchmark's derive-refresh
+// workload classifies at its default seed: 96 tiles of 32×32 red, NIR and
+// SWIR, each in 1986, 1990 and 1987.
+func benchScenes(tb testing.TB) [][]*raster.Image {
+	tb.Helper()
+	const side = 32 * 30
+	var scenes [][]*raster.Image
+	for tile := 0; tile < 96; tile++ {
+		for _, year := range []int{1986, 1990, 1987} {
+			spec := raster.SceneSpec{OriginX: float64(tile) * (side + 300), CellSize: 30, Rows: 32, Cols: 32,
+				DayOfYear: 170, Year: year, Noise: 0.01}
+			imgs, err := raster.NewLandscape(1+uint64(tile)).GenerateScene(spec,
+				[]raster.Band{raster.BandRed, raster.BandNIR, raster.BandSWIR})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			scenes = append(scenes, imgs)
+		}
+	}
+	return scenes
+}
+
+// imageOf builds a rows×cols float8 band from row-major values.
+func imageOf(t *testing.T, rows, cols int, vals []float64) *raster.Image {
+	t.Helper()
+	im := raster.MustNew(rows, cols, raster.PixFloat8)
+	if err := im.SetFloat64s(vals); err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// randomBands draws d bands of rows×cols pixels from draw.
+func randomBands(t *testing.T, rows, cols, d int, draw func() float64) []*raster.Image {
+	t.Helper()
+	bands := make([]*raster.Image, d)
+	for b := range bands {
+		vals := make([]float64, rows*cols)
+		for i := range vals {
+			vals[i] = draw()
+		}
+		bands[b] = imageOf(t, rows, cols, vals)
+	}
+	return bands
+}
+
+// checkMatchesLloyd fails unless Unsuperclassify and lloydReference give
+// the same class image, byte for byte, or the same error.
+func checkMatchesLloyd(t *testing.T, name string, bands []*raster.Image, k int, opts ClassifyOptions) {
+	t.Helper()
+	got, gerr := Unsuperclassify(bands, k, opts)
+	want, werr := lloydReference(bands, k, opts)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%s: error %v, reference %v", name, gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; g != w {
+			t.Fatalf("%s (k=%d, %+v): pixel %d has class %d, plain Lloyd %d", name, k, opts, i, g, w)
+		}
+	}
+}
+
+// TestUnsuperclassifyMatchesLloyd holds the pruned loop to the exactness
+// contract: on every input the class image is plain Lloyd's, bit for bit.
+func TestUnsuperclassifyMatchesLloyd(t *testing.T) {
+	t.Run("bench scenes", func(t *testing.T) {
+		for i, bands := range benchScenes(t) {
+			checkMatchesLloyd(t, fmt.Sprintf("scene %d", i), bands, 12, ClassifyOptions{Seed: 1})
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		r := rand.New(rand.NewSource(1))
+		for trial := 0; trial < 400; trial++ {
+			rows, cols, d := 1+r.Intn(12), 1+r.Intn(12), 1+r.Intn(6)
+			k := 1 + r.Intn(min(rows*cols, 20))
+			scale := math.Pow(10, float64(r.Intn(7)-3))
+			bands := randomBands(t, rows, cols, d, func() float64 { return r.NormFloat64() * scale })
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
+	t.Run("integer ties", func(t *testing.T) {
+		// Small integer grids put many pixels at exactly equal distances
+		// from two centres, where plain Lloyd takes the lower index.
+		r := rand.New(rand.NewSource(2))
+		for trial := 0; trial < 1500; trial++ {
+			rows, cols, d := 1+r.Intn(10), 1+r.Intn(10), 1+r.Intn(3)
+			k := 1 + r.Intn(min(rows*cols, 12))
+			span := 2 + r.Intn(6)
+			bands := randomBands(t, rows, cols, d, func() float64 { return float64(r.Intn(span)) })
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
+	t.Run("duplicated pixels", func(t *testing.T) {
+		// A few distinct pixels, each repeated, with k above their count:
+		// seeding spreads centres over duplicates and empty clusters re-seed.
+		r := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 300; trial++ {
+			rows, cols, d := 2+r.Intn(8), 2+r.Intn(8), 1+r.Intn(3)
+			distinct := 1 + r.Intn(4)
+			palette := make([][]float64, distinct)
+			for p := range palette {
+				palette[p] = make([]float64, d)
+				for j := range palette[p] {
+					palette[p][j] = r.NormFloat64()
+				}
+			}
+			picks := make([]int, rows*cols)
+			for i := range picks {
+				picks[i] = r.Intn(distinct)
+			}
+			bands := make([]*raster.Image, d)
+			for b := range bands {
+				vals := make([]float64, rows*cols)
+				for i, p := range picks {
+					vals[i] = palette[p][b]
+				}
+				bands[b] = imageOf(t, rows, cols, vals)
+			}
+			k := 1 + r.Intn(min(rows*cols, distinct+4))
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
+	t.Run("fractional positions", func(t *testing.T) {
+		// One band of pixels at a few positions that are multiples of
+		// thirds, sevenths, tenths: centres reach a pixel or one another
+		// through rounded means, so a pixel's bounds and its computed
+		// distances can disagree by a rounding. Without the margin the
+		// bounds skip pixels here that plain Lloyd moves.
+		fracs := []float64{1.0 / 3, 2.0 / 3, 0.1, 0.2, 0.7, 1.0 / 7, 5.0 / 9, 0.5, 0.25}
+		r := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 20000; trial++ {
+			pos := make([]float64, 2+r.Intn(5))
+			for p := range pos {
+				pos[p] = float64(r.Intn(64)-32) * fracs[r.Intn(len(fracs))]
+			}
+			n := 4 + r.Intn(60)
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = pos[r.Intn(len(pos))]
+			}
+			bands := []*raster.Image{imageOf(t, 1, n, vals)}
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, 2+r.Intn(3), ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
+	t.Run("subnormal distances", func(t *testing.T) {
+		// Integer grids scaled so far down that squared differences are
+		// subnormal and computed distances lose their relative precision:
+		// bounds taken from them must skip nothing.
+		r := rand.New(rand.NewSource(8))
+		for trial := 0; trial < 1000; trial++ {
+			scale := math.Ldexp(1, -530-r.Intn(16))
+			n, d, span := 4+r.Intn(40), 1+r.Intn(2), 2+r.Intn(12)
+			bands := randomBands(t, 1, n, d, func() float64 { return float64(r.Intn(span)) * scale })
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, 2+r.Intn(min(5, n-1)), ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
+	t.Run("constant and k equals n", func(t *testing.T) {
+		constant := randomBands(t, 4, 4, 2, func() float64 { return 3.5 })
+		for k := 1; k <= 16; k++ {
+			checkMatchesLloyd(t, "constant", constant, k, ClassifyOptions{})
+		}
+		r := rand.New(rand.NewSource(4))
+		for trial := 0; trial < 50; trial++ {
+			rows, cols := 1+r.Intn(6), 1+r.Intn(6)
+			bands := randomBands(t, rows, cols, 1+r.Intn(3), func() float64 { return float64(r.Intn(5)) })
+			checkMatchesLloyd(t, fmt.Sprintf("k=n trial %d", trial), bands, rows*cols, ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
+	t.Run("non-finite pixels", func(t *testing.T) {
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, 1e200, 1e-200}
+		r := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 300; trial++ {
+			rows, cols, d := 2+r.Intn(8), 2+r.Intn(8), 1+r.Intn(3)
+			bands := randomBands(t, rows, cols, d, func() float64 {
+				if r.Intn(12) == 0 {
+					return specials[r.Intn(len(specials))]
+				}
+				return r.NormFloat64()
+			})
+			k := 1 + r.Intn(min(rows*cols, 10))
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
+	t.Run("max iterations", func(t *testing.T) {
+		r := rand.New(rand.NewSource(6))
+		for trial := 0; trial < 200; trial++ {
+			rows, cols, d := 2+r.Intn(10), 2+r.Intn(10), 1+r.Intn(4)
+			bands := randomBands(t, rows, cols, d, func() float64 { return float64(r.Intn(4)) + r.Float64()*float64(r.Intn(2)) })
+			k := 1 + r.Intn(min(rows*cols, 12))
+			for _, it := range []int{1, 2, 3} {
+				checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{MaxIter: it, Seed: uint64(trial) + 1})
+			}
+		}
+	})
+}
+
+func TestWithinClusterSSRefusesBadCodes(t *testing.T) {
+	bands := twoClusterBands(t, 2, 2)
+	for _, code := range []float64{-1, math.NaN(), 0.5, math.Inf(1), 256} {
+		classes := imageOf(t, 2, 2, []float64{0, 1, code, 0})
+		if _, err := WithinClusterSS(bands, classes); !errors.Is(err, ErrBadParam) {
+			t.Errorf("class code %g: err = %v, want ErrBadParam", code, err)
+		}
+	}
+	classes := imageOf(t, 2, 2, []float64{0, 1, 255, 0})
+	if _, err := WithinClusterSS(bands, classes); err != nil {
+		t.Errorf("class code 255: %v", err)
+	}
+}
+
+// BenchmarkUnsuperclassify classifies the repository benchmark's
+// derive-refresh scenes into 12 classes, one scene per op.
+func BenchmarkUnsuperclassify(b *testing.B) {
+	scenes := benchScenes(b)
+	i := 0
+	for b.Loop() {
+		if _, err := Unsuperclassify(scenes[i%len(scenes)], 12, ClassifyOptions{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
 
 // twoClusterBands builds bands whose pixels form two well-separated
 // clusters: left half near (0,0), right half near (10,10).

@@ -16,6 +16,13 @@ import (
 // region and date is deterministic — exactly what reproducibility
 // experiments require — while different dates shift vegetation the way
 // NDVI-change studies expect.
+//
+// A scene is rendered in one pass per pixel: the latent surface (elevation,
+// moisture, and from them vegetation, water and soil) is evaluated once and
+// every requested band is mixed from it, so a three-band scene costs one
+// surface evaluation per pixel, not three, and elevation is not evaluated
+// again for water. A band's pixels depend only on the spec and the band:
+// which bands are asked for together changes no bit of any of them.
 
 // splitmix64 is a tiny, high-quality hash-to-random mapping; it gives the
 // generator deterministic per-coordinate noise without carrying rand state.
@@ -26,23 +33,31 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hashUnit maps integer lattice coordinates to a uniform float in [0, 1).
-func hashUnit(seed uint64, ix, iy int64) float64 {
-	h := splitmix64(seed ^ splitmix64(uint64(ix)*0x9e3779b97f4a7c15) ^ splitmix64(uint64(iy)*0xc2b2ae3d27d4eb4f))
-	return float64(h>>11) / float64(1<<53)
+// Integer lattice coordinates (ix, iy) map to a uniform float in [0, 1) as
+// unitHash(seed ^ hashX(ix) ^ hashY(iy)). The axis hashes are separate so
+// that callers reusing a coordinate compute its hash once.
+func hashX(ix int64) uint64 { return splitmix64(uint64(ix) * 0x9e3779b97f4a7c15) }
+
+func hashY(iy int64) uint64 { return splitmix64(uint64(iy) * 0xc2b2ae3d27d4eb4f) }
+
+func unitHash(h uint64) float64 {
+	return float64(splitmix64(h)>>11) / float64(1<<53)
 }
 
 func smooth(t float64) float64 { return t * t * (3 - 2*t) }
 
-// valueNoise2D is smooth value noise over the real plane.
+// valueNoise2D is smooth value noise over the real plane. The four corners
+// of a cell share two column and two row hashes.
 func valueNoise2D(seed uint64, x, y float64) float64 {
 	x0, y0 := math.Floor(x), math.Floor(y)
 	tx, ty := smooth(x-x0), smooth(y-y0)
 	ix, iy := int64(x0), int64(y0)
-	v00 := hashUnit(seed, ix, iy)
-	v10 := hashUnit(seed, ix+1, iy)
-	v01 := hashUnit(seed, ix, iy+1)
-	v11 := hashUnit(seed, ix+1, iy+1)
+	hx0, hx1 := hashX(ix), hashX(ix+1)
+	hy0, hy1 := hashY(iy), hashY(iy+1)
+	v00 := unitHash(seed ^ hx0 ^ hy0)
+	v10 := unitHash(seed ^ hx1 ^ hy0)
+	v01 := unitHash(seed ^ hx0 ^ hy1)
+	v11 := unitHash(seed ^ hx1 ^ hy1)
 	a := v00 + (v10-v00)*tx
 	b := v01 + (v11-v01)*tx
 	return a + (b-a)*ty
@@ -85,23 +100,49 @@ func (l *Landscape) moisture(x, y float64) float64 {
 	return fbm(l.Seed^0x301C, x/l.Scale*1.3+100, y/l.Scale*1.3-40, 4)
 }
 
-// Vegetation responds to moisture and elevation plus a seasonal cycle.
-// dayOfYear in [0, 365); amplitude grows with moisture so arid regions stay
-// flat across seasons, as real NDVI does.
-func (l *Landscape) vegetation(x, y float64, dayOfYear float64) float64 {
-	m := l.moisture(x, y)
-	e := l.elevation(x, y)
-	season := 0.5 + 0.5*math.Sin(2*math.Pi*(dayOfYear-80)/365)
-	v := m*0.7 + (1-e)*0.2 + 0.25*season*m
-	return clamp(v, 0, 1)
+// surface is the latent surface at one world point, each field in [0, 1].
+type surface struct {
+	elev, veg, water, soil float64
 }
 
-// water is 1 where elevation falls below the water table.
-func (l *Landscape) water(x, y float64) float64 {
-	if l.elevation(x, y) < 0.22 {
-		return 1
+// surfaceAt evaluates every latent field at a world point once. Vegetation
+// responds to moisture and elevation plus the seasonal cycle s, with an
+// amplitude that grows with moisture so arid regions stay flat across
+// seasons, as real NDVI does; water is 1 where elevation falls below the
+// water table; soil is what neither covers.
+func (l *Landscape) surfaceAt(x, y, s float64) surface {
+	m := l.moisture(x, y)
+	e := l.elevation(x, y)
+	veg := clamp(m*0.7+(1-e)*0.2+0.25*s*m, 0, 1)
+	var wat float64
+	if e < 0.22 {
+		wat = 1
 	}
-	return 0
+	return surface{elev: e, veg: veg, water: wat, soil: clamp(1-veg-wat, 0, 1)}
+}
+
+// reflectance mixes a band's surface reflectance from the latent fields.
+// Coefficients are loosely modelled on vegetation/soil/water spectral
+// signatures: vegetation absorbs red and reflects NIR strongly, water
+// absorbs NIR, soil is flat.
+func (s surface) reflectance(b Band) float64 {
+	veg, soil, wat := s.veg, s.soil, s.water
+	var r float64
+	switch b {
+	case BandBlue:
+		r = 0.06*veg + 0.10*soil + 0.08*wat
+	case BandGreen:
+		r = 0.12*veg + 0.14*soil + 0.06*wat
+	case BandRed:
+		r = 0.05*veg + 0.22*soil + 0.04*wat
+	case BandNIR:
+		r = 0.55*veg + 0.30*soil + 0.02*wat
+	case BandSWIR:
+		r = 0.25*veg + 0.35*soil + 0.01*wat
+	case BandThermal:
+		r = 0.6 - 0.3*s.elev - 0.15*veg
+	}
+	return clamp(r, 0, 1)
 }
 
 // Band identifies a simulated sensor band.
@@ -140,83 +181,76 @@ type SceneSpec struct {
 	PixType          PixType // output pixel type; default float4
 }
 
-// reflectance computes a band's surface reflectance at a world point as a
-// linear mixture of the latent fields. Coefficients are loosely modelled on
-// vegetation/soil/water spectral signatures: vegetation absorbs red and
-// reflects NIR strongly, water absorbs NIR, soil is flat.
-func (l *Landscape) reflectance(b Band, x, y float64, dayOfYear float64, year int) float64 {
-	veg := l.vegetation(x, y, dayOfYear+float64(year%7)*3.1)
-	wat := l.water(x, y)
-	soil := clamp(1-veg-wat, 0, 1)
-	var r float64
-	switch b {
-	case BandBlue:
-		r = 0.06*veg + 0.10*soil + 0.08*wat
-	case BandGreen:
-		r = 0.12*veg + 0.14*soil + 0.06*wat
-	case BandRed:
-		r = 0.05*veg + 0.22*soil + 0.04*wat
-	case BandNIR:
-		r = 0.55*veg + 0.30*soil + 0.02*wat
-	case BandSWIR:
-		r = 0.25*veg + 0.35*soil + 0.01*wat
-	case BandThermal:
-		e := l.elevation(x, y)
-		r = 0.6 - 0.3*e - 0.15*veg
+// GenerateBand renders one band of a scene: GenerateScene of that band.
+func (l *Landscape) GenerateBand(spec SceneSpec, b Band) (*Image, error) {
+	imgs, err := l.GenerateScene(spec, []Band{b})
+	if err != nil {
+		return nil, err
 	}
-	return clamp(r, 0, 1)
+	return imgs[0], nil
 }
 
-// GenerateBand renders one band of a scene. Sensor noise is deterministic
-// in (seed, band, pixel, year, day) so identical specs yield identical
-// scenes.
-func (l *Landscape) GenerateBand(spec SceneSpec, b Band) (*Image, error) {
+// GenerateScene renders the requested bands of a scene, co-registered. The
+// latent surface is evaluated once per pixel and every band is mixed from
+// it. Sensor noise is deterministic in (seed, band, pixel, year, day) so
+// identical specs yield identical scenes.
+func (l *Landscape) GenerateScene(spec SceneSpec, bands []Band) ([]*Image, error) {
 	pt := spec.PixType
 	if pt == "" {
 		pt = PixFloat4
 	}
-	img, err := New(spec.Rows, spec.Cols, pt)
-	if err != nil {
-		return nil, err
+	out := make([]*Image, len(bands))
+	vals := make([][]float64, len(bands))
+	// Each band's noise draws lattice points (4i+k, band) under its own
+	// seed; the seed and the band's row hash are folded once here.
+	noiseKeys := make([]uint64, len(bands))
+	for j, b := range bands {
+		img, err := New(spec.Rows, spec.Cols, pt)
+		if err != nil {
+			return nil, err
+		}
+		out[j] = img
+		vals[j] = make([]float64, spec.Rows*spec.Cols)
+		noiseSeed := l.Seed ^ splitmix64(uint64(b)+0xBAD) ^ splitmix64(uint64(spec.Year)*366+uint64(spec.DayOfYear))
+		noiseKeys[j] = noiseSeed ^ hashY(int64(b))
 	}
-	noiseSeed := l.Seed ^ splitmix64(uint64(b)+0xBAD) ^ splitmix64(uint64(spec.Year)*366+uint64(spec.DayOfYear))
-	vals := make([]float64, spec.Rows*spec.Cols)
+	// Vegetation's seasonal cycle, in [0, 1]; the year shifts it slightly.
+	day := spec.DayOfYear + float64(spec.Year%7)*3.1
+	s := 0.5 + 0.5*math.Sin(2*math.Pi*(day-80)/365)
+	var hx [4]uint64 // a pixel's noise column hashes, shared by every band
 	i := 0
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
 			x := spec.OriginX + float64(c)*spec.CellSize
 			y := spec.OriginY + float64(r)*spec.CellSize
-			v := l.reflectance(b, x, y, spec.DayOfYear, spec.Year)
+			surf := l.surfaceAt(x, y, s)
 			if spec.Noise > 0 {
-				// Deterministic pseudo-Gaussian noise via sum of uniforms.
-				var u float64
-				for k := int64(0); k < 4; k++ {
-					u += hashUnit(noiseSeed, int64(i)*4+k, int64(b))
+				for k := range hx {
+					hx[k] = hashX(int64(i)*4 + int64(k))
 				}
-				v += spec.Noise * (u - 2) // mean 0, stddev ~ spec.Noise*0.577
 			}
-			if pt == PixChar {
-				v *= 255 // scale reflectance to byte range
+			for j, b := range bands {
+				v := surf.reflectance(b)
+				if spec.Noise > 0 {
+					// Deterministic pseudo-Gaussian noise via sum of uniforms.
+					var u float64
+					for _, h := range hx {
+						u += unitHash(noiseKeys[j] ^ h)
+					}
+					v += spec.Noise * (u - 2) // mean 0, stddev ~ spec.Noise*0.577
+				}
+				if pt == PixChar {
+					v *= 255 // scale reflectance to byte range
+				}
+				vals[j][i] = clamp(v, 0, math.Inf(1))
 			}
-			vals[i] = clamp(v, 0, math.Inf(1))
 			i++
 		}
 	}
-	if err := img.SetFloat64s(vals); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// GenerateScene renders the requested bands of a scene, co-registered.
-func (l *Landscape) GenerateScene(spec SceneSpec, bands []Band) ([]*Image, error) {
-	out := make([]*Image, 0, len(bands))
-	for _, b := range bands {
-		img, err := l.GenerateBand(spec, b)
-		if err != nil {
+	for j, img := range out {
+		if err := img.SetFloat64s(vals[j]); err != nil {
 			return nil, err
 		}
-		out = append(out, img)
 	}
 	return out, nil
 }

@@ -1,9 +1,209 @@
 package raster
 
 import (
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"testing"
 )
+
+// referenceHashUnit and referenceNoise are the lattice hash and value noise
+// as they stood before the corners of a cell shared their axis hashes,
+// kept verbatim as the reference valueNoise2D must match bit for bit.
+func referenceHashUnit(seed uint64, ix, iy int64) float64 {
+	h := splitmix64(seed ^ splitmix64(uint64(ix)*0x9e3779b97f4a7c15) ^ splitmix64(uint64(iy)*0xc2b2ae3d27d4eb4f))
+	return float64(h>>11) / float64(1<<53)
+}
+
+func referenceNoise(seed uint64, x, y float64) float64 {
+	x0, y0 := math.Floor(x), math.Floor(y)
+	tx, ty := smooth(x-x0), smooth(y-y0)
+	ix, iy := int64(x0), int64(y0)
+	v00 := referenceHashUnit(seed, ix, iy)
+	v10 := referenceHashUnit(seed, ix+1, iy)
+	v01 := referenceHashUnit(seed, ix, iy+1)
+	v11 := referenceHashUnit(seed, ix+1, iy+1)
+	a := v00 + (v10-v00)*tx
+	b := v01 + (v11-v01)*tx
+	return a + (b-a)*ty
+}
+
+func TestValueNoiseMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		seed := r.Uint64()
+		x, y := r.NormFloat64()*math.Pow(10, float64(r.Intn(8))), r.NormFloat64()*math.Pow(10, float64(r.Intn(8)))
+		if got, want := valueNoise2D(seed, x, y), referenceNoise(seed, x, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("valueNoise2D(%#x, %g, %g) = %g, reference %g", seed, x, y, got, want)
+		}
+	}
+}
+
+// referenceBand is the per-band generator as it stood before scenes were
+// rendered in one pass: every band evaluates the latent fields afresh
+// (elevation twice, through vegetation and water). It is kept verbatim as
+// the reference GenerateScene must match bit for bit.
+func referenceBand(l *Landscape, spec SceneSpec, b Band) (*Image, error) {
+	vegetation := func(x, y float64, dayOfYear float64) float64 {
+		m := l.moisture(x, y)
+		e := l.elevation(x, y)
+		season := 0.5 + 0.5*math.Sin(2*math.Pi*(dayOfYear-80)/365)
+		v := m*0.7 + (1-e)*0.2 + 0.25*season*m
+		return clamp(v, 0, 1)
+	}
+	water := func(x, y float64) float64 {
+		if l.elevation(x, y) < 0.22 {
+			return 1
+		}
+		return 0
+	}
+	reflectance := func(b Band, x, y float64, dayOfYear float64, year int) float64 {
+		veg := vegetation(x, y, dayOfYear+float64(year%7)*3.1)
+		wat := water(x, y)
+		soil := clamp(1-veg-wat, 0, 1)
+		var r float64
+		switch b {
+		case BandBlue:
+			r = 0.06*veg + 0.10*soil + 0.08*wat
+		case BandGreen:
+			r = 0.12*veg + 0.14*soil + 0.06*wat
+		case BandRed:
+			r = 0.05*veg + 0.22*soil + 0.04*wat
+		case BandNIR:
+			r = 0.55*veg + 0.30*soil + 0.02*wat
+		case BandSWIR:
+			r = 0.25*veg + 0.35*soil + 0.01*wat
+		case BandThermal:
+			e := l.elevation(x, y)
+			r = 0.6 - 0.3*e - 0.15*veg
+		}
+		return clamp(r, 0, 1)
+	}
+
+	pt := spec.PixType
+	if pt == "" {
+		pt = PixFloat4
+	}
+	img, err := New(spec.Rows, spec.Cols, pt)
+	if err != nil {
+		return nil, err
+	}
+	noiseSeed := l.Seed ^ splitmix64(uint64(b)+0xBAD) ^ splitmix64(uint64(spec.Year)*366+uint64(spec.DayOfYear))
+	vals := make([]float64, spec.Rows*spec.Cols)
+	i := 0
+	for r := 0; r < spec.Rows; r++ {
+		for c := 0; c < spec.Cols; c++ {
+			x := spec.OriginX + float64(c)*spec.CellSize
+			y := spec.OriginY + float64(r)*spec.CellSize
+			v := reflectance(b, x, y, spec.DayOfYear, spec.Year)
+			if spec.Noise > 0 {
+				// Deterministic pseudo-Gaussian noise via sum of uniforms.
+				var u float64
+				for k := int64(0); k < 4; k++ {
+					u += referenceHashUnit(noiseSeed, int64(i)*4+k, int64(b))
+				}
+				v += spec.Noise * (u - 2) // mean 0, stddev ~ spec.Noise*0.577
+			}
+			if pt == PixChar {
+				v *= 255 // scale reflectance to byte range
+			}
+			vals[i] = clamp(v, 0, math.Inf(1))
+			i++
+		}
+	}
+	if err := img.SetFloat64s(vals); err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// sameBits reports whether two images hold the same pixels, bit for bit.
+func sameBits(a, b *Image) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.PixType() != b.PixType() {
+		return false
+	}
+	av, bv := a.Float64s(), b.Float64s()
+	for i := range av {
+		if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGenerateSceneMatchesPerBand holds the one-pass generator to the
+// per-band one: every band of every spec, pixel type and noise setting is
+// bit for bit the same, and GenerateBand is GenerateScene of one band.
+func TestGenerateSceneMatchesPerBand(t *testing.T) {
+	all := []Band{BandBlue, BandGreen, BandRed, BandNIR, BandSWIR, BandThermal}
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 192; trial++ {
+		l := NewLandscape(r.Uint64())
+		spec := SceneSpec{
+			OriginX: r.NormFloat64() * 1e4, OriginY: r.NormFloat64() * 1e4,
+			CellSize: []float64{1, 7.5, 30, 250}[r.Intn(4)],
+			Rows:     1 + r.Intn(9), Cols: 1 + r.Intn(9),
+			DayOfYear: float64(r.Intn(365)) + []float64{0, 0.5, r.Float64()}[r.Intn(3)],
+			Year:      1970 + r.Intn(60) - 2000*r.Intn(2),
+		}
+		for _, noise := range []float64{0, 0.01} {
+			for _, pt := range []PixType{"", PixChar, PixFloat8} {
+				spec.Noise, spec.PixType = noise, pt
+				scene, err := l.GenerateScene(spec, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, b := range all {
+					want, err := referenceBand(l, spec, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(scene[j], want) {
+						t.Fatalf("spec %+v band %s: GenerateScene differs from the per-band generator", spec, b)
+					}
+					one, err := l.GenerateBand(spec, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(one, want) {
+						t.Fatalf("spec %+v band %s: GenerateBand differs from the per-band generator", spec, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBenchSceneChecksum pins the scene every derive-refresh benchmark
+// tile starts from (landscape seed 1, tile 0, 1986): a change to the
+// generator that moves any bit of it changes every experiment's input.
+func TestBenchSceneChecksum(t *testing.T) {
+	spec := SceneSpec{CellSize: 30, Rows: 32, Cols: 32, DayOfYear: 170, Year: 1986, Noise: 0.01}
+	imgs, err := NewLandscape(1).GenerateScene(spec, []Band{BandRed, BandNIR, BandSWIR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := crc32.NewIEEE()
+	for _, im := range imgs {
+		h.Write(im.Data())
+	}
+	if got, want := h.Sum32(), uint32(0x271fbcc4); got != want {
+		t.Errorf("bench scene CRC-32 = %#08x, want %#08x", got, want)
+	}
+}
+
+// BenchmarkGenerateScene renders one derive-refresh benchmark scene per
+// op: 32×32 red, NIR and SWIR with sensor noise.
+func BenchmarkGenerateScene(b *testing.B) {
+	l := NewLandscape(1)
+	spec := SceneSpec{CellSize: 30, Rows: 32, Cols: 32, DayOfYear: 170, Year: 1986, Noise: 0.01}
+	bands := []Band{BandRed, BandNIR, BandSWIR}
+	for b.Loop() {
+		if _, err := l.GenerateScene(spec, bands); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func testSpec(rows, cols int) SceneSpec {
 	return SceneSpec{
