@@ -234,7 +234,8 @@ func heapFor(class string) string { return "obj_" + class }
 // indexes by scanning each class heap. Every record carries its commit
 // epoch, so the chain order (and the epoch counter) is recovered exactly;
 // superseded versions persist until the next GC. The scan reads record
-// headers and blob references only: no attribute value is decoded.
+// headers and blob references only: no attribute value is decoded. Blobs
+// no version refers to are dropped from the blob store.
 func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	s := &Store{
 		st:        st,
@@ -298,6 +299,7 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 		oids = append(oids, oid)
 	}
 	slices.Sort(oids)
+	referenced := make(map[storage.BlobID]bool)
 	for _, oid := range oids {
 		c := s.chains[oid]
 		if len(c.vers) > 1 {
@@ -306,7 +308,15 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 		if !c.head().del {
 			s.indexLocked(c, oid)
 		}
+		for _, v := range c.vers {
+			for _, b := range v.blobs {
+				referenced[b] = true
+			}
+		}
 	}
+	// A blob no version refers to was put for a batch that never committed,
+	// or its delete was lost in a crash: the next checkpoint drops it.
+	st.Blobs().Retain(referenced)
 	if maxEpoch == 0 {
 		// Floor the epoch at 1 so a session's read epoch is never 0 —
 		// BatchOps.ReadEpoch uses 0 as the "skip validation" sentinel, and

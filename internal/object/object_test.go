@@ -287,6 +287,49 @@ func TestReopenRebuildsIndexes(t *testing.T) {
 	}
 }
 
+// TestOpenDropsOrphanBlobs: a blob put for a batch whose WAL group never
+// became durable (a crash between the put and the commit) is referenced
+// by no record. Open drops it, and the next checkpoint reclaims its bytes;
+// the blobs of stored objects stay.
+func TestOpenDropsOrphanBlobs(t *testing.T) {
+	dir := t.TempDir()
+	st, obj := openStore(t, dir, sceneClass)
+	oid, err := obj.Insert(sceneObject("nir", 0, sptemp.Date(1989, 6, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, _ := st.Blobs().IDs()
+	orphan := storage.BlobID(st.AllocID("blob"))
+	if err := st.Blobs().Put(orphan, []byte("pixels of a batch that never committed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = storage.Open(dir, storage.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cat, err := catalog.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj, err = Open(st, cat); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := st.Blobs().IDs(); !reflect.DeepEqual(ids, kept) {
+		t.Errorf("blobs after reopen and checkpoint: %v, want only the stored object's %v", ids, kept)
+	}
+	if _, err := obj.Get(oid); err != nil {
+		t.Errorf("stored object after reopen: %v", err)
+	}
+}
+
 func TestTimelessClass(t *testing.T) {
 	f := newFixture(t)
 	o := &Object{

@@ -48,7 +48,7 @@ func TestBatchCommitAndRecovery(t *testing.T) {
 
 	// Crash (no checkpoint): replay must reproduce the whole group and the
 	// pinned sequence must not re-issue the reserved ID.
-	s.closeHeaps()
+	s.closeFiles()
 	s.wal.close()
 	s2, err := Open(dir, Options{NoSync: true})
 	if err != nil {
@@ -106,7 +106,7 @@ func TestMVCCEpochStampSurvivesCrash(t *testing.T) {
 
 	// Crash without checkpoint: the epoch comes back from the WAL group
 	// headers.
-	s.closeHeaps()
+	s.closeFiles()
 	s.wal.close()
 	s2, err := Open(dir, Options{NoSync: true})
 	if err != nil {
@@ -148,7 +148,7 @@ func TestBatchTornTailDropsWholeGroup(t *testing.T) {
 	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	s.closeHeaps()
+	s.closeFiles()
 	s.wal.close()
 
 	// Tear the tail of the batch record: the whole group must be dropped

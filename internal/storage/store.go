@@ -17,12 +17,13 @@ import (
 )
 
 // Store is the embedded database: named heaps + meta key/value map +
-// sequences + blob store, all durable through one WAL. Directory layout:
+// sequences, durable through one WAL, and a blob store with its own log.
+// Directory layout:
 //
-//	<dir>/heap_<name>.db   slotted-page heap files
-//	<dir>/wal.log          redo log
-//	<dir>/meta.db          meta snapshot (rewritten at checkpoint)
-//	<dir>/blobs/           large objects
+//	<dir>/heap_<name>.db      slotted-page heap files
+//	<dir>/wal.log             redo log
+//	<dir>/meta.db             meta snapshot (rewritten at checkpoint)
+//	<dir>/blobs/NNNNNNNN.seg  blob log segments (compacted at checkpoint)
 //
 // Locking: mu is a reader/writer lock whose EXCLUSIVE side belongs to
 // checkpoints (and close): everything that mutates pages or appends to
@@ -59,9 +60,9 @@ const epochKey = "mvcc/epoch"
 type Options struct {
 	// PoolFrames is the buffer-pool capacity per heap (default 64).
 	PoolFrames int
-	// NoSync disables per-append fsync of the WAL and the fsync of each
-	// blob file. Faster, loses the last writes on a crash; tests and
-	// benchmarks use it.
+	// NoSync disables per-append fsync of the WAL and the fsync after
+	// each blob append. Faster, loses the last writes on a crash; tests
+	// and benchmarks use it.
 	NoSync bool
 	// Metrics is the registry the store reports into (nil = unobserved):
 	// WAL growth/appends/fsyncs, buffer-pool hits/misses across heaps,
@@ -90,11 +91,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		blobs: blobs,
 	}
 	if err := s.loadMetaSnapshot(); err != nil {
+		s.closeFiles()
 		return nil, err
 	}
 	// Open heaps that already exist on disk.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
+		s.closeFiles()
 		return nil, err
 	}
 	for _, e := range entries {
@@ -103,6 +106,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			hn := strings.TrimSuffix(strings.TrimPrefix(name, "heap_"), ".db")
 			h, err := openHeap(filepath.Join(dir, name), hn, opts.PoolFrames)
 			if err != nil {
+				s.closeFiles()
 				return nil, err
 			}
 			s.heaps[hn] = h
@@ -110,7 +114,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	// Recover: replay the WAL, then checkpoint so the log starts clean.
 	if err := s.recover(); err != nil {
-		s.closeHeaps()
+		s.closeFiles()
 		return nil, err
 	}
 	if v, ok := s.meta[epochKey]; ok && len(v) == 8 {
@@ -118,7 +122,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.wal, err = openWAL(filepath.Join(dir, "wal.log"), !opts.NoSync)
 	if err != nil {
-		s.closeHeaps()
+		s.closeFiles()
 		return nil, err
 	}
 	s.registerMetrics(opts.Metrics)
@@ -429,8 +433,9 @@ func (s *Store) AdvanceEpoch(e uint64) {
 // the signal the kernel's auto-checkpoint trigger watches.
 func (s *Store) WALBytes() int64 { return s.wal.size() }
 
-// Checkpoint flushes all heaps and the meta snapshot, then truncates the
-// WAL. After a checkpoint, recovery has nothing to replay.
+// Checkpoint flushes all heaps and the meta snapshot, truncates the WAL,
+// and compacts the blob log. After a checkpoint, recovery has nothing to
+// replay.
 func (s *Store) Checkpoint() error {
 	start := time.Now()
 	defer func() {
@@ -450,13 +455,16 @@ func (s *Store) Checkpoint() error {
 	if err := s.wal.sync(); err != nil {
 		return err
 	}
-	return s.wal.truncate()
+	if err := s.wal.truncate(); err != nil {
+		return err
+	}
+	return s.blobs.compact()
 }
 
 // Close checkpoints and releases all files.
 func (s *Store) Close() error {
 	if err := s.Checkpoint(); err != nil {
-		s.closeHeaps()
+		s.closeFiles()
 		s.wal.close()
 		return err
 	}
@@ -472,13 +480,16 @@ func (s *Store) Close() error {
 	if err := s.wal.close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	s.blobs.close()
 	return firstErr
 }
 
-func (s *Store) closeHeaps() {
+// closeFiles releases heap and blob files without flushing anything.
+func (s *Store) closeFiles() {
 	for _, h := range s.heaps {
 		h.f.Close()
 	}
+	s.blobs.close()
 }
 
 // Meta snapshot format: magic, count, then length-prefixed key/value

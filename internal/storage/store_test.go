@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -177,7 +176,7 @@ func TestStoreCrashRecoveryFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash: abandon s without Close (buffered pages unflushed).
-	s.closeHeaps()
+	s.closeFiles()
 	s.wal.close()
 
 	s2, err := Open(dir, Options{})
@@ -220,7 +219,7 @@ func TestStoreWALTornTailIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.closeHeaps()
+	s.closeFiles()
 	s.wal.close()
 
 	// Append garbage to the WAL to simulate a torn write.
@@ -293,56 +292,6 @@ func TestStoreMetaOps(t *testing.T) {
 	v2, _ := s.MetaGet("other")
 	if string(v2) != "x" {
 		t.Error("MetaGet returned aliased storage")
-	}
-}
-
-// TestBlobStore runs with and without the blob fsync (Options.NoSync).
-func TestBlobStore(t *testing.T) {
-	for _, noSync := range []bool{true, false} {
-		t.Run(fmt.Sprintf("NoSync=%v", noSync), func(t *testing.T) { testBlobStore(t, noSync) })
-	}
-}
-
-func testBlobStore(t *testing.T, noSync bool) {
-	s, err := Open(t.TempDir(), Options{NoSync: noSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	blobs := s.Blobs()
-
-	data := bytes.Repeat([]byte("pixels"), 10_000)
-	id, err := s.NextID("blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := blobs.Put(BlobID(id), data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := blobs.Get(BlobID(id))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("blob round trip failed: %v", err)
-	}
-	ids, err := blobs.IDs()
-	if err != nil || len(ids) != 1 || ids[0] != BlobID(id) {
-		t.Errorf("IDs = %v, %v", ids, err)
-	}
-	// Corruption is detected.
-	path := blobs.Path(BlobID(id))
-	raw, _ := os.ReadFile(path)
-	raw[0] ^= 0xFF
-	os.WriteFile(path, raw, 0o644)
-	if _, err := blobs.Get(BlobID(id)); err == nil {
-		t.Error("corrupt blob should fail checksum")
-	}
-	if err := blobs.Delete(BlobID(id)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := blobs.Get(BlobID(id)); !errors.Is(err, ErrBlobNotFound) {
-		t.Errorf("missing blob err = %v", err)
-	}
-	if err := blobs.Delete(BlobID(id)); !errors.Is(err, ErrBlobNotFound) {
-		t.Errorf("double delete err = %v", err)
 	}
 }
 
