@@ -88,15 +88,17 @@ func (s *Store) CheckUpdate(obj *Object) error {
 		return err
 	}
 	s.mu.RLock()
-	c, ok := s.chains[obj.OID]
-	live := ok && !c.head().del
+	var cur *schema // nil unless the target is live
+	if r, ok := s.rowOf(obj.OID); ok && r.flags&rowDel == 0 {
+		cur = s.byNum[r.class]
+	}
 	s.mu.RUnlock()
-	if !live {
+	if cur == nil {
 		return fmt.Errorf("%w: oid %d", ErrNotFound, obj.OID)
 	}
-	if c.sch != sch {
+	if cur != sch {
 		return fmt.Errorf("%w: object %d is of class %s, not %s",
-			ErrBadAttr, obj.OID, c.sch.cls.Name, obj.Class)
+			ErrBadAttr, obj.OID, cur.cls.Name, obj.Class)
 	}
 	return nil
 }
@@ -166,7 +168,7 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 
 	// commitMu serialises mutators across the whole validate →
 	// reserve-epoch → storage-commit → publish window: epochs publish in
-	// reservation order, and the chains a validation saw cannot change
+	// reservation order, and the rows a validation saw cannot change
 	// before publication. Readers are NOT excluded — they keep resolving
 	// at their pinned epochs off the still-published state.
 	s.commitMu.Lock()
@@ -179,28 +181,25 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	// DIFFERENT prepared transaction conflicts regardless of epochs: the
 	// lock holder's commit is already promised.
 	s.mu.RLock()
-	checkTarget := func(oid OID, want *schema) (*chain, error) {
+	checkTarget := func(oid OID, want *schema) (*schema, error) {
 		return s.checkTargetLocked(oid, want, ops.ReadEpoch, ops.PreparedToken)
 	}
-	upChains := make([]*chain, len(updates))
-	for i, up := range updates {
-		c, err := checkTarget(up.obj.OID, up.sch)
-		if err != nil {
+	for _, up := range updates {
+		if _, err := checkTarget(up.obj.OID, up.sch); err != nil {
 			s.mu.RUnlock()
 			undoBlobs()
 			return 0, err
 		}
-		upChains[i] = c
 	}
-	delChains := make([]*chain, len(ops.Deletes))
+	delSchemas := make([]*schema, len(ops.Deletes))
 	for i, oid := range ops.Deletes {
-		c, err := checkTarget(oid, nil)
+		sch, err := checkTarget(oid, nil)
 		if err != nil {
 			s.mu.RUnlock()
 			undoBlobs()
 			return 0, err
 		}
-		delChains[i] = c
+		delSchemas[i] = sch
 	}
 	s.mu.RUnlock()
 
@@ -220,7 +219,7 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	}
 	delIdx := make([]int, len(ops.Deletes))
 	for i, oid := range ops.Deletes {
-		delIdx[i] = b.Insert(delChains[i].sch.heap, encodeTombstone(oid, epoch))
+		delIdx[i] = b.Insert(delSchemas[i].heap, encodeTombstone(oid, epoch))
 	}
 	for _, ex := range ops.Extra {
 		b.Insert(ex.Heap, ex.Rec)
@@ -235,43 +234,46 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	}
 
 	// The batch is durable: publish the new versions and the epoch in one
-	// short exclusive window (the new chains are built before it opens).
-	newChains := make([]*chain, len(inserts))
-	for i, in := range inserts {
-		newChains[i] = &chain{
-			sch:  in.sch,
-			vers: []version{{epoch: epoch, rid: rids[insIdx[i]], blobs: in.blobs}},
-			ext:  in.obj.Extent,
-		}
-	}
+	// short exclusive window. The targets are where validation found them:
+	// commitMu has kept every other mutator out since. A pointer into rows
+	// is dropped before the next row is put.
 	s.mu.Lock()
 	for i, in := range inserts {
-		s.chains[in.obj.OID] = newChains[i]
-		s.indexLocked(newChains[i], in.obj.OID)
+		r := row{oid: in.obj.OID, epoch: epoch, rid: rids[insIdx[i]], class: in.sch.num}
+		s.setExt(&r, in.sch, in.obj.Extent)
+		s.setHeadBlobs(&r, in.blobs)
+		s.rows.Put(r)
+		s.indexLocked(&r)
 	}
 	for i, up := range updates {
-		c := upChains[i]
-		c.vers = append(c.vers, version{epoch: epoch, rid: rids[upIdx[i]], blobs: up.blobs})
+		r := s.rows.Ptr(row{oid: up.obj.OID})
+		s.pushHead(r)
+		r.epoch, r.rid = epoch, rids[upIdx[i]]
+		s.setHeadBlobs(r, up.blobs)
 		// An update that leaves the indexed part of the extent alone (the
 		// usual one: new values, same place and time) leaves the indexes
 		// alone.
-		old, ext := c.ext, up.obj.Extent
+		old, ext := s.extOf(r), up.obj.Extent
 		moved := old.Space != ext.Space || old.HasTime != ext.HasTime || (ext.HasTime && old.TimeIv != ext.TimeIv)
 		if moved {
-			s.unindexLocked(c, up.obj.OID)
+			s.unindexLocked(r)
 		}
-		c.ext = ext
+		s.setExt(r, up.sch, ext)
 		if moved {
-			s.indexLocked(c, up.obj.OID)
+			s.indexLocked(r)
 		}
-		ci := s.classes[c.sch.cls.Name]
+		ci := s.classes[up.sch.cls.Name]
 		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: up.obj.OID})
 	}
 	for i, oid := range ops.Deletes {
-		c := delChains[i]
-		s.unindexLocked(c, oid)
-		c.vers = append(c.vers, version{epoch: epoch, rid: rids[delIdx[i]], del: true})
-		ci := s.classes[c.sch.cls.Name]
+		r := s.rows.Ptr(row{oid: oid})
+		s.unindexLocked(r)
+		s.pushHead(r)
+		r.epoch, r.rid = epoch, rids[delIdx[i]]
+		r.flags |= rowDel
+		s.setHeadBlobs(r, nil)
+		s.dead[oid] = struct{}{}
+		ci := s.classes[delSchemas[i].cls.Name]
 		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: oid})
 	}
 	s.epoch = epoch
@@ -294,26 +296,27 @@ func (s *Store) putBlob(data []byte) (storage.BlobID, error) {
 	return id, s.st.Blobs().Put(id, data)
 }
 
-// checkTargetLocked validates one mutation target. Callers hold
-// commitMu (which guards prepLocks) and s.mu at least shared (which
-// guards chains).
-func (s *Store) checkTargetLocked(oid OID, want *schema, readEpoch, token uint64) (*chain, error) {
-	c, ok := s.chains[oid]
-	if !ok || c.head().del {
+// checkTargetLocked validates one mutation target and returns its class.
+// Callers hold commitMu (which guards prepLocks) and s.mu at least shared
+// (which guards rows).
+func (s *Store) checkTargetLocked(oid OID, want *schema, readEpoch, token uint64) (*schema, error) {
+	r, ok := s.rowOf(oid)
+	if !ok || r.flags&rowDel != 0 {
 		return nil, fmt.Errorf("%w: oid %d vanished before commit", ErrConflict, oid)
 	}
-	if want != nil && c.sch != want {
+	sch := s.byNum[r.class]
+	if want != nil && sch != want {
 		return nil, fmt.Errorf("%w: object %d is of class %s, not %s",
-			ErrBadAttr, oid, c.sch.cls.Name, want.cls.Name)
+			ErrBadAttr, oid, sch.cls.Name, want.cls.Name)
 	}
 	if holder, locked := s.prepLocks[oid]; locked && holder != token {
 		return nil, fmt.Errorf("%w: oid %d is locked by prepared transaction %d", ErrConflict, oid, holder)
 	}
-	if readEpoch > 0 && c.head().epoch > readEpoch {
+	if readEpoch > 0 && r.epoch > readEpoch {
 		return nil, fmt.Errorf("%w: oid %d committed at epoch %d after this session's read epoch %d",
-			ErrConflict, oid, c.head().epoch, readEpoch)
+			ErrConflict, oid, r.epoch, readEpoch)
 	}
-	return c, nil
+	return sch, nil
 }
 
 // PrepareBatch is two-phase-commit phase one at the store level: it

@@ -7,8 +7,14 @@
 // to the blob store (the paper's image ADT likewise stores a filepath,
 // not inline pixels). Per-class grid and interval indexes serve the
 // extent-qualified retrieval that is step 1 of the §2.1.5 query sequence;
-// the extents they index live on the version chains, the one per-object
-// map the store keeps.
+// the extents they index live on the version chains' rows.
+//
+// The store's one entry per object is that row: a fixed-size value with
+// no pointer in it, kept in OID order in a sorted run of fixed-size blocks
+// (internal/sorted), as the grid index keeps its postings. Loading an
+// object adds no heap object and nothing the collector marks; only older
+// versions and image blob ids, which few objects have, live in maps beside
+// the rows.
 //
 // The store is multi-versioned: every commit happens at a monotonically
 // increasing epoch (reserved from the storage layer and stamped into the
@@ -32,6 +38,7 @@ import (
 	"gaea/internal/catalog"
 	"gaea/internal/obs"
 	"gaea/internal/raster"
+	"gaea/internal/sorted"
 	"gaea/internal/sptemp"
 	"gaea/internal/storage"
 	"gaea/internal/value"
@@ -91,34 +98,119 @@ type version struct {
 	del   bool
 }
 
-// chain is an object's version history in ascending epoch order — the
-// newest version is the LAST element, so committing a new version is an
-// amortised O(1) append however long the history grows between GCs. A
-// tombstone, when present, is always the newest: OIDs are never reused,
-// so nothing commits after a delete.
+// row is an object's version chain as the store keeps it: one value per
+// OID in the sorted run Store.rows, with no pointer in it, so that the
+// collector never looks at a row. It holds the newest version inline —
+// its epoch, its record, whether it is a tombstone — and the extent of
+// the newest live version: what the class's extent indexes describe (they
+// keep ids only and are told the extent to remove), and what an extent
+// check of that version reads instead of its record. Nothing reads the
+// extent under a tombstone. A tombstone, when present, is always the
+// newest version: OIDs are never reused, so nothing commits after a
+// delete.
 //
-// ext is the extent of the newest live version: what the class's extent
-// indexes describe (they keep ids only and are told the extent to remove),
-// and what an extent check of that version reads instead of its record.
-// Nothing reads it under a tombstone.
-type chain struct {
-	sch  *schema
-	vers []version
-	ext  sptemp.Extent
+// What does not fit a fixed-size value lives beside the run, flagged on
+// the row: older versions in Store.older, the newest version's blob ids in
+// Store.blobs. An object stored once, without images, touches neither.
+type row struct {
+	oid   OID
+	epoch uint64
+	box   sptemp.Box
+	iv    sptemp.Interval
+	rid   storage.RID
+	// frame is 0 for the class's frame, else an index into Store.frames.
+	frame uint32
+	// class indexes Store.byNum.
+	class uint16
+	flags uint8
 }
 
-// head returns the newest version.
-func (c *chain) head() version { return c.vers[len(c.vers)-1] }
+const (
+	rowDel   uint8 = 1 << iota // the newest version is a tombstone
+	rowTimed                   // the extent has a time interval
+	rowOlder                   // older versions wait in Store.older
+	rowBlobs                   // the newest version's blob ids are in Store.blobs
+)
+
+func compareRows(a, b row) int { return cmp.Compare(a.oid, b.oid) }
+
+// rowOf returns oid's row. Callers hold mu.
+func (s *Store) rowOf(oid OID) (row, bool) { return s.rows.Get(row{oid: oid}) }
+
+// head returns a row's newest version. Callers hold mu.
+func (s *Store) head(r *row) version {
+	v := version{epoch: r.epoch, rid: r.rid, del: r.flags&rowDel != 0}
+	if r.flags&rowBlobs != 0 {
+		v.blobs = s.blobs[r.oid]
+	}
+	return v
+}
+
+// extOf returns the extent on a row. Callers hold mu.
+func (s *Store) extOf(r *row) sptemp.Extent {
+	ext := sptemp.Extent{Frame: s.frames[r.frame], Space: r.box, TimeIv: r.iv, HasTime: r.flags&rowTimed != 0}
+	if r.frame == 0 {
+		ext.Frame = s.byNum[r.class].cls.Frame
+	}
+	return ext
+}
+
+// setExt puts the extent of a version of class sch on a row. Callers hold
+// mu exclusively, or own a store that is still opening: a frame that is
+// not the class's enters the frame table.
+func (s *Store) setExt(r *row, sch *schema, ext sptemp.Extent) {
+	r.box, r.iv, r.frame = ext.Space, ext.TimeIv, 0
+	r.flags &^= rowTimed
+	if ext.HasTime {
+		r.flags |= rowTimed
+	}
+	if ext.Frame != sch.cls.Frame {
+		n, ok := s.frameNum[ext.Frame]
+		if !ok {
+			n = uint32(len(s.frames))
+			s.frames = append(s.frames, ext.Frame)
+			s.frameNum[ext.Frame] = n
+		}
+		r.frame = n
+	}
+}
+
+// setHeadBlobs records the blob ids of a row's newest version. Callers
+// hold mu exclusively.
+func (s *Store) setHeadBlobs(r *row, blobs []storage.BlobID) {
+	switch {
+	case len(blobs) > 0:
+		s.blobs[r.oid] = blobs
+		r.flags |= rowBlobs
+	case r.flags&rowBlobs != 0:
+		delete(s.blobs, r.oid)
+		r.flags &^= rowBlobs
+	}
+}
+
+// pushHead moves a row's newest version to the end of its older versions,
+// for the caller to put a newer one in its place. Callers hold mu
+// exclusively.
+func (s *Store) pushHead(r *row) {
+	s.older[r.oid] = append(s.older[r.oid], s.head(r))
+	r.flags |= rowOlder
+}
 
 // visibleAt resolves the version a snapshot pinned at epoch sees: the
 // newest version at or below it (latestEpoch, the largest epoch there is,
 // sees the head). ok is false when the object does not exist at that
 // epoch (born later, or deleted at or before it); isHead tells whether
-// the version is the newest, whose extent is c.ext.
-func (c *chain) visibleAt(epoch uint64) (v version, isHead, ok bool) {
-	for i := len(c.vers) - 1; i >= 0; i-- {
-		if v := c.vers[i]; v.epoch <= epoch {
-			return v, i == len(c.vers)-1, !v.del
+// the version is the newest, whose extent is on the row. Callers hold mu.
+func (s *Store) visibleAt(r *row, epoch uint64) (v version, isHead, ok bool) {
+	if r.epoch <= epoch {
+		return s.head(r), true, r.flags&rowDel == 0
+	}
+	if r.flags&rowOlder != 0 {
+		vers := s.older[r.oid]
+		for i := len(vers) - 1; i >= 0; i-- {
+			if v := vers[i]; v.epoch <= epoch {
+				return v, false, !v.del
+			}
 		}
 	}
 	return version{}, false, false
@@ -133,10 +225,10 @@ type changeEnt struct {
 	oid   OID
 }
 
-// classIndex is what the store keeps per class beside the chains: the
+// classIndex is what the store keeps per class beside the rows: the
 // extent indexes and sorted membership over the NEWEST live versions,
 // rebuilt at open, and the overlay log snapshot readers add to them. The
-// indexes hold OIDs only; each member's extent is its chain's ext.
+// indexes hold OIDs only; each member's extent is on its row.
 type classIndex struct {
 	grid    *sptemp.GridIndex
 	times   sptemp.IntervalIndex
@@ -167,24 +259,43 @@ type MVCCStats struct {
 
 // Store persists objects and serves extent queries.
 //
-// Locking: mu guards the in-memory maps (chains, classes, pins, epoch);
-// readers hold it shared and briefly — never across storage I/O.
-// commitMu serialises mutators (ApplyBatch, GC) across their whole
-// validate → reserve-epoch → storage-commit → publish window, so epochs
-// publish in reservation order; mu is taken exclusively only for the
-// final in-memory publish, which is why snapshot readers are not
-// serialised behind a committing writer.
+// Locking: mu guards the in-memory state (rows and what lies beside them,
+// classes, pins, epoch); readers hold it shared and briefly — never
+// across storage I/O, and never keeping a pointer into rows past it, since
+// an insert may move the rows of a block. commitMu serialises mutators
+// (ApplyBatch, GC) across their whole validate → reserve-epoch →
+// storage-commit → publish window, so epochs publish in reservation
+// order; mu is taken exclusively only for the final in-memory publish,
+// which is why snapshot readers are not serialised behind a committing
+// writer.
 type Store struct {
 	mu       sync.RWMutex
 	commitMu sync.Mutex
 	st       *storage.Store
 	cat      *catalog.Catalog
-	// schemas caches each class's *schema by class name (see record.go).
+	// schemas caches each class's *schema by class name (see record.go);
+	// byNum lists them by the number rows carry, appended under mu.
 	schemas sync.Map
-	// chains holds every OID's version history, including OIDs whose
-	// newest version is a tombstone (still visible to pinned snapshots),
-	// and with it the newest extent: the only per-object map in the store.
-	chains map[OID]*chain
+	byNum   []*schema
+	// frames holds the frames of extents that are not their class's, by
+	// the number rows carry (0 stands for the class frame), and frameNum
+	// the number of each.
+	frames   []sptemp.Frame
+	frameNum map[sptemp.Frame]uint32
+	// rows holds every OID's version chain, including OIDs whose newest
+	// version is a tombstone (still visible to pinned snapshots), and with
+	// it the newest extent: the store's one entry per object.
+	rows *sorted.Run[row]
+	// older holds the superseded versions of the rows flagged rowOlder,
+	// ascending by epoch; blobs the newest version's blob ids of the rows
+	// flagged rowBlobs; dead the OIDs whose newest version is a tombstone.
+	// GC looks at the chains in older and dead and at no other: a row with
+	// one live version has nothing to reclaim.
+	older map[OID][]version
+	blobs map[OID][]storage.BlobID
+	dead  map[OID]struct{}
+	// gcVisited is how many chains the last GC pass looked at.
+	gcVisited int
 	// classes holds the per-class indexes over those extents, by class
 	// name; a class enters with its first object.
 	classes map[string]*classIndex
@@ -240,12 +351,27 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	s := &Store{
 		st:        st,
 		cat:       cat,
-		chains:    make(map[OID]*chain),
+		frames:    []sptemp.Frame{{}},
+		frameNum:  make(map[sptemp.Frame]uint32),
+		rows:      sorted.New(compareRows),
+		older:     make(map[OID][]version),
+		blobs:     make(map[OID][]storage.BlobID),
+		dead:      make(map[OID]struct{}),
 		classes:   make(map[string]*classIndex),
 		pins:      make(map[uint64]int),
 		prepLocks: make(map[OID]uint64),
 	}
-	var maxEpoch uint64
+	// scanned is one heap record, as the row it would be were it the
+	// newest version, and where its blob ids lie in ids.
+	type scanned struct {
+		row
+		blobAt, blobEnd int
+	}
+	var (
+		recs     []scanned
+		ids      []storage.BlobID
+		maxEpoch uint64
+	)
 	for _, class := range cat.Names() {
 		sch, err := s.schema(class)
 		if err != nil {
@@ -262,26 +388,16 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 				scanErr = fmt.Errorf("object: corrupt record %s in %s: %w", rid, sch.heap, err)
 				return false
 			}
-			c := s.chains[w.oid]
-			if c == nil {
-				c = &chain{sch: sch}
-				s.chains[w.oid] = c
+			rec := scanned{row: row{oid: w.oid, epoch: w.epoch, rid: rid, class: sch.num}, blobAt: len(ids)}
+			ids = append(ids, blobIDs...)
+			rec.blobEnd = len(ids)
+			if w.del {
+				rec.flags = rowDel
+			} else {
+				s.setExt(&rec.row, sch, w.ext)
 			}
-			// Heap order is not epoch order. Keep the newest version seen
-			// so far last, so that its extent is at hand whenever a newer
-			// one arrives and indexing below needs no second pass over
-			// storage; the rest is sorted once the scan is done.
-			n := len(c.vers)
-			c.vers = append(c.vers, version{epoch: w.epoch, rid: rid, blobs: blobIDs, del: w.del})
-			switch {
-			case n > 0 && w.epoch < c.vers[n-1].epoch:
-				c.vers[n-1], c.vers[n] = c.vers[n], c.vers[n-1]
-			case !w.del:
-				c.ext = w.ext
-			}
-			if w.epoch > maxEpoch {
-				maxEpoch = w.epoch
-			}
+			recs = append(recs, rec)
+			maxEpoch = max(maxEpoch, w.epoch)
 			return true
 		})
 		if err != nil {
@@ -291,31 +407,53 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 			return nil, scanErr
 		}
 	}
-	// Index in ascending OID order, so each class's sorted membership and
-	// posting lists grow by appends: map order would insert every OID at a
-	// random position, a memmove of half the members each.
-	oids := make([]OID, 0, len(s.chains))
-	for oid := range s.chains {
-		oids = append(oids, oid)
+	// Heap order is neither OID nor epoch order. One sort puts each OID's
+	// versions side by side, oldest first, and the OIDs in ascending order,
+	// so that the rows, each class's sorted membership and its postings
+	// all grow by appends.
+	slices.SortFunc(recs, func(a, b scanned) int {
+		if c := cmp.Compare(a.oid, b.oid); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.epoch, b.epoch)
+	})
+	blobsOf := func(rec *scanned) []storage.BlobID {
+		if rec.blobAt == rec.blobEnd {
+			return nil
+		}
+		return ids[rec.blobAt:rec.blobEnd:rec.blobEnd]
 	}
-	slices.Sort(oids)
-	referenced := make(map[storage.BlobID]bool)
-	for _, oid := range oids {
-		c := s.chains[oid]
-		if len(c.vers) > 1 {
-			slices.SortStableFunc(c.vers, func(a, b version) int { return cmp.Compare(a.epoch, b.epoch) })
+	for i := 0; i < len(recs); {
+		j := i + 1
+		for j < len(recs) && recs[j].oid == recs[i].oid {
+			j++
 		}
-		if !c.head().del {
-			s.indexLocked(c, oid)
-		}
-		for _, v := range c.vers {
-			for _, b := range v.blobs {
-				referenced[b] = true
+		head := &recs[j-1]
+		r := head.row
+		if j-i > 1 {
+			vers := make([]version, 0, j-i-1)
+			for k := i; k < j-1; k++ {
+				rec := &recs[k]
+				vers = append(vers, version{epoch: rec.epoch, rid: rec.rid, blobs: blobsOf(rec), del: rec.flags&rowDel != 0})
 			}
+			s.older[r.oid] = vers
+			r.flags |= rowOlder
 		}
+		s.setHeadBlobs(&r, blobsOf(head))
+		if r.flags&rowDel != 0 {
+			s.dead[r.oid] = struct{}{}
+		} else {
+			s.indexLocked(&r)
+		}
+		s.rows.Put(r)
+		i = j
 	}
 	// A blob no version refers to was put for a batch that never committed,
 	// or its delete was lost in a crash: the next checkpoint drops it.
+	referenced := make(map[storage.BlobID]bool, len(ids))
+	for _, id := range ids {
+		referenced[id] = true
+	}
 	st.Blobs().Retain(referenced)
 	if maxEpoch == 0 {
 		// Floor the epoch at 1 so a session's read epoch is never 0 —
@@ -338,38 +476,41 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 
 // headBox is the extent indexes' lookup: the box of an indexed object's
 // newest version. Callers hold mu.
-func (s *Store) headBox(id uint64) sptemp.Box { return s.chains[OID(id)].ext.Space }
+func (s *Store) headBox(id uint64) sptemp.Box {
+	r, _ := s.rowOf(OID(id))
+	return r.box
+}
 
-// indexLocked enters an object, by the extent on its chain, into its
+// indexLocked enters an object, by the extent on its row, into its
 // class's newest-version indexes and membership.
-func (s *Store) indexLocked(c *chain, oid OID) {
-	class := c.sch.cls.Name
+func (s *Store) indexLocked(r *row) {
+	class := s.byNum[r.class].cls.Name
 	ci := s.classes[class]
 	if ci == nil {
-		ci = &classIndex{grid: sptemp.NewGridIndex(spatialCellFor(c.ext.Space), s.headBox)}
+		ci = &classIndex{grid: sptemp.NewGridIndex(spatialCellFor(r.box), s.headBox)}
 		s.classes[class] = ci
 	}
-	ci.grid.Insert(uint64(oid), c.ext.Space)
-	if c.ext.HasTime {
-		ci.times.Insert(uint64(oid), c.ext.TimeIv)
+	ci.grid.Insert(uint64(r.oid), r.box)
+	if r.flags&rowTimed != 0 {
+		ci.times.Insert(uint64(r.oid), r.iv)
 	}
-	if n := len(ci.members); n == 0 || ci.members[n-1] < oid {
-		ci.members = append(ci.members, oid)
-	} else if i, found := slices.BinarySearch(ci.members, oid); !found {
-		ci.members = slices.Insert(ci.members, i, oid)
+	if n := len(ci.members); n == 0 || ci.members[n-1] < r.oid {
+		ci.members = append(ci.members, r.oid)
+	} else if i, found := slices.BinarySearch(ci.members, r.oid); !found {
+		ci.members = slices.Insert(ci.members, i, r.oid)
 	}
 }
 
-// unindexLocked removes an object, still carrying the extent it was
-// indexed by, from the newest-version indexes (its chain — and so its
+// unindexLocked removes an object, its row still carrying the extent it
+// was indexed by, from the newest-version indexes (its chain — and so its
 // visibility to pinned snapshots — is untouched).
-func (s *Store) unindexLocked(c *chain, oid OID) {
-	ci := s.classes[c.sch.cls.Name]
-	ci.grid.Delete(uint64(oid), c.ext.Space)
-	if c.ext.HasTime {
-		ci.times.Delete(uint64(oid), c.ext.TimeIv)
+func (s *Store) unindexLocked(r *row) {
+	ci := s.classes[s.byNum[r.class].cls.Name]
+	ci.grid.Delete(uint64(r.oid), r.box)
+	if r.flags&rowTimed != 0 {
+		ci.times.Delete(uint64(r.oid), r.iv)
 	}
-	if i, found := slices.BinarySearch(ci.members, oid); found {
+	if i, found := slices.BinarySearch(ci.members, r.oid); found {
 		ci.members = slices.Delete(ci.members, i, i+1)
 	}
 }
@@ -449,20 +590,14 @@ func (s *Store) Update(obj *Object) error {
 func (s *Store) Exists(oid OID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.chains[oid]
-	return ok && !c.head().del
+	r, ok := s.rowOf(oid)
+	return ok && r.flags&rowDel == 0
 }
 
 // ExistsAt reports whether an OID resolves to a live object at the given
 // epoch.
 func (s *Store) ExistsAt(oid OID, epoch uint64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c, ok := s.chains[oid]
-	if !ok {
-		return false
-	}
-	_, _, ok = c.visibleAt(epoch)
+	_, _, ok := s.resolve(oid, epoch)
 	return ok
 }
 
@@ -471,29 +606,16 @@ func (s *Store) ExistsAt(oid OID, epoch uint64) bool {
 // weighs this against recorded recomputation cost when deciding whether
 // to keep or drop an invalidated derived object.
 func (s *Store) RecordSize(oid OID) (int64, error) {
-	s.mu.RLock()
-	c, ok := s.chains[oid]
-	var v version
-	if ok && !c.head().del {
-		v = c.head()
-	} else {
-		ok = false
-	}
-	heap := ""
-	if ok {
-		heap = c.sch.heap
-	}
-	blobIDs := append([]storage.BlobID(nil), v.blobs...)
-	s.mu.RUnlock()
+	sch, v, ok := s.resolve(oid, latestEpoch)
 	if !ok {
 		return 0, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
 	}
-	rec, err := s.st.Get(heap, v.rid)
+	rec, err := s.st.Get(sch.heap, v.rid)
 	if err != nil {
 		return 0, err
 	}
 	total := int64(len(rec))
-	for _, b := range blobIDs {
+	for _, b := range v.blobs {
 		n, err := s.st.Blobs().Size(b)
 		if err != nil {
 			if errors.Is(err, storage.ErrBlobNotFound) {
@@ -507,43 +629,47 @@ func (s *Store) RecordSize(oid OID) (int64, error) {
 }
 
 // resolve returns the class schema and version an OID maps to at an epoch
-// (latestEpoch = newest).
+// (latestEpoch = newest). The version's blob ids are shared: nothing
+// writes a version's list once it is published.
 func (s *Store) resolve(oid OID, epoch uint64) (*schema, version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.chains[oid]
+	r, ok := s.rowOf(oid)
 	if !ok {
 		return nil, version{}, false
 	}
-	v, _, ok := c.visibleAt(epoch)
-	return c.sch, v, ok
+	v, _, ok := s.visibleAt(&r, epoch)
+	return s.byNum[r.class], v, ok
 }
 
 // extentAt returns the extent of the version of an object visible at an
 // epoch; ok is false when there is none. The newest version's extent is on
-// the chain; only an older one is read back from its record, and a record
+// the row; only an older one is read back from its record, and a record
 // GC took meanwhile (the caller held no pin) reads as not visible.
 func (s *Store) extentAt(oid OID, epoch uint64) (ext sptemp.Extent, ok bool, err error) {
 	s.mu.RLock()
-	c, found := s.chains[oid]
+	r, found := s.rowOf(oid)
 	if !found {
 		s.mu.RUnlock()
 		return ext, false, nil
 	}
-	v, isHead, ok := c.visibleAt(epoch)
-	ext = c.ext
+	v, isHead, ok := s.visibleAt(&r, epoch)
+	if ok && isHead {
+		ext = s.extOf(&r)
+	}
+	sch := s.byNum[r.class]
 	s.mu.RUnlock()
 	if !ok || isHead {
 		return ext, ok, nil
 	}
-	rec, err := s.st.Get(c.sch.heap, v.rid)
+	rec, err := s.st.Get(sch.heap, v.rid)
 	if err != nil {
 		if errors.Is(err, storage.ErrNotFound) {
 			err = nil
 		}
 		return ext, false, err
 	}
-	ext, err = recordExtent(rec, c.sch)
+	ext, err = recordExtent(rec, sch)
 	return ext, err == nil, err
 }
 
@@ -701,9 +827,9 @@ func (s *Store) Unpin(epoch uint64) {
 // RegisterMetrics folds version-store health into the registry: the
 // published epoch, stored versions, pins and the GC horizon as gauges,
 // GC activity as counters/latency, and the candidates the extent queries
-// examined. The cheap gauges read under the store's shared lock without
-// walking chains; only mvcc_live_versions pays the chain walk, and only
-// when a snapshot is taken.
+// examined. The gauges read under the store's shared lock; only
+// mvcc_live_versions walks anything (the chains with older versions), and
+// only when a snapshot is taken.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -749,22 +875,25 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("mvcc_live_versions", func() int64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		var n int64
-		for _, c := range s.chains {
-			n += int64(len(c.vers))
-		}
-		return n
+		return int64(s.liveVersionsLocked())
 	})
+}
+
+// liveVersionsLocked counts stored versions: one per row, and the older
+// ones beside them. Callers hold mu.
+func (s *Store) liveVersionsLocked() int {
+	n := s.rows.Len()
+	for _, vers := range s.older {
+		n += len(vers)
+	}
+	return n
 }
 
 // MVCC reports version-store health.
 func (s *Store) MVCC() MVCCStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := MVCCStats{Epoch: s.epoch, Reclaimed: s.reclaimed, GCFloor: s.gcFloor}
-	for _, c := range s.chains {
-		st.LiveVersions += len(c.vers)
-	}
+	st := MVCCStats{Epoch: s.epoch, Reclaimed: s.reclaimed, GCFloor: s.gcFloor, LiveVersions: s.liveVersionsLocked()}
 	for e, n := range s.pins {
 		st.Pins += n
 		if st.OldestPin == 0 || e < st.OldestPin {
@@ -780,6 +909,10 @@ func (s *Store) MVCC() MVCCStats {
 // tombstone. Heap records are removed in one batch and orphaned blobs
 // deleted. Returns the number of versions reclaimed. The kernel wires GC
 // into Checkpoint so the horizon advances whenever the log is compacted.
+//
+// A pass looks only at the chains that hold something it could reclaim:
+// those with older versions and those whose newest version is a
+// tombstone. An object stored once and never changed costs it nothing.
 func (s *Store) GC() (int, error) {
 	gcStart := time.Now()
 	defer func() {
@@ -793,8 +926,8 @@ func (s *Store) GC() (int, error) {
 	}
 	var victims []victim
 	// commitMu keeps GC from interleaving with a commit's validate →
-	// publish window (a chain it trims is one a commit may hold a pointer
-	// to); the reader-visible lock is still held only for the in-memory
+	// publish window (a chain it trims is one a commit has validated);
+	// the reader-visible lock is still held only for the in-memory
 	// collection phase.
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -805,33 +938,60 @@ func (s *Store) GC() (int, error) {
 			horizon = e
 		}
 	}
-	for oid, c := range s.chains {
+	var gone []OID
+	s.gcVisited = 0
+	trim := func(oid OID) {
+		s.gcVisited++
+		r := s.rows.Ptr(row{oid: oid}) // no row moves before gone is applied
+		heap := s.byNum[r.class].heap
+		vers := s.older[oid]
 		// vis is the newest version at or below the horizon — the one a
-		// snapshot pinned exactly there resolves to. Everything older is
-		// unreachable from any present or future pin.
+		// snapshot pinned exactly there resolves to; len(vers) stands for
+		// the newest. Everything older is unreachable from any present or
+		// future pin.
 		vis := -1
-		for i := len(c.vers) - 1; i >= 0; i-- {
-			if c.vers[i].epoch <= horizon {
-				vis = i
-				break
+		if r.epoch <= horizon {
+			vis = len(vers)
+		} else {
+			for i := len(vers) - 1; i >= 0; i-- {
+				if vers[i].epoch <= horizon {
+					vis = i
+					break
+				}
 			}
 		}
 		if vis < 0 {
-			continue // every version is newer than the horizon
+			return // every version is newer than the horizon
 		}
-		for _, v := range c.vers[:vis] {
-			victims = append(victims, victim{heap: c.sch.heap, rid: v.rid, blobs: v.blobs})
+		for _, v := range vers[:vis] {
+			victims = append(victims, victim{heap: heap, rid: v.rid, blobs: v.blobs})
 		}
-		if vis == len(c.vers)-1 && c.vers[vis].del {
+		switch {
+		case vis == len(vers) && r.flags&rowDel != 0:
 			// The chain's only reachable state is "deleted": drop it whole.
-			victims = append(victims, victim{heap: c.sch.heap, rid: c.vers[vis].rid, blobs: c.vers[vis].blobs})
-			delete(s.chains, oid)
-			continue
+			victims = append(victims, victim{heap: heap, rid: r.rid})
+			gone = append(gone, oid)
+		case vis == len(vers):
+			delete(s.older, oid)
+			r.flags &^= rowOlder
+		case vis > 0:
+			// Copy to release the reclaimed prefix's backing memory.
+			s.older[oid] = slices.Clone(vers[vis:])
 		}
-		if vis > 0 {
-			// Re-slice to release the reclaimed prefix's backing memory.
-			c.vers = append([]version(nil), c.vers[vis:]...)
+	}
+	for oid := range s.dead {
+		trim(oid)
+	}
+	for oid := range s.older {
+		if _, ok := s.dead[oid]; !ok {
+			trim(oid)
 		}
+	}
+	slices.Sort(gone)
+	for _, oid := range gone {
+		s.rows.Delete(row{oid: oid})
+		delete(s.older, oid)
+		delete(s.dead, oid)
 	}
 	for _, ci := range s.classes {
 		i := sort.Search(len(ci.changed), func(i int) bool { return ci.changed[i].epoch > horizon })

@@ -108,6 +108,9 @@ const (
 type schema struct {
 	cls  *catalog.Class
 	heap string
+	// num is the class number rows carry: the schema's index in
+	// Store.byNum.
+	num uint16
 	// byName lists indexes into cls.Attrs in ascending name order: the
 	// attribute order of the self-describing form.
 	byName []int
@@ -132,7 +135,8 @@ func newSchema(cls *catalog.Class) *schema {
 	return sch
 }
 
-// schema returns the class's schema, building it on first use.
+// schema returns the class's schema, building it and numbering it under
+// mu on first use. Callers do not hold mu.
 func (s *Store) schema(class string) (*schema, error) {
 	if sch, ok := s.schemas.Load(class); ok {
 		return sch.(*schema), nil
@@ -141,8 +145,19 @@ func (s *Store) schema(class string) (*schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch, _ := s.schemas.LoadOrStore(class, newSchema(cls))
-	return sch.(*schema), nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sch, ok := s.schemas.Load(class); ok {
+		return sch.(*schema), nil
+	}
+	if len(s.byNum) > math.MaxUint16 {
+		return nil, fmt.Errorf("object: class %s: the store holds %d classes already", class, len(s.byNum))
+	}
+	sch := newSchema(cls)
+	sch.num = uint16(len(s.byNum))
+	s.byNum = append(s.byNum, sch)
+	s.schemas.Store(class, sch)
+	return sch, nil
 }
 
 // record is a parsed record header with a cursor at its attribute table.

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
+
+	"gaea/internal/sorted"
 )
 
 // GridIndex is a uniform-grid spatial index over boxes identified by
@@ -12,12 +14,14 @@ import (
 // spatial extent intersects the query box. A uniform grid is adequate
 // because scene extents in a study are similarly sized.
 //
-// What is kept where. The index holds posting lists and nothing else: per
-// occupied cell, the ascending ids of the boxes that cover it. It keeps no
-// box — its owner does (the object store keeps each object's newest extent
-// on its version chain) and hands the index a lookup at construction, so
-// there is one per-object map in the process, not one per index. The price
-// is that Delete must be told the box the id was inserted with.
+// What is kept where. The index holds postings and nothing else: one
+// (cell, id) row per cell a box covers, in one sorted run ordered by cell
+// column, then row, then id, so that a cell's ids are ascending and a
+// column is contiguous. It keeps no box — its owner does (the object store
+// keeps each object's newest extent in the row of its version chain) and
+// hands the index a lookup at construction, so each object's box is held
+// once in the process, not once per index. The price is that Delete must
+// be told the box the id was inserted with.
 //
 // Cells are half-open: a box covers the cells from floor(min/cell) to
 // ceil(max/cell)-1, so a tile whose max edge lies on a cell boundary
@@ -28,21 +32,37 @@ import (
 //
 // Huge boxes degrade to a scan, in both directions. A box covering more
 // than wideCells cells is not enumerated cell by cell: it goes on one
-// "wide" list that every search filters. A query covering more cells than
-// exist walks the occupied cells instead of probing the covered ones. So
-// an insert costs at most wideCells list appends and a search at most
-// O(occupied cells + wide list + matches), whatever the coordinates.
+// "wide" list that every search filters. A search walks the postings of
+// the probed columns in order and seeks over the cells of a column that
+// lie outside the probed range, so it never visits a cell nothing
+// occupies. So an insert costs at most wideCells postings and a search at
+// most O(occupied columns probed × log postings + wide list + matches),
+// whatever the coordinates.
 type GridIndex struct {
 	cell  float64
 	boxOf func(id uint64) Box
-	cells map[gridKey][]uint64 // ascending ids per occupied cell
-	wide  []uint64             // ascending ids of boxes covering > wideCells cells
+	cells *sorted.Run[posting]
+	wide  []uint64 // ascending ids of boxes covering > wideCells cells
 }
 
-type gridKey struct{ cx, cy int64 }
+// posting says that the box of id covers cell (cx, cy).
+type posting struct {
+	cx, cy int64
+	id     uint64
+}
+
+func comparePostings(a, b posting) int {
+	if c := cmp.Compare(a.cx, b.cx); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.cy, b.cy); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
 
 const (
-	// wideCells bounds the posting lists one box may enter.
+	// wideCells bounds the postings one box may have.
 	wideCells = 64
 	// cellLimit clamps cell coordinates so that infinite or astronomically
 	// large box edges stay exact in float64 and int64 alike. Clamping is
@@ -57,7 +77,7 @@ func NewGridIndex(cell float64, boxOf func(id uint64) Box) *GridIndex {
 	if !(cell > 0) {
 		cell = 1
 	}
-	return &GridIndex{cell: cell, boxOf: boxOf, cells: make(map[gridKey][]uint64)}
+	return &GridIndex{cell: cell, boxOf: boxOf, cells: sorted.New(comparePostings)}
 }
 
 func clampCell(f float64) int64 {
@@ -139,8 +159,7 @@ func (g *GridIndex) Insert(id uint64, b Box) {
 	}
 	for cx := r.x0; cx <= r.x1; cx++ {
 		for cy := r.y0; cy <= r.y1; cy++ {
-			k := gridKey{cx, cy}
-			g.cells[k] = insertID(g.cells[k], id)
+			g.cells.Put(posting{cx, cy, id})
 		}
 	}
 }
@@ -158,12 +177,7 @@ func (g *GridIndex) Delete(id uint64, b Box) {
 	}
 	for cx := r.x0; cx <= r.x1; cx++ {
 		for cy := r.y0; cy <= r.y1; cy++ {
-			k := gridKey{cx, cy}
-			if ids := removeID(g.cells[k], id); len(ids) == 0 {
-				delete(g.cells, k)
-			} else {
-				g.cells[k] = ids
-			}
+			g.cells.Delete(posting{cx, cy, id})
 		}
 	}
 }
@@ -175,34 +189,34 @@ func (g *GridIndex) Search(q Box) []uint64 {
 	}
 	r := g.probed(q)
 	out := slices.Clone(g.wide)
-	// Every list is ascending, so the concatenation is ascending and free
-	// of duplicates as long as each list starts above the end of the last:
-	// the common case (ids grow with insertion, one cell per box) needs no
-	// sort at all.
-	sorted := true
-	add := func(ids []uint64) {
-		if len(ids) == 0 {
-			return
-		}
-		if len(out) > 0 && ids[0] <= out[len(out)-1] {
-			sorted = false
-		}
-		out = append(out, ids...)
-	}
-	if r.count() > float64(len(g.cells)) {
-		for k, ids := range g.cells {
-			if k.cx >= r.x0 && k.cx <= r.x1 && k.cy >= r.y0 && k.cy <= r.y1 {
-				add(ids)
+	// Every cell's ids are ascending, so the postings walked are ascending
+	// and free of duplicates as long as each id is above the one before:
+	// the common case (ids grow with the cells they lie in, one cell per
+	// box) needs no sort at all.
+	inOrder := true
+	for from, more := (posting{cx: r.x0, cy: r.y0}), true; more; {
+		more = false
+		for p := range g.cells.Ascend(from) {
+			if p.cx > r.x1 {
+				break
 			}
-		}
-	} else {
-		for cx := r.x0; cx <= r.x1; cx++ {
-			for cy := r.y0; cy <= r.y1; cy++ {
-				add(g.cells[gridKey{cx, cy}])
+			// Outside the probed rows: seek to where the column enters
+			// them, or to the next column.
+			if p.cy < r.y0 {
+				from, more = posting{cx: p.cx, cy: r.y0}, true
+				break
 			}
+			if p.cy > r.y1 {
+				from, more = posting{cx: p.cx + 1, cy: r.y0}, true
+				break
+			}
+			if len(out) > 0 && p.id <= out[len(out)-1] {
+				inOrder = false
+			}
+			out = append(out, p.id)
 		}
 	}
-	if !sorted {
+	if !inOrder {
 		slices.Sort(out)
 		out = slices.Compact(out)
 	}
@@ -277,16 +291,16 @@ func (x *IntervalIndex) Search(q Interval) []uint64 {
 		return -1
 	})
 	var out []uint64
-	sorted := true
+	inOrder := true
 	for _, e := range x.byStart[:n] {
 		if e.iv.Intersects(q) {
 			if len(out) > 0 && e.id < out[len(out)-1] {
-				sorted = false
+				inOrder = false
 			}
 			out = append(out, e.id)
 		}
 	}
-	if !sorted {
+	if !inOrder {
 		slices.Sort(out)
 	}
 	return out

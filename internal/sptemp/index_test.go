@@ -83,8 +83,8 @@ func TestGridIndexDeleteAndReplace(t *testing.T) {
 	m := newGridModel(10)
 	m.put(1, box(0, 0, 5, 5))
 	m.del(1)
-	if got := m.g.Search(box(0, 0, 10, 10)); len(got) != 0 || len(m.g.cells) != 0 {
-		t.Errorf("delete left %v in %d cells", got, len(m.g.cells))
+	if got := m.g.Search(box(0, 0, 10, 10)); len(got) != 0 || m.g.cells.Len() != 0 {
+		t.Errorf("delete left %v in %d cells", got, m.g.cells.Len())
 	}
 	m.g.Delete(42, box(0, 0, 5, 5)) // absent id is a no-op
 	m.put(1, box(0, 0, 5, 5))
@@ -114,8 +114,8 @@ func TestGridIndexNegativeCoordinates(t *testing.T) {
 func TestGridIndexAlignedTileOneCell(t *testing.T) {
 	m := newGridModel(10)
 	m.put(7, box(20, 0, 30, 10))
-	if len(m.g.cells) != 1 {
-		t.Fatalf("an aligned tile occupies %d cells, want 1", len(m.g.cells))
+	if m.g.cells.Len() != 1 {
+		t.Fatalf("an aligned tile occupies %d cells, want 1", m.g.cells.Len())
 	}
 	for _, q := range []Box{
 		box(30, 0, 40, 10),    // tile MaxX == query MinX
@@ -153,8 +153,8 @@ func TestGridIndexWorldBox(t *testing.T) {
 	m.check(t, NewBox(-1e300, -1e300, 1e300, 1e300))
 
 	m.put(1000, world)
-	if len(m.g.cells) != 100 || len(m.g.wide) != 1 {
-		t.Fatalf("world-box object: %d cells, %d wide entries; want 100 and 1", len(m.g.cells), len(m.g.wide))
+	if m.g.cells.Len() != 100 || len(m.g.wide) != 1 {
+		t.Fatalf("world-box object: %d cells, %d wide entries; want 100 and 1", m.g.cells.Len(), len(m.g.wide))
 	}
 	point := box(55, 5, 55, 5) // in no tile
 	if got := m.g.Search(point); !reflect.DeepEqual(got, []uint64{1000}) {
@@ -246,15 +246,15 @@ func TestGridIndexProperty(t *testing.T) {
 		for id := range m.boxes {
 			m.del(id)
 		}
-		if len(m.g.cells) != 0 || len(m.g.wide) != 0 {
-			t.Fatalf("seed %d: emptied index keeps %d cells, %d wide entries", seed, len(m.g.cells), len(m.g.wide))
+		if m.g.cells.Len() != 0 || len(m.g.wide) != 0 {
+			t.Fatalf("seed %d: emptied index keeps %d cells, %d wide entries", seed, m.g.cells.Len(), len(m.g.wide))
 		}
 	}
 }
 
-// TestGridIndexInsertAllocs: inserting a cell-aligned tile allocates its
-// one posting list and, amortised, the map's growth — no key slice, no
-// neighbouring cells, no per-id entry.
+// TestGridIndexInsertAllocs: inserting a cell-aligned tile allocates at
+// most, amortised, its share of a new block of postings — no key slice,
+// no neighbouring cells, no per-id entry.
 func TestGridIndexInsertAllocs(t *testing.T) {
 	g := NewGridIndex(10, func(uint64) Box { return Box{} })
 	id := uint64(0)

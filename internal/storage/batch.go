@@ -44,8 +44,10 @@ func (s *Store) NewBatch() *Batch { return &Batch{s: s} }
 
 // Insert stages a record append and returns its index into the RID slice
 // Commit reports. The record is not visible (and has no RID) until then.
+// The batch owns rec from here on: it is not copied, and the caller must
+// not change it.
 func (b *Batch) Insert(heap string, rec []byte) int {
-	b.inserts = append(b.inserts, stagedInsert{heap: heap, rec: append([]byte(nil), rec...)})
+	b.inserts = append(b.inserts, stagedInsert{heap: heap, rec: rec})
 	return len(b.inserts) - 1
 }
 
@@ -192,19 +194,22 @@ func (b *Batch) Commit() ([]RID, error) {
 // commits. Callers must therefore reference a reserved ID durably only
 // inside a batch that pins the sequence: a crash before that pin simply
 // re-issues the reserved IDs, which by then nothing references.
+//
+// Once the sequence exists, a reservation allocates nothing: the counter
+// is advanced in place. Every reader of a meta value copies it under
+// metaMu, so no one holds the bytes this changes.
 func (s *Store) AllocID(sequence string) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	key := "seq/" + sequence
-	var cur uint64
-	if v, ok := s.meta[key]; ok && len(v) == 8 {
-		cur = binary.LittleEndian.Uint64(v)
+	if v, ok := s.meta["seq/"+sequence]; ok && len(v) == 8 {
+		cur := binary.LittleEndian.Uint64(v) + 1
+		binary.LittleEndian.PutUint64(v, cur)
+		return cur
 	}
-	cur++
 	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, cur)
-	s.meta[key] = buf
-	return cur
+	binary.LittleEndian.PutUint64(buf, 1)
+	s.meta["seq/"+sequence] = buf
+	return 1
 }
