@@ -83,8 +83,8 @@ type Options struct {
 	Cost CostModel
 	// CheckpointEveryBytes bounds WAL growth under sustained ingest: when
 	// the log exceeds this many bytes since the last checkpoint, a
-	// background worker runs Checkpoint (version GC + heap flush + log
-	// truncation). 0 takes the default (64 MiB); negative disables
+	// background worker runs Checkpoint (heap flush + log truncation +
+	// version GC). 0 takes the default (64 MiB); negative disables
 	// auto-checkpointing (Checkpoint can still be called manually).
 	CheckpointEveryBytes int64
 	// SlowOpThreshold routes completed request traces whose root span ran
@@ -320,11 +320,12 @@ func (k *Kernel) flightRecorder(interval time.Duration, wd *obs.Watchdog) {
 	}
 }
 
-// Checkpoint reclaims superseded object versions below the oldest pinned
-// snapshot epoch (MVCC GC), flushes all heaps and the meta snapshot, and
-// truncates the WAL. It returns the number of versions reclaimed. Safe
-// to call at any time; commits proceed again as soon as it releases the
-// storage lock.
+// Checkpoint flushes all heaps and the meta snapshot and truncates the
+// WAL. First it reclaims the superseded object versions no snapshot can
+// see that no commit has reclaimed yet — those a released pin left with
+// no commit after it (every commit reclaims the rest itself) — and it
+// returns how many. Safe to call at any time; commits proceed again as
+// soon as it releases the storage lock.
 func (k *Kernel) Checkpoint() (int, error) {
 	if err := k.checkOpen(); err != nil {
 		return 0, err
@@ -663,8 +664,8 @@ func (k *Kernel) CanDerive(class string, pred sptemp.Extent) (bool, error) {
 }
 
 // Stats summarises the database for the CLI and reports, including MVCC
-// health: the current commit epoch, stored versions (live + awaiting GC),
-// versions reclaimed by GC, the oldest pinned snapshot epoch (0 = none),
+// health: the current commit epoch, stored versions (live + awaiting
+// reclamation), versions reclaimed, the oldest pinned snapshot epoch (0 = none),
 // and WAL growth since the last checkpoint.
 //
 // Deprecated-in-spirit but frozen: the line is golden-tested and kept

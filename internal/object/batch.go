@@ -109,10 +109,11 @@ func (s *Store) CheckUpdate(obj *Object) error {
 // before the store lock is taken; epoch
 // reservation, conflict validation, the WAL group commit, and version
 // publication happen under it, so epochs become visible to readers in
-// commit order. Superseded versions are NOT reclaimed — they stay in
-// their chains for pinned snapshots until GC. A target that vanished (or,
-// under ReadEpoch, changed) since staging fails the whole batch with
-// ErrConflict.
+// commit order. The versions the batch supersedes stay in their chains
+// for pinned snapshots; the same batch reclaims those earlier commits
+// superseded that no snapshot can see any more (reclaim.go). A target
+// that vanished (or, under ReadEpoch, changed) since staging fails the
+// whole batch with ErrConflict.
 func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	type encoded struct {
 		obj   *Object
@@ -201,13 +202,15 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 		}
 		delSchemas[i] = sch
 	}
+	// The batch deletes the records of what is garbage by now.
+	b := s.st.NewBatch()
+	gc := s.planReclaim(b)
 	s.mu.RUnlock()
 
 	// Reserve the commit epoch and stamp it into every record, then
 	// commit the storage batch WITHOUT holding the reader-visible lock:
 	// snapshot readers proceed against the pre-commit state throughout.
 	epoch := s.st.ReserveEpoch()
-	b := s.st.NewBatch()
 	b.SetEpoch(epoch)
 	insIdx := make([]int, len(inserts))
 	for i, in := range inserts {
@@ -229,15 +232,18 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	}
 	rids, err := b.Commit()
 	if err != nil {
+		s.abandon(&gc)
 		undoBlobs()
 		return 0, err
 	}
 
-	// The batch is durable: publish the new versions and the epoch in one
-	// short exclusive window. The targets are where validation found them:
-	// commitMu has kept every other mutator out since. A pointer into rows
-	// is dropped before the next row is put.
+	// The batch is durable: unlink what it reclaimed, then publish the new
+	// versions and the epoch, in one short exclusive window. The targets
+	// are where validation found them: commitMu has kept every other
+	// mutator out since. A pointer into rows is dropped before the next
+	// row is put.
 	s.mu.Lock()
+	s.apply(&gc)
 	for i, in := range inserts {
 		r := row{oid: in.obj.OID, epoch: epoch, rid: rids[insIdx[i]], class: in.sch.num}
 		s.setExt(&r, in.sch, in.obj.Extent)
@@ -264,6 +270,7 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 		}
 		ci := s.classes[up.sch.cls.Name]
 		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: up.obj.OID})
+		s.queue = append(s.queue, garbage{at: epoch, oid: up.obj.OID})
 	}
 	for i, oid := range ops.Deletes {
 		r := s.rows.Ptr(row{oid: oid})
@@ -272,13 +279,16 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 		r.epoch, r.rid = epoch, rids[delIdx[i]]
 		r.flags |= rowDel
 		s.setHeadBlobs(r, nil)
-		s.dead[oid] = struct{}{}
 		ci := s.classes[delSchemas[i].cls.Name]
 		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: oid})
+		s.queue = append(s.queue, garbage{at: epoch, oid: oid})
 	}
 	s.epoch = epoch
 	after := s.AfterCommit
 	s.mu.Unlock()
+	// The commit stands whatever happens to the blobs: one left behind
+	// belongs to no version, and the next open drops it.
+	_ = s.dropBlobs(&gc)
 
 	if ops.PreparedToken != 0 {
 		s.dropPrepared(ops.PreparedToken)

@@ -22,8 +22,9 @@
 // chain instead of mutating in place. The extent indexes always describe
 // the newest version; the chains resolve visibility for snapshot readers
 // pinned at an earlier epoch, so reads never block writes and a pinned
-// reader sees exactly the state of its epoch. Superseded versions stay
-// reachable until GC drops everything below the oldest pinned epoch.
+// reader sees exactly the state of its epoch. A superseded version is
+// garbage once no snapshot can see it, and the commit that finds it so
+// reclaims it in its own storage batch (reclaim.go).
 package object
 
 import (
@@ -33,6 +34,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gaea/internal/catalog"
@@ -219,7 +221,8 @@ func (s *Store) visibleAt(r *row, epoch uint64) (v version, isHead, ok bool) {
 // changeEnt records that an object of a class changed (update or delete)
 // at an epoch. Snapshot queries union these with the newest-version index
 // candidates: anything the index no longer describes for a given snapshot
-// is in here, and GC prunes entries at or below the horizon.
+// is in here, and reclamation prunes the entries of the changes whose
+// superseded versions it took.
 type changeEnt struct {
 	epoch uint64
 	oid   OID
@@ -234,7 +237,7 @@ type classIndex struct {
 	times   sptemp.IntervalIndex
 	members []OID
 	// changed is (epoch, oid) per update or delete, ascending by epoch,
-	// pruned by GC.
+	// pruned with the reclamation queue.
 	changed []changeEnt
 }
 
@@ -252,8 +255,8 @@ type MVCCStats struct {
 	// OldestPin is the lowest pinned epoch (0 when nothing is pinned) —
 	// the GC horizon floor.
 	OldestPin uint64
-	// GCFloor is the epoch the last GC ran at: cursors and snapshots
-	// below it cannot be re-pinned.
+	// GCFloor is the latest epoch a reclaimed version was superseded at:
+	// cursors and snapshots below it cannot be re-pinned.
 	GCFloor uint64
 }
 
@@ -288,13 +291,14 @@ type Store struct {
 	rows *sorted.Run[row]
 	// older holds the superseded versions of the rows flagged rowOlder,
 	// ascending by epoch; blobs the newest version's blob ids of the rows
-	// flagged rowBlobs; dead the OIDs whose newest version is a tombstone.
-	// GC looks at the chains in older and dead and at no other: a row with
-	// one live version has nothing to reclaim.
+	// flagged rowBlobs.
 	older map[OID][]version
 	blobs map[OID][]storage.BlobID
-	dead  map[OID]struct{}
-	// gcVisited is how many chains the last GC pass looked at.
+	// queue holds one entry per superseded version not yet reclaimed,
+	// ascending by the epoch it was superseded at (reclaim.go); gcVisited
+	// is how many entries the last reclamation pass looked at. Both are
+	// guarded by commitMu.
+	queue     []garbage
 	gcVisited int
 	// classes holds the per-class indexes over those extents, by class
 	// name; a class enters with its first object.
@@ -307,11 +311,19 @@ type Store struct {
 	// storage counter first, but readers see a new epoch only once its
 	// batch is committed and indexed, which happens under mu.
 	epoch uint64
-	// pins refcounts snapshot epochs protected from GC.
-	pins map[uint64]int
-	// gcFloor is the horizon of the last GC pass.
-	gcFloor   uint64
+	// pins refcounts snapshot epochs protected from GC; leases holds the
+	// epochs streams stopped at with a cursor, each protected until its
+	// time passes (Lease).
+	pins   map[uint64]int
+	leases map[uint64]time.Time
+	// gcFloor is the latest epoch a reclaimed version was superseded at:
+	// no epoch below it can be pinned. Only a reclamation pass writes it,
+	// under commitMu and before its batch commits (reclaim.go).
+	gcFloor   atomic.Uint64
 	reclaimed int64
+	// resolved, when set, runs between resolving a version and reading it
+	// (read); tests race a reclamation against a read through it.
+	resolved func(OID)
 
 	// prepLocks maps an OID locked by a prepared (but undecided)
 	// two-phase transaction to its transaction token. Guarded by
@@ -344,9 +356,10 @@ func heapFor(class string) string { return "obj_" + class }
 // Open loads the object store, rebuilding version chains and in-memory
 // indexes by scanning each class heap. Every record carries its commit
 // epoch, so the chain order (and the epoch counter) is recovered exactly;
-// superseded versions persist until the next GC. The scan reads record
-// headers and blob references only: no attribute value is decoded. Blobs
-// no version refers to are dropped from the blob store.
+// the superseded versions found are queued for the first commit, or GC,
+// to reclaim. The scan reads record headers and blob references only: no
+// attribute value is decoded. Blobs no version refers to are dropped from
+// the blob store.
 func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	s := &Store{
 		st:        st,
@@ -356,9 +369,9 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 		rows:      sorted.New(compareRows),
 		older:     make(map[OID][]version),
 		blobs:     make(map[OID][]storage.BlobID),
-		dead:      make(map[OID]struct{}),
 		classes:   make(map[string]*classIndex),
 		pins:      make(map[uint64]int),
+		leases:    make(map[uint64]time.Time),
 		prepLocks: make(map[OID]uint64),
 	}
 	// scanned is one heap record, as the row it would be were it the
@@ -435,14 +448,16 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 			for k := i; k < j-1; k++ {
 				rec := &recs[k]
 				vers = append(vers, version{epoch: rec.epoch, rid: rec.rid, blobs: blobsOf(rec), del: rec.flags&rowDel != 0})
+				// The next version superseded this one: queue it, so that
+				// the first commit (or GC) reclaims what a crash, or a
+				// close, left behind.
+				s.queue = append(s.queue, garbage{at: recs[k+1].epoch, oid: r.oid})
 			}
 			s.older[r.oid] = vers
 			r.flags |= rowOlder
 		}
 		s.setHeadBlobs(&r, blobsOf(head))
-		if r.flags&rowDel != 0 {
-			s.dead[r.oid] = struct{}{}
-		} else {
+		if r.flags&rowDel == 0 {
 			s.indexLocked(&r)
 		}
 		s.rows.Put(r)
@@ -455,6 +470,7 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 		referenced[id] = true
 	}
 	st.Blobs().Retain(referenced)
+	slices.SortFunc(s.queue, func(a, b garbage) int { return cmp.Compare(a.at, b.at) })
 	if maxEpoch == 0 {
 		// Floor the epoch at 1 so a session's read epoch is never 0 —
 		// BatchOps.ReadEpoch uses 0 as the "skip validation" sentinel, and
@@ -470,7 +486,7 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	// changed-overlay is not reconstructed. Refusing pre-restart epochs
 	// outright (ErrSnapshotGone) is honest where resuming them could be
 	// silently incomplete.
-	s.gcFloor = s.epoch
+	s.gcFloor.Store(s.epoch)
 	return s, nil
 }
 
@@ -571,9 +587,10 @@ func (s *Store) validate(cls *catalog.Class, obj *Object) error {
 }
 
 // Update commits a new version of an existing object (same OID, same
-// class) at a fresh epoch. The superseded version stays reachable for
-// pinned snapshots until GC. Update does not touch derivation metadata —
-// the kernel's session commit wraps it with staleness propagation.
+// class) at a fresh epoch. The superseded version stays reachable while
+// a snapshot pinned below that epoch can see it. Update does not touch
+// derivation metadata — the kernel's session commit wraps it with
+// staleness propagation.
 // Internal callers (refresh) win over concurrent versions last-writer
 // style; session commits validate first-committer-wins via
 // BatchOps.ReadEpoch instead.
@@ -597,7 +614,7 @@ func (s *Store) Exists(oid OID) bool {
 // ExistsAt reports whether an OID resolves to a live object at the given
 // epoch.
 func (s *Store) ExistsAt(oid OID, epoch uint64) bool {
-	_, _, ok := s.resolve(oid, epoch)
+	_, ok := s.resolve(oid, epoch)
 	return ok
 }
 
@@ -606,70 +623,132 @@ func (s *Store) ExistsAt(oid OID, epoch uint64) bool {
 // weighs this against recorded recomputation cost when deciding whether
 // to keep or drop an invalidated derived object.
 func (s *Store) RecordSize(oid OID) (int64, error) {
-	sch, v, ok := s.resolve(oid, latestEpoch)
-	if !ok {
-		return 0, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
-	}
-	rec, err := s.st.Get(sch.heap, v.rid)
-	if err != nil {
-		return 0, err
-	}
-	total := int64(len(rec))
-	for _, b := range v.blobs {
-		n, err := s.st.Blobs().Size(b)
+	var total int64
+	err := s.read(oid, latestEpoch, func(at resolved) error {
+		w, err := s.recordOf(oid, at)
 		if err != nil {
-			if errors.Is(err, storage.ErrBlobNotFound) {
-				continue
-			}
-			return 0, err
+			return err
 		}
-		total += n
-	}
-	return total, nil
+		total = int64(len(w.r.buf))
+		for _, b := range at.v.blobs {
+			n, err := s.st.Blobs().Size(b)
+			if err != nil {
+				return err
+			}
+			total += n
+		}
+		return nil
+	})
+	return total, err
 }
 
-// resolve returns the class schema and version an OID maps to at an epoch
-// (latestEpoch = newest). The version's blob ids are shared: nothing
-// writes a version's list once it is published.
-func (s *Store) resolve(oid OID, epoch uint64) (*schema, version, bool) {
+// resolved is the version of an object a read resolved at an epoch, with
+// its class; when it is the newest version (head), ext is its extent,
+// from the row.
+type resolved struct {
+	sch  *schema
+	v    version
+	head bool
+	ext  sptemp.Extent
+}
+
+// resolve returns the version an OID maps to at an epoch (latestEpoch =
+// newest). The version's blob ids are shared: nothing writes a version's
+// list once it is published.
+func (s *Store) resolve(oid OID, epoch uint64) (resolved, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	r, ok := s.rowOf(oid)
 	if !ok {
-		return nil, version{}, false
+		return resolved{}, false
 	}
-	v, _, ok := s.visibleAt(&r, epoch)
-	return s.byNum[r.class], v, ok
+	v, head, ok := s.visibleAt(&r, epoch)
+	at := resolved{sch: s.byNum[r.class], v: v, head: head}
+	if ok && head {
+		at.ext = s.extOf(&r)
+	}
+	return at, ok
+}
+
+// errMoved reports a record slot that no longer holds the version a read
+// resolved to it.
+var errMoved = errors.New("object: record slot holds another version")
+
+// read hands the version of oid visible at epoch to use, which reads what
+// it needs of it — its record (recordOf), its blobs — after mu is
+// released. By then a commit may have reclaimed that version (a reader
+// holding no pin holds nothing back) and a later insert reused its slot,
+// so a record is accepted only when its header names the version
+// resolved. A mismatch, a missing record or a missing blob resolves
+// again, and the read answers for what the chain holds now. A commit
+// unlinks what it reclaims before it releases commitMu: when resolution
+// still names the version that failed with no commit in flight, the
+// failure is the store's and is returned.
+func (s *Store) read(oid OID, epoch uint64, use func(at resolved) error) error {
+	var err error
+	var failed uint64 // the epoch of the version use failed on
+	for {
+		at, ok := s.resolve(oid, epoch)
+		if err != nil && ok && at.v.epoch == failed {
+			s.commitMu.Lock()
+			at, ok = s.resolve(oid, epoch)
+			s.commitMu.Unlock()
+			if ok && at.v.epoch == failed {
+				return err
+			}
+		}
+		if !ok {
+			return fmt.Errorf("%w: oid %d", ErrNotFound, oid)
+		}
+		if s.resolved != nil {
+			s.resolved(oid)
+		}
+		err = use(at)
+		if err == nil || !errors.Is(err, errMoved) && !errors.Is(err, storage.ErrNotFound) && !errors.Is(err, storage.ErrBlobNotFound) {
+			return err
+		}
+		failed = at.v.epoch
+	}
+}
+
+// recordOf reads and parses the record of a resolved version: errMoved
+// when its slot holds another record by now.
+func (s *Store) recordOf(oid OID, at resolved) (record, error) {
+	rec, err := s.st.Get(at.sch.heap, at.v.rid)
+	if err != nil {
+		return record{}, err
+	}
+	w, err := parseRecord(rec, at.sch)
+	if err != nil {
+		return w, fmt.Errorf("object: oid %d: %w", oid, err)
+	}
+	if w.oid != oid || w.epoch != at.v.epoch {
+		return w, fmt.Errorf("%w: oid %d at %s", errMoved, oid, at.v.rid)
+	}
+	return w, nil
 }
 
 // extentAt returns the extent of the version of an object visible at an
 // epoch; ok is false when there is none. The newest version's extent is on
-// the row; only an older one is read back from its record, and a record
-// GC took meanwhile (the caller held no pin) reads as not visible.
+// the row; only an older one is read back from its record, and one a
+// commit reclaimed meanwhile (the caller held no pin) reads as not
+// visible.
 func (s *Store) extentAt(oid OID, epoch uint64) (ext sptemp.Extent, ok bool, err error) {
-	s.mu.RLock()
-	r, found := s.rowOf(oid)
-	if !found {
-		s.mu.RUnlock()
+	err = s.read(oid, epoch, func(at resolved) error {
+		if at.head {
+			ext = at.ext
+			return nil
+		}
+		w, err := s.recordOf(oid, at)
+		if err == nil && w.del {
+			err = errTombstone
+		}
+		ext = w.ext
+		return err
+	})
+	if errors.Is(err, ErrNotFound) {
 		return ext, false, nil
 	}
-	v, isHead, ok := s.visibleAt(&r, epoch)
-	if ok && isHead {
-		ext = s.extOf(&r)
-	}
-	sch := s.byNum[r.class]
-	s.mu.RUnlock()
-	if !ok || isHead {
-		return ext, ok, nil
-	}
-	rec, err := s.st.Get(sch.heap, v.rid)
-	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) {
-			err = nil
-		}
-		return ext, false, err
-	}
-	ext, err = recordExtent(rec, sch)
 	return ext, err == nil, err
 }
 
@@ -685,23 +764,21 @@ func (s *Store) Get(oid OID) (*Object, error) { return s.getAt(oid, latestEpoch)
 func (s *Store) GetAt(oid OID, epoch uint64) (*Object, error) { return s.getAt(oid, epoch) }
 
 func (s *Store) getAt(oid OID, epoch uint64) (*Object, error) {
-	sch, v, ok := s.resolve(oid, epoch)
-	if !ok {
-		return nil, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
-	}
-	rec, err := s.st.Get(sch.heap, v.rid)
+	var obj *Object
+	err := s.read(oid, epoch, func(at resolved) error {
+		w, err := s.recordOf(oid, at)
+		if err != nil {
+			return err
+		}
+		if obj, err = w.object(); err != nil {
+			return err
+		}
+		return resolveImages(obj, s.st.Blobs().Get)
+	})
 	if err != nil {
 		return nil, err
 	}
-	w, err := parseRecord(rec, sch)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := w.object()
-	if err != nil {
-		return nil, err
-	}
-	return obj, resolveImages(obj, s.st.Blobs().Get)
+	return obj, nil
 }
 
 // resolveImages replaces the blobRef placeholders of a decoded object
@@ -801,8 +878,8 @@ func (s *Store) CheckEpoch(epoch uint64) error {
 }
 
 func (s *Store) checkEpochLocked(epoch uint64) error {
-	if epoch < s.gcFloor {
-		return fmt.Errorf("%w: epoch %d is below the GC horizon %d", ErrSnapshotGone, epoch, s.gcFloor)
+	if floor := s.gcFloor.Load(); epoch < floor {
+		return fmt.Errorf("%w: epoch %d is below the GC horizon %d", ErrSnapshotGone, epoch, floor)
 	}
 	if epoch > s.epoch {
 		return fmt.Errorf("%w: epoch %d is in the future (current %d)", ErrSnapshotGone, epoch, s.epoch)
@@ -810,8 +887,8 @@ func (s *Store) checkEpochLocked(epoch uint64) error {
 	return nil
 }
 
-// Unpin releases a pinned epoch, advancing the horizon the next GC may
-// reclaim up to.
+// Unpin releases a pinned epoch, advancing the horizon the next commit
+// (or GC) may reclaim up to.
 func (s *Store) Unpin(epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -821,6 +898,26 @@ func (s *Store) Unpin(epoch uint64) {
 		} else {
 			s.pins[epoch] = n - 1
 		}
+	}
+}
+
+// Lease protects a pinned epoch from reclamation until the given time, as
+// a pin that needs no Unpin: it lapses. A stream that stops with a resume
+// cursor leases its epoch before it unpins, so that the cursor resumes
+// the same snapshot across the commits that come meanwhile, and a caller
+// that abandons the cursor holds the horizon back only until then. The
+// caller holds a pin on epoch; a later lease of it extends the time.
+func (s *Store) Lease(epoch uint64, until time.Time) {
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for e, t := range s.leases {
+		if !now.Before(t) {
+			delete(s.leases, e)
+		}
+	}
+	if until.After(s.leases[epoch]) {
+		s.leases[epoch] = until
 	}
 }
 
@@ -870,7 +967,7 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("mvcc_gc_floor", func() int64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return int64(s.gcFloor)
+		return int64(s.gcFloor.Load())
 	})
 	reg.GaugeFunc("mvcc_live_versions", func() int64 {
 		s.mu.RLock()
@@ -893,7 +990,7 @@ func (s *Store) liveVersionsLocked() int {
 func (s *Store) MVCC() MVCCStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := MVCCStats{Epoch: s.epoch, Reclaimed: s.reclaimed, GCFloor: s.gcFloor, LiveVersions: s.liveVersionsLocked()}
+	st := MVCCStats{Epoch: s.epoch, Reclaimed: s.reclaimed, GCFloor: s.gcFloor.Load(), LiveVersions: s.liveVersionsLocked()}
 	for e, n := range s.pins {
 		st.Pins += n
 		if st.OldestPin == 0 || e < st.OldestPin {
@@ -901,139 +998,6 @@ func (s *Store) MVCC() MVCCStats {
 		}
 	}
 	return st
-}
-
-// GC reclaims every version no live snapshot can see: versions superseded
-// at or below the oldest pinned epoch (or the current epoch when nothing
-// is pinned), and chains whose visible state at the horizon is a
-// tombstone. Heap records are removed in one batch and orphaned blobs
-// deleted. Returns the number of versions reclaimed. The kernel wires GC
-// into Checkpoint so the horizon advances whenever the log is compacted.
-//
-// A pass looks only at the chains that hold something it could reclaim:
-// those with older versions and those whose newest version is a
-// tombstone. An object stored once and never changed costs it nothing.
-func (s *Store) GC() (int, error) {
-	gcStart := time.Now()
-	defer func() {
-		s.gcRuns.Inc()
-		s.gcNS.ObserveSince(gcStart)
-	}()
-	type victim struct {
-		heap  string
-		rid   storage.RID
-		blobs []storage.BlobID
-	}
-	var victims []victim
-	// commitMu keeps GC from interleaving with a commit's validate →
-	// publish window (a chain it trims is one a commit has validated);
-	// the reader-visible lock is still held only for the in-memory
-	// collection phase.
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.mu.Lock()
-	horizon := s.epoch
-	for e := range s.pins {
-		if e < horizon {
-			horizon = e
-		}
-	}
-	var gone []OID
-	s.gcVisited = 0
-	trim := func(oid OID) {
-		s.gcVisited++
-		r := s.rows.Ptr(row{oid: oid}) // no row moves before gone is applied
-		heap := s.byNum[r.class].heap
-		vers := s.older[oid]
-		// vis is the newest version at or below the horizon — the one a
-		// snapshot pinned exactly there resolves to; len(vers) stands for
-		// the newest. Everything older is unreachable from any present or
-		// future pin.
-		vis := -1
-		if r.epoch <= horizon {
-			vis = len(vers)
-		} else {
-			for i := len(vers) - 1; i >= 0; i-- {
-				if vers[i].epoch <= horizon {
-					vis = i
-					break
-				}
-			}
-		}
-		if vis < 0 {
-			return // every version is newer than the horizon
-		}
-		for _, v := range vers[:vis] {
-			victims = append(victims, victim{heap: heap, rid: v.rid, blobs: v.blobs})
-		}
-		switch {
-		case vis == len(vers) && r.flags&rowDel != 0:
-			// The chain's only reachable state is "deleted": drop it whole.
-			victims = append(victims, victim{heap: heap, rid: r.rid})
-			gone = append(gone, oid)
-		case vis == len(vers):
-			delete(s.older, oid)
-			r.flags &^= rowOlder
-		case vis > 0:
-			// Copy to release the reclaimed prefix's backing memory.
-			s.older[oid] = slices.Clone(vers[vis:])
-		}
-	}
-	for oid := range s.dead {
-		trim(oid)
-	}
-	for oid := range s.older {
-		if _, ok := s.dead[oid]; !ok {
-			trim(oid)
-		}
-	}
-	slices.Sort(gone)
-	for _, oid := range gone {
-		s.rows.Delete(row{oid: oid})
-		delete(s.older, oid)
-		delete(s.dead, oid)
-	}
-	for _, ci := range s.classes {
-		i := sort.Search(len(ci.changed), func(i int) bool { return ci.changed[i].epoch > horizon })
-		if i == len(ci.changed) {
-			ci.changed = nil
-		} else if i > 0 {
-			// Copy to release the pruned prefix's backing memory.
-			ci.changed = slices.Clone(ci.changed[i:])
-		}
-	}
-	if horizon > s.gcFloor {
-		s.gcFloor = horizon
-	}
-	s.mu.Unlock()
-
-	if len(victims) == 0 {
-		return 0, nil
-	}
-	// The chains no longer reference the victims, so the physical
-	// removal happens outside the lock: one batch for the heap records,
-	// then best-effort blob deletion. If the batch fails, the orphaned
-	// records survive on disk until the next Open rescans them back into
-	// their chains (as superseded versions) and a later GC retries; the
-	// reclaimed counter only advances on success.
-	b := s.st.NewBatch()
-	for _, v := range victims {
-		b.Delete(v.heap, v.rid)
-	}
-	if _, err := b.Commit(); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.reclaimed += int64(len(victims))
-	s.mu.Unlock()
-	for _, v := range victims {
-		for _, bl := range v.blobs {
-			if err := s.st.Blobs().Delete(bl); err != nil && !errors.Is(err, storage.ErrBlobNotFound) {
-				return len(victims), err
-			}
-		}
-	}
-	return len(victims), nil
 }
 
 // Query returns the OIDs of class objects whose newest extent matches the
@@ -1179,18 +1143,6 @@ func (s *Store) walkCandidates(class string, pred sptemp.Extent, epoch uint64) [
 	cands := s.candidatesAt(class, pred, epoch)
 	s.memo.put(key, cands)
 	return cands
-}
-
-// NearestInTime returns up to k class members closest in time to t,
-// used by temporal interpolation to find bracketing observations.
-func (s *Store) NearestInTime(class string, t sptemp.AbsTime, k int) []OID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ci := s.classes[class]
-	if ci == nil {
-		return nil
-	}
-	return oidsOf(ci.times.Nearest(t, k))
 }
 
 // blobRef is the placeholder value stored inline for offloaded images.

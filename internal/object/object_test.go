@@ -359,21 +359,6 @@ func TestTimelessClass(t *testing.T) {
 	}
 }
 
-func TestNearestInTime(t *testing.T) {
-	f := newFixture(t)
-	o1, _ := f.obj.Insert(sceneObject("red", 0, sptemp.Date(1986, 1, 1)))
-	o2, _ := f.obj.Insert(sceneObject("red", 0, sptemp.Date(1986, 6, 1)))
-	o3, _ := f.obj.Insert(sceneObject("red", 0, sptemp.Date(1987, 1, 1)))
-	got := f.obj.NearestInTime("landsat_tm", sptemp.Date(1986, 5, 1), 2)
-	if !reflect.DeepEqual(got, []OID{o2, o1}) {
-		t.Errorf("NearestInTime = %v, want [%d %d]", got, o2, o1)
-	}
-	_ = o3
-	if got := f.obj.NearestInTime("ghost", sptemp.Date(1986, 1, 1), 1); got != nil {
-		t.Errorf("unknown class nearest = %v", got)
-	}
-}
-
 func TestMultipleImageAttributes(t *testing.T) {
 	f := newFixture(t)
 	cls := &catalog.Class{

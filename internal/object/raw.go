@@ -34,28 +34,30 @@ type BlobPayload struct {
 // the payload of every blob the record references. The returned record is
 // private to the caller, who may retain and ship it freely.
 func (s *Store) GetRawAt(oid OID, epoch uint64) ([]byte, []BlobPayload, error) {
-	sch, v, ok := s.resolve(oid, epoch)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
-	}
-	rec, err := s.st.Get(sch.heap, v.rid)
+	var (
+		rec   []byte
+		blobs []BlobPayload
+	)
+	err := s.read(oid, epoch, func(at resolved) error {
+		w, err := s.recordOf(oid, at)
+		if err != nil {
+			return err
+		}
+		if rec, err = w.wire(); err != nil {
+			return fmt.Errorf("object: oid %d: %w", oid, err)
+		}
+		blobs = blobs[:0]
+		for _, id := range at.v.blobs {
+			data, err := s.st.Blobs().Get(id)
+			if err != nil {
+				return fmt.Errorf("object: oid %d blob %d: %w", oid, id, err)
+			}
+			blobs = append(blobs, BlobPayload{ID: uint64(id), Data: data})
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	w, err := parseRecord(rec, sch)
-	if err == nil {
-		rec, err = w.wire()
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("object: oid %d: %w", oid, err)
-	}
-	var blobs []BlobPayload
-	for _, id := range v.blobs {
-		data, err := s.st.Blobs().Get(id)
-		if err != nil {
-			return nil, nil, fmt.Errorf("object: oid %d blob %d: %w", oid, id, err)
-		}
-		blobs = append(blobs, BlobPayload{ID: uint64(id), Data: data})
 	}
 	return rec, blobs, nil
 }

@@ -77,13 +77,15 @@ func openGaugeStore(t testing.TB, opts storage.Options) *Store {
 }
 
 // TestGCVisitsOnlyChangedChains: of N stored objects, k are updated or
-// deleted; a GC pass looks at exactly those k chains, and the next pass,
-// with nothing changed since, at none.
+// deleted under a pin, so that no commit reclaims them; once it is
+// released, a GC pass looks at exactly those k queued changes, and the
+// next pass, with nothing changed since, at none.
 func TestGCVisitsOnlyChangedChains(t *testing.T) {
 	s := openGaugeStore(t, storage.Options{NoSync: true})
 	const n = 3000
 	oids := loadGauges(t, s, n, 1024)
 	updated, deleted := oids[10:17], oids[2000:2005]
+	pin := s.Pin()
 	for _, oid := range updated {
 		o := gauge(int(oid))
 		o.OID = oid
@@ -96,6 +98,7 @@ func TestGCVisitsOnlyChangedChains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s.Unpin(pin)
 	got, err := s.GC()
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +109,7 @@ func TestGCVisitsOnlyChangedChains(t *testing.T) {
 		t.Errorf("GC reclaimed %d versions, want %d", got, want)
 	}
 	if want := len(updated) + len(deleted); s.gcVisited != want {
-		t.Errorf("GC visited %d chains of %d, want the %d changed", s.gcVisited, n, want)
+		t.Errorf("GC visited %d queued changes to %d chains, want the %d changed", s.gcVisited, n, want)
 	}
 	if _, err := s.GC(); err != nil {
 		t.Fatal(err)
@@ -172,10 +175,12 @@ func TestInterleavedSessionsCommitReversed(t *testing.T) {
 }
 
 // TestReopenMatchesCommittedVersions drives random inserts, updates,
-// moves and deletes with pinned epochs and GC passes, and at random steps
-// opens a second store over the same storage: for every OID ever created,
-// at every pinned epoch and the newest, it must resolve the same version
-// and extent as the store the commits built.
+// moves and deletes with pinned epochs, commits that reclaim what pins
+// release and the odd GC pass, and at random steps opens a second store
+// over the same storage: for every OID ever created, at every pinned
+// epoch and the newest, it must resolve the same version and extent as
+// the store the commits built. Once the last pin goes, one commit leaves
+// only the live objects' newest versions.
 func TestReopenMatchesCommittedVersions(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { reopenMatchesCommitted(t, seed) })
@@ -218,10 +223,10 @@ func reopenMatchesCommitted(t *testing.T, seed int64) {
 		}
 		for _, epoch := range append([]uint64{latestEpoch}, pins...) {
 			for _, oid := range all {
-				sch, v, ok := s.resolve(oid, epoch)
-				sch2, v2, ok2 := s2.resolve(oid, epoch)
-				if ok != ok2 || sch != nil && sch2 != nil && sch.cls.Name != sch2.cls.Name || !reflect.DeepEqual(v, v2) {
-					t.Fatalf("step %d, oid %d at epoch %d: committed %+v %v, reopened %+v %v", step, oid, epoch, v, ok, v2, ok2)
+				at, ok := s.resolve(oid, epoch)
+				at2, ok2 := s2.resolve(oid, epoch)
+				if ok != ok2 || at.sch != nil && at2.sch != nil && at.sch.cls.Name != at2.sch.cls.Name || !reflect.DeepEqual(at.v, at2.v) {
+					t.Fatalf("step %d, oid %d at epoch %d: committed %+v %v, reopened %+v %v", step, oid, epoch, at.v, ok, at2.v, ok2)
 				}
 				ext, ok, err := s.extentAt(oid, epoch)
 				ext2, ok2, err2 := s2.extentAt(oid, epoch)
@@ -277,8 +282,10 @@ func reopenMatchesCommitted(t *testing.T, seed int64) {
 		if r.Intn(20) == 0 && len(pins) > 0 {
 			s.Unpin(pins[0])
 			pins = pins[1:]
-			if _, err := s.GC(); err != nil {
-				t.Fatal(err)
+			if r.Intn(2) == 0 { // else the next commit reclaims what the pin held
+				if _, err := s.GC(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if r.Intn(12) == 0 {
@@ -286,6 +293,23 @@ func reopenMatchesCommitted(t *testing.T, seed int64) {
 		}
 	}
 	same(200)
+	// Released pins hold nothing back from the next commit: it reclaims
+	// every superseded version and every deleted chain, and leaves each
+	// live object its newest version alone, on disk as in memory.
+	for _, e := range pins {
+		s.Unpin(e)
+	}
+	pins = nil
+	oid, err := s.Insert(stationAt(0, randBox(), randIv()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live[oid] = true
+	all = append(all, oid)
+	if got := s.MVCC().LiveVersions; got != len(live) {
+		t.Fatalf("%d versions stored after a commit with no pin, want the %d live objects' newest", got, len(live))
+	}
+	same(201)
 }
 
 // TestLoadAddsNoHeapObjects: storing objects of one version each adds

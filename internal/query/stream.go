@@ -9,14 +9,17 @@ package query
 // Request.Cursor resumes the next one, so arbitrarily large extents are
 // served in bounded memory.
 //
-// Every stream runs against an MVCC snapshot: creation captures and
-// validates a commit epoch, iteration pins it (released when iteration
-// stops — a stream never iterated holds no pin), all OIDs resolve at
-// that epoch, and the resume cursor carries it — so a consumer
+// Every stream runs against an MVCC snapshot: iteration pins a commit
+// epoch (the current one at the first pull, or the cursor's; released
+// when iteration stops — a stream never iterated holds no pin), all OIDs
+// resolve at that epoch, and the resume cursor carries it — so a consumer
 // paginating across concurrent session commits sees exactly the state of
-// the first page's snapshot, with no skipped and no phantom objects. A
-// cursor whose epoch has fallen behind the GC horizon is refused with
-// ErrSnapshotGone; cursors do not survive a kernel reopen.
+// the first page's snapshot, with no skipped and no phantom objects.
+// Between pages the cursor's epoch is leased for cursorLease: commits
+// reclaim versions as soon as no snapshot can see them, so an epoch
+// nothing holds is gone after the next two. A cursor whose epoch has
+// fallen behind the GC horizon is refused with ErrSnapshotGone; cursors
+// do not survive a kernel reopen.
 
 import (
 	"context"
@@ -25,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"gaea/internal/object"
 	"gaea/internal/obs"
@@ -46,6 +50,11 @@ type Stream struct {
 // All returns the underlying sequence. The stream is single-use:
 // ranging a second time yields an error.
 func (s *Stream) All() iter.Seq2[*object.Object, error] { return s.seq }
+
+// cursorLease is how long a stream that stopped with a cursor keeps its
+// epoch from reclamation (object.Store.Lease) for the cursor to resume:
+// the service layer's default lease on a remote client's cursor.
+const cursorLease = 30 * time.Second
 
 // Cursor returns the resume token: pass it as Request.Cursor to continue
 // where the iteration stopped, against the same snapshot epoch. Empty
@@ -209,12 +218,18 @@ func (qe *Executor) StreamAt(ctx context.Context, req Request, atEpoch uint64) (
 	// Validate the snapshot now so a resumed cursor behind the GC horizon
 	// fails at the call, but PIN lazily at first pull: a stream that is
 	// created and never iterated must not hold the horizon back forever.
-	// The (rare) GC sliding past the epoch between creation and first
+	// A fresh stream reads at the epoch current at its first pull; a
+	// commit reclaiming past another epoch between creation and first
 	// pull surfaces as ErrSnapshotGone from the iteration, never as a
 	// silently inconsistent page.
 	if err := qe.Obj.CheckEpoch(epoch); err != nil {
 		return nil, err
 	}
+	// A stream at an epoch of its own choosing leases that epoch when it
+	// stops with a cursor: nothing else holds it until the cursor comes
+	// back. A caller that passes the epoch holds it itself.
+	own := atEpoch == 0
+	fresh := own && !resumed
 
 	st := &Stream{cursor: req.Cursor}
 	st.seq = func(yield func(*object.Object, error) bool) {
@@ -222,11 +237,18 @@ func (qe *Executor) StreamAt(ctx context.Context, req Request, atEpoch uint64) (
 			yield(nil, fmt.Errorf("%w: stream already consumed", ErrBadRequest))
 			return
 		}
-		if err := qe.Obj.PinEpoch(epoch); err != nil {
+		if fresh {
+			epoch = qe.Obj.Pin()
+		} else if err := qe.Obj.PinEpoch(epoch); err != nil {
 			yield(nil, err)
 			return
 		}
-		defer qe.Obj.Unpin(epoch)
+		defer func() {
+			if own && st.Cursor() != "" {
+				qe.Obj.Lease(epoch, time.Now().Add(cursorLease))
+			}
+			qe.Obj.Unpin(epoch)
+		}()
 		yielded := 0
 		ctx, sp := obs.StartWith(ctx, qe.Tracer, "query/stream")
 		defer func() {

@@ -305,38 +305,3 @@ func (x *IntervalIndex) Search(q Interval) []uint64 {
 	}
 	return out
 }
-
-// Nearest returns up to k ids whose intervals are closest to the instant t
-// (distance 0 when the interval contains t), ordered by distance then id.
-// Temporal interpolation uses it to pick bracketing observations.
-func (x *IntervalIndex) Nearest(t AbsTime, k int) []uint64 {
-	type cand struct {
-		dist int64
-		id   uint64
-	}
-	cands := make([]cand, 0, len(x.byStart))
-	for _, e := range x.byStart {
-		var d int64
-		switch {
-		case e.iv.Contains(t):
-			d = 0
-		case t < e.iv.Start:
-			d = int64(e.iv.Start - t)
-		default:
-			d = int64(t - e.iv.End)
-		}
-		cands = append(cands, cand{dist: d, id: e.id})
-	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		if c := cmp.Compare(a.dist, b.dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	k = min(k, len(cands))
-	out := make([]uint64, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, c.id)
-	}
-	return out
-}

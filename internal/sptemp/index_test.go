@@ -316,28 +316,6 @@ func TestIntervalIndexDeleteReplace(t *testing.T) {
 	}
 }
 
-func TestIntervalIndexNearest(t *testing.T) {
-	var x IntervalIndex
-	x.Insert(1, Instant(Date(1986, 1, 1)))
-	x.Insert(2, Instant(Date(1986, 6, 1)))
-	x.Insert(3, Instant(Date(1987, 1, 1)))
-
-	got := x.Nearest(Date(1986, 5, 1), 2)
-	if !reflect.DeepEqual(got, []uint64{2, 1}) {
-		t.Errorf("Nearest = %v, want [2 1]", got)
-	}
-	// Contained instant has distance zero.
-	x.Insert(4, NewInterval(Date(1986, 4, 1), Date(1986, 7, 1)))
-	got = x.Nearest(Date(1986, 5, 1), 1)
-	if !reflect.DeepEqual(got, []uint64{4}) {
-		t.Errorf("Nearest containing = %v, want [4]", got)
-	}
-	// k larger than population returns all.
-	if got := x.Nearest(Date(1986, 5, 1), 99); len(got) != 4 {
-		t.Errorf("Nearest big k = %v", got)
-	}
-}
-
 // TestIntervalIndexProperty: the interval twin of TestGridIndexProperty.
 // Starts are drawn from a handful of values so that equal starts — where
 // the id breaks the tie in the sort order — are the rule, and the entries

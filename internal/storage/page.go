@@ -230,32 +230,23 @@ func (p *page) del(i int) error {
 	return nil
 }
 
-// compact rewrites live records contiguously at the end of the page.
+// compact rewrites live records contiguously at the end of the page, in
+// slot order. It allocates nothing: a page that reclaimed records is
+// compacted by the insert that reuses the space, once per insert.
 func (p *page) compact() {
-	type live struct {
-		slot, off, length int
-	}
-	var lives []live
-	for i := 0; i < p.nslots(); i++ {
-		off, length := p.slot(i)
-		if off != 0 {
-			lives = append(lives, live{i, off, length})
-		}
-	}
 	var scratch [PageSize]byte
 	end := PageSize
-	for _, l := range lives {
-		end -= l.length
-		copy(scratch[end:], p.buf[l.off:l.off+l.length])
+	for i := 0; i < p.nslots(); i++ {
+		off, length := p.slot(i)
+		if off == 0 {
+			continue
+		}
+		end -= length
+		copy(scratch[end:], p.buf[off:off+length])
+		p.setSlot(i, end, length)
 	}
-	copy(p.buf[end:], scratch[end:PageSize])
-	// Rewrite slot offsets in the same order the records were laid out.
-	off := PageSize
-	for _, l := range lives {
-		off -= l.length
-		p.setSlot(l.slot, off, l.length)
-	}
-	p.setFreeEnd(off)
+	copy(p.buf[end:], scratch[end:])
+	p.setFreeEnd(end)
 }
 
 // seal computes and stores the checksum; called before writing to disk.

@@ -57,8 +57,8 @@ func (k *Kernel) Snapshot(ctx context.Context) (*Snapshot, error) {
 // Epoch returns the commit epoch the snapshot is pinned to.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Release unpins the snapshot, letting the next GC reclaim versions only
-// it could see. Idempotent — releasing twice (or after Kernel.Close
+// Release unpins the snapshot, letting the next commit (or GC) reclaim
+// versions only it could see. Idempotent — releasing twice (or after Kernel.Close
 // already released it) is a no-op, never a double-unpin.
 func (s *Snapshot) Release() {
 	if s.released.CompareAndSwap(false, true) {
