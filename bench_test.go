@@ -513,12 +513,16 @@ func BenchmarkT1TaskMemoisation(b *testing.B) {
 		k := benchKernel(b, Options{NoSync: true})
 		scene := loadBenchScene(b, k, size, 1986)
 		in := map[string][]object.OID{"bands": scene}
+		walRecords := func() int64 { return k.Metrics.Snapshot().Gauges["storage_wal_appends_total"] }
+		start := walRecords()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := k.RunProcess(context.Background(), "unsupervised_classification", in, RunOptions{NoMemo: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
+		// A derivation is one WAL group: its output with its task record.
+		b.ReportMetric(float64(walRecords()-start)/float64(b.N), "wal-records/op")
 	})
 	b.Run("filegis/recompute", func(b *testing.B) {
 		w, err := filegis.Open(b.TempDir())
@@ -539,8 +543,8 @@ func BenchmarkT1TaskMemoisation(b *testing.B) {
 
 // ---------- S1: storage substrate ----------
 
-// BenchmarkS1Storage measures the embedded store: WAL-logged inserts,
-// point reads, and scans.
+// BenchmarkS1Storage measures the embedded store: WAL-logged inserts
+// (each a one-record batch commit), point reads, and scans.
 func BenchmarkS1Storage(b *testing.B) {
 	rec := make([]byte, 256)
 	b.Run("insert", func(b *testing.B) {
@@ -551,7 +555,7 @@ func BenchmarkS1Storage(b *testing.B) {
 		defer st.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Insert("bench", rec); err != nil {
+			if _, err := benchInsert(st, rec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -564,7 +568,7 @@ func BenchmarkS1Storage(b *testing.B) {
 		defer st.Close()
 		rids := make([]storage.RID, 10_000)
 		for i := range rids {
-			rid, err := st.Insert("bench", rec)
+			rid, err := benchInsert(st, rec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -584,7 +588,7 @@ func BenchmarkS1Storage(b *testing.B) {
 		}
 		defer st.Close()
 		for i := 0; i < 10_000; i++ {
-			if _, err := st.Insert("bench", rec); err != nil {
+			if _, err := benchInsert(st, rec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -612,6 +616,18 @@ func BenchmarkS1Storage(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchInsert commits one record to the "bench" heap as a one-record
+// batch: one WAL group.
+func benchInsert(st *storage.Store, rec []byte) (storage.RID, error) {
+	b := st.NewBatch()
+	b.Insert("bench", rec)
+	rids, err := b.Commit()
+	if err != nil {
+		return storage.RID{}, err
+	}
+	return rids[0], nil
 }
 
 // ---------- C1: concurrent derivation engine ----------

@@ -411,10 +411,10 @@ func TestKernelManualPolicyFlagsStale(t *testing.T) {
 	}
 }
 
-func TestKernelReproduceAfterInputUpdate(t *testing.T) {
-	k := openKernel(t)
-	// A second derivation level over landcover, so a task can have a
-	// *derived* (and thus stale-able) input.
+// defineSmooth adds a second derivation level over landcover, so a task
+// can have a *derived* (and thus stale-able) input.
+func defineSmooth(t *testing.T, k *Kernel) {
+	t.Helper()
 	if err := k.DefineClass(&catalog.Class{
 		Name: "landcover_smooth", Kind: catalog.KindDerived, DerivedBy: "smooth",
 		Attrs: []catalog.Attr{
@@ -439,6 +439,11 @@ DEFINE PROCESS smooth (
 )`); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestKernelReproduceAfterInputUpdate(t *testing.T) {
+	k := openKernel(t)
+	defineSmooth(t, k)
 	scene := loadScene(t, k, sptemp.Date(1986, 1, 15), 1986)
 	classify, _, err := k.RunProcess(context.Background(), "unsupervised_classification",
 		map[string][]object.OID{"bands": scene}, RunOptions{})

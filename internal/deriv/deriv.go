@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -472,16 +473,14 @@ func (m *Manager) ObjectsChanged(updated, deleted []object.OID, epoch uint64) er
 	for _, oid := range deleted {
 		m.exec.ForgetOutput(oid)
 	}
-	roots := make(map[object.OID]bool, len(updated)+len(deleted))
-	for _, oid := range updated {
-		// Updating a previously-stale object makes it fresh by definition.
-		m.clearStale(oid)
+	changed := slices.Concat(updated, deleted)
+	roots := make(map[object.OID]bool, len(changed))
+	for _, oid := range changed {
 		roots[oid] = true
 	}
-	for _, oid := range deleted {
-		m.clearStale(oid)
-		roots[oid] = true
-	}
+	// Updating a previously-stale object makes it fresh by definition; a
+	// deleted one is gone.
+	firstErr := m.clearStale(changed...)
 	m.sweeps.Add(1)
 	m.mu.Lock()
 	if epoch > m.epoch {
@@ -490,8 +489,7 @@ func (m *Manager) ObjectsChanged(updated, deleted []object.OID, epoch uint64) er
 	order := m.multiClosureLocked(roots)
 	m.mu.Unlock()
 
-	var firstErr error
-	var recompute []object.OID
+	var marked, recompute []object.OID
 	for _, d := range order {
 		if !m.obj.Exists(d) {
 			continue // already dropped or deleted
@@ -513,39 +511,49 @@ func (m *Manager) ObjectsChanged(updated, deleted []object.OID, epoch uint64) er
 			}
 			continue
 		}
-		if err := m.markStale(d, epoch); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		marked = append(marked, d)
 		if act == actionRecompute || m.policy == Eager {
 			recompute = append(recompute, d)
 		}
+	}
+	if err := m.markStale(marked, epoch); err != nil {
+		if firstErr == nil {
+			firstErr = err
+		}
+		recompute = nil // nothing was marked
 	}
 	m.enqueue(recompute...)
 	return firstErr
 }
 
-// markStale records oid as stale at the given epoch, durably: a fresh
-// mark takes the epoch as both ends, a repeat invalidation widens the
-// range (first stays at the earliest, last advances to the newest). The
-// meta write happens under the manager lock so memory and disk cannot
-// disagree about a marking.
-func (m *Manager) markStale(oid object.OID, epoch uint64) error {
+// markStale records oids as stale at the given epoch, durably, in one
+// batch: a fresh mark takes the epoch as both ends, a repeat invalidation
+// widens the range (first stays at the earliest, last advances to the
+// newest). The batch commits under the manager lock and memory changes
+// only once it has, so memory and disk cannot disagree about a marking.
+func (m *Manager) markStale(oids []object.OID, epoch uint64) error {
+	if len(oids) == 0 {
+		return nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mk, ok := m.stale[oid]
-	if !ok {
-		mk = staleMark{first: epoch, last: epoch}
-	} else {
-		if epoch < mk.first {
-			mk.first = epoch
+	marks := make([]staleMark, len(oids))
+	b := m.st.NewBatch()
+	for i, oid := range oids {
+		marks[i] = staleMark{first: epoch, last: epoch}
+		if cur, ok := m.stale[oid]; ok {
+			marks[i] = staleMark{first: min(cur.first, epoch), last: max(cur.last, epoch)}
 		}
-		if epoch > mk.last {
-			mk.last = epoch
-		}
+		b.MetaSet(staleKey(oid), encodeStaleMark(marks[i]))
 	}
-	m.stale[oid] = mk
-	m.invalidations.Add(1)
-	return m.st.MetaSet(staleKey(oid), encodeStaleMark(mk))
+	if _, err := b.Commit(); err != nil {
+		return err
+	}
+	for i, oid := range oids {
+		m.stale[oid] = marks[i]
+	}
+	m.invalidations.Add(int64(len(oids)))
+	return nil
 }
 
 // staleEpoch returns the NEWEST epoch oid was invalidated at, if stale
@@ -557,30 +565,48 @@ func (m *Manager) staleEpoch(oid object.OID) (uint64, bool) {
 	return mk.last, ok
 }
 
-// clearStale removes oid's stale marking, durably.
-func (m *Manager) clearStale(oid object.OID) {
+// clearStale removes the stale markings of those of oids that have one,
+// durably, in one batch; memory changes only once the batch commits.
+func (m *Manager) clearStale(oids ...object.OID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, was := m.stale[oid]; was {
-		delete(m.stale, oid)
-		m.st.MetaDelete(staleKey(oid))
+	b := m.st.NewBatch()
+	var cleared []object.OID
+	for _, oid := range oids {
+		if _, was := m.stale[oid]; was {
+			b.MetaDelete(staleKey(oid))
+			cleared = append(cleared, oid)
+		}
 	}
+	if len(cleared) == 0 {
+		return nil
+	}
+	if _, err := b.Commit(); err != nil {
+		return err
+	}
+	for _, oid := range cleared {
+		delete(m.stale, oid)
+	}
+	return nil
 }
 
 // clearStaleIf removes oid's stale marking only if its newest
-// invalidation is still the given epoch. A refresh that raced with a
-// newer invalidation must not wipe the newer marking — the recompute may
-// have read pre-invalidation inputs, so the object stays stale and is
-// refreshed again.
-func (m *Manager) clearStaleIf(oid object.OID, epoch uint64) bool {
+// invalidation is still the given epoch, and reports whether it did. A
+// refresh that raced with a newer invalidation must not wipe the newer
+// marking — the recompute may have read pre-invalidation inputs, so the
+// object stays stale and is refreshed again. Memory changes only once
+// the removal is durable.
+func (m *Manager) clearStaleIf(oid object.OID, epoch uint64) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if cur, was := m.stale[oid]; !was || cur.last != epoch {
-		return false
+		return false, nil
+	}
+	if err := m.st.MetaDelete(staleKey(oid)); err != nil {
+		return false, err
 	}
 	delete(m.stale, oid)
-	m.st.MetaDelete(staleKey(oid))
-	return true
+	return true, nil
 }
 
 // decide applies the cost model to one invalidated object.
@@ -613,11 +639,10 @@ func (m *Manager) drop(oid object.OID) error {
 		return err
 	}
 	m.exec.ForgetOutput(oid)
-	m.clearStale(oid)
 	if err == nil {
 		m.drops.Add(1)
 	}
-	return nil
+	return m.clearStale(oid)
 }
 
 // RefreshObject recomputes a stale object in place, refreshing stale
@@ -666,10 +691,11 @@ func (m *Manager) refreshObject(ctx context.Context, oid object.OID, onPath map[
 		if _, err := m.exec.RecomputeTask(ctx, t.ID, task.RunOptions{User: t.User}); err != nil {
 			return struct{}{}, err
 		}
-		if m.clearStaleIf(oid, epoch) {
+		cleared, err := m.clearStaleIf(oid, epoch)
+		if cleared {
 			m.refreshes.Add(1)
 		}
-		return struct{}{}, nil
+		return struct{}{}, err
 	})
 	// The object was stale on entry and the flight succeeded, so a
 	// refresh ran within this call — by us as leader, by a flight we
@@ -704,20 +730,14 @@ func (m *Manager) refreshSet(ctx context.Context, oids []object.OID) (int, error
 	for _, oid := range oids {
 		oid := oid
 		fns = append(fns, func(ctx context.Context) error {
-			if !m.IsStale(oid) {
-				// Already refreshed since the snapshot — by a sibling's
-				// recursive ancestor pass or a concurrent caller. It was
-				// stale when this set was taken, so it counts (unless it
-				// was dropped rather than refreshed).
-				if m.obj.Exists(oid) {
-					refreshed.Add(1)
-				}
-				return nil
-			}
 			did, err := m.refreshObject(ctx, oid, map[object.OID]bool{})
 			switch {
 			case err == nil:
-				if did {
+				// Not did: already refreshed since the snapshot — by a
+				// sibling's recursive ancestor pass or a concurrent caller.
+				// It was stale when this set was taken, so it counts
+				// (unless it was dropped rather than refreshed).
+				if did || m.obj.Exists(oid) {
 					refreshed.Add(1)
 				}
 			case errors.Is(err, ErrUnrefreshable), errors.Is(err, object.ErrNotFound):

@@ -431,16 +431,18 @@ func TestStalenessSurvivesReopen(t *testing.T) {
 func TestExternalDerivationsDroppedByRefreshStale(t *testing.T) {
 	w := newWorld(t, Config{Policy: Manual})
 	base := w.insertBase(t, 1)
-	// Record an external derivation (e.g. an interpolation) over base.
-	extOut, err := w.obj.Insert(&object.Object{
+	// Commit an external derivation (e.g. an interpolation) over base.
+	out := &object.Object{
 		Class:  "c1",
 		Attrs:  map[string]value.Value{"v": value.Float(1)},
 		Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(0, 0, 10, 10)),
-	})
+	}
+	extOut, err := w.obj.Reserve(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.exec.RecordExternal("interpolation", map[string][]object.OID{"src": {base}}, extOut, "c1", task.RunOptions{}); err != nil {
+	tasks := w.exec.StageExternal("interpolation", map[string][]object.OID{"src": {base}}, []object.OID{extOut}, "c1", task.RunOptions{})
+	if _, err := w.exec.Apply(object.BatchOps{Inserts: []*object.Object{out}}, tasks); err != nil {
 		t.Fatal(err)
 	}
 	w.setBase(t, base, 2)

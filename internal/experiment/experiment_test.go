@@ -192,11 +192,12 @@ func TestReproduceSkipsExternalTasks(t *testing.T) {
 	w := newWorld(t)
 	red, _ := w.insertPair(t)
 	w.mgr.Create(&Experiment{Name: "with-external"})
-	ext, err := w.exec.RecordExternal("data_load", nil, red, "scene", task.RunOptions{})
-	if err != nil {
+	// A second load task for red, committed as a session commits one.
+	tasks := w.exec.StageExternal("data_load", nil, []object.OID{red}, "scene", task.RunOptions{})
+	if _, err := w.exec.Apply(object.BatchOps{}, tasks); err != nil {
 		t.Fatal(err)
 	}
-	w.mgr.AttachTask("with-external", ext.ID)
+	w.mgr.AttachTask("with-external", tasks[0].ID)
 	report, err := w.mgr.Reproduce(context.Background(), "with-external", task.RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,9 @@
 //
 // Temporal interpolation blends the two stored objects bracketing the
 // requested instant; spatial interpolation blends nearby objects by
-// inverse distance. Both record their derivation as external tasks so
-// interpolated data carries lineage like any other derived data.
+// inverse distance. Both commit the new object with an external task
+// recording its derivation, in one batch, so interpolated data carries
+// lineage like any other derived data.
 package interp
 
 import (
@@ -105,19 +106,25 @@ func (ip *Interpolator) temporal(ctx context.Context, class string, at sptemp.Ab
 		return 0, err
 	}
 	ext := sptemp.AtInstant(cls.Frame, ob.Extent.Space.Intersection(oa.Extent.Space), at)
-	out := &object.Object{Class: class, Attrs: attrs, Extent: ext}
-	oid, err := ip.Obj.Insert(out)
-	if err != nil {
-		return 0, err
-	}
 	if opts.Note == "" {
 		opts.Note = fmt.Sprintf("temporal interpolation at %s", at)
 	}
-	if _, err := ip.Exec.RecordExternal("temporal_interpolation",
-		map[string][]object.OID{"before": {before}, "after": {after}}, oid, class, opts); err != nil {
+	return ip.store(&object.Object{Class: class, Attrs: attrs, Extent: ext}, "temporal_interpolation",
+		map[string][]object.OID{"before": {before}, "after": {after}}, opts)
+}
+
+// store commits an interpolated object and the external task that records
+// its derivation in one batch, so neither survives a crash without the
+// other.
+func (ip *Interpolator) store(out *object.Object, proc string, inputs map[string][]object.OID, opts task.RunOptions) (object.OID, error) {
+	if _, err := ip.Obj.Reserve(out); err != nil {
 		return 0, err
 	}
-	return oid, nil
+	tasks := ip.Exec.StageExternal(proc, inputs, []object.OID{out.OID}, out.Class, opts)
+	if _, err := ip.Exec.Apply(object.BatchOps{Inserts: []*object.Object{out}}, tasks); err != nil {
+		return 0, err
+	}
+	return out.OID, nil
 }
 
 // bracket picks the latest object at or before `at` and the earliest at or
@@ -277,10 +284,6 @@ func (ip *Interpolator) spatial(ctx context.Context, class string, target sptemp
 		ext.TimeIv = sptemp.Instant(at)
 		ext.HasTime = true
 	}
-	oid, err := ip.Obj.Insert(&object.Object{Class: class, Attrs: attrs, Extent: ext})
-	if err != nil {
-		return 0, err
-	}
 	inputs := map[string][]object.OID{"neighbors": {}}
 	for _, n := range ns {
 		inputs["neighbors"] = append(inputs["neighbors"], n.oid)
@@ -288,10 +291,7 @@ func (ip *Interpolator) spatial(ctx context.Context, class string, target sptemp
 	if opts.Note == "" {
 		opts.Note = fmt.Sprintf("spatial interpolation over %d neighbours", k)
 	}
-	if _, err := ip.Exec.RecordExternal("spatial_interpolation", inputs, oid, class, opts); err != nil {
-		return 0, err
-	}
-	return oid, nil
+	return ip.store(&object.Object{Class: class, Attrs: attrs, Extent: ext}, "spatial_interpolation", inputs, opts)
 }
 
 // blendValues combines same-typed values with the given weights: images

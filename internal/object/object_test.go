@@ -639,7 +639,10 @@ func TestReopenHealsInterruptedUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Insert(heapFor("landsat_tm"), stamp(rec, oid, obj.CurrentEpoch()+1)); err != nil {
+	b := st.NewBatch()
+	b.SetEpoch(obj.CurrentEpoch() + 1)
+	b.Insert(heapFor("landsat_tm"), stamp(rec, oid, obj.CurrentEpoch()+1))
+	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

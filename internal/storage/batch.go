@@ -6,11 +6,12 @@ import (
 )
 
 // Batch collects heap and meta mutations that commit together: the whole
-// group is written to the WAL as ONE opBatch record with ONE fsync, so a
-// crash replays either every mutation or none of them. This is the
-// storage half of the kernel's session commit — N object writes cost one
-// log append instead of N, and the group is atomic across heaps and the
-// meta map.
+// group is written to the WAL as ONE epoch-stamped group record
+// (opEpochBatch) with ONE fsync, so a crash replays either every mutation
+// or none of them. It is the store's only write path: a session commit,
+// a derivation with its task record, and a single meta update all reach
+// the log this way, so N mutations cost one log append instead of N, and
+// the group is atomic across heaps and the meta map.
 //
 // A Batch is single-use and not safe for concurrent use; build it on one
 // goroutine and call Commit once.
@@ -18,7 +19,7 @@ type Batch struct {
 	s         *Store
 	inserts   []stagedInsert
 	deletes   []stagedDelete
-	metaSets  []stagedMeta
+	meta      []stagedMeta
 	pins      []string
 	epoch     uint64
 	committed bool
@@ -34,9 +35,12 @@ type stagedDelete struct {
 	rid  RID
 }
 
+// stagedMeta is a meta update, or a removal when del is set; they apply
+// in staging order.
 type stagedMeta struct {
 	key string
 	val []byte
+	del bool
 }
 
 // NewBatch starts an empty batch against the store.
@@ -59,7 +63,12 @@ func (b *Batch) Delete(heap string, rid RID) {
 
 // MetaSet stages a meta key update.
 func (b *Batch) MetaSet(key string, val []byte) {
-	b.metaSets = append(b.metaSets, stagedMeta{key: key, val: append([]byte(nil), val...)})
+	b.meta = append(b.meta, stagedMeta{key: key, val: append([]byte(nil), val...)})
+}
+
+// MetaDelete stages a meta key removal.
+func (b *Batch) MetaDelete(key string) {
+	b.meta = append(b.meta, stagedMeta{key: key, del: true})
 }
 
 // PinSequence stages a durability pin for a sequence whose values were
@@ -73,15 +82,18 @@ func (b *Batch) PinSequence(sequence string) {
 // SetEpoch stamps the batch with a commit epoch reserved via
 // ReserveEpoch. The epoch lands in the WAL group header and, on commit,
 // in the meta map (persisted by the next meta snapshot). A batch without
-// a stamp allocates the next epoch itself at commit.
+// a stamp allocates the next epoch itself at commit if it changes a heap;
+// one that only changes the meta map takes no epoch (its group header
+// carries 0), so definitions and stale marks leave the commit-epoch
+// sequence alone.
 func (b *Batch) SetEpoch(e uint64) { b.epoch = e }
 
 // Epoch returns the commit epoch the batch was stamped with (valid after
-// Commit).
+// Commit; 0 for a meta-only batch).
 func (b *Batch) Epoch() uint64 { return b.epoch }
 
 // Len reports how many mutations the batch stages.
-func (b *Batch) Len() int { return len(b.inserts) + len(b.deletes) + len(b.metaSets) }
+func (b *Batch) Len() int { return len(b.inserts) + len(b.deletes) + len(b.meta) }
 
 // Commit applies the batch: heap pages mutate in memory, then the whole
 // group is logged as one WAL record and fsynced once. On a WAL failure
@@ -113,7 +125,7 @@ func (b *Batch) Commit() ([]RID, error) {
 			heaps[in.heap] = h
 		}
 	}
-	if b.epoch == 0 {
+	if b.epoch == 0 && len(b.inserts)+len(b.deletes) > 0 {
 		b.epoch = s.ReserveEpoch()
 	}
 	s.mu.RLock()
@@ -152,8 +164,12 @@ func (b *Batch) Commit() ([]RID, error) {
 	// unit, so the WAL order of meta values matches the order they land
 	// in the map even with concurrent committers.
 	s.metaMu.Lock()
-	for _, m := range b.metaSets {
-		payloads = append(payloads, metaSetPayload(m.key, m.val))
+	for _, m := range b.meta {
+		if m.del {
+			payloads = append(payloads, metaDelPayload(m.key))
+		} else {
+			payloads = append(payloads, metaSetPayload(m.key, m.val))
+		}
 	}
 	for _, key := range b.pins {
 		if v, ok := s.meta[key]; ok {
@@ -165,10 +181,14 @@ func (b *Batch) Commit() ([]RID, error) {
 		undo()
 		return nil, err
 	}
-	for _, m := range b.metaSets {
-		s.meta[m.key] = m.val
+	for _, m := range b.meta {
+		if m.del {
+			delete(s.meta, m.key)
+		} else {
+			s.meta[m.key] = m.val
+		}
 	}
-	if cur, ok := s.meta[epochKey]; !ok || len(cur) != 8 || binary.LittleEndian.Uint64(cur) < b.epoch {
+	if cur, ok := s.meta[epochKey]; b.epoch > 0 && (!ok || len(cur) != 8 || binary.LittleEndian.Uint64(cur) < b.epoch) {
 		buf := make([]byte, 8)
 		binary.LittleEndian.PutUint64(buf, b.epoch)
 		s.meta[epochKey] = buf
@@ -179,21 +199,20 @@ func (b *Batch) Commit() ([]RID, error) {
 	// contract as the object layer's post-commit publication). A failed
 	// in-memory page delete leaves a ghost record that WAL replay removes
 	// on the next open, and that the object layer's indexes hide until
-	// then; single-op Store.Delete shares this exposure.
+	// then.
 	for _, d := range b.deletes {
 		_ = heaps[d.heap].del(d.rid)
 	}
 	return rids, nil
 }
 
-// AllocID reserves the next value of a named persistent sequence without
-// logging it. The reservation advances the in-memory counter (so
-// concurrent NextID/AllocID callers never collide) but only becomes
-// durable when a later NextID on the same sequence logs the advanced
-// counter, a checkpoint snapshots it, or a Batch with PinSequence
-// commits. Callers must therefore reference a reserved ID durably only
-// inside a batch that pins the sequence: a crash before that pin simply
-// re-issues the reserved IDs, which by then nothing references.
+// AllocID reserves the next value (1-based) of a named persistent
+// sequence without logging it. The reservation advances the in-memory
+// counter, so concurrent callers never collide, but only becomes durable
+// when a Batch with PinSequence on the sequence commits or a checkpoint
+// snapshots it. Callers must therefore reference a reserved ID durably
+// only inside a batch that pins the sequence: a crash before that pin
+// simply re-issues the reserved IDs, which by then nothing references.
 //
 // Once the sequence exists, a reservation allocates nothing: the counter
 // is advanced in place. Every reader of a meta value copies it under

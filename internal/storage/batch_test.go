@@ -14,7 +14,7 @@ func TestBatchCommitAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed a record so the batch can also delete something.
-	oldRID, err := s.Insert("a", []byte("old"))
+	oldRID, err := insert(s, "a", []byte("old"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func TestBatchCommitAndRecovery(t *testing.T) {
 	if v, ok := s2.MetaGet("k"); !ok || string(v) != "v" {
 		t.Fatalf("after replay: meta = %q, %v", v, ok)
 	}
-	if next, err := s2.NextID("widget"); err != nil || next != id+1 {
-		t.Fatalf("pinned sequence: next = %d, %v (want %d)", next, err, id+1)
+	if next := s2.AllocID("widget"); next != id+1 {
+		t.Fatalf("pinned sequence: next = %d (want %d)", next, id+1)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestBatchTornTailDropsWholeGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert("a", []byte("committed")); err != nil {
+	if _, err := insert(s, "a", []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
 	b := s.NewBatch()
@@ -226,5 +226,60 @@ func TestCommitPathAllocs(t *testing.T) {
 	defer s2.Close()
 	if got := s2.AllocID("oid"); got != want {
 		t.Errorf("after reopen the sequence issues %d, want %d", got, want)
+	}
+}
+
+// TestMetaOnlyBatch: a batch that changes only the meta map — a
+// definition, a stale mark — is one WAL group that reserves no commit
+// epoch, and its updates and removals replay in staging order.
+func TestMetaOnlyBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := insert(s, "a", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	appends := s.wal.appends.Load()
+	b := s.NewBatch()
+	b.MetaSet("k", []byte("1"))
+	b.MetaSet("gone", []byte("1"))
+	b.MetaDelete("gone")
+	b.MetaSet("k", []byte("2"))
+	if _, err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MetaSet("m", []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MetaDelete("m"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MetaDelete("never-set"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.wal.appends.Load() - appends; got != 3 {
+		t.Errorf("%d WAL records for three meta-only commits and a no-op removal, want 3", got)
+	}
+	if b.Epoch() != 0 || s.Epoch() != 1 {
+		t.Errorf("meta-only batch epoch %d, store epoch %d; want 0 and the insert's 1", b.Epoch(), s.Epoch())
+	}
+	// Crash without a checkpoint: replay applies the groups in order.
+	s.closeFiles()
+	s.wal.close()
+	s2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for key, want := range map[string]string{"k": "2", "gone": "", "m": ""} {
+		v, ok := s2.MetaGet(key)
+		if string(v) != want || ok != (want != "") {
+			t.Errorf("after replay %q = %q, %v; want %q", key, v, ok, want)
+		}
+	}
+	if got := s2.ReserveEpoch(); got != 2 {
+		t.Errorf("next epoch after replay = %d, want 2", got)
 	}
 }

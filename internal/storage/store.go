@@ -247,30 +247,6 @@ func (s *Store) heap(name string) (*Heap, error) {
 	return s.heapLocked(name)
 }
 
-// Insert appends a record to the named heap, WAL-first.
-func (s *Store) Insert(heap string, rec []byte) (RID, error) {
-	h, err := s.heap(heap)
-	if err != nil {
-		return RID{}, err
-	}
-	// Hold the store lock shared across the page-change + WAL-append pair
-	// so a concurrent Checkpoint (exclusive) cannot flush and truncate
-	// between them; inserters still run in parallel with each other.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rid, err := h.insert(rec)
-	if err != nil {
-		return RID{}, err
-	}
-	if err := s.wal.logInsert(heap, rid, rec); err != nil {
-		// The page change is buffered and unlogged; undo it so memory and
-		// log agree.
-		_ = h.del(rid)
-		return RID{}, err
-	}
-	return rid, nil
-}
-
 // Get reads a record from the named heap.
 func (s *Store) Get(heap string, rid RID) ([]byte, error) {
 	s.mu.RLock()
@@ -280,20 +256,6 @@ func (s *Store) Get(heap string, rid RID) ([]byte, error) {
 		return nil, fmt.Errorf("%w: heap %q", ErrNotFound, heap)
 	}
 	return h.get(rid)
-}
-
-// Delete removes a record from the named heap, WAL-first.
-func (s *Store) Delete(heap string, rid RID) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h, ok := s.heaps[heap]
-	if !ok {
-		return fmt.Errorf("%w: heap %q", ErrNotFound, heap)
-	}
-	if err := s.wal.logDelete(heap, rid); err != nil {
-		return err
-	}
-	return h.del(rid)
 }
 
 // Scan visits all live records of the named heap in RID order. Scanning a
@@ -308,20 +270,13 @@ func (s *Store) Scan(heap string, fn func(rid RID, rec []byte) bool) error {
 	return h.scan(fn)
 }
 
-// MetaSet durably sets a key in the meta map. The shared store lock
-// keeps checkpoints away from the log+apply pair; metaMu orders it
-// against concurrent meta writers.
+// MetaSet durably sets a key in the meta map: a one-entry batch, which
+// takes no commit epoch.
 func (s *Store) MetaSet(key string, val []byte) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	if err := s.wal.logMetaSet(key, val); err != nil {
-		return err
-	}
-	cp := append([]byte(nil), val...)
-	s.meta[key] = cp
-	return nil
+	b := s.NewBatch()
+	b.MetaSet(key, val)
+	_, err := b.Commit()
+	return err
 }
 
 // MetaGet reads a key from the meta map.
@@ -337,20 +292,16 @@ func (s *Store) MetaGet(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// MetaDelete removes a key from the meta map.
+// MetaDelete durably removes a key from the meta map: a one-entry batch,
+// which takes no commit epoch. Removing an absent key logs nothing.
 func (s *Store) MetaDelete(key string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	if _, ok := s.meta[key]; !ok {
+	if _, ok := s.MetaGet(key); !ok {
 		return nil
 	}
-	if err := s.wal.logMetaDel(key); err != nil {
-		return err
-	}
-	delete(s.meta, key)
-	return nil
+	b := s.NewBatch()
+	b.MetaDelete(key)
+	_, err := b.Commit()
+	return err
 }
 
 // MetaKeys lists meta keys with the given prefix, sorted.
@@ -367,27 +318,6 @@ func (s *Store) MetaKeys(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// NextID returns the next value of a named persistent sequence (1-based).
-func (s *Store) NextID(sequence string) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	key := "seq/" + sequence
-	var cur uint64
-	if v, ok := s.meta[key]; ok && len(v) == 8 {
-		cur = binary.LittleEndian.Uint64(v)
-	}
-	cur++
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, cur)
-	if err := s.wal.logMetaSet(key, buf); err != nil {
-		return 0, err
-	}
-	s.meta[key] = buf
-	return cur, nil
 }
 
 // Blobs exposes the blob store.

@@ -19,12 +19,42 @@ func openTestStore(t *testing.T, dir string) *Store {
 	return s
 }
 
+// insert commits one record as a one-record batch.
+func insert(s *Store, heap string, rec []byte) (RID, error) {
+	b := s.NewBatch()
+	b.Insert(heap, rec)
+	rids, err := b.Commit()
+	if err != nil {
+		return RID{}, err
+	}
+	return rids[0], nil
+}
+
+// remove commits one record removal as a one-record batch.
+func remove(s *Store, heap string, rid RID) error {
+	b := s.NewBatch()
+	b.Delete(heap, rid)
+	_, err := b.Commit()
+	return err
+}
+
+// pin makes a sequence's reservations durable with a batch that stages
+// nothing but the pin.
+func pin(t *testing.T, s *Store, sequence string) {
+	t.Helper()
+	b := s.NewBatch()
+	b.PinSequence(sequence)
+	if _, err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreInsertGetDelete(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
 	defer s.Close()
 
-	rid, err := s.Insert("objects", []byte("landcover africa 1986"))
+	rid, err := insert(s, "objects", []byte("landcover africa 1986"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +62,11 @@ func TestStoreInsertGetDelete(t *testing.T) {
 	if err != nil || string(got) != "landcover africa 1986" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if err := s.Delete("objects", rid); err != nil {
+	if err := remove(s, "objects", rid); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get("objects", rid); !errors.Is(err, ErrNotFound) {
 		t.Errorf("deleted get err = %v", err)
-	}
-	if err := s.Delete("objects", rid); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete err = %v", err)
 	}
 	if _, err := s.Get("nope", RID{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown heap err = %v", err)
@@ -54,7 +81,7 @@ func TestStoreScan(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 100; i++ {
 		rec := fmt.Sprintf("record-%03d", i)
-		if _, err := s.Insert("scan", []byte(rec)); err != nil {
+		if _, err := insert(s, "scan", []byte(rec)); err != nil {
 			t.Fatal(err)
 		}
 		want[rec] = true
@@ -95,7 +122,7 @@ func TestStoreMultiPageSpill(t *testing.T) {
 	rids := make([]RID, 50)
 	for i := range rids {
 		rec[0] = byte(i)
-		rid, err := s.Insert("big", rec)
+		rid, err := insert(s, "big", rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +147,7 @@ func TestStoreRejectsOversizedRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
 	defer s.Close()
-	if _, err := s.Insert("x", make([]byte, MaxRecordLen+1)); !errors.Is(err, ErrTooLarge) {
+	if _, err := insert(s, "x", make([]byte, MaxRecordLen+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized err = %v", err)
 	}
 }
@@ -128,7 +155,7 @@ func TestStoreRejectsOversizedRecord(t *testing.T) {
 func TestStorePersistenceAcrossClose(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
-	rid, err := s.Insert("objects", []byte("persist me"))
+	rid, err := insert(s, "objects", []byte("persist me"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,21 +187,20 @@ func TestStoreCrashRecoveryFromWAL(t *testing.T) {
 	}
 	var rids []RID
 	for i := 0; i < 20; i++ {
-		rid, err := s.Insert("objects", []byte(fmt.Sprintf("obj-%d", i)))
+		rid, err := insert(s, "objects", []byte(fmt.Sprintf("obj-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rids = append(rids, rid)
 	}
-	if err := s.Delete("objects", rids[3]); err != nil {
+	if err := remove(s, "objects", rids[3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.MetaSet("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NextID("tasks"); err != nil {
-		t.Fatal(err)
-	}
+	s.AllocID("tasks")
+	pin(t, s, "tasks")
 	// Simulate a crash: abandon s without Close (buffered pages unflushed).
 	s.closeFiles()
 	s.wal.close()
@@ -200,11 +226,7 @@ func TestStoreCrashRecoveryFromWAL(t *testing.T) {
 		t.Error("meta lost in recovery")
 	}
 	// Sequence continues past the recovered value.
-	id, err := s2.NextID("tasks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 {
+	if id := s2.AllocID("tasks"); id != 2 {
 		t.Errorf("sequence after recovery = %d, want 2", id)
 	}
 }
@@ -215,7 +237,7 @@ func TestStoreWALTornTailIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := s.Insert("objects", []byte("committed"))
+	rid, err := insert(s, "objects", []byte("committed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,23 +267,17 @@ func TestStoreSequences(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
 	for i := 1; i <= 5; i++ {
-		id, err := s.NextID("oid")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != uint64(i) {
-			t.Errorf("NextID = %d, want %d", id, i)
+		if id := s.AllocID("oid"); id != uint64(i) {
+			t.Errorf("AllocID = %d, want %d", id, i)
 		}
 	}
-	other, _ := s.NextID("task")
-	if other != 1 {
+	if other := s.AllocID("task"); other != 1 {
 		t.Errorf("independent sequence = %d", other)
 	}
 	s.Close()
 	s2 := openTestStore(t, dir)
 	defer s2.Close()
-	id, _ := s2.NextID("oid")
-	if id != 6 {
+	if id := s2.AllocID("oid"); id != 6 {
 		t.Errorf("sequence after reopen = %d, want 6", id)
 	}
 }
@@ -300,7 +316,7 @@ func TestStoreBadHeapName(t *testing.T) {
 	s := openTestStore(t, dir)
 	defer s.Close()
 	for _, name := range []string{"", "a/b", "a b", `a\b`} {
-		if _, err := s.Insert(name, []byte("x")); err == nil {
+		if _, err := insert(s, name, []byte("x")); err == nil {
 			t.Errorf("heap name %q should be rejected", name)
 		}
 	}
@@ -313,7 +329,7 @@ func TestStoreDeleteFreesSpaceForReuse(t *testing.T) {
 	rec := make([]byte, 3000)
 	var rids []RID
 	for i := 0; i < 10; i++ {
-		rid, err := s.Insert("reuse", rec)
+		rid, err := insert(s, "reuse", rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,12 +337,12 @@ func TestStoreDeleteFreesSpaceForReuse(t *testing.T) {
 	}
 	pagesBefore, _ := s.HeapStats("reuse")
 	for _, rid := range rids {
-		if err := s.Delete("reuse", rid); err != nil {
+		if err := remove(s, "reuse", rid); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := s.Insert("reuse", rec); err != nil {
+		if _, err := insert(s, "reuse", rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +364,7 @@ func TestHeapPlacementReadsNoLingeringPages(t *testing.T) {
 	defer s.Close()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50_000; i++ {
-		if _, err := s.Insert("tasks", make([]byte, 100+rng.Intn(31))); err != nil {
+		if _, err := insert(s, "tasks", make([]byte, 100+rng.Intn(31))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,19 +384,19 @@ func TestHeapDeleteInvalidatesRememberedRoom(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	defer s.Close()
 	big := make([]byte, 3000)
-	first, err := s.Insert("h", big)
+	first, err := insert(s, "h", big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ { // two to a page: pages 0, 1 and 2 are full
-		if _, err := s.Insert("h", big); err != nil {
+		if _, err := insert(s, "h", big); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Delete("h", first); err != nil {
+	if err := remove(s, "h", first); err != nil {
 		t.Fatal(err)
 	}
-	rid, err := s.Insert("h", big)
+	rid, err := insert(s, "h", big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,12 +421,12 @@ func TestHeapRememberedRoomExact(t *testing.T) {
 	for step := 0; step < 20_000; step++ {
 		if len(rids) > 0 && rng.Intn(4) == 0 {
 			i := rng.Intn(len(rids))
-			if err := s.Delete("h", rids[i]); err != nil {
+			if err := remove(s, "h", rids[i]); err != nil {
 				t.Fatal(err)
 			}
 			rids = slices.Delete(rids, i, i+1)
 		} else {
-			rid, err := s.Insert("h", make([]byte, 1+rng.Intn(60)))
+			rid, err := insert(s, "h", make([]byte, 1+rng.Intn(60)))
 			if err != nil {
 				t.Fatal(err)
 			}

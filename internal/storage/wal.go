@@ -12,20 +12,23 @@ import (
 )
 
 // Redo-only write-ahead log. Every mutation of a heap or of the meta map
-// is appended here before the in-memory/buffered state changes; pages are
-// written back lazily. On open, entries recorded after the last checkpoint
-// are replayed into the heaps, which makes the store crash-safe: a crash
-// loses nothing that was logged and synced.
+// is appended here, as part of one Batch's group record, before it is
+// published; pages are written back lazily. On open, the groups recorded
+// after the last checkpoint are replayed into the heaps, which makes the
+// store crash-safe: a crash loses nothing that was logged and synced.
 //
-// Entry wire format:
+// Record wire format:
 //
 //	length  uint32  (payload bytes)
 //	crc32   uint32  (over payload)
 //	payload: opcode byte + opcode-specific body
 //
-// Replay stops at the first torn or corrupt entry (standard redo-log
-// convention: a torn tail is an interrupted append, not corruption of
-// committed state).
+// The writer emits one form only, opEpochBatch, whose sub-entries are the
+// four mutation ops. Replay also reads the forms earlier writers left in
+// a log: the mutation ops as top-level records, and the unstamped
+// opBatch. Replay stops at the first torn or corrupt record (standard
+// redo-log convention: a torn tail is an interrupted append, not
+// corruption of committed state).
 const (
 	opInsert  byte = 1 // heapName, rid, record
 	opDelete  byte = 2 // heapName, rid
@@ -33,13 +36,13 @@ const (
 	opMetaDel byte = 4 // key
 	// opBatch wraps a group of sub-entries in ONE log record: the group
 	// shares a single length/crc header, so replay sees either all of its
-	// mutations or none (a torn tail drops the whole group). Batched
-	// session commits use it to make multi-object mutations atomic.
+	// mutations or none (a torn tail drops the whole group). Read only.
 	opBatch byte = 5 // count, then per sub-entry: u32 len + payload
 	// opEpochBatch is opBatch with a commit-epoch stamp in the group
 	// header: epoch u64, count u32, then the sub-entries. The epoch is the
-	// MVCC commit point of the whole group; replay tracks the maximum seen
-	// so the store's epoch counter survives a crash between checkpoints.
+	// MVCC commit point of the whole group (0 for a meta-only group);
+	// replay tracks the maximum seen so the store's epoch counter survives
+	// a crash between checkpoints.
 	opEpochBatch byte = 6
 )
 
@@ -131,29 +134,6 @@ func (w *wal) syncLocked() error {
 	return nil
 }
 
-// logInsert records a heap insert.
-func (w *wal) logInsert(heap string, rid RID, rec []byte) error {
-	return w.append(insertPayload(heap, rid, rec))
-}
-
-// logDelete records a heap delete.
-func (w *wal) logDelete(heap string, rid RID) error {
-	return w.append(deletePayload(heap, rid))
-}
-
-// logMetaSet records a meta key update.
-func (w *wal) logMetaSet(key string, val []byte) error {
-	return w.append(metaSetPayload(key, val))
-}
-
-// logMetaDel records a meta key removal.
-func (w *wal) logMetaDel(key string) error {
-	buf := make([]byte, 0, 1+2+len(key))
-	buf = append(buf, opMetaDel)
-	buf = appendString(buf, key)
-	return w.append(buf)
-}
-
 // logGroup records a set of sub-entry payloads as one atomic group
 // record stamped with its commit epoch: one append, one crc, at most one
 // fsync.
@@ -173,8 +153,7 @@ func (w *wal) logGroup(epoch uint64, payloads [][]byte) error {
 	return w.append(buf)
 }
 
-// Sub-entry payload builders, shared by the single-op loggers above and
-// the batch committer.
+// Sub-entry payload builders for the batch committer.
 
 func insertPayload(heap string, rid RID, rec []byte) []byte {
 	buf := make([]byte, 0, 1+2+len(heap)+6+4+len(rec))
@@ -198,6 +177,12 @@ func metaSetPayload(key string, val []byte) []byte {
 	buf = appendString(buf, key)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
 	return append(buf, val...)
+}
+
+func metaDelPayload(key string) []byte {
+	buf := make([]byte, 0, 1+2+len(key))
+	buf = append(buf, opMetaDel)
+	return appendString(buf, key)
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -234,7 +219,7 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// readAll decodes entries from the start of the log, stopping silently at
+// readWAL decodes entries from the start of the log, stopping silently at
 // a torn tail. The second return is the highest commit epoch stamped on
 // any replayed group, so recovery can restore the epoch counter.
 func readWAL(path string) ([]walEntry, uint64, error) {
@@ -258,26 +243,29 @@ func readWAL(path string) ([]walEntry, uint64, error) {
 		if crc32.ChecksumIEEE(payload) != want {
 			break // corrupt tail
 		}
-		if len(payload) > 0 && (payload[0] == opBatch || payload[0] == opEpochBatch) {
-			subs, epoch, err := decodeGroup(payload)
-			if err != nil {
-				break
-			}
-			if epoch > maxEpoch {
-				maxEpoch = epoch
-			}
-			entries = append(entries, subs...)
-			off += 8 + n
-			continue
-		}
-		e, err := decodeEntry(payload)
+		subs, epoch, err := decodeRecord(payload)
 		if err != nil {
 			break
 		}
-		entries = append(entries, e)
+		maxEpoch = max(maxEpoch, epoch)
+		entries = append(entries, subs...)
 		off += 8 + n
 	}
 	return entries, maxEpoch, nil
+}
+
+// decodeRecord unpacks one log record — a group, or a lone mutation an
+// earlier writer logged by itself — into its entries and its commit
+// epoch (0 when it carries none).
+func decodeRecord(p []byte) ([]walEntry, uint64, error) {
+	if len(p) > 0 && (p[0] == opBatch || p[0] == opEpochBatch) {
+		return decodeGroup(p)
+	}
+	e, err := decodeEntry(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	return []walEntry{e}, 0, nil
 }
 
 // decodeGroup unpacks an opBatch/opEpochBatch record into its sub-entries

@@ -11,14 +11,20 @@ import (
 
 // commitStaged commits staged task records the way a session does — in
 // one object-store batch that pins the task sequence — and publishes them.
-func commitStaged(t *testing.T, e *env, tasks []*Task, recs []object.ExtraRec) {
+func commitStaged(t *testing.T, e *env, tasks []*Task) {
 	t.Helper()
-	if _, err := e.obj.ApplyBatch(object.BatchOps{Extra: recs, PinSeqs: []string{"task"}}); err != nil {
+	if _, err := e.exec.Apply(object.BatchOps{}, tasks); err != nil {
 		t.Fatal(err)
 	}
-	for _, tk := range tasks {
-		e.exec.Publish(tk)
-	}
+}
+
+// commitExternal stages and commits the task of an external derivation
+// of one output, and returns it.
+func commitExternal(t *testing.T, e *env, proc string, inputs map[string][]object.OID, output object.OID, opts RunOptions) *Task {
+	t.Helper()
+	tasks := e.exec.StageExternal(proc, inputs, []object.OID{output}, "landsat_tm", opts)
+	commitStaged(t, e, tasks)
+	return tasks[0]
 }
 
 // TestLegacySingleOutputRecordReads: a task log holding a single-output
@@ -28,9 +34,9 @@ func commitStaged(t *testing.T, e *env, tasks []*Task, recs []object.ExtraRec) {
 func TestLegacySingleOutputRecordReads(t *testing.T) {
 	dir := t.TempDir()
 	e := openEnv(t, dir, false)
-	tasks, recs, err := e.exec.StageExternal("data_load", nil, []object.OID{41}, "landsat_tm", RunOptions{User: "u", Note: "n"})
-	if err != nil || len(tasks) != 1 || len(recs) != 1 {
-		t.Fatalf("staged %d tasks, %d records, %v", len(tasks), len(recs), err)
+	tasks := e.exec.StageExternal("data_load", nil, []object.OID{41}, "landsat_tm", RunOptions{User: "u", Note: "n"})
+	if len(tasks) != 1 {
+		t.Fatalf("staged %d tasks", len(tasks))
 	}
 	legacy, err := json.Marshal(struct {
 		ID       ID                      `json:"id"`
@@ -46,12 +52,12 @@ func TestLegacySingleOutputRecordReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.st.Insert(tasksHeap, legacy); err != nil {
+	b := e.st.NewBatch()
+	b.Insert(tasksHeap, legacy)
+	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.exec.RecordExternal("data_load", nil, 42, "landsat_tm", RunOptions{User: "u"}); err != nil {
-		t.Fatal(err)
-	}
+	commitExternal(t, e, "data_load", nil, 42, RunOptions{User: "u"})
 	if err := e.st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,17 +82,14 @@ func TestStageExternalScatteredOutputsSplit(t *testing.T) {
 	for i := range outputs {
 		outputs[i] = object.OID(1_000_000 + 2*i)
 	}
-	tasks, recs, err := e.exec.StageExternal("data_load", nil, outputs, "landsat_tm", RunOptions{Note: "scattered"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tasks := e.exec.StageExternal("data_load", nil, outputs, "landsat_tm", RunOptions{Note: "scattered"})
 	if len(tasks) < 2 {
 		t.Fatalf("%d runs staged as %d task", n, len(tasks))
 	}
 	next := 0
-	for i, tk := range tasks {
-		if len(recs[i].Rec) > storage.MaxRecordLen {
-			t.Fatalf("task %d: record of %d bytes exceeds a page", tk.ID, len(recs[i].Rec))
+	for _, tk := range tasks {
+		if n := len(appendTask(nil, tk)); n > storage.MaxRecordLen {
+			t.Fatalf("task %d: record of %d bytes exceeds a page", tk.ID, n)
 		}
 		for _, out := range tk.Outputs() {
 			if next >= n || out != outputs[next] {
@@ -98,7 +101,7 @@ func TestStageExternalScatteredOutputsSplit(t *testing.T) {
 	if next != n {
 		t.Fatalf("tasks list %d outputs, want %d", next, n)
 	}
-	commitStaged(t, e, tasks, recs)
+	commitStaged(t, e, tasks)
 	check := func(e *env) {
 		t.Helper()
 		for _, i := range []int{0, 1, n / 2, n - 1} {
@@ -126,17 +129,12 @@ func TestStageExternalScatteredOutputsSplit(t *testing.T) {
 func TestLoadGroupLineageWalks(t *testing.T) {
 	e := newEnv(t)
 	group := []object.OID{10, 11, 12, 13}
-	tasks, recs, err := e.exec.StageExternal("data_load", nil, group, "landsat_tm", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	tasks := e.exec.StageExternal("data_load", nil, group, "landsat_tm", RunOptions{})
+	commitStaged(t, e, tasks)
+	if n := len(appendTask(nil, tasks[0])); len(tasks) != 1 || n > 160 {
+		t.Fatalf("contiguous group staged as %d tasks, first record %d bytes", len(tasks), n)
 	}
-	commitStaged(t, e, tasks, recs)
-	if len(tasks) != 1 || len(recs[0].Rec) > 160 {
-		t.Fatalf("contiguous group staged as %d tasks, first record %d bytes", len(tasks), len(recs[0].Rec))
-	}
-	if _, err := e.exec.RecordExternal("interpolation", map[string][]object.OID{"src": {12}}, 99, "landsat_tm", RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	commitExternal(t, e, "interpolation", map[string][]object.OID{"src": {12}}, 99, RunOptions{})
 	if got := e.exec.Descendants(12); len(got) != 1 || got[0] != 99 {
 		t.Errorf("descendants(12) = %v, want [99]", got)
 	}
@@ -148,10 +146,7 @@ func TestLoadGroupLineageWalks(t *testing.T) {
 	}
 	// A later task over one member (a re-load, a refresh) is that member's
 	// newest producer; its siblings keep the group's.
-	ext, err := e.exec.RecordExternal("data_load", nil, 11, "landsat_tm", RunOptions{Note: "reloaded"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ext := commitExternal(t, e, "data_load", nil, 11, RunOptions{Note: "reloaded"})
 	if prod, _ := e.exec.Producer(11); prod.ID != ext.ID {
 		t.Errorf("producer(11) = task %d, want the newer task %d", prod.ID, ext.ID)
 	}

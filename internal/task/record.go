@@ -2,7 +2,10 @@ package task
 
 // Task records. A task is stored as one record of the "tasks" heap in
 // one of two forms; the log is written in the binary one and read in
-// either, so a directory written before it opens unchanged.
+// either, so a directory written before it opens unchanged. The record
+// is never logged by itself: Executor.Apply commits it in the same
+// storage batch as the objects the task generated, so a crash keeps both
+// or neither.
 //
 // The binary form is what the executor writes: a leading form byte, then
 // numbers as uvarints (zig-zag varints where they are signed) and

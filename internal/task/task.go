@@ -9,6 +9,11 @@
 // class under one note, so provenance is kept at the coarsest grain that
 // is still exact (one record per load, not one per object).
 //
+// A task is persisted only with its outputs: a derivation's output object
+// and its task record commit as one storage batch — one WAL group — and
+// so does a session's load group, so after a crash an object exists if
+// and only if its producer task does.
+//
 // The executor also provides memoisation (an identical instantiation is
 // answered from the recorded task instead of recomputed) and lineage
 // queries (ancestors, descendants, and a human-readable derivation
@@ -492,52 +497,45 @@ func (e *Executor) derive(ctx context.Context, pr *process.Process, inputs map[s
 	return attrs, ext, b.InputOIDs(), time.Since(start), nil
 }
 
-// record persists a task and publishes it to the lineage indexes and the
-// OnRecord hook.
-func (e *Executor) record(t *Task) (*Task, error) {
-	id, err := e.st.NextID("task")
-	if err != nil {
-		return nil, err
-	}
-	t.ID = ID(id)
-	if _, err := e.st.Insert(tasksHeap, appendTask(make([]byte, 0, recordCap), t)); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.indexLocked(t)
-	e.mu.Unlock()
-	if e.OnRecord != nil {
-		e.OnRecord(t)
-	}
-	return t, nil
-}
-
-// execute performs one derivation unconditionally and records its task.
+// execute performs one derivation unconditionally and commits its output
+// object with its task record.
 func (e *Executor) execute(ctx context.Context, pr *process.Process, inputs map[string][]object.OID, opts RunOptions) (*Task, error) {
 	attrs, ext, inOIDs, elapsed, err := e.derive(ctx, pr, inputs)
 	if err != nil {
 		return nil, err
 	}
 	out := &object.Object{Class: pr.OutClass, Attrs: attrs, Extent: ext}
-	outOID, err := e.obj.Insert(out)
+	if _, err := e.obj.Reserve(out); err != nil {
+		return nil, fmt.Errorf("%w: storing output: %v", ErrExec, err)
+	}
+	t, err := e.commit(pr, inOIDs, elapsed, opts, out.OID, object.BatchOps{Inserts: []*object.Object{out}})
 	if err != nil {
 		return nil, fmt.Errorf("%w: storing output: %v", ErrExec, err)
 	}
-	return e.record(&Task{
+	return t, nil
+}
+
+// commit stages the task of one run of pr that generated output and
+// commits it in one batch with ops, which insert or update the output.
+func (e *Executor) commit(pr *process.Process, inputs map[string][]object.OID, elapsed time.Duration, opts RunOptions, output object.OID, ops object.BatchOps) (*Task, error) {
+	tasks := e.stage(Task{
 		Process:  pr.Name,
 		Version:  pr.Version,
 		User:     opts.User,
-		Inputs:   inOIDs,
-		Output:   outOID,
+		Inputs:   inputs,
 		OutClass: pr.OutClass,
 		Micros:   elapsed.Microseconds(),
 		Note:     opts.Note,
-	})
+	}, []object.OID{output})
+	if _, err := e.Apply(ops, tasks); err != nil {
+		return nil, err
+	}
+	return tasks[0], nil
 }
 
 // RecomputeTask re-executes a recorded task with its recorded process
 // version and inputs, writing the result over the existing output object
-// in place (same OID), and records a refresh task. The derived-data
+// in place (same OID) in one batch with a refresh task. The derived-data
 // manager uses it to bring stale objects up to date without changing
 // their identity; external derivations (version 0) cannot be recomputed.
 func (e *Executor) RecomputeTask(ctx context.Context, id ID, opts RunOptions) (*Task, error) {
@@ -557,22 +555,17 @@ func (e *Executor) RecomputeTask(ctx context.Context, id ID, opts RunOptions) (*
 		return nil, err
 	}
 	out := &object.Object{OID: orig.Output, Class: pr.OutClass, Attrs: attrs, Extent: ext}
-	if err := e.obj.Update(out); err != nil {
+	if err := e.obj.CheckUpdate(out); err != nil {
 		return nil, fmt.Errorf("%w: refreshing output %d: %v", ErrExec, orig.Output, err)
 	}
 	if opts.Note == "" {
 		opts.Note = fmt.Sprintf("refresh of task %d", id)
 	}
-	return e.record(&Task{
-		Process:  pr.Name,
-		Version:  pr.Version,
-		User:     opts.User,
-		Inputs:   inOIDs,
-		Output:   orig.Output,
-		OutClass: pr.OutClass,
-		Micros:   elapsed.Microseconds(),
-		Note:     opts.Note,
-	})
+	t, err := e.commit(pr, inOIDs, elapsed, opts, orig.Output, object.BatchOps{Updates: []*object.Object{out}})
+	if err != nil {
+		return nil, fmt.Errorf("%w: refreshing output %d: %v", ErrExec, orig.Output, err)
+	}
+	return t, nil
 }
 
 // RunCompound expands a compound process (Figure 5) and executes its
@@ -881,51 +874,36 @@ func valueEqual(a, b interface{ Type() value.Type }) bool {
 	return value.Equal(av, bv)
 }
 
-// RecordExternal records a task for a derivation performed outside the
-// process manager — interpolation (the generic derivation process of
-// §2.1.5 step 2) and base-data loads. Version 0 marks external
-// derivations; they participate in lineage but are not memoised as
-// process instantiations.
-func (e *Executor) RecordExternal(procName string, inputs map[string][]object.OID, output object.OID, outClass string, opts RunOptions) (*Task, error) {
-	return e.record(&Task{
+// StageExternal prepares the tasks of an external derivation — a
+// session's creates of one class under one note, an interpolation — for
+// the batch that commits its outputs, which Apply runs. Version 0 marks
+// external derivations: they take part in lineage but are not memoised
+// as process instantiations.
+func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, outputs []object.OID, outClass string, opts RunOptions) []*Task {
+	return e.stage(Task{
 		Process:  procName,
-		Version:  0,
 		User:     opts.User,
 		Inputs:   inputs,
-		Output:   output,
 		OutClass: outClass,
 		Note:     opts.Note,
-	})
+	}, outputs)
 }
 
-// StageExternal prepares the task of an external derivation that
-// generated a set of objects — a session's creates of one class under one
-// note — for inclusion in an atomic storage batch instead of logging it
-// immediately: the task ID is reserved in memory, and the encoded heap
-// record is returned for the caller to commit alongside its object
-// mutations (the batch must pin the "task" sequence — object.Store.
-// ApplyBatch accepts it via PinSeqs). After the batch commits, Publish
-// indexes the task. The outputs are recorded as (first, count) runs, so
+// stage prepares the tasks recording one derivation of outputs, described
+// by proto, for the batch that commits the outputs: each task ID is
+// reserved in memory, to become durable with that batch, which pins the
+// "task" sequence. The outputs are recorded as (first, count) runs, so
 // OIDs reserved back to back cost one record of ~40 bytes however many
 // they are; only a set scattered into more runs than a heap record holds
 // is split over several tasks, each taking the runs that fit its record.
-func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, outputs []object.OID, outClass string, opts RunOptions) ([]*Task, []object.ExtraRec, error) {
+func (e *Executor) stage(proto Task, outputs []object.OID) []*Task {
 	var tasks []*Task
-	var recs []object.ExtraRec
 	for runs := runsOf(outputs); len(runs) > 0; {
-		t := &Task{
-			ID:       ID(e.st.AllocID("task")),
-			Process:  procName,
-			Version:  0,
-			User:     opts.User,
-			Inputs:   inputs,
-			OutClass: outClass,
-			Note:     opts.Note,
-		}
-		head := appendTaskHead(make([]byte, 0, recordCap), t)
+		t := proto
+		t.ID = ID(e.st.AllocID("task"))
 		// Take runs while they fit, the run count at its widest; the first
 		// is taken regardless.
-		n, size, end := 0, len(head)+binary.MaxVarintLen64, uint64(0)
+		n, size, end := 0, len(appendTaskHead(make([]byte, 0, recordCap), &t))+binary.MaxVarintLen64, uint64(0)
 		for ; n < len(runs); n++ {
 			if size += runSize(runs[n], end); size > storage.MaxRecordLen && n > 0 {
 				break
@@ -933,21 +911,36 @@ func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID
 			end = runs[n][0] + runs[n][1]
 		}
 		t.setOutputs(runs[:n])
-		tasks = append(tasks, t)
-		recs = append(recs, object.ExtraRec{Heap: tasksHeap, Rec: appendRuns(head, runs[:n])})
+		tasks = append(tasks, &t)
 		runs = runs[n:]
 	}
-	return tasks, recs, nil
+	return tasks
 }
 
-// Publish indexes a staged task whose record was committed by a storage
-// batch, and fires the OnRecord hook, exactly as record does for tasks
-// the executor persists itself.
-func (e *Executor) Publish(t *Task) {
-	e.mu.Lock()
-	e.indexLocked(t)
-	e.mu.Unlock()
-	if e.OnRecord != nil {
-		e.OnRecord(t)
+// Apply commits a batch of object mutations together with the records of
+// staged tasks — one storage batch, so one WAL group: after a crash the
+// outputs and their producer tasks exist together or not at all — and
+// then publishes the tasks to the lineage indexes and the OnRecord hook.
+// It returns the batch's commit epoch. It is the only way a task is
+// persisted.
+func (e *Executor) Apply(ops object.BatchOps, tasks []*Task) (uint64, error) {
+	for _, t := range tasks {
+		ops.Extra = append(ops.Extra, object.ExtraRec{Heap: tasksHeap, Rec: appendTask(make([]byte, 0, recordCap), t)})
 	}
+	if len(tasks) > 0 {
+		ops.PinSeqs = append(ops.PinSeqs, "task")
+	}
+	epoch, err := e.obj.ApplyBatch(ops)
+	if err != nil {
+		return 0, err
+	}
+	for _, t := range tasks {
+		e.mu.Lock()
+		e.indexLocked(t)
+		e.mu.Unlock()
+		if e.OnRecord != nil {
+			e.OnRecord(t)
+		}
+	}
+	return epoch, nil
 }

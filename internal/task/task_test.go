@@ -631,10 +631,7 @@ func TestRecomputeTaskRefreshesInPlace(t *testing.T) {
 		t.Errorf("producer after recompute = %+v, %v", prod, ok)
 	}
 	// External (version 0) derivations cannot be recomputed.
-	ext, err := e.exec.RecordExternal("data_load", nil, scene[0], "landsat_tm", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ext := commitExternal(t, e, "data_load", nil, scene[0], RunOptions{})
 	if _, err := e.exec.RecomputeTask(context.Background(), ext.ID, RunOptions{}); !errors.Is(err, ErrExec) {
 		t.Errorf("recompute of external task = %v, want ErrExec", err)
 	}

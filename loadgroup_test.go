@@ -2,10 +2,12 @@ package gaea
 
 // Tests for load groups: a session records ONE data_load task per class
 // and note of its creates, and every lineage query still answers for
-// every created object.
+// every created object. Derivations commit their output with its task
+// in one WAL group the same way, which the last tests check.
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -16,8 +18,10 @@ import (
 
 	"gaea/internal/catalog"
 	"gaea/internal/object"
+	"gaea/internal/raster"
 	"gaea/internal/sptemp"
 	"gaea/internal/storage"
+	"gaea/internal/task"
 	"gaea/internal/value"
 )
 
@@ -333,6 +337,235 @@ func TestSessionLoadGroupTornTail(t *testing.T) {
 	if n := taskRecords(k2); n != 1 {
 		t.Errorf("%d task records after recovery, want the kept group's 1", n)
 	}
+}
+
+// walBoundaries lists the offsets in [from, to] of the WAL at path where
+// a record starts or ends.
+func walBoundaries(t *testing.T, path string, from, to int64) []int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bounds []int64
+	for off := int64(0); off <= to; off += 8 + int64(binary.LittleEndian.Uint32(data[off:])) {
+		if off >= from {
+			bounds = append(bounds, off)
+		}
+		if off+8 > int64(len(data)) {
+			break
+		}
+	}
+	return bounds
+}
+
+// copyDir copies a database directory, blob segments included.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestDerivationTornTail: a derivation's output and its task record are
+// one WAL group. A crash that cuts the log anywhere inside what a
+// RunProcess, a refresh or a temporal interpolation wrote leaves the
+// output if and only if its producer task — for a refresh, the new
+// version of the output if and only if the refresh task.
+func TestDerivationTornTail(t *testing.T) {
+	ctx := context.Background()
+	k := openKernelOpts(t, Options{User: "crashy", RefreshPolicy: ManualRefresh}) // synced WAL
+	scene := loadScene(t, k, sptemp.Date(1986, 1, 15), 1986)
+	loadScene(t, k, sptemp.Date(1986, 3, 15), 1986)
+	walPath := filepath.Join(k.Dir(), "wal.log")
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	// crashAt abandons the kernel: it copies the directory as a crash
+	// would leave it, and for every cut of the copy's WAL inside
+	// [from, to] — record boundaries and the middle of every record —
+	// reopens a fresh copy cut there and runs check on it.
+	crashAt := func(from, to int64, check func(k2 *Kernel, cut int64)) {
+		t.Helper()
+		crashed := copyDir(t, k.Dir())
+		bounds := walBoundaries(t, filepath.Join(crashed, "wal.log"), from, to)
+		if len(bounds) < 2 {
+			t.Fatalf("no WAL records in [%d, %d]", from, to)
+		}
+		cuts := []int64{bounds[0]}
+		for i := 1; i < len(bounds); i++ {
+			cuts = append(cuts, (bounds[i-1]+bounds[i])/2, bounds[i])
+		}
+		for _, cut := range cuts {
+			dir := copyDir(t, crashed)
+			if err := os.Truncate(filepath.Join(dir, "wal.log"), cut); err != nil {
+				t.Fatal(err)
+			}
+			k2, err := Open(dir, Options{NoSync: true, RefreshPolicy: ManualRefresh})
+			if err != nil {
+				t.Fatalf("cut at %d: recovery failed: %v", cut, err)
+			}
+			check(k2, cut)
+			if err := k2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// RunProcess: the output and its task.
+	from := walSize()
+	classify, _, err := k.RunProcess(ctx, "unsupervised_classification",
+		map[string][]object.OID{"bands": scene}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashAt(from, walSize(), func(k2 *Kernel, cut int64) {
+		prod, ok := k2.Tasks.Producer(classify.Output)
+		if exists := k2.Objects.Exists(classify.Output); exists != (ok && prod.ID == classify.ID) {
+			t.Errorf("RunProcess, cut at %d: output exists=%v, producer %+v, %v", cut, exists, prod, ok)
+		}
+	})
+
+	// A refresh: the new version of the output and the refresh task.
+	replaceBand(t, k, scene[0], raster.BandRed, 1999)
+	old, err := k.Objects.Get(classify.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from = walSize()
+	if n, err := k.RefreshStale(ctx); err != nil || n != 1 {
+		t.Fatalf("RefreshStale = %d, %v", n, err)
+	}
+	refresh, ok := k.Tasks.Producer(classify.Output)
+	if !ok || refresh.ID == classify.ID {
+		t.Fatalf("producer after refresh = %+v, %v", refresh, ok)
+	}
+	crashAt(from, walSize(), func(k2 *Kernel, cut int64) {
+		o, err := k2.Objects.Get(classify.Output)
+		if err != nil {
+			t.Fatalf("refresh, cut at %d: %v", cut, err)
+		}
+		newVersion := !value.Equal(o.Attrs["data"], old.Attrs["data"])
+		_, taskErr := k2.Tasks.Get(refresh.ID)
+		if newVersion != (taskErr == nil) {
+			t.Errorf("refresh, cut at %d: new version=%v, refresh task: %v", cut, newVersion, taskErr)
+		}
+		if !newVersion && !k2.Deriv.IsStale(classify.Output) {
+			t.Errorf("refresh, cut at %d: the old version lost its stale mark", cut)
+		}
+	})
+
+	// A temporal interpolation: the interpolated object and its task.
+	from = walSize()
+	interp, err := k.Interp.Temporal(ctx, "landsat_tm", sptemp.Date(1986, 2, 14),
+		sptemp.NewBox(0, 0, 300, 300), task.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashAt(from, walSize(), func(k2 *Kernel, cut int64) {
+		prod, ok := k2.Tasks.Producer(interp)
+		if exists := k2.Objects.Exists(interp); exists != (ok && prod.Process == "temporal_interpolation") {
+			t.Errorf("interpolation, cut at %d: output exists=%v, producer %+v, %v", cut, exists, prod, ok)
+		}
+	})
+}
+
+// TestDerivationWALRecords: every durable mutation is one WAL group, so
+// a derivation costs one record (and, durably, one fsync) with its task
+// record inside, a refresh two (the recompute, then the stale-mark
+// clear), and an invalidation sweep one for all the marks it writes.
+// Definitions and stale marks change no heap and take no commit epoch.
+func TestDerivationWALRecords(t *testing.T) {
+	ctx := context.Background()
+	k := openKernelOpts(t, Options{User: "tester", RefreshPolicy: ManualRefresh}) // synced WAL
+	counter := func(name string) int64 { return k.Metrics.Snapshot().Gauges[name] }
+	epochs := func() [2]uint64 { return [2]uint64{k.Objects.CurrentEpoch(), k.Store.Epoch()} }
+	// records runs op and checks the WAL records and fsyncs it cost.
+	records := func(what string, want int64, op func()) {
+		t.Helper()
+		appends, syncs := counter("storage_wal_appends_total"), counter("storage_wal_syncs_total")
+		op()
+		if got := counter("storage_wal_appends_total") - appends; got != want {
+			t.Errorf("%s: %d WAL records, want %d", what, got, want)
+		}
+		if got := counter("storage_wal_syncs_total") - syncs; got != want {
+			t.Errorf("%s: %d WAL fsyncs, want %d", what, got, want)
+		}
+	}
+
+	before := epochs()
+	records("DefineClass and DefineProcess", 2, func() { defineSmooth(t, k) })
+	if after := epochs(); after != before {
+		t.Errorf("definitions moved the epochs (object, storage) from %v to %v", before, after)
+	}
+	scene := loadScene(t, k, sptemp.Date(1986, 1, 15), 1986)
+	loadScene(t, k, sptemp.Date(1986, 3, 15), 1986)
+
+	var classify *task.Task
+	records("RunProcess", 1, func() {
+		var err error
+		classify, _, err = k.RunProcess(ctx, "unsupervised_classification",
+			map[string][]object.OID{"bands": scene}, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	records("RunProcess over a derived input", 1, func() {
+		if _, _, err := k.RunProcess(ctx, "smooth",
+			map[string][]object.OID{"x": {classify.Output}}, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The session's group, then one group for both dependents' marks.
+	before = epochs()
+	records("update sweeping two dependents", 2, func() { replaceBand(t, k, scene[0], raster.BandRed, 1999) })
+	if len(k.Stale()) != 2 {
+		t.Fatalf("stale after the sweep = %v, want classify's and smooth's outputs", k.Stale())
+	}
+	if after, want := epochs(), [2]uint64{before[0] + 1, before[1] + 1}; after != want {
+		t.Errorf("update and sweep moved the epochs (object, storage) from %v to %v, want the update's one to %v", before, after, want)
+	}
+	// A refresh: the recompute's group, then the stale-mark clear's.
+	records("refresh", 2, func() {
+		if err := k.Deriv.RefreshObject(ctx, classify.Output); err != nil {
+			t.Fatal(err)
+		}
+	})
+	records("refresh of the dependent", 2, func() {
+		if n, err := k.RefreshStale(ctx); err != nil || n != 1 {
+			t.Fatalf("RefreshStale = %d, %v", n, err)
+		}
+	})
+	records("temporal interpolation", 1, func() {
+		if _, err := k.Interp.Temporal(ctx, "landsat_tm", sptemp.Date(1986, 2, 14),
+			sptemp.NewBox(0, 0, 300, 300), task.RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestOpenPerObjectTaskLog: a directory written before load groups — one

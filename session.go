@@ -293,13 +293,8 @@ func (s *Session) Commit() (err error) {
 	}
 	var staged []*task.Task
 	for _, key := range loadOrder {
-		tasks, recs, err := s.k.Tasks.StageExternal("data_load", nil, loads[key], key.class,
-			task.RunOptions{User: s.user, Note: key.note})
-		if err != nil {
-			return classify(err)
-		}
-		staged = append(staged, tasks...)
-		ops.Extra = append(ops.Extra, recs...)
+		staged = append(staged, s.k.Tasks.StageExternal("data_load", nil, loads[key], key.class,
+			task.RunOptions{User: s.user, Note: key.note})...)
 	}
 	for _, u := range s.updates {
 		if u == nil {
@@ -310,13 +305,12 @@ func (s *Session) Commit() (err error) {
 	ops.Deletes = s.deletes
 	ops.ReadEpoch = s.readEpoch
 	ops.PreparedToken = s.prepToken
-	if len(staged) > 0 {
-		ops.PinSeqs = []string{"task"}
-	}
 	if len(ops.Inserts)+len(ops.Updates)+len(ops.Deletes) == 0 {
 		return nil
 	}
-	epoch, err := s.k.Objects.ApplyBatch(ops)
+	// The load tasks commit in the batch and are published once it is
+	// durable.
+	epoch, err := s.k.Tasks.Apply(ops, staged)
 	if err != nil {
 		return classify(err)
 	}
@@ -328,12 +322,9 @@ func (s *Session) Commit() (err error) {
 			"deletes": fmt.Sprint(len(ops.Deletes)),
 		})
 	}
-	// Durable: publish lineage, then propagate all mutations in ONE sweep
-	// under the batch's commit epoch (so snapshot readers pinned before it
-	// do not see the dependents as stale).
-	for _, t := range staged {
-		s.k.Tasks.Publish(t)
-	}
+	// Durable and published: propagate all mutations in ONE sweep under
+	// the batch's commit epoch (so snapshot readers pinned before it do
+	// not see the dependents as stale).
 	updated := make([]object.OID, 0, len(ops.Updates))
 	for _, u := range ops.Updates {
 		updated = append(updated, u.OID)
