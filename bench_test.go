@@ -795,6 +795,17 @@ func BenchmarkUpdateInvalidate(b *testing.B) {
 				}
 				// Two variants of the red band to alternate between.
 				variants := [2]*raster.Image{benchScene(b, size, 1986)[0], benchScene(b, size, 1987)[0]}
+				taskBytes := func() int {
+					n := 0
+					if err := k.Store.Scan("tasks", func(_ storage.RID, rec []byte) bool {
+						n += len(rec)
+						return true
+					}); err != nil {
+						b.Fatal(err)
+					}
+					return n
+				}
+				logged := taskBytes()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					o, err := k.Objects.Get(base["bands"][0])
@@ -832,7 +843,10 @@ func BenchmarkUpdateInvalidate(b *testing.B) {
 						}
 					}
 				}
-				b.ReportMetric(float64(b.N*(fanout+1))/b.Elapsed().Seconds(), "refreshes/s")
+				b.StopTimer()
+				refreshes := float64(b.N * (fanout + 1))
+				b.ReportMetric(refreshes/b.Elapsed().Seconds(), "refreshes/s")
+				b.ReportMetric(float64(taskBytes()-logged)/refreshes, "task-B/refresh")
 			})
 		}
 	}

@@ -24,7 +24,8 @@
 //
 //	// Batch ingest: one WAL commit, one invalidation sweep, and one
 //	// data_load task per class and note listing every OID created (a
-//	// record of ~40 bytes when the OIDs run back to back).
+//	// record of ~40 bytes when the OIDs run back to back, ≤ 16 bytes as
+//	// a delta against an earlier load of the same class and note).
 //	s := k.Begin(ctx)
 //	for _, obj := range scene {
 //		s.Create(obj, "EOSAT tape 42")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -252,5 +253,53 @@ func TestParallelPropagatesFirstError(t *testing.T) {
 	// Sequential mode too.
 	if err := Parallel(context.Background(), 1, fns[:2]); !errors.Is(err, boom) {
 		t.Errorf("sequential err = %v, want boom", err)
+	}
+}
+
+// TestConcurrentLoadsReopen commits loads of one class under one note
+// from several goroutines at once, so each stages a delta against
+// whichever load was published last, while others publish. After a
+// reopen every task reads back as committed.
+func TestConcurrentLoadsReopen(t *testing.T) {
+	dir := t.TempDir()
+	e := openEnv(t, dir, false)
+	const workers, loads = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < loads; i++ {
+				first := object.OID(1_000 * (w*loads + i + 1))
+				tasks := e.exec.StageExternal("data_load", nil, []object.OID{first, first + 1, first + 2}, "landsat_tm", RunOptions{User: "u", Note: "tape"})
+				if _, err := e.exec.Apply(object.BatchOps{}, tasks); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	before := e.exec.All()
+	deltas := 0
+	for _, tk := range before {
+		if tk.base != 0 {
+			deltas++
+		}
+	}
+	// Only a worker's first load can find no load published before it.
+	if want := workers * (loads - 1); deltas < want {
+		t.Errorf("%d of %d loads were staged as deltas, want at least %d", deltas, len(before), want)
+	}
+	if err := e.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := openEnv(t, dir, true).exec.All(); !reflect.DeepEqual(before, after) {
+		t.Errorf("%d tasks read back differently after a reopen", len(after))
 	}
 }

@@ -18,6 +18,11 @@ func commitStaged(t *testing.T, e *env, tasks []*Task) {
 	}
 }
 
+// stored is the record Apply writes for staged task tk.
+func stored(e *env, tk *Task) []byte {
+	return appendTask(nil, tk, e.exec.byID[tk.base])
+}
+
 // commitExternal stages and commits the task of an external derivation
 // of one output, and returns it.
 func commitExternal(t *testing.T, e *env, proc string, inputs map[string][]object.OID, output object.OID, opts RunOptions) *Task {
@@ -73,48 +78,60 @@ func TestLegacySingleOutputRecordReads(t *testing.T) {
 // TestStageExternalScatteredOutputsSplit: 50,000 outputs with a gap after
 // each — 50,000 runs, far more than one heap record holds — are split
 // over several tasks that together list every output exactly once, and
-// the split survives a reopen.
+// the split survives a reopen. A second such set, staged under the same
+// note once the first is published, is split the same way into deltas.
 func TestStageExternalScatteredOutputsSplit(t *testing.T) {
 	dir := t.TempDir()
 	e := openEnv(t, dir, false)
 	const n = 50_000
-	outputs := make([]object.OID, n)
-	for i := range outputs {
-		outputs[i] = object.OID(1_000_000 + 2*i)
-	}
-	tasks := e.exec.StageExternal("data_load", nil, outputs, "landsat_tm", RunOptions{Note: "scattered"})
-	if len(tasks) < 2 {
-		t.Fatalf("%d runs staged as %d task", n, len(tasks))
-	}
-	next := 0
-	for _, tk := range tasks {
-		if n := len(appendTask(nil, tk)); n > storage.MaxRecordLen {
-			t.Fatalf("task %d: record of %d bytes exceeds a page", tk.ID, n)
+	sets := make([][]object.OID, 2)
+	staged := 0
+	for s := range sets {
+		outputs := make([]object.OID, n)
+		for i := range outputs {
+			outputs[i] = object.OID(1_000_000*(s+1) + 2*i)
 		}
-		for _, out := range tk.Outputs() {
-			if next >= n || out != outputs[next] {
-				t.Fatalf("task %d lists %d out of turn", tk.ID, out)
+		sets[s] = outputs
+		tasks := e.exec.StageExternal("data_load", nil, outputs, "landsat_tm", RunOptions{Note: "scattered"})
+		if len(tasks) < 2 {
+			t.Fatalf("%d runs staged as %d task", n, len(tasks))
+		}
+		next := 0
+		for _, tk := range tasks {
+			if delta := tk.base != 0; delta != (s > 0) {
+				t.Fatalf("set %d: task %d is a delta: %v", s, tk.ID, delta)
 			}
-			next++
+			if n := len(stored(e, tk)); n > storage.MaxRecordLen {
+				t.Fatalf("task %d: record of %d bytes exceeds a page", tk.ID, n)
+			}
+			for _, out := range tk.Outputs() {
+				if next >= n || out != outputs[next] {
+					t.Fatalf("task %d lists %d out of turn", tk.ID, out)
+				}
+				next++
+			}
 		}
+		if next != n {
+			t.Fatalf("tasks list %d outputs, want %d", next, n)
+		}
+		commitStaged(t, e, tasks)
+		staged += len(tasks)
 	}
-	if next != n {
-		t.Fatalf("tasks list %d outputs, want %d", next, n)
-	}
-	commitStaged(t, e, tasks)
 	check := func(e *env) {
 		t.Helper()
-		for _, i := range []int{0, 1, n / 2, n - 1} {
-			prod, ok := e.exec.Producer(outputs[i])
-			if !ok || prod.Note != "scattered" {
-				t.Fatalf("producer of output %d = %+v, %v", i, prod, ok)
-			}
-			if _, ok := e.exec.Producer(outputs[i] + 1); ok {
-				t.Errorf("the gap after output %d has a producer", i)
+		for _, outputs := range sets {
+			for _, i := range []int{0, 1, n / 2, n - 1} {
+				prod, ok := e.exec.Producer(outputs[i])
+				if !ok || prod.Note != "scattered" {
+					t.Fatalf("producer of output %d = %+v, %v", i, prod, ok)
+				}
+				if _, ok := e.exec.Producer(outputs[i] + 1); ok {
+					t.Errorf("the gap after output %d has a producer", i)
+				}
 			}
 		}
-		if got := len(e.exec.All()); got != len(tasks) {
-			t.Errorf("%d tasks in the log, want %d", got, len(tasks))
+		if got := len(e.exec.All()); got != staged {
+			t.Errorf("%d tasks in the log, want %d", got, staged)
 		}
 	}
 	check(e)
@@ -131,7 +148,7 @@ func TestLoadGroupLineageWalks(t *testing.T) {
 	group := []object.OID{10, 11, 12, 13}
 	tasks := e.exec.StageExternal("data_load", nil, group, "landsat_tm", RunOptions{})
 	commitStaged(t, e, tasks)
-	if n := len(appendTask(nil, tasks[0])); len(tasks) != 1 || n > 160 {
+	if n := len(stored(e, tasks[0])); len(tasks) != 1 || n > 160 {
 		t.Fatalf("contiguous group staged as %d tasks, first record %d bytes", len(tasks), n)
 	}
 	commitExternal(t, e, "interpolation", map[string][]object.OID{"src": {12}}, 99, RunOptions{})

@@ -1,15 +1,17 @@
 package task
 
 // Task records. A task is stored as one record of the "tasks" heap in
-// one of two forms; the log is written in the binary one and read in
-// either, so a directory written before it opens unchanged. The record
-// is never logged by itself: Executor.Apply commits it in the same
-// storage batch as the objects the task generated, so a crash keeps both
-// or neither.
+// one of three forms; the log is written in the two binary ones and read
+// in all three, so a directory written before either opens unchanged.
+// The record is never logged by itself: Executor.Apply commits it in the
+// same storage batch as the objects the task generated, so a crash keeps
+// both or neither.
 //
-// The binary form is what the executor writes: a leading form byte, then
-// numbers as uvarints (zig-zag varints where they are signed) and
-// strings as uvarint length + bytes.
+// Both binary forms lead with a form byte, then write numbers as
+// uvarints (zig-zag varints where they are signed) and strings as uvarint
+// length + bytes.
+//
+// The full form stands alone:
 //
 //	form u8 (0x01, never the '{' a JSON record starts with)
 //	id uvarint, version varint, micros varint
@@ -22,59 +24,177 @@ package task
 //	        first run), and uvarint count (at least 1)
 //
 // A single-output task is one run of one. A one-run load task takes
-// about 40 bytes.
+// about 40 bytes; a derivation over three inputs 80 to 100.
+//
+// The delta form names an earlier task as its base and stores only the
+// fields that differ from it:
+//
+//	form u8 (0x02)
+//	id uvarint, id − base uvarint (at least 1), mask uvarint
+//	then, each only when its mask bit is set and in this order:
+//	process (string) and version (varint), user, out_class, note
+//	(strings), inputs, micros (varint), outputs (both as above)
+//
+// A field whose bit is clear is the base's. The note is the base's, the
+// literal string stored, or — under its own bit — the "refresh of task
+// <base>" the executor writes for a refresh, rebuilt on decode. A mask
+// bit this decoder does not know is corruption. The executor writes a
+// delta for two kinds of task:
+//
+//   - a refresh, against the task it recomputes: form, id, distance,
+//     mask and micros, 10 bytes at IDs near 2²¹ for a run under a
+//     second (a budget of 12), where the whole record of a three-input
+//     derivation takes 80 to 100;
+//   - an external derivation, against the newest published one with the
+//     same process, user, out-class and note: for a one-run load, form,
+//     id, distance, mask and its run, 13 bytes at IDs and OIDs near 2²¹
+//     (a budget of 16, against 48 for the whole record).
+//
+// A base is always a committed task and tasks are never deleted, so a
+// log holds the base of every delta in it.
 //
 // The JSON form is the Task struct under its json tags; the executor
-// wrote it before the binary form existed.
+// wrote it before the binary forms existed.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 
 	"gaea/internal/object"
 )
 
 const (
-	// taskForm leads a binary task record.
-	taskForm = 0x01
+	// taskForm leads a full binary task record, deltaForm a delta record.
+	taskForm  = 0x01
+	deltaForm = 0x02
 	// recordCap sizes the buffer a task record is encoded into: a load
 	// or a one-input derivation under the usual names fits at once.
 	recordCap = 64
 )
 
+// The fields a delta record stores, as bits of its mask. The bits the
+// executor's deltas set stay below 1<<7, so the mask is one byte.
+const (
+	hasUser     = 1 << iota
+	hasOutClass // out_class
+	hasNote     // a literal note
+	refreshNote // the note "refresh of task <base>"
+	hasInputs
+	hasMicros
+	hasOutputs
+	hasProcess  // process and version
+	knownFields = 1<<iota - 1
+)
+
 var errTaskTruncated = errors.New("task: truncated record")
 
-// appendTask appends t's binary record.
-func appendTask(buf []byte, t *Task) []byte {
-	runs := t.OutputRuns
-	if len(runs) == 0 {
-		runs = []Run{{uint64(t.Output), 1}}
-	}
-	return appendRuns(appendTaskHead(buf, t), runs)
+// refreshPrefix is the note prefix of a refresh that was given no note.
+const refreshPrefix = "refresh of task "
+
+// refreshNoteOf is the note of a refresh of task base that was given
+// none.
+func refreshNoteOf(base ID) string {
+	return refreshPrefix + strconv.FormatUint(uint64(base), 10)
 }
 
-// appendTaskHead appends all of t's binary record but its outputs.
-func appendTaskHead(buf []byte, t *Task) []byte {
-	buf = append(buf, taskForm)
+// isRefreshNoteOf reports whether note is refreshNoteOf(base), without
+// building it: every refresh's record is encoded twice.
+func isRefreshNoteOf(note string, base ID) bool {
+	var b [20]byte
+	id, ok := strings.CutPrefix(note, refreshPrefix)
+	return ok && id == string(strconv.AppendUint(b[:0], uint64(base), 10))
+}
+
+// deltaFields are the fields a delta record may store, in record order:
+// each one's mask bit, whether t stores it against base, and how it is
+// written and read.
+var deltaFields = [...]struct {
+	bit    uint64
+	stores func(t, base *Task) bool
+	put    func(buf []byte, t *Task) []byte
+	get    func(d *decoder, t *Task)
+}{
+	{hasProcess,
+		func(t, b *Task) bool { return t.Process != b.Process || t.Version != b.Version },
+		func(buf []byte, t *Task) []byte {
+			return binary.AppendVarint(appendStr(buf, t.Process), int64(t.Version))
+		},
+		func(d *decoder, t *Task) { t.Process, t.Version = d.str(), int(d.varint()) }},
+	{hasUser,
+		func(t, b *Task) bool { return t.User != b.User },
+		func(buf []byte, t *Task) []byte { return appendStr(buf, t.User) },
+		func(d *decoder, t *Task) { t.User = d.str() }},
+	{hasOutClass,
+		func(t, b *Task) bool { return t.OutClass != b.OutClass },
+		func(buf []byte, t *Task) []byte { return appendStr(buf, t.OutClass) },
+		func(d *decoder, t *Task) { t.OutClass = d.str() }},
+	{hasNote,
+		func(t, b *Task) bool { return t.Note != b.Note && !isRefreshNoteOf(t.Note, b.ID) },
+		func(buf []byte, t *Task) []byte { return appendStr(buf, t.Note) },
+		func(d *decoder, t *Task) { t.Note = d.str() }},
+	{refreshNote,
+		func(t, b *Task) bool { return t.Note != b.Note && isRefreshNoteOf(t.Note, b.ID) },
+		func(buf []byte, _ *Task) []byte { return buf },
+		func(_ *decoder, t *Task) { t.Note = refreshNoteOf(t.base) }},
+	{hasInputs,
+		func(t, b *Task) bool { return !maps.EqualFunc(t.Inputs, b.Inputs, slices.Equal) },
+		func(buf []byte, t *Task) []byte { return appendInputs(buf, t.Inputs) },
+		func(d *decoder, t *Task) { t.Inputs = d.inputs() }},
+	{hasMicros,
+		func(t, b *Task) bool { return t.Micros != b.Micros },
+		func(buf []byte, t *Task) []byte { return binary.AppendVarint(buf, t.Micros) },
+		func(d *decoder, t *Task) { t.Micros = d.varint() }},
+	{hasOutputs,
+		func(t, b *Task) bool { return t.Output != b.Output || !slices.Equal(t.OutputRuns, b.OutputRuns) },
+		func(buf []byte, t *Task) []byte { return appendRuns(buf, t.runs()) },
+		(*decoder).outputs},
+}
+
+// appendTask appends t's record: a delta against base, or the full
+// binary form when base is nil.
+func appendTask(buf []byte, t, base *Task) []byte {
+	if base == nil {
+		buf = append(buf, taskForm)
+		buf = binary.AppendUvarint(buf, uint64(t.ID))
+		buf = binary.AppendVarint(buf, int64(t.Version))
+		buf = binary.AppendVarint(buf, t.Micros)
+		for _, s := range [...]string{t.Process, t.User, t.OutClass, t.Note} {
+			buf = appendStr(buf, s)
+		}
+		return appendRuns(appendInputs(buf, t.Inputs), t.runs())
+	}
+	var mask uint64
+	for _, f := range deltaFields {
+		if f.stores(t, base) {
+			mask |= f.bit
+		}
+	}
+	buf = append(buf, deltaForm)
 	buf = binary.AppendUvarint(buf, uint64(t.ID))
-	buf = binary.AppendVarint(buf, int64(t.Version))
-	buf = binary.AppendVarint(buf, t.Micros)
-	for _, s := range [...]string{t.Process, t.User, t.OutClass, t.Note} {
-		buf = appendStr(buf, s)
+	buf = binary.AppendUvarint(buf, uint64(t.ID-base.ID))
+	buf = binary.AppendUvarint(buf, mask)
+	for _, f := range deltaFields {
+		if mask&f.bit != 0 {
+			buf = f.put(buf, t)
+		}
 	}
-	names := make([]string, 0, len(t.Inputs))
-	for n := range t.Inputs {
-		names = append(names, n)
-	}
-	slices.Sort(names)
+	return buf
+}
+
+// appendInputs appends the inputs part of a binary record.
+func appendInputs(buf []byte, inputs map[string][]object.OID) []byte {
+	names := slices.Sorted(maps.Keys(inputs))
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, n := range names {
 		buf = appendStr(buf, n)
-		oids := t.Inputs[n]
+		oids := inputs[n]
 		buf = binary.AppendUvarint(buf, uint64(len(oids)))
 		for _, oid := range oids {
 			buf = binary.AppendUvarint(buf, uint64(oid))
@@ -108,8 +228,9 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// decodeTask reads a task record of either form.
-func decodeTask(rec []byte) (*Task, error) {
+// decodeTask reads a task record of any form. A delta record is laid
+// over base, the task it names (deltaIDs); other forms ignore base.
+func decodeTask(rec []byte, base *Task) (*Task, error) {
 	if len(rec) > 0 && rec[0] == '{' {
 		var t Task
 		if err := json.Unmarshal(rec, &t); err != nil {
@@ -128,52 +249,122 @@ func decodeTask(rec []byte) (*Task, error) {
 		return &t, nil
 	}
 	d := decoder{buf: rec}
-	if form := d.u8(); d.err == nil && form != taskForm {
+	switch form := d.u8(); {
+	case d.err != nil:
+		return nil, d.err
+	case form == deltaForm:
+		return d.delta(base)
+	case form != taskForm:
 		return nil, fmt.Errorf("task: unknown record form %#x", form)
 	}
 	t := &Task{ID: ID(d.uvarint())}
 	t.Version = int(d.varint())
 	t.Micros = d.varint()
 	t.Process, t.User, t.OutClass, t.Note = d.str(), d.str(), d.str(), d.str()
-	if n := d.uvarint(); n > 0 && d.err == nil {
-		t.Inputs = make(map[string][]object.OID, d.clamp(n))
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			name := d.str()
-			var oids []object.OID
-			if m := d.uvarint(); m > 0 {
-				oids = make([]object.OID, 0, d.clamp(m))
-				for j := uint64(0); j < m && d.err == nil; j++ {
-					oids = append(oids, object.OID(d.uvarint()))
-				}
-			}
-			t.Inputs[name] = oids
+	t.Inputs = d.inputs()
+	d.outputs(t)
+	return t, d.end(t.ID)
+}
+
+// deltaIDs reads the ID and the base of a delta record; ok is false for
+// a record of another form.
+func deltaIDs(rec []byte) (id, base ID, ok bool, err error) {
+	if len(rec) == 0 || rec[0] != deltaForm {
+		return 0, 0, false, nil
+	}
+	d := decoder{buf: rec[1:]}
+	id, base, _, err = d.deltaHead()
+	return id, base, true, err
+}
+
+// deltaHead reads a delta record's ID, base and field mask.
+func (d *decoder) deltaHead() (id, base ID, mask uint64, err error) {
+	n, back, mask := d.uvarint(), d.uvarint(), d.uvarint()
+	if d.err != nil {
+		return 0, 0, 0, d.err
+	}
+	if back == 0 || back > n {
+		return 0, 0, 0, fmt.Errorf("task %d: base lies %d tasks back, not below it", n, back)
+	}
+	if mask&^knownFields != 0 || mask&(hasNote|refreshNote) == hasNote|refreshNote {
+		return 0, 0, 0, fmt.Errorf("task %d: unknown field mask %#x", n, mask)
+	}
+	return ID(n), ID(n - back), mask, nil
+}
+
+// delta reads the rest of a delta record over base.
+func (d *decoder) delta(base *Task) (*Task, error) {
+	id, baseID, mask, err := d.deltaHead()
+	if err != nil {
+		return nil, err
+	}
+	if base == nil || base.ID != baseID {
+		return nil, fmt.Errorf("task %d: a delta against task %d read without it", id, baseID)
+	}
+	t := *base
+	t.ID, t.base = id, baseID
+	for _, f := range deltaFields {
+		if mask&f.bit != 0 {
+			f.get(d, &t)
 		}
 	}
+	return &t, d.end(t.ID)
+}
+
+// inputs reads the inputs part of a binary record: nil for none.
+func (d *decoder) inputs() map[string][]object.OID {
+	n := d.uvarint()
+	if n == 0 || d.err != nil {
+		return nil
+	}
+	inputs := make(map[string][]object.OID, d.clamp(n))
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		name := d.str()
+		var oids []object.OID
+		if m := d.uvarint(); m > 0 {
+			oids = make([]object.OID, 0, d.clamp(m))
+			for j := uint64(0); j < m && d.err == nil; j++ {
+				oids = append(oids, object.OID(d.uvarint()))
+			}
+		}
+		inputs[name] = oids
+	}
+	return inputs
+}
+
+// outputs reads the outputs part of a binary record into t.
+func (d *decoder) outputs(t *Task) {
 	n := d.uvarint()
 	if n == 0 && d.err == nil {
-		return nil, fmt.Errorf("task %d: no outputs", t.ID)
+		d.err, d.buf = fmt.Errorf("task %d: no outputs", t.ID), nil
 	}
 	runs := make([]Run, 0, d.clamp(n))
 	var end uint64
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && d.err == nil; i++ {
 		gap, count := d.uvarint(), d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+		switch {
+		case d.err != nil:
+		case gap > math.MaxUint64-end || count == 0 || count > math.MaxUint64-end-gap:
+			d.err, d.buf = fmt.Errorf("task %d: output run %d is empty or past the last OID", t.ID, i), nil
+		default:
+			runs = append(runs, Run{end + gap, count})
+			end += gap + count
 		}
-		if gap > math.MaxUint64-end || count == 0 || count > math.MaxUint64-end-gap {
-			return nil, fmt.Errorf("task %d: output run %d is empty or past the last OID", t.ID, i)
-		}
-		runs = append(runs, Run{end + gap, count})
-		end += gap + count
 	}
+	if d.err == nil {
+		t.setOutputs(runs)
+	}
+}
+
+// end reports an error met reading task id's record, or bytes after it.
+func (d *decoder) end(id ID) error {
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if len(d.buf) > 0 {
-		return nil, fmt.Errorf("task %d: %d bytes after the record", t.ID, len(d.buf))
+		return fmt.Errorf("task %d: %d bytes after the record", id, len(d.buf))
 	}
-	t.setOutputs(runs)
-	return t, nil
+	return nil
 }
 
 // decoder is a cursor over a binary task record that keeps the first

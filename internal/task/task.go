@@ -27,10 +27,12 @@
 package task
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -58,11 +60,15 @@ var (
 	// is marked stale: re-running the task would not reproduce the
 	// recorded input state, so the mismatch is reported up front.
 	ErrStaleInput = errors.New("task: input is stale")
+	// ErrCorruptLog is returned by OpenExecutor when a record of the task
+	// log does not decode, or is a delta whose base is not in the log.
+	ErrCorruptLog = errors.New("task: corrupt record")
 )
 
 // Task is one recorded derivation. The log stores it as a binary record
-// (record.go); the json tags name the fields of the JSON records written
-// before that, which the log still reads.
+// (record.go), whole or as a delta against an earlier task; the json tags
+// name the fields of the JSON records written before that, which the log
+// still reads.
 type Task struct {
 	ID      ID     `json:"id"`
 	Process string `json:"process"`
@@ -84,6 +90,10 @@ type Task struct {
 	Micros int64 `json:"micros"`
 	// Note is free-form provenance commentary (e.g. the experiment name).
 	Note string `json:"note,omitempty"`
+
+	// base is the earlier task the record is a delta against (0: the
+	// record is whole).
+	base ID
 }
 
 // Run is a contiguous range of output OIDs, encoded as [first, count]: a
@@ -114,6 +124,14 @@ func (t *Task) NumOutputs() int {
 		n += int(r[1])
 	}
 	return n
+}
+
+// runs returns the task's outputs as runs.
+func (t *Task) runs() []Run {
+	if len(t.OutputRuns) == 0 {
+		return []Run{{uint64(t.Output), 1}}
+	}
+	return t.OutputRuns
 }
 
 // setOutputs records runs as the task's outputs, in the single-output
@@ -203,6 +221,10 @@ type Executor struct {
 	// derivations (version 0) are not process instantiations and are
 	// never entered.
 	memo map[string]ID
+	// external maps the process, user, out-class and note of an external
+	// derivation to its newest published task, the base the next one's
+	// record is a delta against.
+	external map[externalKey]ID
 	// flights deduplicates executions in progress per memo key
 	// (single-flight): concurrent identical instantiations wait for the
 	// leader instead of re-deriving.
@@ -216,6 +238,10 @@ type flightVal struct {
 	task  *Task
 	fresh bool
 }
+
+// externalKey is what an external derivation shares with the base of
+// its record.
+type externalKey struct{ process, user, outClass, note string }
 
 // outRun is one range of byRun: OIDs [first, first+count) were generated
 // by task id.
@@ -234,12 +260,28 @@ func OpenExecutor(st *storage.Store, cat *catalog.Catalog, reg *adt.Registry, ob
 		byOutput: make(map[object.OID]ID),
 		byInput:  make(map[object.OID][]ID),
 		memo:     make(map[string]ID),
+		external: make(map[externalKey]ID),
 	}
+	// Delta records wait for the scan to end: a delta's base is below it,
+	// so in ID order every base is indexed before the deltas against it.
+	type delta struct {
+		id, base ID
+		rec      []byte
+	}
+	var deltas []delta
 	var scanErr error
 	err := st.Scan(tasksHeap, func(rid storage.RID, rec []byte) bool {
-		t, err := decodeTask(rec)
+		id, base, isDelta, err := deltaIDs(rec)
+		if isDelta && err == nil {
+			deltas = append(deltas, delta{id, base, rec})
+			return true
+		}
+		var t *Task
+		if err == nil {
+			t, err = decodeTask(rec, nil)
+		}
 		if err != nil {
-			scanErr = fmt.Errorf("task: corrupt record %s: %w", rid, err)
+			scanErr = fmt.Errorf("%w %s: %w", ErrCorruptLog, rid, err)
 			return false
 		}
 		e.indexLocked(t)
@@ -250,6 +292,18 @@ func OpenExecutor(st *storage.Store, cat *catalog.Catalog, reg *adt.Registry, ob
 	}
 	if scanErr != nil {
 		return nil, scanErr
+	}
+	slices.SortFunc(deltas, func(a, b delta) int { return cmp.Compare(a.id, b.id) })
+	for _, d := range deltas {
+		base, ok := e.byID[d.base]
+		if !ok {
+			return nil, fmt.Errorf("%w: task %d is a delta against task %d, which is not in the log", ErrCorruptLog, d.id, d.base)
+		}
+		t, err := decodeTask(d.rec, base)
+		if err != nil {
+			return nil, fmt.Errorf("%w: task %d: %w", ErrCorruptLog, d.id, err)
+		}
+		e.indexLocked(t)
 	}
 	return e, nil
 }
@@ -279,6 +333,11 @@ func (e *Executor) indexLocked(t *Task) {
 		if cur, ok := e.memo[key]; !ok || cur < t.ID {
 			e.memo[key] = t.ID
 		}
+		return
+	}
+	key := externalKey{t.Process, t.User, t.OutClass, t.Note}
+	if cur, ok := e.external[key]; !ok || cur < t.ID {
+		e.external[key] = t.ID
 	}
 }
 
@@ -508,7 +567,7 @@ func (e *Executor) execute(ctx context.Context, pr *process.Process, inputs map[
 	if _, err := e.obj.Reserve(out); err != nil {
 		return nil, fmt.Errorf("%w: storing output: %v", ErrExec, err)
 	}
-	t, err := e.commit(pr, inOIDs, elapsed, opts, out.OID, object.BatchOps{Inserts: []*object.Object{out}})
+	t, err := e.commit(pr, inOIDs, elapsed, opts, nil, out.OID, object.BatchOps{Inserts: []*object.Object{out}})
 	if err != nil {
 		return nil, fmt.Errorf("%w: storing output: %v", ErrExec, err)
 	}
@@ -517,7 +576,8 @@ func (e *Executor) execute(ctx context.Context, pr *process.Process, inputs map[
 
 // commit stages the task of one run of pr that generated output and
 // commits it in one batch with ops, which insert or update the output.
-func (e *Executor) commit(pr *process.Process, inputs map[string][]object.OID, elapsed time.Duration, opts RunOptions, output object.OID, ops object.BatchOps) (*Task, error) {
+// The task's record is a delta against base unless base is nil.
+func (e *Executor) commit(pr *process.Process, inputs map[string][]object.OID, elapsed time.Duration, opts RunOptions, base *Task, output object.OID, ops object.BatchOps) (*Task, error) {
 	tasks := e.stage(Task{
 		Process:  pr.Name,
 		Version:  pr.Version,
@@ -526,7 +586,7 @@ func (e *Executor) commit(pr *process.Process, inputs map[string][]object.OID, e
 		OutClass: pr.OutClass,
 		Micros:   elapsed.Microseconds(),
 		Note:     opts.Note,
-	}, []object.OID{output})
+	}, base, []object.OID{output})
 	if _, err := e.Apply(ops, tasks); err != nil {
 		return nil, err
 	}
@@ -535,9 +595,10 @@ func (e *Executor) commit(pr *process.Process, inputs map[string][]object.OID, e
 
 // RecomputeTask re-executes a recorded task with its recorded process
 // version and inputs, writing the result over the existing output object
-// in place (same OID) in one batch with a refresh task. The derived-data
-// manager uses it to bring stale objects up to date without changing
-// their identity; external derivations (version 0) cannot be recomputed.
+// in place (same OID) in one batch with a refresh task, whose record is a
+// delta against the recomputed task. The derived-data manager uses it to
+// bring stale objects up to date without changing their identity;
+// external derivations (version 0) cannot be recomputed.
 func (e *Executor) RecomputeTask(ctx context.Context, id ID, opts RunOptions) (*Task, error) {
 	orig, err := e.Get(id)
 	if err != nil {
@@ -559,9 +620,12 @@ func (e *Executor) RecomputeTask(ctx context.Context, id ID, opts RunOptions) (*
 		return nil, fmt.Errorf("%w: refreshing output %d: %v", ErrExec, orig.Output, err)
 	}
 	if opts.Note == "" {
-		opts.Note = fmt.Sprintf("refresh of task %d", id)
+		opts.Note = refreshNoteOf(id)
 	}
-	t, err := e.commit(pr, inOIDs, elapsed, opts, orig.Output, object.BatchOps{Updates: []*object.Object{out}})
+	if maps.EqualFunc(inOIDs, orig.Inputs, slices.Equal) {
+		inOIDs = orig.Inputs
+	}
+	t, err := e.commit(pr, inOIDs, elapsed, opts, orig, orig.Output, object.BatchOps{Updates: []*object.Object{out}})
 	if err != nil {
 		return nil, fmt.Errorf("%w: refreshing output %d: %v", ErrExec, orig.Output, err)
 	}
@@ -878,32 +942,43 @@ func valueEqual(a, b interface{ Type() value.Type }) bool {
 // session's creates of one class under one note, an interpolation — for
 // the batch that commits its outputs, which Apply runs. Version 0 marks
 // external derivations: they take part in lineage but are not memoised
-// as process instantiations.
+// as process instantiations. Each task's record is a delta against the
+// newest published external derivation with the same process, user,
+// out-class and note, if there is one.
 func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, outputs []object.OID, outClass string, opts RunOptions) []*Task {
+	e.mu.RLock()
+	base := e.byID[e.external[externalKey{procName, opts.User, outClass, opts.Note}]]
+	e.mu.RUnlock()
 	return e.stage(Task{
 		Process:  procName,
 		User:     opts.User,
 		Inputs:   inputs,
 		OutClass: outClass,
 		Note:     opts.Note,
-	}, outputs)
+	}, base, outputs)
 }
 
 // stage prepares the tasks recording one derivation of outputs, described
 // by proto, for the batch that commits the outputs: each task ID is
 // reserved in memory, to become durable with that batch, which pins the
-// "task" sequence. The outputs are recorded as (first, count) runs, so
-// OIDs reserved back to back cost one record of ~40 bytes however many
-// they are; only a set scattered into more runs than a heap record holds
-// is split over several tasks, each taking the runs that fit its record.
-func (e *Executor) stage(proto Task, outputs []object.OID) []*Task {
+// "task" sequence. Each record is a delta against base, a published task,
+// unless base is nil. The outputs are recorded as (first, count) runs, so
+// OIDs reserved back to back cost one record of ~40 bytes (≤ 16 as a
+// delta) however many they are; only a set scattered into more runs than
+// a heap record holds is split over several tasks, each taking the runs
+// that fit its record.
+func (e *Executor) stage(proto Task, base *Task, outputs []object.OID) []*Task {
+	if base != nil {
+		proto.base = base.ID
+	}
 	var tasks []*Task
 	for runs := runsOf(outputs); len(runs) > 0; {
 		t := proto
 		t.ID = ID(e.st.AllocID("task"))
 		// Take runs while they fit, the run count at its widest; the first
-		// is taken regardless.
-		n, size, end := 0, len(appendTaskHead(make([]byte, 0, recordCap), &t))+binary.MaxVarintLen64, uint64(0)
+		// is taken regardless. The record sized holds a placeholder output
+		// in their place.
+		n, size, end := 0, len(appendTask(make([]byte, 0, recordCap), &t, base))+binary.MaxVarintLen64, uint64(0)
 		for ; n < len(runs); n++ {
 			if size += runSize(runs[n], end); size > storage.MaxRecordLen && n > 0 {
 				break
@@ -924,9 +999,12 @@ func (e *Executor) stage(proto Task, outputs []object.OID) []*Task {
 // It returns the batch's commit epoch. It is the only way a task is
 // persisted.
 func (e *Executor) Apply(ops object.BatchOps, tasks []*Task) (uint64, error) {
+	e.mu.RLock()
 	for _, t := range tasks {
-		ops.Extra = append(ops.Extra, object.ExtraRec{Heap: tasksHeap, Rec: appendTask(make([]byte, 0, recordCap), t)})
+		// Task IDs start at 1, so a whole record's base, 0, is nil.
+		ops.Extra = append(ops.Extra, object.ExtraRec{Heap: tasksHeap, Rec: appendTask(make([]byte, 0, recordCap), t, e.byID[t.base])})
 	}
+	e.mu.RUnlock()
 	if len(tasks) > 0 {
 		ops.PinSeqs = append(ops.PinSeqs, "task")
 	}
