@@ -541,6 +541,32 @@ func BenchmarkT1TaskMemoisation(b *testing.B) {
 	})
 }
 
+// BenchmarkReproduce re-checks one recorded land cover per op on a
+// durable kernel and reports what each check leaves behind: task records,
+// WAL bytes and blob-log bytes. Auto-checkpoints are off so the WAL is
+// never truncated under the count.
+func BenchmarkReproduce(b *testing.B) {
+	const size = 48
+	k := benchKernel(b, Options{CheckpointEveryBytes: -1})
+	ctx := context.Background()
+	lc, _, err := k.RunProcess(ctx, "unsupervised_classification", map[string][]object.OID{"bands": loadBenchScene(b, k, size, 1986)}, RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks, wal, blobs := len(k.Tasks.All()), k.Store.WALBytes(), blobLogBytes(b, k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, same, err := k.Reproduce(ctx, lc.ID); err != nil || !same {
+			b.Fatalf("reproduce = %v, %v", same, err)
+		}
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(len(k.Tasks.All())-tasks)/n, "tasks/op")
+	b.ReportMetric(float64(k.Store.WALBytes()-wal)/n, "wal-B/op")
+	b.ReportMetric(float64(blobLogBytes(b, k)-blobs)/n, "blob-B/op")
+}
+
 // ---------- S1: storage substrate ----------
 
 // BenchmarkS1Storage measures the embedded store: WAL-logged inserts

@@ -626,8 +626,11 @@ func (k *Kernel) ExplainQuery(ctx context.Context, req Request) (string, error) 
 // Explain renders the derivation history of an object.
 func (k *Kernel) Explain(oid object.OID) string { return k.Tasks.Explain(oid) }
 
-// Reproduce re-executes a recorded task and reports whether the output
-// matched.
+// Reproduce re-runs a recorded task in memory and reports whether the
+// result matches the recorded output. It records nothing — no task, no
+// object, no memo entry, no WAL write — and returns an unrecorded task
+// (ID and Output 0) describing the re-run. A stale input fails with
+// ErrStale; a load or other external derivation cannot be reproduced.
 func (k *Kernel) Reproduce(ctx context.Context, id task.ID) (*task.Task, bool, error) {
 	if err := k.checkOpen(); err != nil {
 		return nil, false, err

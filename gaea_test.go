@@ -3,6 +3,9 @@ package gaea
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -489,6 +492,84 @@ func TestKernelReproduceAfterInputUpdate(t *testing.T) {
 		t.Fatalf("reproduce after RefreshStale: %v", err)
 	}
 }
+
+// TestReproduceRecordsNothing checks that Reproduce is a read: re-running
+// recorded tasks adds no task, object, WAL byte, blob byte or fsync, the
+// memo keeps answering with the original output, and a base update
+// invalidates only the original derivations.
+func TestReproduceRecordsNothing(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			ctx := context.Background()
+			k := openKernelOpts(t, Options{NoSync: !durable, User: "tester"})
+			defineSmooth(t, k)
+			scene := loadScene(t, k, sptemp.Date(1986, 1, 15), 1986)
+			in := map[string][]object.OID{"bands": scene}
+			classify, _, err := k.RunProcess(ctx, "unsupervised_classification", in, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			smooth, _, err := k.RunProcess(ctx, "smooth", map[string][]object.OID{"x": {classify.Output}}, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks, stats := len(k.Tasks.All()), k.Stats()
+			for i := 0; i < 3; i++ {
+				for _, id := range []task.ID{classify.ID, smooth.ID} {
+					wal, blobs, syncs := k.Store.WALBytes(), blobLogBytes(t, k), walSyncs(k)
+					r, same, err := k.Reproduce(ctx, id)
+					if err != nil || !same {
+						t.Fatalf("reproduce task %d = %v, %v", id, same, err)
+					}
+					if r.ID != 0 || r.Output != 0 {
+						t.Errorf("reproduction of task %d returned recorded task %d, output %d", id, r.ID, r.Output)
+					}
+					if w, b, s := k.Store.WALBytes(), blobLogBytes(t, k), walSyncs(k); w != wal || b != blobs || s != syncs {
+						t.Errorf("reproduce task %d moved WAL bytes %d→%d, blob-log bytes %d→%d, WAL syncs %d→%d", id, wal, w, blobs, b, syncs, s)
+					}
+				}
+			}
+			if n := len(k.Tasks.All()); n != tasks {
+				t.Errorf("%d tasks after 6 reproductions, want %d", n, tasks)
+			}
+			if s := k.Stats(); s != stats {
+				t.Errorf("stats moved:\n  before %s\n  after  %s", stats, s)
+			}
+			again, reused, err := k.RunProcess(ctx, "unsupervised_classification", in, RunOptions{})
+			if err != nil || !reused || again.Output != classify.Output {
+				t.Errorf("repeat run = output %d (reused %v, %v), want memoised output %d", again.Output, reused, err, classify.Output)
+			}
+			replaceBand(t, k, scene[0], raster.BandRed, 1999)
+			if n := len(k.Stale()); n != 2 {
+				t.Errorf("%d objects stale after a band update, want 2", n)
+			}
+			if n, err := k.RefreshStale(ctx); err != nil || n != 2 {
+				t.Errorf("RefreshStale = %d, %v; want 2", n, err)
+			}
+		})
+	}
+}
+
+// blobLogBytes is the size of the kernel's blob log segments on disk.
+func blobLogBytes(tb testing.TB, k *Kernel) int64 {
+	tb.Helper()
+	segs, err := os.ReadDir(filepath.Join(k.dir, "blobs"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var n int64
+	for _, s := range segs {
+		fi, err := s.Info()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// walSyncs counts the WAL fsyncs since the kernel opened.
+func walSyncs(k *Kernel) int64 { return k.Metrics.Snapshot().Gauges["storage_wal_syncs_total"] }
 
 func TestKernelDeleteObjectInvalidates(t *testing.T) {
 	k := openKernel(t)

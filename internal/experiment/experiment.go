@@ -153,10 +153,11 @@ type ReproductionReport struct {
 // TaskReproduction pairs an original task with its reproduction outcome.
 type TaskReproduction struct {
 	Original task.ID
-	Fresh    task.ID
 	// Identical reports whether the reproduced output matched the original
 	// attribute-for-attribute.
 	Identical bool
+	// Micros is the re-run's execution wall time in microseconds.
+	Micros int64
 	// Err records a per-task failure (the reproduction continues past it).
 	Err string
 }
@@ -173,36 +174,31 @@ func (r *ReproductionReport) AllIdentical() bool {
 
 // Reproduce re-executes every task of an experiment against the recorded
 // process versions and inputs, comparing outputs — external confirmation
-// of the experiment's results.
+// of the experiment's results. A reproduction records nothing, so the
+// tasks are checked in parallel on the executor's worker pool; the report
+// keeps their attach order.
 func (m *Manager) Reproduce(ctx context.Context, name string, opts task.RunOptions) (*ReproductionReport, error) {
 	e, err := m.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	report := &ReproductionReport{Experiment: name}
-	for _, id := range e.Tasks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	report := &ReproductionReport{Experiment: name, PerTask: make([]TaskReproduction, len(e.Tasks))}
+	fns := make([]func(context.Context) error, len(e.Tasks))
+	for i, id := range e.Tasks {
+		fns[i] = func(ctx context.Context) error {
+			tr := &report.PerTask[i]
+			tr.Original = id
+			fresh, same, err := m.exec.Reproduce(ctx, id, opts)
+			if err != nil {
+				tr.Err = err.Error()
+				return nil
+			}
+			tr.Identical, tr.Micros = same, fresh.Micros
+			return nil
 		}
-		orig, err := m.exec.Get(id)
-		if err != nil {
-			report.PerTask = append(report.PerTask, TaskReproduction{Original: id, Err: err.Error()})
-			continue
-		}
-		if orig.Version == 0 {
-			// External derivations (interpolation, loads) are not
-			// re-runnable through the process manager; record and skip.
-			report.PerTask = append(report.PerTask, TaskReproduction{Original: id, Err: "external derivation; not re-runnable"})
-			continue
-		}
-		fresh, same, err := m.exec.Reproduce(ctx, id, opts)
-		tr := TaskReproduction{Original: id, Identical: same}
-		if err != nil {
-			tr.Err = err.Error()
-		} else {
-			tr.Fresh = fresh.ID
-		}
-		report.PerTask = append(report.PerTask, tr)
+	}
+	if err := task.Parallel(ctx, m.exec.StageParallelism(opts), fns); err != nil {
+		return nil, err
 	}
 	return report, nil
 }

@@ -166,6 +166,7 @@ func TestReproduceExperiment(t *testing.T) {
 	}
 	w.mgr.AttachTask("repro-study", tk.ID)
 
+	tasks := len(w.exec.All())
 	report, err := w.mgr.Reproduce(context.Background(), "repro-study", task.RunOptions{User: "referee"})
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +174,8 @@ func TestReproduceExperiment(t *testing.T) {
 	if !report.AllIdentical() {
 		t.Errorf("reproduction should be identical: %+v", report.PerTask)
 	}
-	if report.PerTask[0].Fresh == tk.ID {
-		t.Error("reproduction must be a fresh task")
+	if n := len(w.exec.All()); n != tasks {
+		t.Errorf("reproduction recorded %d tasks, want none", n-tasks)
 	}
 	// Reproducing an unknown experiment fails.
 	if _, err := w.mgr.Reproduce(context.Background(), "ghost", task.RunOptions{}); !errors.Is(err, ErrNotFound) {
@@ -185,6 +186,41 @@ func TestReproduceExperiment(t *testing.T) {
 	empty, _ := w.mgr.Reproduce(context.Background(), "empty", task.RunOptions{})
 	if empty.AllIdentical() {
 		t.Error("empty experiment confirms nothing")
+	}
+}
+
+// TestReproduceExperimentParallel reproduces an experiment's tasks on a
+// worker pool; the report keeps attach order. Run it under -race.
+func TestReproduceExperimentParallel(t *testing.T) {
+	w := newWorld(t)
+	w.mgr.Create(&Experiment{Name: "parallel"})
+	var want []task.ID
+	for i := 0; i < 6; i++ {
+		red, nir := w.insertPair(t)
+		tk, _, err := w.exec.Run(context.Background(), "ndvi_map", map[string][]object.OID{"red": {red}, "nir": {nir}}, task.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.mgr.AttachTask("parallel", tk.ID)
+		want = append(want, tk.ID)
+	}
+	report, err := w.mgr.Reproduce(context.Background(), "parallel", task.RunOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.PerTask) != len(want) {
+		t.Fatalf("report has %d tasks, want %d", len(report.PerTask), len(want))
+	}
+	for i, tr := range report.PerTask {
+		if tr.Original != want[i] || !tr.Identical || tr.Err != "" {
+			t.Errorf("entry %d = %+v, want task %d reproduced identically", i, tr, want[i])
+		}
+	}
+	// A cancelled reproduction reports the cancellation, not a report.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := w.mgr.Reproduce(ctx, "parallel", task.RunOptions{Parallelism: 4}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled reproduce err = %v", err)
 	}
 }
 

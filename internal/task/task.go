@@ -388,8 +388,8 @@ func (e *Executor) Run(ctx context.Context, procName string, inputs map[string][
 	return e.runVersion(ctx, pr, inputs, opts)
 }
 
-// RunVersion instantiates a specific process version (reproducing an old
-// task must use the process as it was).
+// RunVersion instantiates a specific process version (a plan step runs
+// the version it was planned with).
 func (e *Executor) RunVersion(ctx context.Context, procName string, version int, inputs map[string][]object.OID, opts RunOptions) (*Task, bool, error) {
 	pr, err := e.mgr.LookupVersion(procName, version)
 	if err != nil {
@@ -869,14 +869,21 @@ func (e *Executor) explain(b *strings.Builder, oid object.OID, depth int, onPath
 	delete(onPath, oid)
 }
 
-// Reproduce re-executes a recorded task with the same process version and
-// inputs, bypassing the memo, and reports whether the fresh output equals
-// the recorded one attribute-for-attribute — the paper's "reproducibility
-// of experiments" capability.
+// Reproduce re-evaluates a recorded task in memory — the same process
+// version over the same input OIDs — and reports whether the result
+// equals the recorded output attribute-for-attribute and in extent: the
+// paper's "reproducibility of experiments" capability. A check is a read
+// and records nothing: no task, no object, no memo entry, no WAL group.
+// The task it returns is unrecorded (ID and Output 0) and describes the
+// re-run: process, version, user, inputs read, wall time and note.
+// External derivations (version 0) cannot be reproduced.
 func (e *Executor) Reproduce(ctx context.Context, id ID, opts RunOptions) (*Task, bool, error) {
 	orig, err := e.Get(id)
 	if err != nil {
 		return nil, false, err
+	}
+	if orig.Version == 0 {
+		return nil, false, fmt.Errorf("%w: external derivation %q cannot be reproduced", ErrExec, orig.Process)
 	}
 	// Reproduction re-runs over the recorded input OIDs, so their current
 	// state must be trustworthy: a stale input would silently change what
@@ -891,51 +898,45 @@ func (e *Executor) Reproduce(ctx context.Context, id ID, opts RunOptions) (*Task
 			}
 		}
 	}
-	opts.NoMemo = true
-	if opts.Note == "" {
-		opts.Note = fmt.Sprintf("reproduction of task %d", id)
-	}
-	fresh, _, err := e.RunVersion(ctx, orig.Process, orig.Version, orig.Inputs, opts)
+	pr, err := e.mgr.LookupVersion(orig.Process, orig.Version)
 	if err != nil {
 		return nil, false, err
 	}
-	same, err := e.outputsEqual(orig.Output, fresh.Output)
+	attrs, ext, inOIDs, elapsed, err := e.derive(ctx, pr, orig.Inputs)
 	if err != nil {
-		return fresh, false, err
+		return nil, false, err
 	}
-	return fresh, same, nil
+	recorded, err := e.obj.Get(orig.Output)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: recorded output %d of task %d: %w", ErrExec, orig.Output, id, err)
+	}
+	if opts.Note == "" {
+		opts.Note = fmt.Sprintf("reproduction of task %d", id)
+	}
+	t := &Task{
+		Process:  pr.Name,
+		Version:  pr.Version,
+		User:     opts.User,
+		Inputs:   inOIDs,
+		OutClass: pr.OutClass,
+		Micros:   elapsed.Microseconds(),
+		Note:     opts.Note,
+	}
+	return t, matches(recorded, pr.OutClass, attrs, ext), nil
 }
 
-// outputsEqual compares two objects attribute-for-attribute.
-func (e *Executor) outputsEqual(a, b object.OID) (bool, error) {
-	oa, err := e.obj.Get(a)
-	if err != nil {
-		return false, err
-	}
-	ob, err := e.obj.Get(b)
-	if err != nil {
-		return false, err
-	}
-	if oa.Class != ob.Class || len(oa.Attrs) != len(ob.Attrs) {
-		return false, nil
-	}
-	for name, va := range oa.Attrs {
-		vb, ok := ob.Attrs[name]
-		if !ok || !valueEqual(va, vb) {
-			return false, nil
-		}
-	}
-	return oa.Extent.Equal(ob.Extent), nil
-}
-
-// valueEqual delegates to the value package's structural equality.
-func valueEqual(a, b interface{ Type() value.Type }) bool {
-	av, aok := a.(value.Value)
-	bv, bok := b.(value.Value)
-	if !aok || !bok {
+// matches reports whether a stored object equals a derivation's output
+// attribute-for-attribute and in extent.
+func matches(o *object.Object, class string, attrs map[string]value.Value, ext sptemp.Extent) bool {
+	if o.Class != class || len(o.Attrs) != len(attrs) || !o.Extent.Equal(ext) {
 		return false
 	}
-	return value.Equal(av, bv)
+	for name, v := range attrs {
+		if w, ok := o.Attrs[name]; !ok || !value.Equal(v, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // StageExternal prepares the tasks of an external derivation — a

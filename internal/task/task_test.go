@@ -659,3 +659,16 @@ func TestReproduceStaleInputFlagged(t *testing.T) {
 		t.Fatalf("reproduce after refresh = same=%v, %v", same, err)
 	}
 }
+
+// TestReproduceRefusesExternalTask: a load has no process to re-run, so
+// Reproduce refuses it as an execution error that names the external
+// derivation, the way RecomputeTask does.
+func TestReproduceRefusesExternalTask(t *testing.T) {
+	e := newEnv(t)
+	scene := insertScene(t, e, 1, sptemp.Date(1986, 1, 15), 1986)
+	ext := commitExternal(t, e, "data_load", nil, scene[0], RunOptions{})
+	_, _, err := e.exec.Reproduce(context.Background(), ext.ID, RunOptions{})
+	if !errors.Is(err, ErrExec) || !strings.Contains(err.Error(), `external derivation "data_load"`) {
+		t.Errorf("reproduce of external task = %v, want ErrExec naming data_load", err)
+	}
+}
