@@ -56,8 +56,9 @@
 // ErrNotFound, ErrClassUnknown, ErrNoPlan (the request cannot be
 // satisfied or derived), ErrStale (operation refuses stale inputs),
 // ErrConflict (a concurrent session committed first), ErrSnapshotGone
-// (a cursor's snapshot epoch was reclaimed by GC), and ErrClosed
-// (kernel or session already closed).
+// (a cursor's snapshot epoch was reclaimed by GC), ErrClosed (kernel or
+// session already closed), and ErrFormat (Open found a directory in
+// another on-disk format, and changed nothing in it).
 //
 // The kernel is safe for concurrent use: queries, process runs, and
 // compound derivations may be issued from many goroutines. Independent

@@ -48,6 +48,10 @@ var (
 	ErrSnapshotGone = errors.New("gaea: snapshot epoch reclaimed")
 	// ErrClosed: the kernel (or the session) has been closed.
 	ErrClosed = errors.New("gaea: closed")
+	// ErrFormat: Open found a directory written in another on-disk format
+	// than this build's. There is no migration path; nothing in the
+	// directory was changed.
+	ErrFormat = errors.New("gaea: unsupported directory format")
 )
 
 // classification order matters: the first matching cause wins, and more
@@ -66,6 +70,7 @@ var errTaxonomy = []struct{ cause, sentinel error }{
 	{concept.ErrNotFound, ErrNotFound},
 	{experiment.ErrNotFound, ErrNotFound},
 	{storage.ErrNotFound, ErrNotFound},
+	{storage.ErrFormat, ErrFormat},
 }
 
 // classify wraps an internal error with its public sentinel. Errors that

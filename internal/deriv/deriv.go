@@ -203,18 +203,13 @@ func encodeStaleMark(m staleMark) []byte {
 }
 
 func decodeStaleMark(raw []byte) (staleMark, bool) {
-	switch len(raw) {
-	case 16:
-		return staleMark{
-			first: binary.LittleEndian.Uint64(raw),
-			last:  binary.LittleEndian.Uint64(raw[8:]),
-		}, true
-	case 8:
-		// Pre-MVCC marks carried a single epoch.
-		e := binary.LittleEndian.Uint64(raw)
-		return staleMark{first: e, last: e}, true
+	if len(raw) != 16 {
+		return staleMark{}, false
 	}
-	return staleMark{}, false
+	return staleMark{
+		first: binary.LittleEndian.Uint64(raw),
+		last:  binary.LittleEndian.Uint64(raw[8:]),
+	}, true
 }
 
 // Open builds the dependency graph from the recorded task log, loads the
@@ -265,7 +260,6 @@ func Open(st *storage.Store, obj *object.Store, exec *task.Executor, cfg Config)
 	for _, t := range exec.All() {
 		m.addEdges(t)
 	}
-	curEpoch := st.Epoch()
 	for _, key := range st.MetaKeys(staleKeyPrefix) {
 		raw, ok := st.MetaGet(key)
 		if !ok {
@@ -273,21 +267,11 @@ func Open(st *storage.Store, obj *object.Store, exec *task.Executor, cfg Config)
 		}
 		mark, ok := decodeStaleMark(raw)
 		if !ok {
-			continue
+			return nil, fmt.Errorf("deriv: corrupt stale mark %q: %d bytes", key, len(raw))
 		}
 		n, err := strconv.ParseUint(strings.TrimPrefix(key, staleKeyPrefix), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("deriv: corrupt stale key %q", key)
-		}
-		// Marks written by this code never exceed the commit epoch, but
-		// pre-MVCC stores persisted deriv_epoch sequence values on an
-		// unrelated (typically larger) scale: clamp so IsStaleAt against
-		// commit-epoch pins still reports these objects stale.
-		if mark.first > curEpoch {
-			mark.first = curEpoch
-		}
-		if mark.last > curEpoch {
-			mark.last = curEpoch
 		}
 		m.stale[object.OID(n)] = mark
 		if mark.last > m.epoch {

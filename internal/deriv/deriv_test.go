@@ -3,6 +3,7 @@ package deriv
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -425,6 +426,25 @@ func TestStalenessSurvivesReopen(t *testing.T) {
 	}
 	if w2.val(t, o2) != 2 {
 		t.Errorf("value after reopen+refresh = %v", w2.val(t, o2))
+	}
+}
+
+// TestCorruptStaleMarkFailsOpen: a stale mark of any length but the one
+// form's 16 bytes — a torn one, or the 8-byte form of pre-MVCC stores —
+// fails Open, naming its key, instead of serving its object as fresh.
+func TestCorruptStaleMarkFailsOpen(t *testing.T) {
+	for _, n := range []int{7, 8} {
+		w := newWorld(t, Config{Policy: Manual})
+		base := w.insertBase(t, 1)
+		o1, _ := w.deriveChain(t, base)
+		if err := w.st.MetaSet(staleKey(o1), make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		w.mgr.Close()
+		_, err := Open(w.st, w.obj, w.exec, Config{Policy: Manual})
+		if err == nil || !strings.Contains(err.Error(), staleKey(o1)) {
+			t.Errorf("Open over a %d-byte stale mark: %v, want an error naming %s", n, err, staleKey(o1))
+		}
 	}
 }
 

@@ -474,8 +474,8 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	if maxEpoch == 0 {
 		// Floor the epoch at 1 so a session's read epoch is never 0 —
 		// BatchOps.ReadEpoch uses 0 as the "skip validation" sentinel, and
-		// a legacy store whose records all decode at epoch 0 must still
-		// get first-committer-wins checks.
+		// the first sessions of an empty store, which has no record to
+		// take an epoch from, must still get first-committer-wins checks.
 		maxEpoch = 1
 	}
 	st.AdvanceEpoch(maxEpoch)

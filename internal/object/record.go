@@ -1,10 +1,11 @@
 package object
 
-// Record forms. An object version exists as bytes in three forms the
-// store reads, one of which it writes:
+// Record forms. An object version exists as bytes in two forms: the
+// compact class-relative form, the one form the store writes and reads,
+// and the self-describing form "GOB3" that leaves the package.
 //
-// The compact class-relative form is what the store writes. Like a tuple
-// in a relation, it does not repeat what its class says: the heap it lies
+// The compact class-relative form is what a heap holds. Like a tuple in
+// a relation, it does not repeat what its class says: the heap it lies
 // in names the class, and the (immutable) catalog entry gives the
 // attribute names, their order and, for a spatial class, the frame. Nor
 // does it spend fixed-width words on small numbers: the commit epoch and
@@ -35,21 +36,17 @@ package object
 //	        bytes, or (isBlob, len 8) the blob id u64
 //
 // encodeObject packs an extent only when that is shorter than the raw
-// form, so packing never lengthens a record: an object with no integral
-// coordinate is stored byte for byte as before the packed form existed,
-// and records written then read as they are. A raw coordinate keeps any
+// form, so packing never lengthens a record. A raw coordinate keeps any
 // bit pattern (NaN payloads, ±Inf, -0, subnormals). parseRelative refuses
-// a mask bit past MaxY, a packed coordinate outside ±2^53 — where float64
-// loses integers — and an interval whose end overflows, so a packed
-// extent reads back as exactly the numbers written.
-//
-// The fixed-header relative form is the same record with 0x08 clear and
-// epoch u64, oid u64 in place of the two uvarints (17 B of header). The
-// store wrote it before the compact form and reads it still.
+// a record without both 0x80 and 0x08 — the fixed-header form of earlier
+// stores had 0x08 clear, and GOB3 starts with 'G' — a mask bit past
+// MaxY, a packed coordinate outside ±2^53, where float64 loses integers,
+// and an interval whose end overflows, so a packed extent reads back as
+// exactly the numbers written.
 //
 // The self-describing form "GOB3" is what leaves the package — the wire,
-// the federation relay — and what directories written before the
-// relative forms hold; the store reads it and never writes it:
+// the federation relay. The store never writes it to a heap, and never
+// reads it from one:
 //
 //	magic "GOB3", oid u64, epoch u64, flags u8 (0x01 tombstone),
 //	classLen u16, class,
@@ -65,8 +62,9 @@ package object
 // is not known until the enclosing batch reserves it, so encodeObject
 // leaves headroom in front of the body and stamp writes the header there,
 // right-aligned against the body, once it is. parseRecord is the one
-// walker over all three forms; the full decode, the extent check, the
-// reopen scan and the raw path all start from it.
+// walker over both forms, the form chosen by where the record came from;
+// the full decode, the extent check, the reopen scan and the raw path all
+// start from it.
 
 import (
 	"encoding/binary"
@@ -162,7 +160,8 @@ func (s *Store) schema(class string) (*schema, error) {
 
 // record is a parsed record header with a cursor at its attribute table.
 // The attribute methods (object, blobIDs, wire) consume the cursor, so a
-// record serves one of them.
+// record serves one of them. sch is set for a record read from a heap,
+// which is in the compact form, and nil for a GOB3 one.
 type record struct {
 	oid   OID
 	epoch uint64
@@ -170,10 +169,9 @@ type record struct {
 	class string
 	ext   sptemp.Extent
 
-	relative bool
-	sch      *schema
-	n, i     int // attributes in the table, attributes read
-	r        reader
+	sch  *schema
+	n, i int // attributes in the table, attributes read
+	r    reader
 }
 
 // attr is one entry of a record's attribute table, its value undecoded:
@@ -186,19 +184,16 @@ type attr struct {
 
 func (a attr) blobID() storage.BlobID { return storage.BlobID(binary.LittleEndian.Uint64(a.data)) }
 
-// parseRecord reads the header of a record in either form. sch is the
-// class of the heap the record came from; it may be nil for a record
-// that arrived from outside (the wire), which must then be
-// self-describing.
+// parseRecord reads the header of a record. sch is the class of the heap
+// the record came from, which holds compact records only; it is nil for
+// a record that arrived from outside (the wire), which must then be
+// GOB3.
 func parseRecord(rec []byte, sch *schema) (record, error) {
 	w := record{sch: sch, r: reader{buf: rec}}
 	switch {
 	case len(rec) == 0:
 		return w, errors.New("object: empty record")
-	case rec[0]&flagRelative != 0:
-		if sch == nil {
-			return w, errors.New("object: class-relative record read without its class")
-		}
+	case sch != nil:
 		w.parseRelative()
 	default:
 		w.parseWire()
@@ -209,19 +204,14 @@ func parseRecord(rec []byte, sch *schema) (record, error) {
 func (w *record) parseRelative() {
 	r := &w.r
 	flags := r.u8()
-	if flags&^(flagRelative|flagCompact|flagTombstone|flagTimed|flagOwnFrame|flagPacked) != 0 {
-		r.failf("object: unknown record flags %#x", flags)
+	if flags&(flagRelative|flagCompact) != flagRelative|flagCompact ||
+		flags&^(flagRelative|flagCompact|flagTombstone|flagTimed|flagOwnFrame|flagPacked) != 0 {
+		r.failf("object: record flags %#x are not the compact form", flags)
 		return
 	}
-	w.relative = true
 	w.class = w.sch.cls.Name
-	if flags&flagCompact != 0 {
-		w.epoch = r.uvarint()
-		w.oid = OID(r.uvarint())
-	} else {
-		w.epoch = r.u64()
-		w.oid = OID(r.u64())
-	}
+	w.epoch = r.uvarint()
+	w.oid = OID(r.uvarint())
 	if flags&flagTombstone != 0 {
 		w.del = true
 		return
@@ -289,12 +279,7 @@ func (w *record) parseWire() {
 	w.oid = OID(r.u64())
 	w.epoch = r.u64()
 	w.del = r.u8()&wireFlagTombstone != 0
-	class := r.bytes(int(r.u16()))
-	if w.sch == nil {
-		w.class = string(class)
-	} else if w.class = w.sch.cls.Name; r.err == nil && string(class) != w.class {
-		r.failf("object: record of class %q in the heap of class %q", class, w.class)
-	}
+	w.class = string(r.bytes(int(r.u16())))
 	if w.del {
 		return
 	}
@@ -313,7 +298,7 @@ func (w *record) next() (attr, bool) {
 	}
 	r := &w.r
 	var a attr
-	if w.relative {
+	if w.sch != nil {
 		a.name = w.sch.cls.Attrs[w.i].Name
 		tag := r.uvarint()
 		a.blob = tag&1 != 0
@@ -337,7 +322,7 @@ func (w *record) next() (attr, bool) {
 // relative record has nothing after its last attribute; a GOB3 record
 // may (the old decoder never looked).
 func (w *record) finish() error {
-	if w.r.err == nil && w.relative && w.r.off != len(w.r.buf) {
+	if w.r.err == nil && w.sch != nil && w.r.off != len(w.r.buf) {
 		w.r.failf("object: %d bytes after the last attribute", len(w.r.buf)-w.r.off)
 	}
 	return w.r.err
@@ -378,17 +363,13 @@ func (w *record) blobIDs() ([]storage.BlobID, error) {
 	return ids, w.finish()
 }
 
-// wire returns the record in the self-describing form: a GOB3 record as
-// it stands, a relative one with its class's constant parts spliced back
-// around the stored attribute bytes — no value is decoded or re-encoded.
-// The result has the bytes EncodeWire gives the decoded object, plus the
-// epoch.
+// wire returns a heap record in the self-describing form: its class's
+// constant parts spliced back around the stored attribute bytes — no
+// value is decoded or re-encoded. The result has the bytes EncodeWire
+// gives the decoded object, plus the epoch.
 func (w *record) wire() ([]byte, error) {
 	if w.del {
 		return nil, errTombstone
-	}
-	if !w.relative {
-		return w.r.buf, nil
 	}
 	var few [8]attr
 	attrs := few[:0]

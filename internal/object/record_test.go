@@ -79,7 +79,7 @@ func TestRecordBytes(t *testing.T) {
 		if len(rec) > c.max {
 			t.Errorf("%s is stored in %d bytes, want at most %d", c.what, len(rec), c.max)
 		}
-		if old := legacyRecord(t, rec, sch, false); c.raw && !bytes.Equal(rec, old) {
+		if old := unpackedRecord(t, rec, sch); c.raw && !bytes.Equal(rec, old) {
 			t.Errorf("%s is stored as\n%x\nnot as the unpacked layout\n%x", c.what, rec, old)
 		}
 	}
@@ -91,25 +91,17 @@ func TestRecordBytes(t *testing.T) {
 	}
 }
 
-// legacyRecord rewrites a compact relative record in the layout the
-// store wrote before extents were packed: flag 0x10 clear, the box as
-// four f64s and, when timed, the interval as two i64s. With fixed set it
-// also takes the header of the form before that: flag 0x08 clear, u64
-// epoch and OID.
-func legacyRecord(t testing.TB, rec []byte, sch *schema, fixed bool) []byte {
+// unpackedRecord rewrites a compact relative record with its extent
+// unpacked, as encodeObject writes it when packing would not shorten it:
+// flag 0x10 clear, the box as four f64s and, when timed, the interval as
+// two i64s.
+func unpackedRecord(t testing.TB, rec []byte, sch *schema) []byte {
 	w, err := parseRecord(rec, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flags := rec[0] &^ flagPacked
-	var out []byte
-	if fixed {
-		out = append(out, flags&^flagCompact)
-		out = binary.LittleEndian.AppendUint64(out, w.epoch)
-		out = binary.LittleEndian.AppendUint64(out, uint64(w.oid))
-	} else {
-		out = appendHeader(out, flags, w.epoch, w.oid)
-	}
+	out := appendHeader(nil, flags, w.epoch, w.oid)
 	if w.del {
 		return out
 	}
@@ -123,6 +115,66 @@ func legacyRecord(t testing.TB, rec []byte, sch *schema, fixed bool) []byte {
 		out = appendStr16(out, string(w.ext.Frame.Unit))
 	}
 	return append(out, rec[w.r.off:]...)
+}
+
+// fixedHeader rewrites a compact record in the fixed-header form earlier
+// stores wrote, which a heap no longer holds: flag 0x08 clear, then the
+// epoch and the OID as u64s.
+func fixedHeader(rec []byte) []byte {
+	epoch, n := binary.Uvarint(rec[1:])
+	oid, m := binary.Uvarint(rec[1+n:])
+	out := binary.LittleEndian.AppendUint64([]byte{rec[0] &^ flagCompact}, epoch)
+	out = binary.LittleEndian.AppendUint64(out, oid)
+	return append(out, rec[1+n+m:]...)
+}
+
+// TestOpenRefusesOldRecordForms: a heap record in a form the store wrote
+// before the compact one — the fixed header, or self-describing GOB3 —
+// fails Open, which names the record.
+func TestOpenRefusesOldRecordForms(t *testing.T) {
+	obj := &Object{
+		OID: 99, Class: "gauge",
+		Attrs:  map[string]value.Value{"mm": value.Float(12.5)},
+		Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(20, 0, 30, 10)),
+	}
+	sch := newSchema(gaugeClass)
+	buf, _, err := encodeObject(sch, obj, noBlobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gob3, err := EncodeWire(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string][]byte{
+		"fixed header": fixedHeader(stamp(buf, obj.OID, 1)),
+		"GOB3":         gob3,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := openStore(t, dir, gaugeClass)
+			b := st.NewBatch()
+			b.Insert(sch.heap, rec)
+			if _, err := b.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := storage.Open(dir, storage.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			cat, err := catalog.Open(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(st, cat); err == nil || !strings.Contains(err.Error(), "corrupt record") {
+				t.Errorf("Open over a %s record: %v, want a corrupt record", name, err)
+			}
+		})
+	}
 }
 
 // openStore opens a store in dir with the classes given.
@@ -344,7 +396,7 @@ func randomObject(rng *rand.Rand, cls *catalog.Class) *Object {
 // the shipped record is byte for byte the size EncodeWire gives — the
 // relative form changes what is stored, not what is sent. No stored
 // record is longer than the same object in the unpacked layout, and that
-// layout, compact or fixed-header, reads as the same object.
+// layout reads as the same object.
 func TestRecordRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 93))
 	dir := t.TempDir()
@@ -438,19 +490,17 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, fixed := range []bool{false, true} {
-				old := legacyRecord(t, rec, sch, fixed)
-				if !fixed && len(rec) > len(old) {
-					t.Errorf("oid %d is stored in %d bytes, unpacked in %d:\n%x\n%x", want.OID, len(rec), len(old), rec, old)
-				}
-				ow, err := parseRecord(old, sch)
-				if err != nil {
-					t.Fatalf("unpacked oid %d: %v", want.OID, err)
-				}
-				got, err := ow.object()
-				if err != nil || !sameObject(got, want) || ow.epoch != w.epoch {
-					t.Errorf("unpacked (fixed header %v) oid %d reads as %+v at epoch %d, %v; want %+v at %d", fixed, want.OID, got, ow.epoch, err, want, w.epoch)
-				}
+			old := unpackedRecord(t, rec, sch)
+			if len(rec) > len(old) {
+				t.Errorf("oid %d is stored in %d bytes, unpacked in %d:\n%x\n%x", want.OID, len(rec), len(old), rec, old)
+			}
+			ow, err := parseRecord(old, sch)
+			if err != nil {
+				t.Fatalf("unpacked oid %d: %v", want.OID, err)
+			}
+			got, err := ow.object()
+			if err != nil || !sameObject(got, want) || ow.epoch != w.epoch {
+				t.Errorf("unpacked oid %d reads as %+v at epoch %d, %v; want %+v at %d", want.OID, got, ow.epoch, err, want, w.epoch)
 			}
 			return true
 		}); err != nil {
@@ -597,21 +647,21 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	seeds := [][]byte{
-		relPlain,                             // relative: packed, timed, own frame, a blob, a long value
-		rel(inline, 3),                       // relative: unpacked, untimed, class frame, all inline
-		encodeTombstone(5, 4),                // relative tombstone
-		must(w.wire()),                       // GOB3 with a blob reference
-		must(EncodeWire(inline)),             // GOB3, all inline
-		wireTomb,                             // GOB3 tombstone
-		{},                                   // empty
-		relPlain[:len(relPlain)-3],           // truncated
-		append(rel(inline, 3), 0),            // trailing byte
-		{flagRelative | 0x40, 0, 0, 0, 0},    // unknown flag
-		legacyRecord(t, relPlain, sch, true), // fixed header: timed, own frame, a blob
-		legacyRecord(t, rel(inline, 3), sch, true),        // fixed header, all inline
-		legacyRecord(t, encodeTombstone(5, 4), sch, true), // fixed-header tombstone
-		legacyRecord(t, relPlain, sch, false),             // compact, unpacked: timed, own frame, a blob
-		rel(&widest, math.MaxUint64),                      // widest header: 21 bytes
+		relPlain,                          // relative: packed, timed, own frame, a blob, a long value
+		rel(inline, 3),                    // relative: unpacked, untimed, class frame, all inline
+		encodeTombstone(5, 4),             // relative tombstone
+		must(w.wire()),                    // GOB3 with a blob reference
+		must(EncodeWire(inline)),          // GOB3, all inline
+		wireTomb,                          // GOB3 tombstone
+		{},                                // empty
+		relPlain[:len(relPlain)-3],        // truncated
+		append(rel(inline, 3), 0),         // trailing byte
+		{flagRelative | 0x40, 0, 0, 0, 0}, // unknown flag
+		fixedHeader(unpackedRecord(t, relPlain, sch)),       // refused, fixed header: timed, own frame, a blob
+		fixedHeader(unpackedRecord(t, rel(inline, 3), sch)), // refused, fixed header, all inline
+		fixedHeader(encodeTombstone(5, 4)),                  // refused, fixed-header tombstone
+		unpackedRecord(t, relPlain, sch),                    // compact, unpacked: timed, own frame, a blob
+		rel(&widest, math.MaxUint64),                        // widest header: 21 bytes
 
 		// An epoch uvarint past 64 bits.
 		append([]byte{flagRelative | flagCompact | flagTombstone}, bytes.Repeat([]byte{0xff}, 10)...),
@@ -694,7 +744,9 @@ func hasImage(o *Object) bool {
 
 // FuzzRecordDecode drives arbitrary bytes through the one record walker
 // as a heap record and as a wire record: every consumer stays inside the
-// buffer (a panic fails the run), and decode → encode → stamp → decode
+// buffer (a panic fails the run), a heap record parses only in the
+// compact form and a wire record only as GOB3, and decode → encode →
+// stamp → decode
 // converges on one byte string per form, whose raw-path splice is the
 // EncodeWire bytes, and which stamping again at the same epoch leaves as
 // it was.
@@ -710,9 +762,16 @@ func FuzzRecordDecode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			ids, wire := w, w
+			if from != nil && rec[0]&(flagRelative|flagCompact) != flagRelative|flagCompact ||
+				from == nil && !bytes.HasPrefix(rec, []byte(wireMagic)) {
+				t.Fatalf("%x parsed (as a heap record: %v) though not in that side's form", rec, from != nil)
+			}
+			ids := w
 			_, _ = ids.blobIDs()
-			_, _ = wire.wire()
+			if from != nil {
+				wire := w
+				_, _ = wire.wire()
+			}
 			obj, err := w.object()
 			if err != nil || hasImage(obj) || len(obj.Attrs) != len(fuzzClass.Attrs) {
 				continue

@@ -54,11 +54,12 @@ const segmentBytes = 32 << 20
 // checkpoint so rewrites at most the live bytes of segments that hold a
 // dead byte, and afterwards blobs/ holds live blobs only.
 //
-// Open scans every segment. A record in the last segment that does not
-// frame or verify is a torn append: it is truncated, with everything
-// after it. The same fault in a sealed segment is ErrBlobCorrupt. An id
-// found twice (a crash during compaction) keeps the newer copy. Deletes
-// lost in a crash come back; Retain marks them dead again.
+// Open scans every segment; segments are the only layout it reads. A
+// record in the last segment that does not frame or verify is a torn
+// append: it is truncated, with everything after it. The same fault in a
+// sealed segment is ErrBlobCorrupt. An id found twice (a crash during
+// compaction) keeps the newer copy. Deletes lost in a crash come back;
+// Retain marks them dead again.
 type BlobStore struct {
 	dir    string
 	noSync bool
@@ -117,8 +118,7 @@ func appendRecord(buf []byte, id BlobID, data []byte) []byte {
 	return buf
 }
 
-// openBlobStore loads the log under dir, then moves into it any blobs an
-// earlier layout left one file each.
+// openBlobStore loads the log under dir.
 func openBlobStore(dir string, noSync bool) (*BlobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -129,20 +129,10 @@ func openBlobStore(dir string, noSync bool) (*BlobStore, error) {
 	}
 	b := &BlobStore{dir: dir, noSync: noSync, limit: segmentBytes, index: make(map[BlobID]blobLoc), nextNo: 1}
 	var nos []uint64
-	var legacy []string
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".seg"):
-			if no, err := strconv.ParseUint(strings.TrimSuffix(name, ".seg"), 10, 64); err == nil {
+		if name, ok := strings.CutSuffix(e.Name(), ".seg"); ok {
+			if no, err := strconv.ParseUint(name, 10, 64); err == nil {
 				nos = append(nos, no)
-			}
-		case strings.HasSuffix(name, ".blob"):
-			legacy = append(legacy, name)
-		case strings.HasSuffix(name, ".tmp"):
-			// An earlier layout's put that never reached its rename.
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, err
 			}
 		}
 	}
@@ -152,10 +142,6 @@ func openBlobStore(dir string, noSync bool) (*BlobStore, error) {
 			b.close()
 			return nil, err
 		}
-	}
-	if err := b.migrate(legacy); err != nil {
-		b.close()
-		return nil, err
 	}
 	return b, nil
 }
@@ -248,53 +234,6 @@ func scanSegment(f *os.File, size int64, fn func(id BlobID, off, n int64)) (int6
 		off += int64(hl) + int64(n)
 	}
 	return off, nil
-}
-
-// migrate appends the blobs of an earlier layout — one <hex id>.blob file
-// each, the payload followed by a crc32 and length footer — to the log,
-// syncs it, and removes their files. A crash before the removals only
-// migrates them again, superseding the first copies.
-func (b *BlobStore) migrate(names []string) error {
-	var moved []string
-	for _, name := range names {
-		id, err := strconv.ParseUint(strings.TrimSuffix(name, ".blob"), 16, 64)
-		if err != nil {
-			continue
-		}
-		path := filepath.Join(b.dir, name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if len(raw) < 8 {
-			return fmt.Errorf("%w: %s has no footer", ErrBlobCorrupt, path)
-		}
-		data, footer := raw[:len(raw)-8], raw[len(raw)-8:]
-		if int(binary.LittleEndian.Uint32(footer[4:])) != len(data) || crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(footer) {
-			return fmt.Errorf("%w: %s fails its footer", ErrBlobCorrupt, path)
-		}
-		seg, off, err := b.appendLocked(appendRecord(nil, BlobID(id), data))
-		if err != nil {
-			return err
-		}
-		b.place(BlobID(id), blobLoc{seg: seg, off: off, n: int64(len(data))})
-		moved = append(moved, name)
-	}
-	if len(moved) == 0 {
-		return nil
-	}
-	if err := b.syncActive(); err != nil {
-		return err
-	}
-	if err := syncDir(b.dir); err != nil {
-		return err
-	}
-	for _, name := range moved {
-		if err := os.Remove(filepath.Join(b.dir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // place points id at loc; bytes of a copy it supersedes count dead.

@@ -2,14 +2,11 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -292,56 +289,6 @@ func TestBlobLogSegments(t *testing.T) {
 	flipByte(t, filepath.Join(dir, "blobs", files[0]), 10)
 	if _, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrBlobCorrupt) {
 		t.Errorf("Open over a corrupt sealed segment: %v, want ErrBlobCorrupt", err)
-	}
-}
-
-// TestBlobLogMigratesOldLayout: blobs an earlier layout kept as one file
-// each move into the log at Open, and their files (and the temporaries
-// of puts that never reached their rename) are removed.
-func TestBlobLogMigratesOldLayout(t *testing.T) {
-	dir := t.TempDir()
-	blobs := filepath.Join(dir, "blobs")
-	if err := os.MkdirAll(blobs, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	old := func(id BlobID, data []byte, crc uint32) {
-		footer := binary.LittleEndian.AppendUint32(nil, crc)
-		footer = binary.LittleEndian.AppendUint32(footer, uint32(len(data)))
-		name := fmt.Sprintf("%016x.blob", uint64(id))
-		if err := os.WriteFile(filepath.Join(blobs, name), append(slices.Clone(data), footer...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := map[BlobID]string{5: "pixels five", 0x1f: "pixels thirty-one"}
-	for id, data := range want {
-		old(id, []byte(data), crc32.ChecksumIEEE([]byte(data)))
-	}
-	if err := os.WriteFile(filepath.Join(blobs, "0000000000000020.blob.tmp"), []byte("half a put"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		s := openTestStore(t, dir)
-		for id, data := range want {
-			if got, err := s.Blobs().Get(id); err != nil || string(got) != data {
-				t.Errorf("round %d: blob %d reads %q, %v", round, id, got, err)
-			}
-		}
-		if ids, _ := s.Blobs().IDs(); !slices.Equal(ids, []BlobID{5, 0x1f}) {
-			t.Errorf("round %d: IDs = %v", round, ids)
-		}
-		for _, name := range blobFiles(t, dir) {
-			if !strings.HasSuffix(name, ".seg") {
-				t.Errorf("round %d: %s left under blobs/", round, name)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	old(6, []byte("rotted"), 0)
-	if _, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrBlobCorrupt) {
-		t.Errorf("Open over an old blob failing its footer: %v, want ErrBlobCorrupt", err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,7 +24,8 @@ import (
 //
 //	<dir>/heap_<name>.db      slotted-page heap files
 //	<dir>/wal.log             redo log
-//	<dir>/meta.db             meta snapshot (rewritten at checkpoint)
+//	<dir>/meta.db             meta snapshot (rewritten at checkpoint),
+//	                          its header the directory's format number
 //	<dir>/blobs/NNNNNNNN.seg  blob log segments (compacted at checkpoint)
 //
 // Locking: mu is a reader/writer lock whose EXCLUSIVE side belongs to
@@ -70,8 +73,13 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// ErrFormat is returned by Open for a directory that holds data in any
+// format but formatVersion. There is no migration path.
+var ErrFormat = errors.New("storage: unsupported directory format")
+
 // Open opens (or creates) a store in dir and recovers any logged-but-
-// unflushed state from the WAL.
+// unflushed state from the WAL. A directory of another format is
+// refused with ErrFormat before anything in it is written.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.PoolFrames == 0 {
 		opts.PoolFrames = 64
@@ -79,19 +87,17 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	blobs, err := openBlobStore(filepath.Join(dir, "blobs"), opts.NoSync)
-	if err != nil {
-		return nil, err
-	}
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
 		heaps: make(map[string]*Heap),
 		meta:  make(map[string][]byte),
-		blobs: blobs,
 	}
 	if err := s.loadMetaSnapshot(); err != nil {
-		s.closeFiles()
+		return nil, err
+	}
+	var err error
+	if s.blobs, err = openBlobStore(filepath.Join(dir, "blobs"), opts.NoSync); err != nil {
 		return nil, err
 	}
 	// Open heaps that already exist on disk.
@@ -423,9 +429,16 @@ func (s *Store) closeFiles() {
 }
 
 // Meta snapshot format: magic, count, then length-prefixed key/value
-// pairs, with a trailing crc32.
-const metaMagic = "GMETA1\n"
+// pairs, with a trailing crc32. The magic carries the directory's format
+// number, formatVersion: Open reads no other.
+const (
+	formatVersion = 2
+	metaMagic     = "GMETA2\n"
+)
 
+// writeMetaSnapshot replaces meta.db durably: the new snapshot is synced
+// under a temporary name, renamed over the old one, and the rename synced
+// with the directory, so a crash leaves one whole snapshot or the other.
 func (s *Store) writeMetaSnapshot() error {
 	buf := []byte(metaMagic)
 	keys := make([]string, 0, len(s.meta))
@@ -443,22 +456,50 @@ func (s *Store) writeMetaSnapshot() error {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	tmp := filepath.Join(s.dir, "meta.db.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(s.dir, "meta.db"))
-}
-
-func (s *Store) loadMetaSnapshot() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, "meta.db"))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, "meta.db"))
 	}
 	if err != nil {
 		return err
 	}
-	if len(data) < len(metaMagic)+8 || string(data[:len(metaMagic)]) != metaMagic {
-		return fmt.Errorf("storage: corrupt meta snapshot header")
+	return syncDir(s.dir)
+}
+
+// loadMetaSnapshot reads meta.db, refusing any other format with
+// ErrFormat. A new directory — no meta.db, no heap file, no WAL bytes and
+// no blob segment — is stamped instead, durably, before anything logs.
+func (s *Store) loadMetaSnapshot() error {
+	data, err := os.ReadFile(filepath.Join(s.dir, "meta.db"))
+	if errors.Is(err, os.ErrNotExist) {
+		fsys := os.DirFS(s.dir)
+		heaps, _ := fs.Glob(fsys, "heap_*.db")
+		segs, _ := fs.Glob(fsys, "blobs/*.seg")
+		wal, err := fs.Stat(fsys, "wal.log")
+		if len(heaps)+len(segs) == 0 && (err != nil || wal.Size() == 0) {
+			return s.writeMetaSnapshot()
+		}
+	} else if err != nil {
+		return err
+	}
+	if !bytes.HasPrefix(data, []byte(metaMagic)) {
+		found := "no format number"
+		if len(data) > 6 && string(data[:5]) == "GMETA" && data[6] == '\n' {
+			found = "format " + string(data[5])
+		}
+		return fmt.Errorf("%w: %s has %s, not %d: no migration path", ErrFormat, s.dir, found, formatVersion)
+	}
+	if len(data) < len(metaMagic)+8 {
+		return fmt.Errorf("storage: truncated meta snapshot")
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {

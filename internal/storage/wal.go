@@ -23,24 +23,21 @@ import (
 //	crc32   uint32  (over payload)
 //	payload: opcode byte + opcode-specific body
 //
-// The writer emits one form only, opEpochBatch, whose sub-entries are the
-// four mutation ops. Replay also reads the forms earlier writers left in
-// a log: the mutation ops as top-level records, and the unstamped
-// opBatch. Replay stops at the first torn or corrupt record (standard
-// redo-log convention: a torn tail is an interrupted append, not
-// corruption of committed state).
+// Every record is a group, opEpochBatch, whose sub-entries are the four
+// mutation ops. Replay reads no other record: it stops at the first torn
+// or corrupt record, or one that is not a group (standard redo-log
+// convention: a torn tail is an interrupted append, not corruption of
+// committed state).
 const (
 	opInsert  byte = 1 // heapName, rid, record
 	opDelete  byte = 2 // heapName, rid
 	opMetaSet byte = 3 // key, value
 	opMetaDel byte = 4 // key
-	// opBatch wraps a group of sub-entries in ONE log record: the group
+	// opEpochBatch wraps a group of sub-entries in ONE log record: epoch
+	// u64, count u32, then per sub-entry u32 len + payload. The group
 	// shares a single length/crc header, so replay sees either all of its
-	// mutations or none (a torn tail drops the whole group). Read only.
-	opBatch byte = 5 // count, then per sub-entry: u32 len + payload
-	// opEpochBatch is opBatch with a commit-epoch stamp in the group
-	// header: epoch u64, count u32, then the sub-entries. The epoch is the
-	// MVCC commit point of the whole group (0 for a meta-only group);
+	// mutations or none (a torn tail drops the whole group). The epoch is
+	// the MVCC commit point of the whole group (0 for a meta-only group);
 	// replay tracks the maximum seen so the store's epoch counter survives
 	// a crash between checkpoints.
 	opEpochBatch byte = 6
@@ -243,7 +240,7 @@ func readWAL(path string) ([]walEntry, uint64, error) {
 		if crc32.ChecksumIEEE(payload) != want {
 			break // corrupt tail
 		}
-		subs, epoch, err := decodeRecord(payload)
+		subs, epoch, err := decodeGroup(payload)
 		if err != nil {
 			break
 		}
@@ -254,39 +251,20 @@ func readWAL(path string) ([]walEntry, uint64, error) {
 	return entries, maxEpoch, nil
 }
 
-// decodeRecord unpacks one log record — a group, or a lone mutation an
-// earlier writer logged by itself — into its entries and its commit
-// epoch (0 when it carries none).
-func decodeRecord(p []byte) ([]walEntry, uint64, error) {
-	if len(p) > 0 && (p[0] == opBatch || p[0] == opEpochBatch) {
-		return decodeGroup(p)
-	}
-	e, err := decodeEntry(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return []walEntry{e}, 0, nil
-}
-
-// decodeGroup unpacks an opBatch/opEpochBatch record into its sub-entries
-// and its commit epoch (0 for the legacy un-stamped format). The crc of
-// the enclosing record already vouched for the bytes, so any decode error
-// here means a malformed writer, and the whole group is rejected.
+// decodeGroup unpacks a group record into its sub-entries and its commit
+// epoch. The crc of the record already vouched for the bytes, so any
+// decode error here — a record that is not a group included — means a
+// malformed writer, and the whole group is rejected.
 func decodeGroup(p []byte) ([]walEntry, uint64, error) {
-	var epoch uint64
-	rest := p[1:]
-	if p[0] == opEpochBatch {
-		if len(rest) < 8 {
-			return nil, 0, fmt.Errorf("storage: truncated wal batch epoch")
-		}
-		epoch = binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
+	if len(p) == 0 || p[0] != opEpochBatch {
+		return nil, 0, fmt.Errorf("storage: wal record is not a group")
 	}
-	if len(rest) < 4 {
+	if len(p) < 1+8+4 {
 		return nil, 0, fmt.Errorf("storage: truncated wal batch header")
 	}
-	count := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
+	epoch := binary.LittleEndian.Uint64(p[1:])
+	count := int(binary.LittleEndian.Uint32(p[9:]))
+	rest := p[13:]
 	// Every sub-entry costs at least its 4-byte length prefix, so a count
 	// beyond len(rest)/4 is a malformed record; clamp the allocation and
 	// let the per-entry truncation checks reject it.

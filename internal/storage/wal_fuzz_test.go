@@ -17,10 +17,14 @@ func frameRecord(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// opUnstamped is the opcode of the group form without an epoch that
+// writers logged before every group was stamped; replay refuses it.
+const opUnstamped = 5
+
 // groupPayload builds a group record: epoch-stamped, or in the unstamped
-// form earlier writers logged.
+// form replay refuses.
 func groupPayload(stamped bool, epoch uint64, subs ...[]byte) []byte {
-	buf := []byte{opBatch}
+	buf := []byte{opUnstamped}
 	if stamped {
 		buf = binary.LittleEndian.AppendUint64([]byte{opEpochBatch}, epoch)
 	}
@@ -33,9 +37,9 @@ func groupPayload(stamped bool, epoch uint64, subs ...[]byte) []byte {
 }
 
 // walSeeds are the seed payloads of FuzzWALReplay, as committed under
-// testdata/fuzz/FuzzWALReplay: a group of every op, the same group torn short, each op as a
-// top-level record the way earlier writers logged it, and the unstamped
-// group form.
+// testdata/fuzz/FuzzWALReplay: a group of every op, the same group torn
+// short, and five records replay refuses — each op as a top-level
+// record, and the unstamped group form.
 func walSeeds() [][]byte {
 	ops := [][]byte{
 		insertPayload("fz", RID{Page: 0, Slot: 1}, []byte("second")),
@@ -68,8 +72,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// The model: what replaying before, then payload if it is
 		// well-formed, then after, leaves in the heaps and the meta map.
-		entries, _, _ := decodeRecord(before)
-		subs, _, err := decodeRecord(payload)
+		entries, _, _ := decodeGroup(before)
+		subs, _, err := decodeGroup(payload)
 		wellFormed := err == nil
 		if wellFormed {
 			entries = append(entries, subs...)
@@ -103,11 +107,18 @@ func FuzzWALReplay(f *testing.F) {
 		delete(meta, epochKey)
 
 		dir := t.TempDir()
+		s, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 		log := frameRecord(frameRecord(frameRecord(nil, before), payload), after)
 		if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{NoSync: true})
+		s, err = Open(dir, Options{NoSync: true})
 		if err != nil {
 			if !wellFormed {
 				t.Fatalf("a malformed record failed the open instead of ending replay: %v", err)

@@ -1,8 +1,7 @@
 package task
 
 import (
-	"encoding/json"
-	"reflect"
+	"errors"
 	"testing"
 
 	"gaea/internal/object"
@@ -32,46 +31,21 @@ func commitExternal(t *testing.T, e *env, proc string, inputs map[string][]objec
 	return tasks[0]
 }
 
-// TestLegacySingleOutputRecordReads: a task log holding a single-output
-// record in the JSON form every record had before load groups opens
-// beside binary records, and reads as the task StageExternal stages for
-// the same load.
-func TestLegacySingleOutputRecordReads(t *testing.T) {
-	dir := t.TempDir()
-	e := openEnv(t, dir, false)
-	tasks := e.exec.StageExternal("data_load", nil, []object.OID{41}, "landsat_tm", RunOptions{User: "u", Note: "n"})
-	if len(tasks) != 1 {
-		t.Fatalf("staged %d tasks", len(tasks))
-	}
-	legacy, err := json.Marshal(struct {
-		ID       ID                      `json:"id"`
-		Process  string                  `json:"process"`
-		Version  int                     `json:"version"`
-		User     string                  `json:"user,omitempty"`
-		Inputs   map[string][]object.OID `json:"inputs"`
-		Output   object.OID              `json:"output"`
-		OutClass string                  `json:"out_class"`
-		Micros   int64                   `json:"micros"`
-		Note     string                  `json:"note,omitempty"`
-	}{ID: tasks[0].ID, Process: "data_load", User: "u", Output: 41, OutClass: "landsat_tm", Note: "n"})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestJSONTaskRecordRefused: a task log holding a record in the JSON
+// form every record had before the binary ones — here a single-output
+// load, beside a binary record of the same load — fails to open with
+// ErrCorruptLog.
+func TestJSONTaskRecordRefused(t *testing.T) {
+	e := openEnv(t, t.TempDir(), true)
+	commitExternal(t, e, "data_load", nil, 42, RunOptions{User: "u"})
+	legacy := []byte(`{"id":2,"process":"data_load","version":0,"user":"u","inputs":null,"output":41,"out_class":"landsat_tm","micros":0,"note":"n"}`)
 	b := e.st.NewBatch()
 	b.Insert(tasksHeap, legacy)
 	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	commitExternal(t, e, "data_load", nil, 42, RunOptions{User: "u"})
-	if err := e.st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e = openEnv(t, dir, true)
-	if got, ok := e.exec.Producer(41); !ok || !reflect.DeepEqual(got, tasks[0]) {
-		t.Errorf("legacy record reads as %+v, %v; staged %+v", got, ok, tasks[0])
-	}
-	if got, ok := e.exec.Producer(42); !ok || got.User != "u" || got.Output != 42 {
-		t.Errorf("binary record beside it reads as %+v, %v", got, ok)
+	if _, err := OpenExecutor(e.st, e.cat, e.reg, e.obj, e.mgr); !errors.Is(err, ErrCorruptLog) {
+		t.Errorf("OpenExecutor over a JSON record: %v, want ErrCorruptLog", err)
 	}
 }
 

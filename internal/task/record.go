@@ -1,19 +1,18 @@
 package task
 
 // Task records. A task is stored as one record of the "tasks" heap in
-// one of three forms; the log is written in the two binary ones and read
-// in all three, so a directory written before either opens unchanged.
-// The record is never logged by itself: Executor.Apply commits it in the
-// same storage batch as the objects the task generated, so a crash keeps
-// both or neither.
+// one of two forms, a full record or a delta against an earlier task;
+// the log reads no other. The record is never logged by itself:
+// Executor.Apply commits it in the same storage batch as the objects the
+// task generated, so a crash keeps both or neither.
 //
-// Both binary forms lead with a form byte, then write numbers as
-// uvarints (zig-zag varints where they are signed) and strings as uvarint
-// length + bytes.
+// Both forms lead with a form byte, then write numbers as uvarints
+// (zig-zag varints where they are signed) and strings as uvarint length
+// + bytes.
 //
 // The full form stands alone:
 //
-//	form u8 (0x01, never the '{' a JSON record starts with)
+//	form u8 (0x01)
 //	id uvarint, version varint, micros varint
 //	process, user, out_class, note: uvarint length + bytes each
 //	inputs: uvarint count, then per argument in ascending name order:
@@ -52,13 +51,9 @@ package task
 //
 // A base is always a committed task and tasks are never deleted, so a
 // log holds the base of every delta in it.
-//
-// The JSON form is the Task struct under its json tags; the executor
-// wrote it before the binary forms existed.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -228,26 +223,9 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// decodeTask reads a task record of any form. A delta record is laid
-// over base, the task it names (deltaIDs); other forms ignore base.
+// decodeTask reads a task record of either form. A delta record is laid
+// over base, the task it names (deltaIDs); a full record ignores base.
 func decodeTask(rec []byte, base *Task) (*Task, error) {
-	if len(rec) > 0 && rec[0] == '{' {
-		var t Task
-		if err := json.Unmarshal(rec, &t); err != nil {
-			return nil, err
-		}
-		if len(t.OutputRuns) > 0 {
-			var end uint64
-			for _, r := range t.OutputRuns {
-				if r[0] < end || r[1] == 0 || r[1] > math.MaxUint64-r[0] {
-					return nil, fmt.Errorf("task %d: output runs %v are not ascending, disjoint and non-empty", t.ID, t.OutputRuns)
-				}
-				end = r[0] + r[1]
-			}
-			t.setOutputs(t.OutputRuns)
-		}
-		return &t, nil
-	}
 	d := decoder{buf: rec}
 	switch form := d.u8(); {
 	case d.err != nil:

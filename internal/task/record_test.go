@@ -90,9 +90,11 @@ func taskSeedRecords() [][]byte {
 		bin,                           // binary: a load group of two runs
 		appendTask(nil, derived, nil), // binary: a derivation with inputs
 		appendTask(nil, single, nil),  // binary: one output, no user or note
+		// Refused: the JSON form of earlier logs, a load group, a
+		// derivation, and a load group with overlapping runs.
 		[]byte(`{"id":1,"process":"data_load","version":0,"user":"relative","inputs":null,"output":1,"outputs":[[1,6]],"out_class":"rain","micros":0,"note":"gauge network"}`),
 		[]byte(`{"id":2,"process":"copy_rain","version":1,"user":"relative","inputs":{"x":[3]},"output":7,"out_class":"rain_copy","micros":2}`),
-		[]byte(`{"id":3,"process":"data_load","version":0,"inputs":null,"output":9,"outputs":[[9,2],[10,1]],"out_class":"rain","micros":0}`), // overlapping runs
+		[]byte(`{"id":3,"process":"data_load","version":0,"inputs":null,"output":9,"outputs":[[9,2],[10,1]],"out_class":"rain","micros":0}`),
 		{},                                 // empty
 		bin[:len(bin)-2],                   // truncated
 		append(bin[:len(bin):len(bin)], 0), // trailing byte
@@ -110,9 +112,10 @@ func taskSeedRecords() [][]byte {
 }
 
 // FuzzTaskRecordDecode drives arbitrary bytes through the task record
-// decoder: it never panics, a binary record reads back as the task it
-// encodes, and decode → encode → decode converges on one byte string. A
-// delta record is laid over fuzzBase first and re-encoded against it.
+// decoder: it never panics, it reads only the full and the delta form, a
+// record reads back as the task it encodes, and decode → encode → decode
+// converges on one byte string. A delta record is laid over fuzzBase
+// first and re-encoded against it.
 // The decoder's allocations are bounded by its input (gaea-vet's
 // wirebounds; TestTaskRecordDecodeBounded).
 func FuzzTaskRecordDecode(f *testing.F) {
@@ -133,6 +136,9 @@ func FuzzTaskRecordDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if rec[0] != taskForm && rec[0] != deltaForm {
+			t.Fatalf("%x decoded in form %#x", rec, rec[0])
+		}
 		e1 := appendTask(nil, t1, base)
 		if _, _, isDelta2, _ := deltaIDs(e1); isDelta2 != isDelta {
 			t.Fatalf("%x re-encoded in another form: %x", rec, e1)
@@ -141,8 +147,8 @@ func FuzzTaskRecordDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of %x: %v", e1, err)
 		}
-		if rec[0] != '{' && !reflect.DeepEqual(t1, t2) {
-			t.Fatalf("binary record read as %+v, re-encoded reads as %+v", t1, t2)
+		if !reflect.DeepEqual(t1, t2) {
+			t.Fatalf("record read as %+v, re-encoded reads as %+v", t1, t2)
 		}
 		if e2 := appendTask(nil, t2, base); !bytes.Equal(e1, e2) {
 			t.Fatalf("did not converge:\n%x\n%x", e1, e2)

@@ -66,30 +66,28 @@ var (
 )
 
 // Task is one recorded derivation. The log stores it as a binary record
-// (record.go), whole or as a delta against an earlier task; the json tags
-// name the fields of the JSON records written before that, which the log
-// still reads.
+// (record.go), whole or as a delta against an earlier task.
 type Task struct {
-	ID      ID     `json:"id"`
-	Process string `json:"process"`
-	Version int    `json:"version"`
-	User    string `json:"user,omitempty"`
+	ID      ID
+	Process string
+	Version int
+	User    string
 	// Inputs maps argument names to the OIDs bound to them, in binding
 	// order.
-	Inputs map[string][]object.OID `json:"inputs"`
+	Inputs map[string][]object.OID
 	// Output is the object the task generated — the first of them when it
 	// generated a set.
-	Output object.OID `json:"output"`
+	Output object.OID
 	// OutputRuns lists every output of a task that generated a set (a
 	// session's load group), Output included, as ascending disjoint runs.
 	// It is empty for single-output tasks.
-	OutputRuns []Run `json:"outputs,omitempty"`
+	OutputRuns []Run
 	// OutClass denormalises the output class for lineage display.
-	OutClass string `json:"out_class"`
+	OutClass string
 	// Micros is the execution wall time in microseconds.
-	Micros int64 `json:"micros"`
+	Micros int64
 	// Note is free-form provenance commentary (e.g. the experiment name).
-	Note string `json:"note,omitempty"`
+	Note string
 
 	// base is the earlier task the record is a delta against (0: the
 	// record is whole).

@@ -8,11 +8,9 @@ package gaea
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -20,7 +18,6 @@ import (
 	"gaea/internal/object"
 	"gaea/internal/raster"
 	"gaea/internal/sptemp"
-	"gaea/internal/storage"
 	"gaea/internal/task"
 	"gaea/internal/value"
 )
@@ -566,332 +563,4 @@ func TestDerivationWALRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestOpenPerObjectTaskLog: a directory written before load groups — one
-// task record per created object — opens, and every object explains
-// exactly as the writing commit rendered it (explain.golden).
-func TestOpenPerObjectTaskLog(t *testing.T) {
-	dir, golden := copyFixture(t, "per-object-tasks")
-	k, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k.Close()
-	for oid := object.OID(1); oid <= 7; oid++ {
-		prod, ok := k.Tasks.Producer(oid)
-		if !ok || prod.Output != oid || prod.NumOutputs() != 1 {
-			t.Errorf("producer of %d = %+v, %v", oid, prod, ok)
-		}
-	}
-	if got := explainAll(k, 7); got != golden {
-		t.Errorf("explain drifted from the writing commit:\ngot:\n%swant:\n%s", got, golden)
-	}
-	if got := k.Tasks.Descendants(3); len(got) != 1 || got[0] != 7 {
-		t.Errorf("descendants(3) = %v, want [7]", got)
-	}
-	// New loads land beside the old records.
-	oid, err := k.CreateObject(context.Background(), rainObject(1, 5000), "new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prod, ok := k.Tasks.Producer(oid); !ok || prod.Note != "new" {
-		t.Errorf("producer of a new create = %+v, %v", prod, ok)
-	}
-}
-
-// copyFixture copies a directory an earlier commit wrote from testdata
-// into a scratch directory, and returns it with the Explain of objects
-// 1–7 as that commit rendered it. testdata/per-object-tasks holds
-// self-describing GOB3 object records and one JSON task record per
-// object; testdata/relative-records holds fixed-header relative object
-// records, a JSON load-group task and a JSON derivation task.
-func copyFixture(t *testing.T, name string) (dir, golden string) {
-	t.Helper()
-	src := filepath.Join("testdata", name)
-	dir = t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Name() == "explain.golden" {
-			golden = string(data)
-			continue
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir, golden
-}
-
-func explainAll(k *Kernel, last object.OID) string {
-	var b strings.Builder
-	for oid := object.OID(1); oid <= last; oid++ {
-		fmt.Fprintf(&b, "== %d\n%s", oid, k.Explain(oid))
-	}
-	return b.String()
-}
-
-// TestOpenSelfDescribingHeaps: a directory whose object heaps hold GOB3
-// records opens and answers as its writer saw it, then takes an update, a
-// delete and a create — class-relative records in the same heaps — and a
-// GC, a checkpoint and a reopen, and still answers every Get, Query and
-// Explain with both record forms side by side.
-func TestOpenSelfDescribingHeaps(t *testing.T) {
-	ctx := context.Background()
-	dir, golden := copyFixture(t, "per-object-tasks")
-	k, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := explainAll(k, 7); got != golden {
-		t.Fatalf("explain drifted from the writing commit:\ngot:\n%swant:\n%s", got, golden)
-	}
-	want := map[object.OID]*object.Object{}
-	for oid := object.OID(1); oid <= 7; oid++ {
-		o, err := k.Objects.Get(oid)
-		if err != nil {
-			t.Fatalf("get %d: %v", oid, err)
-		}
-		want[oid] = o
-	}
-	all := Request{Class: "rain", Pred: sptemp.Extent{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox()}, Strategies: []Strategy{Retrieve}}
-	if res, err := k.Query(ctx, all); err != nil || len(res.OIDs) != 6 {
-		t.Fatalf("query rain = %v, %v; want the 6 loaded objects", res, err)
-	}
-
-	upd := &object.Object{OID: 2, Class: "rain", Attrs: map[string]value.Value{"mm": value.Float(77)}, Extent: want[2].Extent}
-	if err := k.UpdateObject(ctx, upd); err != nil {
-		t.Fatal(err)
-	}
-	want[2] = upd
-	if err := k.DeleteObject(ctx, 4); err != nil {
-		t.Fatal(err)
-	}
-	delete(want, 4)
-	created := rainObject(9, 7000)
-	oid, err := k.CreateObject(ctx, created, "new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want[oid] = created
-
-	check := func(k *Kernel, when string) {
-		t.Helper()
-		for oid, w := range want {
-			got, err := k.Objects.Get(oid)
-			if err != nil || !reflect.DeepEqual(got, w) {
-				t.Errorf("%s: get %d = %+v, %v; want %+v", when, oid, got, err, w)
-			}
-			rec, blobs, err := k.Objects.GetRawAt(oid, k.Objects.CurrentEpoch())
-			if err != nil {
-				t.Errorf("%s: raw %d: %v", when, oid, err)
-				continue
-			}
-			if got, err := object.DecodeWire(rec, blobs); err != nil || !reflect.DeepEqual(got, w) {
-				t.Errorf("%s: raw %d decodes to %+v, %v; want %+v", when, oid, got, err, w)
-			}
-		}
-		if _, err := k.Objects.Get(4); !errors.Is(err, object.ErrNotFound) {
-			t.Errorf("%s: deleted object 4: %v", when, err)
-		}
-		res, err := k.Query(ctx, all)
-		if err != nil || len(res.OIDs) != 6 { // 6 loaded - 1 deleted + 1 created
-			t.Errorf("%s: query rain = %v, %v; want 6 objects", when, res, err)
-		}
-		// Lineage that the changes did not touch reads as the writer left it.
-		if got, wantEx := k.Explain(7), golden[strings.Index(golden, "== 7\n")+len("== 7\n"):]; got != wantEx {
-			t.Errorf("%s: explain 7 = %q, want %q", when, got, wantEx)
-		}
-	}
-	check(k, "before GC")
-	if _, err := k.Checkpoint(); err != nil { // GC, then log compaction
-		t.Fatal(err)
-	}
-	check(k, "after checkpoint")
-	if err := k.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	k2, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k2.Close()
-	check(k2, "after reopen")
-	// Both forms really are side by side: GOB3 records start with 'G',
-	// relative ones with a byte whose high bit is set.
-	var selfDescribing, relative int
-	if err := k2.Store.Scan("obj_rain", func(_ storage.RID, rec []byte) bool {
-		if rec[0] == 'G' {
-			selfDescribing++
-		} else if rec[0]&0x80 != 0 {
-			relative++
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Loaded 1,3,5,6 untouched; 2's new version and the created object.
-	if selfDescribing != 4 || relative != 2 {
-		t.Errorf("obj_rain holds %d GOB3 and %d relative records, want 4 and 2", selfDescribing, relative)
-	}
-}
-
-// explainSections splits an explain.golden into each object's Explain.
-func explainSections(golden string) map[object.OID]string {
-	out := map[object.OID]string{}
-	for _, sec := range strings.Split(golden, "== ")[1:] {
-		head, body, _ := strings.Cut(sec, "\n")
-		var oid object.OID
-		fmt.Sscan(head, &oid)
-		out[oid] = body
-	}
-	return out
-}
-
-// TestOpenFixedHeaderRecords: a directory whose object heaps hold
-// fixed-header relative records and whose task log holds JSON records —
-// a load group and a derivation with inputs — opens and explains as its
-// writer saw it; then takes an update, a delete, a load and a derivation
-// (compact records and binary tasks in the same heaps), a checkpoint with
-// its GC, and a reopen, and still answers every Get and Explain with both
-// forms of each side by side.
-func TestOpenFixedHeaderRecords(t *testing.T) {
-	ctx := context.Background()
-	dir, golden := copyFixture(t, "relative-records")
-	k, err := Open(dir, Options{NoSync: true, User: "compact"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := explainAll(k, 7); got != golden {
-		t.Fatalf("explain drifted from the writing commit:\ngot:\n%swant:\n%s", got, golden)
-	}
-	want := map[object.OID]*object.Object{}
-	for oid := object.OID(1); oid <= 7; oid++ {
-		o, err := k.Objects.Get(oid)
-		if err != nil {
-			t.Fatalf("get %d: %v", oid, err)
-		}
-		want[oid] = o
-	}
-
-	upd := &object.Object{OID: 2, Class: "rain", Attrs: map[string]value.Value{"mm": value.Float(77)}, Extent: want[2].Extent}
-	if err := k.UpdateObject(ctx, upd); err != nil {
-		t.Fatal(err)
-	}
-	want[2] = upd
-	if err := k.DeleteObject(ctx, 4); err != nil {
-		t.Fatal(err)
-	}
-	delete(want, 4)
-	s := k.Begin(ctx)
-	var loaded []object.OID
-	for i := 0; i < 2; i++ {
-		o := rainObject(float64(50+i), float64(7000+100*i))
-		oid, err := s.Create(o, "new")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[oid] = o
-		loaded = append(loaded, oid)
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tk, _, err := k.RunProcess(ctx, "copy_rain", map[string][]object.OID{"x": {5}}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want[tk.Output], err = k.Objects.Get(tk.Output); err != nil {
-		t.Fatal(err)
-	}
-
-	// What every member explains as: the untouched ones as the writer
-	// rendered them, the new ones through the binary tasks.
-	sections := explainSections(golden)
-	explain := map[object.OID]string{}
-	for oid := range want {
-		explain[oid] = sections[oid]
-	}
-	prod, ok := k.Tasks.Producer(loaded[0])
-	if !ok {
-		t.Fatal("the new load has no task")
-	}
-	for _, oid := range loaded {
-		explain[oid] = fmt.Sprintf("object %d (rain) <- task %d: data_load v0 by compact\n", oid, prod.ID)
-	}
-	explain[tk.Output] = fmt.Sprintf("object %d (rain_copy) <- task %d: copy_rain v1 by compact\n  x:\n    %s", tk.Output, tk.ID, sections[5])
-
-	check := func(k *Kernel, when string) {
-		t.Helper()
-		for oid, w := range want {
-			got, err := k.Objects.Get(oid)
-			if err != nil || !reflect.DeepEqual(got, w) {
-				t.Errorf("%s: get %d = %+v, %v; want %+v", when, oid, got, err, w)
-			}
-			rec, blobs, err := k.Objects.GetRawAt(oid, k.Objects.CurrentEpoch())
-			if err != nil {
-				t.Errorf("%s: raw %d: %v", when, oid, err)
-			} else if got, err := object.DecodeWire(rec, blobs); err != nil || !reflect.DeepEqual(got, w) {
-				t.Errorf("%s: raw %d decodes to %+v, %v; want %+v", when, oid, got, err, w)
-			}
-		}
-		if _, err := k.Objects.Get(4); !errors.Is(err, object.ErrNotFound) {
-			t.Errorf("%s: deleted object 4: %v", when, err)
-		}
-		for oid, w := range explain {
-			if got := k.Explain(oid); got != w {
-				t.Errorf("%s: explain %d = %q, want %q", when, oid, got, w)
-			}
-		}
-	}
-	check(k, "before GC")
-	if _, err := k.Checkpoint(); err != nil { // GC, then log compaction
-		t.Fatal(err)
-	}
-	check(k, "after checkpoint")
-	if err := k.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	k2, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k2.Close()
-	check(k2, "after reopen")
-	// Both forms really are side by side in each heap: a fixed-header
-	// record's flags lack the compact bit 0x08; a JSON task starts '{'.
-	count := func(heap string, old func(byte) bool) (oldForm, newForm int) {
-		t.Helper()
-		if err := k2.Store.Scan(heap, func(_ storage.RID, rec []byte) bool {
-			if old(rec[0]) {
-				oldForm++
-			} else {
-				newForm++
-			}
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return oldForm, newForm
-	}
-	// 1, 3, 5, 6 untouched; 2's new version and the two loaded.
-	if fixed, compact := count("obj_rain", func(b byte) bool { return b&0x88 == 0x80 }); fixed != 4 || compact != 3 {
-		t.Errorf("obj_rain holds %d fixed-header and %d compact records, want 4 and 3", fixed, compact)
-	}
-	if fixed, compact := count("obj_rain_copy", func(b byte) bool { return b&0x88 == 0x80 }); fixed != 1 || compact != 1 {
-		t.Errorf("obj_rain_copy holds %d fixed-header and %d compact records, want 1 and 1", fixed, compact)
-	}
-	// The writer's load group and derivation; the new load and derivation.
-	if json, binary := count("tasks", func(b byte) bool { return b == '{' }); json != 2 || binary != 2 {
-		t.Errorf("the task log holds %d JSON and %d binary records, want 2 and 2", json, binary)
-	}
 }
