@@ -254,6 +254,64 @@ func TestSessionRollbackDiscardsEverything(t *testing.T) {
 	}
 }
 
+// TestSessionStagedCreates: a session finds its own staged creates by
+// OID among OIDs another session interleaved: an update replaces a
+// staged create's state, and a staged create deleted again is gone for a
+// later update or delete.
+func TestSessionStagedCreates(t *testing.T) {
+	k := openKernel(t)
+	defineRainClass(t, k)
+	ctx := context.Background()
+	s, other := k.Begin(ctx), k.Begin(ctx)
+	var oids []object.OID
+	for i := 0; i < 8; i++ {
+		oid, err := s.Create(rainObject(float64(i), float64(i*100)), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+		if _, err := other.Create(rainObject(0, float64(i*100+50)), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, oid := range oids {
+		o := rainObject(float64(100+i), float64(i*100))
+		o.OID = oid
+		if err := s.Update(o); err != nil {
+			t.Fatalf("update of staged create %d: %v", oid, err)
+		}
+	}
+	gone := oids[3]
+	if err := s.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	o := rainObject(1, 300)
+	o.OID = gone
+	if err := s.Update(o); err == nil {
+		t.Errorf("update of create %d deleted in the session succeeded", gone)
+	}
+	if err := s.Delete(gone); err == nil {
+		t.Errorf("second delete of create %d succeeded", gone)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, oid := range oids {
+		got, err := k.Objects.Get(oid)
+		switch {
+		case oid == gone:
+			if err == nil {
+				t.Errorf("deleted create %d exists", oid)
+			}
+		case err != nil || got.Attrs["mm"].(value.Float) != value.Float(100+i):
+			t.Errorf("create %d = %+v, %v; want its update", oid, got, err)
+		}
+	}
+	if err := other.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSessionConflictAborted: a commit whose staged update lost to a
 // concurrent delete fails atomically — none of its other work applies.
 func TestSessionConflictAborted(t *testing.T) {

@@ -96,13 +96,15 @@
 // flight per connection with out-of-order completion (a Conn is safe
 // for concurrent use and deadlines bound individual requests, never the
 // connection), streaming queries as server-pushed pages under a credit
-// window (client.Options.StreamWindow), and query results shipped as the
-// stored attribute bytes — encoded once at commit, never re-encoded per
+// window (client.Options.StreamWindow), and query results shipped from
+// the stored attribute values — encoded once at commit, never decoded per
 // request: the stored record leaves what its class says (name, frame,
-// attribute names) to the catalog and keeps its epoch, its OID and a
-// gridded extent's integral corners and timestamps as varints (about 24
-// bytes for a one-float gauge on a grid tile, 48 with a raw box), and
-// the read path splices the class's part back per shipped record.
+// attribute names and types) to the catalog and keeps its epoch, its
+// OID, a gridded extent's integral corners and timestamps and an
+// integral float as varints (about 15 bytes for a one-float gauge on a
+// grid tile, 47 with a raw box and reading), and the read path splices
+// the class's part back per shipped record, writing each typed value's
+// value.Encode form straight from its stored bytes.
 //
 // Remote snapshots and stream cursors hold their MVCC pins under
 // server-side leases (ServeOptions.SnapshotLease): every touch renews,

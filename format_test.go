@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -39,11 +41,33 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// reformat returns a meta.db snapshot under another format header, with
+// its checksum.
+func reformat(meta []byte, header string) []byte {
+	old := append([]byte(header), meta[7:len(meta)-4]...)
+	return binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+}
+
+// taggedGauge is a rain gauge's heap record as format 2 stored it: the
+// compact header and packed extent of format 3, but the reading behind
+// a span length and a value.Encode type tag, as a raw f64.
+func taggedGauge(oid, epoch uint64, x int64, mm float64) []byte {
+	rec := binary.AppendUvarint([]byte{0x98}, epoch) // relative, compact, packed
+	rec = binary.AppendUvarint(rec, oid)
+	rec = append(rec, 0x0f) // every box coordinate packed
+	for _, c := range []int64{x, 0, 10, 10} {
+		rec = binary.AppendVarint(rec, c)
+	}
+	rec = append(rec, 9<<1, 2) // a 9-byte span: tagFloat, then the f64
+	return binary.LittleEndian.AppendUint64(rec, math.Float64bits(mm))
+}
+
 // TestOpenRefusesOtherFormats: a directory whose meta.db carries format
-// 1 — what every directory written before the format number holds — and
-// one with heap files or WAL bytes but no meta.db are refused with
-// ErrFormat, and Open writes nothing in them: every file stays byte for
-// byte as it was, and no blobs/ appears.
+// 2 — whose records tag every attribute value — or format 1 — what every
+// directory written before the format number holds — and one with heap
+// files or WAL bytes but no meta.db are refused with ErrFormat, and Open
+// writes nothing in them: every file stays byte for byte as it was, and
+// no blobs/ appears.
 func TestOpenRefusesOtherFormats(t *testing.T) {
 	src := t.TempDir()
 	k, err := Open(src, Options{NoSync: true})
@@ -63,24 +87,48 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("GMETA2\n")) {
-		t.Fatalf("meta.db starts %q, want GMETA2", meta[:min(len(meta), 7)])
+	if !bytes.HasPrefix(meta, []byte("GMETA3\n")) {
+		t.Fatalf("meta.db starts %q, want GMETA3", meta[:min(len(meta), 7)])
 	}
-	// The same snapshot under the format-1 header, with its checksum.
-	old := append([]byte("GMETA1\n"), meta[7:len(meta)-4]...)
-	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
 
 	for _, c := range []struct {
 		name  string
 		build func(dir string) error
 		want  string
 	}{
+		{"format 2 holding a tagged gauge", func(dir string) error {
+			st, err := storage.Open(dir, storage.Options{NoSync: true})
+			if err != nil {
+				return err
+			}
+			gauge := taggedGauge(1000, 0, 300, 12.5)
+			b := st.NewBatch()
+			b.Insert("obj_rain", gauge)
+			_, err = b.Commit()
+			if cerr := st.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return err
+			}
+			if heap, err := os.ReadFile(filepath.Join(dir, "heap_obj_rain.db")); err != nil || !bytes.Contains(heap, gauge) {
+				return fmt.Errorf("the tagged gauge is not in the rain heap: %v", err)
+			}
+			meta, err := os.ReadFile(filepath.Join(dir, "meta.db"))
+			if err != nil {
+				return err
+			}
+			if err := os.RemoveAll(filepath.Join(dir, "blobs")); err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA2\n"), 0o644)
+		}, "format 2, not 3"},
 		{"format 1", func(dir string) error {
-			return os.WriteFile(filepath.Join(dir, "meta.db"), old, 0o644)
-		}, "format 1, not 2"},
+			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA1\n"), 0o644)
+		}, "format 1, not 3"},
 		{"heap files without meta.db", func(dir string) error {
 			return os.Remove(filepath.Join(dir, "meta.db"))
-		}, "no format number, not 2"},
+		}, "no format number, not 3"},
 		{"WAL bytes without meta.db", func(dir string) error {
 			entries, err := os.ReadDir(dir)
 			for _, e := range entries {
@@ -92,7 +140,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 				return err
 			}
 			return os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644)
-		}, "no format number, not 2"},
+		}, "no format number, not 3"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := copyDir(t, src)

@@ -1,13 +1,14 @@
 package object
 
 // Raw record access: the path under the v2 wire protocol that never
-// decodes a value. An object's attribute values are encoded exactly once
-// — at commit, into the class-relative record the storage engine persists
-// — and the service layer ships those bytes instead of decoding every
-// attribute into value.Value form and re-encoding it per response. What
-// the stored record leaves to its class (class name, frame, attribute
-// names) is stored once, in the catalog; GetRawAt splices it back around
-// the stored attribute bytes per shipped record, so what leaves the
+// decodes a value. An object's attribute values are encoded once — at
+// commit, into the class-relative record the storage engine persists —
+// and the service layer ships them instead of decoding every attribute
+// into value.Value form and re-encoding it per response. What the stored
+// record leaves to its class (class name, frame, attribute names and
+// types) is stored once, in the catalog; GetRawAt splices it back around
+// the stored attributes per shipped record, writing a typed value's
+// value.Encode form straight from its stored bytes, so what leaves the
 // package is the self-describing GOB3 form (plus the payloads of any
 // offloaded image blobs it references) and no caller learns how the store
 // lays its records out. DecodeWire reverses it on the client side,

@@ -103,3 +103,30 @@ func (r *reader) str16() string {
 	}
 	return string(b)
 }
+
+// float reads a float attribute of a compact record and returns its
+// IEEE bits: floatRaw and a raw f64, or a packed integer,
+// uvarint(zigzag(n)<<1), within ±2^53. A first byte with its low bit
+// set but not floatRaw is refused.
+func (r *reader) float() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if r.off < len(r.buf) && r.buf[r.off]&1 != 0 {
+		if marker := r.u8(); marker != floatRaw {
+			r.failf("object: float marker %#x", marker)
+			return 0
+		}
+		return r.u64()
+	}
+	z := r.uvarint() >> 1
+	n := int64(z >> 1)
+	if z&1 != 0 {
+		n = ^n
+	}
+	if n < -maxExact || n > maxExact {
+		r.failf("object: packed float %d outside ±2^53", n)
+		return 0
+	}
+	return math.Float64bits(float64(n))
+}

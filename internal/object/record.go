@@ -7,10 +7,11 @@ package object
 // The compact class-relative form is what a heap holds. Like a tuple in
 // a relation, it does not repeat what its class says: the heap it lies
 // in names the class, and the (immutable) catalog entry gives the
-// attribute names, their order and, for a spatial class, the frame. Nor
-// does it spend fixed-width words on small numbers: the commit epoch and
-// the OID are uvarints, and a gridded extent's integral corners and
-// timestamps are varints (the packed extent). Little endian:
+// attribute names, their order, their types and, for a spatial class,
+// the frame. Nor does it spend fixed-width words on small numbers: the
+// commit epoch and the OID are uvarints, and a gridded extent's integral
+// corners and timestamps (the packed extent) and an integral float
+// attribute are varints. Little endian:
 //
 //	flags u8: 0x80 always (so the byte is never the 'G' of "GOB3"),
 //	          0x08 always (the uvarint header below),
@@ -31,18 +32,33 @@ package object
 //	                                        (only when not the class's frame,
 //	                                        which validate allows a
 //	                                        non-spatial class alone)
-//	per attribute, in catalog.Class.Attrs order:
-//	        uvarint(len<<1 | isBlob), then len bytes: the value.Encode
-//	        bytes, or (isBlob, len 8) the blob id u64
+//	per attribute, in catalog.Class.Attrs order, a payload whose form
+//	the attribute's catalog type fixes (validate holds every value to
+//	that type), so no value carries a length or a type tag it need not:
+//	        float   uvarint(zigzag(n)<<1) when the value is an integer n
+//	                within ±2^53 and not -0, else 0x01 + the raw f64
+//	        int, abstime
+//	                zig-zag varint
+//	        bool    u8, 0 or 1
+//	        string  uvarint len, then len bytes
+//	        image   uvarint blob id (an image attribute is always
+//	                offloaded)
+//	        any other type (interval, box, matrix, vector, and a set,
+//	                which may hold a singleton scalar or an offloaded
+//	                image): uvarint(len<<1 | isBlob), then len bytes:
+//	                the value.Encode bytes, or (isBlob, len 8) the blob
+//	                id u64
 //
 // encodeObject packs an extent only when that is shorter than the raw
-// form, so packing never lengthens a record. A raw coordinate keeps any
-// bit pattern (NaN payloads, ±Inf, -0, subnormals). parseRelative refuses
-// a record without both 0x80 and 0x08 — the fixed-header form of earlier
-// stores had 0x08 clear, and GOB3 starts with 'G' — a mask bit past
-// MaxY, a packed coordinate outside ±2^53, where float64 loses integers,
-// and an interval whose end overflows, so a packed extent reads back as
-// exactly the numbers written.
+// form, so packing never lengthens a record. A raw coordinate or float
+// keeps any bit pattern (NaN payloads, ±Inf, -0, subnormals).
+// parseRelative refuses a record without both 0x80 and 0x08 — the
+// fixed-header form of earlier stores had 0x08 clear, and GOB3 starts
+// with 'G' — a mask bit past MaxY, a packed coordinate outside ±2^53,
+// where float64 loses integers, and an interval whose end overflows. The
+// attribute walk refuses a packed float outside ±2^53, a float marker
+// other than 0x01 and a bool byte other than 0 or 1. So a record reads
+// back as exactly the values written.
 //
 // The self-describing form "GOB3" is what leaves the package — the wire,
 // the federation relay. The store never writes it to a heap, and never
@@ -91,9 +107,13 @@ const (
 	flagOwnFrame  = 0x04
 	flagPacked    = 0x10
 
-	// maxExact bounds a packed box coordinate: every integer of at most
-	// this magnitude is a float64.
+	// maxExact bounds a packed box coordinate or float: every integer of
+	// at most this magnitude is a float64.
 	maxExact = 1 << 53
+
+	// floatRaw marks a float attribute stored as its raw f64: a packed
+	// one is a uvarint with its low bit clear.
+	floatRaw = 0x01
 
 	// headroom is the room encodeObject leaves in front of a record body
 	// for stamp: the widest header, flags + epoch + oid as uvarints.
@@ -112,15 +132,17 @@ type schema struct {
 	// byName lists indexes into cls.Attrs in ascending name order: the
 	// attribute order of the self-describing form.
 	byName []int
+	// forms holds the payload form of each of cls.Attrs.
+	forms []form
 	// wireFixed is the length of a GOB3 record of this class in the
 	// class's frame, less the attribute payloads.
 	wireFixed int
 }
 
 func newSchema(cls *catalog.Class) *schema {
-	sch := &schema{cls: cls, heap: heapFor(cls.Name), byName: make([]int, len(cls.Attrs))}
-	for i := range sch.byName {
-		sch.byName[i] = i
+	sch := &schema{cls: cls, heap: heapFor(cls.Name), byName: make([]int, len(cls.Attrs)), forms: make([]form, len(cls.Attrs))}
+	for i, a := range cls.Attrs {
+		sch.byName[i], sch.forms[i] = i, formOf(a.Type)
 	}
 	sort.Slice(sch.byName, func(a, b int) bool {
 		return cls.Attrs[sch.byName[a]].Name < cls.Attrs[sch.byName[b]].Name
@@ -174,15 +196,109 @@ type record struct {
 	r    reader
 }
 
-// attr is one entry of a record's attribute table, its value undecoded:
-// value.Encode bytes, or the eight bytes of a blob id.
+// form is how a compact record lays out an attribute's payload, fixed
+// by the attribute's catalog type.
+type form uint8
+
+const (
+	formTagged  form = iota // uvarint(len<<1 | isBlob), then value.Encode bytes or a blob id
+	formFloat               // a packed integer, or floatRaw and the raw f64
+	formInt                 // zig-zag varint
+	formAbsTime             // zig-zag varint
+	formBool                // u8, 0 or 1
+	formString              // uvarint len, then the bytes
+	formImage               // uvarint blob id
+)
+
+func formOf(t value.Type) form {
+	switch t {
+	case value.TypeFloat:
+		return formFloat
+	case value.TypeInt:
+		return formInt
+	case value.TypeAbsTime:
+		return formAbsTime
+	case value.TypeBool:
+		return formBool
+	case value.TypeString:
+		return formString
+	case value.TypeImage:
+		return formImage
+	}
+	return formTagged
+}
+
+// attr is one entry of a record's attribute table, its value undecoded.
+// A blob reference holds its id in bits. Otherwise a formTagged entry
+// (every GOB3 one) holds its value.Encode bytes in data, a string its
+// bytes in data, and the other forms their value in bits: an int or
+// abstime as its two's complement, a float as its IEEE bits, a bool as 0
+// or 1.
 type attr struct {
 	name string
+	form form
 	blob bool
+	bits uint64
 	data []byte
 }
 
-func (a attr) blobID() storage.BlobID { return storage.BlobID(binary.LittleEndian.Uint64(a.data)) }
+// value decodes the entry: an offloaded image comes back as a blobRef
+// placeholder.
+func (a attr) value() (value.Value, error) {
+	switch {
+	case a.blob:
+		return blobRef{id: storage.BlobID(a.bits)}, nil
+	case a.form == formFloat:
+		return value.Float(math.Float64frombits(a.bits)), nil
+	case a.form == formInt:
+		return value.Int(int64(a.bits)), nil
+	case a.form == formAbsTime:
+		return value.AbsTime(int64(a.bits)), nil
+	case a.form == formBool:
+		return value.Bool(a.bits != 0), nil
+	case a.form == formString:
+		return value.String_(a.data), nil
+	}
+	return value.Decode(a.data)
+}
+
+// wireLen is the length of the entry's GOB3 payload after its name and
+// kind byte: a blob id, or a value's length word and value.Encode bytes.
+func (a attr) wireLen() int {
+	switch {
+	case a.blob:
+		return 8
+	case a.form == formFloat, a.form == formInt, a.form == formAbsTime:
+		return 4 + 1 + 8
+	case a.form == formBool:
+		return 4 + 1 + 1
+	case a.form == formString:
+		return 4 + 1 + 4 + len(a.data)
+	}
+	return 4 + len(a.data)
+}
+
+// appendWire appends the entry's GOB3 payload, writing a typed value's
+// value.Encode bytes straight from the stored form.
+func (a attr) appendWire(buf []byte) []byte {
+	if a.blob {
+		return binary.LittleEndian.AppendUint64(append(buf, 1), a.bits)
+	}
+	buf = binary.LittleEndian.AppendUint32(append(buf, 0), uint32(a.wireLen()-4))
+	switch a.form {
+	case formFloat:
+		return value.AppendFloat(buf, math.Float64frombits(a.bits))
+	case formInt:
+		return value.AppendInt(buf, int64(a.bits))
+	case formAbsTime:
+		return value.AppendAbsTime(buf, int64(a.bits))
+	case formBool:
+		return value.AppendBool(buf, a.bits != 0)
+	case formString:
+		return value.AppendString(buf, a.data)
+	}
+	return append(buf, a.data...)
+}
 
 // parseRecord reads the header of a record. sch is the class of the heap
 // the record came from, which holds compact records only; it is nil for
@@ -291,27 +407,47 @@ func (w *record) parseWire() {
 }
 
 // next reads the next attribute table entry; false at the end of the
-// table or on a truncated record (finish tells which).
+// table or on a malformed record (finish tells which).
 func (w *record) next() (attr, bool) {
 	if w.i >= w.n {
 		return attr{}, false
 	}
 	r := &w.r
 	var a attr
-	if w.sch != nil {
-		a.name = w.sch.cls.Attrs[w.i].Name
+	if w.sch == nil {
+		a.name = r.str16()
+		if a.blob = r.u8() == 1; a.blob {
+			a.bits = r.u64()
+		} else {
+			a.data = r.bytes(int(r.u32()))
+		}
+		w.i++
+		return a, r.err == nil
+	}
+	a.name, a.form = w.sch.cls.Attrs[w.i].Name, w.sch.forms[w.i]
+	switch a.form {
+	case formFloat:
+		a.bits = r.float()
+	case formInt, formAbsTime:
+		a.bits = uint64(r.varint())
+	case formBool:
+		if a.bits = uint64(r.u8()); a.bits > 1 {
+			r.failf("object: bool byte %#x", a.bits)
+		}
+	case formString:
+		a.data = r.bytes(int(min(r.uvarint(), math.MaxInt32)))
+	case formImage:
+		a.blob, a.bits = true, r.uvarint()
+	default:
 		tag := r.uvarint()
 		a.blob = tag&1 != 0
 		a.data = r.bytes(int(min(tag>>1, math.MaxInt32)))
-		if a.blob && len(a.data) != 8 {
-			r.failf("object: blob reference of %d bytes", len(a.data))
-		}
-	} else {
-		a.name = r.str16()
-		if a.blob = r.u8() == 1; a.blob {
-			a.data = r.bytes(8)
-		} else {
-			a.data = r.bytes(int(r.u32()))
+		if a.blob {
+			if len(a.data) != 8 {
+				r.failf("object: blob reference of %d bytes", len(a.data))
+			} else {
+				a.bits = binary.LittleEndian.Uint64(a.data)
+			}
 		}
 	}
 	w.i++
@@ -338,11 +474,7 @@ func (w *record) object() (*Object, error) {
 	}
 	obj := &Object{OID: w.oid, Class: w.class, Extent: w.ext, Attrs: make(map[string]value.Value, min(w.n, 8))}
 	for a, ok := w.next(); ok; a, ok = w.next() {
-		if a.blob {
-			obj.Attrs[a.name] = blobRef{id: a.blobID()}
-			continue
-		}
-		v, err := value.Decode(a.data)
+		v, err := a.value()
 		if err != nil {
 			return nil, fmt.Errorf("object: attribute %q: %w", a.name, err)
 		}
@@ -357,16 +489,17 @@ func (w *record) blobIDs() ([]storage.BlobID, error) {
 	var ids []storage.BlobID
 	for a, ok := w.next(); ok; a, ok = w.next() {
 		if a.blob {
-			ids = append(ids, a.blobID())
+			ids = append(ids, storage.BlobID(a.bits))
 		}
 	}
 	return ids, w.finish()
 }
 
 // wire returns a heap record in the self-describing form: its class's
-// constant parts spliced back around the stored attribute bytes — no
-// value is decoded or re-encoded. The result has the bytes EncodeWire
-// gives the decoded object, plus the epoch.
+// constant parts spliced back around the stored attributes, each typed
+// one written in its value.Encode form straight from its stored bytes,
+// with no value.Value built. The result has the bytes EncodeWire gives
+// the decoded object, plus the epoch.
 func (w *record) wire() ([]byte, error) {
 	if w.del {
 		return nil, errTombstone
@@ -377,24 +510,14 @@ func (w *record) wire() ([]byte, error) {
 	size := w.sch.wireFixed + len(f.System) + len(f.Unit) - len(cf.System) - len(cf.Unit)
 	for a, ok := w.next(); ok; a, ok = w.next() {
 		attrs = append(attrs, a)
-		if size += len(a.data); !a.blob {
-			size += 4
-		}
+		size += a.wireLen()
 	}
 	if err := w.finish(); err != nil {
 		return nil, err
 	}
 	buf := appendWireHeader(make([]byte, 0, size), w.oid, w.epoch, w.class, w.ext, w.n)
 	for _, i := range w.sch.byName {
-		a := attrs[i]
-		buf = appendStr16(buf, a.name)
-		if a.blob {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.data)))
-		}
-		buf = append(buf, a.data...)
+		buf = attrs[i].appendWire(appendStr16(buf, attrs[i].name))
 	}
 	return buf, nil
 }
@@ -467,29 +590,83 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 		buf = appendStr16(buf, string(ext.Frame.Unit))
 	}
 	var blobIDs []storage.BlobID
-	for _, a := range attrs {
+	for i, a := range attrs {
 		v, ok := obj.Attrs[a.Name]
 		if !ok {
 			return nil, blobIDs, fmt.Errorf("%w: object %d: attribute %q missing", ErrBadAttr, obj.OID, a.Name)
 		}
-		if img, ok := v.(value.Image); ok && img.Img != nil {
+		f := sch.forms[i]
+		if img, ok := v.(value.Image); ok && img.Img != nil && (f == formImage || f == formTagged) {
 			id, err := put(raster.Marshal(img.Img))
 			blobIDs = append(blobIDs, id)
 			if err != nil {
 				return nil, blobIDs, err
 			}
-			buf = append(buf, 8<<1|1)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+			if f == formImage {
+				buf = binary.AppendUvarint(buf, uint64(id))
+			} else {
+				buf = binary.LittleEndian.AppendUint64(append(buf, 8<<1|1), uint64(id))
+			}
 			continue
 		}
-		mark := len(buf)
-		enc, err := value.Append(append(buf, 0), v)
-		if err != nil {
-			return nil, blobIDs, fmt.Errorf("object: attribute %q: %w", a.Name, err)
+		var err error
+		if buf, err = appendAttr(buf, f, v); err != nil {
+			return nil, blobIDs, fmt.Errorf("object: attribute %q (%s): %w", a.Name, a.Type, err)
 		}
-		buf = sealSpan(enc, mark)
 	}
 	return buf, blobIDs, nil
+}
+
+// appendAttr appends an inline attribute value in form f.
+func appendAttr(buf []byte, f form, v value.Value) ([]byte, error) {
+	switch x := v.(type) {
+	case value.Float:
+		if f == formFloat {
+			return appendFloat(buf, float64(x)), nil
+		}
+	case value.Int:
+		if f == formInt {
+			return binary.AppendVarint(buf, int64(x)), nil
+		}
+	case value.AbsTime:
+		if f == formAbsTime {
+			return binary.AppendVarint(buf, int64(x)), nil
+		}
+	case value.Bool:
+		if f == formBool {
+			if x {
+				return append(buf, 1), nil
+			}
+			return append(buf, 0), nil
+		}
+	case value.String_:
+		if f == formString {
+			return append(binary.AppendUvarint(buf, uint64(len(x))), x...), nil
+		}
+	}
+	if f != formTagged {
+		if img, ok := v.(value.Image); ok && img.Img == nil {
+			return nil, fmt.Errorf("%w: nil image", ErrBadAttr)
+		}
+		return nil, fmt.Errorf("%w: %s value", ErrBadAttr, v.Type())
+	}
+	mark := len(buf)
+	enc, err := value.Append(append(buf, 0), v)
+	if err != nil {
+		return nil, err
+	}
+	return sealSpan(enc, mark), nil
+}
+
+// appendFloat appends a float attribute: a packable value as
+// uvarint(zigzag(n)<<1), whose low bit is clear, any other as floatRaw
+// and its raw bits.
+func appendFloat(buf []byte, f float64) []byte {
+	if packable(f) {
+		n := int64(f)
+		return binary.AppendUvarint(buf, uint64(n<<1^n>>63)<<1)
+	}
+	return binary.LittleEndian.AppendUint64(append(buf, floatRaw), math.Float64bits(f))
 }
 
 // appendPacked appends ext's box, and its interval when timed, in the
@@ -533,9 +710,9 @@ func appendPacked(buf []byte, ext *sptemp.Extent) ([]byte, bool) {
 	return buf, true
 }
 
-// packable reports whether a box coordinate packs as an integer:
-// integral, within ±2^53, and not -0, which an integer cannot tell from
-// +0.
+// packable reports whether a box coordinate or a float attribute packs
+// as an integer: integral, within ±2^53, and not -0, which an integer
+// cannot tell from +0.
 func packable(f float64) bool {
 	return math.Abs(f) <= maxExact && f == math.Trunc(f) && (f != 0 || !math.Signbit(f))
 }

@@ -42,13 +42,15 @@ var sceneClass = &catalog.Class{
 // TestRecordBytes pins the stored bytes per object: a bytes-per-object
 // regression fails here, not only at the benchmark's disk gate. The
 // epoch and OID are the largest that still take two and three uvarint
-// bytes — the range a benchmark gauge set lives in.
+// bytes — the range the loaded gauge sets of the benchmark live in.
+// ingest-verify's epochs run past 2^14 and take three bytes, so its
+// records are a byte longer.
 func TestRecordBytes(t *testing.T) {
 	const oid, epoch = 1<<21 - 1, 1<<14 - 1
-	gauge := func(box sptemp.Box) *Object {
+	gauge := func(box sptemp.Box, mm float64) *Object {
 		return &Object{
 			OID: oid, Class: "gauge",
-			Attrs:  map[string]value.Value{"mm": value.Float(12.5)},
+			Attrs:  map[string]value.Value{"mm": value.Float(mm)},
 			Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, box),
 		}
 	}
@@ -66,9 +68,10 @@ func TestRecordBytes(t *testing.T) {
 		max  int
 		raw  bool // stored as the unpacked layout, byte for byte
 	}{
-		{"a gauge", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10)), 26, false}, // 48 unpacked
-		{"a Landsat scene", sceneClass, scene, 38, false},                       // 72 unpacked
-		{"a gauge with no integral coordinate", gaugeClass, gauge(sptemp.NewBox(20.5, 0.5, 30.5, 10.5)), 48, true},
+		{"a gauge with an integral reading", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10), 999_999), 16, false},
+		{"a gauge", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10), 12.5), 20, false}, // 47 unpacked
+		{"a Landsat scene", sceneClass, scene, 28, false},                             // 61 unpacked
+		{"a gauge with no integral coordinate", gaugeClass, gauge(sptemp.NewBox(20.5, 0.5, 30.5, 10.5), 12.5), 47, true},
 	} {
 		sch := newSchema(c.cls)
 		var err error
@@ -243,6 +246,9 @@ func randomValue(rng *rand.Rand, typ value.Type) value.Value {
 	case value.TypeInt:
 		return value.Int(rng.Int64() - rng.Int64())
 	case value.TypeFloat:
+		if rng.IntN(3) == 0 {
+			return value.Float(rng.IntN(2001) - 1000) // packed
+		}
 		return value.Float(rng.NormFloat64() * 1e3)
 	case value.TypeString:
 		return value.String_(strings.Repeat("x", rng.IntN(200))) // past the 64-byte one-byte tag
@@ -349,8 +355,62 @@ func edgeObjects() []*Object {
 	return out
 }
 
-// sameObject is reflect.DeepEqual with the box compared bit for bit, so
-// that a NaN equals itself and -0 differs from +0.
+// typedClass holds typedObjects: an attribute of each typed payload
+// form but bool and image, and two set-typed ones.
+var typedClass = &catalog.Class{
+	Name: "typed", Kind: catalog.KindBase,
+	Attrs: []catalog.Attr{
+		{Name: "f", Type: value.TypeFloat},
+		{Name: "i", Type: value.TypeInt},
+		{Name: "s", Type: value.TypeString},
+		{Name: "t", Type: value.TypeAbsTime},
+		{Name: "fs", Type: value.SetOf(value.TypeFloat)},
+		{Name: "imgs", Type: value.SetOf(value.TypeImage)},
+	},
+}
+
+// typedObjects put every edge coordinate, a signalling NaN, both
+// subnormal ends and some small integers in a float attribute, and the
+// int64, string and AbsTime extremes in the others. Their set-typed
+// attributes hold a singleton scalar or a set in turn, and an offloaded
+// singleton image or an inline set of one.
+func typedObjects() []*Object {
+	floats := append(slices.Clone(edgeCoords),
+		math.Float64frombits(0x7ff0_0000_0000_0001), // a signalling NaN
+		-math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), // the largest subnormal
+		0, -1, 999_999, 1<<53-1)
+	ints := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 62}
+	strs := []string{"", strings.Repeat("k", 4096)}
+	times := []int64{math.MinInt64, math.MaxInt64, 0}
+	var out []*Object
+	for k, f := range floats {
+		o := &Object{Class: typedClass.Name, Attrs: map[string]value.Value{
+			"f": value.Float(f),
+			"i": value.Int(ints[k%len(ints)]),
+			"s": value.String_(strs[k%len(strs)]),
+			"t": value.AbsTime(times[k%len(times)]),
+		}}
+		o.Extent.Space = sptemp.NewBox(0, 0, 1, 1)
+		if k%2 == 0 {
+			o.Attrs["fs"] = value.Float(f)
+		} else {
+			o.Attrs["fs"] = value.Set{Elem: value.TypeFloat, Items: []value.Value{value.Float(f), value.Float(-f)}}
+		}
+		img := value.Image{Img: raster.MustNew(1+k%3, 2, raster.PixChar)}
+		if k%3 == 0 {
+			o.Attrs["imgs"] = img
+		} else {
+			o.Attrs["imgs"] = value.Set{Elem: value.TypeImage, Items: []value.Value{img}}
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// sameObject is reflect.DeepEqual with the box and every float value
+// compared bit for bit, so that a NaN equals itself and -0 differs from
+// +0.
 func sameObject(a, b *Object) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -358,12 +418,32 @@ func sameObject(a, b *Object) bool {
 	bits := func(b sptemp.Box) [4]uint64 {
 		return [4]uint64{math.Float64bits(b.MinX), math.Float64bits(b.MinY), math.Float64bits(b.MaxX), math.Float64bits(b.MaxY)}
 	}
-	if bits(a.Extent.Space) != bits(b.Extent.Space) {
+	if bits(a.Extent.Space) != bits(b.Extent.Space) || len(a.Attrs) != len(b.Attrs) {
 		return false
+	}
+	for name, v := range a.Attrs {
+		if !sameValue(v, b.Attrs[name]) {
+			return false
+		}
 	}
 	a2, b2 := *a, *b
 	a2.Extent.Space, b2.Extent.Space = sptemp.Box{}, sptemp.Box{}
+	a2.Attrs, b2.Attrs = nil, nil
 	return reflect.DeepEqual(&a2, &b2)
+}
+
+// sameValue is reflect.DeepEqual with floats, in a set too, compared bit
+// for bit.
+func sameValue(a, b value.Value) bool {
+	switch x := a.(type) {
+	case value.Float:
+		y, ok := b.(value.Float)
+		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	case value.Set:
+		y, ok := b.(value.Set)
+		return ok && x.Elem == y.Elem && slices.EqualFunc(x.Items, y.Items, sameValue)
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 func randomObject(rng *rand.Rand, cls *catalog.Class) *Object {
@@ -390,8 +470,9 @@ func randomObject(rng *rand.Rand, cls *catalog.Class) *Object {
 	return o
 }
 
-// TestRecordRoundTripProperty: over random classes and objects, and
-// extents at every limit of the packed form, what was created is bit for
+// TestRecordRoundTripProperty: over random classes and objects, extents
+// at every limit of the packed form and attribute values at every limit
+// of the typed forms, what was created is bit for
 // bit what GetAt returns after a reopen and what the raw path ships, and
 // the shipped record is byte for byte the size EncodeWire gives — the
 // relative form changes what is stored, not what is sent. No stored
@@ -404,7 +485,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		classes = append(classes, randomClass(rng, i))
 	}
-	st, store := openStore(t, dir, append(classes, edgeClass)...)
+	st, store := openStore(t, dir, append(classes, edgeClass, typedClass)...)
 	var made []*Object
 	insert := func(o *Object) {
 		if _, err := store.Insert(o); err != nil {
@@ -417,7 +498,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			insert(randomObject(rng, cls))
 		}
 	}
-	for _, o := range edgeObjects() {
+	for _, o := range slices.Concat(edgeObjects(), typedObjects()) {
 		insert(o)
 	}
 	// An image attribute with no image cannot be stored, and must leave
@@ -472,7 +553,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	}
 
 	var packed, records int
-	for _, cls := range append(classes, edgeClass) {
+	for _, cls := range append(classes, edgeClass, typedClass) {
 		sch, err := store.schema(cls.Name)
 		if err != nil {
 			t.Fatal(err)
@@ -600,13 +681,87 @@ func TestOversizeRecordRefusedBeforeCommit(t *testing.T) {
 	}
 }
 
+// fuzzClass has an attribute of every payload form but image: a record
+// with an image attribute always references a blob, which the decode →
+// encode loop cannot follow. Its set-typed "data" holds an offloaded
+// image in some seeds; sceneClass's records carry the image form.
 var fuzzClass = &catalog.Class{
 	Name: "fz", Kind: catalog.KindBase,
 	Attrs: []catalog.Attr{
 		{Name: "z_name", Type: value.TypeString},
-		{Name: "data", Type: value.TypeImage},
+		{Name: "data", Type: value.SetOf(value.TypeImage)},
 		{Name: "n", Type: value.SetOf(value.TypeInt)},
+		{Name: "f", Type: value.TypeFloat},
+		{Name: "i", Type: value.TypeInt},
+		{Name: "b", Type: value.TypeBool},
+		{Name: "t", Type: value.TypeAbsTime},
 	},
+}
+
+// fuzzObjects are a fuzzClass object with an offloaded image, a raw
+// float and a long string, and one all inline with a packed float and
+// int64 and AbsTime extremes.
+func fuzzObjects() (plain, inline *Object) {
+	plain = &Object{
+		OID: 5, Class: "fz",
+		Attrs: map[string]value.Value{
+			"z_name": value.String_(strings.Repeat("long ", 20)),
+			"data":   value.Image{Img: raster.MustNew(2, 2, raster.PixChar)},
+			"n":      value.Set{Elem: value.TypeInt, Items: []value.Value{value.Int(1), value.Int(-2)}},
+			"f":      value.Float(12.5),
+			"i":      value.Int(-7),
+			"b":      value.Bool(true),
+			"t":      value.AbsTime(sptemp.Date(1986, 1, 15)),
+		},
+		Extent: sptemp.AtInstant(sptemp.DefaultFrame, sptemp.NewBox(0, 0, 10, 10), sptemp.Date(1986, 1, 15)),
+	}
+	inline = &Object{
+		OID: 6, Class: "fz",
+		Attrs: map[string]value.Value{
+			"z_name": value.String_("s"),
+			"data":   value.Set{Elem: value.TypeImage, Items: []value.Value{}},
+			"n":      value.Int(4),
+			"f":      value.Float(-3),
+			"i":      value.Int(math.MinInt64),
+			"b":      value.Bool(false),
+			"t":      value.AbsTime(math.MaxInt64),
+		},
+		Extent: sptemp.TimelessExtent(sptemp.Frame{}, sptemp.EmptyBox()),
+	}
+	return plain, inline
+}
+
+// spliceAttr returns a compact record with the stored payload of
+// attribute i replaced by payload.
+func spliceAttr(t testing.TB, rec []byte, sch *schema, i int, payload []byte) []byte {
+	w, err := parseRecord(rec, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < i; j++ {
+		w.next()
+	}
+	from := w.r.off
+	w.next()
+	if err := w.r.err; err != nil {
+		t.Fatal(err)
+	}
+	return slices.Concat(rec[:from], payload, rec[w.r.off:])
+}
+
+// malformedPayloads are payloads no encodeObject writes, each for the
+// fuzzClass attribute it names.
+var malformedPayloads = []struct {
+	what    string
+	attr    int
+	payload []byte
+}{
+	{"a bool byte of 2", 5, []byte{2}},
+	{"a packed float of 2^53+1", 3, binary.AppendUvarint(nil, (1<<53+1)<<2)},
+	{"a packed float of -2^53-1", 3, binary.AppendUvarint(nil, (1<<54+1)<<1)},
+	{"a packed float in a 10-byte uvarint", 3, binary.AppendUvarint(nil, math.MaxUint64-1)},
+	{"a float marker of 0x03", 3, append([]byte{0x03}, make([]byte, 8)...)},
+	{"a float marker of 1 in two bytes", 3, append([]byte{0x81, 0x00}, make([]byte, 8)...)},
 }
 
 // fuzzSeedRecords builds one record per shape the walker distinguishes.
@@ -624,49 +779,47 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 		rec, _, err := encodeObject(sch, o, put)
 		return stamp(must(rec, err), o.OID, epoch)
 	}
-	plain := &Object{
-		OID: 5, Class: "fz",
-		Attrs: map[string]value.Value{
-			"z_name": value.String_(strings.Repeat("long ", 20)),
-			"data":   value.Image{Img: raster.MustNew(2, 2, raster.PixChar)},
-			"n":      value.Set{Elem: value.TypeInt, Items: []value.Value{value.Int(1), value.Int(-2)}},
-		},
-		Extent: sptemp.AtInstant(sptemp.DefaultFrame, sptemp.NewBox(0, 0, 10, 10), sptemp.Date(1986, 1, 15)),
-	}
-	inline := &Object{
-		OID: 6, Class: "fz",
-		Attrs:  map[string]value.Value{"z_name": value.String_("s"), "data": value.Box(sptemp.NewBox(0, 0, 1, 1)), "n": value.Int(4)},
-		Extent: sptemp.TimelessExtent(sptemp.Frame{}, sptemp.EmptyBox()),
-	}
+	plain, inline := fuzzObjects()
 	widest := *inline
 	widest.OID = math.MaxUint64
+	scene := &Object{
+		OID: 9, Class: "landsat_tm",
+		Attrs:  map[string]value.Value{"band": value.String_("red"), "data": value.Image{Img: raster.MustNew(2, 2, raster.PixChar)}},
+		Extent: sptemp.AtInstant(sptemp.DefaultFrame, sptemp.NewBox(3000, 0, 3100, 100), sptemp.Date(1986, 1, 15)),
+	}
+	sceneRec, _, err := encodeObject(newSchema(sceneClass), scene, put)
+	sceneRec = stamp(must(sceneRec, err), scene.OID, 3)
 	wireTomb := append(appendWireHeader(nil, 9, 4, "fz", sptemp.Extent{}, 0)[:20], wireFlagTombstone, 2, 0, 'f', 'z')
 	relPlain := rel(plain, 3)
+	relInline := rel(inline, 3)
 	w, err := parseRecord(relPlain, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeds := [][]byte{
-		relPlain,                          // relative: packed, timed, own frame, a blob, a long value
-		rel(inline, 3),                    // relative: unpacked, untimed, class frame, all inline
+		relPlain,                          // relative: packed, timed, own frame, a blob, a long value, a raw float
+		relInline,                         // relative: unpacked, untimed, class frame, all inline, a packed float
 		encodeTombstone(5, 4),             // relative tombstone
 		must(w.wire()),                    // GOB3 with a blob reference
 		must(EncodeWire(inline)),          // GOB3, all inline
 		wireTomb,                          // GOB3 tombstone
+		sceneRec,                          // relative, as a scene: a string and an image
 		{},                                // empty
 		relPlain[:len(relPlain)-3],        // truncated
 		append(rel(inline, 3), 0),         // trailing byte
 		{flagRelative | 0x40, 0, 0, 0, 0}, // unknown flag
-		fixedHeader(unpackedRecord(t, relPlain, sch)),       // refused, fixed header: timed, own frame, a blob
-		fixedHeader(unpackedRecord(t, rel(inline, 3), sch)), // refused, fixed header, all inline
-		fixedHeader(encodeTombstone(5, 4)),                  // refused, fixed-header tombstone
-		unpackedRecord(t, relPlain, sch),                    // compact, unpacked: timed, own frame, a blob
-		rel(&widest, math.MaxUint64),                        // widest header: 21 bytes
+		fixedHeader(unpackedRecord(t, relPlain, sch)),  // refused, fixed header: timed, own frame, a blob
+		fixedHeader(unpackedRecord(t, relInline, sch)), // refused, fixed header, all inline
+		fixedHeader(encodeTombstone(5, 4)),             // refused, fixed-header tombstone
+		unpackedRecord(t, relPlain, sch),               // compact, unpacked: timed, own frame, a blob
+		rel(&widest, math.MaxUint64),                   // widest header: 21 bytes
 
 		// An epoch uvarint past 64 bits.
 		append([]byte{flagRelative | flagCompact | flagTombstone}, bytes.Repeat([]byte{0xff}, 10)...),
 	}
-	relInline := rel(inline, 3)
+	for _, m := range malformedPayloads { // refused
+		seeds = append(seeds, spliceAttr(t, relInline, sch, m.attr, m.payload))
+	}
 	wi, err := parseRecord(relInline, sch)
 	if err != nil {
 		t.Fatal(err)
@@ -732,6 +885,39 @@ func TestPackedExtentRefused(t *testing.T) {
 	}
 }
 
+// TestTypedPayloadRefused: an attribute payload encodeObject never
+// writes fails every walk over the record with an error — the full
+// decode, the blob scan the reopen makes and the raw path's splice —
+// and is never read as some other value.
+func TestTypedPayloadRefused(t *testing.T) {
+	sch := newSchema(fuzzClass)
+	_, inline := fuzzObjects()
+	buf, _, err := encodeObject(sch, inline, noBlobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := stamp(buf, inline.OID, 3)
+	for _, m := range malformedPayloads {
+		t.Run(m.what, func(t *testing.T) {
+			rec := spliceAttr(t, good, sch, m.attr, m.payload)
+			walks := map[string]func(w record) error{
+				"object":  func(w record) error { _, err := w.object(); return err },
+				"blobIDs": func(w record) error { _, err := w.blobIDs(); return err },
+				"wire":    func(w record) error { _, err := w.wire(); return err },
+			}
+			for name, walk := range walks {
+				w, err := parseRecord(rec, sch)
+				if err != nil {
+					t.Fatalf("header: %v", err)
+				}
+				if err := walk(w); err == nil {
+					t.Errorf("%s of %x succeeded", name, rec)
+				}
+			}
+		})
+	}
+}
+
 func hasImage(o *Object) bool {
 	for _, v := range o.Attrs {
 		switch v.(type) {
@@ -754,10 +940,9 @@ func FuzzRecordDecode(f *testing.F) {
 	for _, rec := range fuzzSeedRecords(f) {
 		f.Add(rec)
 	}
-	fz := newSchema(fuzzClass)
+	fz, scene := newSchema(fuzzClass), newSchema(sceneClass)
 	f.Fuzz(func(t *testing.T, rec []byte) {
-	forms:
-		for _, from := range []*schema{fz, nil} { // as a heap record, as a wire record
+		for _, from := range []*schema{fz, scene, nil} { // as a heap record of either class, as a wire record
 			w, err := parseRecord(rec, from)
 			if err != nil {
 				continue
@@ -773,15 +958,13 @@ func FuzzRecordDecode(f *testing.F) {
 				_, _ = wire.wire()
 			}
 			obj, err := w.object()
-			if err != nil || hasImage(obj) || len(obj.Attrs) != len(fuzzClass.Attrs) {
+			if err != nil || from == scene || hasImage(obj) {
 				continue
 			}
-			for _, a := range fuzzClass.Attrs {
-				if _, ok := obj.Attrs[a.Name]; !ok {
-					continue forms
-				}
-			}
 			obj.Class = fz.cls.Name
+			if (&Store{}).validate(fz.cls, obj) != nil {
+				continue // a wire record's attributes need not be fuzzClass's
+			}
 			if !obj.Extent.HasTime {
 				obj.Extent.TimeIv = sptemp.Interval{} // GOB3 has the slot regardless; the relative form keeps no interval for an untimed object
 			}

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Batch collects heap and meta mutations that commit together: the whole
@@ -76,7 +77,7 @@ func (b *Batch) MetaDelete(key string) {
 // counter is written into the batch, so every ID the batch references is
 // re-issued never again, even after a crash.
 func (b *Batch) PinSequence(sequence string) {
-	b.pins = append(b.pins, "seq/"+sequence)
+	b.pins = append(b.pins, seqPrefix+sequence)
 }
 
 // SetEpoch stamps the batch with a commit epoch reserved via
@@ -138,7 +139,15 @@ func (b *Batch) Commit() ([]RID, error) {
 		heaps[d.heap] = h
 	}
 
-	payloads := make([][]byte, 0, b.Len()+len(b.pins))
+	size := 0
+	for _, in := range b.inserts {
+		size += 4 + 1 + 2 + len(in.heap) + 6 + 4 + len(in.rec)
+	}
+	for _, m := range b.meta {
+		size += 4 + 1 + 2 + len(m.key) + 4 + len(m.val)
+	}
+	size += (4 + 1 + 2 + 16 + 6) * (len(b.deletes) + len(b.pins)) // heap names and keys are short
+	g := newGroup(b.epoch, size)
 	rids := make([]RID, len(b.inserts))
 	done := 0
 	undo := func() {
@@ -154,10 +163,10 @@ func (b *Batch) Commit() ([]RID, error) {
 		}
 		rids[i] = rid
 		done++
-		payloads = append(payloads, insertPayload(in.heap, rid, in.rec))
+		g.insert(in.heap, rid, in.rec)
 	}
 	for _, d := range b.deletes {
-		payloads = append(payloads, deletePayload(d.heap, d.rid))
+		g.delete(d.heap, d.rid)
 	}
 	// The meta section — reading pinned sequence values, logging the
 	// group, and applying the meta updates — happens under metaMu as one
@@ -166,17 +175,17 @@ func (b *Batch) Commit() ([]RID, error) {
 	s.metaMu.Lock()
 	for _, m := range b.meta {
 		if m.del {
-			payloads = append(payloads, metaDelPayload(m.key))
+			g.metaDel(m.key)
 		} else {
-			payloads = append(payloads, metaSetPayload(m.key, m.val))
+			g.metaSet(m.key, m.val)
 		}
 	}
 	for _, key := range b.pins {
 		if v, ok := s.meta[key]; ok {
-			payloads = append(payloads, metaSetPayload(key, v))
+			g.metaSet(key, v)
 		}
 	}
-	if err := s.wal.logGroup(b.epoch, payloads); err != nil {
+	if err := s.wal.append(g.record()); err != nil {
 		s.metaMu.Unlock()
 		undo()
 		return nil, err
@@ -186,6 +195,9 @@ func (b *Batch) Commit() ([]RID, error) {
 			delete(s.meta, m.key)
 		} else {
 			s.meta[m.key] = m.val
+		}
+		if name, ok := strings.CutPrefix(m.key, seqPrefix); ok {
+			delete(s.seqs, name) // its counter is no longer the map's
 		}
 	}
 	if cur, ok := s.meta[epochKey]; b.epoch > 0 && (!ok || len(cur) != 8 || binary.LittleEndian.Uint64(cur) < b.epoch) {
@@ -214,21 +226,25 @@ func (b *Batch) Commit() ([]RID, error) {
 // only inside a batch that pins the sequence: a crash before that pin
 // simply re-issues the reserved IDs, which by then nothing references.
 //
-// Once the sequence exists, a reservation allocates nothing: the counter
-// is advanced in place. Every reader of a meta value copies it under
-// metaMu, so no one holds the bytes this changes.
+// Once the sequence exists, a reservation allocates nothing and builds
+// no meta key: the counter, found by the sequence's name, is advanced in
+// place. Every reader of a meta value copies it under metaMu, so no one
+// holds the bytes this changes.
 func (s *Store) AllocID(sequence string) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	if v, ok := s.meta["seq/"+sequence]; ok && len(v) == 8 {
-		cur := binary.LittleEndian.Uint64(v) + 1
-		binary.LittleEndian.PutUint64(v, cur)
-		return cur
+	v, ok := s.seqs[sequence]
+	if !ok {
+		key := seqPrefix + sequence
+		if v, ok = s.meta[key]; !ok || len(v) != 8 {
+			v = make([]byte, 8)
+			s.meta[key] = v
+		}
+		s.seqs[sequence] = v
 	}
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, 1)
-	s.meta["seq/"+sequence] = buf
-	return 1
+	cur := binary.LittleEndian.Uint64(v) + 1
+	binary.LittleEndian.PutUint64(v, cur)
+	return cur
 }

@@ -229,6 +229,30 @@ func TestCommitPathAllocs(t *testing.T) {
 	}
 }
 
+// TestAllocIDAfterMetaSet: a batch that sets or removes a sequence's
+// meta key directly moves the counter AllocID issues from.
+func TestAllocIDAfterMetaSet(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	defer s.Close()
+	s.AllocID("x")
+	b := s.NewBatch()
+	b.MetaSet("seq/x", binary.LittleEndian.AppendUint64(nil, 100))
+	if _, err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.AllocID("x"); got != 101 {
+		t.Errorf("after a meta set to 100 the sequence issues %d, want 101", got)
+	}
+	b = s.NewBatch()
+	b.MetaDelete("seq/x")
+	if _, err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.AllocID("x"); got != 1 {
+		t.Errorf("after a meta delete the sequence issues %d, want 1", got)
+	}
+}
+
 // TestMetaOnlyBatch: a batch that changes only the meta map — a
 // definition, a stale mark — is one WAL group that reserves no commit
 // epoch, and its updates and removals replay in staging order.

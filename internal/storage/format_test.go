@@ -92,3 +92,16 @@ func TestReplayRefusesPreGroupRecords(t *testing.T) {
 		})
 	}
 }
+
+// Sub-entry payloads, as a group record holds them after their length
+// words.
+
+func insertPayload(heap string, rid RID, rec []byte) []byte {
+	return appendInsert(nil, heap, rid, rec)
+}
+
+func deletePayload(heap string, rid RID) []byte { return appendDelete(nil, heap, rid) }
+
+func metaSetPayload(key string, val []byte) []byte { return appendMetaSet(nil, key, val) }
+
+func metaDelPayload(key string) []byte { return appendMetaDel(nil, key) }

@@ -44,8 +44,11 @@ type Store struct {
 	opts   Options
 	heaps  map[string]*Heap
 	meta   map[string][]byte
-	wal    *wal
-	blobs  *BlobStore
+	// seqs maps a sequence's name to its counter: the bytes of its meta
+	// value, under metaMu like the map.
+	seqs  map[string][]byte
+	wal   *wal
+	blobs *BlobStore
 	// epoch is the MVCC commit-epoch counter: every Batch.Commit stamps
 	// its WAL group with a reserved epoch, and the latest committed value
 	// is mirrored in the meta map (so the meta snapshot persists it) and
@@ -58,6 +61,9 @@ type Store struct {
 
 // epochKey is the meta key mirroring the commit-epoch counter.
 const epochKey = "mvcc/epoch"
+
+// seqPrefix starts the meta key of a sequence's counter.
+const seqPrefix = "seq/"
 
 // Options tunes a Store.
 type Options struct {
@@ -92,6 +98,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:  opts,
 		heaps: make(map[string]*Heap),
 		meta:  make(map[string][]byte),
+		seqs:  make(map[string][]byte),
 	}
 	if err := s.loadMetaSnapshot(); err != nil {
 		return nil, err
@@ -432,8 +439,8 @@ func (s *Store) closeFiles() {
 // pairs, with a trailing crc32. The magic carries the directory's format
 // number, formatVersion: Open reads no other.
 const (
-	formatVersion = 2
-	metaMagic     = "GMETA2\n"
+	formatVersion = 3
+	metaMagic     = "GMETA3\n"
 )
 
 // writeMetaSnapshot replaces meta.db durably: the new snapshot is synced

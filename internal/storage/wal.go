@@ -131,55 +131,85 @@ func (w *wal) syncLocked() error {
 	return nil
 }
 
-// logGroup records a set of sub-entry payloads as one atomic group
-// record stamped with its commit epoch: one append, one crc, at most one
+// group lays out one group record in a single buffer: each sub-entry
+// is appended straight after its length word, and the count goes in
+// last. Its bytes are one append for the WAL: one crc, at most one
 // fsync.
-func (w *wal) logGroup(epoch uint64, payloads [][]byte) error {
-	n := 1 + 8 + 4
-	for _, p := range payloads {
-		n += 4 + len(p)
-	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, opEpochBatch)
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payloads)))
-	for _, p := range payloads {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-		buf = append(buf, p...)
-	}
-	return w.append(buf)
+type group struct {
+	buf []byte
+	n   uint32
 }
 
-// Sub-entry payload builders for the batch committer.
+// newGroup starts a group stamped with its commit epoch, with room for
+// size bytes of sub-entries.
+func newGroup(epoch uint64, size int) *group {
+	buf := make([]byte, 0, 1+8+4+size)
+	buf = binary.LittleEndian.AppendUint64(append(buf, opEpochBatch), epoch)
+	return &group{buf: append(buf, 0, 0, 0, 0)}
+}
 
-func insertPayload(heap string, rid RID, rec []byte) []byte {
-	buf := make([]byte, 0, 1+2+len(heap)+6+4+len(rec))
-	buf = append(buf, opInsert)
-	buf = appendString(buf, heap)
+// open starts a sub-entry with a length word for close to fill in.
+func (g *group) open() int {
+	g.buf = append(g.buf, 0, 0, 0, 0)
+	return len(g.buf)
+}
+
+func (g *group) close(at int) {
+	binary.LittleEndian.PutUint32(g.buf[at-4:], uint32(len(g.buf)-at))
+	g.n++
+}
+
+func (g *group) insert(heap string, rid RID, rec []byte) {
+	at := g.open()
+	g.buf = appendInsert(g.buf, heap, rid, rec)
+	g.close(at)
+}
+
+func (g *group) delete(heap string, rid RID) {
+	at := g.open()
+	g.buf = appendDelete(g.buf, heap, rid)
+	g.close(at)
+}
+
+func (g *group) metaSet(key string, val []byte) {
+	at := g.open()
+	g.buf = appendMetaSet(g.buf, key, val)
+	g.close(at)
+}
+
+func (g *group) metaDel(key string) {
+	at := g.open()
+	g.buf = appendMetaDel(g.buf, key)
+	g.close(at)
+}
+
+// record returns the finished group record.
+func (g *group) record() []byte {
+	binary.LittleEndian.PutUint32(g.buf[1+8:], g.n)
+	return g.buf
+}
+
+// Sub-entry appenders, one per mutation op.
+
+func appendInsert(buf []byte, heap string, rid RID, rec []byte) []byte {
+	buf = appendString(append(buf, opInsert), heap)
 	buf = appendRID(buf, rid)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec)))
 	return append(buf, rec...)
 }
 
-func deletePayload(heap string, rid RID) []byte {
-	buf := make([]byte, 0, 1+2+len(heap)+6)
-	buf = append(buf, opDelete)
-	buf = appendString(buf, heap)
-	return appendRID(buf, rid)
+func appendDelete(buf []byte, heap string, rid RID) []byte {
+	return appendRID(appendString(append(buf, opDelete), heap), rid)
 }
 
-func metaSetPayload(key string, val []byte) []byte {
-	buf := make([]byte, 0, 1+2+len(key)+4+len(val))
-	buf = append(buf, opMetaSet)
-	buf = appendString(buf, key)
+func appendMetaSet(buf []byte, key string, val []byte) []byte {
+	buf = appendString(append(buf, opMetaSet), key)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
 	return append(buf, val...)
 }
 
-func metaDelPayload(key string) []byte {
-	buf := make([]byte, 0, 1+2+len(key))
-	buf = append(buf, opMetaDel)
-	return appendString(buf, key)
+func appendMetaDel(buf []byte, key string) []byte {
+	return appendString(append(buf, opMetaDel), key)
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -39,27 +39,45 @@ func Encode(v Value) ([]byte, error) { return Append(nil, v) }
 // unspecified.
 func Append(buf []byte, v Value) ([]byte, error) { return appendValue(buf, v) }
 
+// AppendInt, AppendFloat, AppendString, AppendBool and AppendAbsTime
+// append the internal representation of one scalar, the bytes Append
+// gives the Value holding it, without boxing it in a Value first.
+func AppendInt(buf []byte, n int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(buf, tagInt), uint64(n))
+}
+
+func AppendFloat(buf []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(f))
+}
+
+func AppendString[S ~string | ~[]byte](buf []byte, s S) []byte {
+	buf = binary.LittleEndian.AppendUint32(append(buf, tagString), uint32(len(s)))
+	return append(buf, s...)
+}
+
+func AppendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, tagBool, 1)
+	}
+	return append(buf, tagBool, 0)
+}
+
+func AppendAbsTime(buf []byte, t int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(buf, tagAbsTime), uint64(t))
+}
+
 func appendValue(buf []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
 	case Int:
-		buf = append(buf, tagInt)
-		return binary.LittleEndian.AppendUint64(buf, uint64(x)), nil
+		return AppendInt(buf, int64(x)), nil
 	case Float:
-		buf = append(buf, tagFloat)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(x))), nil
+		return AppendFloat(buf, float64(x)), nil
 	case String_:
-		buf = append(buf, tagString)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		return append(buf, x...), nil
+		return AppendString(buf, x), nil
 	case Bool:
-		buf = append(buf, tagBool)
-		if x {
-			return append(buf, 1), nil
-		}
-		return append(buf, 0), nil
+		return AppendBool(buf, bool(x)), nil
 	case AbsTime:
-		buf = append(buf, tagAbsTime)
-		return binary.LittleEndian.AppendUint64(buf, uint64(x)), nil
+		return AppendAbsTime(buf, int64(x)), nil
 	case Interval:
 		buf = append(buf, tagInterval)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(x.Start))

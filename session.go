@@ -1,9 +1,11 @@
 package gaea
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,10 +48,11 @@ type Session struct {
 	// replays a wire batch).
 	user string
 
-	mu        sync.Mutex
-	done      bool
+	mu   sync.Mutex
+	done bool
+	// creates is in ascending OID order: the store reserves OIDs from
+	// one monotonic sequence, so each Create's is above the last one's.
 	creates   []stagedCreate
-	createIdx map[object.OID]int
 	updates   []*object.Object
 	updateIdx map[object.OID]int
 	deletes   []object.OID
@@ -64,8 +67,17 @@ type Session struct {
 var prepareTokens atomic.Uint64
 
 type stagedCreate struct {
-	obj  *object.Object
+	oid  object.OID
+	obj  *object.Object // nil once the create is deleted again
 	note string
+}
+
+// createOf returns the index in creates of the staged create of oid.
+func (s *Session) createOf(oid object.OID) (int, bool) {
+	i, ok := slices.BinarySearchFunc(s.creates, oid, func(c stagedCreate, oid object.OID) int {
+		return cmp.Compare(c.oid, oid)
+	})
+	return i, ok && s.creates[i].obj != nil
 }
 
 // Begin opens a mutation session. The context bounds Commit (staging
@@ -89,7 +101,6 @@ func (k *Kernel) beginAt(ctx context.Context, readEpoch uint64, user string) *Se
 		ctx:       ctx,
 		readEpoch: readEpoch,
 		user:      user,
-		createIdx: make(map[object.OID]int),
 		updateIdx: make(map[object.OID]int),
 		deleteIdx: make(map[object.OID]int),
 	}
@@ -131,8 +142,7 @@ func (s *Session) Create(obj *object.Object, note string) (object.OID, error) {
 	if err != nil {
 		return 0, classify(err)
 	}
-	s.createIdx[oid] = len(s.creates)
-	s.creates = append(s.creates, stagedCreate{obj: obj, note: note})
+	s.creates = append(s.creates, stagedCreate{oid: oid, obj: obj, note: note})
 	return oid, nil
 }
 
@@ -149,7 +159,7 @@ func (s *Session) Update(obj *object.Object) error {
 	if _, staged := s.deleteIdx[obj.OID]; staged {
 		return fmt.Errorf("%w: object %d is staged for deletion in this session", ErrConflict, obj.OID)
 	}
-	if i, staged := s.createIdx[obj.OID]; staged {
+	if i, staged := s.createOf(obj.OID); staged {
 		// Validate like a fresh create, then swap the staged state.
 		if err := s.k.Objects.ValidateNew(obj); err != nil {
 			return classify(err)
@@ -177,9 +187,8 @@ func (s *Session) Delete(oid object.OID) error {
 	if err := s.checkStaging(); err != nil {
 		return classify(err)
 	}
-	if i, staged := s.createIdx[oid]; staged {
+	if i, staged := s.createOf(oid); staged {
 		s.creates[i].obj = nil // tombstone; skipped at commit
-		delete(s.createIdx, oid)
 		return nil
 	}
 	if !s.k.Objects.Exists(oid) {
