@@ -101,10 +101,11 @@
 // request: the stored record leaves what its class says (name, frame,
 // attribute names and types) to the catalog and keeps its epoch, its
 // OID, a gridded extent's integral corners and timestamps and an
-// integral float as varints (about 15 bytes for a one-float gauge on a
-// grid tile, 47 with a raw box and reading), and the read path splices
-// the class's part back per shipped record, writing each typed value's
-// value.Encode form straight from its stored bytes.
+// integral float as varints (about 14 bytes for a one-float gauge on a
+// grid tile, plus a 2-byte page slot; 47 with a raw box and reading),
+// and the read path splices the class's part back per shipped record,
+// writing each typed value's value.Encode form straight from its stored
+// bytes.
 //
 // Remote snapshots and stream cursors hold their MVCC pins under
 // server-side leases (ServeOptions.SnapshotLease): every touch renews,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"maps"
@@ -48,22 +47,42 @@ func reformat(meta []byte, header string) []byte {
 	return binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
 }
 
-// taggedGauge is a rain gauge's heap record as format 2 stored it: the
-// compact header and packed extent of format 3, but the reading behind
-// a span length and a value.Encode type tag, as a raw f64.
-func taggedGauge(oid, epoch uint64, x int64, mm float64) []byte {
+// oldGauge is a rain gauge's heap record up to its reading as formats 2
+// and 3 stored it: the 0x80 and 0x08 markers in the flags byte, and the
+// packed box mask in a byte of its own.
+func oldGauge(oid, epoch uint64, x int64) []byte {
 	rec := binary.AppendUvarint([]byte{0x98}, epoch) // relative, compact, packed
 	rec = binary.AppendUvarint(rec, oid)
 	rec = append(rec, 0x0f) // every box coordinate packed
 	for _, c := range []int64{x, 0, 10, 10} {
 		rec = binary.AppendVarint(rec, c)
 	}
-	rec = append(rec, 9<<1, 2) // a 9-byte span: tagFloat, then the f64
-	return binary.LittleEndian.AppendUint64(rec, math.Float64bits(mm))
+	return rec
+}
+
+// slotPage is a heap page as formats 2 and 3 wrote it, holding
+// recs: a four-byte slot per record (offset, then length) and the
+// records placed down from the end of the page, under a crc32 of all
+// past the header.
+func slotPage(recs ...[]byte) []byte {
+	page := make([]byte, storage.PageSize)
+	end := storage.PageSize
+	for i, rec := range recs {
+		end -= len(rec)
+		copy(page[end:], rec)
+		binary.LittleEndian.PutUint16(page[10+4*i:], uint16(end))
+		binary.LittleEndian.PutUint16(page[12+4*i:], uint16(len(rec)))
+	}
+	binary.LittleEndian.PutUint16(page[0:], 0x6AEA)
+	binary.LittleEndian.PutUint16(page[2:], uint16(len(recs)))
+	binary.LittleEndian.PutUint16(page[4:], uint16(end))
+	binary.LittleEndian.PutUint32(page[6:], crc32.ChecksumIEEE(page[10:]))
+	return page
 }
 
 // TestOpenRefusesOtherFormats: a directory whose meta.db carries format
-// 2 — whose records tag every attribute value — or format 1 — what every
+// 3 — four bytes per page slot and a separate mask byte — format 2 —
+// whose records tag every attribute value — or format 1 — what every
 // directory written before the format number holds — and one with heap
 // files or WAL bytes but no meta.db are refused with ErrFormat, and Open
 // writes nothing in them: every file stays byte for byte as it was, and
@@ -87,8 +106,8 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("GMETA3\n")) {
-		t.Fatalf("meta.db starts %q, want GMETA3", meta[:min(len(meta), 7)])
+	if !bytes.HasPrefix(meta, []byte("GMETA4\n")) {
+		t.Fatalf("meta.db starts %q, want GMETA4", meta[:min(len(meta), 7)])
 	}
 
 	for _, c := range []struct {
@@ -96,39 +115,27 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 		build func(dir string) error
 		want  string
 	}{
+		{"format 3 holding a gauge on a 4-byte-slot page", func(dir string) error {
+			gauge := append(oldGauge(1000, 1, 300), 12<<2) // a packed float, 12
+			if err := os.WriteFile(filepath.Join(dir, "heap_obj_rain.db"), slotPage(gauge), 0o644); err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA3\n"), 0o644)
+		}, "format 3, not 4"},
 		{"format 2 holding a tagged gauge", func(dir string) error {
-			st, err := storage.Open(dir, storage.Options{NoSync: true})
-			if err != nil {
-				return err
-			}
-			gauge := taggedGauge(1000, 0, 300, 12.5)
-			b := st.NewBatch()
-			b.Insert("obj_rain", gauge)
-			_, err = b.Commit()
-			if cerr := st.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			if heap, err := os.ReadFile(filepath.Join(dir, "heap_obj_rain.db")); err != nil || !bytes.Contains(heap, gauge) {
-				return fmt.Errorf("the tagged gauge is not in the rain heap: %v", err)
-			}
-			meta, err := os.ReadFile(filepath.Join(dir, "meta.db"))
-			if err != nil {
-				return err
-			}
-			if err := os.RemoveAll(filepath.Join(dir, "blobs")); err != nil {
+			gauge := append(oldGauge(1000, 1, 300), 9<<1, 2) // a 9-byte span: tagFloat, then the f64
+			gauge = binary.LittleEndian.AppendUint64(gauge, math.Float64bits(12.5))
+			if err := os.WriteFile(filepath.Join(dir, "heap_obj_rain.db"), slotPage(gauge), 0o644); err != nil {
 				return err
 			}
 			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA2\n"), 0o644)
-		}, "format 2, not 3"},
+		}, "format 2, not 4"},
 		{"format 1", func(dir string) error {
 			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA1\n"), 0o644)
-		}, "format 1, not 3"},
+		}, "format 1, not 4"},
 		{"heap files without meta.db", func(dir string) error {
 			return os.Remove(filepath.Join(dir, "meta.db"))
-		}, "no format number, not 3"},
+		}, "no format number, not 4"},
 		{"WAL bytes without meta.db", func(dir string) error {
 			entries, err := os.ReadDir(dir)
 			for _, e := range entries {
@@ -140,7 +147,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 				return err
 			}
 			return os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644)
-		}, "no format number, not 3"},
+		}, "no format number, not 4"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := copyDir(t, src)

@@ -13,20 +13,19 @@ package object
 // corners and timestamps (the packed extent) and an integral float
 // attribute are varints. Little endian:
 //
-//	flags u8: 0x80 always (so the byte is never the 'G' of "GOB3"),
-//	          0x08 always (the uvarint header below),
-//	          0x01 tombstone, 0x02 timed, 0x04 own frame,
-//	          0x10 packed extent
+//	flags u8: 0x01 tombstone, 0x02 timed, 0x04 own frame,
+//	          0x08 packed extent, bits 4–7 the packed box mask: bit
+//	          4+i set when box coordinate i (MinX, MinY, MaxX, MaxY) is
+//	          an integer within ±2^53 and not -0
 //	epoch uvarint, oid uvarint              [a tombstone ends here: ~5 B]
-//	extent, 0x10 clear:
+//	extent, 0x08 clear:
 //	        box 4 x f64
 //	        interval 2 x i64                (timed only)
-//	extent, 0x10 set:
-//	        mask u8: bit i set when box coordinate i (MinX, MinY, MaxX,
-//	                 MaxY) is an integer within ±2^53 and not -0
-//	        per coordinate, in that order: a set one as a zig-zag varint
-//	                 — MaxX, MaxY as their difference from MinX, MinY
-//	                 when both ends are set — a clear one as its raw f64
+//	extent, 0x08 set:
+//	        per coordinate, in that order: a masked one as a zig-zag
+//	                 varint — MaxX, MaxY as their difference from MinX,
+//	                 MinY when both ends are masked — any other as its
+//	                 raw f64
 //	        start varint, end-start varint  (timed only)
 //	frame sysLen u16 + sys, unitLen u16 + unit
 //	                                        (only when not the class's frame,
@@ -52,9 +51,9 @@ package object
 // encodeObject packs an extent only when that is shorter than the raw
 // form, so packing never lengthens a record. A raw coordinate or float
 // keeps any bit pattern (NaN payloads, ±Inf, -0, subnormals).
-// parseRelative refuses a record without both 0x80 and 0x08 — the
-// fixed-header form of earlier stores had 0x08 clear, and GOB3 starts
-// with 'G' — a mask bit past MaxY, a packed coordinate outside ±2^53,
+// parseRelative refuses a flags byte with mask bits but no packed
+// extent — so GOB3, whose 'G' is 0x47, never reads as a heap record —
+// a tombstone with any other flag, a packed coordinate outside ±2^53,
 // where float64 loses integers, and an interval whose end overflows. The
 // attribute walk refuses a packed float outside ±2^53, a float marker
 // other than 0x01 and a bool byte other than 0 or 1. So a record reads
@@ -100,12 +99,11 @@ const (
 	wireMagic         = "GOB3"
 	wireFlagTombstone = 0x01
 
-	flagRelative  = 0x80
-	flagCompact   = 0x08
 	flagTombstone = 0x01
 	flagTimed     = 0x02
 	flagOwnFrame  = 0x04
-	flagPacked    = 0x10
+	flagPacked    = 0x08
+	flagMaskShift = 4 // the packed box mask's place in the flags
 
 	// maxExact bounds a packed box coordinate or float: every integer of
 	// at most this magnitude is a float64.
@@ -320,8 +318,8 @@ func parseRecord(rec []byte, sch *schema) (record, error) {
 func (w *record) parseRelative() {
 	r := &w.r
 	flags := r.u8()
-	if flags&(flagRelative|flagCompact) != flagRelative|flagCompact ||
-		flags&^(flagRelative|flagCompact|flagTombstone|flagTimed|flagOwnFrame|flagPacked) != 0 {
+	if flags&flagPacked == 0 && flags>>flagMaskShift != 0 ||
+		flags&flagTombstone != 0 && flags != flagTombstone {
 		r.failf("object: record flags %#x are not the compact form", flags)
 		return
 	}
@@ -334,7 +332,7 @@ func (w *record) parseRelative() {
 	}
 	w.ext.HasTime = flags&flagTimed != 0
 	if flags&flagPacked != 0 {
-		w.parsePacked()
+		w.parsePacked(flags >> flagMaskShift)
 	} else {
 		w.ext.Space = sptemp.Box{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
 		if w.ext.HasTime {
@@ -348,15 +346,10 @@ func (w *record) parseRelative() {
 	w.n = len(w.sch.cls.Attrs)
 }
 
-// parsePacked reads a packed extent: the box, and the interval when the
-// record is timed.
-func (w *record) parsePacked() {
+// parsePacked reads a packed extent under the box mask from the flags:
+// the box, and the interval when the record is timed.
+func (w *record) parsePacked(mask byte) {
 	r := &w.r
-	mask := r.u8()
-	if mask > 0x0f {
-		r.failf("object: packed box mask %#x", mask)
-		return
-	}
 	var c [4]float64
 	var n [4]int64
 	for i := range c {
@@ -566,17 +559,18 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 			ErrBadAttr, obj.OID, len(obj.Attrs), sch.cls.Name, len(attrs))
 	}
 	ext := &obj.Extent
-	flags := byte(flagRelative | flagCompact)
+	var flags byte
 	if ext.HasTime {
 		flags |= flagTimed
 	}
 	if ext.Frame != sch.cls.Frame {
 		flags |= flagOwnFrame
 	}
-	buf := make([]byte, headroom, headroom+1+4*8+2*binary.MaxVarintLen64+12*len(attrs))
+	buf := make([]byte, headroom, headroom+4*8+2*binary.MaxVarintLen64+12*len(attrs))
+	var mask byte
 	var packed bool
-	if buf, packed = appendPacked(buf, ext); packed {
-		flags |= flagPacked
+	if buf, mask, packed = appendPacked(buf, ext); packed {
+		flags |= flagPacked | mask<<flagMaskShift
 	} else {
 		buf = appendBox(buf, ext.Space)
 		if ext.HasTime {
@@ -670,10 +664,10 @@ func appendFloat(buf []byte, f float64) []byte {
 }
 
 // appendPacked appends ext's box, and its interval when timed, in the
-// packed form. It leaves buf as it was and returns false when that form
-// would not be shorter than the raw one, or cannot hold the interval (an
-// end-start that overflows).
-func appendPacked(buf []byte, ext *sptemp.Extent) ([]byte, bool) {
+// packed form, and returns the box mask for the flags. It leaves buf as
+// it was and returns false when that form would not be shorter than the
+// raw one, or cannot hold the interval (an end-start that overflows).
+func appendPacked(buf []byte, ext *sptemp.Extent) ([]byte, byte, bool) {
 	mark, raw := len(buf), 4*8
 	c := [4]float64{ext.Space.MinX, ext.Space.MinY, ext.Space.MaxX, ext.Space.MaxY}
 	var n [4]int64
@@ -683,7 +677,6 @@ func appendPacked(buf []byte, ext *sptemp.Extent) ([]byte, bool) {
 			n[i], mask = int64(f), mask|1<<i
 		}
 	}
-	buf = append(buf, mask)
 	for i, f := range c {
 		switch {
 		case mask&(1<<i) == 0:
@@ -698,16 +691,16 @@ func appendPacked(buf []byte, ext *sptemp.Extent) ([]byte, bool) {
 		start, end := int64(ext.TimeIv.Start), int64(ext.TimeIv.End)
 		width := end - start
 		if (width < 0) != (end < start) {
-			return buf[:mark], false
+			return buf[:mark], 0, false
 		}
 		buf = binary.AppendVarint(buf, start)
 		buf = binary.AppendVarint(buf, width)
 		raw += 2 * 8
 	}
 	if len(buf)-mark >= raw {
-		return buf[:mark], false
+		return buf[:mark], 0, false
 	}
-	return buf, true
+	return buf, mask, true
 }
 
 // packable reports whether a box coordinate or a float attribute packs
@@ -734,7 +727,7 @@ func sealSpan(buf []byte, mark int) []byte {
 
 // encodeTombstone serialises a deletion marker for an OID at an epoch.
 func encodeTombstone(oid OID, epoch uint64) []byte {
-	return appendHeader(make([]byte, 0, headroom), flagRelative|flagCompact|flagTombstone, epoch, oid)
+	return appendHeader(make([]byte, 0, headroom), flagTombstone, epoch, oid)
 }
 
 // appendWireHeader writes a GOB3 record up to and including its

@@ -68,9 +68,9 @@ func TestRecordBytes(t *testing.T) {
 		max  int
 		raw  bool // stored as the unpacked layout, byte for byte
 	}{
-		{"a gauge with an integral reading", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10), 999_999), 16, false},
-		{"a gauge", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10), 12.5), 20, false}, // 47 unpacked
-		{"a Landsat scene", sceneClass, scene, 28, false},                             // 61 unpacked
+		{"a gauge with an integral reading", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10), 999_999), 15, false},
+		{"a gauge", gaugeClass, gauge(sptemp.NewBox(20, 0, 30, 10), 12.5), 19, false}, // 47 unpacked
+		{"a Landsat scene", sceneClass, scene, 27, false},                             // 61 unpacked
 		{"a gauge with no integral coordinate", gaugeClass, gauge(sptemp.NewBox(20.5, 0.5, 30.5, 10.5), 12.5), 47, true},
 	} {
 		sch := newSchema(c.cls)
@@ -96,14 +96,14 @@ func TestRecordBytes(t *testing.T) {
 
 // unpackedRecord rewrites a compact relative record with its extent
 // unpacked, as encodeObject writes it when packing would not shorten it:
-// flag 0x10 clear, the box as four f64s and, when timed, the interval as
-// two i64s.
+// flag 0x08 and the mask bits clear, the box as four f64s and, when
+// timed, the interval as two i64s.
 func unpackedRecord(t testing.TB, rec []byte, sch *schema) []byte {
 	w, err := parseRecord(rec, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags := rec[0] &^ flagPacked
+	flags := rec[0] & (flagTombstone | flagTimed | flagOwnFrame)
 	out := appendHeader(nil, flags, w.epoch, w.oid)
 	if w.del {
 		return out
@@ -121,14 +121,19 @@ func unpackedRecord(t testing.TB, rec []byte, sch *schema) []byte {
 }
 
 // fixedHeader rewrites a compact record in the fixed-header form earlier
-// stores wrote, which a heap no longer holds: flag 0x08 clear, then the
-// epoch and the OID as u64s.
+// stores wrote, which a heap no longer holds: flags with 0x80 set and
+// 0x08 clear, a packed extent at 0x10, then the epoch and the OID as
+// u64s, and a packed extent's mask as a byte of its own.
 func fixedHeader(rec []byte) []byte {
 	epoch, n := binary.Uvarint(rec[1:])
 	oid, m := binary.Uvarint(rec[1+n:])
-	out := binary.LittleEndian.AppendUint64([]byte{rec[0] &^ flagCompact}, epoch)
+	flags, mask := 0x80|rec[0]&(flagTombstone|flagTimed|flagOwnFrame), []byte(nil)
+	if rec[0]&flagPacked != 0 {
+		flags, mask = flags|0x10, []byte{rec[0] >> flagMaskShift}
+	}
+	out := binary.LittleEndian.AppendUint64([]byte{flags}, epoch)
 	out = binary.LittleEndian.AppendUint64(out, oid)
-	return append(out, rec[1+n+m:]...)
+	return slices.Concat(out, mask, rec[1+n+m:])
 }
 
 // TestOpenRefusesOldRecordForms: a heap record in a form the store wrote
@@ -807,7 +812,8 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 		{},                                // empty
 		relPlain[:len(relPlain)-3],        // truncated
 		append(rel(inline, 3), 0),         // trailing byte
-		{flagRelative | 0x40, 0, 0, 0, 0}, // unknown flag
+		{0x40, 0, 0, 0, 0},                // mask bits without a packed extent
+		{flagTombstone | flagTimed, 3, 5}, // a tombstone with another flag
 		fixedHeader(unpackedRecord(t, relPlain, sch)),  // refused, fixed header: timed, own frame, a blob
 		fixedHeader(unpackedRecord(t, relInline, sch)), // refused, fixed header, all inline
 		fixedHeader(encodeTombstone(5, 4)),             // refused, fixed-header tombstone
@@ -815,7 +821,7 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 		rel(&widest, math.MaxUint64),                   // widest header: 21 bytes
 
 		// An epoch uvarint past 64 bits.
-		append([]byte{flagRelative | flagCompact | flagTombstone}, bytes.Repeat([]byte{0xff}, 10)...),
+		append([]byte{flagTombstone}, bytes.Repeat([]byte{0xff}, 10)...),
 	}
 	for _, m := range malformedPayloads { // refused
 		seeds = append(seeds, spliceAttr(t, relInline, sch, m.attr, m.payload))
@@ -830,13 +836,13 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 
 // packedSeeds builds packed records by hand around an attribute table,
 // so that they may hold what encodeObject never writes. The exact ones
-// hold each mask value (the odd ones timed); the refused ones a bad mask,
-// a coordinate in a 10-byte uvarint, a width that takes MaxX past 2^53
-// and an end-start that overflows. They are committed, in that order, as
-// packed-NN under testdata/fuzz.
+// hold each mask value (the odd ones timed); the refused ones mask bits
+// on an unpacked extent, a coordinate in a 10-byte uvarint, a width that
+// takes MaxX past 2^53 and an end-start that overflows. They are
+// committed, in that order, as packed-NN under testdata/fuzz.
 func packedSeeds(attrs []byte) (exact, refused [][]byte) {
-	rec := func(timed bool, ext ...[]byte) []byte {
-		flags := byte(flagRelative | flagCompact | flagPacked)
+	rec := func(timed bool, mask byte, ext ...[]byte) []byte {
+		flags := flagPacked | mask<<flagMaskShift
 		if timed {
 			flags |= flagTimed
 		}
@@ -845,7 +851,7 @@ func packedSeeds(attrs []byte) (exact, refused [][]byte) {
 	v := func(x int64) []byte { return binary.AppendVarint(nil, x) }
 	raw := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
 	for mask := byte(0); mask < 16; mask++ {
-		ext := [][]byte{{mask}}
+		var ext [][]byte
 		for i := 0; i < 4; i++ {
 			if mask&(1<<i) != 0 {
 				ext = append(ext, v(int64(i)-1))
@@ -857,13 +863,14 @@ func packedSeeds(attrs []byte) (exact, refused [][]byte) {
 		if timed {
 			ext = append(ext, v(int64(sptemp.Date(1986, 1, 15))), v(86400))
 		}
-		exact = append(exact, rec(timed, ext...))
+		exact = append(exact, rec(timed, mask, ext...))
 	}
+	unpacked := slices.Concat(appendHeader(nil, 0x01<<flagMaskShift, 3, 6), raw, raw, raw, raw, attrs)
 	return exact, [][]byte{
-		rec(false, []byte{0x10}, raw, raw, raw, raw),                                       // a mask bit past MaxY
-		rec(false, []byte{0x01}, binary.AppendUvarint(nil, math.MaxUint64), raw, raw, raw), // MinX in a 10-byte uvarint
-		rec(false, []byte{0x05}, v(maxExact), raw, v(1), raw),                              // MaxX = 2^53 + 1
-		rec(true, []byte{0x0f}, v(0), v(0), v(0), v(0), v(math.MaxInt64), v(1)),            // end = MaxInt64 + 1
+		unpacked, // a mask bit on an unpacked extent
+		rec(false, 0x01, binary.AppendUvarint(nil, math.MaxUint64), raw, raw, raw), // MinX in a 10-byte uvarint
+		rec(false, 0x05, v(maxExact), raw, v(1), raw),                              // MaxX = 2^53 + 1
+		rec(true, 0x0f, v(0), v(0), v(0), v(0), v(math.MaxInt64), v(1)),            // end = MaxInt64 + 1
 	}
 }
 
@@ -947,7 +954,8 @@ func FuzzRecordDecode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if from != nil && rec[0]&(flagRelative|flagCompact) != flagRelative|flagCompact ||
+			if from != nil && (rec[0]&flagPacked == 0 && rec[0]>>flagMaskShift != 0 ||
+				rec[0]&flagTombstone != 0 && rec[0] != flagTombstone) ||
 				from == nil && !bytes.HasPrefix(rec, []byte(wireMagic)) {
 				t.Fatalf("%x parsed (as a heap record: %v) though not in that side's form", rec, from != nil)
 			}

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"sort"
@@ -312,12 +311,10 @@ func (h *Heap) stats() (pages int, liveRecords int) {
 			continue
 		}
 		for s := 0; s < p.nslots(); s++ {
-			if off, _ := p.slot(s); off != 0 {
+			if !p.dead(s) {
 				liveRecords++
 			}
 		}
 	}
 	return pages, liveRecords
 }
-
-var _ = io.EOF // reserved for future streaming scans

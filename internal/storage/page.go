@@ -23,14 +23,22 @@ const PageSize = 8192
 //	offset 2: nslots     uint16
 //	offset 4: freeEnd    uint16  (start of the lowest record)
 //	offset 6: crc32      uint32  (over bytes [10, PageSize), i.e. everything after the checksum)
-//	offset 10: slot array, 4 bytes per slot: recOff uint16, recLen uint16
+//	offset 10: slot array, one uint16 per slot: bits 0–13 the slot's
+//	           offset, bit 15 set when the slot is dead (deleted)
 //
-// Records grow downward from the end of the page; the slot array grows
-// upward. A slot with recOff == 0 is dead (deleted).
+// The slot array grows upward and the records grow downward from the
+// end of the page, in slot order: slot i's bytes run from its offset to
+// slot i-1's offset (to PageSize for slot 0), so a slot needs no length
+// and freeEnd is the last slot's offset. A dead slot keeps its offset,
+// and its bytes, possibly none, are a hole that compact squeezes out or
+// a reusing insert resizes.
 const (
-	pageMagic  = 0x6AEA
+	pageMagic  = 0x6AEB
 	pageHdrLen = 10
-	slotSize   = 4
+	slotSize   = 2
+
+	slotDead = 0x8000
+	slotOff  = 0x3FFF
 )
 
 // Errors returned by page operations.
@@ -70,33 +78,29 @@ func (p *page) freeEnd() int { return int(binary.LittleEndian.Uint16(p.buf[4:]))
 func (p *page) setNslots(n int)  { binary.LittleEndian.PutUint16(p.buf[2:], uint16(n)) }
 func (p *page) setFreeEnd(v int) { binary.LittleEndian.PutUint16(p.buf[4:], uint16(v)) }
 
-func (p *page) slot(i int) (off, length int) {
-	base := pageHdrLen + i*slotSize
-	return int(binary.LittleEndian.Uint16(p.buf[base:])), int(binary.LittleEndian.Uint16(p.buf[base+2:]))
+func (p *page) word(i int) int {
+	return int(binary.LittleEndian.Uint16(p.buf[pageHdrLen+i*slotSize:]))
 }
 
-func (p *page) setSlot(i, off, length int) {
-	base := pageHdrLen + i*slotSize
-	binary.LittleEndian.PutUint16(p.buf[base:], uint16(off))
-	binary.LittleEndian.PutUint16(p.buf[base+2:], uint16(length))
+func (p *page) setWord(i, w int) {
+	binary.LittleEndian.PutUint16(p.buf[pageHdrLen+i*slotSize:], uint16(w))
 }
+
+// span returns where slot i's bytes start and end.
+func (p *page) span(i int) (off, end int) {
+	end = PageSize
+	if i > 0 {
+		end = p.word(i-1) & slotOff
+	}
+	return p.word(i) & slotOff, end
+}
+
+func (p *page) dead(i int) bool { return p.word(i)&slotDead != 0 }
 
 // freeSpace returns contiguous free bytes between the slot array and the
 // record heap.
 func (p *page) freeSpace() int {
 	return p.freeEnd() - (pageHdrLen + p.nslots()*slotSize)
-}
-
-// deadSpace returns bytes held by deleted records (reclaimable by compact).
-func (p *page) deadSpace() int {
-	used := 0
-	for i := 0; i < p.nslots(); i++ {
-		off, length := p.slot(i)
-		if off != 0 {
-			used += length
-		}
-	}
-	return PageSize - p.freeEnd() - used
 }
 
 // room returns the longest record insert accepts — possibly after
@@ -105,10 +109,10 @@ func (p *page) deadSpace() int {
 func (p *page) room() int {
 	used, dead := 0, false
 	for i := 0; i < p.nslots(); i++ {
-		if off, length := p.slot(i); off != 0 {
-			used += length
-		} else {
+		if off, end := p.span(i); p.dead(i) {
 			dead = true
+		} else {
+			used += end - off
 		}
 	}
 	room := PageSize - used - (pageHdrLen + p.nslots()*slotSize)
@@ -120,7 +124,7 @@ func (p *page) room() int {
 
 func (p *page) firstDeadSlot() int {
 	for i := p.live; i < p.nslots(); i++ {
-		if off, _ := p.slot(i); off == 0 {
+		if p.dead(i) {
 			p.live = i
 			return i
 		}
@@ -129,8 +133,8 @@ func (p *page) firstDeadSlot() int {
 	return -1
 }
 
-// insert places rec into the page, compacting first if fragmentation
-// requires it, and returns the slot number.
+// insert places rec into the page, reusing its first dead slot when it
+// has one, and returns the slot number.
 func (p *page) insert(rec []byte) (int, error) {
 	if len(rec) > MaxRecordLen {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
@@ -139,68 +143,90 @@ func (p *page) insert(rec []byte) (int, error) {
 		return 0, errors.New("storage: empty record")
 	}
 	slot := p.firstDeadSlot()
-	need := len(rec)
-	if slot < 0 {
-		need += slotSize
-	}
-	if p.freeSpace() < need {
-		if p.freeSpace()+p.deadSpace() < need {
-			return 0, ErrPageFull
-		}
-		p.compact()
-		if p.freeSpace() < need {
-			return 0, ErrPageFull
-		}
-	}
 	if slot < 0 {
 		slot = p.nslots()
-		p.setNslots(slot + 1)
 	}
-	off := p.freeEnd() - len(rec)
-	copy(p.buf[off:], rec)
-	p.setFreeEnd(off)
-	p.setSlot(slot, off, len(rec))
+	if err := p.place(slot, rec); err != nil {
+		return 0, err
+	}
 	return slot, nil
 }
 
 // insertAt places rec into a specific slot, used by WAL replay. Existing
 // identical records are accepted silently (idempotent replay); conflicting
-// content is an error.
+// content is an error. The slots it adds before the target are dead and
+// hold no bytes.
 func (p *page) insertAt(slot int, rec []byte) error {
 	if len(rec) > MaxRecordLen {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
 	}
-	if slot < p.nslots() {
-		if off, length := p.slot(slot); off != 0 {
-			if length == len(rec) && string(p.buf[off:off+length]) == string(rec) {
-				return nil // already applied
-			}
-			return fmt.Errorf("storage: replay conflict at slot %d", slot)
+	if slot < p.nslots() && !p.dead(slot) {
+		if off, end := p.span(slot); string(p.buf[off:end]) == string(rec) {
+			return nil // already applied
 		}
+		return fmt.Errorf("storage: replay conflict at slot %d", slot)
 	}
-	// Extend the slot array through the target slot.
-	for p.nslots() <= slot {
-		if p.freeSpace() < slotSize {
-			return ErrPageFull
-		}
-		n := p.nslots()
-		p.setSlot(n, 0, 0)
-		p.setNslots(n + 1)
+	return p.place(slot, rec)
+}
+
+// place writes rec into slot, a dead slot or one past the last,
+// appending dead zero-length slots up to it, and compacting first if
+// the holes hold the room it needs.
+func (p *page) place(slot int, rec []byte) error {
+	n := p.nslots()
+	need, hole := len(rec), 0
+	if slot < n {
+		off, end := p.span(slot)
+		hole = end - off
+		need -= hole
+	} else {
+		need += (slot + 1 - n) * slotSize
 	}
-	if p.freeSpace() < len(rec) {
-		if p.freeSpace()+p.deadSpace() < len(rec) {
+	if p.freeSpace() < need {
+		if p.freeSpace()+p.holes() < need+hole {
 			return ErrPageFull
 		}
 		p.compact()
-		if p.freeSpace() < len(rec) {
-			return ErrPageFull
+	}
+	for fe := p.freeEnd(); n <= slot; n++ {
+		p.setWord(n, slotDead|fe)
+	}
+	p.setNslots(n)
+	off := p.resize(slot, len(rec))
+	copy(p.buf[off:], rec)
+	p.setWord(slot, off)
+	return nil
+}
+
+// resize makes slot i's bytes size long, moving the records of the later
+// slots, and their offsets, by the difference, and returns the slot's
+// new offset. The caller has made the room.
+func (p *page) resize(i, size int) int {
+	off, end := p.span(i)
+	d := size - (end - off)
+	if d == 0 {
+		return off
+	}
+	fe := p.freeEnd()
+	copy(p.buf[fe-d:], p.buf[fe:off])
+	for j := i + 1; j < p.nslots(); j++ {
+		p.setWord(j, p.word(j)-d)
+	}
+	p.setWord(i, p.word(i)-d)
+	p.setFreeEnd(fe - d)
+	return off - d
+}
+
+// holes returns the bytes held by dead slots (reclaimable by compact).
+func (p *page) holes() int {
+	n := 0
+	for i := 0; i < p.nslots(); i++ {
+		if p.dead(i) {
+			off, end := p.span(i)
+			n += end - off
 		}
 	}
-	off := p.freeEnd() - len(rec)
-	copy(p.buf[off:], rec)
-	p.setFreeEnd(off)
-	p.setSlot(slot, off, len(rec))
-	return nil
+	return n
 }
 
 // get returns the record bytes in slot i (a view into the page; callers
@@ -209,43 +235,43 @@ func (p *page) get(i int) ([]byte, error) {
 	if i < 0 || i >= p.nslots() {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.nslots())
 	}
-	off, length := p.slot(i)
-	if off == 0 {
+	if p.dead(i) {
 		return nil, ErrRecDeleted
 	}
-	return p.buf[off : off+length], nil
+	off, end := p.span(i)
+	return p.buf[off:end], nil
 }
 
-// del marks slot i dead. The record space is reclaimed by a later compact.
+// del marks slot i dead. Its bytes stay, as a hole, until a compact or
+// an insert that reuses the slot.
 func (p *page) del(i int) error {
 	if i < 0 || i >= p.nslots() {
 		return fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.nslots())
 	}
-	off, _ := p.slot(i)
-	if off == 0 {
+	if p.dead(i) {
 		return ErrRecDeleted
 	}
-	p.setSlot(i, 0, 0)
+	p.setWord(i, p.word(i)|slotDead)
 	p.live = min(p.live, i)
 	return nil
 }
 
-// compact rewrites live records contiguously at the end of the page, in
-// slot order. It allocates nothing: a page that reclaimed records is
-// compacted by the insert that reuses the space, once per insert.
+// compact squeezes every hole out of the page in one pass in slot
+// order, in place: each live record moves up the page at most once, to
+// just below the one before it, and a dead slot is left holding no
+// bytes.
 func (p *page) compact() {
-	var scratch [PageSize]byte
-	end := PageSize
+	end, prev := PageSize, PageSize // new and old end of the slot's bytes
 	for i := 0; i < p.nslots(); i++ {
-		off, length := p.slot(i)
-		if off == 0 {
-			continue
+		w := p.word(i)
+		off := w & slotOff
+		if w&slotDead == 0 {
+			end -= prev - off
+			copy(p.buf[end:], p.buf[off:prev])
 		}
-		end -= length
-		copy(scratch[end:], p.buf[off:off+length])
-		p.setSlot(i, end, length)
+		p.setWord(i, w&slotDead|end)
+		prev = off
 	}
-	copy(p.buf[end:], scratch[end:])
 	p.setFreeEnd(end)
 }
 

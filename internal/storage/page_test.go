@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -141,9 +143,14 @@ func TestPageInsertAtIdempotent(t *testing.T) {
 	if err := p.insertAt(3, []byte("different")); err == nil {
 		t.Error("conflicting replay must fail")
 	}
-	// Intervening slots are dead.
-	if _, err := p.get(0); !errors.Is(err, ErrRecDeleted) {
-		t.Errorf("intervening slot should be dead: %v", err)
+	// Intervening slots are dead and hold no bytes.
+	for i := 0; i < 3; i++ {
+		if _, err := p.get(i); !errors.Is(err, ErrRecDeleted) {
+			t.Errorf("intervening slot %d should be dead: %v", i, err)
+		}
+		if off, end := p.span(i); off != end {
+			t.Errorf("intervening slot %d holds [%d, %d)", i, off, end)
+		}
 	}
 	got, err := p.get(3)
 	if err != nil || !bytes.Equal(got, rec) {
@@ -151,49 +158,136 @@ func TestPageInsertAtIdempotent(t *testing.T) {
 	}
 }
 
+// checkPage holds a page to its layout and to model, the live records by
+// slot: offsets non-increasing in slot order, freeEnd the last offset,
+// live bytes and holes filling the record area, the live-prefix hint
+// true, room what a brute-force search finds insert accepts, and every
+// slot live exactly when the model has it, with the model's bytes.
+func checkPage(p *page, model map[int][]byte) error {
+	prev, live := PageSize, 0
+	for i := 0; i < p.nslots(); i++ {
+		off, end := p.span(i)
+		if end != prev || off > end {
+			return fmt.Errorf("slot %d spans [%d, %d) below %d", i, off, end, prev)
+		}
+		prev = off
+		want, ok := model[i]
+		if got, err := p.get(i); ok && (err != nil || !bytes.Equal(got, want)) || !ok && !errors.Is(err, ErrRecDeleted) {
+			return fmt.Errorf("slot %d holds %q, %v; want %q (live %v)", i, got, err, want, ok)
+		}
+		if ok {
+			live += end - off
+		} else if i < p.live {
+			return fmt.Errorf("slot %d is dead below the live prefix %d", i, p.live)
+		}
+	}
+	if p.freeEnd() != prev {
+		return fmt.Errorf("freeEnd %d, last offset %d", p.freeEnd(), prev)
+	}
+	if live+p.holes() != PageSize-p.freeEnd() {
+		return fmt.Errorf("%d live bytes and %d in holes, %d below freeEnd", live, p.holes(), PageSize-p.freeEnd())
+	}
+	for s := range model {
+		if s >= p.nslots() {
+			return fmt.Errorf("model slot %d past the %d slots", s, p.nslots())
+		}
+	}
+	fits := func(n int) bool {
+		q := *p
+		_, err := q.insert(make([]byte, n))
+		return err == nil
+	}
+	longest := sort.Search(MaxRecordLen, func(n int) bool { return !fits(n + 1) })
+	if room := p.room(); longest > 0 && room != longest || longest == 0 && room > 0 {
+		return fmt.Errorf("room %d, insert takes %d", room, longest)
+	}
+	return nil
+}
+
 // TestPagePropertyRandomOps cross-checks the page against a map model
-// under random insert/delete workloads.
+// under random insert, insertAt, delete and compact workloads, checking
+// the whole page after every op. A reusing insert or insertAt makes a
+// dead slot's hole longer or shorter; the run must see both.
 func TestPagePropertyRandomOps(t *testing.T) {
+	var longer, shorter int
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := newPage()
 		model := make(map[int][]byte)
+		record := func() []byte {
+			rec := make([]byte, 1+r.Intn(200))
+			r.Read(rec)
+			return rec
+		}
+		reuse := func(slot int, rec []byte) {
+			if slot < p.nslots() {
+				if off, end := p.span(slot); len(rec) > end-off {
+					longer++
+				} else if len(rec) < end-off {
+					shorter++
+				}
+			}
+		}
 		for op := 0; op < 300; op++ {
-			if r.Intn(3) != 0 {
-				rec := make([]byte, 1+r.Intn(200))
-				r.Read(rec)
+			switch k := r.Intn(10); {
+			case k < 5:
+				rec := record()
+				dead := p.firstDeadSlot()
+				if dead >= 0 {
+					reuse(dead, rec)
+				}
 				s, err := p.insert(rec)
 				if err != nil {
+					if errors.Is(err, ErrPageFull) && p.room() < len(rec) {
+						continue
+					}
+					t.Logf("insert %d bytes: %v", len(rec), err)
+					return false
+				}
+				if _, live := model[s]; live || dead >= 0 && s != dead {
+					t.Logf("insert took slot %d, first dead slot %d", s, dead)
+					return false
+				}
+				model[s] = rec
+			case k < 7:
+				slot := r.Intn(p.nslots() + 4)
+				if want, live := model[slot]; live {
+					if p.insertAt(slot, want) != nil || p.insertAt(slot, append(want, 0)) == nil {
+						t.Logf("replay over live slot %d: identical refused or conflict taken", slot)
+						return false
+					}
+					break
+				}
+				rec := record()
+				reuse(slot, rec)
+				if err := p.insertAt(slot, rec); err != nil {
 					if errors.Is(err, ErrPageFull) {
 						continue
 					}
+					t.Logf("insertAt %d: %v", slot, err)
 					return false
 				}
-				if _, live := model[s]; live {
-					return false // overwrote a live slot
+				model[slot] = rec
+			case k < 9:
+				if len(model) == 0 {
+					continue
 				}
-				model[s] = rec
-			} else if len(model) > 0 {
-				// Delete a random live slot.
-				var victim int
-				k := r.Intn(len(model))
-				for s := range model {
-					if k == 0 {
-						victim = s
-						break
-					}
-					k--
-				}
-				if err := p.del(victim); err != nil {
+				victim := r.Intn(p.nslots())
+				_, live := model[victim]
+				if err := p.del(victim); live != (err == nil) {
+					t.Logf("delete slot %d (live %v): %v", victim, live, err)
 					return false
 				}
 				delete(model, victim)
+			default:
+				p.compact()
+				if p.holes() != 0 {
+					t.Logf("compact left %d bytes in holes", p.holes())
+					return false
+				}
 			}
-		}
-		// Verify every live record.
-		for s, want := range model {
-			got, err := p.get(s)
-			if err != nil || !bytes.Equal(got, want) {
+			if err := checkPage(p, model); err != nil {
+				t.Logf("op %d: %v", op, err)
 				return false
 			}
 		}
@@ -203,5 +297,8 @@ func TestPagePropertyRandomOps(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+	if longer == 0 || shorter == 0 {
+		t.Errorf("%d reuses by a longer record, %d by a shorter one: the draw covers one side only", longer, shorter)
 	}
 }

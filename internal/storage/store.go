@@ -439,8 +439,8 @@ func (s *Store) closeFiles() {
 // pairs, with a trailing crc32. The magic carries the directory's format
 // number, formatVersion: Open reads no other.
 const (
-	formatVersion = 3
-	metaMagic     = "GMETA3\n"
+	formatVersion = 4
+	metaMagic     = "GMETA4\n"
 )
 
 // writeMetaSnapshot replaces meta.db durably: the new snapshot is synced

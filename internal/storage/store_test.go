@@ -229,6 +229,72 @@ func TestStoreCrashRecoveryFromWAL(t *testing.T) {
 	if id := s2.AllocID("tasks"); id != 2 {
 		t.Errorf("sequence after recovery = %d, want 2", id)
 	}
+
+	// A dead slot reused by a longer record, then — after a checkpoint
+	// flushed the page — by a shorter one: replay resizes the slot's hole
+	// on the flushed page and moves the records after it. With the page
+	// also flushed after the second reuse, the replay is a no-op.
+	for _, flushed := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[RID]string{}
+		put := func(rec string) RID {
+			rid, err := insert(s, "objects", []byte(rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[rid] = rec
+			return rid
+		}
+		reuse := func(rid RID, rec string) {
+			if err := remove(s, "objects", rid); err != nil {
+				t.Fatal(err)
+			}
+			if got := put(rec); got != rid {
+				t.Fatalf("%q placed at %s, not in the freed slot %s", rec, got, rid)
+			}
+		}
+		var rids []RID
+		for i := 0; i < 8; i++ {
+			rids = append(rids, put(fmt.Sprintf("obj-%d", i)))
+		}
+		reuse(rids[3], "a longer record in slot 3")
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		reuse(rids[3], "short")
+		put("after")
+		if flushed {
+			h, err := s.heap("objects")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.closeFiles()
+		s.wal.close()
+
+		s2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("recovery (flushed %v) failed: %v", flushed, err)
+		}
+		for rid, rec := range want {
+			if got, err := s2.Get("objects", rid); err != nil || string(got) != rec {
+				t.Errorf("flushed %v: %s after recovery: %q, %v; want %q", flushed, rid, got, err, rec)
+			}
+		}
+		if _, n := s2.HeapStats("objects"); n != len(want) {
+			t.Errorf("flushed %v: %d records after recovery, want %d", flushed, n, len(want))
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestStoreWALTornTailIgnored(t *testing.T) {
@@ -445,7 +511,7 @@ func TestHeapRememberedRoomExact(t *testing.T) {
 			}
 			dead := -1
 			for i := 0; i < p.nslots(); i++ {
-				if off, _ := p.slot(i); off == 0 {
+				if p.dead(i) {
 					dead = i
 					break
 				}
