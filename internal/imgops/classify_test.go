@@ -12,9 +12,9 @@ import (
 )
 
 // lloydReference is Unsuperclassify as plain Lloyd, every pixel against
-// every centre on every pass: the loop as it stood before the bounds
-// pruned it, kept verbatim as the reference the pruned loop must match
-// bit for bit.
+// every centre on every pass, with a separate pass to sum the centres: the
+// loop as it stood before the bounds pruned it and the passes were fused,
+// kept verbatim as the reference both kernels must match bit for bit.
 func lloydReference(bands []*raster.Image, k int, opts ClassifyOptions) (*raster.Image, error) {
 	if err := checkSameShape(bands); err != nil {
 		return nil, err
@@ -38,7 +38,7 @@ func lloydReference(bands []*raster.Image, k int, opts ClassifyOptions) (*raster
 		}
 	}
 
-	centers := seedCenters(px, n, d, k, opts.Seed)
+	centers := seedReference(px, n, d, k, opts.Seed)
 	assign := make([]int, n)
 	counts := make([]int, k)
 	sums := make([]float64, k*d)
@@ -111,6 +111,59 @@ func lloydReference(bands []*raster.Image, k int, opts ClassifyOptions) (*raster
 		return nil, err
 	}
 	return out, nil
+}
+
+// seedReference is the k-means++ seeding as it stood before the three-band
+// kernel and the fused totals: k initial centres from a deterministic
+// splitmix64 stream.
+func seedReference(px []float64, n, d, k int, seed uint64) []float64 {
+	centers := make([]float64, k*d)
+	state := seed
+	next := func() float64 {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		return float64(z>>11) / float64(1<<53)
+	}
+	first := int(next() * float64(n))
+	if first >= n {
+		first = n - 1
+	}
+	copy(centers[0:d], px[first*d:(first+1)*d])
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = sqDist(px[i*d:(i+1)*d], centers[0:d])
+	}
+	for c := 1; c < k; c++ {
+		var total float64
+		for _, dd := range dist {
+			total += dd
+		}
+		idx := 0
+		if total > 0 {
+			target := next() * total
+			var acc float64
+			for i, dd := range dist {
+				acc += dd
+				if acc >= target {
+					idx = i
+					break
+				}
+			}
+		} else {
+			// All points coincide with chosen centers; spread deterministically.
+			idx = (c * n) / k
+		}
+		copy(centers[c*d:(c+1)*d], px[idx*d:(idx+1)*d])
+		for i := range dist {
+			if dd := sqDist(px[i*d:(i+1)*d], centers[c*d:(c+1)*d]); dd < dist[i] {
+				dist[i] = dd
+			}
+		}
+	}
+	return centers
 }
 
 // benchScenes are the scenes the repository benchmark's derive-refresh
@@ -299,6 +352,38 @@ func TestUnsuperclassifyMatchesLloyd(t *testing.T) {
 			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{Seed: uint64(trial) + 1})
 		}
 	})
+	t.Run("permuted triples", func(t *testing.T) {
+		// Every pixel is the origin or a permutation of one triple, so a
+		// pixel lies at the same true distance from centres that permute
+		// each other, and only the order in which a squared distance adds
+		// its bands decides which one the computed distances call nearer.
+		fracs := []float64{0.1, 0.2, 0.3, 0.7, 1.0 / 3, 2.0 / 3, 1.0 / 7, 0.01, 3.3}
+		perms := [...][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+		r := rand.New(rand.NewSource(9))
+		for trial := 0; trial < 3000; trial++ {
+			var triple [3]float64
+			for j := range triple {
+				triple[j] = float64(r.Intn(9)+1) * fracs[r.Intn(len(fracs))]
+			}
+			n := 4 + r.Intn(30)
+			vals := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+			for i := 0; i < n; i++ {
+				if r.Intn(4) == 0 {
+					continue
+				}
+				p := perms[r.Intn(len(perms))]
+				for b := range vals {
+					vals[b][i] = triple[p[b]]
+				}
+			}
+			bands := make([]*raster.Image, 3)
+			for b := range bands {
+				bands[b] = imageOf(t, 1, n, vals[b])
+			}
+			k := 2 + r.Intn(min(6, n-1))
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{MaxIter: 1 + r.Intn(3), Seed: uint64(trial) + 1})
+		}
+	})
 	t.Run("max iterations", func(t *testing.T) {
 		r := rand.New(rand.NewSource(6))
 		for trial := 0; trial < 200; trial++ {
@@ -307,6 +392,87 @@ func TestUnsuperclassifyMatchesLloyd(t *testing.T) {
 			k := 1 + r.Intn(min(rows*cols, 12))
 			for _, it := range []int{1, 2, 3} {
 				checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{MaxIter: it, Seed: uint64(trial) + 1})
+			}
+		}
+	})
+}
+
+// fuzzInput decodes a classification from fuzz bytes: a header of band
+// count (1–5), rows and cols (1–8 each), k (1..n), seed and MaxIter (0–3,
+// 0 the default), then a tagged value for each pixel of each band. A tag's
+// top two bits pick a small integer (ties), a third (rounded means), a
+// special value or a subnormal multiple (NaN, ±Inf, ±0, MaxFloat64,
+// subnormals), or the next eight bytes as raw bits. Missing bytes read 0.
+func fuzzInput(data []byte) ([]*raster.Image, int, ClassifyOptions) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	d := 1 + int(next())%5
+	rows, cols := 1+int(next())%8, 1+int(next())%8
+	n := rows * cols
+	k := 1 + int(next())%n
+	opts := ClassifyOptions{Seed: uint64(next()), MaxIter: int(next()) % 4}
+	specials := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022}
+	bands := make([]*raster.Image, d)
+	for b := range bands {
+		vals := make([]float64, n)
+		for i := range vals {
+			t := next()
+			small := float64(int(t&63) - 32)
+			switch {
+			case t < 0x40:
+				vals[i] = small
+			case t < 0x80:
+				vals[i] = small / 3
+			case t < 0xa0:
+				vals[i] = specials[t&7]
+			case t < 0xc0:
+				vals[i] = float64(int(t&31)-16) * 0x1p-1068
+			default:
+				var bits uint64
+				for range 8 {
+					bits = bits<<8 | uint64(next())
+				}
+				vals[i] = math.Float64frombits(bits)
+			}
+		}
+		bands[b] = raster.MustNew(rows, cols, raster.PixFloat8)
+		if err := bands[b].SetFloat64s(vals); err != nil {
+			panic(err)
+		}
+	}
+	return bands, k, opts
+}
+
+// FuzzUnsuperclassify holds both kernels to the exactness contract on
+// arbitrary small inputs: the flat kernel on every band count and the
+// three-band kernel on three bands give plain Lloyd's class image.
+func FuzzUnsuperclassify(f *testing.F) {
+	f.Add([]byte{2, 7, 7, 11, 1, 0})
+	f.Add([]byte{0, 3, 3, 3, 9, 1, 0x80, 0x81, 0x82, 0x20, 0x21, 0x22, 0x83, 0x84, 0x85})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bands, k, opts := fuzzInput(data)
+		want, err := lloydReference(bands, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, three := range []bool{false, true} {
+			if three && len(bands) != 3 {
+				continue
+			}
+			got, err := unsuperclassify(bands, k, opts, three)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.EqualPixels(want) {
+				t.Fatalf("three-band kernel %v (%d bands, k=%d, %+v): class image %v, plain Lloyd %v",
+					three, len(bands), k, opts, got.Data(), want.Data())
 			}
 		}
 	})

@@ -156,7 +156,8 @@ func binaryOp(a, b *raster.Image, f func(x, y float64) float64) (*raster.Image, 
 	return out, nil
 }
 
-// ScaleOffset returns img*scale + offset per pixel.
+// ScaleOffset returns img*scale + offset per pixel, the product rounded
+// before the sum on every architecture (see classify.go on fusion).
 func ScaleOffset(img *raster.Image, scale, offset float64) (*raster.Image, error) {
 	out, err := raster.New(img.Rows(), img.Cols(), raster.PixFloat4)
 	if err != nil {
@@ -164,7 +165,7 @@ func ScaleOffset(img *raster.Image, scale, offset float64) (*raster.Image, error
 	}
 	vals := img.Float64s()
 	for i := range vals {
-		vals[i] = vals[i]*scale + offset
+		vals[i] = float64(vals[i]*scale) + offset
 	}
 	if err := out.SetFloat64s(vals); err != nil {
 		return nil, err

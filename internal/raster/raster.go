@@ -198,11 +198,18 @@ func clamp(v, lo, hi float64) float64 {
 // Float64s returns all pixels in row-major order widened to float64.
 func (im *Image) Float64s() []float64 {
 	out := make([]float64, im.Pixels())
-	sz := im.pixType.Size()
-	for i := range out {
-		out[i] = im.atOffset(i * sz)
-	}
+	im.ReadFloat64s(out)
 	return out
+}
+
+// ReadFloat64s widens all pixels in row-major order into dst, which must
+// have at least rows*cols elements.
+func (im *Image) ReadFloat64s(dst []float64) {
+	dst = dst[:im.Pixels()]
+	sz := im.pixType.Size()
+	for i := range dst {
+		dst[i] = im.atOffset(i * sz)
+	}
 }
 
 // SetFloat64s overwrites all pixels from a row-major float64 slice, which

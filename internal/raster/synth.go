@@ -23,6 +23,12 @@ import (
 // surface evaluation per pixel, not three, and elevation is not evaluated
 // again for water. A band's pixels depend only on the spec and the band:
 // which bands are asked for together changes no bit of any of them.
+//
+// A scene is the same bits on every architecture. Some (arm64, ppc64,
+// s390x) may fuse x*y + z into one instruction that rounds once, so every
+// product that is added to or subtracted from something is written
+// float64(x*y), a conversion the Go specification says blocks the fusion.
+// amd64 never fuses, so the conversions change no bit there.
 
 // splitmix64 is a tiny, high-quality hash-to-random mapping; it gives the
 // generator deterministic per-coordinate noise without carrying rand state.
@@ -40,8 +46,11 @@ func hashX(ix int64) uint64 { return splitmix64(uint64(ix) * 0x9e3779b97f4a7c15)
 
 func hashY(iy int64) uint64 { return splitmix64(uint64(iy) * 0xc2b2ae3d27d4eb4f) }
 
+// unitHash's quotient is exact (53 bits scaled by a power of two), so a
+// fused add would round the same; the outer conversion changes no bit and
+// only keeps synth.go free of fused instructions on every GOARCH.
 func unitHash(h uint64) float64 {
-	return float64(splitmix64(h)>>11) / float64(1<<53)
+	return float64(float64(splitmix64(h)>>11) / float64(1<<53))
 }
 
 func smooth(t float64) float64 { return t * t * (3 - 2*t) }
@@ -58,9 +67,9 @@ func valueNoise2D(seed uint64, x, y float64) float64 {
 	v10 := unitHash(seed ^ hx1 ^ hy0)
 	v01 := unitHash(seed ^ hx0 ^ hy1)
 	v11 := unitHash(seed ^ hx1 ^ hy1)
-	a := v00 + (v10-v00)*tx
-	b := v01 + (v11-v01)*tx
-	return a + (b-a)*ty
+	a := v00 + float64((v10-v00)*tx)
+	b := v01 + float64((v11-v01)*tx)
+	return a + float64((b-a)*ty)
 }
 
 // fbm layers octaves of value noise into a natural-looking field in [0, 1].
@@ -68,7 +77,7 @@ func fbm(seed uint64, x, y float64, octaves int) float64 {
 	var sum, norm float64
 	amp, freq := 1.0, 1.0
 	for o := 0; o < octaves; o++ {
-		sum += amp * valueNoise2D(seed+uint64(o)*1000003, x*freq, y*freq)
+		sum += float64(amp * valueNoise2D(seed+uint64(o)*1000003, x*freq, y*freq))
 		norm += amp
 		amp *= 0.5
 		freq *= 2
@@ -97,7 +106,7 @@ func (l *Landscape) elevation(x, y float64) float64 {
 }
 
 func (l *Landscape) moisture(x, y float64) float64 {
-	return fbm(l.Seed^0x301C, x/l.Scale*1.3+100, y/l.Scale*1.3-40, 4)
+	return fbm(l.Seed^0x301C, float64(x/l.Scale*1.3)+100, float64(y/l.Scale*1.3)-40, 4)
 }
 
 // surface is the latent surface at one world point, each field in [0, 1].
@@ -113,7 +122,7 @@ type surface struct {
 func (l *Landscape) surfaceAt(x, y, s float64) surface {
 	m := l.moisture(x, y)
 	e := l.elevation(x, y)
-	veg := clamp(m*0.7+(1-e)*0.2+0.25*s*m, 0, 1)
+	veg := clamp(float64(m*0.7)+float64((1-e)*0.2)+float64(0.25*s*m), 0, 1)
 	var wat float64
 	if e < 0.22 {
 		wat = 1
@@ -130,17 +139,17 @@ func (s surface) reflectance(b Band) float64 {
 	var r float64
 	switch b {
 	case BandBlue:
-		r = 0.06*veg + 0.10*soil + 0.08*wat
+		r = float64(0.06*veg) + float64(0.10*soil) + float64(0.08*wat)
 	case BandGreen:
-		r = 0.12*veg + 0.14*soil + 0.06*wat
+		r = float64(0.12*veg) + float64(0.14*soil) + float64(0.06*wat)
 	case BandRed:
-		r = 0.05*veg + 0.22*soil + 0.04*wat
+		r = float64(0.05*veg) + float64(0.22*soil) + float64(0.04*wat)
 	case BandNIR:
-		r = 0.55*veg + 0.30*soil + 0.02*wat
+		r = float64(0.55*veg) + float64(0.30*soil) + float64(0.02*wat)
 	case BandSWIR:
-		r = 0.25*veg + 0.35*soil + 0.01*wat
+		r = float64(0.25*veg) + float64(0.35*soil) + float64(0.01*wat)
 	case BandThermal:
-		r = 0.6 - 0.3*s.elev - 0.15*veg
+		r = 0.6 - float64(0.3*s.elev) - float64(0.15*veg)
 	}
 	return clamp(r, 0, 1)
 }
@@ -215,14 +224,14 @@ func (l *Landscape) GenerateScene(spec SceneSpec, bands []Band) ([]*Image, error
 		noiseKeys[j] = noiseSeed ^ hashY(int64(b))
 	}
 	// Vegetation's seasonal cycle, in [0, 1]; the year shifts it slightly.
-	day := spec.DayOfYear + float64(spec.Year%7)*3.1
-	s := 0.5 + 0.5*math.Sin(2*math.Pi*(day-80)/365)
+	day := spec.DayOfYear + float64(float64(spec.Year%7)*3.1)
+	s := 0.5 + float64(0.5*math.Sin(2*math.Pi*(day-80)/365))
 	var hx [4]uint64 // a pixel's noise column hashes, shared by every band
 	i := 0
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
-			x := spec.OriginX + float64(c)*spec.CellSize
-			y := spec.OriginY + float64(r)*spec.CellSize
+			x := spec.OriginX + float64(float64(c)*spec.CellSize)
+			y := spec.OriginY + float64(float64(r)*spec.CellSize)
 			surf := l.surfaceAt(x, y, s)
 			if spec.Noise > 0 {
 				for k := range hx {
@@ -237,7 +246,7 @@ func (l *Landscape) GenerateScene(spec SceneSpec, bands []Band) ([]*Image, error
 					for _, h := range hx {
 						u += unitHash(noiseKeys[j] ^ h)
 					}
-					v += spec.Noise * (u - 2) // mean 0, stddev ~ spec.Noise*0.577
+					v += float64(spec.Noise * (u - 2)) // mean 0, stddev ~ spec.Noise*0.577
 				}
 				if pt == PixChar {
 					v *= 255 // scale reflectance to byte range
@@ -271,9 +280,9 @@ func (l *Landscape) RainfallField(spec SceneSpec) (*Image, error) {
 	i := 0
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
-			x := spec.OriginX + float64(c)*spec.CellSize
-			y := spec.OriginY + float64(r)*spec.CellSize
-			vals[i] = 1000*math.Pow(l.moisture(x, y), 1.5) + 150*l.elevation(x, y)
+			x := spec.OriginX + float64(float64(c)*spec.CellSize)
+			y := spec.OriginY + float64(float64(r)*spec.CellSize)
+			vals[i] = float64(1000*math.Pow(l.moisture(x, y), 1.5)) + float64(150*l.elevation(x, y))
 			i++
 		}
 	}
@@ -294,14 +303,14 @@ func (l *Landscape) TemperatureField(spec SceneSpec) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	season := 10 * math.Sin(2*math.Pi*(spec.DayOfYear-80)/365)
+	season := float64(10 * math.Sin(2*math.Pi*(spec.DayOfYear-80)/365))
 	vals := make([]float64, spec.Rows*spec.Cols)
 	i := 0
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
-			x := spec.OriginX + float64(c)*spec.CellSize
-			y := spec.OriginY + float64(r)*spec.CellSize
-			vals[i] = 32 - 28*l.elevation(x, y) + season
+			x := spec.OriginX + float64(float64(c)*spec.CellSize)
+			y := spec.OriginY + float64(float64(r)*spec.CellSize)
+			vals[i] = 32 - float64(28*l.elevation(x, y)) + season
 			i++
 		}
 	}
