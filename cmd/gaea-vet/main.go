@@ -7,8 +7,10 @@
 //
 //	gaea-vet [-only a,b] [-list] [packages]
 //
-// Packages default to ./... relative to the current directory. A
-// violation can be suppressed at a call site with
+// Packages default to ./... relative to the current directory. The
+// deadcode analyzer reasons over the whole module whatever the packages,
+// and reports only in them. A violation can be suppressed at a call site
+// with
 //
 //	//lint:gaea-allow <analyzer>[,<analyzer>...] <reason>
 //

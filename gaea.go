@@ -118,8 +118,7 @@ type Options struct {
 	EventRing int
 	// EventSink, when set, additionally appends every event as one JSON
 	// line (the Event struct is the schema). A write error disables the
-	// sink — the ring keeps recording — and is reported by
-	// Events.SinkErr.
+	// sink; the ring keeps recording.
 	EventSink io.Writer
 }
 
@@ -135,8 +134,10 @@ const defaultSlowOpThreshold = 100 * time.Millisecond
 // Options.CheckpointEveryBytes is zero.
 const defaultCheckpointBytes = 64 << 20
 
-// Kernel is an open Gaea database. All sub-managers are exported for
-// direct use; the methods on Kernel cover the common paths.
+// Kernel is an open Gaea database. Its methods are the API. The
+// sub-manager fields serve the repository's own commands, examples and
+// benchmarks; a manager method nothing in the repository calls is
+// deleted, not kept for outside callers.
 type Kernel struct {
 	dir  string
 	user string

@@ -180,8 +180,8 @@ func TestKernelPersistence(t *testing.T) {
 	if err != nil || obj.Attrs["mm"].(value.Float) != 250 {
 		t.Errorf("reload object = %+v, %v", obj, err)
 	}
-	if !k2.Concepts.Exists("rainfall") {
-		t.Error("concept lost")
+	if _, err := k2.Concepts.Get("rainfall"); err != nil {
+		t.Errorf("concept lost: %v", err)
 	}
 	res, err := k2.Query(context.Background(), Request{Concept: "rainfall", Pred: sptemp.Extent{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox()}})
 	if err != nil || len(res.OIDs) != 1 {

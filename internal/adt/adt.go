@@ -1,13 +1,12 @@
 // Package adt implements the system-level semantics layer of §2.1.3: the
 // registry of operators over primitive classes (the Postgres ADT facility
-// of the prototype), and compound operators — "a network of
-// intercommunicating operators" (Figure 4) — which can themselves be
-// registered and applied "as a primitive mapping function between two
-// primitive classes" (§2.1.5 item 3).
+// of the prototype). Figure 4's compound operator — "a network of
+// intercommunicating operators" — is registered stage by stage (see
+// builtin.go) and run as imgops.PCANetwork; compound derivations are
+// process.Compound.
 //
-// The registry supports the browsing operations §4.2 promises: look up
-// operators by name, list the operators applicable to a primitive class,
-// and find the classes an operator applies to.
+// The registry supports the browsing §4.2 promises: look up operators by
+// name and list them.
 package adt
 
 import (
@@ -43,8 +42,6 @@ type Operator struct {
 	// Fn executes the operator. The registry validates arity and argument
 	// types before calling it.
 	Fn Func
-	// Compound marks operators compiled from dataflow networks.
-	Compound bool
 }
 
 // Signature renders the operator like "ndvi(image, image) image".
@@ -118,54 +115,6 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// OperatorsFor returns the operators applicable to a primitive class
-// (operators with at least one parameter of that type, counting set
-// element types), sorted by name — the §4.2 "look up appropriate operators
-// for specific primitive classes" browse.
-func (r *Registry) OperatorsFor(t value.Type) []*Operator {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*Operator
-	for _, op := range r.ops {
-		for _, in := range op.In {
-			if in == t {
-				out = append(out, op)
-				break
-			}
-			if elem, ok := in.IsSet(); ok && elem == t {
-				out = append(out, op)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ClassesWithOperator returns the distinct parameter types of a named
-// operator — the inverse browse ("find the primitive classes that have a
-// specific operator").
-func (r *Registry) ClassesWithOperator(name string) ([]value.Type, error) {
-	op, err := r.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[value.Type]bool)
-	var out []value.Type
-	for _, t := range op.In {
-		base := t
-		if elem, ok := t.IsSet(); ok {
-			base = elem
-		}
-		if !seen[base] {
-			seen[base] = true
-			out = append(out, base)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // checkArgs validates argument count and types against the signature.

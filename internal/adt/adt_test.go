@@ -103,38 +103,6 @@ func TestBrowseOperators(t *testing.T) {
 			break
 		}
 	}
-	// Operators applicable to image include ndvi and unsuperclassify (via
-	// its SETOF image parameter).
-	ops := r.OperatorsFor(value.TypeImage)
-	var haveNDVI, haveClassify bool
-	for _, op := range ops {
-		if op.Name == "ndvi" {
-			haveNDVI = true
-		}
-		if op.Name == "unsuperclassify" {
-			haveClassify = true
-		}
-	}
-	if !haveNDVI || !haveClassify {
-		t.Errorf("OperatorsFor(image) missing expected operators (ndvi=%v classify=%v)", haveNDVI, haveClassify)
-	}
-	// Inverse browse.
-	classes, err := r.ClassesWithOperator("unsuperclassify")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hasImg bool
-	for _, c := range classes {
-		if c == value.TypeImage {
-			hasImg = true
-		}
-	}
-	if !hasImg {
-		t.Errorf("ClassesWithOperator(unsuperclassify) = %v", classes)
-	}
-	if _, err := r.ClassesWithOperator("nope"); err == nil {
-		t.Error("unknown operator should fail")
-	}
 }
 
 func TestSignature(t *testing.T) {

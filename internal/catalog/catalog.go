@@ -218,20 +218,6 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// DerivedClasses lists classes derived by the given process.
-func (c *Catalog) DerivedClasses(process string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []string
-	for n, cls := range c.classes {
-		if cls.DerivedBy == process {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SetDerivedBy records the defining process of a derived class after the
 // process is registered (class and process definitions reference each
 // other; the class may be declared first with a pending link).

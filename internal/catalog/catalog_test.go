@@ -143,25 +143,6 @@ func TestCatalogPersistence(t *testing.T) {
 	}
 }
 
-func TestDerivedClassesIndex(t *testing.T) {
-	c, _ := Open(testStore(t))
-	c.Define(landcoverClass())
-	other := landcoverClass()
-	other.Name = "landcover_v2"
-	c.Define(other)
-	base := &Class{Name: "raw", Kind: KindBase, Frame: sptemp.DefaultFrame}
-	c.Define(base)
-
-	got := c.DerivedClasses("unsupervised_classification")
-	want := []string{"landcover", "landcover_v2"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DerivedClasses = %v", got)
-	}
-	if len(c.DerivedClasses("nope")) != 0 {
-		t.Error("unknown process should derive nothing")
-	}
-}
-
 func TestSetDerivedBy(t *testing.T) {
 	c, _ := Open(testStore(t))
 	pending := landcoverClass()

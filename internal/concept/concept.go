@@ -117,31 +117,6 @@ func (m *Manager) Define(c *Concept) error {
 	return nil
 }
 
-// AddClass extends a concept with another member class — a scientist
-// registering a new derivation of the shared concept.
-func (m *Manager) AddClass(concept, class string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.concepts[concept]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, concept)
-	}
-	if !m.cat.Exists(class) {
-		return fmt.Errorf("%w: class %q unknown", ErrBad, class)
-	}
-	for _, existing := range c.Classes {
-		if existing == class {
-			return fmt.Errorf("%w: class %q already a member of %s", ErrBad, class, concept)
-		}
-	}
-	c.Classes = append(c.Classes, class)
-	raw, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	return m.store.MetaSet(conceptKeyPrefix+concept, raw)
-}
-
 // Get returns a concept by name.
 func (m *Manager) Get(name string) (*Concept, error) {
 	m.mu.RLock()
@@ -156,14 +131,6 @@ func (m *Manager) Get(name string) (*Concept, error) {
 	return &cp, nil
 }
 
-// Exists reports whether a concept is defined.
-func (m *Manager) Exists(name string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.concepts[name]
-	return ok
-}
-
 // Names lists all concepts, sorted.
 func (m *Manager) Names() []string {
 	m.mu.RLock()
@@ -174,49 +141,6 @@ func (m *Manager) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Children returns the concepts directly specialising the given one.
-func (m *Manager) Children(name string) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	for n, c := range m.concepts {
-		for _, p := range c.Parents {
-			if p == name {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Ancestors returns the transitive ISA parents, sorted.
-func (m *Manager) Ancestors(name string) ([]string, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if _, ok := m.concepts[name]; !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	seen := map[string]bool{}
-	var walk func(n string)
-	walk = func(n string) {
-		for _, p := range m.concepts[n].Parents {
-			if !seen[p] {
-				seen[p] = true
-				walk(p)
-			}
-		}
-	}
-	walk(name)
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // MemberClasses returns the classes of a concept including those of all
@@ -257,22 +181,4 @@ func (m *Manager) MemberClasses(name string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// ConceptsOfClass returns the concepts a class belongs to directly,
-// sorted — the reverse mapping from the derivation layer up.
-func (m *Manager) ConceptsOfClass(class string) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	for n, c := range m.concepts {
-		for _, cls := range c.Classes {
-			if cls == class {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

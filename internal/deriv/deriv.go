@@ -373,26 +373,10 @@ func (m *Manager) Stale() []object.OID {
 	return out
 }
 
-// Dependents returns the transitive derived OIDs of an object per the
-// tracked graph, ascending.
-func (m *Manager) Dependents(oid object.OID) []object.OID {
-	m.mu.RLock()
-	order := m.closureLocked(oid)
-	m.mu.RUnlock()
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	return order
-}
-
-// closureLocked walks the dependency graph breadth-first from root,
-// returning the transitive dependents (excluding root) in BFS order, so
+// multiClosureLocked walks the dependency graph breadth-first from a set
+// of roots at once: the union of their transitive dependents (excluding
+// the roots themselves), each visited exactly once in BFS order, so
 // direct dependents precede deeper ones.
-func (m *Manager) closureLocked(root object.OID) []object.OID {
-	return m.multiClosureLocked(map[object.OID]bool{root: true})
-}
-
-// multiClosureLocked is closureLocked from a set of roots at once: the
-// union of their transitive dependents (excluding the roots themselves),
-// each visited exactly once in BFS order.
 func (m *Manager) multiClosureLocked(roots map[object.OID]bool) []object.OID {
 	seen := make(map[object.OID]bool, len(roots))
 	queue := make([]object.OID, 0, len(roots))
@@ -419,21 +403,6 @@ func (m *Manager) multiClosureLocked(roots map[object.OID]bool) []object.OID {
 		}
 	}
 	return order
-}
-
-// ObjectUpdated propagates an update of an object: every transitive
-// dependent is marked stale (at the store's latest PUBLISHED epoch —
-// callers that know the exact commit epoch should use ObjectsChanged)
-// and the rematerialisation decision is applied to each. The object
-// itself stays fresh — its new state is the truth.
-func (m *Manager) ObjectUpdated(oid object.OID) error {
-	return m.ObjectsChanged([]object.OID{oid}, nil, m.obj.CurrentEpoch())
-}
-
-// ObjectDeleted propagates a deletion: the object's memo/producer entries
-// are dropped and every transitive dependent is invalidated.
-func (m *Manager) ObjectDeleted(oid object.OID) error {
-	return m.ObjectsChanged(nil, []object.OID{oid}, m.obj.CurrentEpoch())
 }
 
 // ObjectsChanged propagates a batch of mutations in ONE invalidation

@@ -91,7 +91,7 @@ DEFINE PROCESS p2 (
   }
 )`} {
 		name := []string{"p1", "p2"}[i]
-		if !pmgr.Exists(name) {
+		if _, err := pmgr.Lookup(name); err != nil {
 			if _, err := pmgr.Define(src); err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func (w *world) setBase(t *testing.T, oid object.OID, v float64) {
 	if err := w.obj.Update(o); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mgr.ObjectUpdated(oid); err != nil {
+	if err := w.mgr.ObjectsChanged([]object.OID{oid}, nil, w.obj.CurrentEpoch()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,8 +169,8 @@ func TestInvalidationPropagatesTransitively(t *testing.T) {
 	base := w.insertBase(t, 1)
 	o1, o2 := w.deriveChain(t, base)
 
-	if got := w.mgr.Dependents(base); len(got) != 2 || got[0] != o1 || got[1] != o2 {
-		t.Fatalf("dependents = %v, want [%d %d]", got, o1, o2)
+	if c := w.mgr.Counters(); c.Deps != 2 {
+		t.Fatalf("tracked dependency edges = %d, want 2", c.Deps)
 	}
 	if len(w.mgr.Stale()) != 0 {
 		t.Fatalf("nothing should be stale yet: %v", w.mgr.Stale())
@@ -339,7 +339,7 @@ func TestDeletePropagatesAndForgets(t *testing.T) {
 	if err := w.obj.Delete(base); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mgr.ObjectDeleted(base); err != nil {
+	if err := w.mgr.ObjectsChanged(nil, []object.OID{base}, w.obj.CurrentEpoch()); err != nil {
 		t.Fatal(err)
 	}
 	stale := w.mgr.Stale()
@@ -504,7 +504,7 @@ func TestConcurrentUpdatesAndRefreshes(t *testing.T) {
 					done <- err
 					return
 				}
-				if err := w.mgr.ObjectUpdated(base); err != nil {
+				if err := w.mgr.ObjectsChanged([]object.OID{base}, nil, w.obj.CurrentEpoch()); err != nil {
 					done <- err
 					return
 				}

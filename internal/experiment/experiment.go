@@ -72,6 +72,8 @@ func OpenManager(st *storage.Store, exec *task.Executor) (*Manager, error) {
 }
 
 // Create registers a new experiment.
+//
+//lint:gaea-allow deadcode ROADMAP item 3(f) builds on experiment reproduction
 func (m *Manager) Create(e *Experiment) error {
 	if !identRe.MatchString(e.Name) {
 		return fmt.Errorf("%w: bad name %q", ErrBad, e.Name)
@@ -99,6 +101,8 @@ func (m *Manager) persistLocked(e *Experiment) error {
 }
 
 // AttachTask records that a task was performed under an experiment.
+//
+//lint:gaea-allow deadcode ROADMAP item 3(f) builds on experiment reproduction
 func (m *Manager) AttachTask(name string, id task.ID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -163,6 +167,8 @@ type TaskReproduction struct {
 }
 
 // AllIdentical reports whether every task reproduced exactly.
+//
+//lint:gaea-allow deadcode ROADMAP item 3(f) builds on experiment reproduction
 func (r *ReproductionReport) AllIdentical() bool {
 	for _, tr := range r.PerTask {
 		if tr.Err != "" || !tr.Identical {
@@ -177,6 +183,8 @@ func (r *ReproductionReport) AllIdentical() bool {
 // of the experiment's results. A reproduction records nothing, so the
 // tasks are checked in parallel on the executor's worker pool; the report
 // keeps their attach order.
+//
+//lint:gaea-allow deadcode ROADMAP item 3(f) builds on experiment reproduction
 func (m *Manager) Reproduce(ctx context.Context, name string, opts task.RunOptions) (*ReproductionReport, error) {
 	e, err := m.Get(name)
 	if err != nil {
@@ -207,6 +215,8 @@ func (m *Manager) Reproduce(ctx context.Context, name string, opts task.RunOptio
 // by one but not the other — the cross-scientist comparison of §1 ("there
 // is no way to share and compare the produced data unless the derivation
 // procedures are known").
+//
+//lint:gaea-allow deadcode ROADMAP item 3(f) builds on experiment reproduction
 func (m *Manager) Compare(a, b string) (onlyA, onlyB []string, err error) {
 	ea, err := m.Get(a)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"gaea/internal/imgops"
@@ -37,6 +36,8 @@ type Workspace struct {
 }
 
 // Open creates (or reuses) a workspace directory.
+//
+//lint:gaea-allow deadcode BenchmarkFig5LandChange and BenchmarkT1TaskMemoisation run the §4.1 baseline
 func Open(dir string) (*Workspace, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -51,6 +52,8 @@ func (w *Workspace) path(name string) string {
 // Import stores a raster under a name, like copying a data tape into the
 // working directory. Overwrites silently — the paper's "inadvertent file
 // overwrite by other users" hazard is real here.
+//
+//lint:gaea-allow deadcode BenchmarkFig5LandChange and BenchmarkT1TaskMemoisation run the §4.1 baseline
 func (w *Workspace) Import(name string, img *raster.Image) error {
 	if err := raster.WriteFile(w.path(name), img); err != nil {
 		return err
@@ -67,29 +70,6 @@ func (w *Workspace) Load(name string) (*raster.Image, error) {
 	return img, err
 }
 
-// Exists reports whether a named raster is present.
-func (w *Workspace) Exists(name string) bool {
-	_, err := os.Stat(w.path(name))
-	return err == nil
-}
-
-// List returns the stored raster names, sorted — all the metadata the
-// environment offers.
-func (w *Workspace) List() ([]string, error) {
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".img") {
-			out = append(out, strings.TrimSuffix(e.Name(), ".img"))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // log appends a line to the transcript, the scientist's only derivation
 // record ("awkward transcript files", §4.1 item 3).
 func (w *Workspace) log(format string, args ...any) error {
@@ -104,49 +84,15 @@ func (w *Workspace) log(format string, args ...any) error {
 	return f.Close()
 }
 
-// Transcript returns the raw transcript text.
-func (w *Workspace) Transcript() (string, error) {
-	data, err := os.ReadFile(filepath.Join(w.dir, "transcript.txt"))
-	if errors.Is(err, os.ErrNotExist) {
-		return "", nil
-	}
-	return string(data), err
-}
-
 // The analysis commands. Each reads inputs by name, computes with the
 // same imgops math Gaea uses, writes the output file, and appends a
 // transcript line. Nothing else is recorded.
 
-// NDVI computes out = ndvi(red, nir).
-func (w *Workspace) NDVI(out, red, nir string) error {
-	r, err := w.Load(red)
-	if err != nil {
-		return err
-	}
-	n, err := w.Load(nir)
-	if err != nil {
-		return err
-	}
-	img, err := imgops.NDVI(r, n)
-	if err != nil {
-		return err
-	}
-	if err := raster.WriteFile(w.path(out), img); err != nil {
-		return err
-	}
-	return w.log("ndvi %s %s -> %s", red, nir, out)
-}
-
 // Subtract computes out = a - b.
+//
+//lint:gaea-allow deadcode BenchmarkFig5LandChange runs the §4.1 baseline
 func (w *Workspace) Subtract(out, a, b string) error {
 	return w.binary(out, a, b, "subtract", imgops.Subtract)
-}
-
-// Ratio computes out = a / b.
-func (w *Workspace) Ratio(out, a, b string) error {
-	return w.binary(out, a, b, "ratio", func(x, y *raster.Image) (*raster.Image, error) {
-		return imgops.Ratio(x, y, 1e-9)
-	})
 }
 
 func (w *Workspace) binary(out, a, b, cmd string, f func(x, y *raster.Image) (*raster.Image, error)) error {
@@ -169,6 +115,8 @@ func (w *Workspace) binary(out, a, b, cmd string, f func(x, y *raster.Image) (*r
 }
 
 // Classify computes out = unsuperclassify(bands, k).
+//
+//lint:gaea-allow deadcode BenchmarkFig5LandChange and BenchmarkT1TaskMemoisation run the §4.1 baseline
 func (w *Workspace) Classify(out string, bandNames []string, k int) error {
 	bands := make([]*raster.Image, len(bandNames))
 	for i, name := range bandNames {
@@ -186,38 +134,4 @@ func (w *Workspace) Classify(out string, bandNames []string, k int) error {
 		return err
 	}
 	return w.log("classify %s k=%d -> %s", strings.Join(bandNames, ","), k, out)
-}
-
-// Threshold computes out = img OP limit.
-func (w *Workspace) Threshold(out, in, op string, limit float64) error {
-	img, err := w.Load(in)
-	if err != nil {
-		return err
-	}
-	res, err := imgops.Threshold(img, op, limit)
-	if err != nil {
-		return err
-	}
-	if err := raster.WriteFile(w.path(out), res); err != nil {
-		return err
-	}
-	return w.log("threshold %s %s %g -> %s", in, op, limit, out)
-}
-
-// DerivationOf is the baseline's answer to "how was this file produced?":
-// grep the transcript for lines mentioning the name. The paper's point is
-// that this is all the environment can offer — the result is text, not
-// structure, and only as good as the scientist's discipline.
-func (w *Workspace) DerivationOf(name string) ([]string, error) {
-	text, err := w.Transcript()
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, name) {
-			out = append(out, line)
-		}
-	}
-	return out, nil
 }

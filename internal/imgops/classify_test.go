@@ -689,3 +689,57 @@ func TestUnsuperclassifyOnSyntheticScene(t *testing.T) {
 		t.Error("classification should not be uniform on a varied scene")
 	}
 }
+
+// WithinClusterSS returns the total within-cluster sum of squared distances
+// of a classification against its source bands — the objective k-means
+// minimises, which the quality tests check a classification against.
+// Class codes must be integers in 0..255, the range of the char image
+// Unsuperclassify writes.
+func WithinClusterSS(bands []*raster.Image, classes *raster.Image) (float64, error) {
+	if err := checkSameShape(append([]*raster.Image{classes}, bands...)); err != nil {
+		return 0, err
+	}
+	d := len(bands)
+	n := classes.Pixels()
+	codes := classes.Float64s()
+	k := 0
+	for i, c := range codes {
+		if !(c >= 0 && c <= 255) || c != math.Trunc(c) {
+			return 0, fmt.Errorf("%w: class code %g at pixel %d (want an integer in 0..255)", ErrBadParam, c, i)
+		}
+		if int(c) >= k {
+			k = int(c) + 1
+		}
+	}
+	sums := make([]float64, k*d)
+	counts := make([]int, k)
+	px := make([]float64, n*d)
+	for b, im := range bands {
+		vals := im.Float64s()
+		for i, v := range vals {
+			px[i*d+b] = v
+		}
+	}
+	for i := 0; i < n; i++ {
+		c := int(codes[i])
+		counts[c]++
+		for j := 0; j < d; j++ {
+			sums[c*d+j] += px[i*d+j]
+		}
+	}
+	centers := make([]float64, k*d)
+	for c := 0; c < k; c++ {
+		if counts[c] == 0 {
+			continue
+		}
+		for j := 0; j < d; j++ {
+			centers[c*d+j] = sums[c*d+j] / float64(counts[c])
+		}
+	}
+	var ss float64
+	for i := 0; i < n; i++ {
+		c := int(codes[i])
+		ss += sqDist(px[i*d:(i+1)*d], centers[c*d:(c+1)*d])
+	}
+	return ss, nil
+}

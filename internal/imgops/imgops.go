@@ -40,19 +40,10 @@ func checkSameShape(imgs []*raster.Image) error {
 	return nil
 }
 
-// Composite stacks co-registered bands into a single multi-attribute pixel
-// set; operationally it returns the per-pixel band vectors as a d×n matrix
-// (d bands, n pixels). It is the composite() step of process P20.
-func Composite(bands []*raster.Image) (*linalg.Matrix, error) {
-	if err := checkSameShape(bands); err != nil {
-		return nil, err
-	}
-	return ImagesToMatrix(bands)
-}
-
-// ImagesToMatrix is the paper's convert-image-matrix operator: it flattens
-// a set of same-shaped images into a d×n row-major matrix, one row per
-// image, one column per pixel.
+// ImagesToMatrix is the paper's convert-image-matrix operator, and the
+// composite() step of process P20: it flattens a set of same-shaped
+// images into a d×n row-major matrix, one row per image, one column per
+// pixel.
 func ImagesToMatrix(imgs []*raster.Image) (*linalg.Matrix, error) {
 	if err := checkSameShape(imgs); err != nil {
 		return nil, err

@@ -205,14 +205,14 @@ func TestAreaFraction(t *testing.T) {
 func TestComposite(t *testing.T) {
 	a := imgOf(t, 2, 2, []float64{1, 2, 3, 4})
 	b := imgOf(t, 2, 2, []float64{5, 6, 7, 8})
-	m, err := Composite([]*raster.Image{a, b})
+	m, err := ImagesToMatrix([]*raster.Image{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rows() != 2 || m.Cols() != 4 {
 		t.Errorf("composite shape %dx%d", m.Rows(), m.Cols())
 	}
-	if _, err := Composite(nil); err == nil {
+	if _, err := ImagesToMatrix(nil); err == nil {
 		t.Error("empty composite must fail")
 	}
 }

@@ -1,8 +1,6 @@
 package imgops
 
 import (
-	"fmt"
-
 	"gaea/internal/linalg"
 	"gaea/internal/raster"
 )
@@ -131,6 +129,8 @@ func centerRows(m *linalg.Matrix, standardize bool) *linalg.Matrix {
 // stage, using only the registered single-purpose operators. It exists so
 // the Figure 4 experiment can verify that the compound-operator network and
 // the fused PCA agree, and to measure the network's overhead.
+//
+//lint:gaea-allow deadcode BenchmarkFig4PCANetwork measures Figure 4's network against the fused PCA
 func PCANetwork(bands []*raster.Image, keep int) (*PCAResult, error) {
 	if err := checkSameShape(bands); err != nil {
 		return nil, err
@@ -186,14 +186,4 @@ func PCANetwork(bands []*raster.Image, keep int) (*PCAResult, error) {
 		res.ExplainedVariance = append(res.ExplainedVariance, ev)
 	}
 	return res, nil
-}
-
-// ChangeComponent returns the PCA component conventionally interpreted as
-// change in a two-date analysis (the second component; the first captures
-// the stable signal). Errors if fewer than two components exist.
-func (r *PCAResult) ChangeComponent() (*raster.Image, error) {
-	if len(r.Components) < 2 {
-		return nil, fmt.Errorf("imgops: change component needs >= 2 components, have %d", len(r.Components))
-	}
-	return r.Components[1], nil
 }

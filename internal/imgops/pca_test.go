@@ -191,25 +191,6 @@ func TestSPCAEigenvaluesSumToBandCount(t *testing.T) {
 	}
 }
 
-func TestChangeComponent(t *testing.T) {
-	bands := sceneBands(t, 3)
-	res, err := PCA(bands, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := res.ChangeComponent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ch.SameShape(bands[0]) {
-		t.Error("change component shape wrong")
-	}
-	one, _ := PCA(bands, 1)
-	if _, err := one.ChangeComponent(); err == nil {
-		t.Error("single-component result has no change component")
-	}
-}
-
 func TestPCAValidation(t *testing.T) {
 	if _, err := PCA(nil, 1); err == nil {
 		t.Error("no bands must fail")

@@ -4,10 +4,10 @@
 // process which is applicable to many data types in many domains."
 //
 // Temporal interpolation blends the two stored objects bracketing the
-// requested instant; spatial interpolation blends nearby objects by
-// inverse distance. Both commit the new object with an external task
+// requested instant, and commits the new object with an external task
 // recording its derivation, in one batch, so interpolated data carries
-// lineage like any other derived data.
+// lineage like any other derived data. The paper's spatial case is not
+// implemented: no query plan asks for it.
 package interp
 
 import (
@@ -27,9 +27,8 @@ import (
 
 // Errors returned by the interpolator.
 var (
-	ErrNoBracket  = errors.New("interp: no bracketing observations")
-	ErrNoNeighbor = errors.New("interp: no neighbouring observations")
-	ErrBadClass   = errors.New("interp: class not interpolatable")
+	ErrNoBracket = errors.New("interp: no bracketing observations")
+	ErrBadClass  = errors.New("interp: class not interpolatable")
 )
 
 // Interpolator derives missing objects from stored ones. Concurrent
@@ -182,118 +181,6 @@ func (ip *Interpolator) blendPair(cls *catalog.Class, a, b *object.Object, frac 
 	return attrs, nil
 }
 
-// Spatial derives an object covering the target box at the given instant
-// by inverse-distance weighting over the k nearest stored objects
-// (matching the instant). All image attributes must share shape.
-func (ip *Interpolator) Spatial(ctx context.Context, class string, target sptemp.Box, at sptemp.AbsTime, k int, opts task.RunOptions) (object.OID, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if k < 1 {
-		k = 2
-	}
-	key := fmt.Sprintf("S|%s|%d|%v|%d", class, at, target, k)
-	oid, _, err := ip.flights.Do(ctx, key, func() (object.OID, error) {
-		return ip.spatial(ctx, class, target, at, k, opts)
-	})
-	return oid, err
-}
-
-func (ip *Interpolator) spatial(ctx context.Context, class string, target sptemp.Box, at sptemp.AbsTime, k int, opts task.RunOptions) (object.OID, error) {
-	cls, err := ip.Cat.Class(class)
-	if err != nil {
-		return 0, err
-	}
-	if k < 1 {
-		k = 2
-	}
-	pred := sptemp.Extent{Frame: cls.Frame, Space: sptemp.EmptyBox()}
-	if cls.HasTemporal {
-		pred.TimeIv = sptemp.Instant(at)
-		pred.HasTime = true
-	}
-	oids, err := ip.Obj.Query(class, pred)
-	if err != nil {
-		return 0, err
-	}
-	type neigh struct {
-		oid  object.OID
-		obj  *object.Object
-		dist float64
-	}
-	var ns []neigh
-	for _, oid := range oids {
-		if ip.isStale(oid) {
-			continue
-		}
-		o, err := ip.Obj.Get(oid)
-		if err != nil {
-			continue
-		}
-		d, err := o.Extent.Space.CenterDistance(target)
-		if err != nil {
-			continue
-		}
-		ns = append(ns, neigh{oid: oid, obj: o, dist: d})
-	}
-	if len(ns) == 0 {
-		return 0, ErrNoNeighbor
-	}
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].dist != ns[j].dist {
-			return ns[i].dist < ns[j].dist
-		}
-		return ns[i].oid < ns[j].oid
-	})
-	if k > len(ns) {
-		k = len(ns)
-	}
-	ns = ns[:k]
-	// Inverse-distance weights (an exact hit takes all the weight).
-	weights := make([]float64, k)
-	var total float64
-	for i, n := range ns {
-		if n.dist == 0 {
-			for j := range weights {
-				weights[j] = 0
-			}
-			weights[i] = 1
-			total = 1
-			break
-		}
-		weights[i] = 1 / n.dist
-		total += weights[i]
-	}
-	for i := range weights {
-		weights[i] /= total
-	}
-	attrs := make(map[string]value.Value, len(cls.Attrs))
-	for _, spec := range cls.Attrs {
-		vals := make([]value.Value, k)
-		for i, n := range ns {
-			vals[i] = n.obj.Attrs[spec.Name]
-		}
-		blended, err := blendValues(ip.Reg, spec.Type, vals, weights)
-		if err != nil {
-			return 0, fmt.Errorf("interp: attribute %s: %w", spec.Name, err)
-		}
-		attrs[spec.Name] = blended
-	}
-	ext := sptemp.Extent{Frame: cls.Frame, Space: target}
-	if cls.HasTemporal {
-		ext.TimeIv = sptemp.Instant(at)
-		ext.HasTime = true
-	}
-	inputs := map[string][]object.OID{"neighbors": {}}
-	for _, n := range ns {
-		inputs["neighbors"] = append(inputs["neighbors"], n.oid)
-	}
-	if opts.Note == "" {
-		opts.Note = fmt.Sprintf("spatial interpolation over %d neighbours", k)
-	}
-	return ip.store(&object.Object{Class: class, Attrs: attrs, Extent: ext}, "spatial_interpolation", inputs, opts)
-}
-
 // blendValues combines same-typed values with the given weights: images
 // and floats blend linearly, ints round the blend, everything else takes
 // the heaviest-weighted value.
@@ -325,7 +212,7 @@ func blendValues(reg *adt.Registry, t value.Type, vals []value.Value, weights []
 			if err != nil {
 				return nil, err
 			}
-			sum += weights[i] * f
+			sum += float64(weights[i] * f)
 		}
 		if t == value.TypeInt {
 			return value.Int(int64(sum + 0.5)), nil

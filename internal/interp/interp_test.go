@@ -165,64 +165,6 @@ func TestTemporalInterpolationOutOfRange(t *testing.T) {
 	}
 }
 
-func TestSpatialInterpolationIDW(t *testing.T) {
-	w := newWorld(t)
-	day := sptemp.Date(1986, 6, 1)
-	// Two tiles east and west of the target, equidistant.
-	w.insertNDVI(t, day, 0.2, 1, sptemp.NewBox(0, 0, 100, 100))   // center (50,50)
-	w.insertNDVI(t, day, 0.6, 0, sptemp.NewBox(200, 0, 300, 100)) // center (250,50)
-	target := sptemp.NewBox(100, 0, 200, 100)                     // center (150,50)
-
-	oid, err := w.ip.Spatial(context.Background(), "ndvi", target, day, 2, task.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.obj.Get(oid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, _ := value.AsImage(got.Attrs["data"])
-	// Equidistant: plain average.
-	if v, _ := img.At(0, 0); math.Abs(v-0.4) > 1e-6 {
-		t.Errorf("pixel = %g, want 0.4", v)
-	}
-	if !got.Extent.Space.Equal(target) {
-		t.Errorf("extent = %s", got.Extent.Space)
-	}
-	tk, ok := w.ip.Exec.Producer(oid)
-	if !ok || tk.Process != "spatial_interpolation" {
-		t.Errorf("task = %+v", tk)
-	}
-	if len(tk.Inputs["neighbors"]) != 2 {
-		t.Errorf("neighbors = %v", tk.Inputs)
-	}
-}
-
-func TestSpatialInterpolationExactHit(t *testing.T) {
-	w := newWorld(t)
-	day := sptemp.Date(1986, 6, 1)
-	w.insertNDVI(t, day, 0.3, 1, sptemp.NewBox(0, 0, 100, 100))
-	w.insertNDVI(t, day, 0.9, 1, sptemp.NewBox(500, 500, 600, 600))
-	// Target centered exactly on the first tile: weight collapses to it.
-	oid, err := w.ip.Spatial(context.Background(), "ndvi", sptemp.NewBox(0, 0, 100, 100), day, 2, task.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := w.obj.Get(oid)
-	img, _ := value.AsImage(got.Attrs["data"])
-	// The blend pipeline runs in float4, so compare at single precision.
-	if v, _ := img.At(0, 0); math.Abs(v-0.3) > 1e-6 {
-		t.Errorf("exact hit pixel = %g, want 0.3", v)
-	}
-}
-
-func TestSpatialInterpolationNoNeighbors(t *testing.T) {
-	w := newWorld(t)
-	if _, err := w.ip.Spatial(context.Background(), "ndvi", sptemp.NewBox(0, 0, 1, 1), sptemp.Date(1986, 1, 1), 2, task.RunOptions{}); !errors.Is(err, ErrNoNeighbor) {
-		t.Errorf("no neighbours err = %v", err)
-	}
-}
-
 func TestBlendValuesValidation(t *testing.T) {
 	reg := adt.NewStandardRegistry()
 	if _, err := blendValues(reg, value.TypeFloat, nil, nil); err == nil {

@@ -42,25 +42,6 @@ func MustMatrix(rows, cols int) *Matrix {
 	return m
 }
 
-// FromRows builds a matrix from row slices, which must be non-empty and of
-// equal length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("linalg: FromRows needs non-empty input")
-	}
-	m, err := NewMatrix(len(rows), len(rows[0]))
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrShape, i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:], r)
-	}
-	return m, nil
-}
-
 // FromData wraps a row-major float64 buffer of length rows*cols.
 func FromData(rows, cols int, data []float64) (*Matrix, error) {
 	if rows <= 0 || cols <= 0 {
@@ -110,56 +91,6 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := MustMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns m×o.
-func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
-	if m.cols != o.rows {
-		return nil, fmt.Errorf("%w: %dx%d × %dx%d", ErrShape, m.rows, m.cols, o.rows, o.cols)
-	}
-	out := MustMatrix(m.rows, o.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			orow := o.data[k*o.cols:]
-			dst := out.data[i*out.cols:]
-			for j := 0; j < o.cols; j++ {
-				dst[j] += a * orow[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m×v for a column vector v of length Cols.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if len(v) != m.cols {
-		return nil, fmt.Errorf("%w: vector length %d for %dx%d", ErrShape, len(v), m.rows, m.cols)
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		row := m.data[i*m.cols:]
-		for j := 0; j < m.cols; j++ {
-			s += row[j] * v[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // Equalish reports whether two matrices agree within tol elementwise.
 func (m *Matrix) Equalish(o *Matrix, tol float64) bool {
 	if m.rows != o.rows || m.cols != o.cols {
@@ -178,23 +109,11 @@ func (m *Matrix) String() string {
 	return fmt.Sprintf("matrix(%dx%d)", m.rows, m.cols)
 }
 
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrShape, len(a), len(b))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
-
 // Norm returns the Euclidean norm of v.
 func Norm(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -228,7 +147,7 @@ func StdDev(v []float64) float64 {
 	var s float64
 	for _, x := range v {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(v)))
 }
@@ -254,7 +173,7 @@ func Covariance(samples *Matrix) (*Matrix, error) {
 			rj := samples.data[j*n : (j+1)*n]
 			var s float64
 			for k := 0; k < n; k++ {
-				s += (ri[k] - means[i]) * (rj[k] - means[j])
+				s += float64((ri[k] - means[i]) * (rj[k] - means[j]))
 			}
 			c := s / float64(n)
 			cov.Set(i, j, c)
@@ -330,7 +249,7 @@ func EigenSym(a *Matrix) ([]EigenPair, error) {
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+				off += float64(w.At(i, j) * w.At(i, j))
 			}
 		}
 		if off < 1e-22 {
@@ -344,24 +263,24 @@ func EigenSym(a *Matrix) ([]EigenPair, error) {
 				}
 				app, aqq := w.At(p, p), w.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				// Apply the rotation to rows/cols p and q.
 				for k := 0; k < n; k++ {
 					akp, akq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, c*akp-s*akq)
-					w.Set(k, q, s*akp+c*akq)
+					w.Set(k, p, float64(c*akp)-float64(s*akq))
+					w.Set(k, q, float64(s*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk, aqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, c*apk-s*aqk)
-					w.Set(q, k, s*apk+c*aqk)
+					w.Set(p, k, float64(c*apk)-float64(s*aqk))
+					w.Set(q, k, float64(s*apk)+float64(c*aqk))
 				}
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}
@@ -408,7 +327,7 @@ func LinearCombination(m *Matrix, coeffs []float64) ([]float64, error) {
 		}
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, x := range row {
-			out[j] += c * x
+			out[j] += float64(c * x)
 		}
 	}
 	return out, nil

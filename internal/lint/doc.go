@@ -9,8 +9,8 @@
 // The framework exists in-tree because the module is intentionally
 // dependency-free: the container and CI build with the standard library
 // alone, so the x/tools analysis driver is not available. The API
-// mirrors it closely enough that every analyzer would port to
-// *analysis.Analyzer mechanically.
+// mirrors it closely enough that every per-package analyzer would port
+// to *analysis.Analyzer mechanically.
 //
 // # The analyzers
 //
@@ -47,6 +47,28 @@
 // that component's to end. Unended spans hold slow-op state forever and
 // poison the tracer's ring buffer.
 //
+// deadcode — every function is reachable from an entry point. It is the
+// one whole-module analyzer (Analyzer.RunModule): it reasons over every
+// package of the module whatever the patterns, so a narrower pattern
+// cannot make live code look dead, and reports only in the packages the
+// patterns name. Its roots are main/init of the programs under cmd/,
+// examples/ and bench/; the exported functions, and the exported methods
+// of exported types, of the root package and client; and package-level
+// variable initialisers. A reached function makes live everything its
+// body calls or refers to (closures, method values, generic
+// instantiations), and a method of a reached type is live when the type
+// satisfies an interface the module declares or converts to, or the
+// standard library looks it up by name (String, Error, MarshalJSON). An
+// exported field such as Kernel.Tasks is no root: a manager method is
+// live only if a root calls it, or the kernel's twelve handles would
+// keep the whole tree alive. bench/ is not reported: its files change
+// only with the benchmark. A //lint:gaea-allow deadcode comment makes a
+// function a root, with one of three reasons: a paper-figure or
+// experiment benchmark reaches it (name it), a ROADMAP item builds on it
+// (name the item), or it is a test helper called by tests in other
+// packages. A helper only its own package's tests call moves into a
+// _test.go file.
+//
 // wirebounds — an allocation sized by a wire-decoded integer must be
 // bounded first: compare against a real limit (`n > 0` does not count)
 // or clamp with Dec.Cap. A v2 body is at most MaxFrame bytes, but a
@@ -71,5 +93,8 @@
 // Analyzers may attach facts to objects (Pass.ExportObjectFact) for
 // downstream packages in the same run; the driver analyzes packages in
 // dependency order, so facts always flow import-first, and in-package
-// recursion is handled by each analyzer's own fixed-point loop.
+// recursion is handled by each analyzer's own fixed-point loop. Load
+// type-checks every package of the module, but per-package analyzers run
+// on the packages the patterns name alone, so facts flow only from
+// those.
 package lint

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/token"
 	"iter"
+	"strings"
 )
 
 // ExportData resolves build-cache export-data files for the given import
@@ -25,7 +26,8 @@ func ExportData(paths []string) (map[string]string, error) {
 
 // CheckFixtures type-checks fixture packages from source in the order
 // the sequence yields them (dependencies first). Imports resolve against
-// earlier fixtures, then against the export map.
+// earlier fixtures, then against the export map. Every fixture is a
+// target, and its module is the first element of its path.
 func CheckFixtures(exports map[string]string, pkgs iter.Seq2[string, []string]) ([]*Package, error) {
 	fset := token.NewFileSet()
 	tc := newTypechecker(fset, func(path string) (string, error) {
@@ -40,6 +42,8 @@ func CheckFixtures(exports map[string]string, pkgs iter.Seq2[string, []string]) 
 		if err != nil {
 			return nil, err
 		}
+		pkg.Module, _, _ = strings.Cut(path, "/")
+		pkg.Target = true
 		out = append(out, pkg)
 	}
 	return out, nil

@@ -19,6 +19,10 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports diagnostics via pass.Report.
 	Run func(pass *Pass) error
+	// RunModule, set instead of Run, inspects every package of the
+	// module at once: it runs once per driver run, sees the packages the
+	// patterns did not name as well, and reports only in those they did.
+	RunModule func(pass *ModulePass) error
 }
 
 // Diagnostic is one reported invariant violation.
@@ -53,11 +57,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	if p.suppress != nil && p.suppress(position, p.Analyzer.Name) {
 		return
 	}
-	*p.out = append(*p.out, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	*p.out = append(*p.out, Diagnostic{p.Analyzer.Name, position, fmt.Sprintf(format, args...)})
 }
 
 // ExportObjectFact attaches fact to obj for downstream packages analyzed
@@ -98,6 +98,25 @@ func (p *Pass) ImportObjectFact(obj types.Object, target any) bool {
 	return false
 }
 
+// ModulePass carries a whole-module analyzer's view of every package.
+type ModulePass struct {
+	Analyzer *Analyzer
+	// Packages is every package of the module, dependencies first.
+	Packages []*Package
+
+	out *[]Diagnostic
+}
+
+// Reportf records a diagnostic at pos in pkg, unless pkg is not one the
+// patterns named or an adjacent //lint:gaea-allow comment suppresses it.
+func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+	position := pkg.Fset.Position(pos)
+	if !pkg.Target || pkg.Allowed(position, p.Analyzer.Name) {
+		return
+	}
+	*p.out = append(*p.out, Diagnostic{p.Analyzer.Name, position, fmt.Sprintf(format, args...)})
+}
+
 type factKey struct {
 	analyzer *Analyzer
 	obj      types.Object
@@ -112,13 +131,28 @@ type Driver struct {
 // NewDriver builds an empty driver.
 func NewDriver() *Driver { return &Driver{facts: make(map[factKey]any)} }
 
-// Run applies every analyzer to every package (packages must already be
-// in dependency order, as Load returns them) and returns the surviving
+// Run applies every analyzer to every target package (packages must
+// already be in dependency order, as Load returns them), and every
+// whole-module analyzer once to them all, and returns the surviving
 // diagnostics sorted by position.
 func (d *Driver) Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		if err := a.RunModule(&ModulePass{Analyzer: a, Packages: pkgs, out: &out}); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+	}
 	for _, pkg := range pkgs {
+		if !pkg.Target {
+			continue
+		}
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -127,7 +161,7 @@ func (d *Driver) Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, erro
 				TypesInfo: pkg.Info,
 				pkg:       pkg,
 				driver:    d,
-				suppress:  pkg.allowed,
+				suppress:  pkg.Allowed,
 				out:       &out,
 			}
 			if err := a.Run(pass); err != nil {
@@ -212,15 +246,4 @@ func IsContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// HasContextParam reports whether the signature takes a context.Context
-// anywhere (conventionally first).
-func HasContextParam(sig *types.Signature) bool {
-	for i := 0; i < sig.Params().Len(); i++ {
-		if IsContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
 }

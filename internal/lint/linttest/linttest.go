@@ -31,6 +31,8 @@ import (
 // Run loads the named fixture packages (plus their fixture-local
 // dependencies), applies the analyzer, and checks diagnostics against
 // the fixtures' want comments.
+//
+//lint:gaea-allow deadcode test helper: every analyzer's test runs its fixtures through it
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
 	diags, fset, files, err := analyze(testdata, a, pkgs)

@@ -26,15 +26,21 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Module is the path of the module the package belongs to.
+	Module string
+	// Target reports whether the patterns named the package: analyzers
+	// report only in targets, while whole-module analyzers reason over
+	// the rest of the module too.
+	Target bool
 
 	// allow holds the //lint:gaea-allow suppressions: file → line →
 	// analyzer names allowed on that line and the next.
 	allow map[string]map[int][]string
 }
 
-// allowed reports whether a diagnostic by analyzer at pos is suppressed
+// Allowed reports whether a diagnostic by analyzer at pos is suppressed
 // by a //lint:gaea-allow comment on the same line or the line above.
-func (p *Package) allowed(pos token.Position, analyzer string) bool {
+func (p *Package) Allowed(pos token.Position, analyzer string) bool {
 	lines := p.allow[pos.Filename]
 	if lines == nil {
 		return false
@@ -58,31 +64,43 @@ type listPkg struct {
 	Imports    []string
 	Export     string
 	Standard   bool
-	DepOnly    bool
 	Module     *struct{ Path string }
 }
 
 // Load lists patterns with the go tool (building export data for every
-// dependency), then parses and type-checks each in-module package from
-// source in dependency order, so analyzers see one consistent set of
-// types.Object identities across the whole module. dir anchors the go
-// invocation (any directory inside the module).
+// dependency), then parses and type-checks every package of the module
+// they lie in from source in dependency order, so analyzers see one
+// consistent set of types.Object identities across the whole module.
+// dir anchors the go invocation (any directory inside the module).
 //
-// Only packages matching the patterns (the roots) are returned for
-// analysis; in-module dependencies of the roots are type-checked too so
-// cross-package facts flow, and are included ahead of their importers.
+// It returns every package of the module, imports ahead of their
+// importers; Target marks the ones matching the patterns. The rest are
+// there for their types, and so whole-module analyzers see the entire
+// module whatever the patterns.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	metas, err := goList(dir, append([]string{"-export", "-deps"}, patterns...))
+	named, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	targets := make(map[string]bool, len(named))
+	var modPath string
+	for _, m := range named {
+		targets[m.ImportPath] = true
+		if !m.Standard && m.Module != nil && modPath == "" {
+			modPath = m.Module.Path
+		}
+	}
+	args := append([]string{"-export", "-deps"}, patterns...)
+	if modPath != "" {
+		args = append(args, modPath+"/...")
+	}
+	metas, err := goList(dir, args)
 	if err != nil {
 		return nil, err
 	}
 	byPath := make(map[string]*listPkg, len(metas))
-	var modPath string
 	for _, m := range metas {
 		byPath[m.ImportPath] = m
-		if !m.Standard && m.Module != nil && modPath == "" {
-			modPath = m.Module.Path
-		}
 	}
 	inModule := func(m *listPkg) bool {
 		return !m.Standard && m.Module != nil && m.Module.Path == modPath
@@ -134,7 +152,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return m.Export, nil
 	})
 
-	var out []*Package
+	out := make([]*Package, 0, len(order))
 	for _, m := range order {
 		files := make([]string, len(m.GoFiles))
 		for i, f := range m.GoFiles {
@@ -144,9 +162,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !m.DepOnly {
-			out = append(out, pkg)
-		}
+		pkg.Module = modPath
+		pkg.Target = targets[m.ImportPath]
+		out = append(out, pkg)
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ package suite
 import (
 	"gaea/internal/lint"
 	"gaea/internal/lint/ctxflow"
+	"gaea/internal/lint/deadcode"
 	"gaea/internal/lint/errtaxonomy"
 	"gaea/internal/lint/lockorder"
 	"gaea/internal/lint/poolsafe"
@@ -16,6 +17,7 @@ import (
 // All is the invariant suite, in diagnostic-name order.
 var All = []*lint.Analyzer{
 	ctxflow.Analyzer,
+	deadcode.Analyzer,
 	errtaxonomy.Analyzer,
 	lockorder.Analyzer,
 	poolsafe.Analyzer,

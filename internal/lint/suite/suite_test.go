@@ -42,15 +42,15 @@ func TestModuleIsVetClean(t *testing.T) {
 func TestSuiteNamesUniqueAndDocumented(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, a := range suite.All {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %+v missing name, doc, or run", a)
+		if a.Name == "" || a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
+			t.Errorf("analyzer %+v missing name or doc, or not exactly one of Run and RunModule", a)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
 	}
-	if len(suite.All) < 6 {
-		t.Fatalf("suite has %d analyzers, want >= 6", len(suite.All))
+	if len(suite.All) < 7 {
+		t.Fatalf("suite has %d analyzers, want >= 7", len(suite.All))
 	}
 }

@@ -611,13 +611,6 @@ func (s *Store) Exists(oid OID) bool {
 	return ok && r.flags&rowDel == 0
 }
 
-// ExistsAt reports whether an OID resolves to a live object at the given
-// epoch.
-func (s *Store) ExistsAt(oid OID, epoch uint64) bool {
-	_, ok := s.resolve(oid, epoch)
-	return ok
-}
-
 // RecordSize returns the stored footprint of an object in bytes: its
 // newest heap record plus any offloaded blobs. The derived-data manager
 // weighs this against recorded recomputation cost when deciding whether
@@ -815,16 +808,6 @@ func (s *Store) Delete(oid OID) error {
 		return fmt.Errorf("%w: oid %d", ErrNotFound, oid)
 	}
 	return err
-}
-
-// Members returns all live OIDs of a class at the newest epoch, ascending.
-func (s *Store) Members(class string) []OID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ci := s.classes[class]; ci != nil {
-		return slices.Clone(ci.members)
-	}
-	return nil
 }
 
 // Count returns the number of live objects of a class at the newest epoch.

@@ -178,7 +178,7 @@ func TestQueryBySpaceAndTime(t *testing.T) {
 	}
 	// Spatio-temporal: west + january.
 	pred := sptemp.NewExtent(sptemp.DefaultFrame, sptemp.NewBox(0, 0, 50, 50),
-		sptemp.NewInterval(sptemp.Date(1986, 1, 1), sptemp.Date(1986, 2, 1)))
+		sptemp.Interval{Start: sptemp.Date(1986, 1, 1), End: sptemp.Date(1986, 2, 1)})
 	got, err = f.obj.Query("landsat_tm", pred)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestQueryBySpaceAndTime(t *testing.T) {
 	}
 	// Temporal only.
 	tpred := sptemp.Extent{Frame: sptemp.DefaultFrame, Space: sptemp.EmptyBox(),
-		TimeIv: sptemp.NewInterval(sptemp.Date(1986, 1, 1), sptemp.Date(1986, 2, 1)), HasTime: true}
+		TimeIv: sptemp.Interval{Start: sptemp.Date(1986, 1, 1), End: sptemp.Date(1986, 2, 1)}, HasTime: true}
 	got, err = f.obj.Query("landsat_tm", tpred)
 	if err != nil {
 		t.Fatal(err)
@@ -948,4 +948,14 @@ func TestWalkCandidatesConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// Members returns all live OIDs of a class at the newest epoch, ascending.
+func (s *Store) Members(class string) []OID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if ci := s.classes[class]; ci != nil {
+		return slices.Clone(ci.members)
+	}
+	return nil
 }

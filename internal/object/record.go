@@ -515,17 +515,6 @@ func (w *record) wire() ([]byte, error) {
 	return buf, nil
 }
 
-// recordExtent reads just the extent of a stored record, for predicate
-// checks. Tombstone records have no extent and are an error here —
-// visibility resolution never hands one to a reader.
-func recordExtent(rec []byte, sch *schema) (sptemp.Extent, error) {
-	w, err := parseRecord(rec, sch)
-	if err == nil && w.del {
-		err = errTombstone
-	}
-	return w.ext, err
-}
-
 // appendHeader appends a compact record header.
 func appendHeader(buf []byte, flags byte, epoch uint64, oid OID) []byte {
 	buf = append(buf, flags)

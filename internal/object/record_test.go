@@ -262,7 +262,7 @@ func randomValue(rng *rand.Rand, typ value.Type) value.Value {
 	case value.TypeAbsTime:
 		return value.AbsTime(sptemp.Date(1980+rng.IntN(20), time.Month(1+rng.IntN(12)), 1+rng.IntN(28)))
 	case value.TypeInterval:
-		return value.Interval(sptemp.NewInterval(sptemp.Date(1986, 1, 1), sptemp.Date(1986+rng.IntN(5), 6, 1)))
+		return value.Interval(sptemp.Interval{Start: sptemp.Date(1986, 1, 1), End: sptemp.Date(1986+rng.IntN(5), 6, 1)})
 	case value.TypeBox:
 		return value.Box(sptemp.NewBox(0, 0, 1+rng.Float64(), 1+rng.Float64()))
 	case value.TypeImage:

@@ -40,7 +40,7 @@ type EventLog struct {
 	seq     uint64
 	dropped int64
 	sink    io.Writer // optional JSONL sink; write errors disable it
-	sinkErr error
+	sinkErr error     // the write error that disabled the sink
 }
 
 // defaultEventRing is the ring capacity when NewEventLog gets 0.
@@ -49,7 +49,7 @@ const defaultEventRing = 1024
 // NewEventLog builds a log retaining the last `ring` events (0 = 1024).
 // When sink is non-nil every event is additionally appended to it as
 // one JSON line; a write error disables the sink (the ring keeps
-// recording) and is reported by SinkErr.
+// recording).
 func NewEventLog(ring int, sink io.Writer) *EventLog {
 	if ring <= 0 {
 		ring = defaultEventRing
@@ -108,17 +108,6 @@ func (l *EventLog) Since(seq uint64) []Event {
 	return out
 }
 
-// LastSeq reports the sequence number of the newest event (0 when none
-// was ever emitted).
-func (l *EventLog) LastSeq() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // Dropped reports how many events the ring has overwritten.
 func (l *EventLog) Dropped() int64 {
 	if l == nil {
@@ -127,14 +116,4 @@ func (l *EventLog) Dropped() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dropped
-}
-
-// SinkErr reports the write error that disabled the JSONL sink, if any.
-func (l *EventLog) SinkErr() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sinkErr
 }

@@ -1,5 +1,5 @@
 // Package obs is Gaea's telemetry substrate: a metrics registry
-// (atomic counters, gauges, and fixed-bucket histograms), a request
+// (atomic counters, computed gauges, and fixed-bucket histograms), a request
 // tracer (span trees with ring-buffer retention), and a slow-op log.
 // It has no dependencies outside the standard library and no
 // background goroutines; every instrument is safe for concurrent use
@@ -43,38 +43,9 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Load reads the current value.
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // LatencyBuckets is the default histogram bucket layout for durations,
 // in nanoseconds: 1µs to ~67s, doubling.
 var LatencyBuckets = expBuckets(1_000, 27)
-
-// SizeBuckets is the default layout for byte sizes: 64 B to 1 GiB,
-// doubling.
-var SizeBuckets = expBuckets(64, 25)
 
 func expBuckets(base int64, n int) []int64 {
 	b := make([]int64, n)
@@ -123,24 +94,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	if h != nil {
 		h.Observe(int64(time.Since(start)))
 	}
-}
-
-// Count reports how many values have been observed.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket
-// counts: the upper bound of the bucket holding the q-th observation,
-// clamped to the observed maximum. Zero observations yield zero.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	return h.Snapshot().quantile(q)
 }
 
 // BucketCount is one non-empty histogram bucket in a snapshot.
@@ -217,7 +170,6 @@ func (s HistogramSnapshot) quantile(q float64) int64 {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	gaugeFns map[string]func() int64
 	hists    map[string]*Histogram
 }
@@ -226,7 +178,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		gaugeFns: map[string]func() int64{},
 		hists:    map[string]*Histogram{},
 	}
@@ -252,26 +203,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named settable gauge, minting it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // GaugeFunc registers a computed gauge: fn is evaluated at snapshot
 // time. Re-registering a name replaces the function.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
@@ -286,17 +217,8 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 // Histogram returns the named latency histogram (nanosecond buckets),
 // minting it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.histogram(name, LatencyBuckets)
-}
-
-// SizeHistogram returns the named byte-size histogram.
-func (r *Registry) SizeHistogram(name string) *Histogram {
-	return r.histogram(name, SizeBuckets)
-}
-
-func (r *Registry) histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
-		return newHistogram(bounds)
+		return newHistogram(LatencyBuckets)
 	}
 	r.mu.RLock()
 	h := r.hists[name]
@@ -307,7 +229,7 @@ func (r *Registry) histogram(name string, bounds []int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram(bounds)
+		h = newHistogram(LatencyBuckets)
 		r.hists[name] = h
 	}
 	return h
@@ -337,10 +259,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	for n, c := range r.counters {
 		counters[n] = c
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
 	fns := make(map[string]func() int64, len(r.gaugeFns))
 	for n, f := range r.gaugeFns {
 		fns[n] = f
@@ -352,9 +270,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	r.mu.RUnlock()
 	for n, c := range counters {
 		s.Counters[n] = c.Load()
-	}
-	for n, g := range gauges {
-		s.Gauges[n] = g.Load()
 	}
 	for n, f := range fns { // outside r.mu: fn may take foreign locks
 		s.Gauges[n] = f()

@@ -33,7 +33,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestNilRegistryOrphans(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()
-	r.Gauge("b").Set(7)
 	r.Histogram("c").Observe(5)
 	r.GaugeFunc("d", func() int64 { return 1 })
 	if snap := r.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
@@ -78,7 +77,6 @@ func TestWriteTextSortedAndExpanded(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_total").Inc()
 	r.Counter("aa_total").Add(2)
-	r.Gauge("mm").Set(5)
 	r.GaugeFunc("fn", func() int64 { return 9 })
 	r.Histogram("h_ns").Observe(10)
 	var b bytes.Buffer
@@ -90,7 +88,7 @@ func TestWriteTextSortedAndExpanded(t *testing.T) {
 		}
 	}
 	text := b.String()
-	for _, want := range []string{"aa_total 2\n", "zz_total 1\n", "mm 5\n", "fn 9\n",
+	for _, want := range []string{"aa_total 2\n", "zz_total 1\n", "fn 9\n",
 		"h_ns_count 1\n", "h_ns_sum 10\n", "h_ns_max 10\n", "h_ns_p50", "h_ns_p99"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics text missing %q:\n%s", want, text)

@@ -86,33 +86,6 @@ func (ts *TimeSeries) Points() []SeriesPoint {
 	return out
 }
 
-// Rates differences the newest retained point against the oldest one
-// inside the window and returns counter deltas per second. An empty
-// map means fewer than two points are in the window yet.
-func (ts *TimeSeries) Rates(window time.Duration) map[string]float64 {
-	pts := ts.Points()
-	out := map[string]float64{}
-	if len(pts) < 2 {
-		return out
-	}
-	last := pts[len(pts)-1]
-	first := pts[0]
-	for _, p := range pts {
-		if last.At.Sub(p.At) <= window {
-			first = p
-			break
-		}
-	}
-	secs := last.At.Sub(first.At).Seconds()
-	if secs <= 0 {
-		return out
-	}
-	for name, v := range last.Counters {
-		out[name] = float64(v-first.Counters[name]) / secs
-	}
-	return out
-}
-
 // StatsDelta is one push of the SubscribeStats stream: counter rates
 // over the interval since the previous push, current gauges and
 // histogram p99s, and the events emitted since the last delta the

@@ -34,7 +34,7 @@ const (
 // exceeded the configured threshold. One tracer serves a whole kernel
 // (or a whole client); it allocates only while a trace is open.
 type Tracer struct {
-	thresh atomic.Int64 // slow-op threshold, ns; 0 disables the slow log
+	thresh time.Duration // slow-op threshold; 0 disables the slow log
 
 	tokens     atomic.Int64 // remaining local-trace budget
 	lastRefill atomic.Int64 // unix nanos of the last bucket refill
@@ -61,9 +61,8 @@ func NewTracer(slowThreshold time.Duration, ring, slowRing int) *Tracer {
 	if slowRing <= 0 {
 		slowRing = 32
 	}
-	t := &Tracer{ring: make([]*trace, 0, ring), slow: make([]*trace, 0, slowRing),
+	t := &Tracer{thresh: slowThreshold, ring: make([]*trace, 0, ring), slow: make([]*trace, 0, slowRing),
 		open: make(map[*trace]struct{})}
-	t.thresh.Store(int64(slowThreshold))
 	t.rate.Store(traceRate)
 	t.burst.Store(traceBurst)
 	t.tokens.Store(traceBurst)
@@ -121,21 +120,6 @@ func (t *Tracer) admit() bool {
 	}
 }
 
-// SetSlowThreshold replaces the slow-op threshold (0 disables).
-func (t *Tracer) SetSlowThreshold(d time.Duration) {
-	if t != nil {
-		t.thresh.Store(int64(d))
-	}
-}
-
-// SlowThreshold reads the current slow-op threshold.
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.thresh.Load())
-}
-
 // trace accumulates the spans of one request tree. The root span and a
 // small span array live inline so that opening a typical trace costs a
 // single allocation — the tracer sits on every kernel query, so this
@@ -188,14 +172,6 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 		return ctx
 	}
 	return context.WithValue(ctx, tracerKey, t)
-}
-
-// TracerFrom returns the tracer installed on the context, if any. The
-// kernel uses it to install its own tracer only when the caller has not
-// already chosen one.
-func TracerFrom(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey).(*Tracer)
-	return t
 }
 
 // WithRemoteTrace marks the context as a continuation of a trace that
@@ -409,7 +385,7 @@ func (t *Tracer) record(tr *trace, rootDur time.Duration) {
 		t.ring[t.pos] = tr
 		t.pos = (t.pos + 1) % cap(t.ring)
 	}
-	if th := t.thresh.Load(); th > 0 && rootDur >= time.Duration(th) {
+	if t.thresh > 0 && rootDur >= t.thresh {
 		if len(t.slow) < cap(t.slow) {
 			t.slow = append(t.slow, tr)
 		} else {
@@ -517,6 +493,8 @@ func (t *Tracer) OpenOps() []OpenOp {
 }
 
 // Find exports the retained trace with the given ID, if present.
+//
+//lint:gaea-allow deadcode test helper: client's trace tests look up the merged trace by ID
 func (t *Tracer) Find(id uint64) (TraceData, bool) {
 	if t == nil {
 		return TraceData{}, false

@@ -38,14 +38,6 @@ func NewWatchdog(tr *Tracer, log *EventLog, threshold time.Duration) *Watchdog {
 	return &Watchdog{tr: tr, log: log, threshold: threshold, reported: make(map[uint64]struct{})}
 }
 
-// Threshold reports the stall cutoff.
-func (w *Watchdog) Threshold() time.Duration {
-	if w == nil {
-		return 0
-	}
-	return w.threshold
-}
-
 // Scan inspects the open operations once and returns how many new
 // stall events it emitted. Nil-safe.
 func (w *Watchdog) Scan(now time.Time) int {

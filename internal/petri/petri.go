@@ -87,23 +87,6 @@ func (n *Net) Places() []string {
 	return out
 }
 
-// Transitions returns the transitions in insertion order.
-func (n *Net) Transitions() []Transition {
-	return append([]Transition(nil), n.transitions...)
-}
-
-// TransitionsInto returns the transitions producing tokens in a place —
-// the candidate derivations of a class.
-func (n *Net) TransitionsInto(place string) []Transition {
-	var out []Transition
-	for _, t := range n.transitions {
-		if t.Out == place {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Marking counts tokens per place. In the abstract analysis a token is
 // "one stored data object"; guards are ignored (they depend on concrete
 // extents, which the planner handles).
@@ -166,57 +149,6 @@ func (n *Net) CanDerive(initial Marking, target string) bool {
 		return true
 	}
 	return n.Closure(initial)[target] > 0
-}
-
-// DerivableClasses returns every place that can hold a token from the
-// initial marking, sorted.
-func (n *Net) DerivableClasses(initial Marking) []string {
-	final := n.Closure(initial)
-	var out []string
-	for place, count := range final {
-		if count > 0 {
-			out = append(out, place)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MissingFor explains why a target is not derivable: the set of base
-// places (places with no incoming transitions) that would need tokens,
-// computed over the residual graph. Sorted; empty when the target is
-// derivable.
-func (n *Net) MissingFor(initial Marking, target string) []string {
-	if n.CanDerive(initial, target) {
-		return nil
-	}
-	final := n.Closure(initial)
-	missing := map[string]bool{}
-	seen := map[string]bool{}
-	var walk func(place string)
-	walk = func(place string) {
-		if seen[place] || final[place] > 0 {
-			return
-		}
-		seen[place] = true
-		producers := n.TransitionsInto(place)
-		if len(producers) == 0 {
-			missing[place] = true
-			return
-		}
-		for _, t := range producers {
-			for _, a := range t.In {
-				walk(a.Place)
-			}
-		}
-	}
-	walk(target)
-	out := make([]string, 0, len(missing))
-	for p := range missing {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String renders the net for documentation and the CLI's "show net"

@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -128,28 +129,16 @@ func TestCanDeriveChains(t *testing.T) {
 
 func TestDerivableClasses(t *testing.T) {
 	n := figure2Net(t)
-	got := n.DerivableClasses(Marking{"landsat_tm": 3, "rainfall": 1})
+	var got []string
+	for place, count := range n.Closure(Marking{"landsat_tm": 3, "rainfall": 1}) {
+		if count > 0 {
+			got = append(got, place)
+		}
+	}
+	sort.Strings(got)
 	want := "desert,landcover,landsat_tm,rainfall"
 	if strings.Join(got, ",") != want {
-		t.Errorf("DerivableClasses = %v", got)
-	}
-}
-
-func TestMissingFor(t *testing.T) {
-	n := figure2Net(t)
-	// Nothing stored: deriving desert needs rainfall (a base place).
-	missing := n.MissingFor(Marking{}, "desert")
-	if len(missing) != 1 || missing[0] != "rainfall" {
-		t.Errorf("MissingFor(desert) = %v", missing)
-	}
-	// veg_change missing rolls all the way to landsat_tm.
-	missing = n.MissingFor(Marking{}, "veg_change")
-	if len(missing) != 1 || missing[0] != "landsat_tm" {
-		t.Errorf("MissingFor(veg_change) = %v", missing)
-	}
-	// Derivable target reports nothing missing.
-	if got := n.MissingFor(Marking{"rainfall": 5}, "desert"); got != nil {
-		t.Errorf("derivable target missing = %v", got)
+		t.Errorf("derivable classes = %v", got)
 	}
 }
 
@@ -186,4 +175,16 @@ func TestDeepChainReachability(t *testing.T) {
 
 func place(i int) string {
 	return "c" + string(rune('A'+i/10)) + string(rune('0'+i%10))
+}
+
+// TransitionsInto returns the transitions producing tokens in a place —
+// the candidate derivations of a class.
+func (n *Net) TransitionsInto(place string) []Transition {
+	var out []Transition
+	for _, t := range n.transitions {
+		if t.Out == place {
+			out = append(out, t)
+		}
+	}
+	return out
 }

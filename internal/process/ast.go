@@ -161,29 +161,6 @@ func (p *Process) Arg(name string) (ArgSpec, bool) {
 	return ArgSpec{}, false
 }
 
-// Mapping returns the mapping for an output attribute.
-func (p *Process) Mapping(attr string) (Expr, bool) {
-	for _, m := range p.Mappings {
-		if m.Attr == attr {
-			return m.Expr, true
-		}
-	}
-	return nil, false
-}
-
-// InputClasses lists the distinct input class names, in declaration order.
-func (p *Process) InputClasses() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range p.Args {
-		if !seen[a.Class] {
-			seen[a.Class] = true
-			out = append(out, a.Class)
-		}
-	}
-	return out
-}
-
 // Step is one invocation inside a compound process: result = process(args),
 // where each arg names either a compound argument or a prior step result.
 type Step struct {
@@ -205,14 +182,4 @@ type Compound struct {
 	Args     []ArgSpec
 	Steps    []Step
 	Source   string
-}
-
-// Step returns the step producing the named result.
-func (c *Compound) Step(result string) (Step, bool) {
-	for _, s := range c.Steps {
-		if s.Result == result {
-			return s, true
-		}
-	}
-	return Step{}, false
 }

@@ -251,13 +251,6 @@ func (m *Manager) IsCompound(name string) bool {
 	return len(m.compounds[name]) > 0
 }
 
-// Exists reports whether name is defined at all.
-func (m *Manager) Exists(name string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.existsLocked(name)
-}
-
 // Names lists all process names (primitive and compound), sorted.
 func (m *Manager) Names() []string {
 	m.mu.RLock()

@@ -233,3 +233,23 @@ func TestRoundTripSourcePreserved(t *testing.T) {
 		t.Error("re-parse diverged")
 	}
 }
+
+// Mapping returns the mapping for an output attribute.
+func (p *Process) Mapping(attr string) (Expr, bool) {
+	for _, m := range p.Mappings {
+		if m.Attr == attr {
+			return m.Expr, true
+		}
+	}
+	return nil, false
+}
+
+// Step returns the step producing the named result.
+func (c *Compound) Step(result string) (Step, bool) {
+	for _, s := range c.Steps {
+		if s.Result == result {
+			return s, true
+		}
+	}
+	return Step{}, false
+}

@@ -124,14 +124,6 @@ func CursorEpoch(c string) (uint64, error) {
 	return epoch, err
 }
 
-// CursorClass extracts the class a cursor resumes within. The
-// federation router uses it to route a bare single-kernel cursor to the
-// shards owning that class.
-func CursorClass(c string) (string, error) {
-	_, class, _, err := parseCursor(c)
-	return class, err
-}
-
 // DecodeCursor splits a cursor into its snapshot epoch, class, and the
 // OID iteration resumes after. The federation router uses it to strip
 // its shard tag off the resume OID before forwarding a cursor minted

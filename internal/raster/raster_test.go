@@ -140,25 +140,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestConvert(t *testing.T) {
-	a := MustNew(2, 2, PixFloat8)
-	a.SetFloat64s([]float64{0.4, 100.6, -3, 300})
-	b, err := a.Convert(PixChar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 101, 0, 255}
-	got := b.Float64s()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Convert[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if _, err := a.Convert(PixType("nope")); err == nil {
-		t.Error("convert to invalid type must fail")
-	}
-}
-
 func TestStats(t *testing.T) {
 	im := MustNew(1, 4, PixFloat8)
 	im.SetFloat64s([]float64{1, 2, 3, 4})

@@ -1,14 +1,14 @@
 // Package sptemp implements the spatial and temporal extent semantics that
 // Gaea attaches to every scientific object: bounding boxes in a named
-// reference system, absolute timestamps and intervals, the Allen interval
-// relations, the common() overlap predicate used by process assertions, and
-// simple spatial/temporal indexes for extent-qualified retrieval.
+// reference system, absolute timestamps and intervals, the common() overlap
+// predicate used by process assertions, and simple spatial/temporal indexes
+// for extent-qualified retrieval.
 //
 // The paper (§2.1.1–2.1.2) treats the spatial and temporal extents as
 // orthogonal, well-studied dimensions; this package provides exactly the
-// operations the derivation layer needs: equality, containment, overlap,
-// union/intersection, and the "same or overlapping" guard written as
-// common(bands.spatialextent) in Figure 3.
+// operations the derivation layer needs: equality, overlap, intersection,
+// and the "same or overlapping" guard written as common(bands.spatialextent)
+// in Figure 3.
 package sptemp
 
 import (
@@ -24,9 +24,6 @@ type Box struct {
 	MinX, MinY float64
 	MaxX, MaxY float64
 }
-
-// ErrEmptyBox is returned by operations that require a non-empty box.
-var ErrEmptyBox = errors.New("sptemp: empty box")
 
 // NewBox returns a box from two corner points, normalising the corner order
 // so that Min <= Max on both axes.
@@ -58,42 +55,12 @@ func (b Box) Width() float64 {
 	return b.MaxX - b.MinX
 }
 
-// Height returns the y-axis extent of the box, 0 for empty boxes.
-func (b Box) Height() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return b.MaxY - b.MinY
-}
-
-// Area returns the area of the box, 0 for empty boxes.
-func (b Box) Area() float64 {
-	return b.Width() * b.Height()
-}
-
 // Equal reports exact coordinate equality. All empty boxes compare equal.
 func (b Box) Equal(o Box) bool {
 	if b.IsEmpty() || o.IsEmpty() {
 		return b.IsEmpty() && o.IsEmpty()
 	}
 	return b == o
-}
-
-// ContainsPoint reports whether (x, y) lies inside or on the boundary.
-func (b Box) ContainsPoint(x, y float64) bool {
-	return !b.IsEmpty() && x >= b.MinX && x <= b.MaxX && y >= b.MinY && y <= b.MaxY
-}
-
-// Contains reports whether o lies entirely within b. An empty box is
-// contained in every box.
-func (b Box) Contains(o Box) bool {
-	if o.IsEmpty() {
-		return true
-	}
-	if b.IsEmpty() {
-		return false
-	}
-	return o.MinX >= b.MinX && o.MaxX <= b.MaxX && o.MinY >= b.MinY && o.MaxY <= b.MaxY
 }
 
 // Intersects reports whether the two boxes share at least one point
@@ -118,54 +85,6 @@ func (b Box) Intersection(o Box) Box {
 		MaxX: math.Min(b.MaxX, o.MaxX),
 		MaxY: math.Min(b.MaxY, o.MaxY),
 	}
-}
-
-// Union returns the smallest box containing both operands.
-func (b Box) Union(o Box) Box {
-	if b.IsEmpty() {
-		return o
-	}
-	if o.IsEmpty() {
-		return b
-	}
-	return Box{
-		MinX: math.Min(b.MinX, o.MinX),
-		MinY: math.Min(b.MinY, o.MinY),
-		MaxX: math.Max(b.MaxX, o.MaxX),
-		MaxY: math.Max(b.MaxY, o.MaxY),
-	}
-}
-
-// Center returns the center point of the box. It returns an error for empty
-// boxes, which have no center.
-func (b Box) Center() (x, y float64, err error) {
-	if b.IsEmpty() {
-		return 0, 0, ErrEmptyBox
-	}
-	return (b.MinX + b.MaxX) / 2, (b.MinY + b.MaxY) / 2, nil
-}
-
-// CenterDistance returns the Euclidean distance between the centers of two
-// non-empty boxes; it is the metric used by spatial interpolation.
-func (b Box) CenterDistance(o Box) (float64, error) {
-	bx, by, err := b.Center()
-	if err != nil {
-		return 0, err
-	}
-	ox, oy, err := o.Center()
-	if err != nil {
-		return 0, err
-	}
-	return math.Hypot(bx-ox, by-oy), nil
-}
-
-// Expand returns the box grown by d on every side. Negative d shrinks the
-// box and may make it empty.
-func (b Box) Expand(d float64) Box {
-	if b.IsEmpty() {
-		return b
-	}
-	return Box{MinX: b.MinX - d, MinY: b.MinY - d, MaxX: b.MaxX + d, MaxY: b.MaxY + d}
 }
 
 // String renders the box in the paper's external-representation style.
@@ -193,14 +112,4 @@ func CommonBox(boxes []Box) (Box, error) {
 		inter = inter.Intersection(b)
 	}
 	return inter, nil
-}
-
-// UnionBoxes returns the bounding union of the given boxes. The union of an
-// empty set is the empty box.
-func UnionBoxes(boxes []Box) Box {
-	u := EmptyBox()
-	for _, b := range boxes {
-		u = u.Union(b)
-	}
-	return u
 }

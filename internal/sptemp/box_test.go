@@ -1,7 +1,6 @@
 package sptemp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,12 +25,6 @@ func TestEmptyBox(t *testing.T) {
 	}
 	if e.Intersects(box(0, 0, 1, 1)) {
 		t.Fatal("empty box must not intersect anything")
-	}
-	if e.ContainsPoint(0, 0) {
-		t.Fatal("empty box must not contain points")
-	}
-	if _, _, err := e.Center(); err == nil {
-		t.Fatal("Center of empty box should error")
 	}
 }
 
@@ -104,33 +97,6 @@ func TestBoxUnion(t *testing.T) {
 	}
 }
 
-func TestBoxExpand(t *testing.T) {
-	a := box(0, 0, 2, 2)
-	grown := a.Expand(1)
-	if !grown.Equal(box(-1, -1, 3, 3)) {
-		t.Errorf("Expand(1) = %s", grown)
-	}
-	shrunk := a.Expand(-2)
-	if !shrunk.IsEmpty() {
-		t.Errorf("Expand(-2) should be empty, got %s", shrunk)
-	}
-}
-
-func TestBoxCenterDistance(t *testing.T) {
-	a := box(0, 0, 2, 2)
-	b := box(3, 0, 5, 2) // centers (1,1) and (4,1)
-	d, err := a.CenterDistance(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 3 {
-		t.Errorf("CenterDistance = %g, want 3", d)
-	}
-	if _, err := a.CenterDistance(EmptyBox()); err == nil {
-		t.Error("CenterDistance to empty should error")
-	}
-}
-
 func TestCommonBox(t *testing.T) {
 	shared, err := CommonBox([]Box{box(0, 0, 10, 10), box(5, 5, 15, 15), box(5, 0, 12, 8)})
 	if err != nil {
@@ -144,16 +110,6 @@ func TestCommonBox(t *testing.T) {
 	}
 	if _, err := CommonBox([]Box{box(0, 0, 1, 1), box(2, 2, 3, 3)}); err == nil {
 		t.Error("CommonBox over disjoint boxes must fail")
-	}
-}
-
-func TestUnionBoxes(t *testing.T) {
-	u := UnionBoxes([]Box{box(0, 0, 1, 1), box(4, 4, 5, 5), box(-1, 2, 0, 3)})
-	if !u.Equal(box(-1, 0, 5, 5)) {
-		t.Errorf("UnionBoxes = %s", u)
-	}
-	if !UnionBoxes(nil).IsEmpty() {
-		t.Error("union of no boxes is empty")
 	}
 }
 
@@ -266,45 +222,5 @@ func TestCommonBoxIsContainedInAll(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSnapToGrid(t *testing.T) {
-	b := box(1.2, 3.7, 8.1, 9.9)
-	s := SnapToGrid(b, 2)
-	if !s.Equal(box(0, 2, 10, 10)) {
-		t.Errorf("SnapToGrid = %s", s)
-	}
-	if !s.Contains(b) {
-		t.Error("snapped box must contain original")
-	}
-	if got := SnapToGrid(b, 0); !got.Equal(b) {
-		t.Error("zero cell size should be identity")
-	}
-}
-
-func TestApproxReproject(t *testing.T) {
-	ll := Frame{System: RefLongLat, Unit: UnitDegree}
-	utm := Frame{System: RefUTM, Unit: UnitMeter}
-	b := box(1, 2, 3, 4)
-	m, err := ApproxReproject(b, ll, utm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.MinX-111320) > 1e-6 {
-		t.Errorf("MinX = %g", m.MinX)
-	}
-	back, err := ApproxReproject(m, utm, ll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(back.MinX-b.MinX) > 1e-9 || math.Abs(back.MaxY-b.MaxY) > 1e-9 {
-		t.Errorf("round trip failed: %s", back)
-	}
-	if _, err := ApproxReproject(b, ll, Frame{System: RefRowCol, Unit: UnitPixel}); err == nil {
-		t.Error("unsupported reprojection should error")
-	}
-	if same, err := ApproxReproject(b, ll, ll); err != nil || !same.Equal(b) {
-		t.Error("identity reprojection should be exact")
 	}
 }

@@ -1,9 +1,6 @@
 package sptemp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RefSystem names a spatial reference system, the paper's ref_system
 // attribute ("long/lat, UTM ...") on non-primitive classes such as
@@ -167,45 +164,4 @@ func CommonExtent(exts []Extent) (Extent, error) {
 		out.HasTime = true
 	}
 	return out, nil
-}
-
-// Degrees-to-meters conversion at the equator, used by ApproxReproject.
-const metersPerDegree = 111_320.0
-
-// ApproxReproject converts a box between the long/lat and UTM frames using
-// an equatorial approximation. It exists so the reproduction can exercise
-// frame-mismatch assertion failures and their remediation; it is not a
-// geodesy library.
-func ApproxReproject(b Box, from, to Frame) (Box, error) {
-	if from == to {
-		return b, nil
-	}
-	switch {
-	case from.System == RefLongLat && to.System == RefUTM:
-		return Box{
-			MinX: b.MinX * metersPerDegree, MinY: b.MinY * metersPerDegree,
-			MaxX: b.MaxX * metersPerDegree, MaxY: b.MaxY * metersPerDegree,
-		}, nil
-	case from.System == RefUTM && to.System == RefLongLat:
-		return Box{
-			MinX: b.MinX / metersPerDegree, MinY: b.MinY / metersPerDegree,
-			MaxX: b.MaxX / metersPerDegree, MaxY: b.MaxY / metersPerDegree,
-		}, nil
-	default:
-		return EmptyBox(), fmt.Errorf("sptemp: no reprojection from %s to %s", from, to)
-	}
-}
-
-// SnapToGrid aligns the box outward to a grid of the given cell size, the
-// operation rectification performs before co-registering scenes.
-func SnapToGrid(b Box, cell float64) Box {
-	if b.IsEmpty() || cell <= 0 {
-		return b
-	}
-	return Box{
-		MinX: math.Floor(b.MinX/cell) * cell,
-		MinY: math.Floor(b.MinY/cell) * cell,
-		MaxX: math.Ceil(b.MaxX/cell) * cell,
-		MaxY: math.Ceil(b.MaxY/cell) * cell,
-	}
 }

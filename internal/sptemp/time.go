@@ -24,15 +24,6 @@ func Date(year int, month time.Month, day int) AbsTime {
 // Time converts back to a time.Time in UTC.
 func (a AbsTime) Time() time.Time { return time.Unix(int64(a), 0).UTC() }
 
-// Before reports whether a precedes o.
-func (a AbsTime) Before(o AbsTime) bool { return a < o }
-
-// After reports whether a follows o.
-func (a AbsTime) After(o AbsTime) bool { return a > o }
-
-// Add returns the timestamp shifted by d (truncated to seconds).
-func (a AbsTime) Add(d time.Duration) AbsTime { return a + AbsTime(d/time.Second) }
-
 // Sub returns the duration a-o.
 func (a AbsTime) Sub(o AbsTime) time.Duration { return time.Duration(a-o) * time.Second }
 
@@ -46,18 +37,6 @@ type Interval struct {
 	Start, End AbsTime
 }
 
-// ErrEmptyInterval is returned by operations that require a non-empty
-// interval.
-var ErrEmptyInterval = errors.New("sptemp: empty interval")
-
-// NewInterval returns the interval [a, b], normalising the endpoint order.
-func NewInterval(a, b AbsTime) Interval {
-	if a > b {
-		a, b = b, a
-	}
-	return Interval{Start: a, End: b}
-}
-
 // Instant returns the degenerate interval holding exactly t.
 func Instant(t AbsTime) Interval { return Interval{Start: t, End: t} }
 
@@ -66,31 +45,6 @@ func EmptyInterval() Interval { return Interval{Start: 1, End: 0} }
 
 // IsEmpty reports whether the interval contains no instants.
 func (iv Interval) IsEmpty() bool { return iv.Start > iv.End }
-
-// Duration returns End-Start, or 0 for empty intervals.
-func (iv Interval) Duration() time.Duration {
-	if iv.IsEmpty() {
-		return 0
-	}
-	return iv.End.Sub(iv.Start)
-}
-
-// Contains reports whether t lies within the interval (inclusive).
-func (iv Interval) Contains(t AbsTime) bool {
-	return !iv.IsEmpty() && t >= iv.Start && t <= iv.End
-}
-
-// ContainsInterval reports whether o lies entirely within iv. Empty
-// intervals are contained everywhere.
-func (iv Interval) ContainsInterval(o Interval) bool {
-	if o.IsEmpty() {
-		return true
-	}
-	if iv.IsEmpty() {
-		return false
-	}
-	return o.Start >= iv.Start && o.End <= iv.End
-}
 
 // Intersects reports whether the two intervals share at least one instant.
 func (iv Interval) Intersects(o Interval) bool {
@@ -115,24 +69,6 @@ func (iv Interval) Intersection(o Interval) Interval {
 	return out
 }
 
-// Union returns the smallest interval covering both operands.
-func (iv Interval) Union(o Interval) Interval {
-	if iv.IsEmpty() {
-		return o
-	}
-	if o.IsEmpty() {
-		return iv
-	}
-	out := iv
-	if o.Start < out.Start {
-		out.Start = o.Start
-	}
-	if o.End > out.End {
-		out.End = o.End
-	}
-	return out
-}
-
 // Equal reports whether the intervals cover the same instants. All empty
 // intervals compare equal.
 func (iv Interval) Equal(o Interval) bool {
@@ -148,123 +84,6 @@ func (iv Interval) String() string {
 		return "[empty]"
 	}
 	return fmt.Sprintf("[%s, %s]", iv.Start, iv.End)
-}
-
-// AllenRelation enumerates Allen's thirteen interval relations [Allen 1983],
-// which the paper cites as the established temporal semantics Gaea builds
-// on.
-type AllenRelation int
-
-// The thirteen Allen relations between non-empty intervals a and b.
-const (
-	AllenBefore AllenRelation = iota
-	AllenAfter
-	AllenMeets
-	AllenMetBy
-	AllenOverlaps
-	AllenOverlappedBy
-	AllenStarts
-	AllenStartedBy
-	AllenDuring
-	AllenContains
-	AllenFinishes
-	AllenFinishedBy
-	AllenEqual
-)
-
-var allenNames = [...]string{
-	AllenBefore:       "before",
-	AllenAfter:        "after",
-	AllenMeets:        "meets",
-	AllenMetBy:        "met-by",
-	AllenOverlaps:     "overlaps",
-	AllenOverlappedBy: "overlapped-by",
-	AllenStarts:       "starts",
-	AllenStartedBy:    "started-by",
-	AllenDuring:       "during",
-	AllenContains:     "contains",
-	AllenFinishes:     "finishes",
-	AllenFinishedBy:   "finished-by",
-	AllenEqual:        "equal",
-}
-
-// String returns the conventional name of the relation.
-func (r AllenRelation) String() string {
-	if r < 0 || int(r) >= len(allenNames) {
-		return fmt.Sprintf("AllenRelation(%d)", int(r))
-	}
-	return allenNames[r]
-}
-
-// Inverse returns the converse relation (e.g. before ↔ after). Equal is its
-// own inverse.
-func (r AllenRelation) Inverse() AllenRelation {
-	switch r {
-	case AllenBefore:
-		return AllenAfter
-	case AllenAfter:
-		return AllenBefore
-	case AllenMeets:
-		return AllenMetBy
-	case AllenMetBy:
-		return AllenMeets
-	case AllenOverlaps:
-		return AllenOverlappedBy
-	case AllenOverlappedBy:
-		return AllenOverlaps
-	case AllenStarts:
-		return AllenStartedBy
-	case AllenStartedBy:
-		return AllenStarts
-	case AllenDuring:
-		return AllenContains
-	case AllenContains:
-		return AllenDuring
-	case AllenFinishes:
-		return AllenFinishedBy
-	case AllenFinishedBy:
-		return AllenFinishes
-	default:
-		return AllenEqual
-	}
-}
-
-// Relate classifies the relation of iv to o. Both intervals must be
-// non-empty.
-func (iv Interval) Relate(o Interval) (AllenRelation, error) {
-	if iv.IsEmpty() || o.IsEmpty() {
-		return AllenEqual, ErrEmptyInterval
-	}
-	switch {
-	case iv.Start == o.Start && iv.End == o.End:
-		return AllenEqual, nil
-	case iv.End < o.Start:
-		return AllenBefore, nil
-	case o.End < iv.Start:
-		return AllenAfter, nil
-	case iv.End == o.Start:
-		return AllenMeets, nil
-	case o.End == iv.Start:
-		return AllenMetBy, nil
-	case iv.Start == o.Start:
-		if iv.End < o.End {
-			return AllenStarts, nil
-		}
-		return AllenStartedBy, nil
-	case iv.End == o.End:
-		if iv.Start > o.Start {
-			return AllenFinishes, nil
-		}
-		return AllenFinishedBy, nil
-	case iv.Start > o.Start && iv.End < o.End:
-		return AllenDuring, nil
-	case iv.Start < o.Start && iv.End > o.End:
-		return AllenContains, nil
-	case iv.Start < o.Start:
-		return AllenOverlaps, nil
-	default:
-		return AllenOverlappedBy, nil
-	}
 }
 
 // CommonInterval implements the common() assertion over temporal extents:

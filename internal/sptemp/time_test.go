@@ -12,15 +12,9 @@ func TestAbsTimeConversions(t *testing.T) {
 	if got := d.Time().Format("2006-01-02"); got != "1986-01-15" {
 		t.Errorf("Date round trip = %s", got)
 	}
-	if !Date(1988, time.June, 1).Before(Date(1989, time.June, 1)) {
-		t.Error("1988 should be before 1989")
-	}
-	if !Date(1989, time.June, 1).After(Date(1988, time.June, 1)) {
-		t.Error("1989 should be after 1988")
-	}
 	a := Date(1990, time.March, 1)
-	if got := a.Add(24 * time.Hour); got.Sub(a) != 24*time.Hour {
-		t.Errorf("Add/Sub mismatch: %s", got.Sub(a))
+	if got := Date(1990, time.March, 2).Sub(a); got != 24*time.Hour {
+		t.Errorf("Sub across a day = %s", got)
 	}
 }
 
@@ -29,13 +23,13 @@ func TestIntervalBasics(t *testing.T) {
 	if iv.IsEmpty() {
 		t.Fatal("interval should be non-empty")
 	}
-	if !iv.Contains(Date(1988, 6, 15)) {
+	if !iv.Intersects(Instant(Date(1988, 6, 15))) {
 		t.Error("should contain midpoint")
 	}
-	if !iv.Contains(iv.Start) || !iv.Contains(iv.End) {
+	if !iv.Intersects(Instant(iv.Start)) || !iv.Intersects(Instant(iv.End)) {
 		t.Error("closed interval contains endpoints")
 	}
-	if iv.Contains(Date(1990, 1, 1)) {
+	if iv.Intersects(Instant(Date(1990, 1, 1))) {
 		t.Error("should not contain later date")
 	}
 	// Constructor normalises order.
@@ -44,11 +38,11 @@ func TestIntervalBasics(t *testing.T) {
 		t.Error("NewInterval should normalise endpoint order")
 	}
 	inst := Instant(Date(1988, 1, 1))
-	if inst.Duration() != 0 {
-		t.Error("instant has zero duration")
+	if inst.IsEmpty() || inst.Start != inst.End {
+		t.Errorf("instant = %s", inst)
 	}
-	if EmptyInterval().Duration() != 0 {
-		t.Error("empty interval has zero duration")
+	if !EmptyInterval().IsEmpty() {
+		t.Error("empty interval is not empty")
 	}
 }
 
@@ -75,76 +69,12 @@ func TestIntervalSetOps(t *testing.T) {
 	}
 }
 
-func TestAllenRelations(t *testing.T) {
-	d := func(y int) AbsTime { return Date(y, 1, 1) }
-	cases := []struct {
-		a, b Interval
-		want AllenRelation
-	}{
-		{NewInterval(d(1980), d(1981)), NewInterval(d(1982), d(1983)), AllenBefore},
-		{NewInterval(d(1982), d(1983)), NewInterval(d(1980), d(1981)), AllenAfter},
-		{NewInterval(d(1980), d(1982)), NewInterval(d(1982), d(1984)), AllenMeets},
-		{NewInterval(d(1982), d(1984)), NewInterval(d(1980), d(1982)), AllenMetBy},
-		{NewInterval(d(1980), d(1983)), NewInterval(d(1982), d(1985)), AllenOverlaps},
-		{NewInterval(d(1982), d(1985)), NewInterval(d(1980), d(1983)), AllenOverlappedBy},
-		{NewInterval(d(1980), d(1982)), NewInterval(d(1980), d(1985)), AllenStarts},
-		{NewInterval(d(1980), d(1985)), NewInterval(d(1980), d(1982)), AllenStartedBy},
-		{NewInterval(d(1982), d(1983)), NewInterval(d(1980), d(1985)), AllenDuring},
-		{NewInterval(d(1980), d(1985)), NewInterval(d(1982), d(1983)), AllenContains},
-		{NewInterval(d(1983), d(1985)), NewInterval(d(1980), d(1985)), AllenFinishes},
-		{NewInterval(d(1980), d(1985)), NewInterval(d(1983), d(1985)), AllenFinishedBy},
-		{NewInterval(d(1980), d(1985)), NewInterval(d(1980), d(1985)), AllenEqual},
-	}
-	for _, c := range cases {
-		got, err := c.a.Relate(c.b)
-		if err != nil {
-			t.Fatalf("Relate(%s, %s): %v", c.a, c.b, err)
-		}
-		if got != c.want {
-			t.Errorf("Relate(%s, %s) = %s, want %s", c.a, c.b, got, c.want)
-		}
-		// The converse relation must hold in the other direction.
-		conv, err := c.b.Relate(c.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if conv != c.want.Inverse() {
-			t.Errorf("converse of %s: got %s, want %s", c.want, conv, c.want.Inverse())
-		}
-	}
-	if _, err := EmptyInterval().Relate(NewInterval(d(1980), d(1981))); err == nil {
-		t.Error("Relate with empty interval must error")
-	}
-}
-
 func randInterval(r *rand.Rand) Interval {
 	if r.Intn(12) == 0 {
 		return EmptyInterval()
 	}
 	start := AbsTime(r.Int63n(1_000_000))
 	return NewInterval(start, start+AbsTime(r.Int63n(100_000)))
-}
-
-func TestAllenRelationsArePartition(t *testing.T) {
-	// Any two non-empty intervals stand in exactly one Allen relation, and
-	// Relate must agree with Intersects for the disjoint relations.
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randInterval(r), randInterval(r)
-		if a.IsEmpty() || b.IsEmpty() {
-			_, err := a.Relate(b)
-			return err != nil
-		}
-		rel, err := a.Relate(b)
-		if err != nil {
-			return false
-		}
-		disjoint := rel == AllenBefore || rel == AllenAfter
-		return disjoint == !a.Intersects(b)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestIntervalIntersectionCommutesAndShrinks(t *testing.T) {

@@ -89,10 +89,6 @@ func (b *Batch) PinSequence(sequence string) {
 // sequence alone.
 func (b *Batch) SetEpoch(e uint64) { b.epoch = e }
 
-// Epoch returns the commit epoch the batch was stamped with (valid after
-// Commit; 0 for a meta-only batch).
-func (b *Batch) Epoch() uint64 { return b.epoch }
-
 // Len reports how many mutations the batch stages.
 func (b *Batch) Len() int { return len(b.inserts) + len(b.deletes) + len(b.meta) }
 

@@ -100,8 +100,8 @@ func TestMVCCEpochStampSurvivesCrash(t *testing.T) {
 	if _, err := b2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if b2.Epoch() != 2 || s.Epoch() != 2 {
-		t.Fatalf("auto epoch = %d, store %d, want 2", b2.Epoch(), s.Epoch())
+	if b2.epoch != 2 || s.Epoch() != 2 {
+		t.Fatalf("auto epoch = %d, store %d, want 2", b2.epoch, s.Epoch())
 	}
 
 	// Crash without checkpoint: the epoch comes back from the WAL group
@@ -286,8 +286,8 @@ func TestMetaOnlyBatch(t *testing.T) {
 	if got := s.wal.appends.Load() - appends; got != 3 {
 		t.Errorf("%d WAL records for three meta-only commits and a no-op removal, want 3", got)
 	}
-	if b.Epoch() != 0 || s.Epoch() != 1 {
-		t.Errorf("meta-only batch epoch %d, store epoch %d; want 0 and the insert's 1", b.Epoch(), s.Epoch())
+	if b.epoch != 0 || s.Epoch() != 1 {
+		t.Errorf("meta-only batch epoch %d, store epoch %d; want 0 and the insert's 1", b.epoch, s.Epoch())
 	}
 	// Crash without a checkpoint: replay applies the groups in order.
 	s.closeFiles()

@@ -395,6 +395,8 @@ func (b *BlobStore) Size(id BlobID) (int64, error) {
 }
 
 // IDs lists all stored blob ids, ascending.
+//
+//lint:gaea-allow deadcode test helper: object's tests check which blobs a record leaves behind
 func (b *BlobStore) IDs() ([]BlobID, error) {
 	b.mu.RLock()
 	ids := make([]BlobID, 0, len(b.index))

@@ -300,7 +300,7 @@ func (h *Heap) close() error {
 	return h.f.Close()
 }
 
-// stats for benchmarks and tests.
+// stats counts the heap's pages and live records, for HeapStats.
 func (h *Heap) stats() (pages int, liveRecords int) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()

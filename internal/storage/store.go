@@ -538,6 +538,8 @@ func (s *Store) loadMetaSnapshot() error {
 }
 
 // HeapStats reports page and record counts of a heap, for benchmarks.
+//
+//lint:gaea-allow deadcode test helper: object's and the root package's tests count heap pages and records
 func (s *Store) HeapStats(heap string) (pages, records int) {
 	s.mu.RLock()
 	h, ok := s.heaps[heap]

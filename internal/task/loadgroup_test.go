@@ -2,6 +2,7 @@ package task
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"gaea/internal/object"
@@ -126,14 +127,14 @@ func TestLoadGroupLineageWalks(t *testing.T) {
 		t.Fatalf("contiguous group staged as %d tasks, first record %d bytes", len(tasks), n)
 	}
 	commitExternal(t, e, "interpolation", map[string][]object.OID{"src": {12}}, 99, RunOptions{})
-	if got := e.exec.Descendants(12); len(got) != 1 || got[0] != 99 {
-		t.Errorf("descendants(12) = %v, want [99]", got)
+	if got := e.exec.Consumers(12); len(got) != 1 || !slices.Equal(got[0].Outputs(), []object.OID{99}) {
+		t.Errorf("consumers(12) = %v, want one task yielding [99]", got)
 	}
-	if got := e.exec.Descendants(11); len(got) != 0 {
-		t.Errorf("descendants(11) = %v, want none", got)
+	if got := e.exec.Consumers(11); len(got) != 0 {
+		t.Errorf("consumers(11) = %v, want none", got)
 	}
-	if got := e.exec.Ancestors(99); len(got) != 1 || got[0] != 12 {
-		t.Errorf("ancestors(99) = %v, want [12]", got)
+	if prod, ok := e.exec.Producer(99); !ok || !slices.Equal(prod.Inputs["src"], []object.OID{12}) {
+		t.Errorf("producer(99) = %+v, %v, want inputs [12]", prod, ok)
 	}
 	// A later task over one member (a re-load, a refresh) is that member's
 	// newest producer; its siblings keep the group's.

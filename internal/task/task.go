@@ -775,58 +775,6 @@ func (e *Executor) Consumers(oid object.OID) []*Task {
 	return out
 }
 
-// Ancestors returns the transitive input OIDs an object derives from
-// (excluding itself), sorted. Base data returns an empty set.
-func (e *Executor) Ancestors(oid object.OID) []object.OID {
-	seen := map[object.OID]bool{}
-	var walk func(object.OID)
-	walk = func(o object.OID) {
-		t, ok := e.Producer(o)
-		if !ok {
-			return
-		}
-		for _, oids := range t.Inputs {
-			for _, in := range oids {
-				if !seen[in] {
-					seen[in] = true
-					walk(in)
-				}
-			}
-		}
-	}
-	walk(oid)
-	out := make([]object.OID, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Descendants returns the transitive outputs derived from an object,
-// sorted.
-func (e *Executor) Descendants(oid object.OID) []object.OID {
-	seen := map[object.OID]bool{}
-	var walk func(object.OID)
-	walk = func(o object.OID) {
-		for _, t := range e.Consumers(o) {
-			for _, out := range t.Outputs() {
-				if !seen[out] {
-					seen[out] = true
-					walk(out)
-				}
-			}
-		}
-	}
-	walk(oid)
-	out := make([]object.OID, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Explain renders the derivation history of an object as an indented
 // tree — the "derivation history | how they are produced" the paper argues
 // shared data must carry (§1).

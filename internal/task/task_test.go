@@ -103,7 +103,7 @@ func openEnv(t *testing.T, dir string, cleanup bool) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mgr.Exists("unsupervised_classification") {
+	if _, err := mgr.Lookup("unsupervised_classification"); err != nil {
 		for _, src := range []string{p20Source, changeMapSource, lcdSource} {
 			if _, err := mgr.Define(src); err != nil {
 				t.Fatal(err)
@@ -297,19 +297,27 @@ func TestRunCompoundLandChangeDetection(t *testing.T) {
 		t.Errorf("final = %+v", final)
 	}
 	// Ancestors of the output span both scenes and both landcovers.
-	anc := e.exec.Ancestors(out)
+	anc := lineage(out, func(o object.OID) []object.OID {
+		var in []object.OID
+		if t, ok := e.exec.Producer(o); ok {
+			for _, oids := range t.Inputs {
+				in = append(in, oids...)
+			}
+		}
+		return in
+	})
 	if len(anc) != 8 { // 6 scenes + 2 landcovers
 		t.Errorf("ancestors = %v", anc)
 	}
 	// Descendants of a base scene include the final output.
-	desc := e.exec.Descendants(scene86[0])
-	found := false
-	for _, d := range desc {
-		if d == out {
-			found = true
+	desc := lineage(scene86[0], func(o object.OID) []object.OID {
+		var outs []object.OID
+		for _, t := range e.exec.Consumers(o) {
+			outs = append(outs, t.Outputs()...)
 		}
-	}
-	if !found {
+		return outs
+	})
+	if !desc[out] {
 		t.Errorf("descendants of scene missing output: %v", desc)
 	}
 	// Re-running the compound reuses all three memoised steps.
@@ -671,4 +679,21 @@ func TestReproduceRefusesExternalTask(t *testing.T) {
 	if !errors.Is(err, ErrExec) || !strings.Contains(err.Error(), `external derivation "data_load"`) {
 		t.Errorf("reproduce of external task = %v, want ErrExec naming data_load", err)
 	}
+}
+
+// lineage walks next transitively from oid and returns every OID
+// reached, oid itself excluded.
+func lineage(oid object.OID, next func(object.OID) []object.OID) map[object.OID]bool {
+	seen := map[object.OID]bool{}
+	var walk func(object.OID)
+	walk = func(o object.OID) {
+		for _, n := range next(o) {
+			if !seen[n] {
+				seen[n] = true
+				walk(n)
+			}
+		}
+	}
+	walk(oid)
+	return seen
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"gaea/internal/linalg"
 	"gaea/internal/raster"
@@ -297,83 +295,4 @@ func decodeValue(buf []byte) (Value, []byte, error) {
 	default:
 		return nil, nil, fmt.Errorf("value: unknown tag %d", tag)
 	}
-}
-
-// Parse reads a scalar value of the given type from its external
-// representation. Compound types (image, matrix, vector, set) have no
-// parsable external form — they are produced by operators, matching the
-// paper's model where image payloads live in files.
-func Parse(t Type, s string) (Value, error) {
-	s = strings.TrimSpace(s)
-	switch t {
-	case TypeInt:
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q as %s", ErrParse, s, t)
-		}
-		return Int(n), nil
-	case TypeFloat:
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q as %s", ErrParse, s, t)
-		}
-		return Float(f), nil
-	case TypeString:
-		return String_(strings.Trim(s, `"`)), nil
-	case TypeBool:
-		switch strings.ToLower(s) {
-		case "true", "t", "1":
-			return Bool(true), nil
-		case "false", "f", "0":
-			return Bool(false), nil
-		}
-		return nil, fmt.Errorf("%w: %q as bool", ErrParse, s)
-	case TypeAbsTime:
-		tm, err := parseTime(s)
-		if err != nil {
-			return nil, err
-		}
-		return tm, nil
-	case TypeBox:
-		return parseBox(s)
-	default:
-		return nil, fmt.Errorf("%w: type %s has no external scalar form", ErrParse, t)
-	}
-}
-
-func parseTime(s string) (AbsTime, error) {
-	// Accept RFC3339 or bare dates.
-	for _, layout := range []string{"2006-01-02T15:04:05Z07:00", "2006-01-02"} {
-		if tm, err := parseInLayout(layout, s); err == nil {
-			return tm, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %q as abstime", ErrParse, s)
-}
-
-func parseInLayout(layout, s string) (AbsTime, error) {
-	tm, err := timeParse(layout, s)
-	if err != nil {
-		return 0, err
-	}
-	return AbsTime(tm), nil
-}
-
-func parseBox(s string) (Box, error) {
-	s = strings.TrimSpace(s)
-	s = strings.TrimPrefix(s, "(")
-	s = strings.TrimSuffix(s, ")")
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return Box{}, fmt.Errorf("%w: %q as box (want 4 coordinates)", ErrParse, s)
-	}
-	var f [4]float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return Box{}, fmt.Errorf("%w: box coordinate %q", ErrParse, p)
-		}
-		f[i] = v
-	}
-	return Box(sptemp.NewBox(f[0], f[1], f[2], f[3])), nil
 }

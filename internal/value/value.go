@@ -76,11 +76,8 @@ type Value interface {
 	String() string
 }
 
-// Errors shared across the package.
-var (
-	ErrType  = errors.New("value: type mismatch")
-	ErrParse = errors.New("value: cannot parse external representation")
-)
+// ErrType reports a value of the wrong primitive class.
+var ErrType = errors.New("value: type mismatch")
 
 // Int is the int4 primitive class (widened to 64 bits internally).
 type Int int64
@@ -328,14 +325,6 @@ func AsInt(v Value) (int64, error) {
 	default:
 		return 0, fmt.Errorf("%w: %s is not numeric", ErrType, v.Type())
 	}
-}
-
-// AsBool extracts a Bool.
-func AsBool(v Value) (bool, error) {
-	if b, ok := v.(Bool); ok {
-		return bool(b), nil
-	}
-	return false, fmt.Errorf("%w: %s is not bool", ErrType, v.Type())
 }
 
 // AsImage extracts an image.

@@ -150,14 +150,9 @@ func (f *Frame) Finish() ([]byte, error) {
 	return f.b, nil
 }
 
-// Len reports the frame's current encoded size.
-func (f *Frame) Len() int { return len(f.b) }
-
 func (f *Frame) U8(v byte)        { f.b = append(f.b, v) }
 func (f *Frame) Uvarint(v uint64) { f.b = binary.AppendUvarint(f.b, v) }
 func (f *Frame) Varint(v int64)   { f.b = binary.AppendVarint(f.b, v) }
-func (f *Frame) U64(v uint64)     { f.b = binary.LittleEndian.AppendUint64(f.b, v) }
-func (f *Frame) F64(v float64)    { f.b = binary.LittleEndian.AppendUint64(f.b, math.Float64bits(v)) }
 
 // F64c appends a float64 as a byte-reversed uvarint: coordinate values
 // are overwhelmingly round decimals whose mantissa tail is zero bytes,
@@ -240,16 +235,6 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
-func (d *Dec) U64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
 func (d *Dec) Varint() int64 {
 	if d.err != nil {
 		return 0
@@ -262,8 +247,6 @@ func (d *Dec) Varint() int64 {
 	d.b = d.b[n:]
 	return v
 }
-
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // F64c decodes a byte-reversed-uvarint float64 (see Frame.F64c).
 func (d *Dec) F64c() float64 { return math.Float64frombits(bits.ReverseBytes64(d.Uvarint())) }

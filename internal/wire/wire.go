@@ -213,6 +213,8 @@ func CodeFor(err error) Code {
 const ProvisionalBit uint64 = 1 << 63
 
 // IsProvisional reports whether an OID is a remote-session placeholder.
+//
+//lint:gaea-allow deadcode test helper: client's tests tell staged OIDs from committed ones
 func IsProvisional(oid object.OID) bool { return uint64(oid)&ProvisionalBit != 0 }
 
 // Object is the wire form of an object.Object: attribute values travel

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func taskRecords(k *Kernel) int {
 }
 
 // TestSessionLoadGroupLineage: a 1,024-create session leaves at most two
-// task records, and Producer, Explain and Descendants answer for its
+// task records, and Producer, Explain and Consumers answer for its
 // first, a middle and its last object — before and after a reopen.
 func TestSessionLoadGroupLineage(t *testing.T) {
 	ctx := context.Background()
@@ -104,11 +105,11 @@ func TestSessionLoadGroupLineage(t *testing.T) {
 			if got := k.Explain(derived[oid]); !strings.Contains(got, "    "+want) {
 				t.Errorf("explain of %d's copy does not reach its load: %q", oid, got)
 			}
-			if got := k.Tasks.Descendants(oid); len(got) != 1 || got[0] != derived[oid] {
-				t.Errorf("descendants(%d) = %v, want [%d]", oid, got, derived[oid])
+			if got := k.Tasks.Consumers(oid); len(got) != 1 || !slices.Equal(got[0].Outputs(), []object.OID{derived[oid]}) {
+				t.Errorf("consumers(%d) = %v, want one task yielding [%d]", oid, got, derived[oid])
 			}
-			if got := k.Tasks.Ancestors(derived[oid]); len(got) != 1 || got[0] != oid {
-				t.Errorf("ancestors(%d) = %v, want [%d]", derived[oid], got, oid)
+			if cp, ok := k.Tasks.Producer(derived[oid]); !ok || !slices.Equal(cp.Inputs["x"], []object.OID{oid}) {
+				t.Errorf("producer of %d = %+v, %v, want input x = [%d]", derived[oid], cp, ok, oid)
 			}
 		}
 		if _, ok := k.Tasks.Producer(oids[1023] + 1000); ok {
