@@ -39,6 +39,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"iter"
@@ -125,8 +126,6 @@ type Options struct {
 	User string
 	// MaxFrame bounds one wire frame (0 = 64 MiB).
 	MaxFrame int
-	// DialTimeout bounds the connection attempt (0 = 5s).
-	DialTimeout time.Duration
 	// PageSize is the stream page size requested from the server when
 	// the caller's Request.Limit doesn't dictate one (0 = 256; the
 	// server caps it at its own page size).
@@ -146,6 +145,9 @@ type Options struct {
 // defaultStreamWindow is the push-stream credit window when
 // Options.StreamWindow is zero.
 const defaultStreamWindow = 2
+
+// dialTimeout bounds the connection attempt and the handshake.
+const dialTimeout = 5 * time.Second
 
 // SplitAddr parses a serve/connect address: "unix:///path/to.sock" (or
 // "unix:/path") selects a unix socket, "tcp://host:port" or a bare
@@ -210,15 +212,11 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeout := opts.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	nc, err := net.DialTimeout(network, address, timeout)
+	nc, err := net.DialTimeout(network, address, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	t, err := newTransport(nc, opts, timeout)
+	t, err := newTransport(nc, opts)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -377,30 +375,38 @@ func (c *Conn) RefreshStale(ctx context.Context) (int, error) {
 	return resp.N, nil
 }
 
-// Stats implements Kernel: the served kernel's stats line plus the
-// server counters.
+// Stats implements Kernel: the served backend's stats line, then the
+// server's counters as read from the export's server_* gauges.
 func (c *Conn) Stats() (string, error) {
-	resp, err := c.roundTrip(nil, &wire.Request{Op: wire.OpStats})
+	line, ex, err := c.stats()
 	if err != nil {
 		return "", err
 	}
-	if resp.Stats == nil {
-		return "", fmt.Errorf("client: malformed stats response")
-	}
-	return resp.Stats.String(), nil
+	return line + " " + gaea.ServerStatsOf(ex.Stats.Metrics).String(), nil
 }
 
-// ServerStats returns the structured stats payload (kernel line plus
-// server counters).
-func (c *Conn) ServerStats() (*wire.StatsPayload, error) {
+// Observe pulls the served backend's observability export: the
+// structured stats snapshot with its metrics registry (the server's
+// counters are its server_* gauges), recent traces and the slow-op log.
+func (c *Conn) Observe() (*gaea.ObsExport, error) {
+	_, ex, err := c.stats()
+	return ex, err
+}
+
+// stats runs one OpStats round trip: the backend's line and its export.
+func (c *Conn) stats() (string, *gaea.ObsExport, error) {
 	resp, err := c.roundTrip(nil, &wire.Request{Op: wire.OpStats})
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if resp.Stats == nil {
-		return nil, fmt.Errorf("client: malformed stats response")
+		return "", nil, fmt.Errorf("client: malformed stats response")
 	}
-	return resp.Stats, nil
+	var ex gaea.ObsExport
+	if err := json.Unmarshal(resp.Stats.ObsJSON, &ex); err != nil {
+		return "", nil, fmt.Errorf("client: malformed observability export: %v", err)
+	}
+	return resp.Stats.Kernel, &ex, nil
 }
 
 // Begin implements Kernel. One lightweight round trip captures the

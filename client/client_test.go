@@ -699,10 +699,11 @@ func TestRemoteSnapshotLeaseExpiry(t *testing.T) {
 	if _, err := snap.Get(1); !errors.Is(err, gaea.ErrSnapshotGone) {
 		t.Fatalf("expired snapshot answered %v, want ErrSnapshotGone", err)
 	}
-	stats, err := c.ServerStats()
+	ex, err := c.Observe()
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := gaea.ServerStatsOf(ex.Stats.Metrics)
 	if stats.LeaseExpiries < 1 {
 		t.Fatalf("lease expiries = %d, want >= 1", stats.LeaseExpiries)
 	}
@@ -729,6 +730,56 @@ func TestRemoteStats(t *testing.T) {
 	}
 	if got := srv.Stats().OpenConns; got != 1 {
 		t.Fatalf("server stats conns = %d, want 1", got)
+	}
+}
+
+// TestRemoteStatsGoldenLine pins the remote stats line byte for byte on
+// a fresh served kernel at a fixed state: the kernel's golden line, then
+// the server[...] block. The stats request itself is the one in flight.
+// Server.Stats must then equal the server_* gauges of the export.
+func TestRemoteStatsGoldenLine(t *testing.T) {
+	k := openKernel(t)
+	srv, addr := startServer(t, k, gaea.ServeOptions{})
+	c := dial(t, addr)
+	seedRain(t, c, 2, 1)
+	st, err := c.QueryStream(ctx, rainPred())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(drainAll(t, st)); n != 2 {
+		t.Fatalf("streamed %d objects, want 2", n)
+	}
+	line, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "classes=1 processes=0 concepts=0 experiments=0 objects=2 tasks=1 " +
+		"deriv[deps=0 stale=0 epoch=0 sweeps=0 invalidated=0 refreshed=0 dropped=0 policy=lazy] " +
+		"mvcc[epoch=2 versions=2 reclaimed=0 pins=0 oldest_pin=0] wal[bytes=388 checkpoints=0] " +
+		"server[conns=1 sessions=0 streams=0 leases=0 lease_expiries=0 inflight=1 max_inflight_conn=1 pushed_pages=1 bytes_avoided=216]"
+	if line != want {
+		t.Fatalf("remote stats line drifted from the golden line:\ngot  %q\nwant %q", line, want)
+	}
+
+	// The server's counters are its registry's server_* gauges, so the
+	// export a client observes and Server.Stats agree. The export counts
+	// the observe request itself in flight.
+	ex, err := c.Observe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := gaea.ServerStatsOf(ex.Stats.Metrics)
+	if remote.InFlight != 1 {
+		t.Fatalf("export in-flight = %d, want 1 (the observe request)", remote.InFlight)
+	}
+	remote.InFlight = 0
+	local := srv.Stats()
+	for deadline := time.Now().Add(5 * time.Second); local.InFlight != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		local = srv.Stats()
+	}
+	if local != remote {
+		t.Fatalf("Server.Stats() = %+v, export's server_* gauges = %+v", local, remote)
 	}
 }
 

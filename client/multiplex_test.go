@@ -8,6 +8,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -17,6 +18,7 @@ import (
 
 	"gaea"
 	"gaea/internal/object"
+	"gaea/internal/obs"
 	"gaea/internal/query"
 	"gaea/internal/server"
 	"gaea/internal/wire"
@@ -27,10 +29,11 @@ import (
 // behaviour from kernel timing.
 type blockingBackend struct {
 	queryStarted chan struct{}
+	reg          *obs.Registry
 }
 
 func newBlockingBackend() *blockingBackend {
-	return &blockingBackend{queryStarted: make(chan struct{}, 8)}
+	return &blockingBackend{queryStarted: make(chan struct{}, 8), reg: obs.NewRegistry()}
 }
 
 func (f *blockingBackend) Query(ctx context.Context, req query.Request) (*query.Result, error) {
@@ -66,9 +69,16 @@ func (f *blockingBackend) ExplainQuery(ctx context.Context, req query.Request) (
 }
 func (f *blockingBackend) Stats() string            { return "blocking" }
 func (f *blockingBackend) Code(err error) wire.Code { return wire.CodeFor(err) }
+func (f *blockingBackend) Metrics() *obs.Registry   { return f.reg }
+func (f *blockingBackend) Tracer() *obs.Tracer      { return nil }
+func (f *blockingBackend) Events() *obs.EventLog    { return nil }
+func (f *blockingBackend) ObsJSON() []byte {
+	b, _ := json.Marshal(gaea.ObsExport{Stats: gaea.StatsSnapshot{Metrics: f.reg.Snapshot()}})
+	return b
+}
 
 // startBackendServer serves an arbitrary Backend on a unix socket.
-func startBackendServer(t *testing.T, b server.Backend) (*server.Server, string) {
+func startBackendServer(t *testing.T, b server.Backend) string {
 	t.Helper()
 	path := sockPath(t)
 	l, err := net.Listen("unix", path)
@@ -86,7 +96,7 @@ func startBackendServer(t *testing.T, b server.Backend) (*server.Server, string)
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, "unix://" + path
+	return "unix://" + path
 }
 
 // TestPerRequestDeadline: deadlines bound individual requests, not the
@@ -95,7 +105,7 @@ func startBackendServer(t *testing.T, b server.Backend) (*server.Server, string)
 // connection for later traffic.
 func TestPerRequestDeadline(t *testing.T) {
 	b := newBlockingBackend()
-	srv, addr := startBackendServer(t, b)
+	addr := startBackendServer(t, b)
 	c, err := Dial(addr, Options{User: "deadline"})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +134,7 @@ func TestPerRequestDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("fast request queued %v behind the slow one", elapsed)
 	}
-	if st := srv.ServerStats(); st.MaxInFlightPerConn < 2 {
+	if st := gaea.ServerStatsOf(b.reg.Snapshot()); st.MaxInFlightPerConn < 2 {
 		t.Fatalf("max in-flight per conn = %d, want >= 2 (requests did not overlap)", st.MaxInFlightPerConn)
 	}
 

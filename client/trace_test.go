@@ -19,7 +19,7 @@ import (
 func TestTraceStreamPropagation(t *testing.T) {
 	k := openKernel(t)
 	_, addr := startServer(t, k, gaea.ServeOptions{})
-	tracer := gaea.NewTracer(0, 0, 0)
+	tracer := gaea.NewTracer(0)
 	c, err := Dial(addr, Options{User: "tracer", Tracer: tracer, PageSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestTraceStreamPropagation(t *testing.T) {
 func TestTraceQueryPropagation(t *testing.T) {
 	k := openKernel(t)
 	_, addr := startServer(t, k, gaea.ServeOptions{})
-	tracer := gaea.NewTracer(0, 0, 0)
+	tracer := gaea.NewTracer(0)
 	c, err := Dial(addr, Options{User: "tracer", Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)

@@ -44,10 +44,10 @@ type transport struct {
 	streams map[uint64]*v2pull
 }
 
-// newTransport performs the handshake (bounded by timeout) and starts
+// newTransport performs the handshake (bounded by dialTimeout) and starts
 // the reader and writer goroutines.
-func newTransport(nc net.Conn, opts Options, timeout time.Duration) (*transport, error) {
-	_ = nc.SetDeadline(time.Now().Add(timeout))
+func newTransport(nc net.Conn, opts Options) (*transport, error) {
+	_ = nc.SetDeadline(time.Now().Add(dialTimeout))
 	hello := wire.AcquireFrame(wire.F2Hello, 0)
 	wire.EncodeHello(hello, &wire.Hello2{Version: wire.V2Version, User: opts.User})
 	hb, err := hello.Finish()

@@ -31,7 +31,7 @@
 // structured event log — commit groups, checkpoints, derivation sweeps,
 // lease expiries, 2PC outcomes, stalls, shard up/down — and with
 // -follow stays subscribed, resuming across server restarts at the last
-// seen sequence; -json emits the sink's JSONL schema verbatim.
+// seen sequence; -json emits one Event JSON object per line.
 //
 // `gaea serve` runs until SIGINT/SIGTERM, then shuts down gracefully:
 // it stops accepting, drains in-flight requests (streams are paged, so
@@ -42,7 +42,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -433,7 +432,7 @@ func sampleShard(addr, user string) shardSample {
 		return shardSample{err: err}
 	}
 	defer c.Close()
-	ex, err := fetchObs(c)
+	ex, err := c.Observe()
 	if err != nil {
 		return shardSample{err: err}
 	}
@@ -566,23 +565,6 @@ func fedMain(args []string) {
 	fmt.Println("gaea: federation stopped")
 }
 
-// fetchObs pulls a served kernel's observability export (carried on the
-// stats payload's v2 extension).
-func fetchObs(c *client.Conn) (*gaea.ObsExport, error) {
-	st, err := c.ServerStats()
-	if err != nil {
-		return nil, err
-	}
-	if len(st.ObsJSON) == 0 {
-		return nil, fmt.Errorf("server sent no observability payload (pre-telescope server?)")
-	}
-	var ex gaea.ObsExport
-	if err := json.Unmarshal(st.ObsJSON, &ex); err != nil {
-		return nil, fmt.Errorf("malformed observability payload: %v", err)
-	}
-	return &ex, nil
-}
-
 // topMain is the `gaea top` verb: one consistent pull of a served
 // kernel's stats line, metrics registry, and slow-op log. A comma-
 // separated endpoint list prints the merged per-shard table first, then
@@ -629,7 +611,7 @@ func topOne(addr, user string, slow int) bool {
 		return false
 	}
 	defer c.Close()
-	ex, err := fetchObs(c)
+	ex, err := c.Observe()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "top:", err)
 		return false
@@ -670,7 +652,7 @@ func traceMain(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: gaea trace -connect ADDR[,ADDR...] [-class NAME] [-limit N] [-page N]")
 		os.Exit(2)
 	}
-	tracer := gaea.NewTracer(0, 0, 0)
+	tracer := gaea.NewTracer(0)
 	c, err := client.Dial(addrs[0], client.Options{User: *user, Tracer: tracer, PageSize: *page})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "connect:", err)
@@ -716,7 +698,7 @@ func traceMain(args []string) {
 				continue
 			}
 		}
-		ex, err := fetchObs(ec)
+		ex, err := ec.Observe()
 		if i > 0 {
 			ec.Close()
 		}

@@ -193,7 +193,7 @@ func eventsMain(args []string) {
 	connect := fs.String("connect", "", `server address: "unix:///path/to.sock" or "host:port" (required)`)
 	user := fs.String("user", os.Getenv("USER"), "user announced to the server")
 	follow := fs.Bool("follow", false, "keep the subscription open and print new events as they happen")
-	jsonOut := fs.Bool("json", false, "print events as JSONL (the event-sink schema) instead of human lines")
+	jsonOut := fs.Bool("json", false, "print events as JSONL (one Event object per line) instead of human lines")
 	from := fs.Uint64("from", 0, "resume after this event sequence (0 = everything retained)")
 	_ = fs.Parse(args)
 	if *connect == "" {

@@ -154,15 +154,23 @@
 // traces are also served over HTTP — /metrics, /traces, and pprof —
 // when ServeOptions.DebugAddr is set.
 //
+// There is one stats path. A Server keeps its counters (connections,
+// sessions, streams, leases, in-flight requests, pushed pages, bytes
+// shipped undecoded) only as server_* gauges in the kernel's registry.
+// The wire's stats request answers with the backend's stats line and
+// the ObsExport as JSON. client.Conn.Stats renders the server[...]
+// block from the export's gauges, Conn.Observe returns the export, and
+// Server.Stats reads the same gauges locally through ServerStatsOf.
+//
 // On top of the registry runs a flight recorder. Kernel.Events is a
 // bounded ring of structured events (commit groups, checkpoints,
 // derivation sweeps, lease expiries, 2PC outcomes, shard health,
-// stalls) with contiguous sequence numbers; Options.EventSink mirrors
-// it as JSON lines. Kernel.Series samples the registry every
-// Options.StatsInterval into a time-series ring, so rates and p99
-// movement are answerable after the fact, and the same tick runs a
-// stall watchdog: an operation open past Options.StallThreshold emits
-// one `stall` event carrying its trace ID and a goroutine profile.
+// stalls) with contiguous sequence numbers. Kernel.Series samples the
+// registry every Options.StatsInterval into a time-series ring, so
+// rates and p99 movement are answerable after the fact, and the same
+// tick runs a stall watchdog: an operation open past
+// Options.StallThreshold emits one `stall` event carrying its trace ID
+// and a goroutine profile.
 // Remote observers subscribe rather than poll — client
 // Conn.SubscribeStats pushes windowed StatsDelta frames (rates, gauges,
 // event backlog) on a period, resumable across reconnects via the

@@ -3,7 +3,6 @@ package gaea
 import (
 	"context"
 	"fmt"
-	"io"
 	"iter"
 	"sync"
 	"sync/atomic"
@@ -91,18 +90,13 @@ type Options struct {
 	// at least this long into the slow-op log (Kernel.Observe, the debug
 	// endpoint, gaea top). 0 takes the default (100ms); negative disables
 	// the slow-op log. Tracing is always on but rate-limited: locally
-	// minted traces are admitted through a token bucket (TraceBurst
-	// burst, TraceRate/s refill), so every request is traced — and the
+	// minted traces are admitted through a token bucket (a burst of
+	// 512, refilled at 512/s), so every request is traced — and the
 	// slow-op log is complete — below that rate, while bulk loads past it
 	// skip span construction and pay only a few atomics per request.
 	// Remote-stamped traces (a client that asked to trace) are always
 	// admitted.
 	SlowOpThreshold time.Duration
-	// TraceRate and TraceBurst tune the tracer's sampling token bucket
-	// (see SlowOpThreshold): TraceRate is the refill per second,
-	// TraceBurst the bucket capacity. 0 keeps the defaults (512 and 512).
-	TraceRate  int
-	TraceBurst int
 	// StatsInterval is the flight recorder's cadence: once per interval
 	// the metrics registry is snapshotted into the time-series ring
 	// (Kernel.Series) and the stall watchdog scans open operations. 0
@@ -116,10 +110,6 @@ type Options struct {
 	// EventRing sizes the structured event ring (Kernel.Events): 0 takes
 	// the default (1024); negative disables the event log entirely.
 	EventRing int
-	// EventSink, when set, additionally appends every event as one JSON
-	// line (the Event struct is the schema). A write error disables the
-	// sink; the ring keeps recording.
-	EventSink io.Writer
 }
 
 // defaultStatsInterval is the flight recorder's sampling period when
@@ -212,10 +202,9 @@ func Open(dir string, opts Options) (*Kernel, error) {
 		return nil, classify(err)
 	}
 	k := &Kernel{dir: dir, user: opts.User, Store: st,
-		Metrics: reg, Tracer: obs.NewTracer(slow, 0, 0)}
-	k.Tracer.SetSampling(opts.TraceRate, opts.TraceBurst)
+		Metrics: reg, Tracer: obs.NewTracer(slow)}
 	if opts.EventRing >= 0 {
-		k.Events = obs.NewEventLog(opts.EventRing, opts.EventSink)
+		k.Events = obs.NewEventLog(opts.EventRing)
 	}
 	k.commits = reg.Counter("session_commits_total")
 	k.commitConflicts = reg.Counter("session_conflicts_total")

@@ -460,19 +460,16 @@ func (b *fedBackend) Stats() string {
 	return st
 }
 
-// Metrics, Tracer, and ObsJSON make the adapter a server.ObsBackend:
-// the serving layer's counters land in the router registry and its
+// The serving layer's counters land in the router registry and its
 // request spans in the router tracer, under the upstream client's trace
 // ID when one came over the wire — the middle level of the three-level
-// client → router → shard trace.
+// client → router → shard trace. A served federation pushes the
+// router's own event stream — shard health transitions and coordinator
+// 2PC outcomes — through SubscribeStats like any kernel.
 func (b *fedBackend) Metrics() *obs.Registry { return b.r.reg }
 func (b *fedBackend) Tracer() *obs.Tracer    { return b.r.tracer }
+func (b *fedBackend) Events() *obs.EventLog  { return b.r.events }
 func (b *fedBackend) ObsJSON() []byte        { return b.r.ObsJSON() }
-
-// Events makes the adapter a server.FlightBackend: a served federation
-// pushes the router's own event stream — shard health transitions and
-// coordinator 2PC outcomes — through SubscribeStats like any kernel.
-func (b *fedBackend) Events() *obs.EventLog { return b.r.events }
 
 // Code maps an error onto its wire code. Errors arriving from shards
 // are already classified sentinels (the downstream client decoded them

@@ -170,11 +170,11 @@ func Open(addrs []string, opts Options) (*Router, error) {
 		// way: they stamp the current span's trace ID on downstream
 		// frames, which is what joins client → router → shard spans
 		// into one tree.
-		opts.Client.Tracer = obs.NewTracer(0, 0, 0)
+		opts.Client.Tracer = obs.NewTracer(0)
 	}
 	r := &Router{addrs: addrs, opts: opts, log: log, reg: obs.NewRegistry()}
 	r.tracer = opts.Client.Tracer
-	r.events = obs.NewEventLog(0, nil)
+	r.events = obs.NewEventLog(0)
 	r.queries = r.reg.Counter("fed_queries_total")
 	r.commits = r.reg.Counter("fed_commits_total")
 	r.twoPhase = r.reg.Counter("fed_2pc_commits_total")

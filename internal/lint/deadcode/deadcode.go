@@ -10,8 +10,13 @@
 //     every init;
 //   - the exported functions, and the exported methods of exported
 //     types, of the module's root package and of client;
-//   - every package-level variable initialiser;
+//   - the initialiser of a package-level variable named _, or one that
+//     calls a function: it runs at init for its side effects;
 //   - every function carrying a //lint:gaea-allow deadcode comment.
+//
+// Any other package-level variable's declaration is walked only once a
+// reached body reads the variable, so a lookup table nothing reads does
+// not keep alive what it names.
 //
 // A reached function makes live every function and method its body
 // (closures included) calls or refers to, and every type it mentions
@@ -103,6 +108,12 @@ type funcDecl struct {
 	decl *ast.FuncDecl
 }
 
+// pendingVar is where a package-level variable is declared.
+type pendingVar struct {
+	pkg  *lint.Package
+	spec *ast.ValueSpec
+}
+
 type reach struct {
 	inMod map[*types.Package]bool
 	// decls holds every function declared outside test files.
@@ -110,6 +121,10 @@ type reach struct {
 
 	live  map[*types.Func]bool
 	queue []*types.Func
+
+	// vars holds the declarations of the package-level variables not
+	// walked yet, each walked once a reached body reads its variable.
+	vars map[*types.Var]pendingVar
 
 	seenTypes map[types.Type]bool
 	newTypes  []*types.Named
@@ -124,6 +139,7 @@ func newReach(pkgs []*lint.Package) *reach {
 		inMod:     make(map[*types.Package]bool),
 		decls:     make(map[*types.Func]funcDecl),
 		live:      make(map[*types.Func]bool),
+		vars:      make(map[*types.Var]pendingVar),
 		seenTypes: make(map[types.Type]bool),
 	}
 	for _, pkg := range pkgs {
@@ -158,9 +174,8 @@ func (r *reach) roots(pkg *lint.Package) {
 		for _, decl := range file.Decls {
 			switch decl := decl.(type) {
 			case *ast.GenDecl:
-				// Package-level initialisers run whenever the package is linked.
 				if decl.Tok == token.VAR {
-					r.walk(pkg, decl)
+					r.varRoots(pkg, decl)
 				}
 			case *ast.FuncDecl:
 				fn, ok := pkg.Info.Defs[decl.Name].(*types.Func)
@@ -177,6 +192,61 @@ func (r *reach) roots(pkg *lint.Package) {
 				}
 			}
 		}
+	}
+}
+
+// varRoots walks the package-level variable declarations that are
+// roots and defers the others until a reached body reads them.
+func (r *reach) varRoots(pkg *lint.Package, decl *ast.GenDecl) {
+	for _, spec := range decl.Specs {
+		spec := spec.(*ast.ValueSpec)
+		root := false
+		for _, id := range spec.Names {
+			root = root || id.Name == "_"
+		}
+		for _, v := range spec.Values {
+			root = root || callsFunc(pkg.Info, v)
+		}
+		if root {
+			r.walk(pkg, spec)
+			continue
+		}
+		for _, id := range spec.Names {
+			if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
+				r.vars[v] = pendingVar{pkg, spec}
+			}
+		}
+	}
+}
+
+// callsFunc reports whether evaluating e calls a function: a call that
+// is neither a conversion nor a builtin, outside any function literal
+// (whose body runs only when called).
+func callsFunc(info *types.Info, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; !tv.IsType() && !tv.IsBuiltin() {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// readVar walks the declaration of a package-level variable a reached
+// body reads, once.
+func (r *reach) readVar(v *types.Var) {
+	if d, ok := r.vars[v]; ok {
+		for _, id := range d.spec.Names {
+			v, _ := d.pkg.Info.Defs[id].(*types.Var)
+			delete(r.vars, v)
+		}
+		r.walk(d.pkg, d.spec)
 	}
 }
 
@@ -224,6 +294,8 @@ func (r *reach) walk(pkg *lint.Package, node ast.Node) {
 				r.mark(obj)
 			case *types.TypeName:
 				r.reachType(obj.Type())
+			case *types.Var:
+				r.readVar(obj)
 			}
 			if obj := info.Defs[id]; obj != nil {
 				r.reachType(obj.Type())

@@ -65,3 +65,26 @@ func (b *Buffer) Reset() { b.n = 0 } // want `util.Buffer.Reset is reached by no
 func Allowed() { allowedCallee() }
 
 func allowedCallee() {}
+
+// Weekday is mentioned by a lookup table nothing reads.
+type Weekday int
+
+var weekdayNames = map[Weekday]string{0: "sun", 1: "mon"}
+
+// String reads the table, but no reached body reads the table, so its
+// initialiser is never walked and no Weekday is reached.
+func (d Weekday) String() string { return weekdayNames[d] } // want `util.Weekday.String is reached by no entry point`
+
+// Mode is reached through a blank variable, whose initialiser is a root.
+type Mode int
+
+var _ = []Mode{0}
+
+// String is live: Mode is reached, and fmt finds String by name.
+func (m Mode) String() string { return "mode" }
+
+// registered is read by nothing, but its initialiser calls a function,
+// so it runs at init and stays a root.
+var registered = register()
+
+func register() int { return 1 }

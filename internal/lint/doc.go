@@ -53,8 +53,10 @@
 // cannot make live code look dead, and reports only in the packages the
 // patterns name. Its roots are main/init of the programs under cmd/,
 // examples/ and bench/; the exported functions, and the exported methods
-// of exported types, of the root package and client; and package-level
-// variable initialisers. A reached function makes live everything its
+// of exported types, of the root package and client; and the
+// initialisers of blank package-level variables and of those that call
+// a function (any other variable is walked once a reached body reads
+// it). A reached function makes live everything its
 // body calls or refers to (closures, method values, generic
 // instantiations), and a method of a reached type is live when the type
 // satisfies an interface the module declares or converts to, or the

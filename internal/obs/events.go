@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -29,32 +27,27 @@ type Event struct {
 	Fields   map[string]string `json:"fields,omitempty"`
 }
 
-// EventLog is a bounded ring of events with an optional JSONL sink.
-// Emit is safe for concurrent use and never blocks on the ring: when
-// the ring is full the oldest event is dropped and counted. All
-// methods are nil-safe, so layers without a log just no-op.
+// EventLog is a bounded ring of events. Emit is safe for concurrent
+// use and never blocks on the ring: when the ring is full the oldest
+// event is dropped and counted. All methods are nil-safe, so layers
+// without a log just no-op.
 type EventLog struct {
 	mu      sync.Mutex
 	ring    []Event
 	pos     int
 	seq     uint64
 	dropped int64
-	sink    io.Writer // optional JSONL sink; write errors disable it
-	sinkErr error     // the write error that disabled the sink
 }
 
 // defaultEventRing is the ring capacity when NewEventLog gets 0.
 const defaultEventRing = 1024
 
 // NewEventLog builds a log retaining the last `ring` events (0 = 1024).
-// When sink is non-nil every event is additionally appended to it as
-// one JSON line; a write error disables the sink (the ring keeps
-// recording).
-func NewEventLog(ring int, sink io.Writer) *EventLog {
+func NewEventLog(ring int) *EventLog {
 	if ring <= 0 {
 		ring = defaultEventRing
 	}
-	return &EventLog{ring: make([]Event, 0, ring), sink: sink}
+	return &EventLog{ring: make([]Event, 0, ring)}
 }
 
 // Emit appends one event. Fields is retained as-is — callers must not
@@ -72,19 +65,6 @@ func (l *EventLog) Emit(typ, severity, msg string, fields map[string]string) {
 		l.ring[l.pos] = ev
 		l.pos = (l.pos + 1) % cap(l.ring)
 		l.dropped++
-	}
-	if l.sink != nil && l.sinkErr == nil {
-		// One JSON object per line: the documented JSONL schema is the
-		// Event struct itself.
-		b, err := json.Marshal(ev)
-		if err == nil {
-			b = append(b, '\n')
-			_, err = l.sink.Write(b)
-		}
-		if err != nil {
-			l.sinkErr = err
-			l.sink = nil
-		}
 	}
 	l.mu.Unlock()
 }

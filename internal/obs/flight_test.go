@@ -1,16 +1,12 @@
 package obs
 
 // Flight-recorder unit tests: the event ring's overflow contract
-// (oldest dropped, counted, sequence unbroken), the JSONL sink and its
-// failure mode, time-series sampling and windowed rates, the
+// (oldest dropped, counted, sequence unbroken), time-series sampling and windowed rates, the
 // DeltaSource push contract (first delta unprimed, resume via NextSeq),
 // and the stall watchdog's once-per-operation reporting.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -18,7 +14,7 @@ import (
 // TestEventRingOverflow: a full ring drops its oldest events, counts
 // the drops, and keeps the retained sequence contiguous.
 func TestEventRingOverflow(t *testing.T) {
-	l := NewEventLog(8, nil)
+	l := NewEventLog(8)
 	for i := 0; i < 20; i++ {
 		l.Emit("tick", SevInfo, "", nil)
 	}
@@ -39,7 +35,7 @@ func TestEventRingOverflow(t *testing.T) {
 // TestEventLogSince: Since(seq) answers only newer events — the resume
 // contract SubscribeStats is built on.
 func TestEventLogSince(t *testing.T) {
-	l := NewEventLog(16, nil)
+	l := NewEventLog(16)
 	for i := 0; i < 5; i++ {
 		l.Emit("e", SevInfo, "", nil)
 	}
@@ -49,47 +45,6 @@ func TestEventLogSince(t *testing.T) {
 	}
 	if got := l.Since(5); len(got) != 0 {
 		t.Fatalf("Since(last) answered %d events", len(got))
-	}
-}
-
-// failWriter errors after n successful writes.
-type failWriter struct {
-	n     int
-	lines strings.Builder
-}
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, errors.New("disk full")
-	}
-	w.n--
-	w.lines.Write(p)
-	return len(p), nil
-}
-
-// TestEventLogSink: events append to the sink as JSONL; a write error
-// disables the sink while the ring keeps recording.
-func TestEventLogSink(t *testing.T) {
-	w := &failWriter{n: 2}
-	l := NewEventLog(8, w)
-	l.Emit("a", SevInfo, "first", map[string]string{"k": "v"})
-	l.Emit("b", SevWarn, "second", nil)
-	l.Emit("c", SevError, "third", nil) // sink write fails here
-	l.Emit("d", SevInfo, "fourth", nil)
-
-	lines := strings.Split(strings.TrimSpace(w.lines.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sink holds %d lines, want 2", len(lines))
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("sink line is not JSON: %v", err)
-	}
-	if ev.Type != "a" || ev.Severity != SevInfo || ev.Fields["k"] != "v" {
-		t.Fatalf("sink line decoded to %+v", ev)
-	}
-	if got := l.Since(0); len(got) != 4 {
-		t.Fatalf("ring retained %d events after sink failure, want 4", len(got))
 	}
 }
 
@@ -140,7 +95,7 @@ func TestTimeSeriesRates(t *testing.T) {
 func TestDeltaSource(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("q_total")
-	log := NewEventLog(16, nil)
+	log := NewEventLog(16)
 	log.Emit("old", SevInfo, "", nil)
 	log.Emit("old", SevInfo, "", nil)
 
@@ -178,8 +133,8 @@ func TestDeltaSource(t *testing.T) {
 // exactly once, with the trace ID and a goroutine profile attached;
 // fresh operations are not flagged.
 func TestWatchdogStall(t *testing.T) {
-	tr := NewTracer(0, 0, 0)
-	log := NewEventLog(16, nil)
+	tr := NewTracer(0)
+	log := NewEventLog(16)
 	wd := NewWatchdog(tr, log, 50*time.Millisecond)
 
 	ctx := context.Background()

@@ -99,7 +99,7 @@ func TestWriteTextSortedAndExpanded(t *testing.T) {
 // TestSpanTree: Start under a tracer opens a root; Start under a span
 // opens a child; End on the root completes the trace into the ring.
 func TestSpanTree(t *testing.T) {
-	tr := NewTracer(0, 0, 0)
+	tr := NewTracer(0)
 	ctx := WithTracer(context.Background(), tr)
 	ctx, root := Start(ctx, "req")
 	root.Annotate("k", "v")
@@ -156,7 +156,7 @@ func TestNilSpanNoops(t *testing.T) {
 // adopt the caller's trace identity — the server half of a propagated
 // trace.
 func TestRemoteTraceAdoption(t *testing.T) {
-	tr := NewTracer(0, 0, 0)
+	tr := NewTracer(0)
 	ctx := WithRemoteTrace(WithTracer(context.Background(), tr), 0xabcdef)
 	_, sp := Start(ctx, "server/query")
 	sp.End()
@@ -179,17 +179,17 @@ func TestRemoteTraceAdoption(t *testing.T) {
 // TestRingRetention: the recent ring keeps the newest N traces, newest
 // first.
 func TestRingRetention(t *testing.T) {
-	tr := NewTracer(0, 4, 0)
+	tr := NewTracer(0)
 	ctx := WithTracer(context.Background(), tr)
 	var last uint64
-	for i := 0; i < 10; i++ {
+	for i := 0; i < recentRing+6; i++ {
 		_, sp := Start(ctx, "op")
 		last = sp.TraceID()
 		sp.End()
 	}
 	rec := tr.Recent()
-	if len(rec) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(rec))
+	if len(rec) != recentRing {
+		t.Fatalf("ring holds %d, want %d", len(rec), recentRing)
 	}
 	if rec[0].ID != last {
 		t.Fatalf("newest first violated: got %x want %x", rec[0].ID, last)
@@ -198,7 +198,7 @@ func TestRingRetention(t *testing.T) {
 
 // TestSlowOpLog: only traces past the threshold enter the slow log.
 func TestSlowOpLog(t *testing.T) {
-	tr := NewTracer(5*time.Millisecond, 0, 0)
+	tr := NewTracer(5 * time.Millisecond)
 	ctx := WithTracer(context.Background(), tr)
 	_, fast := Start(ctx, "fast")
 	fast.End()
@@ -235,7 +235,7 @@ func TestNilTracerSafe(t *testing.T) {
 // rejects the flood past it (marking the subtree so children no-op),
 // and never samples out a remote-stamped trace.
 func TestTraceSampling(t *testing.T) {
-	tr := NewTracer(0, 8, 0)
+	tr := NewTracer(0)
 	ctx := WithTracer(context.Background(), tr)
 	admitted := 0
 	for i := 0; i < 5000; i++ {
@@ -266,7 +266,7 @@ func TestTraceSampling(t *testing.T) {
 // -race: many goroutines hammer one registry and one tracer.
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(0, 8, 0)
+	tr := NewTracer(0)
 	base := WithTracer(context.Background(), tr)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -291,7 +291,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	if snap.Histograms["h_ns"].Count != 1600 {
 		t.Fatalf("h_ns count=%d, want 1600", snap.Histograms["h_ns"].Count)
 	}
-	if len(tr.Recent()) != 8 {
-		t.Fatalf("ring=%d, want 8", len(tr.Recent()))
+	if len(tr.Recent()) != recentRing {
+		t.Fatalf("ring=%d, want %d", len(tr.Recent()), recentRing)
 	}
 }

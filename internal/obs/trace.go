@@ -22,11 +22,17 @@ const maxSpansPerTrace = 512
 // complete; above it (bulk loads, benchmarks) the excess skips span
 // construction entirely, so tracing never taxes a hot path by more
 // than the budget. Remote-stamped traces bypass the bucket — the
-// caller already decided to trace. These are the defaults; a tracer's
-// bucket is tunable with SetSampling.
+// caller already decided to trace.
 const (
 	traceRate  = 512 // sampled root traces per second
 	traceBurst = 512
+)
+
+// A tracer retains the last recentRing completed traces and the last
+// slowRing slow ops.
+const (
+	recentRing = 64
+	slowRing   = 32
 )
 
 // Tracer assembles spans into traces and retains the most recent ones
@@ -39,8 +45,6 @@ type Tracer struct {
 	tokens     atomic.Int64 // remaining local-trace budget
 	lastRefill atomic.Int64 // unix nanos of the last bucket refill
 	misses     atomic.Int64 // admit rejections since the last refill try
-	rate       atomic.Int64 // bucket refill per second (default traceRate)
-	burst      atomic.Int64 // bucket capacity (default traceBurst)
 
 	mu      sync.Mutex
 	ring    []*trace // completed traces, oldest overwritten
@@ -50,41 +54,14 @@ type Tracer struct {
 	open    map[*trace]struct{} // un-Ended root traces (stall watchdog input)
 }
 
-// NewTracer builds a tracer retaining the last `ring` completed traces
-// (0 = 64) and the last `slowRing` slow ops (0 = 32). Traces whose
-// root span runs at least slowThreshold land in the slow-op log
-// (0 disables it).
-func NewTracer(slowThreshold time.Duration, ring, slowRing int) *Tracer {
-	if ring <= 0 {
-		ring = 64
-	}
-	if slowRing <= 0 {
-		slowRing = 32
-	}
-	t := &Tracer{thresh: slowThreshold, ring: make([]*trace, 0, ring), slow: make([]*trace, 0, slowRing),
+// NewTracer builds a tracer. Traces whose root span runs at least
+// slowThreshold land in the slow-op log (0 disables it).
+func NewTracer(slowThreshold time.Duration) *Tracer {
+	t := &Tracer{thresh: slowThreshold, ring: make([]*trace, 0, recentRing), slow: make([]*trace, 0, slowRing),
 		open: make(map[*trace]struct{})}
-	t.rate.Store(traceRate)
-	t.burst.Store(traceBurst)
 	t.tokens.Store(traceBurst)
 	t.lastRefill.Store(time.Now().UnixNano())
 	return t
-}
-
-// SetSampling replaces the local-trace sampling token bucket: up to
-// burst traces admitted immediately, refilled at rate per second.
-// Zero or negative arguments keep the corresponding current value
-// (the defaults are 512/512). Changing the burst refills the bucket.
-func (t *Tracer) SetSampling(rate, burst int) {
-	if t == nil {
-		return
-	}
-	if rate > 0 {
-		t.rate.Store(int64(rate))
-	}
-	if burst > 0 {
-		t.burst.Store(int64(burst))
-		t.tokens.Store(int64(burst))
-	}
 }
 
 // admit decides whether to open one more locally-minted trace. The
@@ -105,13 +82,11 @@ func (t *Tracer) admit() bool {
 		}
 		now := time.Now().UnixNano()
 		last := t.lastRefill.Load()
-		add := (now - last) * t.rate.Load() / int64(time.Second)
+		add := (now - last) * traceRate / int64(time.Second)
 		if add <= 0 {
 			return false
 		}
-		if burst := t.burst.Load(); add > burst {
-			add = burst
-		}
+		add = min(add, traceBurst)
 		if !t.lastRefill.CompareAndSwap(last, now) {
 			continue // another goroutine refilled; recheck the bucket
 		}

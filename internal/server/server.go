@@ -115,36 +115,23 @@ type Backend interface {
 	RefreshStale(ctx context.Context) (int, error)
 	Explain(oid object.OID) string
 	ExplainQuery(ctx context.Context, req query.Request) (string, error)
+	// Stats is the backend's own stats line, the text half of OpStats.
 	Stats() string
 	// Code maps an error onto its wire code (the full public taxonomy,
 	// including kernel-closed).
 	Code(err error) wire.Code
-}
-
-// ObsBackend is the optional observability surface of a Backend. When
-// the backend implements it (the kernel adapter does), the server
-// registers its protocol counters into the backend's registry, records
-// request spans into the backend's tracer — adopting client trace IDs
-// carried on v2 frames, so one remote request is one cross-process
-// trace — and answers OpStats with the full observability export.
-// Backends without it (tests) are served exactly as before: the
-// server's instruments fall back to nil-safe orphans.
-type ObsBackend interface {
+	// Metrics is the registry the server's counters live in, as server_*
+	// gauges; it is the one place a server counter is read.
 	Metrics() *obs.Registry
+	// Tracer records request spans, adopting client trace IDs carried on
+	// v2 frames, so one remote request is one cross-process trace.
 	Tracer() *obs.Tracer
-	// ObsJSON is the marshalled observability export shipped on the
-	// OpStats extension (nil when unavailable).
-	ObsJSON() []byte
-}
-
-// FlightBackend is the optional flight-recorder surface of a Backend.
-// When the backend implements it, the server emits its own structured
-// events (lease expiries, 2PC outcomes) into the backend's event log,
-// and OpSubscribeStats streams periodic stats/event deltas built from
-// the backend's registry and log. Backends without it refuse
-// OpSubscribeStats and skip event emission — nothing else changes.
-type FlightBackend interface {
+	// Events receives the server's own events (lease expiries, 2PC
+	// outcomes); OpSubscribeStats streams them with the registry deltas.
 	Events() *obs.EventLog
+	// ObsJSON is the marshalled observability export that OpStats
+	// carries beside the Stats line (nil when unavailable).
+	ObsJSON() []byte
 }
 
 // Options tunes a Server.
@@ -196,27 +183,6 @@ func (o Options) maxFrame() int {
 	return o.MaxFrame
 }
 
-// Stats reports the server's own counters (kernel counters travel in
-// the same OpStats response).
-type Stats struct {
-	OpenConns      int64
-	ActiveSessions int64
-	ActiveStreams  int64
-	ActiveLeases   int64
-	LeaseExpiries  int64
-	// InFlight counts requests currently executing (a connection admits
-	// many at once).
-	InFlight int64
-	// MaxInFlightPerConn is the high-water mark of concurrent requests on
-	// any single connection since start.
-	MaxInFlightPerConn int64
-	// PushedPages counts server-push stream pages sent.
-	PushedPages int64
-	// BytesAvoided counts stored record bytes shipped without a value in
-	// them being decoded and re-encoded.
-	BytesAvoided int64
-}
-
 // lease is one pinned epoch with an expiry. Snapshot leases are keyed by
 // id; cursor leases by epoch (one pin per epoch however many cursors
 // reference it).
@@ -261,18 +227,15 @@ type Server struct {
 	pushedPages  atomic.Int64
 	bytesAvoided atomic.Int64
 
-	// Observability (nil-safe orphans when the backend has no
-	// ObsBackend): the request counter and latency histogram, the tracer
-	// requests record spans into, and the OpStats export hook.
+	// Observability, from the backend: the request counter and latency
+	// histogram, the tracer requests record spans into, the registry
+	// stats subscriptions snapshot and the event log the server emits
+	// into.
 	tracer   *obs.Tracer
-	obsJSON  func() []byte
 	requests *obs.Counter
 	reqNS    *obs.Histogram
-
-	// Flight recorder (nil without a FlightBackend): the registry stats
-	// subscriptions snapshot and the event log the server emits into.
-	reg    *obs.Registry
-	events *obs.EventLog
+	reg      *obs.Registry
+	events   *obs.EventLog
 
 	v2mu    sync.Mutex
 	v2conns map[*v2conn]struct{}
@@ -305,32 +268,26 @@ func New(b Backend, opts Options) *Server {
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		janitorDone: make(chan struct{}),
+		tracer:      b.Tracer(),
+		reg:         b.Metrics(),
+		events:      b.Events(),
 	}
-	var reg *obs.Registry
-	if ob, ok := b.(ObsBackend); ok {
-		reg = ob.Metrics()
-		s.tracer = ob.Tracer()
-		s.obsJSON = ob.ObsJSON
-		s.reg = reg
-	}
-	if fb, ok := b.(FlightBackend); ok {
-		s.events = fb.Events()
-	}
-	s.requests = reg.Counter("server_v2_requests_total")
-	s.reqNS = reg.Histogram("server_request_ns")
-	if reg != nil {
-		reg.GaugeFunc("server_open_conns", s.openConns.Load)
-		reg.GaugeFunc("server_in_flight", s.inFlight.Load)
-		reg.GaugeFunc("server_active_streams", s.streams.Load)
-		reg.GaugeFunc("server_lease_expiries_total", s.expiries.Load)
-		reg.GaugeFunc("server_pushed_pages_total", s.pushedPages.Load)
-		reg.GaugeFunc("server_bytes_avoided_total", s.bytesAvoided.Load)
-		reg.GaugeFunc("server_active_leases", func() int64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return int64(len(s.snapLease) + len(s.curLease))
-		})
-	}
+	s.requests = s.reg.Counter("server_v2_requests_total")
+	s.reqNS = s.reg.Histogram("server_request_ns")
+	// The server's counters: read only through these gauges.
+	s.reg.GaugeFunc("server_open_conns", s.openConns.Load)
+	s.reg.GaugeFunc("server_active_sessions", s.sessions.Load)
+	s.reg.GaugeFunc("server_active_streams", s.streams.Load)
+	s.reg.GaugeFunc("server_active_leases", func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(len(s.snapLease) + len(s.curLease))
+	})
+	s.reg.GaugeFunc("server_lease_expiries_total", s.expiries.Load)
+	s.reg.GaugeFunc("server_in_flight", s.inFlight.Load)
+	s.reg.GaugeFunc("server_max_in_flight_per_conn", s.maxInFlight.Load)
+	s.reg.GaugeFunc("server_pushed_pages_total", s.pushedPages.Load)
+	s.reg.GaugeFunc("server_bytes_avoided_total", s.bytesAvoided.Load)
 	s.recoverPrepared()
 	go s.janitor()
 	return s
@@ -458,24 +415,7 @@ func (s *Server) handle(ctx context.Context, user string, req *wire.Request) *wi
 	case wire.OpBegin:
 		return &wire.Response{Epoch: s.b.Epoch()}
 	case wire.OpStats:
-		st := s.ServerStats()
-		var obsJSON []byte
-		if s.obsJSON != nil {
-			obsJSON = s.obsJSON()
-		}
-		return &wire.Response{Stats: &wire.StatsPayload{
-			Kernel:             s.b.Stats(),
-			ObsJSON:            obsJSON,
-			OpenConns:          st.OpenConns,
-			ActiveSessions:     st.ActiveSessions,
-			ActiveStreams:      st.ActiveStreams,
-			ActiveLeases:       st.ActiveLeases,
-			LeaseExpiries:      st.LeaseExpiries,
-			InFlight:           st.InFlight,
-			MaxInFlightPerConn: st.MaxInFlightPerConn,
-			PushedPages:        st.PushedPages,
-			BytesAvoided:       st.BytesAvoided,
-		}}
+		return &wire.Response{Stats: &wire.StatsPayload{Kernel: s.b.Stats(), ObsJSON: s.b.ObsJSON()}}
 	case wire.OpQuery:
 		if req.Query == nil {
 			return badRequest("query payload missing")
@@ -891,24 +831,6 @@ func (s *Server) janitorInterval() time.Duration {
 		iv = time.Second
 	}
 	return iv
-}
-
-// ServerStats snapshots the server counters.
-func (s *Server) ServerStats() Stats {
-	s.mu.Lock()
-	leases := int64(len(s.snapLease) + len(s.curLease))
-	s.mu.Unlock()
-	return Stats{
-		OpenConns:          s.openConns.Load(),
-		ActiveSessions:     s.sessions.Load(),
-		ActiveStreams:      s.streams.Load(),
-		ActiveLeases:       leases,
-		LeaseExpiries:      s.expiries.Load(),
-		InFlight:           s.inFlight.Load(),
-		MaxInFlightPerConn: s.maxInFlight.Load(),
-		PushedPages:        s.pushedPages.Load(),
-		BytesAvoided:       s.bytesAvoided.Load(),
-	}
 }
 
 // Shutdown stops the server gracefully: stop accepting, let in-flight

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"gaea/internal/object"
+	"gaea/internal/obs"
 	"gaea/internal/query"
 	"gaea/internal/wire"
 )
@@ -28,12 +29,14 @@ import (
 type fakeBackend struct {
 	queryStarted  chan struct{}
 	queryReturned chan error
+	reg           *obs.Registry
 }
 
 func newFakeBackend() *fakeBackend {
 	return &fakeBackend{
 		queryStarted:  make(chan struct{}, 8),
 		queryReturned: make(chan error, 8),
+		reg:           obs.NewRegistry(),
 	}
 }
 
@@ -69,6 +72,10 @@ func (f *fakeBackend) ExplainQuery(ctx context.Context, req query.Request) (stri
 }
 func (f *fakeBackend) Stats() string            { return "fake" }
 func (f *fakeBackend) Code(err error) wire.Code { return wire.CodeFor(err) }
+func (f *fakeBackend) Metrics() *obs.Registry   { return f.reg }
+func (f *fakeBackend) Tracer() *obs.Tracer      { return nil }
+func (f *fakeBackend) Events() *obs.EventLog    { return nil }
+func (f *fakeBackend) ObsJSON() []byte          { return nil }
 
 // startFake serves a fake backend on a unix socket.
 func startFake(t *testing.T, b Backend, opts Options) (string, *Server) {

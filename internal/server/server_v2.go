@@ -280,6 +280,28 @@ func (vc *v2conn) finish(id uint64) {
 	}
 }
 
+// requestStack is the frame growStack touches. A request goroutine
+// starts on an 8 KiB stack and a kernel query needs more, so its stack
+// grows once per request. Left to the runtime, that happens deep in the
+// query path, where the copy must adjust every frame on the stack:
+// newstack took 17 % of BenchmarkRemoteQuery's CPU at inflight=1 on two
+// CPUs, and where the growth lands moves with the size of any frame
+// above it (80 fewer bytes in handle's frame cost 12 % of that
+// benchmark). Growing at the goroutine's entry copies one frame.
+const requestStack = 9 << 10
+
+// growStack grows the calling goroutine's stack to hold requestStack
+// more bytes.
+//
+//go:noinline
+func growStack() {
+	var b [requestStack]byte
+	stackSink(&b)
+}
+
+//go:noinline
+func stackSink(b *[requestStack]byte) { b[0]++ }
+
 // send queues a completion for id.
 func (vc *v2conn) send(id uint64, resp *wire.Response) {
 	f := wire.AcquireFrame(wire.F2Resp, id)
@@ -294,6 +316,7 @@ func (vc *v2conn) refuse(id uint64, code wire.Code, msg string) {
 // handleV2 runs one unary request to completion.
 func (s *Server) handleV2(vc *v2conn, id uint64, ctx context.Context, req *wire.Request) {
 	defer s.reqWG.Done()
+	growStack()
 	ctx, sp := obs.Start(s.traceCtx(ctx, req), "server/"+req.Op.String())
 	start := time.Now()
 	resp := s.handle(ctx, vc.user, req)

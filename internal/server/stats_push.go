@@ -43,11 +43,6 @@ func (s *Server) pushStatsV2(vc *v2conn, id uint64, r *v2req, ctx context.Contex
 		s.reqNS.ObserveSince(start)
 		sp.End()
 	}()
-	if s.reg == nil {
-		vc.send(id, badRequest("backend does not support stats subscriptions"))
-		return
-	}
-
 	st := r.stream
 	window := req.Window
 	if window <= 0 {

@@ -19,9 +19,10 @@ type Group[V any] struct {
 }
 
 type call[V any] struct {
-	done chan struct{} // closed when val/err are published
-	val  V
-	err  error
+	done    chan struct{} // closed when val/err are published
+	val     V
+	err     error
+	joiners int // callers that joined this flight; guarded by Group.mu
 }
 
 // Do runs fn once per concurrent key. Joiners wait for the leader and
@@ -51,6 +52,7 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (va
 			g.lead(c, key, fn)
 			return c.val, false, c.err
 		}
+		c.joiners++
 		g.mu.Unlock()
 		select {
 		case <-ctx.Done():

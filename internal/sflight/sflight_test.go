@@ -6,7 +6,26 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// awaitJoiners blocks until n callers have joined key's flight, so a
+// test releases the leader only once every joiner is committed to it.
+func awaitJoiners[V any](t *testing.T, g *Group[V], key string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		g.mu.Lock()
+		c := g.calls[key]
+		joined := c != nil && c.joiners >= n
+		g.mu.Unlock()
+		if joined {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers never joined the flight of %q", n, key)
+		}
+	}
+}
 
 func TestDoCollapsesConcurrentCalls(t *testing.T) {
 	var g Group[int]
@@ -16,12 +35,10 @@ func TestDoCollapsesConcurrentCalls(t *testing.T) {
 	var wg sync.WaitGroup
 	vals := make([]int, n)
 	shared := make([]bool, n)
-	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			v, s, err := g.Do(context.Background(), "k", func() (int, error) {
 				atomic.AddInt32(&executions, 1)
 				<-release
@@ -33,9 +50,9 @@ func TestDoCollapsesConcurrentCalls(t *testing.T) {
 			vals[i], shared[i] = v, s
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
+	// The leader blocks on release; release only once the other n-1
+	// callers are waiting on its flight rather than about to enter Do.
+	awaitJoiners(t, &g, "k", n-1)
 	close(release)
 	wg.Wait()
 	if executions != 1 {

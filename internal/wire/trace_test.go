@@ -44,15 +44,3 @@ func TestV2FrameCarriesTrace(t *testing.T) {
 		t.Fatalf("unstamped frame decoded trace id %x", plainBack.TraceID())
 	}
 }
-
-// TestStatsPayloadStringIgnoresObs: the stats verb's line is a frozen
-// interface; the observability extension rides along without changing
-// it.
-func TestStatsPayloadStringIgnoresObs(t *testing.T) {
-	a := StatsPayload{Kernel: "classes=1", OpenConns: 2, PushedPages: 3}
-	b := a
-	b.ObsJSON = []byte(`{"stats":{}}`)
-	if a.String() != b.String() {
-		t.Fatalf("ObsJSON changed the stats line:\n%q\n%q", a.String(), b.String())
-	}
-}

@@ -684,33 +684,12 @@ func decodeResult(d *Dec) *ResultPayload {
 
 func encodeStats(f *Frame, s *StatsPayload) {
 	f.Str(s.Kernel)
-	f.Uvarint(uint64(s.OpenConns))
-	f.Uvarint(uint64(s.ActiveSessions))
-	f.Uvarint(uint64(s.ActiveStreams))
-	f.Uvarint(uint64(s.ActiveLeases))
-	f.Uvarint(uint64(s.LeaseExpiries))
-	f.Uvarint(uint64(s.InFlight))
-	f.Uvarint(uint64(s.MaxInFlightPerConn))
-	f.Uvarint(uint64(s.PushedPages))
-	f.Uvarint(uint64(s.BytesAvoided))
 	f.Bytes(s.ObsJSON)
 }
 
 func decodeStats(d *Dec) *StatsPayload {
-	return &StatsPayload{
-		Kernel:             d.Str(),
-		OpenConns:          int64(d.Uvarint()),
-		ActiveSessions:     int64(d.Uvarint()),
-		ActiveStreams:      int64(d.Uvarint()),
-		ActiveLeases:       int64(d.Uvarint()),
-		LeaseExpiries:      int64(d.Uvarint()),
-		InFlight:           int64(d.Uvarint()),
-		MaxInFlightPerConn: int64(d.Uvarint()),
-		PushedPages:        int64(d.Uvarint()),
-		BytesAvoided:       int64(d.Uvarint()),
-		// Copy: Dec hands out sub-slices of a reusable frame buffer.
-		ObsJSON: append([]byte(nil), d.Bytes()...),
-	}
+	// Copy: Dec hands out sub-slices of a reusable frame buffer.
+	return &StatsPayload{Kernel: d.Str(), ObsJSON: append([]byte(nil), d.Bytes()...)}
 }
 
 // ---------------------------------------------------------------------

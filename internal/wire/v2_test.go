@@ -140,7 +140,7 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 		},
 		OIDs:  []uint64{4, 5},
 		Text:  "explain text",
-		Stats: &StatsPayload{Kernel: "k", OpenConns: 2, InFlight: 5, MaxInFlightPerConn: 4, PushedPages: 9, BytesAvoided: 1 << 20},
+		Stats: &StatsPayload{Kernel: "k", ObsJSON: []byte(`{"stats":{}}`)},
 		Raw:   &RawObject{Rec: []byte("REC"), Blobs: []object.BlobPayload{{ID: 3, Data: []byte("IMG")}}},
 	}
 	f := AcquireFrame(F2Resp, 42)
@@ -162,8 +162,7 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 		t.Fatalf("oids/text mangled: %+v", got)
 	}
 	s := got.Stats
-	if s == nil || s.Kernel != "k" || s.OpenConns != 2 || s.InFlight != 5 ||
-		s.MaxInFlightPerConn != 4 || s.PushedPages != 9 || s.BytesAvoided != 1<<20 {
+	if s == nil || s.Kernel != "k" || string(s.ObsJSON) != `{"stats":{}}` {
 		t.Fatalf("stats mangled: %+v", s)
 	}
 	if got.Raw == nil || string(got.Raw.Rec) != "REC" ||

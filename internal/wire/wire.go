@@ -411,46 +411,16 @@ func (p *ResultPayload) ToResult() *query.Result {
 	return res
 }
 
-// StatsPayload reports kernel stats plus the server's own counters.
+// StatsPayload answers OpStats: the backend's stats line and its
+// observability export. The server's own counters are server_* gauges
+// inside the export, so the codec never learns a counter's name.
 type StatsPayload struct {
-	// Kernel is the kernel's Stats() line.
+	// Kernel is the backend's Stats() line.
 	Kernel string
-	// OpenConns is the number of currently accepted connections.
-	OpenConns int64
-	// ActiveSessions counts in-flight session commits.
-	ActiveSessions int64
-	// ActiveStreams counts in-flight stream page requests.
-	ActiveStreams int64
-	// ActiveLeases counts live snapshot/cursor leases (pinned epochs).
-	ActiveLeases int64
-	// LeaseExpiries counts leases the janitor expired since start —
-	// abandoned clients whose pins were reclaimed.
-	LeaseExpiries int64
-	// InFlight counts requests currently executing across all
-	// connections (v2 multiplexing admits many per connection).
-	InFlight int64
-	// MaxInFlightPerConn is the high-water mark of concurrent requests
-	// observed on any single connection since start.
-	MaxInFlightPerConn int64
-	// PushedPages counts server-push stream pages sent since start.
-	PushedPages int64
-	// BytesAvoided counts stored record bytes shipped without a value in
-	// them being decoded and re-encoded.
-	BytesAvoided int64
-	// ObsJSON carries the kernel's full observability export — the
-	// structured stats snapshot, recent traces, and the slow-op log — as
-	// one JSON blob (gaea.ObsExport). JSON keeps the wire layer ignorant
-	// of the snapshot's shape: new instruments never touch the codec.
-	// Absent from old peers; String() ignores it, so the stats verb's
-	// output is unchanged.
+	// ObsJSON is the backend's full observability export (gaea.ObsExport
+	// as JSON): the structured stats snapshot with the metrics registry,
+	// recent traces and the slow-op log.
 	ObsJSON []byte
-}
-
-// String renders the combined stats line the CLI prints.
-func (s *StatsPayload) String() string {
-	return fmt.Sprintf("%s server[conns=%d sessions=%d streams=%d leases=%d lease_expiries=%d inflight=%d max_inflight_conn=%d pushed_pages=%d bytes_avoided=%d]",
-		s.Kernel, s.OpenConns, s.ActiveSessions, s.ActiveStreams, s.ActiveLeases, s.LeaseExpiries,
-		s.InFlight, s.MaxInFlightPerConn, s.PushedPages, s.BytesAvoided)
 }
 
 // Response is one server frame.

@@ -43,7 +43,7 @@ type (
 	// checkpoint pass, deriv sweep, lease expiry, 2PC outcome, shard
 	// transition, stall). Its JSON form is the event JSONL schema.
 	Event = obs.Event
-	// EventLog is the bounded event ring with an optional JSONL sink.
+	// EventLog is the bounded event ring.
 	EventLog = obs.EventLog
 	// SeriesPoint is one periodic sample of the metrics registry.
 	SeriesPoint = obs.SeriesPoint
@@ -67,10 +67,10 @@ const (
 // NewTracer builds a standalone tracer — typically a client-side one,
 // handed to client.Options.Tracer so remote calls record local spans
 // and propagate their trace IDs to the server. Traces slower than
-// slowThreshold enter the slow-op log (0 disables). ring and slowRing
-// size the retention rings (0 = 64 and 32).
-func NewTracer(slowThreshold time.Duration, ring, slowRing int) *Tracer {
-	return obs.NewTracer(slowThreshold, ring, slowRing)
+// slowThreshold enter the slow-op log (0 disables). It keeps the last
+// 64 traces and the last 32 slow ones.
+func NewTracer(slowThreshold time.Duration) *Tracer {
+	return obs.NewTracer(slowThreshold)
 }
 
 // StatsSnapshot is the structured form of Kernel.Stats: every figure the

@@ -60,7 +60,9 @@ type ServeOptions struct {
 }
 
 // ServerStats reports a Server's own counters (the kernel's counters
-// come from Kernel.Stats).
+// come from Kernel.Stats). They live in the served backend's metrics
+// registry as server_* gauges; ServerStatsOf reads them out of a
+// snapshot, local or remote.
 type ServerStats struct {
 	// OpenConns is the number of currently accepted connections.
 	OpenConns int64
@@ -85,6 +87,32 @@ type ServerStats struct {
 	// BytesAvoided counts stored record bytes shipped without a value in
 	// them being decoded and re-encoded.
 	BytesAvoided int64
+}
+
+// ServerStatsOf reads a server's counters out of a metrics snapshot:
+// the kernel's (Server.Stats) or the one a remote export carries
+// (client.Conn.Observe).
+func ServerStatsOf(m MetricsSnapshot) ServerStats {
+	g := m.Gauges
+	return ServerStats{
+		OpenConns:          g["server_open_conns"],
+		ActiveSessions:     g["server_active_sessions"],
+		ActiveStreams:      g["server_active_streams"],
+		ActiveLeases:       g["server_active_leases"],
+		LeaseExpiries:      g["server_lease_expiries_total"],
+		InFlight:           g["server_in_flight"],
+		MaxInFlightPerConn: g["server_max_in_flight_per_conn"],
+		PushedPages:        g["server_pushed_pages_total"],
+		BytesAvoided:       g["server_bytes_avoided_total"],
+	}
+}
+
+// String renders the server[...] block a remote stats line appends to
+// the backend's line. The format is frozen (golden-tested).
+func (s ServerStats) String() string {
+	return fmt.Sprintf("server[conns=%d sessions=%d streams=%d leases=%d lease_expiries=%d inflight=%d max_inflight_conn=%d pushed_pages=%d bytes_avoided=%d]",
+		s.OpenConns, s.ActiveSessions, s.ActiveStreams, s.ActiveLeases, s.LeaseExpiries,
+		s.InFlight, s.MaxInFlightPerConn, s.PushedPages, s.BytesAvoided)
 }
 
 // Server serves this kernel over the wire protocol. Start it on one or
@@ -208,20 +236,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return classify(s.inner.Shutdown(ctx))
 }
 
-// Stats snapshots the server counters.
+// Stats snapshots the server counters from the kernel's registry. A
+// kernel serves one Server's counters at a time: a later NewServer on
+// the same kernel takes over the server_* gauges.
 func (s *Server) Stats() ServerStats {
-	st := s.inner.ServerStats()
-	return ServerStats{
-		OpenConns:          st.OpenConns,
-		ActiveSessions:     st.ActiveSessions,
-		ActiveStreams:      st.ActiveStreams,
-		ActiveLeases:       st.ActiveLeases,
-		LeaseExpiries:      st.LeaseExpiries,
-		InFlight:           st.InFlight,
-		MaxInFlightPerConn: st.MaxInFlightPerConn,
-		PushedPages:        st.PushedPages,
-		BytesAvoided:       st.BytesAvoided,
-	}
+	return ServerStatsOf(s.k.Metrics.Snapshot())
 }
 
 // kernelBackend adapts *Kernel onto the narrow interface internal/server
@@ -348,17 +367,13 @@ func (b kernelBackend) GetRawAt(oid object.OID, epoch uint64) (wire.RawObject, e
 	return wire.RawObject{Rec: rec, Blobs: blobs}, nil
 }
 
-// Metrics, Tracer, and ObsJSON make the adapter a server.ObsBackend:
-// the server's protocol counters land in the kernel registry, remote
-// request spans land in the kernel tracer (under the client's trace ID
-// when one came over the wire), and OpStats carries the export.
+// The server's counters land in the kernel registry, its request spans
+// in the kernel tracer (under the client's trace ID when one came over
+// the wire) and its events in the kernel's log; OpStats carries the
+// export.
 func (b kernelBackend) Metrics() *obs.Registry { return b.k.Metrics }
 func (b kernelBackend) Tracer() *obs.Tracer    { return b.k.Tracer }
-
-// Events makes the adapter a server.FlightBackend: the server's own
-// events (lease expiries, 2PC outcomes) land in the kernel's log, and
-// OpSubscribeStats streams deltas built from the kernel registry.
-func (b kernelBackend) Events() *obs.EventLog { return b.k.Events }
+func (b kernelBackend) Events() *obs.EventLog  { return b.k.Events }
 func (b kernelBackend) ObsJSON() []byte {
 	j, err := b.k.ObsJSON()
 	if err != nil {
