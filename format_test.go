@@ -2,8 +2,12 @@ package gaea
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"flag"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"maps"
@@ -13,8 +17,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"gaea/internal/object"
+	"gaea/internal/sptemp"
 	"gaea/internal/storage"
+	"gaea/internal/task"
+	"gaea/internal/value"
 )
 
 // dirFiles maps every file under dir to its bytes, and every directory
@@ -186,4 +195,105 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	if _, err := k.Objects.Get(oids[0]); err != nil {
 		t.Error(err)
 	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/format<N>.sha256 from TestFormatGolden's directory")
+
+// TestFormatGolden builds one directory deterministically through the
+// public API and compares the sha256 of every file in it with
+// testdata/format<N>.sha256, N being the format number meta.db carries.
+// The directory holds a gauge load, a scene whose bands are blobs, a
+// derivation, a refresh (a delta task record), an update whose old
+// version the next commit reclaims, a checkpoint, and a WAL tail after
+// it. A change to any stored byte fails it unless the format number
+// moves too; go test -run TestFormatGolden -update rewrites the file.
+func TestFormatGolden(t *testing.T) {
+	defer func(c func() time.Time) { task.Clock = c }(task.Clock)
+	task.Clock = func() time.Time { return time.Unix(0, 0) }
+	ctx := context.Background()
+	k := openKernelOpts(t, Options{NoSync: true, User: "golden", RefreshPolicy: ManualRefresh})
+	defineRainClass(t, k)
+	s := k.Begin(ctx)
+	var gauges []object.OID
+	for i := 0; i < 300; i++ {
+		oid, err := s.Create(rainObject(float64(i)/4, float64(i*20)), "gauge tape")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gauges = append(gauges, oid)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	scene := loadScene(t, k, sptemp.Date(1986, 1, 15), 1986)
+	if _, _, err := k.RunProcess(ctx, "unsupervised_classification", map[string][]object.OID{"bands": scene}, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	band, err := k.Objects.Get(scene[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := band.Attrs["data"].(value.Image).Img
+	img.Data()[0]++
+	if err := k.UpdateObject(ctx, band); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := k.RefreshStale(ctx); n != 1 || err != nil {
+		t.Fatalf("RefreshStale = %d, %v", n, err)
+	}
+	for _, i := range []int{7, 8} { // the second commit reclaims the first's old version
+		if err := k.UpdateObject(ctx, rainObjectAt(gauges[i], 99, float64(i*20))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s = k.Begin(ctx)
+	for i := 0; i < 5; i++ {
+		if _, err := s.Create(rainObject(1, float64(10000+i*20)), "late"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Update(rainObjectAt(gauges[9], 3, 180)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(gauges[10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hash the directory as it stands: the WAL tail is not yet checkpointed.
+	files := dirFiles(t, k.Dir())
+	var lines []string
+	for _, name := range slices.Sorted(maps.Keys(files)) {
+		if files[name] != nil {
+			lines = append(lines, fmt.Sprintf("%x  %s", sha256.Sum256(files[name]), filepath.ToSlash(name)))
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	header, _, _ := strings.Cut(string(files["meta.db"]), "\n")
+	golden := filepath.Join("testdata", "format"+strings.TrimPrefix(header, "GMETA")+".sha256")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v: a new format number needs its golden file (go test -run TestFormatGolden -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("stored bytes moved under format %s; bump the format number if that is meant.\ngot:\n%swant:\n%s",
+			strings.TrimPrefix(header, "GMETA"), got, want)
+	}
+}
+
+// rainObjectAt is rainObject as a new state of an existing gauge.
+func rainObjectAt(oid object.OID, mm, x float64) *object.Object {
+	o := rainObject(mm, x)
+	o.OID = oid
+	return o
 }

@@ -533,7 +533,7 @@ func (e *Executor) derive(ctx context.Context, pr *process.Process, inputs map[s
 	if err != nil {
 		return nil, zero, nil, 0, err
 	}
-	start := time.Now()
+	start := Clock()
 	if err := b.CheckAssertions(e.reg); err != nil {
 		return nil, zero, nil, 0, err
 	}
@@ -551,8 +551,13 @@ func (e *Executor) derive(ctx context.Context, pr *process.Process, inputs map[s
 	if err != nil {
 		return nil, zero, nil, 0, err
 	}
-	return attrs, ext, b.InputOIDs(), time.Since(start), nil
+	return attrs, ext, b.InputOIDs(), Clock().Sub(start), nil
 }
+
+// Clock is what a derivation's Micros is measured with. Only a test
+// replaces it, to make the task records it writes reproducible byte for
+// byte.
+var Clock = time.Now
 
 // execute performs one derivation unconditionally and commits its output
 // object with its task record.
