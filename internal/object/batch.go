@@ -115,11 +115,13 @@ func (s *Store) CheckUpdate(obj *Object) error {
 // that vanished (or, under ReadEpoch, changed) since staging fails the
 // whole batch with ErrConflict.
 func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
+	// encoded is one object's record: arena[at:end], its header not yet
+	// stamped.
 	type encoded struct {
-		obj   *Object
-		sch   *schema
-		rec   []byte
-		blobs []storage.BlobID
+		obj     *Object
+		sch     *schema
+		at, end int
+		blobs   []storage.BlobID
 	}
 	var newBlobs []storage.BlobID
 	undoBlobs := func() {
@@ -127,6 +129,9 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 			_ = s.st.Blobs().Delete(b)
 		}
 	}
+	// Every record is appended to one arena, sized from the batch, so a
+	// batch of n objects makes one allocation for its records, not n.
+	var arena []byte
 	encode := func(objs []*Object) ([]encoded, error) {
 		out := make([]encoded, 0, len(objs))
 		var sch *schema // a group is mostly one class: look it up when it changes
@@ -137,16 +142,22 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 					return nil, err
 				}
 			}
-			rec, blobs, err := encodeObject(sch, obj, s.putBlob)
+			if arena == nil {
+				arena = make([]byte, 0, recordCap(sch)*(len(ops.Inserts)+len(ops.Updates)))
+			}
+			at := len(arena)
+			var blobs []storage.BlobID
+			var err error
+			arena, blobs, err = appendObject(arena, sch, obj, s.putBlob)
 			newBlobs = append(newBlobs, blobs...)
 			if err != nil {
 				return nil, err
 			}
-			if len(rec) > storage.MaxRecordLen { // rec is the body behind room for the widest header
+			if n := len(arena) - at; n > storage.MaxRecordLen { // the body behind room for the widest header
 				return nil, fmt.Errorf("%w: object %d (class %s) encodes to %d bytes inline, a record holds %d; store large payloads as images",
-					ErrBadAttr, obj.OID, obj.Class, len(rec), storage.MaxRecordLen)
+					ErrBadAttr, obj.OID, obj.Class, n, storage.MaxRecordLen)
 			}
-			out = append(out, encoded{obj: obj, sch: sch, rec: rec, blobs: blobs})
+			out = append(out, encoded{obj: obj, sch: sch, at: at, end: len(arena), blobs: blobs})
 		}
 		return out, nil
 	}
@@ -212,13 +223,14 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	// snapshot readers proceed against the pre-commit state throughout.
 	epoch := s.st.ReserveEpoch()
 	b.SetEpoch(epoch)
+	b.Grow(len(inserts) + len(updates) + len(ops.Deletes) + len(ops.Extra))
 	insIdx := make([]int, len(inserts))
 	for i, in := range inserts {
-		insIdx[i] = b.Insert(in.sch.heap, stamp(in.rec, in.obj.OID, epoch))
+		insIdx[i] = b.Insert(in.sch.heap, stamp(arena[in.at:in.end], in.obj.OID, epoch))
 	}
 	upIdx := make([]int, len(updates))
 	for i, up := range updates {
-		upIdx[i] = b.Insert(up.sch.heap, stamp(up.rec, up.obj.OID, epoch))
+		upIdx[i] = b.Insert(up.sch.heap, stamp(arena[up.at:up.end], up.obj.OID, epoch))
 	}
 	delIdx := make([]int, len(ops.Deletes))
 	for i, oid := range ops.Deletes {
@@ -244,12 +256,16 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	// row is put.
 	s.mu.Lock()
 	s.apply(&gc)
+	var ci *classIndex // the index of the class of the insert before
 	for i, in := range inserts {
 		r := row{oid: in.obj.OID, epoch: epoch, rid: rids[insIdx[i]], class: in.sch.num}
 		s.setExt(&r, in.sch, in.obj.Extent)
 		s.setHeadBlobs(&r, in.blobs)
 		s.rows.Put(r)
-		s.indexLocked(&r)
+		if i == 0 || in.sch != inserts[i-1].sch {
+			ci = s.classIndexLocked(&r)
+		}
+		ci.add(&r)
 	}
 	for i, up := range updates {
 		r := s.rows.Ptr(row{oid: up.obj.OID})
@@ -265,10 +281,10 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 			s.unindexLocked(r)
 		}
 		s.setExt(r, up.sch, ext)
+		ci := s.classIndexLocked(r)
 		if moved {
-			s.indexLocked(r)
+			ci.add(r)
 		}
-		ci := s.classes[up.sch.cls.Name]
 		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: up.obj.OID})
 		s.queue = append(s.queue, garbage{at: epoch, oid: up.obj.OID})
 	}

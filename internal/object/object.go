@@ -458,7 +458,7 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 		}
 		s.setHeadBlobs(&r, blobsOf(head))
 		if r.flags&rowDel == 0 {
-			s.indexLocked(&r)
+			s.classIndexLocked(&r).add(&r)
 		}
 		s.rows.Put(r)
 		i = j
@@ -497,15 +497,21 @@ func (s *Store) headBox(id uint64) sptemp.Box {
 	return r.box
 }
 
-// indexLocked enters an object, by the extent on its row, into its
-// class's newest-version indexes and membership.
-func (s *Store) indexLocked(r *row) {
+// classIndexLocked returns the indexes of r's class, made on first use
+// with grid cells sized off r's box.
+func (s *Store) classIndexLocked(r *row) *classIndex {
 	class := s.byNum[r.class].cls.Name
 	ci := s.classes[class]
 	if ci == nil {
 		ci = &classIndex{grid: sptemp.NewGridIndex(spatialCellFor(r.box), s.headBox)}
 		s.classes[class] = ci
 	}
+	return ci
+}
+
+// add enters an object of the class, by the extent on its row, into the
+// newest-version indexes and membership.
+func (ci *classIndex) add(r *row) {
 	ci.grid.Insert(uint64(r.oid), r.box)
 	if r.flags&rowTimed != 0 {
 		ci.times.Insert(uint64(r.oid), r.iv)
@@ -553,26 +559,19 @@ func (s *Store) Insert(obj *Object) (OID, error) {
 	return obj.OID, nil
 }
 
+// validate checks obj against its class: every attribute of the class
+// present with a value of its type, no other attribute, and the extent the
+// class requires. It looks the attributes up in class order; only an
+// object that fails that check has its map walked, for the error.
 func (s *Store) validate(cls *catalog.Class, obj *Object) error {
-	for name, v := range obj.Attrs {
-		a, ok := cls.Attr(name)
-		if !ok {
-			return fmt.Errorf("%w: class %s has no attribute %q", ErrBadAttr, cls.Name, name)
-		}
-		if v == nil {
-			return fmt.Errorf("%w: attribute %q is nil", ErrBadAttr, name)
-		}
-		if v.Type() != a.Type {
-			// A singleton scalar satisfies a set-typed attribute.
-			if elem, isSet := a.Type.IsSet(); !isSet || v.Type() != elem {
-				return fmt.Errorf("%w: attribute %q is %s, schema says %s", ErrBadAttr, name, v.Type(), a.Type)
-			}
-		}
+	ok := len(obj.Attrs) == len(cls.Attrs)
+	for i := 0; ok && i < len(cls.Attrs); i++ {
+		a := &cls.Attrs[i]
+		v := obj.Attrs[a.Name]
+		ok = v != nil && fits(v.Type(), a.Type)
 	}
-	for _, a := range cls.Attrs {
-		if _, ok := obj.Attrs[a.Name]; !ok {
-			return fmt.Errorf("%w: attribute %q missing", ErrBadAttr, a.Name)
-		}
+	if !ok {
+		return badAttrs(cls, obj)
 	}
 	if cls.HasSpatial && obj.Extent.Space.IsEmpty() {
 		return fmt.Errorf("%w: class %s requires a spatial extent", ErrBadAttr, cls.Name)
@@ -582,6 +581,39 @@ func (s *Store) validate(cls *catalog.Class, obj *Object) error {
 	}
 	if cls.HasTemporal && !obj.Extent.HasTime {
 		return fmt.Errorf("%w: class %s requires a temporal extent", ErrBadAttr, cls.Name)
+	}
+	return nil
+}
+
+// fits reports whether a value of type t may fill an attribute of type
+// want: a singleton scalar satisfies a set-typed attribute.
+func fits(t, want value.Type) bool {
+	if t == want {
+		return true
+	}
+	elem, isSet := want.IsSet()
+	return isSet && t == elem
+}
+
+// badAttrs returns the error for an object whose attributes do not match
+// its class.
+func badAttrs(cls *catalog.Class, obj *Object) error {
+	for name, v := range obj.Attrs {
+		a, ok := cls.Attr(name)
+		if !ok {
+			return fmt.Errorf("%w: class %s has no attribute %q", ErrBadAttr, cls.Name, name)
+		}
+		if v == nil {
+			return fmt.Errorf("%w: attribute %q is nil", ErrBadAttr, name)
+		}
+		if !fits(v.Type(), a.Type) {
+			return fmt.Errorf("%w: attribute %q is %s, schema says %s", ErrBadAttr, name, v.Type(), a.Type)
+		}
+	}
+	for _, a := range cls.Attrs {
+		if _, ok := obj.Attrs[a.Name]; !ok {
+			return fmt.Errorf("%w: attribute %q missing", ErrBadAttr, a.Name)
+		}
 	}
 	return nil
 }

@@ -635,7 +635,7 @@ func TestReopenHealsInterruptedUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err := encodeObject(sch, newer, obj.putBlob)
+	rec, _, err := appendObject(nil, sch, newer, obj.putBlob)
 	if err != nil {
 		t.Fatal(err)
 	}

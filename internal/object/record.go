@@ -48,7 +48,7 @@ package object
 //	                the value.Encode bytes, or (isBlob, len 8) the blob
 //	                id u64
 //
-// encodeObject packs an extent only when that is shorter than the raw
+// appendObject packs an extent only when that is shorter than the raw
 // form, so packing never lengthens a record. A raw coordinate or float
 // keeps any bit pattern (NaN payloads, ±Inf, -0, subnormals).
 // parseRelative refuses a flags byte with mask bits but no packed
@@ -74,7 +74,7 @@ package object
 //	        blob:   blobID u64
 //
 // epoch is the record's commit epoch — the MVCC version stamp. The epoch
-// is not known until the enclosing batch reserves it, so encodeObject
+// is not known until the enclosing batch reserves it, so appendObject
 // leaves headroom in front of the body and stamp writes the header there,
 // right-aligned against the body, once it is. parseRecord is the one
 // walker over both forms, the form chosen by where the record came from;
@@ -113,7 +113,7 @@ const (
 	// one is a uvarint with its low bit clear.
 	floatRaw = 0x01
 
-	// headroom is the room encodeObject leaves in front of a record body
+	// headroom is the room appendObject leaves in front of a record body
 	// for stamp: the widest header, flags + epoch + oid as uvarints.
 	headroom = 1 + 2*binary.MaxVarintLen64
 )
@@ -522,7 +522,7 @@ func appendHeader(buf []byte, flags byte, epoch uint64, oid OID) []byte {
 	return binary.AppendUvarint(buf, uint64(oid))
 }
 
-// stamp writes the header of a record encodeObject left unstamped — its
+// stamp writes the header of a record appendObject left unstamped — its
 // flags, the commit epoch, the OID — right-aligned against the body, and
 // returns the record from there: no copy of the body, no allocation.
 // buf[0] holds the flags throughout (the widest header writes them there
@@ -535,16 +535,22 @@ func stamp(buf []byte, oid OID, epoch uint64) []byte {
 	return buf[at:]
 }
 
-// encodeObject serialises an object as a compact relative record whose
-// header is left for stamp to write at commit, offloading images through
-// put.
+// recordCap is what appendObject is expected to append for one object of
+// sch, headroom included: the room a batch's arena leaves it.
+func recordCap(sch *schema) int {
+	return headroom + 4*8 + 2*binary.MaxVarintLen64 + 12*len(sch.cls.Attrs)
+}
+
+// appendObject appends an object to buf as a compact relative record,
+// the headroom its header needs in front for stamp to write at commit,
+// offloading images through put. The record is what it appended.
 // The blob ids are returned with an error too: they name what was
 // written before it (and what a failed put may have left half-written),
 // for the caller to remove.
-func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobID, error)) ([]byte, []storage.BlobID, error) {
+func appendObject(buf []byte, sch *schema, obj *Object, put func(data []byte) (storage.BlobID, error)) ([]byte, []storage.BlobID, error) {
 	attrs := sch.cls.Attrs
 	if len(obj.Attrs) != len(attrs) {
-		return nil, nil, fmt.Errorf("%w: object %d has %d attributes, class %s has %d",
+		return buf, nil, fmt.Errorf("%w: object %d has %d attributes, class %s has %d",
 			ErrBadAttr, obj.OID, len(obj.Attrs), sch.cls.Name, len(attrs))
 	}
 	ext := &obj.Extent
@@ -555,7 +561,8 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 	if ext.Frame != sch.cls.Frame {
 		flags |= flagOwnFrame
 	}
-	buf := make([]byte, headroom, headroom+4*8+2*binary.MaxVarintLen64+12*len(attrs))
+	at := len(buf)
+	buf = append(buf, make([]byte, headroom)...)
 	var mask byte
 	var packed bool
 	if buf, mask, packed = appendPacked(buf, ext); packed {
@@ -567,7 +574,7 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(ext.TimeIv.End))
 		}
 	}
-	buf[0] = flags
+	buf[at] = flags
 	if flags&flagOwnFrame != 0 {
 		buf = appendStr16(buf, string(ext.Frame.System))
 		buf = appendStr16(buf, string(ext.Frame.Unit))
@@ -576,14 +583,14 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 	for i, a := range attrs {
 		v, ok := obj.Attrs[a.Name]
 		if !ok {
-			return nil, blobIDs, fmt.Errorf("%w: object %d: attribute %q missing", ErrBadAttr, obj.OID, a.Name)
+			return buf, blobIDs, fmt.Errorf("%w: object %d: attribute %q missing", ErrBadAttr, obj.OID, a.Name)
 		}
 		f := sch.forms[i]
 		if img, ok := v.(value.Image); ok && img.Img != nil && (f == formImage || f == formTagged) {
 			id, err := put(raster.Marshal(img.Img))
 			blobIDs = append(blobIDs, id)
 			if err != nil {
-				return nil, blobIDs, err
+				return buf, blobIDs, err
 			}
 			if f == formImage {
 				buf = binary.AppendUvarint(buf, uint64(id))
@@ -592,10 +599,11 @@ func encodeObject(sch *schema, obj *Object, put func(data []byte) (storage.BlobI
 			}
 			continue
 		}
-		var err error
-		if buf, err = appendAttr(buf, f, v); err != nil {
-			return nil, blobIDs, fmt.Errorf("object: attribute %q (%s): %w", a.Name, a.Type, err)
+		next, err := appendAttr(buf, f, v)
+		if err != nil {
+			return buf, blobIDs, fmt.Errorf("object: attribute %q (%s): %w", a.Name, a.Type, err)
 		}
+		buf = next
 	}
 	return buf, blobIDs, nil
 }

@@ -75,7 +75,7 @@ func TestRecordBytes(t *testing.T) {
 	} {
 		sch := newSchema(c.cls)
 		var err error
-		if buf, _, err = encodeObject(sch, c.obj, put); err != nil {
+		if buf, _, err = appendObject(nil, sch, c.obj, put); err != nil {
 			t.Fatal(err)
 		}
 		rec := stamp(buf, oid, epoch)
@@ -95,7 +95,7 @@ func TestRecordBytes(t *testing.T) {
 }
 
 // unpackedRecord rewrites a compact relative record with its extent
-// unpacked, as encodeObject writes it when packing would not shorten it:
+// unpacked, as appendObject writes it when packing would not shorten it:
 // flag 0x08 and the mask bits clear, the box as four f64s and, when
 // timed, the interval as two i64s.
 func unpackedRecord(t testing.TB, rec []byte, sch *schema) []byte {
@@ -146,7 +146,7 @@ func TestOpenRefusesOldRecordForms(t *testing.T) {
 		Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(20, 0, 30, 10)),
 	}
 	sch := newSchema(gaugeClass)
-	buf, _, err := encodeObject(sch, obj, noBlobs)
+	buf, _, err := appendObject(nil, sch, obj, noBlobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -754,7 +754,7 @@ func spliceAttr(t testing.TB, rec []byte, sch *schema, i int, payload []byte) []
 	return slices.Concat(rec[:from], payload, rec[w.r.off:])
 }
 
-// malformedPayloads are payloads no encodeObject writes, each for the
+// malformedPayloads are payloads no appendObject writes, each for the
 // fuzzClass attribute it names.
 var malformedPayloads = []struct {
 	what    string
@@ -781,7 +781,7 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 	next := storage.BlobID(7)
 	put := func([]byte) (storage.BlobID, error) { next++; return next, nil }
 	rel := func(o *Object, epoch uint64) []byte {
-		rec, _, err := encodeObject(sch, o, put)
+		rec, _, err := appendObject(nil, sch, o, put)
 		return stamp(must(rec, err), o.OID, epoch)
 	}
 	plain, inline := fuzzObjects()
@@ -792,7 +792,7 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 		Attrs:  map[string]value.Value{"band": value.String_("red"), "data": value.Image{Img: raster.MustNew(2, 2, raster.PixChar)}},
 		Extent: sptemp.AtInstant(sptemp.DefaultFrame, sptemp.NewBox(3000, 0, 3100, 100), sptemp.Date(1986, 1, 15)),
 	}
-	sceneRec, _, err := encodeObject(newSchema(sceneClass), scene, put)
+	sceneRec, _, err := appendObject(nil, newSchema(sceneClass), scene, put)
 	sceneRec = stamp(must(sceneRec, err), scene.OID, 3)
 	wireTomb := append(appendWireHeader(nil, 9, 4, "fz", sptemp.Extent{}, 0)[:20], wireFlagTombstone, 2, 0, 'f', 'z')
 	relPlain := rel(plain, 3)
@@ -835,7 +835,7 @@ func fuzzSeedRecords(t testing.TB) [][]byte {
 }
 
 // packedSeeds builds packed records by hand around an attribute table,
-// so that they may hold what encodeObject never writes. The exact ones
+// so that they may hold what appendObject never writes. The exact ones
 // hold each mask value (the odd ones timed); the refused ones mask bits
 // on an unpacked extent, a coordinate in a 10-byte uvarint, a width that
 // takes MaxX past 2^53 and an end-start that overflows. They are
@@ -875,7 +875,7 @@ func packedSeeds(attrs []byte) (exact, refused [][]byte) {
 }
 
 // TestPackedExtentRefused: the reader takes a packed extent under any
-// mask and refuses one encodeObject never writes, so that what it reads
+// mask and refuses one appendObject never writes, so that what it reads
 // is exactly what was written.
 func TestPackedExtentRefused(t *testing.T) {
 	sch := newSchema(fuzzClass)
@@ -892,14 +892,14 @@ func TestPackedExtentRefused(t *testing.T) {
 	}
 }
 
-// TestTypedPayloadRefused: an attribute payload encodeObject never
+// TestTypedPayloadRefused: an attribute payload appendObject never
 // writes fails every walk over the record with an error — the full
 // decode, the blob scan the reopen makes and the raw path's splice —
 // and is never read as some other value.
 func TestTypedPayloadRefused(t *testing.T) {
 	sch := newSchema(fuzzClass)
 	_, inline := fuzzObjects()
-	buf, _, err := encodeObject(sch, inline, noBlobs)
+	buf, _, err := appendObject(nil, sch, inline, noBlobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -977,7 +977,7 @@ func FuzzRecordDecode(f *testing.F) {
 				obj.Extent.TimeIv = sptemp.Interval{} // GOB3 has the slot regardless; the relative form keeps no interval for an untimed object
 			}
 
-			buf, _, err := encodeObject(fz, obj, noBlobs)
+			buf, _, err := appendObject(nil, fz, obj, noBlobs)
 			if err != nil {
 				t.Fatalf("re-encode of a decoded object: %v", err)
 			}
@@ -1009,7 +1009,7 @@ func FuzzRecordDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("wire re-decode: %v", err)
 			}
-			buf2, _, err := encodeObject(fz, obj2, noBlobs)
+			buf2, _, err := appendObject(nil, fz, obj2, noBlobs)
 			if err != nil {
 				t.Fatalf("re-encode of the wire decode: %v", err)
 			}

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -17,8 +18,12 @@ import (
 // A Batch is single-use and not safe for concurrent use; build it on one
 // goroutine and call Commit once.
 type Batch struct {
-	s         *Store
-	inserts   []stagedInsert
+	s *Store
+	// recs are the staged inserts in staging order, cut into runs of
+	// consecutive inserts into one heap: Commit places each run under one
+	// heap lock.
+	recs      [][]byte
+	runs      []insertRun
 	deletes   []stagedDelete
 	meta      []stagedMeta
 	pins      []string
@@ -26,9 +31,10 @@ type Batch struct {
 	committed bool
 }
 
-type stagedInsert struct {
+// insertRun is n consecutive staged inserts into one heap.
+type insertRun struct {
 	heap string
-	rec  []byte
+	n    int
 }
 
 type stagedDelete struct {
@@ -52,9 +58,18 @@ func (s *Store) NewBatch() *Batch { return &Batch{s: s} }
 // The batch owns rec from here on: it is not copied, and the caller must
 // not change it.
 func (b *Batch) Insert(heap string, rec []byte) int {
-	b.inserts = append(b.inserts, stagedInsert{heap: heap, rec: rec})
-	return len(b.inserts) - 1
+	if n := len(b.runs); n > 0 && b.runs[n-1].heap == heap {
+		b.runs[n-1].n++
+	} else {
+		b.runs = append(b.runs, insertRun{heap: heap, n: 1})
+	}
+	b.recs = append(b.recs, rec)
+	return len(b.recs) - 1
 }
+
+// Grow makes room for n more inserts, so that staging them allocates
+// nothing.
+func (b *Batch) Grow(n int) { b.recs = slices.Grow(b.recs, n) }
 
 // Delete stages a record removal. The RID must be resolved by the caller
 // under whatever lock makes it stable until Commit.
@@ -90,12 +105,17 @@ func (b *Batch) PinSequence(sequence string) {
 func (b *Batch) SetEpoch(e uint64) { b.epoch = e }
 
 // Len reports how many mutations the batch stages.
-func (b *Batch) Len() int { return len(b.inserts) + len(b.deletes) + len(b.meta) }
+func (b *Batch) Len() int { return len(b.recs) + len(b.deletes) + len(b.meta) }
 
 // Commit applies the batch: heap pages mutate in memory, then the whole
 // group is logged as one WAL record and fsynced once. On a WAL failure
 // the page changes are undone, so memory and log agree. The returned RIDs
 // are aligned with the order Insert was called.
+//
+// Each run of inserts into one heap is placed by one Heap.insert call:
+// one heap lock, one buffer-pool lookup each time placement moves to
+// another page and one dirty mark when it leaves the page, with every
+// record put exactly where placing it alone would have put it.
 //
 // Commit holds the store lock SHARED: checkpoints (exclusive) stay out
 // of the page-change + log-append window, but record readers — and other
@@ -113,16 +133,16 @@ func (b *Batch) Commit() ([]RID, error) {
 	s := b.s
 	// Resolve (creating as needed) every heap up front.
 	heaps := make(map[string]*Heap)
-	for _, in := range b.inserts {
-		if _, ok := heaps[in.heap]; !ok {
-			h, err := s.heap(in.heap)
+	for _, run := range b.runs {
+		if _, ok := heaps[run.heap]; !ok {
+			h, err := s.heap(run.heap)
 			if err != nil {
 				return nil, err
 			}
-			heaps[in.heap] = h
+			heaps[run.heap] = h
 		}
 	}
-	if b.epoch == 0 && len(b.inserts)+len(b.deletes) > 0 {
+	if b.epoch == 0 && len(b.recs)+len(b.deletes) > 0 {
 		b.epoch = s.ReserveEpoch()
 	}
 	s.mu.RLock()
@@ -136,30 +156,39 @@ func (b *Batch) Commit() ([]RID, error) {
 	}
 
 	size := 0
-	for _, in := range b.inserts {
-		size += 4 + 1 + 2 + len(in.heap) + 6 + 4 + len(in.rec)
+	for _, run := range b.runs {
+		size += (4 + 1 + 2 + len(run.heap) + 6 + 4) * run.n
+	}
+	for _, rec := range b.recs {
+		size += len(rec)
 	}
 	for _, m := range b.meta {
 		size += 4 + 1 + 2 + len(m.key) + 4 + len(m.val)
 	}
 	size += (4 + 1 + 2 + 16 + 6) * (len(b.deletes) + len(b.pins)) // heap names and keys are short
 	g := newGroup(b.epoch, size)
-	rids := make([]RID, len(b.inserts))
-	done := 0
+	defer g.free()
+	rids := make([]RID, len(b.recs))
+	done := 0 // the inserts placed, in staging order
 	undo := func() {
-		for i := 0; i < done; i++ {
-			_ = heaps[b.inserts[i].heap].del(rids[i])
+		at := 0
+		for _, run := range b.runs {
+			for end := min(at+run.n, done); at < end; at++ {
+				_ = heaps[run.heap].del(rids[at])
+			}
 		}
 	}
-	for i, in := range b.inserts {
-		rid, err := heaps[in.heap].insert(in.rec)
+	for _, run := range b.runs {
+		recs, runRIDs := b.recs[done:done+run.n], rids[done:done+run.n]
+		n, err := heaps[run.heap].insert(recs, runRIDs)
+		done += n
 		if err != nil {
 			undo()
 			return nil, err
 		}
-		rids[i] = rid
-		done++
-		g.insert(in.heap, rid, in.rec)
+		for i, rec := range recs {
+			g.insert(run.heap, runRIDs[i], rec)
+		}
 	}
 	for _, d := range b.deletes {
 		g.delete(d.heap, d.rid)

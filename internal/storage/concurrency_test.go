@@ -28,13 +28,13 @@ func TestHeapConcurrentReadersUnderEviction(t *testing.T) {
 	defer h.close()
 
 	const seed = 64
+	recs := make([][]byte, seed)
+	for i := range recs {
+		recs[i] = stressRec(i)
+	}
 	rids := make([]RID, seed)
-	for i := 0; i < seed; i++ {
-		rid, err := h.insert(stressRec(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids[i] = rid
+	if _, err := h.insert(recs, rids); err != nil {
+		t.Fatal(err)
 	}
 
 	const readers = 8
@@ -58,12 +58,17 @@ func TestHeapConcurrentReadersUnderEviction(t *testing.T) {
 			}
 		}(r)
 	}
-	// A writer keeps dirtying pages so evictions perform write-backs.
+	// A writer keeps dirtying pages, four records a run, so evictions
+	// perform write-backs.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for n := 0; n < 200; n++ {
-			if _, err := h.insert(stressRec(seed + n)); err != nil {
+		var run [4][]byte
+		for n := 0; n < 200; n += len(run) {
+			for i := range run {
+				run[i] = stressRec(seed + n + i)
+			}
+			if _, err := h.insert(run[:], make([]RID, len(run))); err != nil {
 				errCh <- fmt.Errorf("writer: %w", err)
 				return
 			}

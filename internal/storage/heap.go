@@ -96,79 +96,106 @@ func (h *Heap) writePage(no uint32, p *page) error {
 	return nil
 }
 
-// allocPage appends a fresh page to the file and returns its number.
-func (h *Heap) allocPage() (uint32, error) {
+// allocPage appends a fresh page to the file and returns it with its
+// number.
+func (h *Heap) allocPage() (uint32, *page, error) {
 	no := uint32(h.pages)
 	p := newPage()
 	if err := h.writePage(no, p); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	h.pages++
 	h.pool.put(no, p)
 	h.freeHint = append(h.freeHint, pageHint{no: no, room: roomUnknown})
-	return no, nil
+	return no, p, nil
 }
 
-// insert places rec somewhere with room and returns its RID.
-func (h *Heap) insert(rec []byte) (RID, error) {
+// insert places recs in order, each where placing it alone would: on the
+// newest hinted page with room for it, else on a fresh page. It writes
+// their RIDs to rids and returns how many it placed: all of them, or
+// those before the error.
+//
+// The run takes the heap lock once. Placement keeps the page it works on
+// and asks the buffer pool for a page only when it moves to another one;
+// the page it leaves, when changed, is marked dirty then, before the pool
+// is asked for anything else, so no eviction can find it clean.
+func (h *Heap) insert(recs [][]byte, rids []RID) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(rec) > MaxRecordLen {
-		return RID{}, fmt.Errorf("%w (%d bytes; store large payloads as blobs)", ErrTooLarge, len(rec))
+	var (
+		at    = -1 // the page in hand, -1 for none
+		p     *page
+		dirty bool
+	)
+	leave := func() {
+		if dirty {
+			h.pool.markDirty(uint32(at))
+			dirty = false
+		}
 	}
-	// Try hinted pages from the back (most recently allocated first). A
-	// page whose remembered room is too small is passed over without a
-	// visit, and dropped exactly when a visit would have dropped it.
-	for i := len(h.freeHint) - 1; i >= 0; i-- {
-		hint := &h.freeHint[i]
-		var p *page
-		if hint.room == roomUnknown || hint.room >= len(rec) {
-			var err error
-			if p, err = h.pool.get(hint.no); err != nil {
-				return RID{}, err
+	defer leave()
+	for n, rec := range recs {
+		if len(rec) > MaxRecordLen {
+			return n, fmt.Errorf("%w (%d bytes; store large payloads as blobs)", ErrTooLarge, len(rec))
+		}
+		placed := false
+		// Try hinted pages from the back (most recently allocated first). A
+		// page whose remembered room is too small is passed over without a
+		// visit, and dropped exactly when a visit would have dropped it.
+		for i := len(h.freeHint) - 1; i >= 0 && !placed; i-- {
+			hint := &h.freeHint[i]
+			if (hint.room == roomUnknown || hint.room >= len(rec)) && at != int(hint.no) {
+				leave()
+				q, err := h.pool.get(hint.no)
+				if err != nil {
+					return n, err
+				}
+				at, p = int(hint.no), q
 			}
 			if hint.room == roomUnknown {
 				hint.room = p.room()
 			}
-		}
-		if hint.room < len(rec) {
-			// Drop the hint only if the page cannot even fit a minimal
-			// record — otherwise keep it for smaller records.
-			if hint.room < 64 {
-				h.freeHint = append(h.freeHint[:i], h.freeHint[i+1:]...)
+			if hint.room < len(rec) {
+				// Drop the hint only if the page cannot even fit a minimal
+				// record — otherwise keep it for smaller records.
+				if hint.room < 64 {
+					h.freeHint = append(h.freeHint[:i], h.freeHint[i+1:]...)
+				}
+				continue
 			}
+			k := p.nslots()
+			slot, err := p.insert(rec)
+			if err != nil {
+				continue
+			}
+			if p.nslots() > k {
+				// A new slot: the page had no dead one, so room drops by exactly
+				// what was added — no walk over the slot array per insert.
+				hint.room -= len(rec) + slotSize
+			} else {
+				hint.room = p.room()
+			}
+			dirty, placed = true, true
+			rids[n] = RID{Page: hint.no, Slot: uint16(slot)}
+		}
+		if placed {
 			continue
 		}
-		n := p.nslots()
+		leave()
+		no, q, err := h.allocPage()
+		if err != nil {
+			return n, err
+		}
+		at, p = int(no), q
 		slot, err := p.insert(rec)
 		if err != nil {
-			continue
+			return n, err
 		}
-		if p.nslots() > n {
-			// A new slot: the page had no dead one, so room drops by exactly
-			// what was added — no walk over the slot array per insert.
-			hint.room -= len(rec) + slotSize
-		} else {
-			hint.room = p.room()
-		}
-		h.pool.markDirty(hint.no)
-		return RID{Page: hint.no, Slot: uint16(slot)}, nil
+		h.freeHint[len(h.freeHint)-1].room = p.room()
+		dirty = true
+		rids[n] = RID{Page: no, Slot: uint16(slot)}
 	}
-	no, err := h.allocPage()
-	if err != nil {
-		return RID{}, err
-	}
-	p, err := h.pool.get(no)
-	if err != nil {
-		return RID{}, err
-	}
-	slot, err := p.insert(rec)
-	if err != nil {
-		return RID{}, err
-	}
-	h.freeHint[len(h.freeHint)-1].room = p.room()
-	h.pool.markDirty(no)
-	return RID{Page: no, Slot: uint16(slot)}, nil
+	return len(recs), nil
 }
 
 // insertAt places rec at an exact RID (WAL replay path).
@@ -176,7 +203,7 @@ func (h *Heap) insertAt(rid RID, rec []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for uint32(h.pages) <= rid.Page {
-		if _, err := h.allocPage(); err != nil {
+		if _, _, err := h.allocPage(); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -140,13 +141,24 @@ type group struct {
 	n   uint32
 }
 
+// groups holds group buffers between commits, so a commit reuses one
+// instead of allocating and zeroing its own (tens of kilobytes for a
+// load session).
+var groups = sync.Pool{New: func() any { return new(group) }}
+
 // newGroup starts a group stamped with its commit epoch, with room for
-// size bytes of sub-entries.
+// size bytes of sub-entries. The caller frees it once the WAL has
+// written it.
 func newGroup(epoch uint64, size int) *group {
-	buf := make([]byte, 0, 1+8+4+size)
+	g := groups.Get().(*group)
+	buf := slices.Grow(g.buf[:0], 1+8+4+size)
 	buf = binary.LittleEndian.AppendUint64(append(buf, opEpochBatch), epoch)
-	return &group{buf: append(buf, 0, 0, 0, 0)}
+	g.buf, g.n = append(buf, 0, 0, 0, 0), 0
+	return g
 }
+
+// free hands the group's buffer on to a later commit.
+func (g *group) free() { groups.Put(g) }
 
 // open starts a sub-entry with a length word for close to fill in.
 func (g *group) open() int {

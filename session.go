@@ -283,27 +283,50 @@ func (s *Session) Commit() (err error) {
 		return err
 	}
 
-	var ops object.BatchOps
+	ops := object.BatchOps{Inserts: make([]*object.Object, 0, len(s.creates))}
 	// One load task per (class, note) of the creates, in order of first
-	// appearance: its outputs are the whole set this session created.
+	// appearance: its outputs are the whole set this session created. The
+	// key is looked up once per run of creates that share it.
 	type loadKey struct{ class, note string }
-	var loadOrder []loadKey
-	loads := make(map[loadKey][]object.OID)
-	for _, c := range s.creates {
+	type load struct {
+		key  loadKey
+		oids []object.OID
+	}
+	var loads []load
+	at := make(map[loadKey]int)
+	for i := 0; i < len(s.creates); {
+		c := s.creates[i]
 		if c.obj == nil {
+			i++
 			continue // created then deleted within the session
 		}
-		ops.Inserts = append(ops.Inserts, c.obj)
 		key := loadKey{c.obj.Class, c.note}
-		if _, seen := loads[key]; !seen {
-			loadOrder = append(loadOrder, key)
+		j := i + 1
+		for ; j < len(s.creates); j++ {
+			if c := s.creates[j]; c.obj != nil && (c.obj.Class != key.class || c.note != key.note) {
+				break
+			}
 		}
-		loads[key] = append(loads[key], c.obj.OID)
+		l, seen := at[key]
+		if !seen {
+			l = len(loads)
+			at[key] = l
+			loads = append(loads, load{key: key})
+		}
+		oids := slices.Grow(loads[l].oids, j-i)
+		for _, c := range s.creates[i:j] {
+			if c.obj != nil {
+				ops.Inserts = append(ops.Inserts, c.obj)
+				oids = append(oids, c.obj.OID)
+			}
+		}
+		loads[l].oids = oids
+		i = j
 	}
 	var staged []*task.Task
-	for _, key := range loadOrder {
-		staged = append(staged, s.k.Tasks.StageExternal("data_load", nil, loads[key], key.class,
-			task.RunOptions{User: s.user, Note: key.note})...)
+	for _, l := range loads {
+		staged = append(staged, s.k.Tasks.StageExternal("data_load", nil, l.oids, l.key.class,
+			task.RunOptions{User: s.user, Note: l.key.note})...)
 	}
 	for _, u := range s.updates {
 		if u == nil {
