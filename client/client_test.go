@@ -1204,3 +1204,66 @@ func TestBackendParity(t *testing.T) {
 		t.Fatalf("workload outcome %+v, want %+v", embeddedOut, want)
 	}
 }
+
+// TestTwoServersOneKernel: each server over one kernel reports its own
+// counters, and the kernel's export totals those of the servers not yet
+// shut down — first with one server after the other, then with two at
+// once.
+func TestTwoServersOneKernel(t *testing.T) {
+	k := openKernel(t)
+	exported := func() gaea.ServerStats { return gaea.ServerStatsOf(k.Observe().Stats.Metrics) }
+	shutdown := func(srv *gaea.Server) {
+		t.Helper()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first, addr := startServer(t, k, gaea.ServeOptions{})
+	c := dial(t, addr)
+	seedRain(t, c, 2, 1)
+	st, err := c.QueryStream(ctx, rainPred())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainAll(t, st)
+	if s := first.Stats(); s.OpenConns != 1 || s.PushedPages != 1 {
+		t.Fatalf("first server: %+v, want 1 connection and 1 pushed page", s)
+	}
+	if s, e := first.Stats(), exported(); s != e {
+		t.Fatalf("one server: Stats() = %+v, export = %+v", s, e)
+	}
+	shutdown(first)
+	if s := first.Stats(); s.OpenConns != 0 || s.PushedPages != 1 {
+		t.Fatalf("first server after shutdown: %+v, want no connection and its 1 pushed page", s)
+	}
+	if e := exported(); e != (gaea.ServerStats{}) {
+		t.Fatalf("export with no server up: %+v, want zeros", e)
+	}
+
+	second, addr := startServer(t, k, gaea.ServeOptions{})
+	dial(t, addr)
+	if s := second.Stats(); s.OpenConns != 1 || s.PushedPages != 0 {
+		t.Fatalf("second server: %+v, want 1 connection and no pushed page", s)
+	}
+	if s, e := second.Stats(), exported(); s != e {
+		t.Fatalf("second server alone: Stats() = %+v, export = %+v", s, e)
+	}
+
+	third, addr := startServer(t, k, gaea.ServeOptions{})
+	dial(t, addr)
+	dial(t, addr)
+	if s := second.Stats(); s.OpenConns != 1 {
+		t.Fatalf("second server beside a third: %+v, want its 1 connection", s)
+	}
+	if s := third.Stats(); s.OpenConns != 2 {
+		t.Fatalf("third server: %+v, want 2 connections", s)
+	}
+	if e := exported(); e.OpenConns != 3 {
+		t.Fatalf("export of two servers: %+v, want 3 connections", e)
+	}
+	shutdown(third)
+	if s, e := second.Stats(), exported(); s != e {
+		t.Fatalf("second server after the third's shutdown: Stats() = %+v, export = %+v", s, e)
+	}
+}

@@ -16,6 +16,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -171,7 +172,9 @@ type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gaugeFns map[string]func() int64
-	hists    map[string]*Histogram
+	// parts holds the summands of each gauge AddGauge builds.
+	parts map[string][]*func() int64
+	hists map[string]*Histogram
 }
 
 // NewRegistry builds an empty registry.
@@ -179,6 +182,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gaugeFns: map[string]func() int64{},
+		parts:    map[string][]*func() int64{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -212,6 +216,42 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	r.gaugeFns[name] = fn
 	r.mu.Unlock()
+}
+
+// AddGauge adds fn to the named gauge, which reads as the sum of the
+// functions added to it and not yet removed, and returns the function
+// that removes fn again; calling that twice removes it once. Each of
+// several servers over one kernel adds its own counters this way.
+func (r *Registry) AddGauge(name string, fn func() int64) (remove func()) {
+	if r == nil {
+		return func() {}
+	}
+	part := &fn
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sumLocked(name, append(slices.Clip(r.parts[name]), part))
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.sumLocked(name, slices.DeleteFunc(slices.Clone(r.parts[name]), func(p *func() int64) bool { return p == part }))
+	}
+}
+
+// sumLocked makes parts the named gauge's summands. Callers hold mu.
+func (r *Registry) sumLocked(name string, parts []*func() int64) {
+	if len(parts) == 0 {
+		delete(r.parts, name)
+		delete(r.gaugeFns, name)
+		return
+	}
+	r.parts[name] = parts
+	r.gaugeFns[name] = func() int64 {
+		var n int64
+		for _, f := range parts {
+			n += (*f)()
+		}
+		return n
+	}
 }
 
 // Histogram returns the named latency histogram (nanosecond buckets),

@@ -236,6 +236,10 @@ type Server struct {
 	reqNS    *obs.Histogram
 	reg      *obs.Registry
 	events   *obs.EventLog
+	// gauges are the server's counters by gauge name, and dropGauges
+	// takes each out of reg.
+	gauges     map[string]func() int64
+	dropGauges []func()
 
 	v2mu    sync.Mutex
 	v2conns map[*v2conn]struct{}
@@ -274,20 +278,27 @@ func New(b Backend, opts Options) *Server {
 	}
 	s.requests = s.reg.Counter("server_v2_requests_total")
 	s.reqNS = s.reg.Histogram("server_request_ns")
-	// The server's counters: read only through these gauges.
-	s.reg.GaugeFunc("server_open_conns", s.openConns.Load)
-	s.reg.GaugeFunc("server_active_sessions", s.sessions.Load)
-	s.reg.GaugeFunc("server_active_streams", s.streams.Load)
-	s.reg.GaugeFunc("server_active_leases", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return int64(len(s.snapLease) + len(s.curLease))
-	})
-	s.reg.GaugeFunc("server_lease_expiries_total", s.expiries.Load)
-	s.reg.GaugeFunc("server_in_flight", s.inFlight.Load)
-	s.reg.GaugeFunc("server_max_in_flight_per_conn", s.maxInFlight.Load)
-	s.reg.GaugeFunc("server_pushed_pages_total", s.pushedPages.Load)
-	s.reg.GaugeFunc("server_bytes_avoided_total", s.bytesAvoided.Load)
+	// The server's counters: read only through these gauges. Each adds
+	// itself to the registry's gauge of its name, which totals the live
+	// servers of the backend until Shutdown takes it out again.
+	s.gauges = map[string]func() int64{
+		"server_open_conns":      s.openConns.Load,
+		"server_active_sessions": s.sessions.Load,
+		"server_active_streams":  s.streams.Load,
+		"server_active_leases": func() int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return int64(len(s.snapLease) + len(s.curLease))
+		},
+		"server_lease_expiries_total":   s.expiries.Load,
+		"server_in_flight":              s.inFlight.Load,
+		"server_max_in_flight_per_conn": s.maxInFlight.Load,
+		"server_pushed_pages_total":     s.pushedPages.Load,
+		"server_bytes_avoided_total":    s.bytesAvoided.Load,
+	}
+	for name, fn := range s.gauges {
+		s.dropGauges = append(s.dropGauges, s.reg.AddGauge(name, fn))
+	}
 	s.recoverPrepared()
 	go s.janitor()
 	return s
@@ -931,5 +942,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, txn := range undecided {
 		_ = txn.sess.Rollback()
 	}
+	for _, drop := range s.dropGauges {
+		drop()
+	}
 	return err
+}
+
+// Gauges reads this server's counters by their server_* gauge names.
+func (s *Server) Gauges() map[string]int64 {
+	out := make(map[string]int64, len(s.gauges))
+	for name, fn := range s.gauges {
+		out[name] = fn()
+	}
+	return out
 }

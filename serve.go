@@ -236,11 +236,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return classify(s.inner.Shutdown(ctx))
 }
 
-// Stats snapshots the server counters from the kernel's registry. A
-// kernel serves one Server's counters at a time: a later NewServer on
-// the same kernel takes over the server_* gauges.
+// Stats reads this server's counters. The kernel's registry, and so its
+// export, carries the server_* gauges totalled over the kernel's
+// servers that are not shut down.
 func (s *Server) Stats() ServerStats {
-	return ServerStatsOf(s.k.Metrics.Snapshot())
+	return ServerStatsOf(MetricsSnapshot{Gauges: s.inner.Gauges()})
 }
 
 // kernelBackend adapts *Kernel onto the narrow interface internal/server
