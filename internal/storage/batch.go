@@ -15,6 +15,10 @@ import (
 // the log this way, so N mutations cost one log append instead of N, and
 // the group is atomic across heaps and the meta map.
 //
+// Inserts are staged in order and cut into runs of consecutive inserts
+// into one heap; Commit hands each run to its heap whole, which places
+// it page by page (see Heap), each record where it would go alone.
+//
 // A Batch is single-use and not safe for concurrent use; build it on one
 // goroutine and call Commit once.
 type Batch struct {

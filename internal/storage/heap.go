@@ -25,6 +25,13 @@ var ErrNotFound = errors.New("storage: record not found")
 // mutations go through the owning Store so they are WAL-logged; Heap
 // methods themselves only touch pages.
 //
+// Records are placed a run at a time: insert takes a batch's run of
+// records for this heap and places each on the newest hinted page with
+// room for it, else on a fresh page, working on one page at a time, so
+// the pool is asked once for each page placement moves to and told once
+// that the page it leaves is dirty. A run of one places exactly as the
+// first record of a longer run would.
+//
 // Locking: mu is a reader/writer lock. Readers (get, scan, stats) share
 // it, so lookups on one heap proceed in parallel; mutators (insert, del,
 // flush) take it exclusively, which also makes page contents safe to

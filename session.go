@@ -294,34 +294,21 @@ func (s *Session) Commit() (err error) {
 	}
 	var loads []load
 	at := make(map[loadKey]int)
-	for i := 0; i < len(s.creates); {
-		c := s.creates[i]
+	l := -1 // the load of the create before
+	for _, c := range s.creates {
 		if c.obj == nil {
-			i++
 			continue // created then deleted within the session
 		}
-		key := loadKey{c.obj.Class, c.note}
-		j := i + 1
-		for ; j < len(s.creates); j++ {
-			if c := s.creates[j]; c.obj != nil && (c.obj.Class != key.class || c.note != key.note) {
-				break
+		ops.Inserts = append(ops.Inserts, c.obj)
+		if key := (loadKey{c.obj.Class, c.note}); l < 0 || loads[l].key != key {
+			var seen bool
+			if l, seen = at[key]; !seen {
+				l = len(loads)
+				at[key] = l
+				loads = append(loads, load{key: key})
 			}
 		}
-		l, seen := at[key]
-		if !seen {
-			l = len(loads)
-			at[key] = l
-			loads = append(loads, load{key: key})
-		}
-		oids := slices.Grow(loads[l].oids, j-i)
-		for _, c := range s.creates[i:j] {
-			if c.obj != nil {
-				ops.Inserts = append(ops.Inserts, c.obj)
-				oids = append(oids, c.obj.OID)
-			}
-		}
-		loads[l].oids = oids
-		i = j
+		loads[l].oids = append(loads[l].oids, c.obj.OID)
 	}
 	var staged []*task.Task
 	for _, l := range loads {
