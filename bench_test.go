@@ -942,6 +942,33 @@ func BenchmarkSessionBatchIngest(b *testing.B) {
 			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "objects/s")
 		})
 	}
+	// The set-up load of the repository benchmark (bench/): sessions of
+	// 1,024 creates with no note. The objects are built outside the
+	// timer, so objects/s and allocs/op are the kernel's alone.
+	b.Run("durable=false/session-1024", func(b *testing.B) {
+		const load = 1024
+		k := openIngest(b, false)
+		objs := make([]*object.Object, load)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := range objs {
+				objs[j] = gauge(i*load + j)
+			}
+			b.StartTimer()
+			s := k.Begin(context.Background())
+			for _, o := range objs {
+				if _, err := s.Create(o, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N*load)/b.Elapsed().Seconds(), "objects/s")
+	})
 }
 
 // ---------- C4: snapshot readers under a writer ----------
