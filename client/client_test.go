@@ -733,6 +733,17 @@ func TestRemoteStats(t *testing.T) {
 	}
 }
 
+// settleServer waits until srv has finished every request. A server
+// counts a request out (and releases its pin) after queueing its last
+// response, so its client can be a step ahead of it.
+func settleServer(srv *gaea.Server) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if s := srv.Stats(); s.InFlight == 0 && s.ActiveStreams == 0 {
+			return
+		}
+	}
+}
+
 // TestRemoteStatsGoldenLine pins the remote stats line byte for byte on
 // a fresh served kernel at a fixed state: the kernel's golden line, then
 // the server[...] block. The stats request itself is the one in flight.
@@ -741,7 +752,21 @@ func TestRemoteStatsGoldenLine(t *testing.T) {
 	k := openKernel(t)
 	srv, addr := startServer(t, k, gaea.ServeOptions{})
 	c := dial(t, addr)
-	seedRain(t, c, 2, 1)
+	// Settling between requests keeps any two from overlapping, and the
+	// stats request the only one the line sees.
+	settle := func() { settleServer(srv) }
+	settle() // the handshake
+	s := c.Begin(ctx)
+	settle()
+	for i := 0; i < 2; i++ {
+		if _, err := s.Create(rainObject(1, float64(i)*20), "seed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	settle()
 	st, err := c.QueryStream(ctx, rainPred())
 	if err != nil {
 		t.Fatal(err)
@@ -749,6 +774,7 @@ func TestRemoteStatsGoldenLine(t *testing.T) {
 	if n := len(drainAll(t, st)); n != 2 {
 		t.Fatalf("streamed %d objects, want 2", n)
 	}
+	settle()
 	line, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -764,6 +790,7 @@ func TestRemoteStatsGoldenLine(t *testing.T) {
 	// The server's counters are its registry's server_* gauges, so the
 	// export a client observes and Server.Stats agree. The export counts
 	// the observe request itself in flight.
+	settle()
 	ex, err := c.Observe()
 	if err != nil {
 		t.Fatal(err)
@@ -773,12 +800,8 @@ func TestRemoteStatsGoldenLine(t *testing.T) {
 		t.Fatalf("export in-flight = %d, want 1 (the observe request)", remote.InFlight)
 	}
 	remote.InFlight = 0
-	local := srv.Stats()
-	for deadline := time.Now().Add(5 * time.Second); local.InFlight != 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		local = srv.Stats()
-	}
-	if local != remote {
+	settle()
+	if local := srv.Stats(); local != remote {
 		t.Fatalf("Server.Stats() = %+v, export's server_* gauges = %+v", local, remote)
 	}
 }
@@ -1227,6 +1250,7 @@ func TestTwoServersOneKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainAll(t, st)
+	settleServer(first)
 	if s := first.Stats(); s.OpenConns != 1 || s.PushedPages != 1 {
 		t.Fatalf("first server: %+v, want 1 connection and 1 pushed page", s)
 	}
@@ -1243,6 +1267,7 @@ func TestTwoServersOneKernel(t *testing.T) {
 
 	second, addr := startServer(t, k, gaea.ServeOptions{})
 	dial(t, addr)
+	settleServer(second)
 	if s := second.Stats(); s.OpenConns != 1 || s.PushedPages != 0 {
 		t.Fatalf("second server: %+v, want 1 connection and no pushed page", s)
 	}
@@ -1253,6 +1278,7 @@ func TestTwoServersOneKernel(t *testing.T) {
 	third, addr := startServer(t, k, gaea.ServeOptions{})
 	dial(t, addr)
 	dial(t, addr)
+	settleServer(third)
 	if s := second.Stats(); s.OpenConns != 1 {
 		t.Fatalf("second server beside a third: %+v, want its 1 connection", s)
 	}
