@@ -71,8 +71,8 @@ func (b *Batch) Insert(heap string, rec []byte) int {
 	return len(b.recs) - 1
 }
 
-// Grow makes room for n more inserts, so that staging them allocates
-// nothing.
+// Grow makes room for n more inserts, so that staging them does not
+// grow the batch's record list.
 func (b *Batch) Grow(n int) { b.recs = slices.Grow(b.recs, n) }
 
 // Delete stages a record removal. The RID must be resolved by the caller

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"maps"
 	"math/rand"
 	"os"
@@ -39,7 +40,7 @@ func TestBatchPlacementMatchesOneAtATime(t *testing.T) {
 				// Deletes, the same records from both stores.
 				var dels []RID
 				for _, rid := range slices.SortedFunc(maps.Keys(live), func(a, b RID) int {
-					return int(a.Page)<<16 + int(a.Slot) - int(b.Page)<<16 - int(b.Slot)
+					return cmp.Or(cmp.Compare(a.Page, b.Page), cmp.Compare(a.Slot, b.Slot))
 				}) {
 					if rng.Intn(5) == 0 {
 						dels = append(dels, rid)
