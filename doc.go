@@ -154,13 +154,15 @@
 // traces are also served over HTTP — /metrics, /traces, and pprof —
 // when ServeOptions.DebugAddr is set.
 //
-// There is one stats path. A Server keeps its counters (connections,
-// sessions, streams, leases, in-flight requests, pushed pages, bytes
-// shipped undecoded) only as server_* gauges in the kernel's registry.
-// The wire's stats request answers with the backend's stats line and
-// the ObsExport as JSON. client.Conn.Stats renders the server[...]
-// block from the export's gauges, Conn.Observe returns the export, and
-// Server.Stats reads the same gauges locally through ServerStatsOf.
+// There is one stats path. A Server's counters (connections, sessions,
+// streams, leases, in-flight requests, pushed pages, bytes shipped
+// undecoded) are read only as server_* gauges, which each Server adds
+// to the kernel's registry until Shutdown; the registry totals them
+// over the kernel's servers. The wire's stats request answers with the
+// backend's stats line and the ObsExport as JSON. client.Conn.Stats
+// renders the server[...] block from the export's gauges,
+// Conn.Observe returns the export, and Server.Stats reads that one
+// server's gauges through ServerStatsOf.
 //
 // On top of the registry runs a flight recorder. Kernel.Events is a
 // bounded ring of structured events (commit groups, checkpoints,
