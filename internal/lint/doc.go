@@ -29,11 +29,11 @@
 // obligation; classify() discharges it.
 //
 // lockorder — the kernel's mutexes form a strict acquisition order
-// (object.Store.commitMu < storage.Store.mu < Heap.mu < bufferPool.mu <
-// Store.metaMu < wal.mu < object.Store.mu). The analyzer walks each
-// function with a held-set, follows helper calls through exported lock
-// facts, and reports any acquisition that inverts the order — the class
-// of deadlock that only reproduces under load.
+// (object.Store.commitMu < storage.Store.mu < Store.pageMu < Heap.mu <
+// bufferPool.mu < Store.metaMu < wal.mu < object.Store.mu). The analyzer
+// walks each function with a held-set, follows helper calls through
+// exported lock facts, and reports any acquisition that inverts the
+// order — the class of deadlock that only reproduces under load.
 //
 // poolsafe — a *wire.Frame from AcquireFrame is owned until released
 // exactly once: ReleaseFrame, OutQueue.Push, a channel send, returning

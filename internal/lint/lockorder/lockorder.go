@@ -5,11 +5,12 @@
 //
 //	object.Store.commitMu   (1, commit serialisation)
 //	storage.Store.mu        (2, checkpoint exclusion, usually RLock)
-//	storage.Heap.mu         (3, per-heap page access)
-//	storage.bufferPool.mu   (4, buffer freelist)
-//	storage.Store.metaMu    (5, metadata + WAL group section)
-//	storage.wal.mu          (6, log append)
-//	object.Store.mu         (7, catalog map — leaf, never across storage I/O)
+//	storage.Store.pageMu    (3, page-changing commits, plan to apply)
+//	storage.Heap.mu         (4, per-heap page access)
+//	storage.bufferPool.mu   (5, buffer freelist)
+//	storage.Store.metaMu    (6, metadata + WAL group section)
+//	storage.wal.mu          (7, log append)
+//	object.Store.mu         (8, catalog map — leaf, never across storage I/O)
 //
 // The analyzer computes, per function, the set of locks it may acquire
 // (transitively, via facts that flow across packages) and walks each
@@ -36,20 +37,21 @@ var Analyzer = &lint.Analyzer{
 var ranks = map[string]int{
 	"object.Store.commitMu": 1,
 	"storage.Store.mu":      2,
-	"storage.Heap.mu":       3,
-	"storage.bufferPool.mu": 4,
-	"storage.Store.metaMu":  5,
-	"storage.wal.mu":        6,
-	"object.Store.mu":       7,
+	"storage.Store.pageMu":  3,
+	"storage.Heap.mu":       4,
+	"storage.bufferPool.mu": 5,
+	"storage.Store.metaMu":  6,
+	"storage.wal.mu":        7,
+	"object.Store.mu":       8,
 	// Federation coordinator locks rank below every kernel lock: the
 	// router never calls into a local kernel while holding them (it
 	// talks to shards over the wire), but the decision log is always
 	// taken under — never around — the router mutex.
-	"fed.Router.mu":      8,
-	"fed.decisionLog.mu": 9,
+	"fed.Router.mu":      9,
+	"fed.decisionLog.mu": 10,
 }
 
-const orderDoc = "commitMu → storage.Store.mu → Heap.mu → bufferPool.mu → metaMu → wal.mu → object.Store.mu → fed.Router.mu → fed.decisionLog.mu"
+const orderDoc = "commitMu → storage.Store.mu → pageMu → Heap.mu → bufferPool.mu → metaMu → wal.mu → object.Store.mu → fed.Router.mu → fed.decisionLog.mu"
 
 // lockSet is the per-function fact: ranked locks the function may
 // acquire, directly or through callees.

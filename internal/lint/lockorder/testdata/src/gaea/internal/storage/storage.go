@@ -1,6 +1,6 @@
 // Package storage mirrors the real internal/storage lock landscape:
-// Store.mu (rank 2), Heap.mu (3), bufferPool.mu (4), Store.metaMu (5),
-// wal.mu (6).
+// Store.mu (rank 2), Heap.mu (4), bufferPool.mu (5), Store.metaMu (6),
+// wal.mu (7).
 package storage
 
 import "sync"
@@ -43,14 +43,14 @@ func (s *Store) goodSequential() {
 func (s *Store) badMetaBeforeMu() {
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	s.mu.RLock() // want `acquires storage.Store.mu \(rank 2\) while storage.Store.metaMu \(rank 5\) is held`
+	s.mu.RLock() // want `acquires storage.Store.mu \(rank 2\) while storage.Store.metaMu \(rank 6\) is held`
 	s.mu.RUnlock()
 }
 
 func (s *Store) badWalBeforeHeap() {
 	s.log.mu.Lock()
 	defer s.log.mu.Unlock()
-	s.heap.mu.Lock() // want `acquires storage.Heap.mu \(rank 3\) while storage.wal.mu \(rank 6\) is held`
+	s.heap.mu.Lock() // want `acquires storage.Heap.mu \(rank 4\) while storage.wal.mu \(rank 7\) is held`
 	s.heap.mu.Unlock()
 }
 
@@ -76,7 +76,7 @@ func (s *Store) goodHelperAscending() {
 func (s *Store) badHelperDescending() {
 	s.log.mu.Lock()
 	defer s.log.mu.Unlock()
-	s.Checkpoint() // want `call to Checkpoint acquires storage.Store.mu \(rank 2\) while storage.wal.mu \(rank 6\) is held`
+	s.Checkpoint() // want `call to Checkpoint acquires storage.Store.mu \(rank 2\) while storage.wal.mu \(rank 7\) is held`
 }
 
 func (s *Store) allowedInversion() {

@@ -18,6 +18,8 @@ import (
 // Inserts are staged in order and cut into runs of consecutive inserts
 // into one heap; Commit hands each run to its heap whole, which places
 // it page by page (see Heap), each record where it would go alone.
+// Commit plans, logs, then applies: no page holds a record of the batch
+// before its group is in the WAL.
 //
 // A Batch is single-use and not safe for concurrent use; build it on one
 // goroutine and call Commit once.
@@ -111,20 +113,23 @@ func (b *Batch) SetEpoch(e uint64) { b.epoch = e }
 // Len reports how many mutations the batch stages.
 func (b *Batch) Len() int { return len(b.recs) + len(b.deletes) + len(b.meta) }
 
-// Commit applies the batch: heap pages mutate in memory, then the whole
-// group is logged as one WAL record and fsynced once. On a WAL failure
-// the page changes are undone, so memory and log agree. The returned RIDs
-// are aligned with the order Insert was called.
+// Commit plans the batch, logs the whole group as one WAL record,
+// fsynced once, and only then applies it to the pages and the meta map.
+// The returned RIDs are aligned with the order Insert was called.
 //
-// Each run of inserts into one heap is placed by one Heap.insert call:
-// one heap lock, one buffer-pool lookup each time placement moves to
-// another page and one dirty mark when it leaves the page, with every
-// record put exactly where placing it alone would have put it.
+// Each run of inserts into one heap is planned by one Heap.plan call
+// and written by one Heap.apply call, as replay writes it: one heap lock
+// each, and one buffer-pool lookup each time placement moves to another
+// page, with every record put exactly where placing it alone would have
+// put it. A failed plan or append changes no page and only re-hints the
+// pages it planned. A logged group that cannot be applied fails this and
+// every later Commit that changes a page, and Checkpoint, until a
+// reopen replays it.
 //
 // Commit holds the store lock SHARED: checkpoints (exclusive) stay out
-// of the page-change + log-append window, but record readers — and other
-// committers — proceed in parallel, serialised only by the per-heap
-// locks, the WAL mutex, and metaMu. This is what keeps MVCC snapshot
+// of the plan-to-apply window, but record readers proceed in parallel,
+// serialised only by the per-heap locks; committers that change pages
+// take pageMu from plan to apply. This is what keeps MVCC snapshot
 // reads from stalling behind a batch writer.
 func (b *Batch) Commit() ([]RID, error) {
 	if b.committed {
@@ -158,6 +163,13 @@ func (b *Batch) Commit() ([]RID, error) {
 		}
 		heaps[d.heap] = h
 	}
+	if len(b.recs)+len(b.deletes) > 0 {
+		s.pageMu.Lock()
+		defer s.pageMu.Unlock()
+		if s.broken != nil {
+			return nil, s.broken
+		}
+	}
 
 	size := 0
 	for _, run := range b.runs {
@@ -173,21 +185,21 @@ func (b *Batch) Commit() ([]RID, error) {
 	g := newGroup(b.epoch, size)
 	defer g.free()
 	rids := make([]RID, len(b.recs))
-	done := 0 // the inserts placed, in staging order
-	undo := func() {
+	planned := 0 // the inserts planned, in staging order
+	unplan := func() {
 		at := 0
 		for _, run := range b.runs {
-			for end := min(at+run.n, done); at < end; at++ {
-				_ = heaps[run.heap].del(rids[at])
-			}
+			end := min(at+run.n, planned)
+			heaps[run.heap].unplan(rids[at:end])
+			at = end
 		}
 	}
 	for _, run := range b.runs {
-		recs, runRIDs := b.recs[done:done+run.n], rids[done:done+run.n]
-		n, err := heaps[run.heap].insert(recs, runRIDs)
-		done += n
+		recs, runRIDs := b.recs[planned:planned+run.n], rids[planned:planned+run.n]
+		n, err := heaps[run.heap].plan(recs, runRIDs)
+		planned += n
 		if err != nil {
-			undo()
+			unplan()
 			return nil, err
 		}
 		for i, rec := range recs {
@@ -216,7 +228,7 @@ func (b *Batch) Commit() ([]RID, error) {
 	}
 	if err := s.wal.append(g.record()); err != nil {
 		s.metaMu.Unlock()
-		undo()
+		unplan()
 		return nil, err
 	}
 	for _, m := range b.meta {
@@ -235,17 +247,25 @@ func (b *Batch) Commit() ([]RID, error) {
 		s.meta[epochKey] = buf
 	}
 	s.metaMu.Unlock()
-	// The group is durably logged: from here Commit must report success,
-	// or callers would believe a committed batch did not happen (the same
-	// contract as the object layer's post-commit publication). A failed
-	// in-memory page delete leaves a ghost record that WAL replay removes
-	// on the next open, and that the object layer's indexes hide until
-	// then.
-	for _, d := range b.deletes {
-		_ = heaps[d.heap].del(d.rid)
+	err := afterAppend()
+	for i, at := 0, 0; err == nil && i < len(b.runs); i++ {
+		run := b.runs[i]
+		err = heaps[run.heap].apply(b.recs[at:at+run.n], rids[at:at+run.n])
+		at += run.n
+	}
+	for i := 0; err == nil && i < len(b.deletes); i++ {
+		err = heaps[b.deletes[i].heap].del(b.deletes[i].rid)
+	}
+	if err != nil {
+		s.broken = fmt.Errorf("storage: logged group not applied, reopen to replay it: %w", err)
+		return nil, s.broken
 	}
 	return rids, nil
 }
+
+// afterAppend runs between a group's WAL append and its apply; an error
+// from it fails the apply. Only tests set it.
+var afterAppend = func() error { return nil }
 
 // AllocID reserves the next value (1-based) of a named persistent
 // sequence without logging it. The reservation advances the in-memory

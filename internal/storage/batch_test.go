@@ -1,7 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -305,5 +309,68 @@ func TestMetaOnlyBatch(t *testing.T) {
 	}
 	if got := s2.ReserveEpoch(); got != 2 {
 		t.Errorf("next epoch after replay = %d, want 2", got)
+	}
+}
+
+// TestBatchFailedApplyBreaksStore: a group that is logged but cannot be
+// applied fails its Commit with the cause, and every later commit that
+// changes a page, and every checkpoint, fails with the same error, so
+// the log keeps the group; a reopen replays it, and all of its records
+// read back.
+func TestBatchFailedApplyBreaksStore(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true, PoolFrames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for i := 0; i < 10; i++ {
+		rec := fmt.Sprintf("before-%d", i)
+		if _, err := insert(s, "x", []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		want[rec] = true
+	}
+	cause := errors.New("injected apply failure")
+	afterAppend = func() error { return cause }
+	b := s.NewBatch()
+	for i := 0; i < 40; i++ {
+		rec := fmt.Sprintf("logged-%d-%s", i, bytes.Repeat([]byte{'.'}, 3000))
+		b.Insert("x", []byte(rec))
+		want[rec] = true
+	}
+	_, err = b.Commit()
+	afterAppend = func() error { return nil }
+	if !errors.Is(err, cause) {
+		t.Fatalf("Commit of a group that cannot be applied: %v, want the cause wrapped", err)
+	}
+	if _, err2 := insert(s, "x", []byte("later")); err2 == nil || err2.Error() != err.Error() {
+		t.Errorf("the next commit: %v, want %v", err2, err)
+	}
+	if err2 := s.Checkpoint(); err2 == nil || err2.Error() != err.Error() {
+		t.Errorf("a checkpoint: %v, want %v", err2, err)
+	}
+	if err := s.MetaSet("k", []byte("v")); err != nil {
+		t.Errorf("a meta-only commit changes no page, yet failed: %v", err)
+	}
+	s.closeFiles()
+	s.wal.close()
+	s2, err := Open(dir, Options{NoSync: true, PoolFrames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got := map[string]bool{}
+	if err := s2.Scan("x", func(rid RID, rec []byte) bool {
+		got[string(rec)] = true
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("after a reopen the heap holds %d records, want the %d before and logged", len(got), len(want))
+	}
+	if v, ok := s2.MetaGet("k"); !ok || string(v) != "v" {
+		t.Errorf("after a reopen meta k = %q, %v", v, ok)
 	}
 }

@@ -45,6 +45,9 @@ func newBufferPool(capacity int, read func(uint32) (*page, error), write func(ui
 }
 
 // get returns the cached page, loading (and possibly evicting) as needed.
+// Any get, a reader's miss too, may write back a dirty page; a page
+// changes only once its group is logged, so that holds nothing the WAL
+// does not.
 // The pool lock is released across the disk read so a miss does not
 // serialize concurrent hits on other pages. This is safe because a page
 // absent from the frame map is clean on disk: a dirty page is only

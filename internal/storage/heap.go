@@ -25,17 +25,18 @@ var ErrNotFound = errors.New("storage: record not found")
 // mutations go through the owning Store so they are WAL-logged; Heap
 // methods themselves only touch pages.
 //
-// Records are placed a run at a time: insert takes a batch's run of
-// records for this heap and places each on the newest hinted page with
-// room for it, else on a fresh page, working on one page at a time, so
-// the pool is asked once for each page placement moves to and told once
-// that the page it leaves is dirty. A run of one places exactly as the
-// first record of a longer run would.
+// Inserts are placed around their WAL append. plan chooses their RIDs,
+// a run at a time, and writes no page: each record goes on the newest
+// hinted page with room for it, else on a fresh page, into the page's
+// first dead slot, else a new one, so a run of one places exactly as
+// the first record of a longer run would. Once the group is logged,
+// apply writes them there, and replay writes logged inserts with it
+// too. So no page holds a record before its group is logged.
 //
 // Locking: mu is a reader/writer lock. Readers (get, scan, stats) share
-// it, so lookups on one heap proceed in parallel; mutators (insert, del,
-// flush) take it exclusively, which also makes page contents safe to
-// read without further locking. The buffer pool's bookkeeping has its
+// it, so lookups on one heap proceed in parallel; mutators (plan, apply,
+// del, flush) take it exclusively, which also makes page contents safe
+// to read without further locking. The buffer pool's bookkeeping has its
 // own internal mutex so concurrent readers may miss/evict safely.
 type Heap struct {
 	mu    sync.RWMutex
@@ -44,17 +45,19 @@ type Heap struct {
 	pages int // page count on disk
 	pool  *bufferPool
 	// freeHint lists pages believed to have free space, ascending by page
-	// number, each with the longest record it can still take when that is
-	// known, so placement skips a page that cannot fit without reading it.
+	// number, each with what plan has worked out of it, so placement
+	// skips a page that cannot fit without reading it.
 	freeHint []pageHint
 }
 
-// pageHint is one freeHint entry; room is page.room() as of the last
-// visit, or roomUnknown before the first one and after a change that did
-// not go through insert.
+// pageHint is one freeHint entry. room is page.room() of the page with
+// every planned record on it, or roomUnknown before the first visit and
+// after a change that plan did not make. Every slot below next is live
+// or planned, so the next record's slot is found from there.
 type pageHint struct {
 	no   uint32
 	room int
+	next int
 }
 
 // roomUnknown is below anything page.room() returns.
@@ -104,7 +107,10 @@ func (h *Heap) writePage(no uint32, p *page) error {
 }
 
 // allocPage appends a fresh page to the file and returns it with its
-// number.
+// number. The empty page is written now, although plan calls it before
+// the group is logged: a fresh page left only in the pool could be
+// outlived on disk by a later page, leaving a zeroed hole that fails
+// verify at replay.
 func (h *Heap) allocPage() (uint32, *page, error) {
 	no := uint32(h.pages)
 	p := newPage()
@@ -117,42 +123,26 @@ func (h *Heap) allocPage() (uint32, *page, error) {
 	return no, p, nil
 }
 
-// insert places recs in order, each where placing it alone would: on the
-// newest hinted page with room for it, else on a fresh page. It writes
-// their RIDs to rids and returns how many it placed: all of them, or
-// those before the error.
-//
-// The run takes the heap lock once. Placement keeps the page it works on
-// and asks the buffer pool for a page only when it moves to another one;
-// the page it leaves, when changed, is marked dirty then, before the pool
-// is asked for anything else, so no eviction can find it clean.
-func (h *Heap) insert(recs [][]byte, rids []RID) (int, error) {
+// plan chooses the RIDs of recs, in order, into rids, and returns how
+// many it planned: all, or those before the error. It writes no page;
+// the hints keep what it planned, so later records plan on top of it.
+// It keeps the page it works on, asking the buffer pool for a page only
+// when placement moves to another one.
+func (h *Heap) plan(recs [][]byte, rids []RID) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var (
-		at    = -1 // the page in hand, -1 for none
-		p     *page
-		dirty bool
-	)
-	leave := func() {
-		if dirty {
-			h.pool.markDirty(uint32(at))
-			dirty = false
-		}
-	}
-	defer leave()
+	at, p := -1, (*page)(nil) // the page in hand
 	for n, rec := range recs {
-		if len(rec) > MaxRecordLen {
-			return n, fmt.Errorf("%w (%d bytes; store large payloads as blobs)", ErrTooLarge, len(rec))
+		if err := checkRecord(rec); err != nil {
+			return n, err
 		}
-		placed := false
 		// Try hinted pages from the back (most recently allocated first). A
 		// page whose remembered room is too small is passed over without a
 		// visit, and dropped exactly when a visit would have dropped it.
-		for i := len(h.freeHint) - 1; i >= 0 && !placed; i-- {
+		i := len(h.freeHint) - 1
+		for ; i >= 0; i-- {
 			hint := &h.freeHint[i]
 			if (hint.room == roomUnknown || hint.room >= len(rec)) && at != int(hint.no) {
-				leave()
 				q, err := h.pool.get(hint.no)
 				if err != nil {
 					return n, err
@@ -162,68 +152,86 @@ func (h *Heap) insert(recs [][]byte, rids []RID) (int, error) {
 			if hint.room == roomUnknown {
 				hint.room = p.room()
 			}
-			if hint.room < len(rec) {
-				// Drop the hint only if the page cannot even fit a minimal
-				// record — otherwise keep it for smaller records.
-				if hint.room < 64 {
-					h.freeHint = append(h.freeHint[:i], h.freeHint[i+1:]...)
-				}
-				continue
+			if hint.room >= len(rec) {
+				break
 			}
-			k := p.nslots()
-			slot, err := p.insert(rec)
+			// Drop the hint only if the page cannot even fit a minimal
+			// record — otherwise keep it for smaller records.
+			if hint.room < 64 {
+				h.freeHint = slices.Delete(h.freeHint, i, i+1)
+			}
+		}
+		if i < 0 {
+			no, q, err := h.allocPage()
 			if err != nil {
-				continue
+				return n, err
 			}
-			if p.nslots() > k {
-				// A new slot: the page had no dead one, so room drops by exactly
-				// what was added — no walk over the slot array per insert.
-				hint.room -= len(rec) + slotSize
-			} else {
-				hint.room = p.room()
-			}
-			dirty, placed = true, true
-			rids[n] = RID{Page: hint.no, Slot: uint16(slot)}
+			at, p, i = int(no), q, len(h.freeHint)-1
+			h.freeHint[i].room = p.room()
 		}
-		if placed {
-			continue
-		}
-		leave()
-		no, q, err := h.allocPage()
-		if err != nil {
-			return n, err
-		}
-		at, p = int(no), q
-		slot, err := p.insert(rec)
-		if err != nil {
-			return n, err
-		}
-		h.freeHint[len(h.freeHint)-1].room = p.room()
-		dirty = true
-		rids[n] = RID{Page: no, Slot: uint16(slot)}
+		rids[n] = RID{Page: uint32(at), Slot: uint16(h.freeHint[i].take(p, len(rec)))}
 	}
 	return len(recs), nil
 }
 
-// insertAt places rec at an exact RID (WAL replay path).
-func (h *Heap) insertAt(rid RID, rec []byte) error {
+// checkRecord refuses a record no page can take.
+func checkRecord(rec []byte) error {
+	if len(rec) > MaxRecordLen {
+		return fmt.Errorf("%w (%d bytes; store large payloads as blobs)", ErrTooLarge, len(rec))
+	}
+	if len(rec) == 0 {
+		return errors.New("storage: empty record")
+	}
+	return nil
+}
+
+// take plans a record of n bytes, which fits, onto p, the page the hint
+// describes, and returns its slot: the first dead slot from next on,
+// else a new one. room is kept exact without a walk of the slot array:
+// it loses the record's bytes, and a slot's once no dead slot is left.
+func (hint *pageHint) take(p *page, n int) int {
+	slot := hint.next
+	for slot < p.nslots() && !p.dead(slot) {
+		slot++
+	}
+	hint.next = slot + 1
+	for hint.next < p.nslots() && !p.dead(hint.next) {
+		hint.next++
+	}
+	hint.room -= n
+	if hint.next >= p.nslots() {
+		hint.room -= slotSize
+	}
+	return slot
+}
+
+// apply writes recs at rids: where plan put them, once their group is
+// logged, or where a logged group says, at replay. It adds the pages a
+// RID past the end needs, and leaves the hints alone: plan has set them,
+// and at replay they are all still unknown.
+func (h *Heap) apply(recs [][]byte, rids []RID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for uint32(h.pages) <= rid.Page {
-		if _, _, err := h.allocPage(); err != nil {
-			return err
+	at, p := -1, (*page)(nil) // the page in hand
+	for i, rid := range rids {
+		if int(rid.Page) != at {
+			for uint32(h.pages) <= rid.Page {
+				if _, _, err := h.allocPage(); err != nil {
+					return err
+				}
+			}
+			q, err := h.pool.get(rid.Page)
+			if err != nil {
+				return err
+			}
+			// Marked before it changes: the pool, which alone could evict
+			// it, is asked for nothing else until apply leaves the page.
+			h.pool.markDirty(rid.Page)
+			at, p = int(rid.Page), q
 		}
-	}
-	p, err := h.pool.get(rid.Page)
-	if err != nil {
-		return err
-	}
-	if err := p.insertAt(int(rid.Slot), rec); err != nil {
-		return err
-	}
-	h.pool.markDirty(rid.Page)
-	if i, ok := h.hintIndex(rid.Page); ok {
-		h.freeHint[i].room = roomUnknown
+		if err := p.insertAt(int(rid.Slot), recs[i]); err != nil {
+			return fmt.Errorf("storage: heap %s %s: %w", h.name, rid, err)
+		}
 	}
 	return nil
 }
@@ -251,12 +259,14 @@ func (h *Heap) get(rid RID) ([]byte, error) {
 	return out, nil
 }
 
-// del removes the record at rid.
+// del removes the record at rid, if there is one: a commit's delete
+// and a replayed one find nothing to remove only when a group that
+// removed it is replayed again.
 func (h *Heap) del(rid RID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if rid.Page >= uint32(h.pages) {
-		return fmt.Errorf("%w: %s", ErrNotFound, rid)
+		return nil
 	}
 	p, err := h.pool.get(rid.Page)
 	if err != nil {
@@ -264,7 +274,7 @@ func (h *Heap) del(rid RID) error {
 	}
 	if err := p.del(int(rid.Slot)); err != nil {
 		if errors.Is(err, ErrRecDeleted) || errors.Is(err, ErrBadSlot) {
-			return fmt.Errorf("%w: %s", ErrNotFound, rid)
+			return nil
 		}
 		return err
 	}
@@ -281,13 +291,23 @@ func (h *Heap) hintIndex(no uint32) (int, bool) {
 }
 
 // rehint makes page no a placement candidate again and forgets what was
-// remembered of its room.
+// remembered or planned of it.
 func (h *Heap) rehint(no uint32) {
 	i, ok := h.hintIndex(no)
 	if !ok {
-		h.freeHint = slices.Insert(h.freeHint, i, pageHint{no: no})
+		h.freeHint = slices.Insert(h.freeHint, i, pageHint{})
 	}
-	h.freeHint[i].room = roomUnknown
+	h.freeHint[i] = pageHint{no: no, room: roomUnknown}
+}
+
+// unplan forgets the plan that put records at rids, which will not be
+// applied: their pages are hinted afresh.
+func (h *Heap) unplan(rids []RID) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, rid := range rids {
+		h.rehint(rid.Page)
+	}
 }
 
 // scan visits every live record in RID order. Returning false from fn

@@ -56,12 +56,6 @@ const MaxRecordLen = PageSize - pageHdrLen - slotSize
 
 type page struct {
 	buf [PageSize]byte
-	// live counts the leading slots known to be live, so that
-	// firstDeadSlot does not walk them again on every insert. It is kept
-	// in memory only (zero for a page just read or made) and changed under
-	// the heap's exclusive lock by insert and del; the dead slots insertAt
-	// adds all lie past it.
-	live int
 }
 
 func newPage() *page {
@@ -103,9 +97,10 @@ func (p *page) freeSpace() int {
 	return p.freeEnd() - (pageHdrLen + p.nslots()*slotSize)
 }
 
-// room returns the longest record insert accepts — possibly after
-// compaction, reusing a dead slot when there is one — in one pass over
-// the slot array. It is negative when not even a slot fits.
+// room returns the longest record the page takes — possibly after
+// compaction, in its first dead slot when it has one, else in a new
+// one — in one pass over the slot array. It is negative when not even
+// a slot fits.
 func (p *page) room() int {
 	used, dead := 0, false
 	for i := 0; i < p.nslots(); i++ {
@@ -122,40 +117,10 @@ func (p *page) room() int {
 	return room
 }
 
-func (p *page) firstDeadSlot() int {
-	for i := p.live; i < p.nslots(); i++ {
-		if p.dead(i) {
-			p.live = i
-			return i
-		}
-	}
-	p.live = p.nslots()
-	return -1
-}
-
-// insert places rec into the page, reusing its first dead slot when it
-// has one, and returns the slot number.
-func (p *page) insert(rec []byte) (int, error) {
-	if len(rec) > MaxRecordLen {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
-	}
-	if len(rec) == 0 {
-		return 0, errors.New("storage: empty record")
-	}
-	slot := p.firstDeadSlot()
-	if slot < 0 {
-		slot = p.nslots()
-	}
-	if err := p.place(slot, rec); err != nil {
-		return 0, err
-	}
-	return slot, nil
-}
-
-// insertAt places rec into a specific slot, used by WAL replay. Existing
-// identical records are accepted silently (idempotent replay); conflicting
-// content is an error. The slots it adds before the target are dead and
-// hold no bytes.
+// insertAt places rec into a specific slot: the one Heap.plan chose, or
+// the one a replayed group names. Existing identical records are
+// accepted silently (idempotent replay); conflicting content is an
+// error. The slots it adds before the target are dead and hold no bytes.
 func (p *page) insertAt(slot int, rec []byte) error {
 	if len(rec) > MaxRecordLen {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
@@ -252,7 +217,6 @@ func (p *page) del(i int) error {
 		return ErrRecDeleted
 	}
 	p.setWord(i, p.word(i)|slotDead)
-	p.live = min(p.live, i)
 	return nil
 }
 

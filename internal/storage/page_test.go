@@ -10,13 +10,44 @@ import (
 	"testing/quick"
 )
 
+// pageInsert puts rec on p as a commit does: Heap.plan's choice of slot
+// and its room arithmetic, then apply's insertAt. A room the arithmetic
+// gets wrong is an error.
+func pageInsert(p *page, rec []byte) (int, error) {
+	if err := checkRecord(rec); err != nil {
+		return 0, err
+	}
+	hint := pageHint{room: p.room()}
+	if hint.room < len(rec) {
+		return 0, ErrPageFull
+	}
+	slot := hint.take(p, len(rec))
+	if err := p.insertAt(slot, rec); err != nil {
+		return 0, err
+	}
+	if hint.room != p.room() {
+		return 0, fmt.Errorf("planned room %d, the page has %d", hint.room, p.room())
+	}
+	return slot, nil
+}
+
+// firstDead returns p's first dead slot, or -1.
+func firstDead(p *page) int {
+	for i := 0; i < p.nslots(); i++ {
+		if p.dead(i) {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestPageInsertGetDelete(t *testing.T) {
 	p := newPage()
-	s1, err := p.insert([]byte("hello"))
+	s1, err := pageInsert(p, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := p.insert([]byte("world!"))
+	s2, err := pageInsert(p, []byte("world!"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +71,7 @@ func TestPageInsertGetDelete(t *testing.T) {
 		t.Errorf("bad slot err = %v", err)
 	}
 	// Slot of deleted record is reused.
-	s3, err := p.insert([]byte("again"))
+	s3, err := pageInsert(p, []byte("again"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,18 +82,18 @@ func TestPageInsertGetDelete(t *testing.T) {
 
 func TestPageRejections(t *testing.T) {
 	p := newPage()
-	if _, err := p.insert(nil); err == nil {
+	if _, err := pageInsert(p, nil); err == nil {
 		t.Error("empty record must fail")
 	}
-	if _, err := p.insert(make([]byte, MaxRecordLen+1)); !errors.Is(err, ErrTooLarge) {
+	if _, err := pageInsert(p, make([]byte, MaxRecordLen+1)); !errors.Is(err, ErrTooLarge) {
 		t.Error("oversized record must fail")
 	}
 	// Exactly max fits.
-	if _, err := p.insert(make([]byte, MaxRecordLen)); err != nil {
+	if _, err := pageInsert(p, make([]byte, MaxRecordLen)); err != nil {
 		t.Errorf("max record should fit: %v", err)
 	}
 	// Nothing else fits now.
-	if _, err := p.insert([]byte("x")); !errors.Is(err, ErrPageFull) {
+	if _, err := pageInsert(p, []byte("x")); !errors.Is(err, ErrPageFull) {
 		t.Error("full page must reject")
 	}
 }
@@ -72,7 +103,7 @@ func TestPageCompactionReclaimsSpace(t *testing.T) {
 	var slots []int
 	rec := make([]byte, 512)
 	for {
-		s, err := p.insert(rec)
+		s, err := pageInsert(p, rec)
 		if err != nil {
 			break
 		}
@@ -92,7 +123,7 @@ func TestPageCompactionReclaimsSpace(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	s, err := p.insert(big)
+	s, err := pageInsert(p, big)
 	if err != nil {
 		t.Fatalf("insert after fragmentation: %v", err)
 	}
@@ -110,7 +141,7 @@ func TestPageCompactionReclaimsSpace(t *testing.T) {
 
 func TestPageChecksum(t *testing.T) {
 	p := newPage()
-	p.insert([]byte("payload"))
+	pageInsert(p, []byte("payload"))
 	p.seal()
 	if err := p.verify(); err != nil {
 		t.Fatalf("sealed page should verify: %v", err)
@@ -160,8 +191,8 @@ func TestPageInsertAtIdempotent(t *testing.T) {
 
 // checkPage holds a page to its layout and to model, the live records by
 // slot: offsets non-increasing in slot order, freeEnd the last offset,
-// live bytes and holes filling the record area, the live-prefix hint
-// true, room what a brute-force search finds insert accepts, and every
+// live bytes and holes filling the record area, room what a
+// brute-force search finds its first free slot takes, and every
 // slot live exactly when the model has it, with the model's bytes.
 func checkPage(p *page, model map[int][]byte) error {
 	prev, live := PageSize, 0
@@ -177,8 +208,6 @@ func checkPage(p *page, model map[int][]byte) error {
 		}
 		if ok {
 			live += end - off
-		} else if i < p.live {
-			return fmt.Errorf("slot %d is dead below the live prefix %d", i, p.live)
 		}
 	}
 	if p.freeEnd() != prev {
@@ -194,8 +223,11 @@ func checkPage(p *page, model map[int][]byte) error {
 	}
 	fits := func(n int) bool {
 		q := *p
-		_, err := q.insert(make([]byte, n))
-		return err == nil
+		slot := firstDead(&q)
+		if slot < 0 {
+			slot = q.nslots()
+		}
+		return q.place(slot, make([]byte, n)) == nil
 	}
 	longest := sort.Search(MaxRecordLen, func(n int) bool { return !fits(n + 1) })
 	if room := p.room(); longest > 0 && room != longest || longest == 0 && room > 0 {
@@ -232,11 +264,11 @@ func TestPagePropertyRandomOps(t *testing.T) {
 			switch k := r.Intn(10); {
 			case k < 5:
 				rec := record()
-				dead := p.firstDeadSlot()
+				dead := firstDead(p)
 				if dead >= 0 {
 					reuse(dead, rec)
 				}
-				s, err := p.insert(rec)
+				s, err := pageInsert(p, rec)
 				if err != nil {
 					if errors.Is(err, ErrPageFull) && p.room() < len(rec) {
 						continue

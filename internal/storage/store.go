@@ -30,16 +30,22 @@ import (
 //
 // Locking: mu is a reader/writer lock whose EXCLUSIVE side belongs to
 // checkpoints (and close): everything that mutates pages or appends to
-// the WAL holds it SHARED for the whole page-change + log-append window,
-// so a checkpoint can never flush and truncate in the middle of an
-// operation, while readers, writers, and whole batch commits all proceed
-// in parallel — real exclusion lives in the per-heap locks, the WAL's
-// internal mutex, and metaMu. metaMu serialises every meta-map
-// log+apply pair (and read), so concurrent shared-lock holders keep the
-// map race-free and the WAL order of meta values matches memory order.
+// the WAL holds it SHARED for the whole plan + log-append + apply
+// window, so a checkpoint can never flush and truncate in the middle of
+// an operation, while readers, writers, and whole batch commits all
+// proceed in parallel — real exclusion lives in pageMu, the per-heap
+// locks, the WAL's internal mutex, and metaMu. pageMu keeps commits that
+// change pages apart from plan to apply, so no page moves under a plan.
+// metaMu serialises every meta-map log+apply pair (and read), so
+// concurrent shared-lock holders keep the map race-free and the WAL
+// order of meta values matches memory order.
 type Store struct {
 	mu     sync.RWMutex
+	pageMu sync.Mutex
 	metaMu sync.Mutex
+	// broken is the error of a logged group that could not be applied,
+	// set under pageMu; nothing that changes a page runs after it.
+	broken error
 	dir    string
 	opts   Options
 	heaps  map[string]*Heap
@@ -193,6 +199,8 @@ func (s *Store) recover() error {
 	if len(entries) == 0 {
 		return nil
 	}
+	// Each logged insert is written by Heap.apply, as a commit writes it
+	// once its group is logged, and each delete by Heap.del.
 	for _, e := range entries {
 		switch e.op {
 		case opInsert:
@@ -200,15 +208,15 @@ func (s *Store) recover() error {
 			if err != nil {
 				return err
 			}
-			if err := h.insertAt(e.rid, e.rec); err != nil {
-				return fmt.Errorf("storage: recovery insert %s %s: %w", e.heap, e.rid, err)
+			if err := h.apply([][]byte{e.rec}, []RID{e.rid}); err != nil {
+				return fmt.Errorf("storage: recovery insert: %w", err)
 			}
 		case opDelete:
 			h, err := s.heapLocked(e.heap)
 			if err != nil {
 				return err
 			}
-			if err := h.del(e.rid); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := h.del(e.rid); err != nil {
 				return fmt.Errorf("storage: recovery delete %s %s: %w", e.heap, e.rid, err)
 			}
 		case opMetaSet:
@@ -387,6 +395,9 @@ func (s *Store) Checkpoint() error {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.broken != nil {
+		return s.broken // truncating the log would lose the group
+	}
 	for _, h := range s.heaps {
 		if err := h.flush(); err != nil {
 			return err

@@ -472,9 +472,9 @@ func TestHeapDeleteInvalidatesRememberedRoom(t *testing.T) {
 }
 
 // TestHeapRememberedRoomExact: under small inserts and deletes, every
-// page's remembered room is what a walk of its slot array gives, and its
-// first dead slot is found past the slots it remembers as live — the
-// figures insert keeps so that it does not walk the slot array per record.
+// page's remembered room is what a walk of its slot array gives, and
+// every slot below its cursor is live — the figures plan keeps, by
+// arithmetic, so that it does not walk the slot array per record.
 func TestHeapRememberedRoomExact(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	defer s.Close()
@@ -509,15 +509,8 @@ func TestHeapRememberedRoomExact(t *testing.T) {
 			if hint.room != roomUnknown && hint.room != p.room() {
 				t.Fatalf("step %d: page %d remembered room %d, has %d", step, hint.no, hint.room, p.room())
 			}
-			dead := -1
-			for i := 0; i < p.nslots(); i++ {
-				if p.dead(i) {
-					dead = i
-					break
-				}
-			}
-			if got := p.firstDeadSlot(); got != dead {
-				t.Fatalf("step %d: page %d first dead slot %d, want %d", step, hint.no, got, dead)
+			if dead := firstDead(p); dead >= 0 && dead < hint.next {
+				t.Fatalf("step %d: page %d cursor at slot %d, past dead slot %d", step, hint.no, hint.next, dead)
 			}
 		}
 	}
