@@ -461,7 +461,7 @@ func TestExternalDerivationsDroppedByRefreshStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := w.exec.StageExternal("interpolation", map[string][]object.OID{"src": {base}}, []object.OID{extOut}, "c1", task.RunOptions{})
+	tasks := w.exec.StageExternal("interpolation", map[string][]object.OID{"src": {base}}, []task.Run{{uint64(extOut), 1}}, "c1", task.RunOptions{})
 	if _, err := w.exec.Apply(object.BatchOps{Inserts: []*object.Object{out}}, tasks); err != nil {
 		t.Fatal(err)
 	}

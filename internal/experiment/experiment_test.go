@@ -229,7 +229,7 @@ func TestReproduceSkipsExternalTasks(t *testing.T) {
 	red, _ := w.insertPair(t)
 	w.mgr.Create(&Experiment{Name: "with-external"})
 	// A second load task for red, committed as a session commits one.
-	tasks := w.exec.StageExternal("data_load", nil, []object.OID{red}, "scene", task.RunOptions{})
+	tasks := w.exec.StageExternal("data_load", nil, []task.Run{{uint64(red), 1}}, "scene", task.RunOptions{})
 	if _, err := w.exec.Apply(object.BatchOps{}, tasks); err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func (ip *Interpolator) store(out *object.Object, proc string, inputs map[string
 	if _, err := ip.Obj.Reserve(out); err != nil {
 		return 0, err
 	}
-	tasks := ip.Exec.StageExternal(proc, inputs, []object.OID{out.OID}, out.Class, opts)
+	tasks := ip.Exec.StageExternal(proc, inputs, []task.Run{{uint64(out.OID), 1}}, out.Class, opts)
 	if _, err := ip.Exec.Apply(object.BatchOps{Inserts: []*object.Object{out}}, tasks); err != nil {
 		return 0, err
 	}

@@ -1,8 +1,10 @@
 package object
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 
 	"gaea/internal/catalog"
@@ -60,16 +62,45 @@ func (s *Store) ValidateNew(obj *Object) error {
 	return s.validate(sch.cls, obj)
 }
 
+// Class is a class's schema as the store lays out its records: a caller
+// staging a run of creates of one class looks it up once (ClassOf) and
+// reserves each against it (ReserveIn).
+type Class struct{ sch *schema }
+
+// Name returns the class's name.
+func (c Class) Name() string { return c.sch.cls.Name }
+
+// ClassOf returns the named class's schema.
+func (s *Store) ClassOf(class string) (Class, error) {
+	sch, err := s.schema(class)
+	return Class{sch}, err
+}
+
 // Reserve validates a new object against its class schema and assigns it
-// an OID from the store's sequence without persisting anything. The
-// reservation is in-memory only; it becomes durable with the batch that
-// inserts the object (ApplyBatch pins the sequence). A reservation that
-// is abandoned simply goes unreferenced — at worst an OID gap.
+// an OID from the store's sequence without persisting anything: ClassOf,
+// then ReserveIn.
 func (s *Store) Reserve(obj *Object) (OID, error) {
-	if err := s.ValidateNew(obj); err != nil {
+	c, err := s.ClassOf(obj.Class)
+	if err != nil {
 		return 0, err
 	}
-	obj.OID = OID(s.st.AllocID("oid"))
+	return s.ReserveIn(c, obj)
+}
+
+// ReserveIn validates a new object of class c against c's schema and
+// assigns it the next OID: one atomic add on the store's "oid" sequence,
+// with no lock and no lookup. The reservation is in-memory only; it
+// becomes durable with the batch that inserts the object (ApplyBatch
+// pins the sequence). A reservation that is abandoned simply goes
+// unreferenced — at worst an OID gap.
+func (s *Store) ReserveIn(c Class, obj *Object) (OID, error) {
+	if obj.Class != c.Name() {
+		return 0, fmt.Errorf("%w: object of class %s reserved as %s", ErrBadAttr, obj.Class, c.Name())
+	}
+	if err := s.validate(c.sch.cls, obj); err != nil {
+		return 0, err
+	}
+	obj.OID = OID(s.oids.Next())
 	return obj.OID, nil
 }
 
@@ -106,73 +137,34 @@ func (s *Store) CheckUpdate(obj *Object) error {
 // ApplyBatch applies a staged set of mutations as one atomic storage
 // batch at one fresh commit epoch, and returns that epoch. Encoding (with
 // blob offload, and the check that each record fits a page) happens
-// before the store lock is taken; epoch
-// reservation, conflict validation, the WAL group commit, and version
-// publication happen under it, so epochs become visible to readers in
-// commit order. The versions the batch supersedes stay in their chains
-// for pinned snapshots; the same batch reclaims those earlier commits
-// superseded that no snapshot can see any more (reclaim.go). A target
-// that vanished (or, under ReadEpoch, changed) since staging fails the
-// whole batch with ErrConflict.
+// before the store lock is taken: the records go into an arena sized
+// from the records encoded (encoder), each with room in front for the
+// header of its OID and an epoch of any width, and each list is cut into
+// runs of one class with the class's schema (encodedList). Once the
+// epoch is reserved, each record is stamped in place and each run handed
+// to the storage batch as one list: a create costs its record, its
+// headroom and one list entry. Epoch reservation, conflict validation,
+// the WAL group commit, and version publication happen under the store
+// lock, so epochs become visible to readers in commit order. The
+// versions the batch supersedes stay in their chains for pinned
+// snapshots; the same batch reclaims those earlier commits superseded
+// that no snapshot can see any more (reclaim.go). A target that vanished
+// (or, under ReadEpoch, changed) since staging fails the whole batch
+// with ErrConflict.
 func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
-	// encoded is one object's record: arena[at:end], its header not yet
-	// stamped.
-	type encoded struct {
-		obj     *Object
-		sch     *schema
-		at, end int
-		blobs   []storage.BlobID
-	}
-	var newBlobs []storage.BlobID
+	var enc encoder
+	enc.left = len(ops.Inserts) + len(ops.Updates)
 	undoBlobs := func() {
-		for _, b := range newBlobs {
+		for _, b := range enc.newBlobs {
 			_ = s.st.Blobs().Delete(b)
 		}
 	}
-	// Every record is appended to one arena, sized from the batch, so a
-	// batch of n objects makes one allocation for its records, not n.
-	var arena []byte
-	encode := func(objs []*Object) ([]encoded, error) {
-		out := make([]encoded, 0, len(objs))
-		var sch *schema // a group is mostly one class: look it up when it changes
-		for _, obj := range objs {
-			if sch == nil || sch.cls.Name != obj.Class {
-				var err error
-				if sch, err = s.schema(obj.Class); err != nil {
-					return nil, err
-				}
-			}
-			if arena == nil {
-				arena = make([]byte, 0, recordCap(sch)*(len(ops.Inserts)+len(ops.Updates)))
-			}
-			at := len(arena)
-			var blobs []storage.BlobID
-			var err error
-			arena, blobs, err = appendObject(arena, sch, obj, s.putBlob)
-			newBlobs = append(newBlobs, blobs...)
-			if err != nil {
-				return nil, err
-			}
-			if n := len(arena) - at; n > storage.MaxRecordLen { // the body behind room for the widest header
-				return nil, fmt.Errorf("%w: object %d (class %s) encodes to %d bytes inline, a record holds %d; store large payloads as images",
-					ErrBadAttr, obj.OID, obj.Class, n, storage.MaxRecordLen)
-			}
-			out = append(out, encoded{obj: obj, sch: sch, at: at, end: len(arena), blobs: blobs})
-		}
-		return out, nil
-	}
-	inserts, err := encode(ops.Inserts)
+	inserts, err := s.encode(&enc, ops.Inserts, true)
 	if err != nil {
 		undoBlobs()
 		return 0, err
 	}
-	for _, in := range inserts {
-		if in.obj.OID == 0 {
-			undoBlobs()
-			return 0, fmt.Errorf("%w: batch insert without a reserved OID", ErrBadAttr)
-		}
-	}
-	updates, err := encode(ops.Updates)
+	updates, err := s.encode(&enc, ops.Updates, false)
 	if err != nil {
 		undoBlobs()
 		return 0, err
@@ -196,8 +188,8 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	checkTarget := func(oid OID, want *schema) (*schema, error) {
 		return s.checkTargetLocked(oid, want, ops.ReadEpoch, ops.PreparedToken)
 	}
-	for _, up := range updates {
-		if _, err := checkTarget(up.obj.OID, up.sch); err != nil {
+	for i, up := range updates.objs {
+		if _, err := checkTarget(up.OID, updates.schemaOf(i)); err != nil {
 			s.mu.RUnlock()
 			undoBlobs()
 			return 0, err
@@ -223,18 +215,13 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	// snapshot readers proceed against the pre-commit state throughout.
 	epoch := s.st.ReserveEpoch()
 	b.SetEpoch(epoch)
-	b.Grow(len(inserts) + len(updates) + len(ops.Deletes) + len(ops.Extra))
-	insIdx := make([]int, len(inserts))
-	for i, in := range inserts {
-		insIdx[i] = b.Insert(in.sch.heap, stamp(arena[in.at:in.end], in.obj.OID, epoch))
-	}
-	upIdx := make([]int, len(updates))
-	for i, up := range updates {
-		upIdx[i] = b.Insert(up.sch.heap, stamp(arena[up.at:up.end], up.obj.OID, epoch))
-	}
-	delIdx := make([]int, len(ops.Deletes))
+	// The reclamation staged deletes only, so the batch's inserts, and the
+	// RIDs Commit reports, are the inserts', the updates', then the
+	// tombstones', in order.
+	inserts.stage(b, epoch)
+	updates.stage(b, epoch)
 	for i, oid := range ops.Deletes {
-		delIdx[i] = b.Insert(delSchemas[i].heap, encodeTombstone(oid, epoch))
+		b.Insert(delSchemas[i].heap, encodeTombstone(oid, epoch))
 	}
 	for _, ex := range ops.Extra {
 		b.Insert(ex.Heap, ex.Rec)
@@ -256,43 +243,48 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	// row is put.
 	s.mu.Lock()
 	s.apply(&gc)
-	var ci *classIndex // the index of the class of the insert before
-	for i, in := range inserts {
-		r := row{oid: in.obj.OID, epoch: epoch, rid: rids[insIdx[i]], class: in.sch.num}
-		s.setExt(&r, in.sch, in.obj.Extent)
-		s.setHeadBlobs(&r, in.blobs)
-		s.rows.Put(r)
-		if i == 0 || in.sch != inserts[i-1].sch {
-			ci = s.classIndexLocked(&r)
+	insRIDs, upRIDs := rids[:len(inserts.objs)], rids[len(inserts.objs):len(inserts.objs)+len(updates.objs)]
+	delRIDs := rids[len(inserts.objs)+len(updates.objs):]
+	for _, run := range inserts.runs {
+		var ci *classIndex // the run's class index, found with its first row
+		for i := run.from; i < run.to; i++ {
+			obj := inserts.objs[i]
+			r := row{oid: obj.OID, epoch: epoch, rid: insRIDs[i], class: run.sch.num}
+			s.setExt(&r, run.sch, obj.Extent)
+			s.setHeadBlobs(&r, inserts.blobs[i])
+			s.rows.Put(r)
+			if ci == nil {
+				ci = s.classIndexLocked(&r)
+			}
+			ci.add(&r)
 		}
-		ci.add(&r)
 	}
-	for i, up := range updates {
-		r := s.rows.Ptr(row{oid: up.obj.OID})
+	for i, up := range updates.objs {
+		r := s.rows.Ptr(row{oid: up.OID})
 		s.pushHead(r)
-		r.epoch, r.rid = epoch, rids[upIdx[i]]
-		s.setHeadBlobs(r, up.blobs)
+		r.epoch, r.rid = epoch, upRIDs[i]
+		s.setHeadBlobs(r, updates.blobs[i])
 		// An update that leaves the indexed part of the extent alone (the
 		// usual one: new values, same place and time) leaves the indexes
 		// alone.
-		old, ext := s.extOf(r), up.obj.Extent
+		old, ext := s.extOf(r), up.Extent
 		moved := old.Space != ext.Space || old.HasTime != ext.HasTime || (ext.HasTime && old.TimeIv != ext.TimeIv)
 		if moved {
 			s.unindexLocked(r)
 		}
-		s.setExt(r, up.sch, ext)
+		s.setExt(r, updates.schemaOf(i), ext)
 		ci := s.classIndexLocked(r)
 		if moved {
 			ci.add(r)
 		}
-		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: up.obj.OID})
-		s.queue = append(s.queue, garbage{at: epoch, oid: up.obj.OID})
+		ci.changed = append(ci.changed, changeEnt{epoch: epoch, oid: up.OID})
+		s.queue = append(s.queue, garbage{at: epoch, oid: up.OID})
 	}
 	for i, oid := range ops.Deletes {
 		r := s.rows.Ptr(row{oid: oid})
 		s.unindexLocked(r)
 		s.pushHead(r)
-		r.epoch, r.rid = epoch, rids[delIdx[i]]
+		r.epoch, r.rid = epoch, delRIDs[i]
 		r.flags |= rowDel
 		s.setHeadBlobs(r, nil)
 		ci := s.classes[delSchemas[i].cls.Name]
@@ -318,8 +310,120 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 // putBlob stores an offloaded image under a fresh blob id: an in-memory
 // reservation that the batch referencing it pins at commit.
 func (s *Store) putBlob(data []byte) (storage.BlobID, error) {
-	id := storage.BlobID(s.st.AllocID("blob"))
+	id := storage.BlobID(s.blobIDs.Next())
 	return id, s.st.Blobs().Put(id, data)
+}
+
+// encoder appends a batch's records to an arena grown from the records
+// it has encoded: it starts at one record's room, and when the room left
+// will not take the next record, a new arena takes over, sized for the
+// records left at the rate of those encoded so far, a sixteenth over. So a
+// load of n like records makes about two allocations for them, sized to
+// the records rather than to their widest case. No record moves: each
+// stays in the arena it was encoded in.
+type encoder struct {
+	arena    []byte
+	done     int // records encoded
+	bytes    int // the bytes they take
+	left     int // records still to encode
+	newBlobs []storage.BlobID
+}
+
+// room makes room in the arena for a record that takes up to need bytes.
+func (e *encoder) room(need int) {
+	if cap(e.arena)-len(e.arena) >= need {
+		return
+	}
+	want := need
+	if e.done > 0 {
+		rate := e.bytes/e.done + 1
+		want += (rate + rate/16) * (e.left - 1)
+	}
+	e.arena = make([]byte, 0, want)
+}
+
+// encodedList is a list of objects encoded as records, their headers not
+// yet stamped: recs[i] is the record of objs[i], and blobs[i] the blob
+// ids it refers to (nil for most lists: no object of theirs has an
+// image). runs cut the list into runs of one class, each with its
+// schema.
+type encodedList struct {
+	objs  []*Object
+	recs  [][]byte
+	blobs map[int][]storage.BlobID
+	runs  []schemaRun
+}
+
+// schemaRun is objs[from:to] of an encodedList, all of one class.
+type schemaRun struct {
+	sch      *schema
+	from, to int
+}
+
+// schemaOf returns the schema of objs[i].
+func (l *encodedList) schemaOf(i int) *schema {
+	r, _ := slices.BinarySearchFunc(l.runs, i, func(run schemaRun, i int) int { return cmp.Compare(run.to, i+1) })
+	return l.runs[r].sch
+}
+
+// encode appends the records of objs to the encoder's arena, offloading
+// images, and checks that each fits a page. Inserts must carry a
+// reserved OID.
+func (s *Store) encode(e *encoder, objs []*Object, inserts bool) (encodedList, error) {
+	l := encodedList{objs: objs}
+	if len(objs) == 0 {
+		return l, nil
+	}
+	l.recs = make([][]byte, len(objs))
+	for i, obj := range objs {
+		if inserts && obj.OID == 0 {
+			return l, fmt.Errorf("%w: batch insert without a reserved OID", ErrBadAttr)
+		}
+		if n := len(l.runs); n == 0 || l.runs[n-1].sch.cls.Name != obj.Class {
+			sch, err := s.schema(obj.Class)
+			if err != nil {
+				return l, err
+			}
+			l.runs = append(l.runs, schemaRun{sch: sch, from: i})
+		}
+		run := &l.runs[len(l.runs)-1]
+		run.to = i + 1
+		e.room(recordCap(run.sch))
+		at := len(e.arena)
+		var blobs []storage.BlobID
+		var err error
+		e.arena, blobs, err = appendObject(e.arena, run.sch, obj, s.putBlob)
+		e.newBlobs = append(e.newBlobs, blobs...)
+		if err != nil {
+			return l, err
+		}
+		if n := len(e.arena) - at; n > storage.MaxRecordLen { // the body behind room for the widest header
+			return l, fmt.Errorf("%w: object %d (class %s) encodes to %d bytes inline, a record holds %d; store large payloads as images",
+				ErrBadAttr, obj.OID, obj.Class, n, storage.MaxRecordLen)
+		}
+		if len(blobs) > 0 {
+			if l.blobs == nil {
+				l.blobs = make(map[int][]storage.BlobID)
+			}
+			l.blobs[i] = blobs
+		}
+		l.recs[i] = e.arena[at:]
+		e.bytes += len(l.recs[i])
+		e.done++
+		e.left--
+	}
+	return l, nil
+}
+
+// stage stamps each record of the list with its OID and the commit
+// epoch and hands the records to b, a run at a time.
+func (l *encodedList) stage(b *storage.Batch, epoch uint64) {
+	for _, run := range l.runs {
+		for i := run.from; i < run.to; i++ {
+			l.recs[i] = stamp(l.recs[i], l.objs[i].OID, epoch)
+		}
+		b.InsertRun(run.sch.heap, l.recs[run.from:run.to])
+	}
 }
 
 // checkTargetLocked validates one mutation target and returns its class.

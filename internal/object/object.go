@@ -276,6 +276,9 @@ type Store struct {
 	commitMu sync.Mutex
 	st       *storage.Store
 	cat      *catalog.Catalog
+	// oids and blobIDs are the store's sequences, held so that a
+	// reservation is one atomic add (ReserveIn, putBlob).
+	oids, blobIDs *storage.Sequence
 	// schemas caches each class's *schema by class name (see record.go);
 	// byNum lists them by the number rows carry, appended under mu.
 	schemas sync.Map
@@ -364,6 +367,8 @@ func Open(st *storage.Store, cat *catalog.Catalog) (*Store, error) {
 	s := &Store{
 		st:        st,
 		cat:       cat,
+		oids:      st.Sequence("oid"),
+		blobIDs:   st.Sequence("blob"),
 		frames:    []sptemp.Frame{{}},
 		frameNum:  make(map[sptemp.Frame]uint32),
 		rows:      sorted.New(compareRows),
@@ -517,6 +522,11 @@ func (ci *classIndex) add(r *row) {
 		ci.times.Insert(uint64(r.oid), r.iv)
 	}
 	if n := len(ci.members); n == 0 || ci.members[n-1] < r.oid {
+		if n == cap(ci.members) {
+			// Double the list: past 256 entries append grows it by less,
+			// so loading a class of millions would copy it more often.
+			ci.members = append(make([]OID, 0, max(8, 2*n)), ci.members...)
+		}
 		ci.members = append(ci.members, r.oid)
 	} else if i, found := slices.BinarySearch(ci.members, r.oid); !found {
 		ci.members = slices.Insert(ci.members, i, r.oid)

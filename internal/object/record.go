@@ -86,6 +86,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"gaea/internal/catalog"
@@ -113,10 +114,17 @@ const (
 	// one is a uvarint with its low bit clear.
 	floatRaw = 0x01
 
-	// headroom is the room appendObject leaves in front of a record body
-	// for stamp: the widest header, flags + epoch + oid as uvarints.
-	headroom = 1 + 2*binary.MaxVarintLen64
+	// maxHeader is the widest record header: flags + epoch + oid as
+	// uvarints.
+	maxHeader = 1 + 2*binary.MaxVarintLen64
 )
+
+// headroom is the room appendObject leaves in front of the record body
+// of object oid for stamp: the widest header of that OID, its epoch not
+// yet known.
+func headroom(oid OID) int {
+	return 1 + binary.MaxVarintLen64 + (bits.Len64(uint64(oid)|1)+6)/7
+}
 
 // schema is what a class contributes to its records: the parts a relative
 // record leaves out, worked out once per class. Class definitions are
@@ -526,11 +534,12 @@ func appendHeader(buf []byte, flags byte, epoch uint64, oid OID) []byte {
 // flags, the commit epoch, the OID — right-aligned against the body, and
 // returns the record from there: no copy of the body, no allocation.
 // buf[0] holds the flags throughout (the widest header writes them there
-// itself), so a record may be stamped again, at any epoch.
+// itself), so a record may be stamped again, at any epoch. oid is the
+// OID appendObject was given.
 func stamp(buf []byte, oid OID, epoch uint64) []byte {
-	var a [headroom]byte
+	var a [maxHeader]byte
 	hdr := appendHeader(a[:0], buf[0], epoch, oid)
-	at := headroom - len(hdr)
+	at := headroom(oid) - len(hdr)
 	copy(buf[at:], hdr)
 	return buf[at:]
 }
@@ -538,7 +547,7 @@ func stamp(buf []byte, oid OID, epoch uint64) []byte {
 // recordCap is what appendObject is expected to append for one object of
 // sch, headroom included: the room a batch's arena leaves it.
 func recordCap(sch *schema) int {
-	return headroom + 4*8 + 2*binary.MaxVarintLen64 + 12*len(sch.cls.Attrs)
+	return maxHeader + 4*8 + 2*binary.MaxVarintLen64 + 12*len(sch.cls.Attrs)
 }
 
 // appendObject appends an object to buf as a compact relative record,
@@ -562,7 +571,7 @@ func appendObject(buf []byte, sch *schema, obj *Object, put func(data []byte) (s
 		flags |= flagOwnFrame
 	}
 	at := len(buf)
-	buf = append(buf, make([]byte, headroom)...)
+	buf = append(buf, make([]byte, headroom(obj.OID))...)
 	var mask byte
 	var packed bool
 	if buf, mask, packed = appendPacked(buf, ext); packed {
@@ -724,7 +733,7 @@ func sealSpan(buf []byte, mark int) []byte {
 
 // encodeTombstone serialises a deletion marker for an OID at an epoch.
 func encodeTombstone(oid OID, epoch uint64) []byte {
-	return appendHeader(make([]byte, 0, headroom), flagTombstone, epoch, oid)
+	return appendHeader(make([]byte, 0, maxHeader), flagTombstone, epoch, oid)
 }
 
 // appendWireHeader writes a GOB3 record up to and including its

@@ -352,3 +352,72 @@ func BenchmarkStoreLoad(b *testing.B) {
 		loadGauges(b, s, 131072, 1024)
 	}
 }
+
+// TestBatchOfClassRuns: one batch inserts objects of two classes in runs
+// that alternate, and a second updates them in another order, moving
+// some. Each object reads back as written, each class holds its own
+// members, and a reopen from the heaps sees the same.
+func TestBatchOfClassRuns(t *testing.T) {
+	s := openGaugeStore(t, storage.Options{NoSync: true})
+	if err := s.cat.Define(&catalog.Class{
+		Name: "snow", Kind: catalog.KindBase,
+		Attrs: []catalog.Attr{{Name: "mm", Type: value.TypeFloat}},
+		Frame: sptemp.DefaultFrame, HasSpatial: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	classes := []string{"gauge", "gauge", "snow", "gauge", "snow", "snow", "gauge"}
+	var ops BatchOps
+	for tile, class := range classes {
+		o := gauge(tile)
+		o.Class = class
+		if _, err := s.Reserve(o); err != nil {
+			t.Fatal(err)
+		}
+		ops.Inserts = append(ops.Inserts, o)
+	}
+	if _, err := s.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	var ups BatchOps
+	for _, i := range []int{4, 0, 2, 6, 5} {
+		o := gauge(100 + i)
+		o.OID, o.Class = ops.Inserts[i].OID, classes[i]
+		if i%2 == 0 {
+			o.Extent = ops.Inserts[i].Extent // stays where it is
+		}
+		ups.Updates = append(ups.Updates, o)
+	}
+	if _, err := s.ApplyBatch(ups); err != nil {
+		t.Fatal(err)
+	}
+	want := map[OID]*Object{}
+	for _, o := range ops.Inserts {
+		want[o.OID] = o
+	}
+	for _, o := range ups.Updates {
+		want[o.OID] = o
+	}
+	check := func(s *Store) {
+		t.Helper()
+		members := map[string][]OID{}
+		for _, o := range ops.Inserts {
+			members[o.Class] = append(members[o.Class], o.OID)
+			got, err := s.Get(o.OID)
+			if w := want[o.OID]; err != nil || got.Class != w.Class || !value.Equal(got.Attrs["mm"], w.Attrs["mm"]) || got.Extent != w.Extent {
+				t.Fatalf("object %d = %+v, %v; want %+v", o.OID, got, err, w)
+			}
+		}
+		for class, oids := range members {
+			if got := s.Members(class); !slices.Equal(got, oids) {
+				t.Errorf("class %s holds %v, want %v", class, got, oids)
+			}
+		}
+	}
+	check(s)
+	s2, err := Open(s.st, s.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s2)
+}

@@ -3,8 +3,8 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Batch collects heap and meta mutations that commit together: the whole
@@ -25,22 +25,22 @@ import (
 // goroutine and call Commit once.
 type Batch struct {
 	s *Store
-	// recs are the staged inserts in staging order, cut into runs of
+	// runs are the staged inserts in staging order, cut into runs of
 	// consecutive inserts into one heap: Commit places each run under one
-	// heap lock.
-	recs      [][]byte
+	// heap lock. n counts the inserts.
 	runs      []insertRun
+	n         int
 	deletes   []stagedDelete
 	meta      []stagedMeta
-	pins      []string
+	pins      []*Sequence
 	epoch     uint64
 	committed bool
 }
 
-// insertRun is n consecutive staged inserts into one heap.
+// insertRun is consecutive staged inserts into one heap.
 type insertRun struct {
 	heap string
-	n    int
+	recs [][]byte
 }
 
 type stagedDelete struct {
@@ -64,18 +64,28 @@ func (s *Store) NewBatch() *Batch { return &Batch{s: s} }
 // The batch owns rec from here on: it is not copied, and the caller must
 // not change it.
 func (b *Batch) Insert(heap string, rec []byte) int {
-	if n := len(b.runs); n > 0 && b.runs[n-1].heap == heap {
-		b.runs[n-1].n++
+	if k := len(b.runs); k > 0 && b.runs[k-1].heap == heap {
+		b.runs[k-1].recs = append(b.runs[k-1].recs, rec)
 	} else {
-		b.runs = append(b.runs, insertRun{heap: heap, n: 1})
+		b.runs = append(b.runs, insertRun{heap: heap, recs: [][]byte{rec}})
 	}
-	b.recs = append(b.recs, rec)
-	return len(b.recs) - 1
+	b.n++
+	return b.n - 1
 }
 
-// Grow makes room for n more inserts, so that staging them does not
-// grow the batch's record list.
-func (b *Batch) Grow(n int) { b.recs = slices.Grow(b.recs, n) }
+// InsertRun stages recs, in order, as appends to one heap, and returns
+// the index of the first in the RID slice Commit reports. The batch owns
+// the list and its records from here on: neither is copied, and the
+// caller must not change them. A caller that builds its records as a
+// list, as a session's creates are, so hands them over with no copy.
+func (b *Batch) InsertRun(heap string, recs [][]byte) int {
+	at := b.n
+	if len(recs) > 0 {
+		b.runs = append(b.runs, insertRun{heap: heap, recs: recs[:len(recs):len(recs)]})
+		b.n += len(recs)
+	}
+	return at
+}
 
 // Delete stages a record removal. The RID must be resolved by the caller
 // under whatever lock makes it stable until Commit.
@@ -94,11 +104,11 @@ func (b *Batch) MetaDelete(key string) {
 }
 
 // PinSequence stages a durability pin for a sequence whose values were
-// reserved in memory with AllocID: at commit time the sequence's current
-// counter is written into the batch, so every ID the batch references is
-// re-issued never again, even after a crash.
+// reserved in memory (Sequence.Next): at commit time the sequence's
+// counter, read atomically, is written into the batch, so every ID the
+// batch references is re-issued never again, even after a crash.
 func (b *Batch) PinSequence(sequence string) {
-	b.pins = append(b.pins, seqPrefix+sequence)
+	b.pins = append(b.pins, b.s.Sequence(sequence))
 }
 
 // SetEpoch stamps the batch with a commit epoch reserved via
@@ -111,7 +121,7 @@ func (b *Batch) PinSequence(sequence string) {
 func (b *Batch) SetEpoch(e uint64) { b.epoch = e }
 
 // Len reports how many mutations the batch stages.
-func (b *Batch) Len() int { return len(b.recs) + len(b.deletes) + len(b.meta) }
+func (b *Batch) Len() int { return b.n + len(b.deletes) + len(b.meta) }
 
 // Commit plans the batch, logs the whole group as one WAL record,
 // fsynced once, and only then applies it to the pages and the meta map.
@@ -151,7 +161,7 @@ func (b *Batch) Commit() ([]RID, error) {
 			heaps[run.heap] = h
 		}
 	}
-	if b.epoch == 0 && len(b.recs)+len(b.deletes) > 0 {
+	if b.epoch == 0 && b.n+len(b.deletes) > 0 {
 		b.epoch = s.ReserveEpoch()
 	}
 	s.mu.RLock()
@@ -163,7 +173,7 @@ func (b *Batch) Commit() ([]RID, error) {
 		}
 		heaps[d.heap] = h
 	}
-	if len(b.recs)+len(b.deletes) > 0 {
+	if b.n+len(b.deletes) > 0 {
 		s.pageMu.Lock()
 		defer s.pageMu.Unlock()
 		if s.broken != nil {
@@ -173,10 +183,10 @@ func (b *Batch) Commit() ([]RID, error) {
 
 	size := 0
 	for _, run := range b.runs {
-		size += (4 + 1 + 2 + len(run.heap) + 6 + 4) * run.n
-	}
-	for _, rec := range b.recs {
-		size += len(rec)
+		size += (4 + 1 + 2 + len(run.heap) + 6 + 4) * len(run.recs)
+		for _, rec := range run.recs {
+			size += len(rec)
+		}
 	}
 	for _, m := range b.meta {
 		size += 4 + 1 + 2 + len(m.key) + 4 + len(m.val)
@@ -184,25 +194,25 @@ func (b *Batch) Commit() ([]RID, error) {
 	size += (4 + 1 + 2 + 16 + 6) * (len(b.deletes) + len(b.pins)) // heap names and keys are short
 	g := newGroup(b.epoch, size)
 	defer g.free()
-	rids := make([]RID, len(b.recs))
+	rids := make([]RID, b.n)
 	planned := 0 // the inserts planned, in staging order
 	unplan := func() {
 		at := 0
 		for _, run := range b.runs {
-			end := min(at+run.n, planned)
+			end := min(at+len(run.recs), planned)
 			heaps[run.heap].unplan(rids[at:end])
 			at = end
 		}
 	}
 	for _, run := range b.runs {
-		recs, runRIDs := b.recs[planned:planned+run.n], rids[planned:planned+run.n]
-		n, err := heaps[run.heap].plan(recs, runRIDs)
+		runRIDs := rids[planned : planned+len(run.recs)]
+		n, err := heaps[run.heap].plan(run.recs, runRIDs)
 		planned += n
 		if err != nil {
 			unplan()
 			return nil, err
 		}
-		for i, rec := range recs {
+		for i, rec := range run.recs {
 			g.insert(run.heap, runRIDs[i], rec)
 		}
 	}
@@ -221,9 +231,11 @@ func (b *Batch) Commit() ([]RID, error) {
 			g.metaSet(m.key, m.val)
 		}
 	}
-	for _, key := range b.pins {
-		if v, ok := s.meta[key]; ok {
-			g.metaSet(key, v)
+	for _, q := range b.pins {
+		if v := q.n.Load(); s.seqLogged(q, v) {
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], v)
+			g.metaSet(q.key, buf[:])
 		}
 	}
 	if err := s.wal.append(g.record()); err != nil {
@@ -237,8 +249,8 @@ func (b *Batch) Commit() ([]RID, error) {
 		} else {
 			s.meta[m.key] = m.val
 		}
-		if name, ok := strings.CutPrefix(m.key, seqPrefix); ok {
-			delete(s.seqs, name) // its counter is no longer the map's
+		if name, ok := strings.CutPrefix(m.key, seqPrefix); ok && s.seqs[name] != nil {
+			s.seqs[name].n.Store(seqValue(m.val)) // a removal stores 0
 		}
 	}
 	if cur, ok := s.meta[epochKey]; b.epoch > 0 && (!ok || len(cur) != 8 || binary.LittleEndian.Uint64(cur) < b.epoch) {
@@ -250,8 +262,8 @@ func (b *Batch) Commit() ([]RID, error) {
 	err := afterAppend()
 	for i, at := 0, 0; err == nil && i < len(b.runs); i++ {
 		run := b.runs[i]
-		err = heaps[run.heap].apply(b.recs[at:at+run.n], rids[at:at+run.n])
-		at += run.n
+		err = heaps[run.heap].apply(run.recs, rids[at:at+len(run.recs)])
+		at += len(run.recs)
 	}
 	for i := 0; err == nil && i < len(b.deletes); i++ {
 		err = heaps[b.deletes[i].heap].del(b.deletes[i].rid)
@@ -267,33 +279,59 @@ func (b *Batch) Commit() ([]RID, error) {
 // from it fails the apply. Only tests set it.
 var afterAppend = func() error { return nil }
 
-// AllocID reserves the next value (1-based) of a named persistent
-// sequence without logging it. The reservation advances the in-memory
-// counter, so concurrent callers never collide, but only becomes durable
-// when a Batch with PinSequence on the sequence commits or a checkpoint
-// snapshots it. Callers must therefore reference a reserved ID durably
-// only inside a batch that pins the sequence: a crash before that pin
-// simply re-issues the reserved IDs, which by then nothing references.
-//
-// Once the sequence exists, a reservation allocates nothing and builds
-// no meta key: the counter, found by the sequence's name, is advanced in
-// place. Every reader of a meta value copies it under metaMu, so no one
-// holds the bytes this changes.
-func (s *Store) AllocID(sequence string) uint64 {
+// Sequence is a named persistent sequence: a counter the store owns,
+// advanced with one atomic add. Its values are reserved in memory; a
+// reservation becomes durable when a Batch that pins the sequence
+// (PinSequence) commits, or a checkpoint snapshots the meta map. Callers
+// must therefore reference a reserved ID durably only inside a batch
+// that pins the sequence: a crash before that pin simply re-issues the
+// reserved IDs, which by then nothing references.
+type Sequence struct {
+	key string // its meta key
+	n   atomic.Uint64
+}
+
+// Next reserves the sequence's next value (1-based). It takes no lock
+// and allocates nothing, so concurrent callers never collide and a
+// caller that reserves often holds the Sequence instead of its name.
+func (q *Sequence) Next() uint64 { return q.n.Add(1) }
+
+// Sequence returns the named sequence, made on first use from the value
+// the meta map holds for it (the meta snapshot's, or the WAL's). The
+// handle lives as long as the store: a batch that sets or removes the
+// sequence's meta key writes the new value into its counter.
+func (s *Store) Sequence(name string) *Sequence {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	v, ok := s.seqs[sequence]
+	q, ok := s.seqs[name]
 	if !ok {
-		key := seqPrefix + sequence
-		if v, ok = s.meta[key]; !ok || len(v) != 8 {
-			v = make([]byte, 8)
-			s.meta[key] = v
-		}
-		s.seqs[sequence] = v
+		q = &Sequence{key: seqPrefix + name}
+		q.n.Store(seqValue(s.meta[q.key]))
+		s.seqs[name] = q
 	}
-	cur := binary.LittleEndian.Uint64(v) + 1
-	binary.LittleEndian.PutUint64(v, cur)
-	return cur
+	return q
+}
+
+// AllocID reserves the next value of the named sequence: Sequence(name)
+// then Next, for callers that reserve once in a while.
+func (s *Store) AllocID(sequence string) uint64 { return s.Sequence(sequence).Next() }
+
+// seqValue is the counter a sequence's meta value holds: zero for a
+// missing or malformed one.
+func seqValue(v []byte) uint64 {
+	if len(v) != 8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(v)
+}
+
+// seqLogged reports whether the value of q belongs in the meta map, a
+// pin's WAL entry and the meta snapshot: once it has issued a value, or
+// while a meta value of its key is set. A sequence that has done neither
+// writes nothing. Callers hold metaMu, or the store exclusively.
+func (s *Store) seqLogged(q *Sequence, v uint64) bool {
+	_, set := s.meta[q.key]
+	return v != 0 || set
 }

@@ -234,7 +234,8 @@ func TestCommitPathAllocs(t *testing.T) {
 }
 
 // TestAllocIDAfterMetaSet: a batch that sets or removes a sequence's
-// meta key directly moves the counter AllocID issues from.
+// meta key directly moves the counter AllocID issues from, and MetaGet
+// reads the counter.
 func TestAllocIDAfterMetaSet(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	defer s.Close()
@@ -247,10 +248,16 @@ func TestAllocIDAfterMetaSet(t *testing.T) {
 	if got := s.AllocID("x"); got != 101 {
 		t.Errorf("after a meta set to 100 the sequence issues %d, want 101", got)
 	}
+	if v, ok := s.MetaGet("seq/x"); !ok || binary.LittleEndian.Uint64(v) != 101 {
+		t.Errorf("the sequence's meta value reads %x, %v; want its counter, 101", v, ok)
+	}
 	b = s.NewBatch()
 	b.MetaDelete("seq/x")
 	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := s.MetaGet("seq/x"); ok {
+		t.Error("the sequence's meta value reads back after its delete")
 	}
 	if got := s.AllocID("x"); got != 1 {
 		t.Errorf("after a meta delete the sequence issues %d, want 1", got)

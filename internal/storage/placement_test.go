@@ -227,3 +227,54 @@ func TestBatchFailedAppendLeavesPages(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestFreshPageOutlivedByLaterPage pins why placement writes a fresh
+// page to the file when it opens it. The first batch opens page 0 of a
+// heap, and reads keep that page in a 4-frame pool while later batches
+// open pages 1 to 8, which the pool evicts to disk: page 0's only copy
+// on disk is the empty page written when it was opened. After a crash
+// straight after (nothing flushed) and a reopen, replay applies page 0's
+// record to that page, and every record reads back. Were the fresh page
+// not written, the later pages would leave a zeroed hole where page 0
+// lies, and replay would fail on it.
+func TestFreshPageOutlivedByLaterPage(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true, PoolFrames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.Repeat([]byte{'a'}, 100)
+	rid0, err := insert(s, "x", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[RID]string{rid0: string(first)}
+	for i := 1; i <= 8; i++ {
+		rec := bytes.Repeat([]byte{'a' + byte(i)}, MaxRecordLen) // a page to itself
+		rid, err := insert(s, "x", rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid.Page != uint32(i) {
+			t.Fatalf("record %d placed on page %d", i, rid.Page)
+		}
+		want[rid] = string(rec)
+		if _, err := s.Get("x", rid0); err != nil { // page 0 stays in the pool
+			t.Fatal(err)
+		}
+	}
+	if _, misses := s.BufferStats(); misses != 0 {
+		t.Fatalf("page 0 left the pool (%d misses)", misses)
+	}
+	s.closeFiles()
+	s.wal.close()
+	if s, err = Open(dir, Options{NoSync: true, PoolFrames: 4}); err != nil {
+		t.Fatalf("reopen after the crash: %v", err)
+	}
+	defer s.Close()
+	for rid, rec := range want {
+		if got, err := s.Get("x", rid); err != nil || string(got) != rec {
+			t.Errorf("record at %s after the crash: %d bytes, %v", rid, len(got), err)
+		}
+	}
+}

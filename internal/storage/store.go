@@ -50,9 +50,11 @@ type Store struct {
 	opts   Options
 	heaps  map[string]*Heap
 	meta   map[string][]byte
-	// seqs maps a sequence's name to its counter: the bytes of its meta
-	// value, under metaMu like the map.
-	seqs  map[string][]byte
+	// seqs maps a sequence's name to its counter, under metaMu like the
+	// map. A sequence's value is its counter's: its meta value is the
+	// one it was opened or last set with, and the snapshot, a pin and
+	// MetaGet read the counter instead.
+	seqs  map[string]*Sequence
 	wal   *wal
 	blobs *BlobStore
 	// epoch is the MVCC commit-epoch counter: every Batch.Commit stamps
@@ -104,7 +106,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:  opts,
 		heaps: make(map[string]*Heap),
 		meta:  make(map[string][]byte),
-		seqs:  make(map[string][]byte),
+		seqs:  make(map[string]*Sequence),
 	}
 	if err := s.loadMetaSnapshot(); err != nil {
 		return nil, err
@@ -306,6 +308,13 @@ func (s *Store) MetaGet(key string) ([]byte, bool) {
 	defer s.mu.RUnlock()
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
+	if name, isSeq := strings.CutPrefix(key, seqPrefix); isSeq && s.seqs[name] != nil {
+		q := s.seqs[name]
+		if n := q.n.Load(); s.seqLogged(q, n) {
+			return binary.LittleEndian.AppendUint64(nil, n), true
+		}
+		return nil, false
+	}
 	v, ok := s.meta[key]
 	if !ok {
 		return nil, false
@@ -457,18 +466,30 @@ const (
 // writeMetaSnapshot replaces meta.db durably: the new snapshot is synced
 // under a temporary name, renamed over the old one, and the rename synced
 // with the directory, so a crash leaves one whole snapshot or the other.
+// Each sequence's value is its counter's, read atomically: a reservation
+// made while the snapshot is written lands in a later one or a pin. The
+// caller holds the store exclusively, or is opening it.
 func (s *Store) writeMetaSnapshot() error {
-	buf := []byte(metaMagic)
-	keys := make([]string, 0, len(s.meta))
-	for k := range s.meta {
+	vals := make(map[string][]byte, len(s.meta)+len(s.seqs))
+	for k, v := range s.meta {
+		vals[k] = v
+	}
+	for _, q := range s.seqs {
+		if v := q.n.Load(); s.seqLogged(q, v) {
+			vals[q.key] = binary.LittleEndian.AppendUint64(nil, v)
+		}
+	}
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	buf := []byte(metaMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(k)))
 		buf = append(buf, k...)
-		v := s.meta[k]
+		v := vals[k]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
 		buf = append(buf, v...)
 	}

@@ -272,7 +272,7 @@ func TestConcurrentLoadsReopen(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < loads; i++ {
 				first := object.OID(1_000 * (w*loads + i + 1))
-				tasks := e.exec.StageExternal("data_load", nil, []object.OID{first, first + 1, first + 2}, "landsat_tm", RunOptions{User: "u", Note: "tape"})
+				tasks := e.exec.StageExternal("data_load", nil, []Run{{uint64(first), 3}}, "landsat_tm", RunOptions{User: "u", Note: "tape"})
 				if _, err := e.exec.Apply(object.BatchOps{}, tasks); err != nil {
 					errs <- err
 					return

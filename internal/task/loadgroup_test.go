@@ -27,7 +27,7 @@ func stored(e *env, tk *Task) []byte {
 // of one output, and returns it.
 func commitExternal(t *testing.T, e *env, proc string, inputs map[string][]object.OID, output object.OID, opts RunOptions) *Task {
 	t.Helper()
-	tasks := e.exec.StageExternal(proc, inputs, []object.OID{output}, "landsat_tm", opts)
+	tasks := e.exec.StageExternal(proc, inputs, []Run{{uint64(output), 1}}, "landsat_tm", opts)
 	commitStaged(t, e, tasks)
 	return tasks[0]
 }
@@ -67,7 +67,7 @@ func TestStageExternalScatteredOutputsSplit(t *testing.T) {
 			outputs[i] = object.OID(1_000_000*(s+1) + 2*i)
 		}
 		sets[s] = outputs
-		tasks := e.exec.StageExternal("data_load", nil, outputs, "landsat_tm", RunOptions{Note: "scattered"})
+		tasks := e.exec.StageExternal("data_load", nil, runsOf(outputs), "landsat_tm", RunOptions{Note: "scattered"})
 		if len(tasks) < 2 {
 			t.Fatalf("%d runs staged as %d task", n, len(tasks))
 		}
@@ -121,7 +121,7 @@ func TestStageExternalScatteredOutputsSplit(t *testing.T) {
 func TestLoadGroupLineageWalks(t *testing.T) {
 	e := newEnv(t)
 	group := []object.OID{10, 11, 12, 13}
-	tasks := e.exec.StageExternal("data_load", nil, group, "landsat_tm", RunOptions{})
+	tasks := e.exec.StageExternal("data_load", nil, runsOf(group), "landsat_tm", RunOptions{})
 	commitStaged(t, e, tasks)
 	if n := len(stored(e, tasks[0])); len(tasks) != 1 || n > 160 {
 		t.Fatalf("contiguous group staged as %d tasks, first record %d bytes", len(tasks), n)
@@ -149,4 +149,17 @@ func TestLoadGroupLineageWalks(t *testing.T) {
 	if len(e.exec.memo) != 0 {
 		t.Errorf("external derivations entered the memo: %v", e.exec.memo)
 	}
+}
+
+// runsOf folds ascending OIDs into [first, count] runs.
+func runsOf(oids []object.OID) []Run {
+	var runs []Run
+	for _, oid := range oids {
+		if n := len(runs); n > 0 && runs[n-1][0]+runs[n-1][1] == uint64(oid) {
+			runs[n-1][1]++
+			continue
+		}
+		runs = append(runs, Run{uint64(oid), 1})
+	}
+	return runs
 }

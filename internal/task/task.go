@@ -141,23 +141,6 @@ func (t *Task) setOutputs(runs []Run) {
 	}
 }
 
-// runsOf folds OIDs into ascending [first, count] runs.
-func runsOf(oids []object.OID) []Run {
-	if !slices.IsSorted(oids) {
-		oids = slices.Clone(oids)
-		slices.Sort(oids)
-	}
-	var runs []Run
-	for _, oid := range oids {
-		if n := len(runs); n > 0 && runs[n-1][0]+runs[n-1][1] == uint64(oid) {
-			runs[n-1][1]++
-			continue
-		}
-		runs = append(runs, Run{uint64(oid), 1})
-	}
-	return runs
-}
-
 // Key canonicalises (process, version, inputs) for memoisation.
 func memoKey(proc string, version int, inputs map[string][]object.OID) string {
 	names := make([]string, 0, len(inputs))
@@ -589,7 +572,7 @@ func (e *Executor) commit(pr *process.Process, inputs map[string][]object.OID, e
 		OutClass: pr.OutClass,
 		Micros:   elapsed.Microseconds(),
 		Note:     opts.Note,
-	}, base, []object.OID{output})
+	}, base, []Run{{uint64(output), 1}})
 	if _, err := e.Apply(ops, tasks); err != nil {
 		return nil, err
 	}
@@ -892,12 +875,13 @@ func matches(o *object.Object, class string, attrs map[string]value.Value, ext s
 
 // StageExternal prepares the tasks of an external derivation — a
 // session's creates of one class under one note, an interpolation — for
-// the batch that commits its outputs, which Apply runs. Version 0 marks
+// the batch that commits its outputs, which Apply runs. The outputs are
+// given as ascending runs, which the tasks keep. Version 0 marks
 // external derivations: they take part in lineage but are not memoised
 // as process instantiations. Each task's record is a delta against the
 // newest published external derivation with the same process, user,
 // out-class and note, if there is one.
-func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, outputs []object.OID, outClass string, opts RunOptions) []*Task {
+func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID, outputs []Run, outClass string, opts RunOptions) []*Task {
 	e.mu.RLock()
 	base := e.byID[e.external[externalKey{procName, opts.User, outClass, opts.Note}]]
 	e.mu.RUnlock()
@@ -914,17 +898,17 @@ func (e *Executor) StageExternal(procName string, inputs map[string][]object.OID
 // by proto, for the batch that commits the outputs: each task ID is
 // reserved in memory, to become durable with that batch, which pins the
 // "task" sequence. Each record is a delta against base, a published task,
-// unless base is nil. The outputs are recorded as (first, count) runs, so
-// OIDs reserved back to back cost one record of ~40 bytes (≤ 16 as a
-// delta) however many they are; only a set scattered into more runs than
-// a heap record holds is split over several tasks, each taking the runs
-// that fit its record.
-func (e *Executor) stage(proto Task, base *Task, outputs []object.OID) []*Task {
+// unless base is nil. The outputs are ascending (first, count) runs, and
+// recorded so, so OIDs reserved back to back cost one record of ~40
+// bytes (≤ 16 as a delta) however many they are; only a set scattered
+// into more runs than a heap record holds is split over several tasks,
+// each taking the runs that fit its record.
+func (e *Executor) stage(proto Task, base *Task, outputs []Run) []*Task {
 	if base != nil {
 		proto.base = base.ID
 	}
 	var tasks []*Task
-	for runs := runsOf(outputs); len(runs) > 0; {
+	for runs := outputs; len(runs) > 0; {
 		t := proto
 		t.ID = ID(e.st.AllocID("task"))
 		// Take runs while they fit, the run count at its widest; the first

@@ -28,8 +28,31 @@ const (
 	tagSet
 )
 
-// Encode serialises a value to its internal representation.
-func Encode(v Value) ([]byte, error) { return Append(nil, v) }
+// Encode serialises a value to its internal representation. A value
+// whose length its kind gives — a scalar, an interval, a box, a vector —
+// is encoded in one allocation of that length.
+func Encode(v Value) ([]byte, error) { return Append(make([]byte, 0, encodedLen(v)), v) }
+
+// encodedLen is the length of v's internal representation where v's kind
+// gives it, and 0 where it takes a walk of the value (an image, a matrix,
+// a set): Append then grows the buffer as it goes.
+func encodedLen(v Value) int {
+	switch x := v.(type) {
+	case Int, Float, AbsTime:
+		return 1 + 8
+	case Bool:
+		return 1 + 1
+	case String_:
+		return 1 + 4 + len(x)
+	case Interval:
+		return 1 + 2*8
+	case Box:
+		return 1 + 4*8
+	case Vector:
+		return 1 + 4 + 8*len(x)
+	}
+	return 0
+}
 
 // Append appends a value's internal representation to buf, so a caller
 // laying several values into one record encodes them in place. On error

@@ -304,3 +304,23 @@ func TestEncodeNilPayloads(t *testing.T) {
 		t.Error("nil matrix must fail to encode")
 	}
 }
+
+// TestEncodeAllocatesOnce: a value whose length its kind gives encodes
+// in one allocation of exactly that length.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for _, v := range []Value{
+		Int(-7), Float(12.5), Bool(true), AbsTime(sptemp.Date(1986, 1, 15)), String_("landsat"),
+		Interval(sptemp.Interval{Start: 1, End: 2}), Box(sptemp.NewBox(0, 0, 10, 10)), Vector{1, 2, 3},
+	} {
+		buf, err := Encode(v)
+		if err != nil {
+			t.Fatalf("Encode(%v): %v", v, err)
+		}
+		if len(buf) != cap(buf) {
+			t.Errorf("Encode(%v): %d bytes in a buffer of %d", v, len(buf), cap(buf))
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = Encode(v) }); n != 1 {
+			t.Errorf("Encode(%v): %v allocations, want 1", v, n)
+		}
+	}
+}

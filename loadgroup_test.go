@@ -129,7 +129,8 @@ func TestSessionLoadGroupLineage(t *testing.T) {
 }
 
 // TestSessionLoadGroupPerClassAndNote: creates of mixed classes and mixed
-// notes get one task per (class, note), each listing exactly its own.
+// notes get one task per (class, note), each listing exactly its own,
+// with staged creates deleted again left out.
 func TestSessionLoadGroupPerClassAndNote(t *testing.T) {
 	ctx := context.Background()
 	k := openKernel(t)
@@ -155,6 +156,21 @@ func TestSessionLoadGroupPerClassAndNote(t *testing.T) {
 			t.Fatal(err)
 		}
 		members[kk] = append(members[kk], oid)
+	}
+	// Deleting staged creates drops them from their groups: each of these
+	// is a run of one, so its run goes too.
+	for _, i := range []int{0, 21, 39} {
+		kk, at := keys[i%len(keys)], i/len(keys)
+		if err := s.Delete(members[kk][at]); err != nil {
+			t.Fatal(err)
+		}
+		members[kk] = slices.Delete(members[kk], at, at+1)
+	}
+	// A staged create keeps its class.
+	moved := rainObject(1, 20)
+	moved.OID, moved.Class = members[keys[0]][0], "snow"
+	if err := s.Update(moved); err == nil {
+		t.Errorf("a staged create of class rain was updated to class snow")
 	}
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,10 @@ import (
 // objects receive their final OID at Create time (reserved in memory,
 // durable with the commit), so later staged ops and post-commit code can
 // refer to them. Objects handed to Create/Update must not be mutated
-// until the session finishes.
+// until the session finishes. Creates are staged in the shape the object
+// store's batch takes them — one list, cut into runs of one class and
+// note — so Commit hands that list over as it is and folds the load
+// tasks' OIDs from it.
 //
 // A Session is safe for concurrent use, single-shot (one Commit or
 // Rollback), and snapshot-isolated against other writers with
@@ -50,9 +53,12 @@ type Session struct {
 
 	mu   sync.Mutex
 	done bool
-	// creates is in ascending OID order: the store reserves OIDs from
-	// one monotonic sequence, so each Create's is above the last one's.
-	creates   []stagedCreate
+	// creates is the staged creates in the shape ApplyBatch takes them,
+	// in ascending OID order: the store reserves OIDs from one monotonic
+	// sequence, so each Create's is above the last one's. runs cut it
+	// into runs of one class and note, in order.
+	creates   []*object.Object
+	runs      []createRun
 	updates   []*object.Object
 	updateIdx map[object.OID]int
 	deletes   []object.OID
@@ -66,18 +72,19 @@ type Session struct {
 // (process-unique; a token never outlives the in-memory locks it names).
 var prepareTokens atomic.Uint64
 
-type stagedCreate struct {
-	oid  object.OID
-	obj  *object.Object // nil once the create is deleted again
-	note string
+// createRun is n consecutive creates of one class with one note, with
+// the schema they were validated against.
+type createRun struct {
+	class object.Class
+	note  string
+	n     int
 }
 
 // createOf returns the index in creates of the staged create of oid.
 func (s *Session) createOf(oid object.OID) (int, bool) {
-	i, ok := slices.BinarySearchFunc(s.creates, oid, func(c stagedCreate, oid object.OID) int {
-		return cmp.Compare(c.oid, oid)
+	return slices.BinarySearchFunc(s.creates, oid, func(c *object.Object, oid object.OID) int {
+		return cmp.Compare(c.OID, oid)
 	})
-	return i, ok && s.creates[i].obj != nil
 }
 
 // Begin opens a mutation session. The context bounds Commit (staging
@@ -132,17 +139,42 @@ func (s *Session) checkStaging() error {
 // the session with the same class and note — even an empty note records
 // the load, so the object is never invisible to lineage. The object
 // becomes retrievable at Commit.
+//
+// A create is staged as ApplyBatch takes it: the object is appended to
+// the session's one list of creates, and its OID is one atomic add on
+// the store's sequence. A run of creates of one class with one note is
+// validated against the class schema looked up at the run's first.
 func (s *Session) Create(obj *object.Object, note string) (object.OID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkStaging(); err != nil {
 		return 0, classify(err)
 	}
-	oid, err := s.k.Objects.Reserve(obj)
+	n := len(s.runs)
+	same := n > 0 && s.runs[n-1].class.Name() == obj.Class && s.runs[n-1].note == note
+	var class object.Class
+	if same {
+		class = s.runs[n-1].class
+	} else {
+		var err error
+		if class, err = s.k.Objects.ClassOf(obj.Class); err != nil {
+			return 0, classify(err)
+		}
+	}
+	oid, err := s.k.Objects.ReserveIn(class, obj)
 	if err != nil {
 		return 0, classify(err)
 	}
-	s.creates = append(s.creates, stagedCreate{oid: oid, obj: obj, note: note})
+	if !same {
+		s.runs = append(s.runs, createRun{class: class, note: note})
+	}
+	s.runs[len(s.runs)-1].n++
+	if len(s.creates) == cap(s.creates) {
+		// Double the list: past 256 entries append grows it by less, so a
+		// load session's list of thousands would be copied more often.
+		s.creates = append(make([]*object.Object, 0, max(8, 2*len(s.creates))), s.creates...)
+	}
+	s.creates = append(s.creates, obj)
 	return oid, nil
 }
 
@@ -160,11 +192,16 @@ func (s *Session) Update(obj *object.Object) error {
 		return fmt.Errorf("%w: object %d is staged for deletion in this session", ErrConflict, obj.OID)
 	}
 	if i, staged := s.createOf(obj.OID); staged {
-		// Validate like a fresh create, then swap the staged state.
+		// Validate like a fresh create of the same class, then swap the
+		// staged state.
+		if obj.Class != s.creates[i].Class {
+			return classify(fmt.Errorf("%w: object %d is of class %s, not %s",
+				object.ErrBadAttr, obj.OID, s.creates[i].Class, obj.Class))
+		}
 		if err := s.k.Objects.ValidateNew(obj); err != nil {
 			return classify(err)
 		}
-		s.creates[i].obj = obj
+		s.creates[i] = obj
 		return nil
 	}
 	if err := s.k.Objects.CheckUpdate(obj); err != nil {
@@ -188,7 +225,14 @@ func (s *Session) Delete(oid object.OID) error {
 		return classify(err)
 	}
 	if i, staged := s.createOf(oid); staged {
-		s.creates[i].obj = nil // tombstone; skipped at commit
+		s.creates = slices.Delete(s.creates, i, i+1)
+		r := 0 // the run of create i
+		for ; i >= s.runs[r].n; r++ {
+			i -= s.runs[r].n
+		}
+		if s.runs[r].n--; s.runs[r].n == 0 {
+			s.runs = slices.Delete(s.runs, r, r+1)
+		}
 		return nil
 	}
 	if !s.k.Objects.Exists(oid) {
@@ -283,38 +327,8 @@ func (s *Session) Commit() (err error) {
 		return err
 	}
 
-	ops := object.BatchOps{Inserts: make([]*object.Object, 0, len(s.creates))}
-	// One load task per (class, note) of the creates, in order of first
-	// appearance: its outputs are the whole set this session created. The
-	// key is looked up once per run of creates that share it.
-	type loadKey struct{ class, note string }
-	type load struct {
-		key  loadKey
-		oids []object.OID
-	}
-	var loads []load
-	at := make(map[loadKey]int)
-	l := -1 // the load of the create before
-	for _, c := range s.creates {
-		if c.obj == nil {
-			continue // created then deleted within the session
-		}
-		ops.Inserts = append(ops.Inserts, c.obj)
-		if key := (loadKey{c.obj.Class, c.note}); l < 0 || loads[l].key != key {
-			var seen bool
-			if l, seen = at[key]; !seen {
-				l = len(loads)
-				at[key] = l
-				loads = append(loads, load{key: key})
-			}
-		}
-		loads[l].oids = append(loads[l].oids, c.obj.OID)
-	}
-	var staged []*task.Task
-	for _, l := range loads {
-		staged = append(staged, s.k.Tasks.StageExternal("data_load", nil, l.oids, l.key.class,
-			task.RunOptions{User: s.user, Note: l.key.note})...)
-	}
+	ops := object.BatchOps{Inserts: s.creates} // the list, not a copy
+	staged := s.stageLoads()
 	for _, u := range s.updates {
 		if u == nil {
 			continue // superseded by a staged delete
@@ -352,6 +366,45 @@ func (s *Session) Commit() (err error) {
 		return classify(fmt.Errorf("gaea: session committed durably, but invalidation propagation failed (refresh or re-update to repropagate): %w", err))
 	}
 	return nil
+}
+
+// stageLoads stages one load task per (class, note) of the creates, in
+// order of first appearance: its outputs are the whole set this session
+// created with that class and note, folded from the list of creates into
+// runs of back-to-back OIDs as Commit reads it.
+func (s *Session) stageLoads() []*task.Task {
+	type load struct {
+		class, note string
+		outputs     []task.Run
+	}
+	var loads []load
+	at := make(map[[2]string]int)
+	i := 0 // the first create of the run
+	for _, run := range s.runs {
+		key := [2]string{run.class.Name(), run.note}
+		l, seen := at[key]
+		if !seen {
+			l = len(loads)
+			at[key] = l
+			loads = append(loads, load{class: key[0], note: key[1]})
+		}
+		runs := loads[l].outputs
+		for _, c := range s.creates[i : i+run.n] {
+			if n := len(runs); n > 0 && runs[n-1][0]+runs[n-1][1] == uint64(c.OID) {
+				runs[n-1][1]++
+			} else {
+				runs = append(runs, task.Run{uint64(c.OID), 1})
+			}
+		}
+		loads[l].outputs = runs
+		i += run.n
+	}
+	var staged []*task.Task
+	for _, l := range loads {
+		staged = append(staged, s.k.Tasks.StageExternal("data_load", nil, l.outputs, l.class,
+			task.RunOptions{User: s.user, Note: l.note})...)
+	}
+	return staged
 }
 
 // Rollback discards the staged work, releasing any write locks a
