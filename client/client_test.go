@@ -1141,9 +1141,9 @@ func TestMVCCRemoteStreamsUnderWriters(t *testing.T) {
 }
 
 // TestBackendParity runs one workload — batched ingest, query, paged
-// stream with resume, snapshot reads, staleness listing, explain —
-// against the embedded kernel and a served endpoint, asserting the
-// results agree. This is the acceptance criterion that client.Kernel
+// stream with resume, snapshot reads, staleness listing, explain, and a
+// request only a derivation answers — against the embedded kernel and a
+// served endpoint, asserting the results agree. This is the acceptance criterion that client.Kernel
 // code cannot tell the backends apart.
 func TestBackendParity(t *testing.T) {
 	type outcome struct {
@@ -1225,6 +1225,65 @@ func TestBackendParity(t *testing.T) {
 	want := outcome{queried: 17, streamed: 17, pages: 4, snapCount: 17, stale: 0, explain: true}
 	if embeddedOut != want {
 		t.Fatalf("workload outcome %+v, want %+v", embeddedOut, want)
+	}
+
+	// A request whose retrieval is empty and that a derivation answers:
+	// refused by a snapshot query (a pinned reader must not derive),
+	// derived by Query, and derived again by QueryStream once the first
+	// answer is deleted, ending with no resume cursor.
+	type fallback struct {
+		snapErr  error
+		queried  int
+		how      gaea.Strategy
+		streamed int
+		cursor   string
+	}
+	derive := func(t *testing.T, b Kernel) fallback {
+		t.Helper()
+		var out fallback
+		snap, err := b.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = snap.Query(ctx, landcoverReq())
+		snap.Release()
+		for _, class := range []error{gaea.ErrNoPlan, gaea.ErrClassUnknown, gaea.ErrNotFound} {
+			if errors.Is(err, class) {
+				out.snapErr = class
+				break
+			}
+		}
+		if out.snapErr == nil {
+			t.Fatalf("snapshot query of a derivable request: %v, want a classified error", err)
+		}
+		res, err := b.Query(ctx, landcoverReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.queried, out.how = len(res.OIDs), res.How[0]
+		s := b.Begin(ctx)
+		if err := s.Delete(res.OIDs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := b.QueryStream(ctx, landcoverReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.streamed = len(drainAll(t, st))
+		out.cursor = st.Cursor()
+		return out
+	}
+	embeddedFB := derive(t, Embed(openLandKernel(t)))
+	_, landAddr := startServer(t, openLandKernel(t), gaea.ServeOptions{})
+	remoteFB := derive(t, dial(t, landAddr))
+	if embeddedFB != remoteFB {
+		t.Fatalf("backends disagree on a derived answer:\nembedded: %+v\nremote:   %+v", embeddedFB, remoteFB)
+	}
+	if wantFB := (fallback{snapErr: gaea.ErrNoPlan, queried: 1, how: gaea.Derive, streamed: 1}); embeddedFB != wantFB {
+		t.Fatalf("derived outcome %+v, want %+v", embeddedFB, wantFB)
 	}
 }
 

@@ -539,14 +539,30 @@ func (k *Kernel) RunCompound(ctx context.Context, name string, inputs map[string
 // buffering every answering object. For incremental consumption or
 // pagination over large extents use QueryStream.
 func (k *Kernel) Query(ctx context.Context, req Request) (*Result, error) {
-	if err := k.checkOpen(); err != nil {
+	if err := k.request(&req, false); err != nil {
 		return nil, err
+	}
+	res, err := k.Queries.Run(ctx, req)
+	return res, classify(err)
+}
+
+// request is the preamble of every query entry point: the open check,
+// strategy validation, the default user, and retrieval only for a reader
+// pinned to an epoch (a derivation would write at epochs it cannot see).
+func (k *Kernel) request(req *Request, pinned bool) error {
+	if err := k.checkOpen(); err != nil {
+		return err
+	}
+	if err := query.CheckStrategies(req.Strategies); err != nil {
+		return err
 	}
 	if req.User == "" {
 		req.User = k.user
 	}
-	res, err := k.Queries.Run(ctx, req)
-	return res, classify(err)
+	if pinned {
+		req.Strategies = []Strategy{Retrieve}
+	}
+	return nil
 }
 
 // Stream is a single-use cursor over streamed query results: range over
@@ -591,13 +607,16 @@ func (s *Stream) Cursor() string { return s.inner.Cursor() }
 // (resume). The §2.1.5 fallback chain (interpolation, derivation) runs
 // lazily, only if the consumer drains an empty retrieval.
 func (k *Kernel) QueryStream(ctx context.Context, req Request) (*Stream, error) {
-	if err := k.checkOpen(); err != nil {
+	return k.stream(ctx, req, false, 0)
+}
+
+// stream is the one streaming path: Kernel.QueryStream's (epoch 0: the
+// current one at the first pull) and Snapshot.QueryStream's (pinned).
+func (k *Kernel) stream(ctx context.Context, req Request, pinned bool, epoch uint64) (*Stream, error) {
+	if err := k.request(&req, pinned); err != nil {
 		return nil, err
 	}
-	if req.User == "" {
-		req.User = k.user
-	}
-	st, err := k.Queries.Stream(ctx, req)
+	st, err := k.Queries.StreamAt(ctx, req, epoch)
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -606,7 +625,7 @@ func (k *Kernel) QueryStream(ctx context.Context, req Request) (*Stream, error) 
 
 // ExplainQuery previews how a request would be satisfied.
 func (k *Kernel) ExplainQuery(ctx context.Context, req Request) (string, error) {
-	if err := k.checkOpen(); err != nil {
+	if err := k.request(&req, false); err != nil {
 		return "", err
 	}
 	text, err := k.Queries.Explain(ctx, req)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -59,11 +60,19 @@ func loadGauges(t testing.TB, s *Store, n, per int) []OID {
 
 func openGaugeStore(t testing.TB, opts storage.Options) *Store {
 	t.Helper()
-	st, err := storage.Open(t.TempDir(), opts)
+	s := newGaugeStore(t, t.TempDir(), opts)
+	t.Cleanup(func() { s.st.Close() })
+	return s
+}
+
+// newGaugeStore opens a store in dir with the gauge class defined; the
+// caller closes it.
+func newGaugeStore(t testing.TB, dir string, opts storage.Options) *Store {
+	t.Helper()
+	st, err := storage.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
 	cat, err := catalog.Open(st)
 	if err != nil {
 		t.Fatal(err)
@@ -343,13 +352,25 @@ func TestLoadAddsNoHeapObjects(t *testing.T) {
 
 // BenchmarkStoreLoad stores 131,072 gauges in sessions of 1,024 creates
 // into a fresh store without fsync: the set-up of the repository
-// benchmark's gauge workloads, below the kernel.
+// benchmark's gauge workloads, below the kernel. Each iteration's store
+// is closed and its directory removed before the next, untimed, so a run
+// holds one store at a time. (A b.N loop: under Go 1.24, b.Loop never
+// ends once StartTimer runs inside it.)
 func BenchmarkStoreLoad(b *testing.B) {
-	for b.Loop() {
+	for range b.N {
 		b.StopTimer()
-		s := openGaugeStore(b, storage.Options{NoSync: true})
+		dir := b.TempDir()
+		s := newGaugeStore(b, dir, storage.Options{NoSync: true})
 		b.StartTimer()
 		loadGauges(b, s, 131072, 1024)
+		b.StopTimer()
+		if err := s.st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

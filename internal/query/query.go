@@ -9,12 +9,19 @@
 //
 // "Steps 2 and 3 are prioritized according to the user's needs" — the
 // request carries an ordered strategy list.
+//
+// Step 1 is walk and steps 2–3 are Fallback, each written once. Run walks
+// in one shot, then falls back if nothing was served; Stream walks page
+// by page and falls back only when a fresh stream served nothing;
+// PageRawAt walks one page and leaves Fallback to its caller; Explain
+// walks in one shot and previews a plan instead of falling back.
 package query
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gaea/internal/catalog"
@@ -23,7 +30,6 @@ import (
 	"gaea/internal/object"
 	"gaea/internal/obs"
 	"gaea/internal/petri"
-	"gaea/internal/process"
 	"gaea/internal/sptemp"
 	"gaea/internal/task"
 )
@@ -91,18 +97,6 @@ var (
 	ErrUnsatisfied = errors.New("query: cannot satisfy request")
 )
 
-// trim caps the result at limit answering objects (0 = unlimited).
-func (r *Result) trim(limit int) {
-	if limit <= 0 || len(r.OIDs) <= limit {
-		return
-	}
-	r.OIDs = r.OIDs[:limit]
-	r.How = r.How[:limit]
-	if r.Stale != nil {
-		r.Stale = r.Stale[:limit]
-	}
-}
-
 // Executor wires the layers together.
 type Executor struct {
 	Cat      *catalog.Catalog
@@ -151,10 +145,6 @@ func (qe *Executor) RegisterMetrics(reg *obs.Registry) {
 	qe.streamObjects = reg.Counter("stream_objects_total")
 }
 
-func (qe *Executor) isStaleAt(oid object.OID, epoch uint64) bool {
-	return qe.Stale != nil && qe.Stale(oid, epoch)
-}
-
 // Run answers a request against a snapshot pinned at the current commit
 // epoch: retrieval resolves every OID at that epoch, so a concurrent
 // session commit cannot make the result set observe half a batch. The
@@ -197,93 +187,47 @@ func (qe *Executor) RunAt(ctx context.Context, req Request, epoch uint64) (res *
 	if err != nil {
 		return nil, err
 	}
-	strategies := req.Strategies
-	if len(strategies) == 0 {
-		strategies = []Strategy{Interpolate, Derive}
+	res, limit := &Result{Epoch: epoch}, req.Limit
+	err = qe.walk(ctx, classes, req.Pred, position{}, epoch, true, func(_ string, oid object.OID, stale bool) (bool, error) {
+		res.OIDs = append(res.OIDs, oid)
+		res.How = append(res.How, Retrieve)
+		res.Stale = append(res.Stale, stale)
+		return len(res.OIDs) != limit, nil // a limit ≤ 0 never matches
+	})
+	if err != nil {
+		return nil, err
 	}
-	res = &Result{Epoch: epoch}
-
-	// Step 1: direct retrieval across all member classes, resolved at the
-	// snapshot epoch. Stale objects are skipped (so the fallback chain
-	// re-derives them) unless ServeStale returns them flagged.
-	servedStale := false
-	for _, cls := range classes {
-		oids, err := qe.Obj.QueryAt(cls, req.Pred, epoch)
-		if err != nil {
+	if len(res.OIDs) == 0 {
+		if res, err = qe.Fallback(ctx, req); err != nil {
 			return nil, err
 		}
-		for _, oid := range oids {
-			stale := qe.isStaleAt(oid, epoch)
-			if stale && !qe.ServeStale {
-				continue
-			}
-			if stale {
-				servedStale = true
-			}
-			res.OIDs = append(res.OIDs, oid)
-			res.How = append(res.How, Retrieve)
-			res.Stale = append(res.Stale, stale)
-		}
-	}
-	if len(res.OIDs) > 0 {
-		if !servedStale {
-			res.Stale = nil
-		}
-		res.trim(req.Limit)
-		qe.howRetrieve.Inc()
+		res.Epoch = epoch
 		return res, nil
 	}
-	res.Stale = nil
-
-	// Fallback steps in the requested order, first success wins.
-	var lastErr error
-	for _, s := range strategies {
-		switch s {
-		case Interpolate:
-			ictx, isp := obs.Start(ctx, "query/interpolate")
-			oid, err := qe.tryInterpolate(ictx, classes, req)
-			isp.End()
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			res.OIDs = append(res.OIDs, oid)
-			res.How = append(res.How, Interpolate)
-			if t, ok := qe.Exec.Producer(oid); ok {
-				res.TasksRun = append(res.TasksRun, t.ID)
-			}
-			qe.howInterpolate.Inc()
-			return res, nil
-		case Derive:
-			dctx, dsp := obs.Start(ctx, "query/derive")
-			oids, tasks, planText, err := qe.tryDerive(dctx, classes, req)
-			dsp.End()
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			res.PlanText = planText
-			res.TasksRun = tasks
-			for _, oid := range oids {
-				res.OIDs = append(res.OIDs, oid)
-				res.How = append(res.How, Derive)
-			}
-			res.trim(req.Limit)
-			qe.howDerive.Inc()
-			return res, nil
-		case Retrieve:
-			// Already attempted above.
-		default:
-			return nil, fmt.Errorf("%w: unknown strategy %q", ErrBadRequest, s)
-		}
+	if !slices.Contains(res.Stale, true) {
+		res.Stale = nil
 	}
-	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnsatisfied, lastErr)
-	}
-	return nil, ErrUnsatisfied
+	qe.howRetrieve.Inc()
+	return res, nil
 }
 
+// CheckStrategies refuses a strategy the §2.1.5 sequence does not have.
+// Every entry point checks it up front, before retrieval can answer.
+func CheckStrategies(strategies []Strategy) error {
+	for _, s := range strategies {
+		if s != Retrieve && s != Interpolate && s != Derive {
+			return fmt.Errorf("%w: unknown strategy %q", ErrBadRequest, s)
+		}
+	}
+	return nil
+}
+
+// targetClasses validates a request for every entry point and returns
+// the classes retrieval walks, in order.
 func (qe *Executor) targetClasses(req Request) ([]string, error) {
+	if err := CheckStrategies(req.Strategies); err != nil {
+		return nil, err
+	}
 	switch {
 	case req.Class != "" && req.Concept != "":
 		return nil, fmt.Errorf("%w: set Class or Concept, not both", ErrBadRequest)
@@ -304,6 +248,107 @@ func (qe *Executor) targetClasses(req Request) ([]string, error) {
 	default:
 		return nil, fmt.Errorf("%w: neither class nor concept given", ErrBadRequest)
 	}
+}
+
+// position is where a walk starts: a target class index and the OID
+// the walk resumes strictly after.
+type position struct {
+	class int
+	after object.OID
+}
+
+// walk is retrieval (§2.1.5 step 1): the classes in target order from
+// pos, each one's matches at epoch by ascending OID, stale objects
+// skipped unless ServeStale. visit returns false to cut the walk. A
+// one-shot walk (Run, Explain: pos is the start) uses QueryAt, keeping
+// out of the candidate memo QueryFromAt keeps for paged scans: one-tile
+// queries would churn it.
+func (qe *Executor) walk(ctx context.Context, classes []string, pred sptemp.Extent, pos position, epoch uint64, oneShot bool, visit func(class string, oid object.OID, stale bool) (bool, error)) error {
+	offer := func(class string, oid object.OID) (bool, error) {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		stale := qe.Stale != nil && qe.Stale(oid, epoch)
+		if stale && !qe.ServeStale {
+			return true, nil
+		}
+		return visit(class, oid, stale)
+	}
+	for ci, after := pos.class, pos.after; ci < len(classes); ci, after = ci+1, 0 {
+		if oneShot {
+			oids, err := qe.Obj.QueryAt(classes[ci], pred, epoch)
+			if err != nil {
+				return err
+			}
+			for _, oid := range oids {
+				if more, err := offer(classes[ci], oid); !more || err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		for oid, err := range qe.Obj.QueryFromAt(classes[ci], pred, after, epoch) {
+			if err != nil {
+				return err
+			}
+			if more, err := offer(classes[ci], oid); !more || err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Fallback is the §2.1.5 fallback chain (steps 2 and 3) for a request
+// retrieval did not answer: its strategies in order (default interpolate,
+// then derive), the first success answering, capped at req.Limit. The
+// answer is written at new epochs: newest-state, not resumable.
+func (qe *Executor) Fallback(ctx context.Context, req Request) (*Result, error) {
+	classes, err := qe.targetClasses(req)
+	if err != nil {
+		return nil, err
+	}
+	strategies := req.Strategies
+	if len(strategies) == 0 {
+		strategies = []Strategy{Interpolate, Derive}
+	}
+	var lastErr error
+	for _, s := range strategies {
+		switch s {
+		case Interpolate:
+			ictx, isp := obs.Start(ctx, "query/interpolate")
+			oid, err := qe.tryInterpolate(ictx, classes, req)
+			isp.End()
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			res := &Result{OIDs: []object.OID{oid}, How: []Strategy{Interpolate}}
+			if t, ok := qe.Exec.Producer(oid); ok {
+				res.TasksRun = []task.ID{t.ID}
+			}
+			qe.howInterpolate.Inc()
+			return res, nil
+		case Derive:
+			dctx, dsp := obs.Start(ctx, "query/derive")
+			oids, tasks, planText, err := qe.tryDerive(dctx, classes, req)
+			dsp.End()
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			if req.Limit > 0 && len(oids) > req.Limit {
+				oids = oids[:req.Limit]
+			}
+			qe.howDerive.Inc()
+			return &Result{OIDs: oids, How: slices.Repeat([]Strategy{Derive}, len(oids)),
+				TasksRun: tasks, PlanText: planText}, nil
+		}
+	}
+	if lastErr != nil {
+		return nil, fmt.Errorf("%w: %w", ErrUnsatisfied, lastErr)
+	}
+	return nil, ErrUnsatisfied
 }
 
 // tryInterpolate attempts temporal interpolation at the predicate's
@@ -435,39 +480,34 @@ func (qe *Executor) ExecutePlan(ctx context.Context, plan *petri.Plan, opts task
 }
 
 // Explain previews how a request would be satisfied without executing
-// anything: which classes would be consulted, whether stored data match,
-// and the derivation plan if one exists.
+// anything: which classes would be consulted, how many stored objects
+// retrieval would serve from each at the newest state, and the
+// derivation plan if one exists.
 func (qe *Executor) Explain(ctx context.Context, req Request) (string, error) {
 	classes, err := qe.targetClasses(req)
 	if err != nil {
 		return "", err
 	}
+	served, stale := map[string]int{}, map[string]int{}
+	err = qe.walk(ctx, classes, req.Pred, position{}, ^uint64(0), true, func(class string, _ object.OID, isStale bool) (bool, error) {
+		served[class]++
+		if isStale {
+			stale[class]++
+		}
+		return true, nil
+	})
+	if err != nil {
+		return "", err
+	}
 	out := fmt.Sprintf("query over classes %v\n", classes)
-	total := 0
 	for _, cls := range classes {
-		oids, err := qe.Obj.Query(cls, req.Pred)
-		if err != nil {
-			return "", err
-		}
-		live, stale := 0, 0
-		for _, oid := range oids {
-			if qe.isStaleAt(oid, ^uint64(0)) {
-				stale++
-			} else {
-				live++
-			}
-		}
-		if qe.ServeStale {
-			live += stale
-		}
-		total += live
-		if stale > 0 {
-			out += fmt.Sprintf("  %s: %d stored objects match (%d stale)\n", cls, len(oids), stale)
+		if stale[cls] > 0 {
+			out += fmt.Sprintf("  %s: %d stored objects match (%d stale)\n", cls, served[cls], stale[cls])
 		} else {
-			out += fmt.Sprintf("  %s: %d stored objects match\n", cls, len(oids))
+			out += fmt.Sprintf("  %s: %d stored objects match\n", cls, served[cls])
 		}
 	}
-	if total > 0 {
+	if len(served) > 0 {
 		out += "  -> satisfied by retrieval\n"
 		return out, nil
 	}
@@ -484,7 +524,3 @@ func (qe *Executor) Explain(ctx context.Context, req Request) (string, error) {
 	out += "  -> unsatisfiable\n"
 	return out, nil
 }
-
-// ensure the process package's error type is linked for callers matching
-// assertion failures surfaced through plan execution.
-var _ = process.ErrAssertion

@@ -271,6 +271,11 @@ func TestQueryFailures(t *testing.T) {
 	if _, err := w.qe.Run(context.Background(), Request{Class: "landcover", Pred: anyPred(), Strategies: []Strategy{"teleport"}}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("unknown strategy err = %v", err)
 	}
+	// An unknown strategy is refused even when retrieval would answer.
+	w.runClassify(t, w.insertScene(t, 3, sptemp.Date(1986, 1, 15), 1986))
+	if _, err := w.qe.Run(context.Background(), Request{Class: "landcover", Pred: anyPred(), Strategies: []Strategy{Interpolate, "teleport"}}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("unknown strategy beside stored data err = %v", err)
+	}
 }
 
 func TestQueryExplain(t *testing.T) {

@@ -4,10 +4,10 @@ package query
 // materialising every matching object before returning, a Stream yields
 // objects one at a time as the consumer pulls — the storage layer
 // verifies extents lazily, objects load on demand, and the §2.1.5
-// fallback chain (interpolation, derivation) only runs if the consumer
-// actually drains an empty retrieval. Request.Limit caps a page and
-// Request.Cursor resumes the next one, so arbitrarily large extents are
-// served in bounded memory.
+// fallback chain (Fallback) only runs if the consumer actually drains an
+// empty retrieval. Request.Limit caps a page and Request.Cursor resumes
+// the next one, so arbitrarily large extents are served in bounded
+// memory.
 //
 // Every stream runs against an MVCC snapshot: iteration pins a commit
 // epoch (the current one at the first pull, or the cursor's; released
@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,7 +45,6 @@ type Stream struct {
 	mu       sync.Mutex
 	cursor   string
 	consumed bool
-	fellBack bool
 }
 
 // All returns the underlying sequence. The stream is single-use:
@@ -71,23 +71,6 @@ func (s *Stream) setCursor(c string) {
 	s.mu.Unlock()
 }
 
-// FellBack reports whether iteration was answered by the fallback chain
-// (interpolation or derivation) instead of retrieval. Fallback results
-// are written at epochs newer than the stream's snapshot, so they are
-// NOT resumable from a cursor — the service layer refuses to mint
-// resume points for them, matching the empty Cursor they report here.
-func (s *Stream) FellBack() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fellBack
-}
-
-func (s *Stream) setFellBack() {
-	s.mu.Lock()
-	s.fellBack = true
-	s.mu.Unlock()
-}
-
 func (s *Stream) claim() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -103,17 +86,13 @@ func (s *Stream) claim() bool {
 // (they are identifiers), so the split is unambiguous.
 const cursorVersion = "c2"
 
-func encodeCursor(epoch uint64, class string, oid object.OID) string {
-	return cursorVersion + "|" + strconv.FormatUint(epoch, 10) + "|" + class + "|" +
-		strconv.FormatUint(uint64(oid), 10)
-}
-
 // EncodeCursor builds a resume token for the object after `oid` of
 // `class` at a snapshot epoch — the token Stream iteration mints when a
 // page fills. Exported for the service layer: a remote client that stops
 // mid-page resumes from the last object it actually consumed.
 func EncodeCursor(epoch uint64, class string, oid object.OID) string {
-	return encodeCursor(epoch, class, oid)
+	return cursorVersion + "|" + strconv.FormatUint(epoch, 10) + "|" + class + "|" +
+		strconv.FormatUint(uint64(oid), 10)
 }
 
 // CursorEpoch extracts the snapshot epoch a cursor is pinned to. The
@@ -148,21 +127,31 @@ func parseCursor(c string) (epoch uint64, class string, after object.OID, err er
 	return epoch, parts[2], object.OID(n), nil
 }
 
-// Stream answers a request incrementally against a snapshot pinned at
-// the current commit epoch (or the cursor's epoch on resume). Validation
-// (classes, cursor, pinnability) happens up front so the caller gets
-// request errors immediately; all retrieval and fallback work is deferred
-// to iteration, and the pin is released when iteration stops.
-func (qe *Executor) Stream(ctx context.Context, req Request) (*Stream, error) {
-	return qe.StreamAt(ctx, req, 0)
+// resume resolves a cursor against the target classes: where the walk
+// resumes, and the cursor's snapshot epoch (0 without a cursor).
+func resume(cursor string, classes []string) (position, uint64, error) {
+	if cursor == "" {
+		return position{}, 0, nil
+	}
+	epoch, class, after, err := parseCursor(cursor)
+	if err != nil {
+		return position{}, 0, err
+	}
+	idx := slices.Index(classes, class)
+	if idx < 0 {
+		return position{}, 0, fmt.Errorf("%w: cursor class %q is not a target of this request", ErrBadRequest, class)
+	}
+	return position{class: idx, after: after}, epoch, nil
 }
 
-// StreamAt is Stream pinned to a specific epoch (0 = current): the entry
-// point for Kernel.Snapshot streams, which must read at the snapshot's
-// epoch rather than the newest one. A cursor in the request overrides
-// atEpoch — the cursor's embedded epoch wins, since resuming a page
-// against a different snapshot than it was cut from would break the
-// no-skip/no-phantom contract.
+// StreamAt answers a request incrementally against a snapshot: atEpoch,
+// which a Kernel.Snapshot stream's caller holds pinned, or with atEpoch 0
+// the commit epoch current at the first pull, pinned by iteration. A
+// cursor in the request overrides both — resuming a page against another
+// snapshot than it was cut from would break the no-skip/no-phantom
+// contract. Validation (classes, cursor, pinnability) happens up front;
+// retrieval and fallback wait for iteration, and the pin is released
+// when iteration stops.
 func (qe *Executor) StreamAt(ctx context.Context, req Request, atEpoch uint64) (*Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -171,41 +160,16 @@ func (qe *Executor) StreamAt(ctx context.Context, req Request, atEpoch uint64) (
 	if err != nil {
 		return nil, err
 	}
-	strategies := req.Strategies
-	if len(strategies) == 0 {
-		strategies = []Strategy{Interpolate, Derive}
+	pos, epoch, err := resume(req.Cursor, classes)
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range strategies {
-		switch s {
-		case Retrieve, Interpolate, Derive:
-		default:
-			return nil, fmt.Errorf("%w: unknown strategy %q", ErrBadRequest, s)
-		}
-	}
-	startIdx, startAfter := 0, object.OID(0)
 	resumed := req.Cursor != ""
-	var epoch uint64
-	if resumed {
-		curEpoch, class, after, err := parseCursor(req.Cursor)
-		if err != nil {
-			return nil, err
-		}
-		idx := -1
-		for i, cls := range classes {
-			if cls == class {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("%w: cursor class %q is not a target of this request", ErrBadRequest, class)
-		}
-		startIdx, startAfter = idx, after
-		epoch = curEpoch
-	} else if atEpoch != 0 {
+	if !resumed {
 		epoch = atEpoch
-	} else {
-		epoch = qe.Obj.CurrentEpoch()
+		if epoch == 0 {
+			epoch = qe.Obj.CurrentEpoch()
+		}
 	}
 	// Validate the snapshot now so a resumed cursor behind the GC horizon
 	// fails at the call, but PIN lazily at first pull: a stream that is
@@ -248,69 +212,65 @@ func (qe *Executor) StreamAt(ctx context.Context, req Request, atEpoch uint64) (
 			sp.Annotate("yielded", strconv.Itoa(yielded))
 			sp.End()
 		}()
-		served := false
-		for ci := startIdx; ci < len(classes); ci++ {
-			after := object.OID(0)
-			if ci == startIdx {
-				after = startAfter
+		stopped := false
+		err := qe.walk(ctx, classes, req.Pred, pos, epoch, false, func(class string, oid object.OID, _ bool) (bool, error) {
+			o, err := qe.Obj.GetAt(oid, epoch)
+			if err != nil {
+				return false, err
 			}
-			for oid, err := range qe.Obj.QueryFromAt(classes[ci], req.Pred, after, epoch) {
-				if err != nil {
-					yield(nil, err)
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					yield(nil, err)
-					return
-				}
-				if qe.isStaleAt(oid, epoch) && !qe.ServeStale {
-					continue
-				}
-				o, err := qe.Obj.GetAt(oid, epoch)
-				if err != nil {
-					yield(nil, err)
-					return
-				}
-				served = true
-				if !yield(o, nil) {
-					st.setCursor(encodeCursor(epoch, classes[ci], oid))
-					return
-				}
-				yielded++
-				if req.Limit > 0 && yielded >= req.Limit {
-					st.setCursor(encodeCursor(epoch, classes[ci], oid))
-					return
+			if yield(o, nil) {
+				if yielded++; yielded != req.Limit { // a Limit ≤ 0 never matches
+					return true, nil
 				}
 			}
-		}
-		if served || resumed {
-			// Exhausted: a resumed stream never falls back to derivation —
-			// its first page proved retrieval serves this request.
-			st.setCursor("")
+			stopped = true // the consumer broke out, or the page is full
+			st.setCursor(EncodeCursor(epoch, class, oid))
+			return false, nil
+		})
+		switch {
+		case err != nil:
+			yield(nil, err)
+			return
+		case stopped:
 			return
 		}
-		qe.streamFallback(ctx, classes, strategies, req, st, yield)
+		st.setCursor("")
+		if yielded > 0 || resumed {
+			// Exhausted: a resumed stream never falls back to derivation —
+			// its first page proved retrieval serves this request.
+			return
+		}
+		res, err := qe.Fallback(ctx, req)
+		if err != nil {
+			yield(nil, err)
+			return
+		}
+		for _, oid := range res.OIDs {
+			o, err := qe.Obj.Get(oid)
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if !yield(o, nil) {
+				return
+			}
+		}
 	}
 	return st, nil
 }
 
-// PageRawAt drains one retrieval-only page of a streaming query at an
-// epoch the CALLER has pinned, without loading or decoding any object:
-// it walks the same candidate order as StreamAt — classes in target
-// order, OIDs ascending, resuming strictly after the request cursor,
-// skipping stale objects unless ServeStale — and invokes visit for each
-// hit. This is the v2 wire protocol's zero-copy page handoff: the
-// service layer's visit fetches each hit's raw record (object.GetRawAt:
-// the stored value bytes in a re-assembled GOB3 header) and ships it as
-// it is, cutting the page when its byte budget fills.
+// PageRawAt drains one page of StreamAt's walk at an epoch the CALLER has
+// pinned, from the request cursor, without loading or decoding any
+// object: the v2 wire protocol's zero-copy page handoff, whose visit
+// ships each object's raw record (object.GetRawAt) and cuts the page
+// when its byte budget fills.
 //
 // visit returns (take, err): take=false cuts the page BEFORE the offered
 // object (the cursor is minted at the last object taken, so the refused
 // object leads the next page); a non-nil err aborts. The returned cursor
-// is "" when retrieval is exhausted, and served reports whether
-// retrieval produced anything at all — the caller decides about the
-// fallback chain (PageRawAt itself never falls back; fallback pages are
-// not resumable, and their objects ship as object.EncodeWire records).
+// is "" when retrieval is exhausted, and served reports whether this
+// page took anything. PageRawAt never falls back: a caller whose fresh
+// page served nothing runs Fallback itself.
 func (qe *Executor) PageRawAt(ctx context.Context, req Request, epoch uint64, visit func(class string, oid object.OID) (bool, error)) (cursor string, served bool, err error) {
 	ctx, sp := obs.Start(ctx, "query/page")
 	taken := 0
@@ -324,117 +284,31 @@ func (qe *Executor) PageRawAt(ctx context.Context, req Request, epoch uint64, vi
 	if err != nil {
 		return "", false, err
 	}
-	startIdx, startAfter := 0, object.OID(0)
-	if req.Cursor != "" {
-		curEpoch, class, after, err := parseCursor(req.Cursor)
-		if err != nil {
-			return "", false, err
-		}
-		if curEpoch != epoch {
-			return "", false, fmt.Errorf("%w: cursor epoch %d does not match the pinned epoch %d", ErrBadRequest, curEpoch, epoch)
-		}
-		idx := -1
-		for i, cls := range classes {
-			if cls == class {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return "", false, fmt.Errorf("%w: cursor class %q is not a target of this request", ErrBadRequest, class)
-		}
-		startIdx, startAfter = idx, after
+	pos, curEpoch, err := resume(req.Cursor, classes)
+	if err != nil {
+		return "", false, err
 	}
-	lastClass, lastOID := "", object.OID(0)
-	cut := func() string {
-		if taken == 0 {
-			return req.Cursor // nothing shipped: resume where this page started
-		}
-		return encodeCursor(epoch, lastClass, lastOID)
+	if req.Cursor != "" && curEpoch != epoch {
+		return "", false, fmt.Errorf("%w: cursor epoch %d does not match the pinned epoch %d", ErrBadRequest, curEpoch, epoch)
 	}
-	for ci := startIdx; ci < len(classes); ci++ {
-		after := object.OID(0)
-		if ci == startIdx {
-			after = startAfter
+	lastClass, lastOID, limit := "", object.OID(0), req.Limit
+	full := false
+	err = qe.walk(ctx, classes, req.Pred, pos, epoch, false, func(class string, oid object.OID, _ bool) (bool, error) {
+		take, err := visit(class, oid)
+		if err != nil || !take {
+			full = err == nil
+			return false, err
 		}
-		for oid, err := range qe.Obj.QueryFromAt(classes[ci], req.Pred, after, epoch) {
-			if err != nil {
-				return "", served, err
-			}
-			if err := ctx.Err(); err != nil {
-				return "", served, err
-			}
-			if qe.isStaleAt(oid, epoch) && !qe.ServeStale {
-				continue
-			}
-			take, err := visit(classes[ci], oid)
-			if err != nil {
-				return "", served, err
-			}
-			if !take {
-				return cut(), served, nil
-			}
-			served = true
-			taken++
-			lastClass, lastOID = classes[ci], oid
-			if req.Limit > 0 && taken >= req.Limit {
-				return encodeCursor(epoch, lastClass, lastOID), served, nil
-			}
-		}
+		taken++
+		lastClass, lastOID = class, oid
+		full = taken == limit // a limit ≤ 0 never matches
+		return !full, nil
+	})
+	switch {
+	case err != nil || !full: // failed, or retrieval is exhausted
+		return "", taken > 0, err
+	case taken == 0:
+		return req.Cursor, false, nil // nothing shipped: resume where this page started
 	}
-	return "", served, nil
-}
-
-// streamFallback runs the §2.1.5 fallback chain lazily — only reached
-// when the consumer drained an empty retrieval, so QueryStream itself
-// never pays for planning or derivation. Derivation writes fresh objects
-// at new epochs; they are loaded at their newest state.
-func (qe *Executor) streamFallback(ctx context.Context, classes []string, strategies []Strategy, req Request, st *Stream, yield func(*object.Object, error) bool) {
-	st.setCursor("")
-	st.setFellBack()
-	var lastErr error
-	for _, s := range strategies {
-		switch s {
-		case Interpolate:
-			oid, err := qe.tryInterpolate(ctx, classes, req)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			o, err := qe.Obj.Get(oid)
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			yield(o, nil)
-			return
-		case Derive:
-			oids, _, _, err := qe.tryDerive(ctx, classes, req)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if req.Limit > 0 && len(oids) > req.Limit {
-				oids = oids[:req.Limit]
-			}
-			for _, oid := range oids {
-				o, err := qe.Obj.Get(oid)
-				if err != nil {
-					yield(nil, err)
-					return
-				}
-				if !yield(o, nil) {
-					return
-				}
-			}
-			return
-		case Retrieve:
-			// Already attempted by the caller.
-		}
-	}
-	if lastErr != nil {
-		yield(nil, fmt.Errorf("%w: %w", ErrUnsatisfied, lastErr))
-		return
-	}
-	yield(nil, ErrUnsatisfied)
+	return EncodeCursor(epoch, lastClass, lastOID), true, nil
 }

@@ -509,7 +509,12 @@ func TestMVCCEpochQualifiedStaleness(t *testing.T) {
 	// A SECOND invalidation at a newer epoch must not push the stale mark
 	// forward past readers pinned between the two: a snapshot taken after
 	// the first invalidation keeps seeing the object as stale.
-	mid := k.Objects.CurrentEpoch()
+	snapMid, err := k.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snapMid.Release()
+	mid := snapMid.Epoch()
 	o2, err := k.Objects.Get(scene[1])
 	if err != nil {
 		t.Fatal(err)
@@ -536,6 +541,60 @@ func TestMVCCEpochQualifiedStaleness(t *testing.T) {
 	if !found {
 		t.Errorf("snapshot query lost the derived object: %v", res.OIDs)
 	}
+
+	// The three retrieval paths — a snapshot's one-shot query, its stream
+	// and a PageRawAt page at its epoch — agree on whether the dependent
+	// is skipped, and the query on whether it is served flagged stale.
+	agree := func(s *Snapshot, wantServed, wantFlagged bool) {
+		t.Helper()
+		ctx := context.Background()
+		req := Request{Class: "landcover", Pred: rainPred()}
+		var queried, streamed, paged []object.OID
+		flagged := false
+		res, err := s.Query(ctx, req)
+		switch {
+		case err == nil:
+			queried = res.OIDs
+			if i := slices.Index(queried, derived); i >= 0 && res.Stale != nil {
+				flagged = res.Stale[i]
+			}
+		case !errors.Is(err, ErrNoPlan):
+			t.Fatal(err)
+		}
+		st, err := s.QueryStream(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, err := range st.All() {
+			if err != nil {
+				if !errors.Is(err, ErrNoPlan) {
+					t.Fatal(err)
+				}
+				break
+			}
+			streamed = append(streamed, o.OID)
+		}
+		if _, _, err := k.Queries.PageRawAt(ctx, req, s.Epoch(), func(_ string, oid object.OID) (bool, error) {
+			paged = append(paged, oid)
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		q, st2, pg := slices.Contains(queried, derived), slices.Contains(streamed, derived), slices.Contains(paged, derived)
+		if q != wantServed || st2 != wantServed || pg != wantServed {
+			t.Errorf("epoch %d: dependent served by query %v, stream %v, page %v; want %v on all three", s.Epoch(), q, st2, pg, wantServed)
+		}
+		if flagged != wantFlagged {
+			t.Errorf("epoch %d: query flags the dependent stale %v, want %v", s.Epoch(), flagged, wantFlagged)
+		}
+	}
+	agree(snap, true, false)   // invalidated after the snapshot: fresh
+	agree(snapMid, true, true) // stale at mid: served flagged (manual)
+	// Without ServeStale (the lazy and eager policies) every path skips it.
+	k.Queries.ServeStale = false
+	agree(snap, true, false)
+	agree(snapMid, false, false)
+	k.Queries.ServeStale = true
 }
 
 // TestMVCCAutoCheckpoint: with a tiny CheckpointEveryBytes, sustained
@@ -616,8 +675,12 @@ func TestMVCCPagedScanLinear(t *testing.T) {
 	pred := sptemp.TimelessExtent(sptemp.DefaultFrame,
 		sptemp.NewBox(margin*20, 0, float64(margin+inBox-1)*20+10, 10))
 
-	epoch := k.Objects.Pin()
-	defer k.Objects.Unpin(epoch)
+	snap, err := k.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	epoch := snap.Epoch()
 	want, err := k.Objects.QueryAt("rain", pred, epoch)
 	if err != nil {
 		t.Fatal(err)
@@ -712,6 +775,37 @@ func TestMVCCPagedScanLinear(t *testing.T) {
 		if bound := 2*int64(len(want)) + overlay; cost > bound {
 			t.Errorf("page size %d: examined %d candidates to ship %d objects in %d pages with %d changes since the epoch; want at most %d",
 				pageSize, cost, len(want), pages, overlay, bound)
+		}
+
+		// The snapshot's stream, paged by cursor, and its one-shot query
+		// walk the same retrieval in the same order.
+		var streamed []object.OID
+		for cursor := ""; ; {
+			st, err := snap.QueryStream(ctx, Request{Class: "rain", Pred: pred, Limit: pageSize, Cursor: cursor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for o, err := range st.All() {
+				if err != nil {
+					t.Fatalf("page size %d, stream: %v", pageSize, err)
+				}
+				streamed = append(streamed, o.OID)
+			}
+			if cursor = st.Cursor(); cursor == "" {
+				break
+			}
+		}
+		if !slices.Equal(streamed, want) {
+			t.Fatalf("page size %d: the snapshot stream's pages concatenate to %d objects, PageRawAt's to %d (or the order differs)",
+				pageSize, len(streamed), len(want))
+		}
+		res, err := snap.Query(ctx, Request{Class: "rain", Pred: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.OIDs, want) {
+			t.Fatalf("page size %d: the snapshot query answers %d objects, PageRawAt's pages %d (or the order differs)",
+				pageSize, len(res.OIDs), len(want))
 		}
 	}
 	close(stop)

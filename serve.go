@@ -260,18 +260,10 @@ func (b kernelBackend) Query(ctx context.Context, req query.Request) (*query.Res
 	return b.k.Query(ctx, req)
 }
 
-// QueryAt answers a retrieve-only request at a pinned epoch — the remote
-// snapshot read path, mirroring Snapshot.Query.
+// QueryAt answers a retrieve-only request at a pinned epoch: the remote
+// snapshot read path is Snapshot.Query over the lease's pin.
 func (b kernelBackend) QueryAt(ctx context.Context, req query.Request, epoch uint64) (*query.Result, error) {
-	if err := b.k.checkOpen(); err != nil {
-		return nil, err
-	}
-	req.Strategies = []Strategy{Retrieve}
-	if req.User == "" {
-		req.User = b.k.user
-	}
-	res, err := b.k.Queries.RunAt(ctx, req, epoch)
-	return res, classify(err)
+	return (&Snapshot{k: b.k, epoch: epoch}).Query(ctx, req)
 }
 
 // StreamPage drains one page of a streaming query at an epoch the caller
@@ -284,7 +276,7 @@ func (b kernelBackend) QueryAt(ctx context.Context, req query.Request, epoch uin
 // retrieval served nothing runs the fallback chain instead (see
 // fallbackPage).
 func (b kernelBackend) StreamPage(ctx context.Context, req query.Request, epoch uint64, retrieveOnly bool, maxBytes int) ([]wire.RawObject, string, bool, error) {
-	if err := b.k.checkOpen(); err != nil {
+	if err := b.k.request(&req, retrieveOnly); err != nil {
 		return nil, "", false, err
 	}
 	pg := server.NewPage(req.Limit, maxBytes)
@@ -301,57 +293,39 @@ func (b kernelBackend) StreamPage(ctx context.Context, req query.Request, epoch 
 	if served || req.Cursor != "" {
 		return pg.Raws, cursor, false, nil
 	}
-	if retrieveOnly {
-		req.Strategies = []Strategy{Retrieve}
-	}
-	if req.User == "" {
-		req.User = b.k.user
-	}
-	return b.fallbackPage(ctx, req, epoch, maxBytes)
+	return b.fallbackPage(ctx, req, maxBytes)
 }
 
 // fallbackPage answers a fresh stream whose retrieval served nothing
-// with the query's full strategy chain — derivation or interpolation,
-// or, for a retrieval-only request, the unsatisfied error an embedded
-// stream reports. Its objects are decoded, so they ship re-encoded
-// with object.EncodeWire under the same byte budget. A fallback page
-// that overflows is an error: its results are committed at newer
-// epochs, so there is no cursor to resume from.
-func (b kernelBackend) fallbackPage(ctx context.Context, req query.Request, epoch uint64, maxBytes int) ([]wire.RawObject, string, bool, error) {
-	inner, err := b.k.Queries.StreamAt(ctx, req, epoch)
+// with the fallback chain (for a retrieval-only request, the unsatisfied
+// error). Its objects ship re-encoded with object.EncodeWire under the
+// same byte budget; one that overflows is an error, since the results
+// are committed at newer epochs and have no cursor to resume from.
+func (b kernelBackend) fallbackPage(ctx context.Context, req query.Request, maxBytes int) ([]wire.RawObject, string, bool, error) {
+	res, err := b.k.Queries.Fallback(ctx, req)
 	if err != nil {
 		return nil, "", false, classify(err)
 	}
-	st := &Stream{k: b.k, inner: inner}
-	pg := server.NewPage(req.Limit, maxBytes)
-	var last *object.Object
-	cut := false
-	for o, err := range st.All() {
+	pg := server.NewPage(len(res.OIDs), maxBytes)
+	for _, oid := range res.OIDs {
+		o, err := b.k.Objects.Get(oid)
 		if err != nil {
-			return nil, "", false, err
+			return nil, "", false, classify(err)
 		}
 		rec, err := object.EncodeWire(o)
 		if err != nil {
 			return nil, "", false, err
 		}
-		take, err := pg.Take(o.OID, wire.RawObject{Rec: rec})
+		take, err := pg.Take(oid, wire.RawObject{Rec: rec})
 		if err != nil {
 			return nil, "", false, err
 		}
 		if !take {
-			cut = true // o stays unshipped; resume after `last`
-			break
+			return nil, "", false, fmt.Errorf("%w: fallback result exceeds the page byte budget %d; "+
+				"the derived objects are committed — re-issue the query to retrieve them", query.ErrBadRequest, pg.Budget)
 		}
-		last = o
 	}
-	if !cut {
-		return pg.Raws, st.Cursor(), inner.FellBack(), nil
-	}
-	if inner.FellBack() {
-		return nil, "", false, fmt.Errorf("%w: fallback result exceeds the page byte budget %d; "+
-			"the derived objects are committed — re-issue the query to retrieve them", query.ErrBadRequest, pg.Budget)
-	}
-	return pg.Raws, query.EncodeCursor(epoch, last.Class, last.OID), false, nil
+	return pg.Raws, "", true, nil
 }
 
 // GetRawAt loads the version visible at a pinned epoch as a GOB3 record

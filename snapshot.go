@@ -93,9 +93,8 @@ func (s *Snapshot) Query(ctx context.Context, req Request) (*Result, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	req.Strategies = []Strategy{Retrieve}
-	if req.User == "" {
-		req.User = s.k.user
+	if err := s.k.request(&req, true); err != nil {
+		return nil, err
 	}
 	res, err := s.k.Queries.RunAt(ctx, req, s.epoch)
 	return res, classify(err)
@@ -110,13 +109,5 @@ func (s *Snapshot) QueryStream(ctx context.Context, req Request) (*Stream, error
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	req.Strategies = []Strategy{Retrieve}
-	if req.User == "" {
-		req.User = s.k.user
-	}
-	st, err := s.k.Queries.StreamAt(ctx, req, s.epoch)
-	if err != nil {
-		return nil, classify(err)
-	}
-	return &Stream{k: s.k, inner: st}, nil
+	return s.k.stream(ctx, req, true, s.epoch)
 }
