@@ -1,6 +1,8 @@
 package imgops
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -186,6 +188,34 @@ func benchScenes(tb testing.TB) [][]*raster.Image {
 		}
 	}
 	return scenes
+}
+
+// benchScenesClasses is the sha256 of the class images of benchScenes
+// at 12 classes and seed 1, concatenated in scene order, as plain Lloyd
+// classifies them.
+const benchScenesClasses = "663b5e79c7365405af1dc33b603779fa70cd822dd1a6f5df62bb4a41f9930dd7"
+
+// TestBenchScenesGolden holds the repository benchmark's land covers to
+// the bytes plain Lloyd gave them: a faster pass must not move a pixel of
+// any of the 288 scenes. Every band of them passes exactSums, so their
+// sums move with the pixels.
+func TestBenchScenesGolden(t *testing.T) {
+	h := sha256.New()
+	for i, bands := range benchScenes(t) {
+		for b, band := range bands {
+			if !exactSums(band.Float64s()) {
+				t.Errorf("scene %d band %d fails exactSums", i, b)
+			}
+		}
+		out, err := Unsuperclassify(bands, 12, ClassifyOptions{Seed: 1})
+		if err != nil {
+			t.Fatalf("scene %d: %v", i, err)
+		}
+		h.Write(out.Data())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != benchScenesClasses {
+		t.Errorf("class images hash to %s, want %s", got, benchScenesClasses)
+	}
 }
 
 // imageOf builds a rows×cols float8 band from row-major values.
@@ -384,6 +414,35 @@ func TestUnsuperclassifyMatchesLloyd(t *testing.T) {
 			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{MaxIter: 1 + r.Intn(3), Seed: uint64(trial) + 1})
 		}
 	})
+	t.Run("inexact sums", func(t *testing.T) {
+		// Small integers, whose sums are exact, beside one value that
+		// fails exactSums: a subnormal beside 1e300 (too many bits apart),
+		// NaN or ±Inf. Each pass then sums afresh in pixel order.
+		spoilers := [][]float64{{0x1p-1074, 1e300}, {3 * 0x1p-1070, -1e300}, {math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}}
+		r := rand.New(rand.NewSource(10))
+		for trial := 0; trial < 600; trial++ {
+			rows, cols, d := 2+r.Intn(8), 2+r.Intn(8), 1+r.Intn(4)
+			bands := make([]*raster.Image, d)
+			spoilt := r.Intn(d)
+			for b := range bands {
+				vals := make([]float64, rows*cols)
+				for i := range vals {
+					vals[i] = float64(r.Intn(9))
+				}
+				if b == spoilt {
+					for _, v := range spoilers[trial%len(spoilers)] {
+						vals[r.Intn(len(vals))] = v
+					}
+					if exactSums(vals) {
+						t.Fatalf("trial %d: exactSums passes %v", trial, vals)
+					}
+				}
+				bands[b] = imageOf(t, rows, cols, vals)
+			}
+			k := 1 + r.Intn(min(rows*cols, 8))
+			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, k, ClassifyOptions{Seed: uint64(trial) + 1})
+		}
+	})
 	t.Run("max iterations", func(t *testing.T) {
 		r := rand.New(rand.NewSource(6))
 		for trial := 0; trial < 200; trial++ {
@@ -473,6 +532,98 @@ func FuzzUnsuperclassify(f *testing.F) {
 			if !got.EqualPixels(want) {
 				t.Fatalf("three-band kernel %v (%d bands, k=%d, %+v): class image %v, plain Lloyd %v",
 					three, len(bands), k, opts, got.Data(), want.Data())
+			}
+		}
+	})
+}
+
+// TestExactSums checks the exact-sum condition at its edges.
+func TestExactSums(t *testing.T) {
+	for _, c := range []struct {
+		vals []float64
+		want bool
+	}{
+		{nil, true},
+		{[]float64{0, math.Copysign(0, -1)}, true},
+		{[]float64{1, 2, 3, -7}, true},
+		{[]float64{0.1, 0.2}, false},                   // 53-bit mantissas with room for no carry
+		{[]float64{float64(float32(0.1)), 0.25}, true}, // a float4 pixel widened
+		{[]float64{0x1p52, 1}, false},                  // two values need 54 bits
+		{[]float64{0x1p51, 1}, false},                  // the bound is bits.Len(n), a bit loose
+		{[]float64{0x1p50, 1}, true},
+		{[]float64{0x1p-1074, 0x1p-1040}, true}, // subnormals are exact multiples too
+		{[]float64{0x1p-1074, 1e300}, false},
+		{[]float64{0x1p1021, 0x1p1021}, true},
+		{[]float64{0x1p1023, 0x1p1023}, false}, // their sum overflows
+		{[]float64{1, math.NaN()}, false},
+		{[]float64{1, math.Inf(1)}, false},
+		{[]float64{math.Inf(-1)}, false},
+	} {
+		if got := exactSums(c.vals); got != c.want {
+			t.Errorf("exactSums(%v) = %v, want %v", c.vals, got, c.want)
+		}
+	}
+}
+
+// FuzzExactSums holds exactSums to its promise: when it passes, sums kept
+// by adding values in an arbitrary order and moving them between sums in
+// an arbitrary order end as the sums of the same values added in pixel
+// order, bit for bit. The bytes give up to 64 values, tagged as in
+// fuzzInput, each value's first sum, and then moves, a value and the sum
+// it goes to.
+func FuzzExactSums(f *testing.F) {
+	f.Add([]byte{4, 0x10, 0, 0x50, 1, 0x30, 2, 0x7f, 0, 1, 2, 3, 0, 0, 1})
+	f.Add([]byte{3, 0xa1, 0, 0xb5, 1, 0xa3, 1, 2, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		const k = 3
+		n := 1 + int(next())%64
+		vals, owner := make([]float64, n), make([]int, n)
+		for i := range vals {
+			switch t := next(); {
+			case t < 0x40:
+				vals[i] = float64(int(t&63) - 32)
+			case t < 0x80:
+				vals[i] = float64(int(t&63)-32) * 0x1p-20
+			case t < 0xc0:
+				vals[i] = float64(int(t&63)-32) * 0x1p-1068
+			default:
+				var bits uint64
+				for range 8 {
+					bits = bits<<8 | uint64(next())
+				}
+				vals[i] = math.Float64frombits(bits)
+			}
+			owner[i] = int(next()) % k
+		}
+		if !exactSums(vals) {
+			return
+		}
+		var got [k]float64
+		for i := n - 1; i >= 0; i-- {
+			got[owner[i]] += vals[i]
+		}
+		for len(data) >= 2 {
+			i, to := int(next())%n, int(next())%k
+			got[owner[i]] -= vals[i]
+			got[to] += vals[i]
+			owner[i] = to
+		}
+		var want [k]float64
+		for i, v := range vals {
+			want[owner[i]] += v
+		}
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("sum %d of %v (owners %v): moved %v (%#x), pixel order %v (%#x)",
+					c, vals, owner, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
 			}
 		}
 	})

@@ -789,6 +789,16 @@ func (s *Store) extentAt(oid OID, epoch uint64) (ext sptemp.Extent, ok bool, err
 
 const latestEpoch = ^uint64(0)
 
+// Extent returns the extent of an object's newest version without reading
+// its record or its images: ErrNotFound when it has none.
+func (s *Store) Extent(oid OID) (sptemp.Extent, error) {
+	ext, ok, err := s.extentAt(oid, latestEpoch)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: oid %d", ErrNotFound, oid)
+	}
+	return ext, err
+}
+
 // Get loads an object's newest version by OID, materialising blob-stored
 // images.
 func (s *Store) Get(oid OID) (*Object, error) { return s.getAt(oid, latestEpoch) }

@@ -243,6 +243,49 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	}
 }
 
+// TestExtentIsNewestVersions checks Extent against Get through an insert,
+// an update that moves the object and a delete, with the image blob gone
+// in between: Extent reads no record and no image.
+func TestExtentIsNewestVersions(t *testing.T) {
+	f := newFixture(t)
+	obj := sceneObject("red", 0, sptemp.Date(1986, 1, 15))
+	oid, err := f.obj.Insert(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		got, err := f.obj.Extent(oid)
+		want, werr := f.obj.Get(oid)
+		if err != nil || werr != nil || !got.Equal(want.Extent) {
+			t.Errorf("%s: Extent = %v, %v; Get's %v, %v", when, got, err, want.Extent, werr)
+		}
+	}
+	check("inserted")
+	obj.Extent = sceneObject("red", 500, sptemp.Date(1990, 6, 1)).Extent
+	if err := f.obj.Update(obj); err != nil {
+		t.Fatal(err)
+	}
+	check("updated")
+	blobs, _ := f.st.Blobs().IDs()
+	for _, id := range blobs {
+		if err := f.st.Blobs().Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ext, err := f.obj.Extent(oid); err != nil || !ext.Equal(obj.Extent) {
+		t.Errorf("with the image deleted: Extent = %v, %v; want %v", ext, err, obj.Extent)
+	}
+	if err := f.obj.Delete(oid); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []OID{oid, oid + 100} {
+		if _, err := f.obj.Extent(o); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Extent(%d) err = %v, want ErrNotFound", o, err)
+		}
+	}
+}
+
 func TestReopenRebuildsIndexes(t *testing.T) {
 	dir := t.TempDir()
 	st, err := storage.Open(dir, storage.Options{NoSync: true})

@@ -357,7 +357,8 @@ func (pl *Planner) gatherSet(st *search, spec process.ArgSpec, pred sptemp.Exten
 // compatibleGroup returns the first window of k objects (sorted by
 // timestamp, then OID) whose extents pairwise satisfy the common() guards,
 // preferring windows not yet claimed in this plan; nil when no compatible
-// window exists.
+// window exists. It reads only the candidates' extents, which the object
+// index holds for the newest versions, never a record or an image.
 func (pl *Planner) compatibleGroup(oids []object.OID, k int, class string, excl *exclusions) []object.OID {
 	if len(oids) < k {
 		return nil
@@ -368,11 +369,11 @@ func (pl *Planner) compatibleGroup(oids []object.OID, k int, class string, excl 
 	}
 	cands := make([]cand, 0, len(oids))
 	for _, oid := range oids {
-		o, err := pl.Obj.Get(oid)
+		ext, err := pl.Obj.Extent(oid)
 		if err != nil {
 			continue
 		}
-		cands = append(cands, cand{oid: oid, ext: o.Extent})
+		cands = append(cands, cand{oid: oid, ext: ext})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		ti, tj := cands[i].ext.TimeIv.Start, cands[j].ext.TimeIv.Start

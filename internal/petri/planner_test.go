@@ -346,3 +346,42 @@ func TestPlanSkipsStaleObjects(t *testing.T) {
 		t.Fatalf("plan with stale base = %v, want ErrNoPlan", err)
 	}
 }
+
+// TestPlanReadsNoImage holds the planner to reading extents only: with
+// every image blob deleted after the scenes are stored, Plan returns the
+// plan it returned before, and the one the planner gave when it loaded
+// every candidate band whole.
+func TestPlanReadsNoImage(t *testing.T) {
+	w := newWorld(t)
+	w.insertScene(t, 3, sptemp.Date(1989, 1, 15), 1989)
+	w.insertScene(t, 3, sptemp.Date(1986, 1, 15), 1986)
+	pl := w.planner()
+	before, err := pl.Plan(context.Background(), "veg_change", anyPred())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := w.st.Blobs().IDs()
+	if err != nil || len(ids) != 6 {
+		t.Fatalf("blobs %v, %v; want the 6 bands'", ids, err)
+	}
+	for _, id := range ids {
+		if err := w.st.Blobs().Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.obj.Get(1); err == nil {
+		t.Fatal("Get of a band succeeds with its image deleted")
+	}
+	after, err := pl.Plan(context.Background(), "veg_change", anyPred())
+	if err != nil {
+		t.Fatalf("Plan with the images deleted: %v", err)
+	}
+	const want = `plan for veg_change:
+  step 0: classify v1 -> landcover (bands=#4,#5,#6)
+  step 1: classify v1 -> landcover (bands=#1,#2,#3)
+  step 2: change_map v1 -> veg_change (a=step0, b=step1)
+`
+	if before.String() != want || after.String() != want {
+		t.Errorf("plan before deleting the images:\n%s\nafter:\n%s\nwant:\n%s", before, after, want)
+	}
+}

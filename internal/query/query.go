@@ -394,11 +394,11 @@ func (qe *Executor) tryDerive(ctx context.Context, classes []string, req Request
 		// derivation result still answers the query.
 		var matching []object.OID
 		for _, oid := range oids {
-			o, err := qe.Obj.Get(oid)
+			ext, err := qe.Obj.Extent(oid)
 			if err != nil {
 				return nil, nil, "", err
 			}
-			if o.Extent.Matches(req.Pred) {
+			if ext.Matches(req.Pred) {
 				matching = append(matching, oid)
 			}
 		}

@@ -2,6 +2,7 @@ package raster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,15 +49,27 @@ func Encode(w io.Writer, im *Image) error {
 // Decode reads an image in the Gaea image file format.
 func Decode(r io.Reader) (*Image, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(imgMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	return decode(func(n int) ([]byte, error) {
+		b := make([]byte, n)
+		_, err := io.ReadFull(br, b)
+		return b, err
+	})
+}
+
+// decode parses an image from take, which returns the next n bytes of its
+// encoding or, when fewer are left, io.EOF if none is and
+// io.ErrUnexpectedEOF otherwise. The pixel bytes take returns last become
+// the image's.
+func decode(take func(n int) ([]byte, error)) (*Image, error) {
+	magic, err := take(len(imgMagic))
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadImageFile, err)
 	}
 	if string(magic) != imgMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadImageFile, magic)
 	}
-	fixed := make([]byte, 2+4+4+1)
-	if _, err := io.ReadFull(br, fixed); err != nil {
+	fixed, err := take(2 + 4 + 4 + 1)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadImageFile, err)
 	}
 	if v := binary.LittleEndian.Uint16(fixed[0:2]); v != imgVersion {
@@ -64,23 +77,33 @@ func Decode(r io.Reader) (*Image, error) {
 	}
 	rows := int(binary.LittleEndian.Uint32(fixed[2:6]))
 	cols := int(binary.LittleEndian.Uint32(fixed[6:10]))
-	ptLen := int(fixed[10])
-	ptBytes := make([]byte, ptLen)
-	if _, err := io.ReadFull(br, ptBytes); err != nil {
+	ptBytes, err := take(int(fixed[10]))
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated pixtype: %v", ErrBadImageFile, err)
 	}
-	pt := PixType(ptBytes)
+	pt := pixTypeOf(ptBytes)
 	if !pt.Valid() {
 		return nil, fmt.Errorf("%w: pixtype %q", ErrBadImageFile, pt)
 	}
 	if rows <= 0 || cols <= 0 || rows*cols > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible dims %dx%d", ErrBadImageFile, rows, cols)
 	}
-	data := make([]byte, rows*cols*pt.Size())
-	if _, err := io.ReadFull(br, data); err != nil {
+	data, err := take(rows * cols * pt.Size())
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated pixels: %v", ErrBadImageFile, err)
 	}
 	return FromData(rows, cols, pt, data)
+}
+
+// pixTypeOf is the pixel type named b, without a copy of b when it is one
+// of the known types.
+func pixTypeOf(b []byte) PixType {
+	for _, pt := range [...]PixType{PixChar, PixInt2, PixInt4, PixFloat4, PixFloat8} {
+		if string(b) == string(pt) {
+			return pt
+		}
+	}
+	return PixType(b)
 }
 
 // WriteFile stores the image at path (the img_filepath the paper's internal
@@ -121,21 +144,24 @@ func Marshal(im *Image) []byte {
 	return buf
 }
 
-// Unmarshal decodes an image produced by Marshal.
+// Unmarshal decodes an image produced by Marshal, failing as Decode does
+// on the same bytes. It reads the header where it lies and copies the
+// pixels once, so the image does not share b.
 func Unmarshal(b []byte) (*Image, error) {
-	return Decode(&sliceReader{b: b})
-}
-
-type sliceReader struct {
-	b   []byte
-	off int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
+	im, err := decode(func(n int) ([]byte, error) {
+		if len(b) < n {
+			if len(b) == 0 {
+				return nil, io.EOF
+			}
+			return nil, io.ErrUnexpectedEOF
+		}
+		p := b[:n:n]
+		b = b[n:]
+		return p, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
+	im.data = bytes.Clone(im.data)
+	return im, nil
 }

@@ -2,6 +2,8 @@ package raster
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -255,6 +257,70 @@ func TestDecodeCorruption(t *testing.T) {
 	bad[14] = 200 // absurd pixtype length
 	if _, err := Unmarshal(bad); err == nil {
 		t.Error("bad pixtype length should fail")
+	}
+}
+
+// TestUnmarshalFailsAsDecode holds Unmarshal, which parses the slice in
+// place, to Decode's errors over a reader: every truncation of a good
+// encoding and every corrupt header field fails both ways with the same
+// message, and a good encoding decodes equal both ways.
+func TestUnmarshalFailsAsDecode(t *testing.T) {
+	good := Marshal(MustNew(3, 2, PixInt2))
+	inputs := map[string][]byte{"good": good}
+	for n := range good {
+		inputs[fmt.Sprintf("first %d bytes", n)] = good[:n]
+	}
+	corrupt := func(name string, edit func(b []byte) []byte) {
+		inputs[name] = edit(append([]byte(nil), good...))
+	}
+	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
+	corrupt("version 2", func(b []byte) []byte { b[4] = 2; return b })
+	corrupt("pixtype length 200", func(b []byte) []byte { b[14] = 200; return b })
+	corrupt("pixtype length 0", func(b []byte) []byte { b[14] = 0; return append(b[:15], b[19:]...) })
+	corrupt("unknown pixtype", func(b []byte) []byte { b[15] = 'x'; return b })
+	corrupt("zero rows", func(b []byte) []byte { b[6] = 0; return b })
+	corrupt("huge dims", func(b []byte) []byte { b[9], b[13] = 0x40, 0x40; return b })
+	corrupt("trailing bytes", func(b []byte) []byte { return append(b, 1, 2, 3) })
+	for name, b := range inputs {
+		got, gerr := Unmarshal(b)
+		want, werr := Decode(bytes.NewReader(b))
+		switch {
+		case (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error():
+			t.Errorf("%s: Unmarshal error %v, Decode %v", name, gerr, werr)
+		case gerr != nil && !errors.Is(gerr, ErrBadImageFile):
+			t.Errorf("%s: error %v is not ErrBadImageFile", name, gerr)
+		case gerr == nil && (!got.EqualPixels(want) || got.PixType() != want.PixType()):
+			t.Errorf("%s: Unmarshal and Decode disagree", name)
+		}
+	}
+	for _, name := range []string{"good", "trailing bytes"} {
+		if _, err := Unmarshal(inputs[name]); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestUnmarshalCopiesOnce caps what decoding an image from a blob
+// allocates: the image and one copy of its pixels, which do not share the
+// blob's bytes.
+func TestUnmarshalCopiesOnce(t *testing.T) {
+	im := MustNew(32, 32, PixFloat4)
+	im.Set(3, 4, 0.5)
+	b := Marshal(im)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Unmarshal(b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("Unmarshal allocates %v times, want at most 2", allocs)
+	}
+	back, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(b)
+	if !back.EqualPixels(im) {
+		t.Error("the decoded image shares the encoding's bytes")
 	}
 }
 

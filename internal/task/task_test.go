@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"gaea/internal/adt"
 	"gaea/internal/catalog"
@@ -642,6 +643,54 @@ func TestRecomputeTaskRefreshesInPlace(t *testing.T) {
 	ext := commitExternal(t, e, "data_load", nil, scene[0], RunOptions{})
 	if _, err := e.exec.RecomputeTask(context.Background(), ext.ID, RunOptions{}); !errors.Is(err, ErrExec) {
 		t.Errorf("recompute of external task = %v, want ErrExec", err)
+	}
+}
+
+// TestRefreshRecordWidthFollowsMicros shows why the bytes a run of
+// refreshes writes differ between runs of the same work: a refresh's task
+// record is a delta against the task it recomputes, and it stores Micros,
+// the derivation's wall time, as a zig-zag varint, one byte wide below
+// 64 µs, two below 8,192 µs and three from there. Clock is set so each
+// derivation takes the given time.
+func TestRefreshRecordWidthFollowsMicros(t *testing.T) {
+	defer func(c func() time.Time) { Clock = c }(Clock)
+	e := newEnv(t)
+	scene := insertScene(t, e, 3, sptemp.Date(1986, 1, 15), 1986)
+	orig, _, err := e.exec.Run(context.Background(), "unsupervised_classification", map[string][]object.OID{"bands": scene}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := map[int64]int{}
+	for _, us := range []int64{1, 63, 64, 8191, 8192, 1<<20 - 1} {
+		reads := 0
+		Clock = func() time.Time {
+			reads++
+			if reads%2 == 0 {
+				return time.Unix(0, 0).Add(time.Duration(us) * time.Microsecond)
+			}
+			return time.Unix(0, 0)
+		}
+		refresh, err := e.exec.RecomputeTask(context.Background(), orig.ID, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refresh.Micros != us || reads != 2 {
+			t.Fatalf("a %d µs derivation recorded %d µs over %d clock reads", us, refresh.Micros, reads)
+		}
+		size[us] = len(appendTask(nil, refresh, orig))
+	}
+	for _, w := range []struct{ a, b int64 }{{1, 63}, {64, 8191}} {
+		if size[w.a] != size[w.b] {
+			t.Errorf("records of %d µs and %d µs: %d and %d bytes, want equal", w.a, w.b, size[w.a], size[w.b])
+		}
+	}
+	for _, w := range []struct{ a, b int64 }{{63, 64}, {8191, 8192}} {
+		if size[w.b] != size[w.a]+1 {
+			t.Errorf("records of %d µs and %d µs: %d and %d bytes, want one byte more", w.a, w.b, size[w.a], size[w.b])
+		}
+	}
+	if size[1<<20-1] != size[8192] {
+		t.Errorf("records of 8192 µs and %d µs: %d and %d bytes, want equal", 1<<20-1, size[8192], size[1<<20-1])
 	}
 }
 
