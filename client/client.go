@@ -40,7 +40,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"iter"
 	"net"
@@ -56,7 +55,7 @@ import (
 
 // ErrUnavailable reports that the server refused or lost the
 // connection (shutdown, connection limit, network failure).
-var ErrUnavailable = errors.New("client: server unavailable")
+var ErrUnavailable = wire.ErrUnavailable
 
 // Kernel is the backend-neutral kernel surface: satisfied by the
 // embedded adapter (Embed) and by a remote connection (Dial).
@@ -275,37 +274,6 @@ func (c *Conn) Close() error { return c.t.close() }
 // can legitimately run long (queries with derivation, RefreshStale,
 // commits) take the caller's context instead.
 const defaultRequestTimeout = 30 * time.Second
-
-// errorFor maps a wire code back onto the public taxonomy, preserving
-// the server-side error text.
-func errorFor(code wire.Code, msg string) error {
-	var sentinel error
-	switch code {
-	case wire.CodeNotFound:
-		sentinel = gaea.ErrNotFound
-	case wire.CodeClassUnknown:
-		sentinel = gaea.ErrClassUnknown
-	case wire.CodeNoPlan:
-		sentinel = gaea.ErrNoPlan
-	case wire.CodeStale:
-		sentinel = gaea.ErrStale
-	case wire.CodeConflict:
-		sentinel = gaea.ErrConflict
-	case wire.CodeSnapshotGone:
-		sentinel = gaea.ErrSnapshotGone
-	case wire.CodeClosed:
-		sentinel = gaea.ErrClosed
-	case wire.CodeCanceled:
-		sentinel = context.Canceled
-	case wire.CodeUnavailable:
-		sentinel = ErrUnavailable
-	case wire.CodeBadRequest, wire.CodeInternal:
-		return fmt.Errorf("client: remote error (%s): %s", code, msg)
-	default:
-		return fmt.Errorf("client: remote error (%s): %s", code, msg)
-	}
-	return fmt.Errorf("%w: remote: %s", sentinel, msg)
-}
 
 // Query implements Kernel.
 func (c *Conn) Query(ctx context.Context, req gaea.Request) (*gaea.Result, error) {

@@ -343,7 +343,7 @@ func TestRemoteWorldBoxQuery(t *testing.T) {
 }
 
 // TestRemoteErrorTaxonomy exercises the wire error mapping end to end
-// (every code's sentinel mapping is pinned separately below).
+// (every code's round trip is pinned in internal/wire).
 func TestRemoteErrorTaxonomy(t *testing.T) {
 	k := openKernel(t)
 	_, addr := startServer(t, k, gaea.ServeOptions{})
@@ -400,41 +400,6 @@ func TestRemoteErrorTaxonomy(t *testing.T) {
 	}
 	if streamErr == nil || !strings.Contains(streamErr.Error(), "cursor") {
 		t.Fatalf("malformed cursor: %v", streamErr)
-	}
-}
-
-// TestErrorForCodes pins the client-side half of the taxonomy round
-// trip: every wire code maps onto its errors.Is-matchable sentinel
-// (the server-side half is pinned in the gaea and wire packages).
-func TestErrorForCodes(t *testing.T) {
-	cases := []struct {
-		code wire.Code
-		want error
-	}{
-		{wire.CodeNotFound, gaea.ErrNotFound},
-		{wire.CodeClassUnknown, gaea.ErrClassUnknown},
-		{wire.CodeNoPlan, gaea.ErrNoPlan},
-		{wire.CodeStale, gaea.ErrStale},
-		{wire.CodeConflict, gaea.ErrConflict},
-		{wire.CodeSnapshotGone, gaea.ErrSnapshotGone},
-		{wire.CodeClosed, gaea.ErrClosed},
-		{wire.CodeCanceled, context.Canceled},
-		{wire.CodeUnavailable, ErrUnavailable},
-	}
-	for _, cse := range cases {
-		err := errorFor(cse.code, "remote text")
-		if !errors.Is(err, cse.want) {
-			t.Errorf("errorFor(%v) = %v, not errors.Is %v", cse.code, err, cse.want)
-		}
-		if !strings.Contains(err.Error(), "remote text") {
-			t.Errorf("errorFor(%v) lost the server text: %v", cse.code, err)
-		}
-	}
-	// Codes without a sentinel still carry the text.
-	for _, code := range []wire.Code{wire.CodeBadRequest, wire.CodeInternal} {
-		if err := errorFor(code, "boom"); !strings.Contains(err.Error(), "boom") {
-			t.Errorf("errorFor(%v) lost the text: %v", code, err)
-		}
 	}
 }
 

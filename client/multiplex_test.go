@@ -67,11 +67,10 @@ func (f *blockingBackend) Explain(oid object.OID) string                 { retur
 func (f *blockingBackend) ExplainQuery(ctx context.Context, req query.Request) (string, error) {
 	return "", nil
 }
-func (f *blockingBackend) Stats() string            { return "blocking" }
-func (f *blockingBackend) Code(err error) wire.Code { return wire.CodeFor(err) }
-func (f *blockingBackend) Metrics() *obs.Registry   { return f.reg }
-func (f *blockingBackend) Tracer() *obs.Tracer      { return nil }
-func (f *blockingBackend) Events() *obs.EventLog    { return nil }
+func (f *blockingBackend) Stats() string          { return "blocking" }
+func (f *blockingBackend) Metrics() *obs.Registry { return f.reg }
+func (f *blockingBackend) Tracer() *obs.Tracer    { return nil }
+func (f *blockingBackend) Events() *obs.EventLog  { return nil }
 func (f *blockingBackend) ObsJSON() []byte {
 	b, _ := json.Marshal(gaea.ObsExport{Stats: gaea.StatsSnapshot{Metrics: f.reg.Snapshot()}})
 	return b

@@ -85,7 +85,7 @@ func newTransport(nc net.Conn, opts Options) (*transport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad refusal: %v", ErrUnavailable, err)
 		}
-		return nil, errorFor(resp.Code, resp.Err)
+		return nil, wire.ErrorOf(resp.Code, resp.Err)
 	}
 	if werr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, werr)
@@ -131,7 +131,7 @@ func (t *transport) readLoop(fr *wire.FrameReader) {
 			if id == 0 {
 				// Connection-level refusal: the server is turning the whole
 				// connection away.
-				t.fail(errorFor(resp.Code, resp.Err))
+				t.fail(wire.ErrorOf(resp.Code, resp.Err))
 				return
 			}
 			t.mu.Lock()
@@ -255,7 +255,7 @@ func (t *transport) roundTrip(ctx context.Context, req *wire.Request) (*wire.Res
 			return nil, err
 		}
 		if resp.Code != wire.CodeOK {
-			return nil, errorFor(resp.Code, resp.Err)
+			return nil, wire.ErrorOf(resp.Code, resp.Err)
 		}
 		return resp, nil
 	case <-done:
@@ -326,7 +326,7 @@ func (t *transport) cancelStream(id uint64) {
 // streamRespErr turns a stream's completion response into its error.
 func streamRespErr(resp *wire.Response) error {
 	if resp.Code != wire.CodeOK {
-		return errorFor(resp.Code, resp.Err)
+		return wire.ErrorOf(resp.Code, resp.Err)
 	}
 	return fmt.Errorf("client: malformed stream completion")
 }

@@ -58,7 +58,9 @@
 // ErrConflict (a concurrent session committed first), ErrSnapshotGone
 // (a cursor's snapshot epoch was reclaimed by GC), ErrClosed (kernel or
 // session already closed), and ErrFormat (Open found a directory in
-// another on-disk format, and changed nothing in it).
+// another on-disk format, and changed nothing in it). All but ErrFormat
+// are rows of one table in internal/wire that also names each one's
+// wire code.
 //
 // The kernel is safe for concurrent use: queries, process runs, and
 // compound derivations may be issued from many goroutines. Independent
@@ -99,19 +101,18 @@
 // window (client.Options.StreamWindow), and query results shipped from
 // the stored attribute values — encoded once at commit, never decoded per
 // request: the stored record leaves what its class says (name, frame,
-// attribute names and types) to the catalog and keeps its epoch, its
-// OID, a gridded extent's integral corners and timestamps and an
-// integral float as varints (about 14 bytes for a one-float gauge on a
-// grid tile, plus a 2-byte page slot; 47 with a raw box and reading),
-// and the read path splices the class's part back per shipped record,
-// writing each typed value's value.Encode form straight from its stored
-// bytes.
+// attribute names and types) to the catalog (the layout of every stored
+// byte is README's "On-disk format 4"), and the read path splices the
+// class's part back per shipped record, writing each typed value's
+// value.Encode form straight from its stored bytes.
 //
 // Remote snapshots and stream cursors hold their MVCC pins under
 // server-side leases (ServeOptions.SnapshotLease): every touch renews,
 // abandoned leases expire and release their pins, so a crashed client
 // can never wedge the GC horizon. Remote errors classify into the same
-// taxonomy — errors.Is works identically against either backend.
+// taxonomy — errors.Is works identically against either backend —
+// through internal/wire's one table: the server maps an error to its
+// code with it and the client maps the code back.
 //
 // Served kernels also scale out: internal/fed routes one client.Kernel
 // surface across N served shards, partitioned by class — scattered

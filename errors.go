@@ -13,6 +13,7 @@ import (
 	"gaea/internal/query"
 	"gaea/internal/storage"
 	"gaea/internal/task"
+	"gaea/internal/wire"
 )
 
 // The typed error taxonomy of the public API. Every error a Kernel (or
@@ -25,29 +26,32 @@ import (
 // The internal cause stays wrapped underneath — errors.Is against the
 // internal sentinels (object.ErrNotFound, petri.ErrNoPlan, …) keeps
 // working for callers that reach below the public surface.
+//
+// All but ErrFormat, which Open alone returns, are rows of internal/wire's
+// taxonomy table, so a remote caller (package client) gets them back too.
 var (
 	// ErrNotFound: an object, task, process, concept, or experiment the
 	// request names does not resolve.
-	ErrNotFound = errors.New("gaea: not found")
+	ErrNotFound = wire.ErrNotFound
 	// ErrClassUnknown: the request names a class the catalog has never
 	// seen.
-	ErrClassUnknown = errors.New("gaea: unknown class")
+	ErrClassUnknown = wire.ErrClassUnknown
 	// ErrNoPlan: the request cannot be satisfied — stored data do not
 	// match and backward chaining found no derivation to produce them.
-	ErrNoPlan = errors.New("gaea: no derivation plan")
+	ErrNoPlan = wire.ErrNoPlan
 	// ErrStale: the operation refuses to run over stale derived data
 	// (e.g. reproducing a task whose recorded input was invalidated).
-	ErrStale = errors.New("gaea: stale derived data")
+	ErrStale = wire.ErrStale
 	// ErrConflict: a concurrent mutation beat this one to the same
 	// object between staging and commit (first-committer-wins).
-	ErrConflict = errors.New("gaea: conflict")
+	ErrConflict = wire.ErrConflict
 	// ErrSnapshotGone: a stream cursor (or re-pinned snapshot) names an
 	// MVCC epoch the garbage collector has already reclaimed past; the
 	// page cannot be resumed consistently. Re-issue the query for a fresh
 	// snapshot.
-	ErrSnapshotGone = errors.New("gaea: snapshot epoch reclaimed")
+	ErrSnapshotGone = wire.ErrSnapshotGone
 	// ErrClosed: the kernel (or the session) has been closed.
-	ErrClosed = errors.New("gaea: closed")
+	ErrClosed = wire.ErrClosed
 	// ErrFormat: Open found a directory written in another on-disk format
 	// than this build's. There is no migration path; nothing in the
 	// directory was changed.

@@ -18,7 +18,6 @@ package fed
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -470,38 +469,3 @@ func (b *fedBackend) Metrics() *obs.Registry { return b.r.reg }
 func (b *fedBackend) Tracer() *obs.Tracer    { return b.r.tracer }
 func (b *fedBackend) Events() *obs.EventLog  { return b.r.events }
 func (b *fedBackend) ObsJSON() []byte        { return b.r.ObsJSON() }
-
-// Code maps an error onto its wire code. Errors arriving from shards
-// are already classified sentinels (the downstream client decoded them
-// off the wire); federation-native errors carry the same taxonomy.
-func (b *fedBackend) Code(err error) wire.Code {
-	switch {
-	case err == nil:
-		return wire.CodeOK
-	case errors.Is(err, gaea.ErrClosed):
-		return wire.CodeClosed
-	case errors.Is(err, gaea.ErrSnapshotGone):
-		return wire.CodeSnapshotGone
-	case errors.Is(err, ErrHeuristic), errors.Is(err, ErrDecideUnacked):
-		// Partial or undelivered cross-shard outcomes are not retryable
-		// request mistakes; surface them as internal so callers stop
-		// and an operator looks (Stats counts them).
-		return wire.CodeInternal
-	case errors.Is(err, gaea.ErrConflict):
-		return wire.CodeConflict
-	case errors.Is(err, gaea.ErrStale):
-		return wire.CodeStale
-	case errors.Is(err, gaea.ErrClassUnknown):
-		return wire.CodeClassUnknown
-	case errors.Is(err, gaea.ErrNoPlan):
-		return wire.CodeNoPlan
-	case errors.Is(err, gaea.ErrNotFound):
-		return wire.CodeNotFound
-	case errors.Is(err, client.ErrUnavailable):
-		return wire.CodeUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return wire.CodeCanceled
-	default:
-		return wire.CodeFor(err)
-	}
-}

@@ -657,12 +657,18 @@ func TestFedSingleShardFastPath(t *testing.T) {
 // serveFed exposes a router over the wire protocol, like `gaea fed`.
 func serveFed(t *testing.T, r *Router) string {
 	t.Helper()
+	return serveBackend(t, NewBackend(r))
+}
+
+// serveBackend serves any Backend on a unix socket until cleanup.
+func serveBackend(t *testing.T, b server.Backend) string {
+	t.Helper()
 	sock := sockPath(t)
 	l, err := net.Listen("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(NewBackend(r), server.Options{})
+	srv := server.New(b, server.Options{})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	t.Cleanup(func() {
@@ -670,7 +676,7 @@ func serveFed(t *testing.T, r *Router) string {
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 		if err := <-done; err != nil {
-			t.Errorf("serve fed: %v", err)
+			t.Errorf("serve: %v", err)
 		}
 	})
 	return "unix://" + sock

@@ -354,6 +354,18 @@ func TestUnsuperclassifyMatchesLloyd(t *testing.T) {
 			bands := randomBands(t, 1, n, d, func() float64 { return float64(r.Intn(span)) * scale })
 			checkMatchesLloyd(t, fmt.Sprintf("trial %d", trial), bands, 2+r.Intn(min(5, n-1)), ClassifyOptions{Seed: uint64(trial) + 1})
 		}
+		// Clusters about minLower apart, each spread over offsets whose
+		// squares are subnormal: a lower bound taken at least minLower is
+		// carried below it while the pixel's upper bound stays under it,
+		// and the drifts that lower it are computed from subnormal squares.
+		for trial := 0; trial < 2000; trial++ {
+			coarse, fine := math.Ldexp(1, -470-r.Intn(45)), math.Ldexp(1, -505-r.Intn(40))
+			n, d, span, spread := 3+r.Intn(20), 1+r.Intn(3), 1+r.Intn(4), 1+r.Intn(8)
+			bands := randomBands(t, 1, n, d, func() float64 {
+				return float64(r.Intn(span))*coarse + float64(r.Intn(spread)-spread/2)*fine
+			})
+			checkMatchesLloyd(t, fmt.Sprintf("two-scale trial %d", trial), bands, 2+r.Intn(min(4, n-1)), ClassifyOptions{Seed: uint64(trial) + 1})
+		}
 	})
 	t.Run("constant and k equals n", func(t *testing.T) {
 		constant := randomBands(t, 4, 4, 2, func() float64 { return 3.5 })
@@ -454,6 +466,34 @@ func TestUnsuperclassifyMatchesLloyd(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestUnprovedDistrustsTinyLowerBounds pins the minLower guard on the
+// bounds test: a lower bound under minLower proves nothing, however far
+// below it the upper bound lies. No class image of a test shows the
+// guard: the margin a carried bound loses on its first carry, at least
+// prune·minLower ≈ 2⁻⁵¹⁰, outweighs what subnormal squared drifts can
+// round away, at most √d·2⁻⁵³⁷ a pass, for some 2²⁷/√d passes. So the
+// "two-scale" inputs above reach the guard and it is pinned here.
+func TestUnprovedDistrustsTinyLowerBounds(t *testing.T) {
+	for _, c := range []struct {
+		u, l, half float64
+		want       int
+	}{
+		{0, minLower / 2, 0, 1},
+		{minLower / 8, minLower / 2, 0, 1},
+		{minLower / 8, math.Nextafter(minLower, 0), 0, 1},
+		{minLower / 8, 2 * minLower, 0, 0},
+		{minLower / 8, minLower / 2, minLower / 4, 0}, // the half distance still proves
+		{1, 2, 0, 0},
+		{1, 1, 0, 1}, // strict
+		{1, -1, 0, 1},
+		{math.Inf(1), math.Inf(1), math.Inf(1), 1},
+	} {
+		if got := unproved(c.u, c.l, c.half); got != c.want {
+			t.Errorf("unproved(%g, %g, %g) = %d, want %d", c.u, c.l, c.half, got, c.want)
+		}
+	}
 }
 
 // fuzzInput decodes a classification from fuzz bytes: a header of band

@@ -8,56 +8,13 @@ package object
 // a relation, it does not repeat what its class says: the heap it lies
 // in names the class, and the (immutable) catalog entry gives the
 // attribute names, their order, their types and, for a spatial class,
-// the frame. Nor does it spend fixed-width words on small numbers: the
-// commit epoch and the OID are uvarints, and a gridded extent's integral
-// corners and timestamps (the packed extent) and an integral float
-// attribute are varints. Little endian:
-//
-//	flags u8: 0x01 tombstone, 0x02 timed, 0x04 own frame,
-//	          0x08 packed extent, bits 4–7 the packed box mask: bit
-//	          4+i set when box coordinate i (MinX, MinY, MaxX, MaxY) is
-//	          an integer within ±2^53 and not -0
-//	epoch uvarint, oid uvarint              [a tombstone ends here: ~5 B]
-//	extent, 0x08 clear:
-//	        box 4 x f64
-//	        interval 2 x i64                (timed only)
-//	extent, 0x08 set:
-//	        per coordinate, in that order: a masked one as a zig-zag
-//	                 varint — MaxX, MaxY as their difference from MinX,
-//	                 MinY when both ends are masked — any other as its
-//	                 raw f64
-//	        start varint, end-start varint  (timed only)
-//	frame sysLen u16 + sys, unitLen u16 + unit
-//	                                        (only when not the class's frame,
-//	                                        which validate allows a
-//	                                        non-spatial class alone)
-//	per attribute, in catalog.Class.Attrs order, a payload whose form
-//	the attribute's catalog type fixes (validate holds every value to
-//	that type), so no value carries a length or a type tag it need not:
-//	        float   uvarint(zigzag(n)<<1) when the value is an integer n
-//	                within ±2^53 and not -0, else 0x01 + the raw f64
-//	        int, abstime
-//	                zig-zag varint
-//	        bool    u8, 0 or 1
-//	        string  uvarint len, then len bytes
-//	        image   uvarint blob id (an image attribute is always
-//	                offloaded)
-//	        any other type (interval, box, matrix, vector, and a set,
-//	                which may hold a singleton scalar or an offloaded
-//	                image): uvarint(len<<1 | isBlob), then len bytes:
-//	                the value.Encode bytes, or (isBlob, len 8) the blob
-//	                id u64
-//
-// appendObject packs an extent only when that is shorter than the raw
-// form, so packing never lengthens a record. A raw coordinate or float
-// keeps any bit pattern (NaN payloads, ±Inf, -0, subnormals).
-// parseRelative refuses a flags byte with mask bits but no packed
-// extent — so GOB3, whose 'G' is 0x47, never reads as a heap record —
-// a tombstone with any other flag, a packed coordinate outside ±2^53,
-// where float64 loses integers, and an interval whose end overflows. The
-// attribute walk refuses a packed float outside ±2^53, a float marker
-// other than 0x01 and a bool byte other than 0 or 1. So a record reads
-// back as exactly the values written.
+// the frame. Nor does it spend fixed-width words on small numbers. Its
+// layout, and what a reader refuses, is README's "On-disk format 4",
+// *Object record*. appendObject packs an extent only when that is
+// shorter than the raw form; a raw coordinate or float keeps any bit
+// pattern (NaN payloads, ±Inf, -0, subnormals). A flags byte with mask
+// bits but no packed extent is refused, so GOB3, whose 'G' is 0x47,
+// never reads as a heap record.
 //
 // The self-describing form "GOB3" is what leaves the package — the wire,
 // the federation relay. The store never writes it to a heap, and never

@@ -23,7 +23,7 @@ type env struct {
 	mgr *Manager
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	st, err := storage.Open(t.TempDir(), storage.Options{NoSync: true})
 	if err != nil {
@@ -47,7 +47,7 @@ func newEnv(t *testing.T) *env {
 	return &env{st: st, cat: cat, reg: reg, obj: obj, mgr: mgr}
 }
 
-func defineClasses(t *testing.T, cat *catalog.Catalog) {
+func defineClasses(t testing.TB, cat *catalog.Catalog) {
 	t.Helper()
 	classes := []*catalog.Class{
 		{

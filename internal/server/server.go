@@ -76,7 +76,7 @@ type DeferredOIDs interface {
 // Backend is the kernel surface the server exposes remotely. Package
 // gaea implements it on *Kernel. Methods must be safe for concurrent
 // use and return errors already classified against the public taxonomy
-// (Code turns them into wire codes).
+// (wire.CodeOf turns them into wire codes).
 type Backend interface {
 	// Begin opens a mutation session validating first-committer-wins
 	// against readEpoch (0 = the current epoch at call time) and
@@ -117,9 +117,6 @@ type Backend interface {
 	ExplainQuery(ctx context.Context, req query.Request) (string, error)
 	// Stats is the backend's own stats line, the text half of OpStats.
 	Stats() string
-	// Code maps an error onto its wire code (the full public taxonomy,
-	// including kernel-closed).
-	Code(err error) wire.Code
 	// Metrics is the registry the server's counters live in, as server_*
 	// gauges; it is the one place a server counter is read.
 	Metrics() *obs.Registry
@@ -488,7 +485,7 @@ func badRequest(msg string) *wire.Response {
 }
 
 func (s *Server) errResponse(err error) *wire.Response {
-	return &wire.Response{Code: s.b.Code(err), Err: err.Error()}
+	return &wire.Response{Code: wire.CodeOf(err), Err: err.Error()}
 }
 
 // replayBatch stages a remote batch into a session: reserve real OIDs

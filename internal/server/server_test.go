@@ -70,12 +70,11 @@ func (f *fakeBackend) Explain(oid object.OID) string                 { return ""
 func (f *fakeBackend) ExplainQuery(ctx context.Context, req query.Request) (string, error) {
 	return "", nil
 }
-func (f *fakeBackend) Stats() string            { return "fake" }
-func (f *fakeBackend) Code(err error) wire.Code { return wire.CodeFor(err) }
-func (f *fakeBackend) Metrics() *obs.Registry   { return f.reg }
-func (f *fakeBackend) Tracer() *obs.Tracer      { return nil }
-func (f *fakeBackend) Events() *obs.EventLog    { return nil }
-func (f *fakeBackend) ObsJSON() []byte          { return nil }
+func (f *fakeBackend) Stats() string          { return "fake" }
+func (f *fakeBackend) Metrics() *obs.Registry { return f.reg }
+func (f *fakeBackend) Tracer() *obs.Tracer    { return nil }
+func (f *fakeBackend) Events() *obs.EventLog  { return nil }
+func (f *fakeBackend) ObsJSON() []byte        { return nil }
 
 // startFake serves a fake backend on a unix socket.
 func startFake(t *testing.T, b Backend, opts Options) (string, *Server) {

@@ -38,9 +38,9 @@ const segmentBytes = 32 << 20
 // record appended to a segment file under blobs/, and an in-memory index
 // maps its id to (segment, offset, length).
 //
-// A record is crc32 u32 | uvarint id | uvarint len | data, the id padded
-// to at least two bytes (idLen). The checksum covers the id, the length
-// and the data; every Get verifies it.
+// A record's layout is README's "On-disk format 4", *Blob record*; its
+// checksum covers the id, the length and the data, and every Get
+// verifies it.
 //
 // Put appends to the active segment, the highest-numbered one, and
 // unless the store is NoSync fsyncs before it returns, so a blob is on

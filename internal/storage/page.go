@@ -17,21 +17,9 @@ import (
 // PageSize is the fixed page size of heap files.
 const PageSize = 8192
 
-// Page header layout (little endian):
-//
-//	offset 0: magic      uint16
-//	offset 2: nslots     uint16
-//	offset 4: freeEnd    uint16  (start of the lowest record)
-//	offset 6: crc32      uint32  (over bytes [10, PageSize), i.e. everything after the checksum)
-//	offset 10: slot array, one uint16 per slot: bits 0–13 the slot's
-//	           offset, bit 15 set when the slot is dead (deleted)
-//
-// The slot array grows upward and the records grow downward from the
-// end of the page, in slot order: slot i's bytes run from its offset to
-// slot i-1's offset (to PageSize for slot 0), so a slot needs no length
-// and freeEnd is the last slot's offset. A dead slot keeps its offset,
-// and its bytes, possibly none, are a hole that compact squeezes out or
-// a reusing insert resizes.
+// The page layout — header, slot array, records in slot order — is
+// README's "On-disk format 4", *Page and slot*. A dead slot's bytes are
+// a hole that compact squeezes out or a reusing insert resizes.
 const (
 	pageMagic  = 0x6AEB
 	pageHdrLen = 10

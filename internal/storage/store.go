@@ -455,9 +455,9 @@ func (s *Store) closeFiles() {
 	s.blobs.close()
 }
 
-// Meta snapshot format: magic, count, then length-prefixed key/value
-// pairs, with a trailing crc32. The magic carries the directory's format
-// number, formatVersion: Open reads no other.
+// The meta snapshot's layout is README's "On-disk format 4", *Meta
+// snapshot*. Its magic carries the directory's format number,
+// formatVersion: Open reads no other.
 const (
 	formatVersion = 4
 	metaMagic     = "GMETA4\n"

@@ -18,29 +18,20 @@ import (
 // after the last checkpoint are replayed into the heaps, which makes the
 // store crash-safe: a crash loses nothing that was logged and synced.
 //
-// Record wire format:
-//
-//	length  uint32  (payload bytes)
-//	crc32   uint32  (over payload)
-//	payload: opcode byte + opcode-specific body
-//
 // Every record is a group, opEpochBatch, whose sub-entries are the four
-// mutation ops. Replay reads no other record: it stops at the first torn
-// or corrupt record, or one that is not a group (standard redo-log
+// mutation ops; the layout is README's "On-disk format 4", *WAL group*.
+// A group shares one length/crc header, so replay sees all of its
+// mutations or none. Replay reads no other record: it stops at the first
+// torn or corrupt record, or one that is not a group (standard redo-log
 // convention: a torn tail is an interrupted append, not corruption of
-// committed state).
+// committed state). The epoch is the MVCC commit point of the whole
+// group; replay tracks the maximum seen so the store's epoch counter
+// survives a crash between checkpoints.
 const (
-	opInsert  byte = 1 // heapName, rid, record
-	opDelete  byte = 2 // heapName, rid
-	opMetaSet byte = 3 // key, value
-	opMetaDel byte = 4 // key
-	// opEpochBatch wraps a group of sub-entries in ONE log record: epoch
-	// u64, count u32, then per sub-entry u32 len + payload. The group
-	// shares a single length/crc header, so replay sees either all of its
-	// mutations or none (a torn tail drops the whole group). The epoch is
-	// the MVCC commit point of the whole group (0 for a meta-only group);
-	// replay tracks the maximum seen so the store's epoch counter survives
-	// a crash between checkpoints.
+	opInsert     byte = 1
+	opDelete     byte = 2
+	opMetaSet    byte = 3
+	opMetaDel    byte = 4
 	opEpochBatch byte = 6
 )
 

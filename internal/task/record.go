@@ -6,48 +6,16 @@ package task
 // Executor.Apply commits it in the same storage batch as the objects the
 // task generated, so a crash keeps both or neither.
 //
-// Both forms lead with a form byte, then write numbers as uvarints
-// (zig-zag varints where they are signed) and strings as uvarint length
-// + bytes.
-//
-// The full form stands alone:
-//
-//	form u8 (0x01)
-//	id uvarint, version varint, micros varint
-//	process, user, out_class, note: uvarint length + bytes each
-//	inputs: uvarint count, then per argument in ascending name order:
-//	        name (uvarint length + bytes), uvarint count, the OIDs as
-//	        uvarints
-//	outputs: uvarint run count (at least 1), then per run, ascending:
-//	        uvarint first, less the end of the run before it (0 for the
-//	        first run), and uvarint count (at least 1)
-//
-// A single-output task is one run of one. A one-run load task takes
-// about 40 bytes; a derivation over three inputs 80 to 100.
-//
-// The delta form names an earlier task as its base and stores only the
-// fields that differ from it:
-//
-//	form u8 (0x02)
-//	id uvarint, id − base uvarint (at least 1), mask uvarint
-//	then, each only when its mask bit is set and in this order:
-//	process (string) and version (varint), user, out_class, note
-//	(strings), inputs, micros (varint), outputs (both as above)
-//
-// A field whose bit is clear is the base's. The note is the base's, the
-// literal string stored, or — under its own bit — the "refresh of task
-// <base>" the executor writes for a refresh, rebuilt on decode. A mask
-// bit this decoder does not know is corruption. The executor writes a
-// delta for two kinds of task:
-//
-//   - a refresh, against the task it recomputes: form, id, distance,
-//     mask and micros, 10 bytes at IDs near 2²¹ for a run under a
-//     second (a budget of 12), where the whole record of a three-input
-//     derivation takes 80 to 100;
-//   - an external derivation, against the newest published one with the
-//     same process, user, out-class and note: for a one-run load, form,
-//     id, distance, mask and its run, 13 bytes at IDs and OIDs near 2²¹
-//     (a budget of 16, against 48 for the whole record).
+// Both forms lead with a form byte; their layouts are README's "On-disk
+// format 4", *Task record*. The full form stands alone. The delta form
+// names an earlier task as its base and stores only the fields that
+// differ from it, under a mask: a field whose bit is clear is the
+// base's, and a mask bit this decoder does not know is corruption. The
+// executor writes a delta for two kinds of task: a refresh, against the
+// task it recomputes (its note, when given none, is "refresh of task
+// <base>", stored as one mask bit); and an external derivation, against
+// the newest published one with the same process, user, out-class and
+// note.
 //
 // A base is always a committed task and tasks are never deleted, so a
 // log holds the base of every delta in it.

@@ -656,6 +656,10 @@ func TestRefreshRecordWidthFollowsMicros(t *testing.T) {
 	defer func(c func() time.Time) { Clock = c }(Clock)
 	e := newEnv(t)
 	scene := insertScene(t, e, 3, sptemp.Date(1986, 1, 15), 1986)
+	// The base task's own run time is fixed too: a delta leaves out micros
+	// equal to the base's, so a base timed at one of the widths below would
+	// shorten that refresh's record.
+	Clock = func() time.Time { return time.Unix(0, 0) }
 	orig, _, err := e.exec.Run(context.Background(), "unsupervised_classification", map[string][]object.OID{"bands": scene}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,13 @@
 // as self-describing records (RawObject) — the one object-page form —
 // and the final page carries the epoch-carrying resume cursor.
 //
-// Errors cross the wire as a Code plus the server-side error text. Codes
-// map 1:1 onto the public error taxonomy (gaea.ErrNotFound, ErrConflict,
-// …), so a remote caller branches with errors.Is exactly like an
-// embedded one.
+// Errors cross the wire as a Code plus the server-side error text. The
+// public error taxonomy is one table here (taxonomy): each row a code,
+// its name and its sentinel (gaea.ErrNotFound, ErrConflict, …, which
+// gaea and client re-export). It has two readers — CodeOf on the server,
+// ErrorOf on the client — so a remote caller branches with errors.Is
+// exactly like an embedded one, and a new public error is one row plus
+// a code constant.
 package wire
 
 import (
@@ -28,15 +31,9 @@ import (
 	"errors"
 	"fmt"
 
-	"gaea/internal/catalog"
-	"gaea/internal/concept"
-	"gaea/internal/experiment"
 	"gaea/internal/object"
-	"gaea/internal/petri"
-	"gaea/internal/process"
 	"gaea/internal/query"
 	"gaea/internal/sptemp"
-	"gaea/internal/storage"
 	"gaea/internal/task"
 	"gaea/internal/value"
 )
@@ -116,92 +113,107 @@ func (o Op) String() string {
 	}
 }
 
-// Code is a wire error code, mapped 1:1 onto the public error taxonomy.
+// The public error sentinels of the taxonomy below. Packages gaea (the
+// first seven) and client (ErrUnavailable) re-export these variables and
+// document them.
+var (
+	ErrNotFound     = errors.New("gaea: not found")
+	ErrClassUnknown = errors.New("gaea: unknown class")
+	ErrNoPlan       = errors.New("gaea: no derivation plan")
+	ErrStale        = errors.New("gaea: stale derived data")
+	ErrConflict     = errors.New("gaea: conflict")
+	ErrSnapshotGone = errors.New("gaea: snapshot epoch reclaimed")
+	ErrClosed       = errors.New("gaea: closed")
+	ErrUnavailable  = errors.New("client: server unavailable")
+)
+
+// Code is a wire error code: a response's row of the taxonomy.
 type Code uint8
 
-// The codes. CodeOK marks a successful response; everything else maps to
-// one public sentinel on the client side.
+// The codes. Their numbers are the protocol; names and errors live in
+// the taxonomy table.
 const (
-	CodeOK           Code = iota
-	CodeNotFound          // gaea.ErrNotFound
-	CodeClassUnknown      // gaea.ErrClassUnknown
-	CodeNoPlan            // gaea.ErrNoPlan
-	CodeStale             // gaea.ErrStale
-	CodeConflict          // gaea.ErrConflict
-	CodeSnapshotGone      // gaea.ErrSnapshotGone (includes expired leases)
-	CodeClosed            // gaea.ErrClosed
-	CodeBadRequest        // malformed request (query validation, bad cursor)
-	CodeCanceled          // the request context was cancelled server-side
-	CodeUnavailable       // server shutting down or connection limit reached
-	CodeInternal          // anything unclassified
+	CodeOK Code = iota
+	CodeNotFound
+	CodeClassUnknown
+	CodeNoPlan
+	CodeStale
+	CodeConflict
+	CodeSnapshotGone // includes expired leases
+	CodeClosed
+	CodeBadRequest
+	CodeCanceled
+	CodeUnavailable
+	CodeInternal
 )
+
+// taxonomy is the public error taxonomy: each wire code named once,
+// with the errors it stands for. CodeOf takes the first row holding the
+// error, so more specific errors come first (a conflict is often a
+// not-found underneath); ErrorOf gives back the row's sentinel. Internal
+// causes are classified into the sentinels before an error reaches the
+// server, so only the two bad-request causes, which have no public
+// sentinel, are listed.
+var taxonomy = [...]struct {
+	code     Code
+	name     string
+	sentinel error   // what ErrorOf wraps; nil: the code comes back untyped
+	also     []error // further errors CodeOf maps to the code
+}{
+	{CodeClosed, "closed", ErrClosed, nil},
+	{CodeSnapshotGone, "snapshot-gone", ErrSnapshotGone, nil},
+	{CodeConflict, "conflict", ErrConflict, nil},
+	{CodeStale, "stale", ErrStale, nil},
+	{CodeClassUnknown, "class-unknown", ErrClassUnknown, nil},
+	{CodeNoPlan, "no-plan", ErrNoPlan, nil},
+	{CodeNotFound, "not-found", ErrNotFound, nil},
+	{CodeCanceled, "canceled", context.Canceled, []error{context.DeadlineExceeded}},
+	{CodeUnavailable, "unavailable", ErrUnavailable, nil},
+	{CodeBadRequest, "bad-request", nil, []error{query.ErrBadRequest, object.ErrBadAttr}},
+	{CodeInternal, "internal", nil, nil},
+	{CodeOK, "ok", nil, nil},
+}
 
 // String names the code.
 func (c Code) String() string {
-	switch c {
-	case CodeOK:
-		return "ok"
-	case CodeNotFound:
-		return "not-found"
-	case CodeClassUnknown:
-		return "class-unknown"
-	case CodeNoPlan:
-		return "no-plan"
-	case CodeStale:
-		return "stale"
-	case CodeConflict:
-		return "conflict"
-	case CodeSnapshotGone:
-		return "snapshot-gone"
-	case CodeClosed:
-		return "closed"
-	case CodeBadRequest:
-		return "bad-request"
-	case CodeCanceled:
-		return "canceled"
-	case CodeUnavailable:
-		return "unavailable"
-	case CodeInternal:
-		return "internal"
-	default:
-		return fmt.Sprintf("code(%d)", uint8(c))
+	for _, r := range taxonomy {
+		if r.code == c {
+			return r.name
+		}
 	}
+	return fmt.Sprintf("code(%d)", uint8(c))
 }
 
-// CodeFor classifies an error against the internal sentinels that the
-// kernel's public classification wraps (the internal cause always stays
-// in the chain, so matching the internal sentinels catches errors
-// classified at the gaea layer too). Order matters exactly as in the
-// public taxonomy: the most specific cause wins. The server layers its
-// own checks (gaea.ErrClosed, shutdown) on top before falling back here.
-func CodeFor(err error) Code {
-	switch {
-	case err == nil:
+// CodeOf maps an error onto its wire code: the first taxonomy row that
+// holds it, CodeOK for nil, CodeInternal for anything unlisted.
+func CodeOf(err error) Code {
+	if err == nil {
 		return CodeOK
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return CodeCanceled
-	case errors.Is(err, object.ErrSnapshotGone):
-		return CodeSnapshotGone
-	case errors.Is(err, object.ErrConflict):
-		return CodeConflict
-	case errors.Is(err, task.ErrStaleInput):
-		return CodeStale
-	case errors.Is(err, catalog.ErrClassNotFound):
-		return CodeClassUnknown
-	case errors.Is(err, petri.ErrNoPlan), errors.Is(err, query.ErrUnsatisfied):
-		return CodeNoPlan
-	case errors.Is(err, object.ErrNotFound),
-		errors.Is(err, task.ErrTaskNotFound),
-		errors.Is(err, process.ErrProcessNotFound),
-		errors.Is(err, concept.ErrNotFound),
-		errors.Is(err, experiment.ErrNotFound),
-		errors.Is(err, storage.ErrNotFound):
-		return CodeNotFound
-	case errors.Is(err, query.ErrBadRequest), errors.Is(err, object.ErrBadAttr):
-		return CodeBadRequest
-	default:
-		return CodeInternal
 	}
+	for _, r := range taxonomy {
+		if errors.Is(err, r.sentinel) { // false for a nil sentinel
+			return r.code
+		}
+		for _, e := range r.also {
+			if errors.Is(err, e) {
+				return r.code
+			}
+		}
+	}
+	return CodeInternal
+}
+
+// ErrorOf turns a response's code and the server's error text back into
+// an error that errors.Is the code's sentinel. Codes without one
+// (bad-request, internal, codes of a newer server) come back untyped.
+// Either way the text is kept.
+func ErrorOf(c Code, msg string) error {
+	for _, r := range taxonomy {
+		if r.code == c && r.sentinel != nil {
+			return fmt.Errorf("%w: remote: %s", r.sentinel, msg)
+		}
+	}
+	return fmt.Errorf("client: remote error (%s): %s", c, msg)
 }
 
 // ProvisionalBit marks OIDs a remote session assigns at stage time:

@@ -5,15 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
-	"gaea/internal/catalog"
 	"gaea/internal/object"
-	"gaea/internal/petri"
 	"gaea/internal/query"
 	"gaea/internal/raster"
 	"gaea/internal/sptemp"
-	"gaea/internal/storage"
 	"gaea/internal/task"
 	"gaea/internal/value"
 )
@@ -172,41 +170,92 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodeForTaxonomy pins the server-side half of the error contract:
-// every internal sentinel the public taxonomy classifies must map to
-// its wire code (the client-side half lives in the client package).
-func TestCodeForTaxonomy(t *testing.T) {
-	cases := []struct {
+// TestErrorTaxonomyRoundTrip pins the wire half of the error contract:
+// every code's number, and for each sentinel — bare and wrapped once
+// more — the code CodeOf gives it and the error ErrorOf gives back,
+// which must errors.Is the sentinel and keep the server's text. The
+// expected codes are written out here, not read from the table.
+func TestErrorTaxonomyRoundTrip(t *testing.T) {
+	numbers := []struct {
+		code Code
+		n    uint8
+		name string
+	}{
+		{CodeOK, 0, "ok"}, {CodeNotFound, 1, "not-found"}, {CodeClassUnknown, 2, "class-unknown"},
+		{CodeNoPlan, 3, "no-plan"}, {CodeStale, 4, "stale"}, {CodeConflict, 5, "conflict"},
+		{CodeSnapshotGone, 6, "snapshot-gone"}, {CodeClosed, 7, "closed"}, {CodeBadRequest, 8, "bad-request"},
+		{CodeCanceled, 9, "canceled"}, {CodeUnavailable, 10, "unavailable"}, {CodeInternal, 11, "internal"},
+	}
+	for _, c := range numbers {
+		if uint8(c.code) != c.n || c.code.String() != c.name {
+			t.Errorf("code %s = %d, want %s = %d", c.code, uint8(c.code), c.name, c.n)
+		}
+	}
+	if got := Code(200).String(); got != "code(200)" {
+		t.Errorf("unknown code named %q", got)
+	}
+	if got := CodeOf(nil); got != CodeOK {
+		t.Errorf("CodeOf(nil) = %v", got)
+	}
+
+	sentinels := []error{ErrNotFound, ErrClassUnknown, ErrNoPlan, ErrStale, ErrConflict,
+		ErrSnapshotGone, ErrClosed, context.Canceled, ErrUnavailable}
+	typed := []struct {
+		err  error
+		want Code
+		back error // the sentinel the client's error matches
+	}{
+		{ErrNotFound, CodeNotFound, ErrNotFound},
+		{ErrClassUnknown, CodeClassUnknown, ErrClassUnknown},
+		{ErrNoPlan, CodeNoPlan, ErrNoPlan},
+		{ErrStale, CodeStale, ErrStale},
+		{ErrConflict, CodeConflict, ErrConflict},
+		{ErrSnapshotGone, CodeSnapshotGone, ErrSnapshotGone},
+		{ErrClosed, CodeClosed, ErrClosed},
+		{context.Canceled, CodeCanceled, context.Canceled},
+		{context.DeadlineExceeded, CodeCanceled, context.Canceled},
+		{ErrUnavailable, CodeUnavailable, ErrUnavailable},
+		// Precedence: the more specific sentinel wins.
+		{fmt.Errorf("%w: %w", ErrConflict, ErrNotFound), CodeConflict, ErrConflict},
+		{fmt.Errorf("%w: %w", ErrClosed, context.Canceled), CodeClosed, ErrClosed},
+	}
+	for _, c := range typed {
+		for _, err := range []error{c.err, fmt.Errorf("outer: %w", c.err)} {
+			code := CodeOf(err)
+			if code != c.want {
+				t.Errorf("CodeOf(%v) = %v, want %v", err, code, c.want)
+			}
+			back := ErrorOf(code, "server text")
+			if !errors.Is(back, c.back) || !strings.Contains(back.Error(), "server text") {
+				t.Errorf("ErrorOf(%v) = %v, want errors.Is %v with the server text", code, back, c.back)
+			}
+		}
+	}
+
+	// Bad-request and internal come back untyped, with the text.
+	untyped := []struct {
 		err  error
 		want Code
 	}{
-		{object.ErrSnapshotGone, CodeSnapshotGone},
-		{object.ErrConflict, CodeConflict},
-		{task.ErrStaleInput, CodeStale},
-		{catalog.ErrClassNotFound, CodeClassUnknown},
-		{petri.ErrNoPlan, CodeNoPlan},
-		{query.ErrUnsatisfied, CodeNoPlan},
-		{object.ErrNotFound, CodeNotFound},
-		{task.ErrTaskNotFound, CodeNotFound},
-		{storage.ErrNotFound, CodeNotFound},
 		{query.ErrBadRequest, CodeBadRequest},
 		{object.ErrBadAttr, CodeBadRequest},
-		{context.Canceled, CodeCanceled},
-		{context.DeadlineExceeded, CodeCanceled},
-		{errors.New("anything else"), CodeInternal},
-		{nil, CodeOK},
+		{errors.New("disk on fire"), CodeInternal},
 	}
-	for _, c := range cases {
-		// Both bare and wrapped, as the kernel's classify layer wraps.
-		if got := CodeFor(c.err); got != c.want {
-			t.Errorf("CodeFor(%v) = %v, want %v", c.err, got, c.want)
-		}
-		if c.err == nil {
-			continue
-		}
-		wrapped := fmt.Errorf("outer: %w", c.err)
-		if got := CodeFor(wrapped); got != c.want {
-			t.Errorf("CodeFor(wrapped %v) = %v, want %v", c.err, got, c.want)
+	for _, c := range untyped {
+		for _, err := range []error{c.err, fmt.Errorf("outer: %w", c.err)} {
+			code := CodeOf(err)
+			if code != c.want {
+				t.Errorf("CodeOf(%v) = %v, want %v", err, code, c.want)
+			}
+			back := ErrorOf(code, "server text")
+			for _, s := range sentinels {
+				if errors.Is(back, s) {
+					t.Errorf("ErrorOf(%v) = %v, typed as %v", code, back, s)
+				}
+			}
+			if !strings.Contains(back.Error(), "server text") {
+				t.Errorf("ErrorOf(%v) lost the server text: %v", code, back)
+			}
 		}
 	}
 }

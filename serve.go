@@ -9,7 +9,6 @@ package gaea
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -374,30 +373,4 @@ func (b kernelBackend) RefreshStale(ctx context.Context) (int, error) {
 
 func (b kernelBackend) ExplainQuery(ctx context.Context, req query.Request) (string, error) {
 	return b.k.ExplainQuery(ctx, req)
-}
-
-// Code maps an error onto its wire code: the public sentinels first
-// (some, like ErrClosed or a session-level ErrConflict, carry no
-// internal cause underneath), then the internal taxonomy.
-func (b kernelBackend) Code(err error) wire.Code {
-	switch {
-	case err == nil:
-		return wire.CodeOK
-	case errors.Is(err, ErrClosed):
-		return wire.CodeClosed
-	case errors.Is(err, ErrSnapshotGone):
-		return wire.CodeSnapshotGone
-	case errors.Is(err, ErrConflict):
-		return wire.CodeConflict
-	case errors.Is(err, ErrStale):
-		return wire.CodeStale
-	case errors.Is(err, ErrClassUnknown):
-		return wire.CodeClassUnknown
-	case errors.Is(err, ErrNoPlan):
-		return wire.CodeNoPlan
-	case errors.Is(err, ErrNotFound):
-		return wire.CodeNotFound
-	default:
-		return wire.CodeFor(err)
-	}
 }

@@ -1,10 +1,9 @@
 package gaea
 
-// Tests for the service adapter's error-code mapping (the server-side
-// half of the wire error taxonomy; the client-side half is tested in
-// gaea/client) and for snapshot lease hygiene: Release idempotence and
-// Kernel.Close releasing leaked pins so the MVCC GC horizon can never
-// be wedged by an abandoned snapshot.
+// Tests for the kernel's classification onto wire error codes (the
+// table itself is tested in internal/wire) and for snapshot lease
+// hygiene: Release idempotence and Kernel.Close releasing leaked pins
+// so the MVCC GC horizon can never be wedged by an abandoned snapshot.
 
 import (
 	"context"
@@ -12,41 +11,59 @@ import (
 	"fmt"
 	"testing"
 
+	"gaea/internal/catalog"
+	"gaea/internal/concept"
+	"gaea/internal/experiment"
+	"gaea/internal/object"
+	"gaea/internal/petri"
+	"gaea/internal/process"
 	"gaea/internal/query"
+	"gaea/internal/storage"
+	"gaea/internal/task"
 	"gaea/internal/wire"
 )
 
-// TestServeErrorCodes pins err → wire.Code for the whole public
-// taxonomy, wrapped exactly as kernel calls return them.
-func TestServeErrorCodes(t *testing.T) {
-	b := kernelBackend{}
-	cases := []struct {
-		err  error
-		want wire.Code
-	}{
-		{nil, wire.CodeOK},
-		{ErrNotFound, wire.CodeNotFound},
-		{ErrClassUnknown, wire.CodeClassUnknown},
-		{ErrNoPlan, wire.CodeNoPlan},
-		{ErrStale, wire.CodeStale},
-		{ErrConflict, wire.CodeConflict},
-		{ErrSnapshotGone, wire.CodeSnapshotGone},
-		{ErrClosed, wire.CodeClosed},
-		{query.ErrBadRequest, wire.CodeBadRequest},
-		{context.Canceled, wire.CodeCanceled},
-		{errors.New("disk on fire"), wire.CodeInternal},
+// TestClassifyWireCodes pins the kernel half of the error contract:
+// every internal cause classify knows, once classified (and wrapped
+// once more, as kernel calls return it), and every error classify
+// passes through, answers with the wire code written out here — not
+// read from the table, so a table edit that moves one fails this test.
+func TestClassifyWireCodes(t *testing.T) {
+	want := map[error]wire.Code{
+		object.ErrSnapshotGone:     wire.CodeSnapshotGone,
+		object.ErrConflict:         wire.CodeConflict,
+		task.ErrStaleInput:         wire.CodeStale,
+		catalog.ErrClassNotFound:   wire.CodeClassUnknown,
+		petri.ErrNoPlan:            wire.CodeNoPlan,
+		query.ErrUnsatisfied:       wire.CodeNoPlan,
+		object.ErrNotFound:         wire.CodeNotFound,
+		task.ErrTaskNotFound:       wire.CodeNotFound,
+		process.ErrProcessNotFound: wire.CodeNotFound,
+		concept.ErrNotFound:        wire.CodeNotFound,
+		experiment.ErrNotFound:     wire.CodeNotFound,
+		storage.ErrNotFound:        wire.CodeNotFound,
+		storage.ErrFormat:          wire.CodeInternal,
+		query.ErrBadRequest:        wire.CodeBadRequest,
+		object.ErrBadAttr:          wire.CodeBadRequest,
+		context.Canceled:           wire.CodeCanceled,
+		context.DeadlineExceeded:   wire.CodeCanceled,
+		errors.New("disk on fire"): wire.CodeInternal,
 	}
-	for _, c := range cases {
-		if got := b.Code(c.err); got != c.want {
-			t.Errorf("Code(%v) = %v, want %v", c.err, got, c.want)
+	for _, m := range errTaxonomy {
+		if _, ok := want[m.cause]; !ok {
+			t.Errorf("classify cause %v has no pinned wire code", m.cause)
 		}
-		if c.err == nil {
-			continue
+	}
+	for cause, code := range want {
+		err := classify(cause)
+		for _, err := range []error{err, fmt.Errorf("kernel: %w", err)} {
+			if got := wire.CodeOf(err); got != code {
+				t.Errorf("CodeOf(%v) = %v, want %v", err, got, code)
+			}
 		}
-		wrapped := fmt.Errorf("kernel: %w", c.err)
-		if got := b.Code(wrapped); got != c.want {
-			t.Errorf("Code(wrapped %v) = %v, want %v", c.err, got, c.want)
-		}
+	}
+	if classify(nil) != nil || wire.CodeOf(classify(nil)) != wire.CodeOK {
+		t.Error("classify(nil) is not nil and CodeOK")
 	}
 }
 
