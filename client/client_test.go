@@ -403,6 +403,42 @@ func TestRemoteErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestErrorForCodes pins the client-side half of the taxonomy round
+// trip: every wire code a response carries maps, through the decoding
+// the client applies (wire.ErrorOf), onto the errors.Is-matchable
+// sentinel package gaea and this package export.
+func TestErrorForCodes(t *testing.T) {
+	cases := []struct {
+		code wire.Code
+		want error
+	}{
+		{wire.CodeNotFound, gaea.ErrNotFound},
+		{wire.CodeClassUnknown, gaea.ErrClassUnknown},
+		{wire.CodeNoPlan, gaea.ErrNoPlan},
+		{wire.CodeStale, gaea.ErrStale},
+		{wire.CodeConflict, gaea.ErrConflict},
+		{wire.CodeSnapshotGone, gaea.ErrSnapshotGone},
+		{wire.CodeClosed, gaea.ErrClosed},
+		{wire.CodeCanceled, context.Canceled},
+		{wire.CodeUnavailable, ErrUnavailable},
+	}
+	for _, cse := range cases {
+		err := wire.ErrorOf(cse.code, "remote text")
+		if !errors.Is(err, cse.want) {
+			t.Errorf("ErrorOf(%v) = %v, not errors.Is %v", cse.code, err, cse.want)
+		}
+		if !strings.Contains(err.Error(), "remote text") {
+			t.Errorf("ErrorOf(%v) lost the server text: %v", cse.code, err)
+		}
+	}
+	// Codes without a sentinel still carry the text.
+	for _, code := range []wire.Code{wire.CodeBadRequest, wire.CodeInternal} {
+		if err := wire.ErrorOf(code, "boom"); !strings.Contains(err.Error(), "boom") {
+			t.Errorf("ErrorOf(%v) lost the text: %v", code, err)
+		}
+	}
+}
+
 // TestRemoteCursorResumeAcrossReconnect is the acceptance test for
 // remote snapshot streaming: a client reads one page, disconnects, a
 // writer rewrites every object, and a NEW connection resumes the cursor

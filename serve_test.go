@@ -1,7 +1,7 @@
 package gaea
 
-// Tests for the kernel's classification onto wire error codes (the
-// table itself is tested in internal/wire) and for snapshot lease
+// Tests for the server's and the kernel's classification onto wire error
+// codes (the table itself is tested in internal/wire) and for snapshot lease
 // hygiene: Release idempotence and Kernel.Close releasing leaked pins
 // so the MVCC GC horizon can never be wedged by an abandoned snapshot.
 
@@ -22,6 +22,40 @@ import (
 	"gaea/internal/task"
 	"gaea/internal/wire"
 )
+
+// TestServeErrorCodes pins err → wire.Code for the whole public
+// taxonomy, as the server answers it (wire.CodeOf), bare and wrapped
+// exactly as kernel calls return them.
+func TestServeErrorCodes(t *testing.T) {
+	cases := []struct {
+		err  error
+		want wire.Code
+	}{
+		{nil, wire.CodeOK},
+		{ErrNotFound, wire.CodeNotFound},
+		{ErrClassUnknown, wire.CodeClassUnknown},
+		{ErrNoPlan, wire.CodeNoPlan},
+		{ErrStale, wire.CodeStale},
+		{ErrConflict, wire.CodeConflict},
+		{ErrSnapshotGone, wire.CodeSnapshotGone},
+		{ErrClosed, wire.CodeClosed},
+		{query.ErrBadRequest, wire.CodeBadRequest},
+		{context.Canceled, wire.CodeCanceled},
+		{errors.New("disk on fire"), wire.CodeInternal},
+	}
+	for _, c := range cases {
+		if got := wire.CodeOf(c.err); got != c.want {
+			t.Errorf("CodeOf(%v) = %v, want %v", c.err, got, c.want)
+		}
+		if c.err == nil {
+			continue
+		}
+		wrapped := fmt.Errorf("kernel: %w", c.err)
+		if got := wire.CodeOf(wrapped); got != c.want {
+			t.Errorf("CodeOf(wrapped %v) = %v, want %v", c.err, got, c.want)
+		}
+	}
+}
 
 // TestClassifyWireCodes pins the kernel half of the error contract:
 // every internal cause classify knows, once classified (and wrapped
