@@ -166,44 +166,6 @@ func SplitAddr(addr string) (network, address string, err error) {
 	}
 }
 
-// federationDialer, when registered, opens a scatter-gather router over
-// a comma-separated shard endpoint list. internal/fed installs it from
-// its init (the import points fed -> client only, so registration is
-// the one way DialKernel can reach it without a cycle).
-var federationDialer func(addrs []string, opts Options) (Kernel, error)
-
-// RegisterFederationDialer installs the constructor DialKernel uses for
-// multi-endpoint addresses. Called once, from internal/fed's init.
-func RegisterFederationDialer(fn func(addrs []string, opts Options) (Kernel, error)) {
-	federationDialer = fn
-}
-
-// DialKernel connects to a served kernel — or, when addr is a
-// comma-separated list of endpoints, to a client-side federation of
-// them (import internal/fed, directly or via cmd/gaea, to enable that
-// path). Either way the result speaks the same Kernel interface, so
-// callers scale from one kernel to a sharded grid by changing only the
-// address string.
-func DialKernel(addr string, opts Options) (Kernel, error) {
-	if !strings.Contains(addr, ",") {
-		return Dial(addr, opts)
-	}
-	parts := strings.Split(addr, ",")
-	addrs := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			addrs = append(addrs, p)
-		}
-	}
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("client: empty address")
-	}
-	if federationDialer == nil {
-		return nil, fmt.Errorf("client: multi-endpoint address %q needs the federation router (import internal/fed)", addr)
-	}
-	return federationDialer(addrs, opts)
-}
-
 // Dial connects to a served kernel at addr ("unix:///path" or
 // "host:port") and performs the hello handshake.
 func Dial(addr string, opts Options) (*Conn, error) {

@@ -44,8 +44,12 @@
 //
 // Every read runs against an MVCC snapshot: queries and streams pin a
 // commit epoch, stream cursors carry it across pages, and sessions
-// validate first-committer-wins at Commit. For a long-lived consistent
-// view, pin one explicitly:
+// validate first-committer-wins at Commit. A derivation reads its inputs
+// at one pinned epoch and commits them as a read set, so a derived
+// version always matches its inputs at its commit epoch; which derived
+// objects are stale then follows from lineage alone, and the kernel
+// judges it again at every open rather than storing it. For a
+// long-lived consistent view, pin one explicitly:
 //
 //	snap, _ := k.Snapshot(ctx)     // read-only view at one commit epoch
 //	defer snap.Release()           // lets the GC horizon advance
@@ -55,7 +59,8 @@
 // Failures classify into a small typed taxonomy matched with errors.Is:
 // ErrNotFound, ErrClassUnknown, ErrNoPlan (the request cannot be
 // satisfied or derived), ErrStale (operation refuses stale inputs),
-// ErrConflict (a concurrent session committed first), ErrSnapshotGone
+// ErrConflict (a concurrent session committed first, or a derivation's
+// inputs kept changing under it), ErrSnapshotGone
 // (a cursor's snapshot epoch was reclaimed by GC), ErrClosed (kernel or
 // session already closed), and ErrFormat (Open found a directory in
 // another on-disk format, and changed nothing in it). All but ErrFormat
@@ -102,7 +107,7 @@
 // the stored attribute values — encoded once at commit, never decoded per
 // request: the stored record leaves what its class says (name, frame,
 // attribute names and types) to the catalog (the layout of every stored
-// byte is README's "On-disk format 4"), and the read path splices the
+// byte is README's "On-disk format 5"), and the read path splices the
 // class's part back per shipped record, writing each typed value's
 // value.Encode form straight from its stored bytes.
 //
@@ -128,10 +133,9 @@
 //	defer r.Close()
 //	var k client.Kernel = r // same sessions, streams, snapshots
 //
-// (or client.DialKernel with a comma-separated endpoint list, or the
-// `gaea fed` subcommand to serve the router itself; see the README's
-// "Scaling out: federation" for the partition map, the vector-cursor
-// resume rules, and the 2PC failure matrix).
+// (or the `gaea fed` subcommand to serve the router itself; see the
+// README's "Scaling out: federation" for the partition map, the
+// vector-cursor resume rules, and the 2PC failure matrix).
 //
 // Every kernel is observable without configuration: a metrics registry
 // (counters, gauges, latency histograms) and a request tracer run from

@@ -37,8 +37,6 @@ type (
 	RunOptions = task.RunOptions
 	// RefreshPolicy governs when stale derived objects are recomputed.
 	RefreshPolicy = deriv.Policy
-	// CostModel tunes the rematerialisation decision.
-	CostModel = deriv.CostModel
 )
 
 // Query strategies.
@@ -77,9 +75,6 @@ type Options struct {
 	// updated or deleted data) are brought up to date: LazyRefresh
 	// (default), EagerRefresh, or ManualRefresh.
 	RefreshPolicy RefreshPolicy
-	// Cost tunes the rematerialisation decision applied to invalidated
-	// derived objects (zero fields take defaults).
-	Cost CostModel
 	// CheckpointEveryBytes bounds WAL growth under sustained ingest: when
 	// the log exceeds this many bytes since the last checkpoint, a
 	// background worker runs Checkpoint (heap flush + log truncation +
@@ -238,10 +233,9 @@ func Open(dir string, opts Options) (*Kernel, error) {
 	}
 	// The derived-data manager wires the executor's staleness hooks and
 	// must open after the task log, before the planning/query layers.
-	if k.Deriv, err = deriv.Open(st, k.Objects, k.Tasks, deriv.Config{
+	if k.Deriv, err = deriv.Open(k.Objects, k.Tasks, deriv.Config{
 		Policy:  opts.RefreshPolicy,
 		Workers: opts.Workers,
-		Cost:    opts.Cost,
 		Metrics: reg,
 	}); err != nil {
 		st.Close()

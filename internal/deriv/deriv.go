@@ -5,12 +5,16 @@
 // relationship), so when base data changes it can invalidate, recompute,
 // or discard the dependents instead of silently serving outdated results.
 //
-// The manager maintains a dependency graph distilled from task lineage
-// (input OID → output OIDs), rebuilt on open from the persistent task log
-// and extended on every fresh task. Updating or deleting an object marks
-// every transitive dependent stale under a monotonically increasing
-// epoch, persisted through the storage layer so staleness survives
-// restarts. Three refresh policies govern recovery:
+// Staleness is a function of lineage: a derived object is stale when an
+// input of its producer task has a newest version, a tombstone or no
+// version at all newer than the object's own version, or is itself
+// stale. The executor commits a derived version at the epoch it read its
+// inputs at, so the rule needs only what is durable already — the task
+// log (which also yields the dependency graph, input → outputs) and the
+// version chains. The stale set is kept in memory, judged afresh at open
+// and updated as mutations are swept, tasks recorded and objects
+// refreshed; nothing about it is written. Three refresh policies govern
+// recovery:
 //
 //   - Lazy: queries skip stale objects and transparently re-derive them
 //     on touch through the §2.1.5 fallback chain (stale memo hits are
@@ -30,13 +34,11 @@ package deriv
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +46,6 @@ import (
 	"gaea/internal/object"
 	"gaea/internal/obs"
 	"gaea/internal/sflight"
-	"gaea/internal/storage"
 	"gaea/internal/task"
 )
 
@@ -63,31 +64,21 @@ const (
 // producer task is unknown.
 var ErrUnrefreshable = errors.New("deriv: object cannot be recomputed in place")
 
-// CostModel tunes the rematerialisation decision. Zero fields take the
-// defaults.
-type CostModel struct {
-	// RecomputeMicros: an invalidated object whose recorded derivation
-	// cost is at or above this is refreshed in the background even under
-	// the Lazy policy (too expensive to leave to query time).
-	RecomputeMicros int64
-	// DropMicros/DropBytes: an invalidated object cheaper than DropMicros
-	// to re-derive and at least DropBytes large is dropped — storage costs
-	// more than recomputation.
-	DropMicros int64
-	DropBytes  int64
-}
+// The rematerialisation decision's thresholds (decide): an invalidated
+// object that took at least recomputeMicros to derive is refreshed in the
+// background even under Lazy; one cheaper than dropMicros and at least
+// dropBytes large is dropped, since storing it costs more than deriving
+// it again.
+const (
+	recomputeMicros = 200_000  // 200ms
+	dropMicros      = 2_000    // 2ms
+	dropBytes       = 64 << 10 // 64KiB
+)
 
-func (c CostModel) withDefaults() CostModel {
-	if c.RecomputeMicros == 0 {
-		c.RecomputeMicros = 200_000 // 200ms: worth refreshing ahead of queries
-	}
-	if c.DropMicros == 0 {
-		c.DropMicros = 2_000 // 2ms: cheaper to re-derive than to keep…
-	}
-	if c.DropBytes == 0 {
-		c.DropBytes = 64 << 10 // …when at least 64KiB would be kept
-	}
-	return c
+// costModel holds the thresholds decide applies: the constants above,
+// except in a test that makes drops happen.
+type costModel struct {
+	RecomputeMicros, DropMicros, DropBytes int64
 }
 
 // action is the per-object rematerialisation decision.
@@ -106,8 +97,6 @@ type Config struct {
 	// Workers caps the goroutines used to refresh independent stale
 	// objects in parallel (0 = GOMAXPROCS, via the task scheduler).
 	Workers int
-	// Cost tunes the rematerialisation decision.
-	Cost CostModel
 	// Metrics is the registry the manager reports into (nil =
 	// unobserved): invalidation sweeps, refresh decisions, and the
 	// cost-model's keep/recompute/drop outcomes.
@@ -118,10 +107,10 @@ type Config struct {
 type Counters struct {
 	// Deps is the number of tracked dependency edges (input → output).
 	Deps int
-	// Stale is the number of objects currently marked stale.
+	// Stale is the number of objects currently stale.
 	Stale int
-	// Epoch is the highest commit epoch an invalidation sweep has marked
-	// staleness at (stale marks are epoch-qualified for snapshot readers).
+	// Epoch is the highest commit epoch an invalidation has been found
+	// at (stale marks are epoch-qualified for snapshot readers).
 	Epoch uint64
 	// Invalidations counts stale markings propagated since open.
 	Invalidations int64
@@ -137,11 +126,10 @@ type Counters struct {
 
 // Manager tracks derivation dependencies and staleness.
 type Manager struct {
-	st     *storage.Store
 	obj    *object.Store
 	exec   *task.Executor
 	policy Policy
-	cost   CostModel
+	cost   costModel
 
 	workers int
 
@@ -150,7 +138,7 @@ type Manager struct {
 	// from it, distilled from task lineage.
 	deps  map[object.OID]map[object.OID]bool
 	edges int
-	// stale maps an OID to its invalidation epochs.
+	// stale maps each stale OID to its invalidation epochs.
 	stale map[object.OID]staleMark
 	epoch uint64
 	// pending queues OIDs for the background refresher.
@@ -178,44 +166,24 @@ type Manager struct {
 	decDrop      *obs.Counter
 }
 
-const staleKeyPrefix = "deriv/stale/"
-
-func staleKey(oid object.OID) string {
-	return staleKeyPrefix + strconv.FormatUint(uint64(oid), 10)
-}
-
-// staleMark records when an object was invalidated. Both ends of the
-// range matter: `first` (the EARLIEST outstanding invalidation) answers
-// snapshot visibility — a reader pinned at or after it must see the
-// object as stale; `last` (the latest) guards refresh races — a
-// recompute that started before a newer invalidation landed must not
-// clear the mark (clearStaleIf compares against last). Keeping only one
-// of the two breaks the other property.
+// staleMark records when an object went stale: `first`, the EARLIEST
+// outstanding invalidation, answers snapshot visibility (IsStaleAt);
+// `last`, the latest, guards refresh races — a refresh clears the mark
+// only if the version it wrote is no older than last.
 type staleMark struct {
 	first, last uint64
 }
 
-func encodeStaleMark(m staleMark) []byte {
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint64(buf, m.first)
-	binary.LittleEndian.PutUint64(buf[8:], m.last)
-	return buf
+// widen extends a mark to cover the epochs of another.
+func (mk staleMark) widen(o staleMark) staleMark {
+	return staleMark{first: min(mk.first, o.first), last: max(mk.last, o.last)}
 }
 
-func decodeStaleMark(raw []byte) (staleMark, bool) {
-	if len(raw) != 16 {
-		return staleMark{}, false
-	}
-	return staleMark{
-		first: binary.LittleEndian.Uint64(raw),
-		last:  binary.LittleEndian.Uint64(raw[8:]),
-	}, true
-}
-
-// Open builds the dependency graph from the recorded task log, loads the
-// persisted stale set, wires the executor's staleness hooks, and (for
-// policies that refresh automatically) starts the background refresher.
-func Open(st *storage.Store, obj *object.Store, exec *task.Executor, cfg Config) (*Manager, error) {
+// Open builds the dependency graph from the recorded task log, judges
+// every derived object by the lineage rule to rebuild the stale set,
+// wires the executor's staleness hooks, and (for policies that refresh
+// automatically) starts the background refresher.
+func Open(obj *object.Store, exec *task.Executor, cfg Config) (*Manager, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = Lazy
 	}
@@ -225,11 +193,10 @@ func Open(st *storage.Store, obj *object.Store, exec *task.Executor, cfg Config)
 		return nil, fmt.Errorf("deriv: unknown refresh policy %q", cfg.Policy)
 	}
 	m := &Manager{
-		st:      st,
 		obj:     obj,
 		exec:    exec,
 		policy:  cfg.Policy,
-		cost:    cfg.Cost.withDefaults(),
+		cost:    costModel{RecomputeMicros: recomputeMicros, DropMicros: dropMicros, DropBytes: dropBytes},
 		workers: cfg.Workers,
 		deps:    make(map[object.OID]map[object.OID]bool),
 		stale:   make(map[object.OID]staleMark),
@@ -257,26 +224,16 @@ func Open(st *storage.Store, obj *object.Store, exec *task.Executor, cfg Config)
 			return int64(m.edges)
 		})
 	}
+	var derived []object.OID
 	for _, t := range exec.All() {
-		m.addEdges(t)
+		if len(t.Inputs) > 0 {
+			m.addEdges(t)
+			derived = append(derived, t.Output)
+		}
 	}
-	for _, key := range st.MetaKeys(staleKeyPrefix) {
-		raw, ok := st.MetaGet(key)
-		if !ok {
-			continue
-		}
-		mark, ok := decodeStaleMark(raw)
-		if !ok {
-			return nil, fmt.Errorf("deriv: corrupt stale mark %q: %d bytes", key, len(raw))
-		}
-		n, err := strconv.ParseUint(strings.TrimPrefix(key, staleKeyPrefix), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("deriv: corrupt stale key %q", key)
-		}
-		m.stale[object.OID(n)] = mark
-		if mark.last > m.epoch {
-			m.epoch = mark.last
-		}
+	m.judgeLocked(derived, 0)
+	for _, mk := range m.stale {
+		m.epoch = max(m.epoch, mk.last)
 	}
 	exec.OnRecord = m.taskRecorded
 	exec.Stale = m.IsStale
@@ -312,8 +269,29 @@ func (m *Manager) Close() {
 func (m *Manager) Policy() Policy { return m.policy }
 
 // taskRecorded extends the dependency graph with a fresh task's lineage
-// (the executor's OnRecord hook).
-func (m *Manager) taskRecorded(t *task.Task) { m.addEdges(t) }
+// and judges its output (the executor's OnRecord hook): a derivation over
+// a stale input is stale, and a refreshed output is fresh again unless an
+// input changed since it was read. What was computed from a version a
+// refresh superseded, and is not stale yet, is judged too.
+func (m *Manager) taskRecorded(t *task.Task) {
+	if len(t.Inputs) == 0 {
+		return // a load: base data is never stale
+	}
+	m.addEdges(t)
+	m.mu.Lock()
+	oids := []object.OID{t.Output}
+	for _, d := range m.multiClosureLocked(map[object.OID]bool{t.Output: true}) {
+		if _, was := m.stale[d]; !was {
+			oids = append(oids, d)
+		}
+	}
+	marked := m.judgeLocked(oids, 0)
+	m.invalidations.Add(int64(len(marked)))
+	m.mu.Unlock()
+	if m.policy == Eager {
+		m.enqueue(marked...)
+	}
+}
 
 // addEdges makes every output of a task a dependent of every input. A
 // load has no inputs, so its whole set of outputs costs nothing here.
@@ -341,7 +319,64 @@ func (m *Manager) addEdges(t *task.Task) {
 	}
 }
 
-// IsStale reports whether an object is marked stale.
+// staleLocked applies the lineage rule to one object, and returns the
+// epochs of the causes it finds as its mark. A sweep passes the epoch its
+// roots changed at as at: an object it reaches whose version is no newer
+// was computed before the change. Base data, and an object that is gone,
+// is never stale. Callers hold mu.
+func (m *Manager) staleLocked(oid object.OID, at uint64) (staleMark, bool) {
+	t, ok := m.exec.Producer(oid)
+	if !ok || len(t.Inputs) == 0 {
+		return staleMark{}, false
+	}
+	v, live := m.obj.Head(oid)
+	if !live {
+		return staleMark{}, false
+	}
+	mk, stale := staleMark{first: ^uint64(0)}, false
+	cause := func(c staleMark) { mk, stale = mk.widen(c), true }
+	if v <= at {
+		cause(staleMark{at, at})
+	}
+	for _, ins := range t.Inputs {
+		for _, in := range ins {
+			if h, live := m.obj.Head(in); !live || h > v {
+				cause(staleMark{max(h, v), max(h, v)})
+			}
+			if im, ok := m.stale[in]; ok {
+				cause(im)
+			}
+		}
+	}
+	return mk, stale
+}
+
+// judgeLocked judges each of oids by the rule (staleLocked with at) and
+// returns those it finds stale, whose marks it sets or widens. One it
+// finds fresh loses its mark unless an invalidation newer than its
+// version is outstanding. An input is always older than what was derived
+// from it, and OIDs are reserved in order, so judging oids sorted in
+// place, ascending, judges inputs first. Callers hold mu (Open owns the
+// manager alone).
+func (m *Manager) judgeLocked(oids []object.OID, at uint64) []object.OID {
+	slices.Sort(oids)
+	var stale []object.OID
+	for _, oid := range slices.Compact(oids) {
+		cur, was := m.stale[oid]
+		if mk, ok := m.staleLocked(oid, at); ok {
+			if was {
+				mk = mk.widen(cur)
+			}
+			m.stale[oid] = mk
+			stale = append(stale, oid)
+		} else if v, live := m.obj.Head(oid); was && (!live || cur.last <= v) {
+			delete(m.stale, oid)
+		}
+	}
+	return stale
+}
+
+// IsStale reports whether an object is stale.
 func (m *Manager) IsStale(oid object.OID) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -361,7 +396,7 @@ func (m *Manager) IsStaleAt(oid object.OID, epoch uint64) bool {
 	return ok && mk.first <= epoch
 }
 
-// Stale returns the OIDs currently marked stale, ascending.
+// Stale returns the OIDs currently stale, ascending.
 func (m *Manager) Stale() []object.OID {
 	m.mu.RLock()
 	out := make([]object.OID, 0, len(m.stale))
@@ -406,17 +441,17 @@ func (m *Manager) multiClosureLocked(roots map[object.OID]bool) []object.OID {
 }
 
 // ObjectsChanged propagates a batch of mutations in ONE invalidation
-// sweep: the transitive dependents of every updated or deleted object are
-// marked stale under the COMMIT EPOCH of the mutating batch, and the
-// rematerialisation decision is applied to each dependent once, however
-// many roots reach it. Epoch-qualifying the marks gives snapshot readers
-// the right answer: a reader pinned before the mutation committed sees
-// the dependents as fresh (IsStaleAt), because in its world they are.
-// The roots themselves stay fresh — an updated object's new state is
-// the truth of the batch, a deleted one is gone (its memo entries are
-// dropped so identical instantiations re-execute). Session commits call
-// this once, amortising the graph walk that per-op mutation would repeat
-// N times over a shared subtree.
+// sweep under the batch's COMMIT EPOCH: every transitive dependent of an
+// updated or deleted object that the lineage rule finds stale — one whose
+// version is no newer than the epoch, or computed from a stale input — is
+// marked, and the rematerialisation decision is applied to it once,
+// however many roots reach it. A dependent derived after the commit read
+// the new state and stays fresh, and a snapshot pinned before the commit
+// still sees the dependents as fresh (IsStaleAt). The roots are judged
+// anew: an updated object is as fresh as its inputs, a deleted one is
+// gone (its memo entries are dropped so identical instantiations
+// re-execute). Session commits call this once per batch. It writes
+// nothing.
 func (m *Manager) ObjectsChanged(updated, deleted []object.OID, epoch uint64) error {
 	if len(updated)+len(deleted) == 0 {
 		return nil
@@ -431,22 +466,19 @@ func (m *Manager) ObjectsChanged(updated, deleted []object.OID, epoch uint64) er
 	for _, oid := range changed {
 		roots[oid] = true
 	}
-	// Updating a previously-stale object makes it fresh by definition; a
-	// deleted one is gone.
-	firstErr := m.clearStale(changed...)
 	m.sweeps.Add(1)
 	m.mu.Lock()
-	if epoch > m.epoch {
-		m.epoch = epoch
-	}
-	order := m.multiClosureLocked(roots)
+	m.epoch = max(m.epoch, epoch)
+	marked := m.judgeLocked(m.multiClosureLocked(roots), epoch)
+	// The roots after their dependents: one may be computed from
+	// another's dependent.
+	marked = append(marked, m.judgeLocked(changed, 0)...)
+	m.invalidations.Add(int64(len(marked)))
 	m.mu.Unlock()
 
-	var marked, recompute []object.OID
-	for _, d := range order {
-		if !m.obj.Exists(d) {
-			continue // already dropped or deleted
-		}
+	var firstErr error
+	var recompute []object.OID
+	for _, d := range marked {
 		act := m.decide(d)
 		switch act {
 		case actionKeep:
@@ -457,109 +489,17 @@ func (m *Manager) ObjectsChanged(updated, deleted []object.OID, epoch uint64) er
 			m.decDrop.Inc()
 		}
 		if act == actionDrop {
-			// No point durably marking an object we discard right away.
-			m.invalidations.Add(1)
 			if err := m.drop(d); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		marked = append(marked, d)
 		if act == actionRecompute || m.policy == Eager {
 			recompute = append(recompute, d)
 		}
 	}
-	if err := m.markStale(marked, epoch); err != nil {
-		if firstErr == nil {
-			firstErr = err
-		}
-		recompute = nil // nothing was marked
-	}
 	m.enqueue(recompute...)
 	return firstErr
-}
-
-// markStale records oids as stale at the given epoch, durably, in one
-// batch: a fresh mark takes the epoch as both ends, a repeat invalidation
-// widens the range (first stays at the earliest, last advances to the
-// newest). The batch commits under the manager lock and memory changes
-// only once it has, so memory and disk cannot disagree about a marking.
-func (m *Manager) markStale(oids []object.OID, epoch uint64) error {
-	if len(oids) == 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	marks := make([]staleMark, len(oids))
-	b := m.st.NewBatch()
-	for i, oid := range oids {
-		marks[i] = staleMark{first: epoch, last: epoch}
-		if cur, ok := m.stale[oid]; ok {
-			marks[i] = staleMark{first: min(cur.first, epoch), last: max(cur.last, epoch)}
-		}
-		b.MetaSet(staleKey(oid), encodeStaleMark(marks[i]))
-	}
-	if _, err := b.Commit(); err != nil {
-		return err
-	}
-	for i, oid := range oids {
-		m.stale[oid] = marks[i]
-	}
-	m.invalidations.Add(int64(len(oids)))
-	return nil
-}
-
-// staleEpoch returns the NEWEST epoch oid was invalidated at, if stale
-// (the value clearStaleIf must match for a refresh to clear the mark).
-func (m *Manager) staleEpoch(oid object.OID) (uint64, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	mk, ok := m.stale[oid]
-	return mk.last, ok
-}
-
-// clearStale removes the stale markings of those of oids that have one,
-// durably, in one batch; memory changes only once the batch commits.
-func (m *Manager) clearStale(oids ...object.OID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b := m.st.NewBatch()
-	var cleared []object.OID
-	for _, oid := range oids {
-		if _, was := m.stale[oid]; was {
-			b.MetaDelete(staleKey(oid))
-			cleared = append(cleared, oid)
-		}
-	}
-	if len(cleared) == 0 {
-		return nil
-	}
-	if _, err := b.Commit(); err != nil {
-		return err
-	}
-	for _, oid := range cleared {
-		delete(m.stale, oid)
-	}
-	return nil
-}
-
-// clearStaleIf removes oid's stale marking only if its newest
-// invalidation is still the given epoch, and reports whether it did. A
-// refresh that raced with a newer invalidation must not wipe the newer
-// marking — the recompute may have read pre-invalidation inputs, so the
-// object stays stale and is refreshed again. Memory changes only once
-// the removal is durable.
-func (m *Manager) clearStaleIf(oid object.OID, epoch uint64) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cur, was := m.stale[oid]; !was || cur.last != epoch {
-		return false, nil
-	}
-	if err := m.st.MetaDelete(staleKey(oid)); err != nil {
-		return false, err
-	}
-	delete(m.stale, oid)
-	return true, nil
 }
 
 // decide applies the cost model to one invalidated object.
@@ -595,7 +535,10 @@ func (m *Manager) drop(oid object.OID) error {
 	if err == nil {
 		m.drops.Add(1)
 	}
-	return m.clearStale(oid)
+	m.mu.Lock()
+	delete(m.stale, oid)
+	m.mu.Unlock()
+	return nil
 }
 
 // RefreshObject recomputes a stale object in place, refreshing stale
@@ -618,10 +561,7 @@ func (m *Manager) refreshObject(ctx context.Context, oid object.OID, onPath map[
 	defer delete(onPath, oid)
 
 	_, _, err := m.flights.Do(ctx, strconv.FormatUint(uint64(oid), 10), func() (struct{}, error) {
-		// Snapshot the invalidation epoch before touching any inputs: an
-		// invalidation landing during the recompute must survive it.
-		epoch, stale := m.staleEpoch(oid)
-		if !stale {
+		if !m.IsStale(oid) {
 			return struct{}{}, nil // refreshed while we were electing
 		}
 		t, ok := m.exec.Producer(oid)
@@ -644,11 +584,12 @@ func (m *Manager) refreshObject(ctx context.Context, oid object.OID, onPath map[
 		if _, err := m.exec.RecomputeTask(ctx, t.ID, task.RunOptions{User: t.User}); err != nil {
 			return struct{}{}, err
 		}
-		cleared, err := m.clearStaleIf(oid, epoch)
-		if cleared {
+		// taskRecorded judged it again: fresh, unless an input changed
+		// after the recompute read it.
+		if !m.IsStale(oid) {
 			m.refreshes.Add(1)
 		}
-		return struct{}{}, err
+		return struct{}{}, nil
 	})
 	// The object was stale on entry and the flight succeeded, so a
 	// refresh ran within this call — by us as leader, by a flight we
@@ -705,6 +646,9 @@ func (m *Manager) refreshSet(ctx context.Context, oids []object.OID) (int, error
 					}
 					mu.Unlock()
 				}
+			case errors.Is(err, object.ErrConflict):
+				// An input kept changing under the recompute: the object
+				// stays stale, and the change's own sweep judges it again.
 			case ctx.Err() != nil:
 				return ctx.Err() // cancelled: stop the pool
 			default:

@@ -3,7 +3,6 @@ package deriv
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -71,7 +70,7 @@ func openWorld(t *testing.T, dir string, cfg Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, src := range []string{`
+	for _, def := range []struct{ name, src string }{{"p1", `
 DEFINE PROCESS p1 (
   OUTPUT o c1
   ARGUMENT ( x c0 )
@@ -80,7 +79,7 @@ DEFINE PROCESS p1 (
       o.v = x.v;
       o.spatialextent = x.spatialextent;
   }
-)`, `
+)`}, {"p2", `
 DEFINE PROCESS p2 (
   OUTPUT o c2
   ARGUMENT ( x c1 )
@@ -89,19 +88,37 @@ DEFINE PROCESS p2 (
       o.v = x.v;
       o.spatialextent = x.spatialextent;
   }
-)`} {
-		name := []string{"p1", "p2"}[i]
-		if _, err := pmgr.Lookup(name); err != nil {
-			if _, err := pmgr.Define(src); err != nil {
-				t.Fatal(err)
-			}
+)`}, {"p3", `
+DEFINE PROCESS p3 (
+  OUTPUT o c2
+  ARGUMENT ( a c1 )
+  ARGUMENT ( b c0 )
+  TEMPLATE {
+    MAPPINGS:
+      o.v = a.v;
+      o.spatialextent = b.spatialextent;
+  }
+)`}, {"p12", `
+DEFINE COMPOUND PROCESS p12 (
+  OUTPUT o c2
+  ARGUMENT ( x c0 )
+  STEPS {
+    m = p1 ( x );
+    o = p2 ( m );
+  }
+)`}} {
+		if _, err := pmgr.Lookup(def.name); err == nil || pmgr.IsCompound(def.name) {
+			continue
+		}
+		if _, err := pmgr.Define(def.src); err != nil {
+			t.Fatal(err)
 		}
 	}
 	exec, err := task.OpenExecutor(st, cat, reg, obj, pmgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := Open(st, obj, exec, cfg)
+	mgr, err := Open(obj, exec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +322,8 @@ func TestEagerPolicyRefreshesInBackground(t *testing.T) {
 
 func TestCostModelDropsCheapLargeObjects(t *testing.T) {
 	// Everything is cheaper to re-derive than to keep under this model.
-	w := newWorld(t, Config{Policy: Lazy, Cost: CostModel{DropMicros: 1 << 40, DropBytes: 1}})
+	w := newWorld(t, Config{Policy: Lazy})
+	w.mgr.cost = costModel{RecomputeMicros: recomputeMicros, DropMicros: 1 << 40, DropBytes: 1}
 	base := w.insertBase(t, 1)
 	o1, o2 := w.deriveChain(t, base)
 	w.setBase(t, base, 2)
@@ -426,25 +444,6 @@ func TestStalenessSurvivesReopen(t *testing.T) {
 	}
 	if w2.val(t, o2) != 2 {
 		t.Errorf("value after reopen+refresh = %v", w2.val(t, o2))
-	}
-}
-
-// TestCorruptStaleMarkFailsOpen: a stale mark of any length but the one
-// form's 16 bytes — a torn one, or the 8-byte form of pre-MVCC stores —
-// fails Open, naming its key, instead of serving its object as fresh.
-func TestCorruptStaleMarkFailsOpen(t *testing.T) {
-	for _, n := range []int{7, 8} {
-		w := newWorld(t, Config{Policy: Manual})
-		base := w.insertBase(t, 1)
-		o1, _ := w.deriveChain(t, base)
-		if err := w.st.MetaSet(staleKey(o1), make([]byte, n)); err != nil {
-			t.Fatal(err)
-		}
-		w.mgr.Close()
-		_, err := Open(w.st, w.obj, w.exec, Config{Policy: Manual})
-		if err == nil || !strings.Contains(err.Error(), staleKey(o1)) {
-			t.Errorf("Open over a %d-byte stale mark: %v, want an error naming %s", n, err, staleKey(o1))
-		}
 	}
 }
 

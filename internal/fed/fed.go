@@ -15,9 +15,6 @@
 //	defer r.Close()
 //	var k client.Kernel = r // sessions, queries, streams, snapshots
 //
-// (Callers that already speak client.DialKernel get the same router
-// implicitly by dialing a comma-separated endpoint list.)
-//
 // Partitioning. Options.Map pins each class to its owning shards; a
 // class may be striped over several. Unmapped classes hash (FNV-1a) to
 // one shard, so every class deterministically has owners without
@@ -63,12 +60,6 @@ import (
 	"gaea/internal/query"
 	"gaea/internal/wire"
 )
-
-func init() {
-	client.RegisterFederationDialer(func(addrs []string, opts client.Options) (client.Kernel, error) {
-		return Open(addrs, Options{Client: opts})
-	})
-}
 
 // Options tunes a Router.
 type Options struct {

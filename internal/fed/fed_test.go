@@ -836,24 +836,4 @@ func TestFedServedMultiShard(t *testing.T) {
 	}
 }
 
-func TestFedDialKernelCommaList(t *testing.T) {
-	a, b := newShard(t, gaea.ServeOptions{}), newShard(t, gaea.ServeOptions{})
-	k, err := client.DialKernel(a.addr+","+b.addr, client.Options{User: "dialer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { k.Close() })
-	r, ok := k.(*Router)
-	if !ok {
-		t.Fatalf("DialKernel with a comma list returned %T, want *Router", k)
-	}
-	if r.Shards() != 2 {
-		t.Fatalf("shards: %d", r.Shards())
-	}
-	seedFed(t, k, 4, 1.0)
-	if n := countRows(t, k); n != 4 {
-		t.Fatalf("rows: %d", n)
-	}
-}
-
 var _ = fmt.Sprintf // keep fmt for debug edits

@@ -65,7 +65,7 @@ func (ip *Interpolator) Temporal(ctx context.Context, class string, at sptemp.Ab
 	}
 	key := fmt.Sprintf("T|%s|%d|%v", class, at, spatial)
 	oid, _, err := ip.flights.Do(ctx, key, func() (object.OID, error) {
-		return ip.temporal(ctx, class, at, spatial, opts)
+		return task.Retry(func() (object.OID, error) { return ip.temporal(ctx, class, at, spatial, opts) })
 	})
 	return oid, err
 }
@@ -79,19 +79,23 @@ func (ip *Interpolator) temporal(ctx context.Context, class string, at sptemp.Ab
 		return 0, fmt.Errorf("%w: %s has no temporal extent", ErrBadClass, class)
 	}
 	pred := sptemp.Extent{Frame: cls.Frame, Space: spatial}
-	oids, err := ip.Obj.Query(class, pred)
+	// Every observation is read at one pinned epoch, which the commit
+	// then validates the pair against.
+	read := ip.Obj.Pin()
+	defer ip.Obj.Unpin(read)
+	oids, err := ip.Obj.QueryAt(class, pred, read)
 	if err != nil {
 		return 0, err
 	}
-	before, after, err := ip.bracket(oids, at)
+	before, after, err := ip.bracket(oids, at, read)
 	if err != nil {
 		return 0, err
 	}
-	ob, err := ip.Obj.Get(before)
+	ob, err := ip.Obj.GetAt(before, read)
 	if err != nil {
 		return 0, err
 	}
-	oa, err := ip.Obj.Get(after)
+	oa, err := ip.Obj.GetAt(after, read)
 	if err != nil {
 		return 0, err
 	}
@@ -109,27 +113,28 @@ func (ip *Interpolator) temporal(ctx context.Context, class string, at sptemp.Ab
 		opts.Note = fmt.Sprintf("temporal interpolation at %s", at)
 	}
 	return ip.store(&object.Object{Class: class, Attrs: attrs, Extent: ext}, "temporal_interpolation",
-		map[string][]object.OID{"before": {before}, "after": {after}}, opts)
+		map[string][]object.OID{"before": {before}, "after": {after}}, read, opts)
 }
 
 // store commits an interpolated object and the external task that records
 // its derivation in one batch, so neither survives a crash without the
-// other.
-func (ip *Interpolator) store(out *object.Object, proc string, inputs map[string][]object.OID, opts task.RunOptions) (object.OID, error) {
+// other; the batch fails with object.ErrConflict if an input changed
+// since the epoch it was read at.
+func (ip *Interpolator) store(out *object.Object, proc string, inputs map[string][]object.OID, read uint64, opts task.RunOptions) (object.OID, error) {
 	if _, err := ip.Obj.Reserve(out); err != nil {
 		return 0, err
 	}
 	tasks := ip.Exec.StageExternal(proc, inputs, []task.Run{{uint64(out.OID), 1}}, out.Class, opts)
-	if _, err := ip.Exec.Apply(object.BatchOps{Inserts: []*object.Object{out}}, tasks); err != nil {
+	if _, err := ip.Exec.Apply(object.BatchOps{Inserts: []*object.Object{out}, ReadEpoch: read}, tasks); err != nil {
 		return 0, err
 	}
 	return out.OID, nil
 }
 
 // bracket picks the latest object at or before `at` and the earliest at or
-// after it. Objects exactly at `at` never occur here in practice — the
-// query layer retrieves exact matches directly.
-func (ip *Interpolator) bracket(oids []object.OID, at sptemp.AbsTime) (before, after object.OID, err error) {
+// after it, as of the epoch read. Objects exactly at `at` never occur here
+// in practice — the query layer retrieves exact matches directly.
+func (ip *Interpolator) bracket(oids []object.OID, at sptemp.AbsTime, read uint64) (before, after object.OID, err error) {
 	type obs struct {
 		oid object.OID
 		t   sptemp.AbsTime
@@ -139,7 +144,7 @@ func (ip *Interpolator) bracket(oids []object.OID, at sptemp.AbsTime) (before, a
 		if ip.isStale(oid) {
 			continue
 		}
-		o, err := ip.Obj.Get(oid)
+		o, err := ip.Obj.GetAt(oid, read)
 		if err != nil || !o.Extent.HasTime {
 			continue
 		}

@@ -42,9 +42,15 @@ type BatchOps struct {
 	// ReadEpoch, when non-zero, enables first-committer-wins validation:
 	// an update or delete whose target committed a newer version after
 	// this epoch fails the whole batch with ErrConflict. Sessions pass
-	// the epoch they captured at Begin; internal mutators (refresh, GC
-	// drops) pass zero and win last-writer style.
+	// the epoch they captured at Begin, derivations the epoch they read
+	// their inputs at; internal mutators (GC drops) pass zero and win
+	// last-writer style.
 	ReadEpoch uint64
+	// Reads is the batch's read set: objects it was computed from at
+	// ReadEpoch. Under a non-zero ReadEpoch, one that has a version newer
+	// than it by now, or is gone, fails the whole batch with ErrConflict,
+	// so what a derivation commits matches its inputs at its commit epoch.
+	Reads []OID
 	// PreparedToken names the prepared two-phase transaction this batch
 	// completes: targets locked under the SAME token pass validation
 	// (the locks are this transaction's own), and the token's locks are
@@ -149,8 +155,8 @@ func (s *Store) CheckUpdate(obj *Object) error {
 // versions the batch supersedes stay in their chains for pinned
 // snapshots; the same batch reclaims those earlier commits superseded
 // that no snapshot can see any more (reclaim.go). A target that vanished
-// (or, under ReadEpoch, changed) since staging fails the whole batch
-// with ErrConflict.
+// (or, under ReadEpoch, changed) since staging, or a read that vanished or
+// changed since ReadEpoch, fails the whole batch with ErrConflict.
 func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	var enc encoder
 	enc.left = len(ops.Inserts) + len(ops.Updates)
@@ -190,6 +196,13 @@ func (s *Store) ApplyBatch(ops BatchOps) (uint64, error) {
 	}
 	for i, up := range updates.objs {
 		if _, err := checkTarget(up.OID, updates.schemaOf(i)); err != nil {
+			s.mu.RUnlock()
+			undoBlobs()
+			return 0, err
+		}
+	}
+	for _, oid := range ops.Reads {
+		if err := s.checkReadLocked(oid, ops.ReadEpoch); err != nil {
 			s.mu.RUnlock()
 			undoBlobs()
 			return 0, err
@@ -447,6 +460,24 @@ func (s *Store) checkTargetLocked(oid OID, want *schema, readEpoch, token uint64
 			ErrConflict, oid, r.epoch, readEpoch)
 	}
 	return sch, nil
+}
+
+// checkReadLocked validates one member of a batch's read set: it must
+// still be live, with no version newer than readEpoch (0 skips the
+// check). Callers hold commitMu and s.mu at least shared.
+func (s *Store) checkReadLocked(oid OID, readEpoch uint64) error {
+	if readEpoch == 0 {
+		return nil
+	}
+	r, ok := s.rowOf(oid)
+	if !ok || r.flags&rowDel != 0 {
+		return fmt.Errorf("%w: input %d vanished after it was read at epoch %d", ErrConflict, oid, readEpoch)
+	}
+	if r.epoch > readEpoch {
+		return fmt.Errorf("%w: input %d committed at epoch %d after it was read at epoch %d",
+			ErrConflict, oid, r.epoch, readEpoch)
+	}
+	return nil
 }
 
 // PrepareBatch is two-phase-commit phase one at the store level: it

@@ -633,9 +633,9 @@ func badAttrs(cls *catalog.Class, obj *Object) error {
 // a snapshot pinned below that epoch can see it. Update does not touch
 // derivation metadata — the kernel's session commit wraps it with
 // staleness propagation.
-// Internal callers (refresh) win over concurrent versions last-writer
-// style; session commits validate first-committer-wins via
-// BatchOps.ReadEpoch instead.
+// It wins over concurrent versions last-writer style; session commits
+// and derivations validate first-committer-wins via BatchOps.ReadEpoch
+// instead.
 func (s *Store) Update(obj *Object) error {
 	if err := s.CheckUpdate(obj); err != nil {
 		return err
@@ -651,6 +651,16 @@ func (s *Store) Exists(oid OID) bool {
 	defer s.mu.RUnlock()
 	r, ok := s.rowOf(oid)
 	return ok && r.flags&rowDel == 0
+}
+
+// Head returns the epoch of an object's newest version, a tombstone
+// included, and whether that version is live. An OID the store holds no
+// version of reads as (0, false).
+func (s *Store) Head(oid OID) (epoch uint64, live bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.rowOf(oid)
+	return r.epoch, ok && r.flags&rowDel == 0
 }
 
 // RecordSize returns the stored footprint of an object in bytes: its

@@ -9,7 +9,7 @@ package object
 // in names the class, and the (immutable) catalog entry gives the
 // attribute names, their order, their types and, for a spatial class,
 // the frame. Nor does it spend fixed-width words on small numbers. Its
-// layout, and what a reader refuses, is README's "On-disk format 4",
+// layout, and what a reader refuses, is README's "On-disk format 5",
 // *Object record*. appendObject packs an extent only when that is
 // shorter than the raw form; a raw coordinate or float keeps any bit
 // pattern (NaN payloads, ±Inf, -0, subnormals). A flags byte with mask

@@ -48,12 +48,10 @@ type stagedDelete struct {
 	rid  RID
 }
 
-// stagedMeta is a meta update, or a removal when del is set; they apply
-// in staging order.
+// stagedMeta is a meta update; updates apply in staging order.
 type stagedMeta struct {
 	key string
 	val []byte
-	del bool
 }
 
 // NewBatch starts an empty batch against the store.
@@ -98,11 +96,6 @@ func (b *Batch) MetaSet(key string, val []byte) {
 	b.meta = append(b.meta, stagedMeta{key: key, val: append([]byte(nil), val...)})
 }
 
-// MetaDelete stages a meta key removal.
-func (b *Batch) MetaDelete(key string) {
-	b.meta = append(b.meta, stagedMeta{key: key, del: true})
-}
-
 // PinSequence stages a durability pin for a sequence whose values were
 // reserved in memory (Sequence.Next): at commit time the sequence's
 // counter, read atomically, is written into the batch, so every ID the
@@ -116,8 +109,7 @@ func (b *Batch) PinSequence(sequence string) {
 // in the meta map (persisted by the next meta snapshot). A batch without
 // a stamp allocates the next epoch itself at commit if it changes a heap;
 // one that only changes the meta map takes no epoch (its group header
-// carries 0), so definitions and stale marks leave the commit-epoch
-// sequence alone.
+// carries 0), so definitions leave the commit-epoch sequence alone.
 func (b *Batch) SetEpoch(e uint64) { b.epoch = e }
 
 // Len reports how many mutations the batch stages.
@@ -225,11 +217,7 @@ func (b *Batch) Commit() ([]RID, error) {
 	// in the map even with concurrent committers.
 	s.metaMu.Lock()
 	for _, m := range b.meta {
-		if m.del {
-			g.metaDel(m.key)
-		} else {
-			g.metaSet(m.key, m.val)
-		}
+		g.metaSet(m.key, m.val)
 	}
 	for _, q := range b.pins {
 		if v := q.n.Load(); s.seqLogged(q, v) {
@@ -244,13 +232,9 @@ func (b *Batch) Commit() ([]RID, error) {
 		return nil, err
 	}
 	for _, m := range b.meta {
-		if m.del {
-			delete(s.meta, m.key)
-		} else {
-			s.meta[m.key] = m.val
-		}
+		s.meta[m.key] = m.val
 		if name, ok := strings.CutPrefix(m.key, seqPrefix); ok && s.seqs[name] != nil {
-			s.seqs[name].n.Store(seqValue(m.val)) // a removal stores 0
+			s.seqs[name].n.Store(seqValue(m.val))
 		}
 	}
 	if cur, ok := s.meta[epochKey]; b.epoch > 0 && (!ok || len(cur) != 8 || binary.LittleEndian.Uint64(cur) < b.epoch) {

@@ -233,9 +233,9 @@ func TestCommitPathAllocs(t *testing.T) {
 	}
 }
 
-// TestAllocIDAfterMetaSet: a batch that sets or removes a sequence's
-// meta key directly moves the counter AllocID issues from, and MetaGet
-// reads the counter.
+// TestAllocIDAfterMetaSet: a batch that sets a sequence's meta key
+// directly moves the counter AllocID issues from, and MetaGet reads the
+// counter.
 func TestAllocIDAfterMetaSet(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	defer s.Close()
@@ -251,22 +251,11 @@ func TestAllocIDAfterMetaSet(t *testing.T) {
 	if v, ok := s.MetaGet("seq/x"); !ok || binary.LittleEndian.Uint64(v) != 101 {
 		t.Errorf("the sequence's meta value reads %x, %v; want its counter, 101", v, ok)
 	}
-	b = s.NewBatch()
-	b.MetaDelete("seq/x")
-	if _, err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.MetaGet("seq/x"); ok {
-		t.Error("the sequence's meta value reads back after its delete")
-	}
-	if got := s.AllocID("x"); got != 1 {
-		t.Errorf("after a meta delete the sequence issues %d, want 1", got)
-	}
 }
 
 // TestMetaOnlyBatch: a batch that changes only the meta map — a
-// definition, a stale mark — is one WAL group that reserves no commit
-// epoch, and its updates and removals replay in staging order.
+// definition — is one WAL group that reserves no commit epoch, and its
+// updates replay in staging order.
 func TestMetaOnlyBatch(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{NoSync: true})
@@ -279,8 +268,6 @@ func TestMetaOnlyBatch(t *testing.T) {
 	appends := s.wal.appends.Load()
 	b := s.NewBatch()
 	b.MetaSet("k", []byte("1"))
-	b.MetaSet("gone", []byte("1"))
-	b.MetaDelete("gone")
 	b.MetaSet("k", []byte("2"))
 	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
@@ -288,14 +275,8 @@ func TestMetaOnlyBatch(t *testing.T) {
 	if err := s.MetaSet("m", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MetaDelete("m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MetaDelete("never-set"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.wal.appends.Load() - appends; got != 3 {
-		t.Errorf("%d WAL records for three meta-only commits and a no-op removal, want 3", got)
+	if got := s.wal.appends.Load() - appends; got != 2 {
+		t.Errorf("%d WAL records for two meta-only commits, want 2", got)
 	}
 	if b.epoch != 0 || s.Epoch() != 1 {
 		t.Errorf("meta-only batch epoch %d, store epoch %d; want 0 and the insert's 1", b.epoch, s.Epoch())
@@ -308,7 +289,7 @@ func TestMetaOnlyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	for key, want := range map[string]string{"k": "2", "gone": "", "m": ""} {
+	for key, want := range map[string]string{"k": "2", "m": "3"} {
 		v, ok := s2.MetaGet(key)
 		if string(v) != want || ok != (want != "") {
 			t.Errorf("after replay %q = %q, %v; want %q", key, v, ok, want)

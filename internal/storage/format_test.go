@@ -104,4 +104,4 @@ func deletePayload(heap string, rid RID) []byte { return appendDelete(nil, heap,
 
 func metaSetPayload(key string, val []byte) []byte { return appendMetaSet(nil, key, val) }
 
-func metaDelPayload(key string) []byte { return appendMetaDel(nil, key) }
+func metaDelPayload(key string) []byte { return appendString([]byte{opMetaDel}, key) }

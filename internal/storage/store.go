@@ -322,18 +322,6 @@ func (s *Store) MetaGet(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// MetaDelete durably removes a key from the meta map: a one-entry batch,
-// which takes no commit epoch. Removing an absent key logs nothing.
-func (s *Store) MetaDelete(key string) error {
-	if _, ok := s.MetaGet(key); !ok {
-		return nil
-	}
-	b := s.NewBatch()
-	b.MetaDelete(key)
-	_, err := b.Commit()
-	return err
-}
-
 // MetaKeys lists meta keys with the given prefix, sorted.
 func (s *Store) MetaKeys(prefix string) []string {
 	s.mu.RLock()
@@ -455,12 +443,14 @@ func (s *Store) closeFiles() {
 	s.blobs.close()
 }
 
-// The meta snapshot's layout is README's "On-disk format 4", *Meta
+// The meta snapshot's layout is README's "On-disk format 5", *Meta
 // snapshot*. Its magic carries the directory's format number,
-// formatVersion: Open reads no other.
+// formatVersion: Open reads no other. Format 5 stores no stale marks;
+// a format-4 directory can hold a derived version whose mark is the only
+// record that it is stale, so it is refused like the older ones.
 const (
-	formatVersion = 4
-	metaMagic     = "GMETA4\n"
+	formatVersion = 5
+	metaMagic     = "GMETA5\n"
 )
 
 // writeMetaSnapshot replaces meta.db durably: the new snapshot is synced

@@ -359,15 +359,6 @@ func TestStoreMetaOps(t *testing.T) {
 	if len(keys) != 2 || keys[0] != "class/landcover" || keys[1] != "class/ndvi" {
 		t.Errorf("MetaKeys = %v", keys)
 	}
-	if err := s.MetaDelete("class/ndvi"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.MetaGet("class/ndvi"); ok {
-		t.Error("deleted meta key still present")
-	}
-	if err := s.MetaDelete("never-existed"); err != nil {
-		t.Errorf("deleting absent key should be a no-op: %v", err)
-	}
 	// Mutating the returned slice must not affect the store.
 	v, _ := s.MetaGet("other")
 	v[0] = 'y'

@@ -19,7 +19,7 @@ import (
 // store crash-safe: a crash loses nothing that was logged and synced.
 //
 // Every record is a group, opEpochBatch, whose sub-entries are the four
-// mutation ops; the layout is README's "On-disk format 4", *WAL group*.
+// mutation ops; the layout is README's "On-disk format 5", *WAL group*.
 // A group shares one length/crc header, so replay sees all of its
 // mutations or none. Replay reads no other record: it stops at the first
 // torn or corrupt record, or one that is not a group (standard redo-log
@@ -31,7 +31,7 @@ const (
 	opInsert     byte = 1
 	opDelete     byte = 2
 	opMetaSet    byte = 3
-	opMetaDel    byte = 4
+	opMetaDel    byte = 4 // replayed; no format-5 store writes one
 	opEpochBatch byte = 6
 )
 
@@ -180,12 +180,6 @@ func (g *group) metaSet(key string, val []byte) {
 	g.close(at)
 }
 
-func (g *group) metaDel(key string) {
-	at := g.open()
-	g.buf = appendMetaDel(g.buf, key)
-	g.close(at)
-}
-
 // record returns the finished group record.
 func (g *group) record() []byte {
 	binary.LittleEndian.PutUint32(g.buf[1+8:], g.n)
@@ -209,10 +203,6 @@ func appendMetaSet(buf []byte, key string, val []byte) []byte {
 	buf = appendString(append(buf, opMetaSet), key)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
 	return append(buf, val...)
-}
-
-func appendMetaDel(buf []byte, key string) []byte {
-	return appendString(append(buf, opMetaDel), key)
 }
 
 func appendString(buf []byte, s string) []byte {

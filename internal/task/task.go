@@ -492,49 +492,61 @@ func (e *Executor) memoised(key string) (*Task, bool) {
 	return e.byID[id], true
 }
 
-// derive binds and evaluates one process instantiation, returning the
-// computed output attributes/extent, the canonical input OIDs, and the
-// execution wall time. It does not store anything.
-func (e *Executor) derive(ctx context.Context, pr *process.Process, inputs map[string][]object.OID) (map[string]value.Value, sptemp.Extent, map[string][]object.OID, time.Duration, error) {
-	var zero sptemp.Extent
-	// Materialise the input objects.
+// derivation is one evaluation of a process over its inputs as they
+// stood at one epoch: the output's attributes and extent, the canonical
+// input OIDs, the wall time, and the epoch the inputs were read at.
+type derivation struct {
+	attrs   map[string]value.Value
+	ext     sptemp.Extent
+	inputs  map[string][]object.OID
+	elapsed time.Duration
+	read    uint64
+}
+
+// derive binds and evaluates one process instantiation over its inputs as
+// of one pinned epoch. It does not store anything.
+func (e *Executor) derive(ctx context.Context, pr *process.Process, inputs map[string][]object.OID) (derivation, error) {
+	// Materialise the input objects, every one at the same epoch.
+	read := e.obj.Pin()
 	bound := make(map[string][]*object.Object, len(inputs))
 	for name, oids := range inputs {
 		objs := make([]*object.Object, len(oids))
 		for i, oid := range oids {
-			o, err := e.obj.Get(oid)
+			o, err := e.obj.GetAt(oid, read)
 			if err != nil {
+				e.obj.Unpin(read)
 				// Double %w keeps both the ErrExec classification and the
 				// cause (object.ErrNotFound for deleted inputs) matchable.
-				return nil, zero, nil, 0, fmt.Errorf("%w: input %s[%d]: %w", ErrExec, name, i, err)
+				return derivation{}, fmt.Errorf("%w: input %s[%d]: %w", ErrExec, name, i, err)
 			}
 			objs[i] = o
 		}
 		bound[name] = objs
 	}
+	e.obj.Unpin(read)
 	b, err := pr.Bind(bound)
 	if err != nil {
-		return nil, zero, nil, 0, err
+		return derivation{}, err
 	}
 	start := Clock()
 	if err := b.CheckAssertions(e.reg); err != nil {
-		return nil, zero, nil, 0, err
+		return derivation{}, err
 	}
 	outClass, err := e.cat.Class(pr.OutClass)
 	if err != nil {
-		return nil, zero, nil, 0, err
+		return derivation{}, err
 	}
 	// Last cancellation point before the (possibly expensive) mapping
 	// evaluation; past here the derivation runs to completion so the
 	// output object and the task record stay consistent.
 	if err := ctx.Err(); err != nil {
-		return nil, zero, nil, 0, err
+		return derivation{}, err
 	}
 	attrs, ext, err := b.EvalMappings(e.reg, outClass)
 	if err != nil {
-		return nil, zero, nil, 0, err
+		return derivation{}, err
 	}
-	return attrs, ext, b.InputOIDs(), Clock().Sub(start), nil
+	return derivation{attrs: attrs, ext: ext, inputs: b.InputOIDs(), elapsed: Clock().Sub(start), read: read}, nil
 }
 
 // Clock is what a derivation's Micros is measured with. Only a test
@@ -542,37 +554,65 @@ func (e *Executor) derive(ctx context.Context, pr *process.Process, inputs map[s
 // byte.
 var Clock = time.Now
 
+// Retry calls try until it fails with something other than
+// object.ErrConflict, at most four times: how a derivation whose commit
+// found an input changed since it was read reads and runs again. Each
+// try reads its inputs afresh, so every derived version commits at an
+// epoch whose inputs are the ones it was computed from.
+func Retry[T any](try func() (T, error)) (T, error) {
+	const attempts = 4
+	for attempt := 1; ; attempt++ {
+		v, err := try()
+		if !errors.Is(err, object.ErrConflict) || attempt == attempts {
+			return v, err
+		}
+	}
+}
+
+// settle derives pr over inputs and hands the result to store, which
+// commits it, reading and running again (Retry) while the commit finds an
+// input changed.
+func (e *Executor) settle(ctx context.Context, pr *process.Process, inputs map[string][]object.OID, store func(derivation) (*Task, error)) (*Task, error) {
+	return Retry(func() (*Task, error) {
+		d, err := e.derive(ctx, pr, inputs)
+		if err != nil {
+			return nil, err
+		}
+		return store(d)
+	})
+}
+
 // execute performs one derivation unconditionally and commits its output
 // object with its task record.
 func (e *Executor) execute(ctx context.Context, pr *process.Process, inputs map[string][]object.OID, opts RunOptions) (*Task, error) {
-	attrs, ext, inOIDs, elapsed, err := e.derive(ctx, pr, inputs)
-	if err != nil {
-		return nil, err
-	}
-	out := &object.Object{Class: pr.OutClass, Attrs: attrs, Extent: ext}
-	if _, err := e.obj.Reserve(out); err != nil {
-		return nil, fmt.Errorf("%w: storing output: %v", ErrExec, err)
-	}
-	t, err := e.commit(pr, inOIDs, elapsed, opts, nil, out.OID, object.BatchOps{Inserts: []*object.Object{out}})
-	if err != nil {
-		return nil, fmt.Errorf("%w: storing output: %v", ErrExec, err)
-	}
-	return t, nil
+	return e.settle(ctx, pr, inputs, func(d derivation) (*Task, error) {
+		out := &object.Object{Class: pr.OutClass, Attrs: d.attrs, Extent: d.ext}
+		if _, err := e.obj.Reserve(out); err != nil {
+			return nil, fmt.Errorf("%w: storing output: %v", ErrExec, err)
+		}
+		t, err := e.commit(pr, d, opts, nil, out.OID, object.BatchOps{Inserts: []*object.Object{out}})
+		if err != nil {
+			return nil, fmt.Errorf("%w: storing output: %w", ErrExec, err)
+		}
+		return t, nil
+	})
 }
 
-// commit stages the task of one run of pr that generated output and
-// commits it in one batch with ops, which insert or update the output.
+// commit stages the task of the derivation d of pr that generated output
+// and commits it in one batch with ops, which insert or update the
+// output; the task's inputs are the batch's read set at d's read epoch.
 // The task's record is a delta against base unless base is nil.
-func (e *Executor) commit(pr *process.Process, inputs map[string][]object.OID, elapsed time.Duration, opts RunOptions, base *Task, output object.OID, ops object.BatchOps) (*Task, error) {
+func (e *Executor) commit(pr *process.Process, d derivation, opts RunOptions, base *Task, output object.OID, ops object.BatchOps) (*Task, error) {
 	tasks := e.stage(Task{
 		Process:  pr.Name,
 		Version:  pr.Version,
 		User:     opts.User,
-		Inputs:   inputs,
+		Inputs:   d.inputs,
 		OutClass: pr.OutClass,
-		Micros:   elapsed.Microseconds(),
+		Micros:   d.elapsed.Microseconds(),
 		Note:     opts.Note,
 	}, base, []Run{{uint64(output), 1}})
+	ops.ReadEpoch = d.read
 	if _, err := e.Apply(ops, tasks); err != nil {
 		return nil, err
 	}
@@ -597,25 +637,23 @@ func (e *Executor) RecomputeTask(ctx context.Context, id ID, opts RunOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	attrs, ext, inOIDs, elapsed, err := e.derive(ctx, pr, orig.Inputs)
-	if err != nil {
-		return nil, err
-	}
-	out := &object.Object{OID: orig.Output, Class: pr.OutClass, Attrs: attrs, Extent: ext}
-	if err := e.obj.CheckUpdate(out); err != nil {
-		return nil, fmt.Errorf("%w: refreshing output %d: %v", ErrExec, orig.Output, err)
-	}
 	if opts.Note == "" {
 		opts.Note = refreshNoteOf(id)
 	}
-	if maps.EqualFunc(inOIDs, orig.Inputs, slices.Equal) {
-		inOIDs = orig.Inputs
-	}
-	t, err := e.commit(pr, inOIDs, elapsed, opts, orig, orig.Output, object.BatchOps{Updates: []*object.Object{out}})
-	if err != nil {
-		return nil, fmt.Errorf("%w: refreshing output %d: %v", ErrExec, orig.Output, err)
-	}
-	return t, nil
+	return e.settle(ctx, pr, orig.Inputs, func(d derivation) (*Task, error) {
+		out := &object.Object{OID: orig.Output, Class: pr.OutClass, Attrs: d.attrs, Extent: d.ext}
+		if err := e.obj.CheckUpdate(out); err != nil {
+			return nil, fmt.Errorf("%w: refreshing output %d: %v", ErrExec, orig.Output, err)
+		}
+		if maps.EqualFunc(d.inputs, orig.Inputs, slices.Equal) {
+			d.inputs = orig.Inputs
+		}
+		t, err := e.commit(pr, d, opts, orig, orig.Output, object.BatchOps{Updates: []*object.Object{out}})
+		if err != nil {
+			return nil, fmt.Errorf("%w: refreshing output %d: %w", ErrExec, orig.Output, err)
+		}
+		return t, nil
+	})
 }
 
 // RunCompound expands a compound process (Figure 5) and executes its
@@ -738,6 +776,14 @@ func (e *Executor) All() []*Task {
 	return out
 }
 
+// Count returns the number of recorded tasks: len(All()) without the copy
+// and the sort.
+func (e *Executor) Count() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.byID)
+}
+
 // Producer returns the task that generated the given object, if any. Base
 // data has no producer.
 func (e *Executor) Producer(oid object.OID) (*Task, bool) {
@@ -836,7 +882,7 @@ func (e *Executor) Reproduce(ctx context.Context, id ID, opts RunOptions) (*Task
 	if err != nil {
 		return nil, false, err
 	}
-	attrs, ext, inOIDs, elapsed, err := e.derive(ctx, pr, orig.Inputs)
+	d, err := e.derive(ctx, pr, orig.Inputs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -851,12 +897,12 @@ func (e *Executor) Reproduce(ctx context.Context, id ID, opts RunOptions) (*Task
 		Process:  pr.Name,
 		Version:  pr.Version,
 		User:     opts.User,
-		Inputs:   inOIDs,
+		Inputs:   d.inputs,
 		OutClass: pr.OutClass,
-		Micros:   elapsed.Microseconds(),
+		Micros:   d.elapsed.Microseconds(),
 		Note:     opts.Note,
 	}
-	return t, matches(recorded, pr.OutClass, attrs, ext), nil
+	return t, matches(recorded, pr.OutClass, d.attrs, d.ext), nil
 }
 
 // matches reports whether a stored object equals a derivation's output
@@ -932,13 +978,20 @@ func (e *Executor) stage(proto Task, base *Task, outputs []Run) []*Task {
 // staged tasks — one storage batch, so one WAL group: after a crash the
 // outputs and their producer tasks exist together or not at all — and
 // then publishes the tasks to the lineage indexes and the OnRecord hook.
-// It returns the batch's commit epoch. It is the only way a task is
-// persisted.
+// The tasks' inputs join the batch's read set: under a non-zero
+// ops.ReadEpoch, the epoch they were read at, an input changed or gone
+// since then fails the batch with object.ErrConflict. So a derived
+// version's commit epoch is the epoch of the inputs it was computed
+// from, which is what staleness is judged by. Apply returns the batch's
+// commit epoch. It is the only way a task is persisted.
 func (e *Executor) Apply(ops object.BatchOps, tasks []*Task) (uint64, error) {
 	e.mu.RLock()
 	for _, t := range tasks {
 		// Task IDs start at 1, so a whole record's base, 0, is nil.
 		ops.Extra = append(ops.Extra, object.ExtraRec{Heap: tasksHeap, Rec: appendTask(make([]byte, 0, recordCap), t, e.byID[t.base])})
+		for _, oids := range t.Inputs {
+			ops.Reads = append(ops.Reads, oids...)
+		}
 	}
 	e.mu.RUnlock()
 	if len(tasks) > 0 {

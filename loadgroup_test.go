@@ -510,9 +510,8 @@ func TestDerivationTornTail(t *testing.T) {
 
 // TestDerivationWALRecords: every durable mutation is one WAL group, so
 // a derivation costs one record (and, durably, one fsync) with its task
-// record inside, a refresh two (the recompute, then the stale-mark
-// clear), and an invalidation sweep one for all the marks it writes.
-// Definitions and stale marks change no heap and take no commit epoch.
+// record inside, and so does a refresh. An invalidation sweep writes
+// nothing. Definitions change no heap and take no commit epoch.
 func TestDerivationWALRecords(t *testing.T) {
 	ctx := context.Background()
 	k := openKernelOpts(t, Options{User: "tester", RefreshPolicy: ManualRefresh}) // synced WAL
@@ -554,22 +553,22 @@ func TestDerivationWALRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The session's group, then one group for both dependents' marks.
+	// The session's group alone: the sweep writes nothing.
 	before = epochs()
-	records("update sweeping two dependents", 2, func() { replaceBand(t, k, scene[0], raster.BandRed, 1999) })
+	records("update sweeping two dependents", 1, func() { replaceBand(t, k, scene[0], raster.BandRed, 1999) })
 	if len(k.Stale()) != 2 {
 		t.Fatalf("stale after the sweep = %v, want classify's and smooth's outputs", k.Stale())
 	}
 	if after, want := epochs(), [2]uint64{before[0] + 1, before[1] + 1}; after != want {
 		t.Errorf("update and sweep moved the epochs (object, storage) from %v to %v, want the update's one to %v", before, after, want)
 	}
-	// A refresh: the recompute's group, then the stale-mark clear's.
-	records("refresh", 2, func() {
+	// A refresh: the recompute's group alone.
+	records("refresh", 1, func() {
 		if err := k.Deriv.RefreshObject(ctx, classify.Output); err != nil {
 			t.Fatal(err)
 		}
 	})
-	records("refresh of the dependent", 2, func() {
+	records("refresh of the dependent", 1, func() {
 		if n, err := k.RefreshStale(ctx); err != nil || n != 1 {
 			t.Fatalf("RefreshStale = %d, %v", n, err)
 		}

@@ -122,7 +122,7 @@ func (k *Kernel) StatsSnapshot() StatsSnapshot {
 		Concepts:    len(k.Concepts.Names()),
 		Experiments: len(k.Experiments.Names()),
 		Objects:     total,
-		Tasks:       len(k.Tasks.All()),
+		Tasks:       k.Tasks.Count(),
 		Deriv:       k.Deriv.Counters(),
 		Policy:      k.Deriv.Policy(),
 		MVCC:        mv,

@@ -288,11 +288,12 @@ func (s *Session) Prepare() error {
 // Commit applies every staged mutation atomically: one WAL batch (one
 // fsync) covering the object records, one load task per class and note
 // of the creates, and the sequence reservations, then one invalidation
-// sweep marking all transitive dependents stale under a single epoch. If
-// the batch fails (validation, conflict, I/O) nothing is applied; if the
-// batch committed but the invalidation sweep then failed, the mutations
-// ARE durable and the error says so — the caller must not re-ingest, and
-// RefreshStale (or re-updating the roots) re-runs the propagation. Either
+// sweep marking all transitive dependents stale under a single epoch.
+// The sweep writes nothing: a crash before it loses nothing, since the
+// next open judges staleness from lineage. If the batch fails
+// (validation, conflict, I/O) nothing is applied; if the batch committed
+// but the sweep's cost-model drops then failed, the mutations ARE
+// durable and the error says so — the caller must not re-ingest. Either
 // way the session is finished. An empty session commits as a no-op.
 func (s *Session) Commit() (err error) {
 	_, sp := obs.StartWith(s.ctx, s.k.Tracer, "session/commit")
@@ -363,7 +364,7 @@ func (s *Session) Commit() (err error) {
 		updated = append(updated, u.OID)
 	}
 	if err := s.k.Deriv.ObjectsChanged(updated, ops.Deletes, epoch); err != nil {
-		return classify(fmt.Errorf("gaea: session committed durably, but invalidation propagation failed (refresh or re-update to repropagate): %w", err))
+		return classify(fmt.Errorf("gaea: session committed durably, but dropping an invalidated object failed: %w", err))
 	}
 	return nil
 }
