@@ -107,9 +107,12 @@
 // the stored attribute values — encoded once at commit, never decoded per
 // request: the stored record leaves what its class says (name, frame,
 // attribute names and types) to the catalog (the layout of every stored
-// byte is README's "On-disk format 5"), and the read path splices the
+// byte is README's "On-disk format 6"), and the read path splices the
 // class's part back per shipped record, writing each typed value's
-// value.Encode form straight from its stored bytes.
+// value.Encode form straight from its stored bytes. An image blob ships
+// as stored, in byte planes, and the client unpacks it as the embedded
+// read does. A peer of another protocol revision (this is revision 4) is
+// refused at the handshake.
 //
 // Remote snapshots and stream cursors hold their MVCC pins under
 // server-side leases (ServeOptions.SnapshotLease): every touch renews,

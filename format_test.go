@@ -90,10 +90,10 @@ func slotPage(recs ...[]byte) []byte {
 }
 
 // TestOpenRefusesOtherFormats: a directory whose meta.db carries format
-// 4 — stale marks that can be the only record that a derived version is
-// stale — format 3 — four bytes per page slot and a separate mask
-// byte — format 2 —
-// whose records tag every attribute value — or format 1 — what every
+// 5 — image blobs stored raw, not in byte planes — format 4 — stale
+// marks that can be the only record that a derived version is stale —
+// format 3 — four bytes per page slot and a separate mask byte — format
+// 2 — whose records tag every attribute value — or format 1 — what every
 // directory written before the format number holds — and one with heap
 // files or WAL bytes but no meta.db are refused with ErrFormat, and Open
 // writes nothing in them: every file stays byte for byte as it was, and
@@ -117,8 +117,8 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("GMETA5\n")) {
-		t.Fatalf("meta.db starts %q, want GMETA5", meta[:min(len(meta), 7)])
+	if !bytes.HasPrefix(meta, []byte("GMETA6\n")) {
+		t.Fatalf("meta.db starts %q, want GMETA6", meta[:min(len(meta), 7)])
 	}
 
 	for _, c := range []struct {
@@ -126,16 +126,19 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 		build func(dir string) error
 		want  string
 	}{
+		{"format 5", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA5\n"), 0o644)
+		}, "format 5, not 6"},
 		{"format 4", func(dir string) error {
 			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA4\n"), 0o644)
-		}, "format 4, not 5"},
+		}, "format 4, not 6"},
 		{"format 3 holding a gauge on a 4-byte-slot page", func(dir string) error {
 			gauge := append(oldGauge(1000, 1, 300), 12<<2) // a packed float, 12
 			if err := os.WriteFile(filepath.Join(dir, "heap_obj_rain.db"), slotPage(gauge), 0o644); err != nil {
 				return err
 			}
 			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA3\n"), 0o644)
-		}, "format 3, not 5"},
+		}, "format 3, not 6"},
 		{"format 2 holding a tagged gauge", func(dir string) error {
 			gauge := append(oldGauge(1000, 1, 300), 9<<1, 2) // a 9-byte span: tagFloat, then the f64
 			gauge = binary.LittleEndian.AppendUint64(gauge, math.Float64bits(12.5))
@@ -143,13 +146,13 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 				return err
 			}
 			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA2\n"), 0o644)
-		}, "format 2, not 5"},
+		}, "format 2, not 6"},
 		{"format 1", func(dir string) error {
 			return os.WriteFile(filepath.Join(dir, "meta.db"), reformat(meta, "GMETA1\n"), 0o644)
-		}, "format 1, not 5"},
+		}, "format 1, not 6"},
 		{"heap files without meta.db", func(dir string) error {
 			return os.Remove(filepath.Join(dir, "meta.db"))
-		}, "no format number, not 5"},
+		}, "no format number, not 6"},
 		{"WAL bytes without meta.db", func(dir string) error {
 			entries, err := os.ReadDir(dir)
 			for _, e := range entries {
@@ -161,7 +164,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 				return err
 			}
 			return os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644)
-		}, "no format number, not 5"},
+		}, "no format number, not 6"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := copyDir(t, src)

@@ -837,7 +837,8 @@ func (s *Store) getAt(oid OID, epoch uint64) (*Object, error) {
 }
 
 // resolveImages replaces the blobRef placeholders of a decoded object
-// with the images fetch finds under their ids.
+// with the images fetch finds under their ids, in the byte-plane form
+// appendObject stored them in.
 func resolveImages(obj *Object, fetch func(storage.BlobID) ([]byte, error)) error {
 	for name, val := range obj.Attrs {
 		ref, ok := val.(blobRef)
@@ -848,7 +849,7 @@ func resolveImages(obj *Object, fetch func(storage.BlobID) ([]byte, error)) erro
 		if err != nil {
 			return fmt.Errorf("object: oid %d attribute %q: %w", obj.OID, name, err)
 		}
-		img, err := raster.Unmarshal(data)
+		img, err := raster.Unpack(data)
 		if err != nil {
 			return fmt.Errorf("object: oid %d attribute %q: %w", obj.OID, name, err)
 		}

@@ -10,9 +10,10 @@ package object
 // the stored attributes per shipped record, writing a typed value's
 // value.Encode form straight from its stored bytes, so what leaves the
 // package is the self-describing GOB3 form (plus the payloads of any
-// offloaded image blobs it references) and no caller learns how the store
-// lays its records out. DecodeWire reverses it on the client side,
-// producing exactly what GetAt would have.
+// offloaded image blobs it references, as stored: in raster's byte-plane
+// form) and no caller learns how the store lays its records out.
+// DecodeWire reverses it on the client side, producing exactly what GetAt
+// would have.
 
 import (
 	"encoding/binary"
@@ -23,8 +24,8 @@ import (
 	"gaea/internal/value"
 )
 
-// BlobPayload carries the bytes of one offloaded image blob alongside a
-// raw record that references it.
+// BlobPayload carries the stored bytes of one offloaded image blob (its
+// raster.Pack form) alongside a raw record that references it.
 type BlobPayload struct {
 	ID   uint64
 	Data []byte
@@ -91,8 +92,10 @@ func EncodeWire(obj *Object) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeWire decodes a GOB3 record shipped over the wire, resolving blob references against the payload table that travelled
-// with it. It produces exactly what GetAt produces for the same version.
+// DecodeWire decodes a GOB3 record shipped over the wire, resolving blob
+// references against the payload table that travelled with it through
+// the same resolveImages as GetAt, so it produces exactly what GetAt
+// produces for the same version.
 func DecodeWire(rec []byte, blobs []BlobPayload) (*Object, error) {
 	w, err := parseRecord(rec, nil)
 	if err != nil {

@@ -9,7 +9,7 @@ package object
 // in names the class, and the (immutable) catalog entry gives the
 // attribute names, their order, their types and, for a spatial class,
 // the frame. Nor does it spend fixed-width words on small numbers. Its
-// layout, and what a reader refuses, is README's "On-disk format 5",
+// layout, and what a reader refuses, is README's "On-disk format 6",
 // *Object record*. appendObject packs an extent only when that is
 // shorter than the raw form; a raw coordinate or float keeps any bit
 // pattern (NaN payloads, ±Inf, -0, subnormals). A flags byte with mask
@@ -28,7 +28,8 @@ package object
 //	nattrs u16, then per attribute in ascending name order:
 //	        nameLen u16, name, kind u8 (0 inline, 1 blob),
 //	        inline: valLen u32 + value.Encode bytes
-//	        blob:   blobID u64
+//	        blob:   blobID u64, the image travelling beside the record
+//	                as its stored raster.Pack bytes
 //
 // epoch is the record's commit epoch — the MVCC version stamp. The epoch
 // is not known until the enclosing batch reserves it, so appendObject
@@ -553,7 +554,7 @@ func appendObject(buf []byte, sch *schema, obj *Object, put func(data []byte) (s
 		}
 		f := sch.forms[i]
 		if img, ok := v.(value.Image); ok && img.Img != nil && (f == formImage || f == formTagged) {
-			id, err := put(raster.Marshal(img.Img))
+			id, err := put(raster.Pack(img.Img))
 			blobIDs = append(blobIDs, id)
 			if err != nil {
 				return buf, blobIDs, err

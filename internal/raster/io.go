@@ -12,9 +12,11 @@ import (
 
 // The paper's external representation for the image class is
 // "(nrows, ncols, pixtype, filepath)": image payloads live in files outside
-// the record. This file implements that on-disk format — a small
+// the record. This file implements that file format — a small
 // self-describing header followed by the raw little-endian pixel buffer —
-// used both by the blob store and by the IDRISI/GRASS-style file baseline.
+// used by the IDRISI/GRASS-style file baseline and, through Marshal, as an
+// image value's inline encoding. The blob store keeps images in the
+// byte-plane form instead (planes.go).
 
 const (
 	imgMagic   = "GIMG"
@@ -130,8 +132,8 @@ func ReadFile(path string) (*Image, error) {
 	return Decode(f)
 }
 
-// Marshal returns the image encoded as a byte slice (header + pixels),
-// the form stored in the blob store.
+// Marshal returns the image encoded as a byte slice (header + pixels):
+// the file format, and an image value's inline encoding.
 func Marshal(im *Image) []byte {
 	buf := make([]byte, 0, len(imgMagic)+11+len(im.pixType)+len(im.data))
 	buf = append(buf, imgMagic...)

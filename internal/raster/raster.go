@@ -57,8 +57,7 @@ var (
 )
 
 // Image is a row-major raster. Pixels are stored in a contiguous
-// little-endian byte buffer, matching the on-disk representation used by
-// the blob store, so images round-trip through storage without copying.
+// little-endian byte buffer, the one the file format writes as it is.
 type Image struct {
 	rows, cols int
 	pixType    PixType
@@ -116,7 +115,7 @@ func (im *Image) PixType() PixType { return im.pixType }
 func (im *Image) Pixels() int { return im.rows * im.cols }
 
 // Data exposes the raw little-endian pixel buffer; callers must not resize
-// it. It is how the blob store persists images.
+// it.
 func (im *Image) Data() []byte { return im.data }
 
 // SameShape reports whether two images have identical dimensions (the

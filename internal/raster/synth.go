@@ -21,7 +21,9 @@ import (
 // moisture, and from them vegetation, water and soil) is evaluated once and
 // every requested band is mixed from it, so a three-band scene costs one
 // surface evaluation per pixel, not three, and elevation is not evaluated
-// again for water. A band's pixels depend only on the spec and the band:
+// again for water. Each octave's lattice hashes and smoothed offsets
+// depend on a pixel's column or its row alone, so they are computed once
+// per column and once per row (sceneFields). A band's pixels depend only on the spec and the band:
 // which bands are asked for together changes no bit of any of them.
 //
 // A scene is the same bits on every architecture. Some (arm64, ppc64,
@@ -55,32 +57,50 @@ func unitHash(h uint64) float64 {
 
 func smooth(t float64) float64 { return t * t * (3 - 2*t) }
 
-// valueNoise2D is smooth value noise over the real plane. The four corners
-// of a cell share two column and two row hashes.
-func valueNoise2D(seed uint64, x, y float64) float64 {
-	x0, y0 := math.Floor(x), math.Floor(y)
-	tx, ty := smooth(x-x0), smooth(y-y0)
-	ix, iy := int64(x0), int64(y0)
-	hx0, hx1 := hashX(ix), hashX(ix+1)
-	hy0, hy1 := hashY(iy), hashY(iy+1)
-	v00 := unitHash(seed ^ hx0 ^ hy0)
-	v10 := unitHash(seed ^ hx1 ^ hy0)
-	v01 := unitHash(seed ^ hx0 ^ hy1)
-	v11 := unitHash(seed ^ hx1 ^ hy1)
-	a := v00 + float64((v10-v00)*tx)
-	b := v01 + float64((v11-v01)*tx)
-	return a + float64((b-a)*ty)
+// cell is one octave's lattice cell along one axis at one coordinate:
+// the hashes of its two lattice lines and the smoothed offset between
+// them.
+type cell struct {
+	h0, h1 uint64
+	t      float64
 }
 
-// fbm layers octaves of value noise into a natural-looking field in [0, 1].
-func fbm(seed uint64, x, y float64, octaves int) float64 {
+// axisCells returns, for each of n coordinates and each of octaves
+// octaves of fbm, the cell the coordinate at(i) falls in, octave-major
+// per coordinate: a scene's columns share one list and its rows
+// another, so a pixel evaluates no hash of its own.
+func axisCells(n, octaves int, at func(i int) float64, hash func(int64) uint64) []cell {
+	cells := make([]cell, 0, n*octaves)
+	for i := range n {
+		v, freq := at(i), 1.0
+		for range octaves {
+			f := v * freq
+			f0 := math.Floor(f)
+			k := int64(f0)
+			cells = append(cells, cell{hash(k), hash(k + 1), smooth(f - f0)})
+			freq *= 2
+		}
+	}
+	return cells
+}
+
+// fbmCells layers octaves of smooth value noise into a natural-looking
+// field in [0, 1], at the point whose cells per octave are cx and cy.
+func fbmCells(seed uint64, cx, cy []cell) float64 {
 	var sum, norm float64
-	amp, freq := 1.0, 1.0
-	for o := 0; o < octaves; o++ {
-		sum += float64(amp * valueNoise2D(seed+uint64(o)*1000003, x*freq, y*freq))
+	amp := 1.0
+	for o, x := range cx {
+		y := cy[o]
+		s := seed + uint64(o)*1000003
+		v00 := unitHash(s ^ x.h0 ^ y.h0)
+		v10 := unitHash(s ^ x.h1 ^ y.h0)
+		v01 := unitHash(s ^ x.h0 ^ y.h1)
+		v11 := unitHash(s ^ x.h1 ^ y.h1)
+		a := v00 + float64((v10-v00)*x.t)
+		b := v01 + float64((v11-v01)*x.t)
+		sum += float64(amp * (a + float64((b-a)*y.t)))
 		norm += amp
 		amp *= 0.5
-		freq *= 2
 	}
 	return sum / norm
 }
@@ -100,13 +120,38 @@ func NewLandscape(seed uint64) *Landscape {
 	return &Landscape{Seed: seed, Scale: 64}
 }
 
-// Latent surface fields, each in [0, 1].
-func (l *Landscape) elevation(x, y float64) float64 {
-	return fbm(l.Seed^0xE1E7, x/l.Scale, y/l.Scale, 5)
+// Latent surface fields, each in [0, 1]: elevation (5 octaves) and
+// moisture (4), and their seeds.
+const (
+	elevOctaves, moistOctaves = 5, 4
+	elevSeed, moistSeed       = 0xE1E7, 0x301C
+)
+
+// fields is the lattice of a scene's latent fields: per column and per
+// row, each octave's cells, for elevation and for moisture.
+type fields struct {
+	l                            *Landscape
+	elevX, elevY, moistX, moistY []cell
 }
 
-func (l *Landscape) moisture(x, y float64) float64 {
-	return fbm(l.Seed^0x301C, float64(x/l.Scale*1.3)+100, float64(y/l.Scale*1.3)-40, 4)
+// sceneFields computes the cells of every column and row of spec once.
+func (l *Landscape) sceneFields(spec SceneSpec) *fields {
+	x := func(c int) float64 { return spec.OriginX + float64(float64(c)*spec.CellSize) }
+	y := func(r int) float64 { return spec.OriginY + float64(float64(r)*spec.CellSize) }
+	return &fields{l: l,
+		elevX:  axisCells(spec.Cols, elevOctaves, func(c int) float64 { return x(c) / l.Scale }, hashX),
+		elevY:  axisCells(spec.Rows, elevOctaves, func(r int) float64 { return y(r) / l.Scale }, hashY),
+		moistX: axisCells(spec.Cols, moistOctaves, func(c int) float64 { return float64(x(c)/l.Scale*1.3) + 100 }, hashX),
+		moistY: axisCells(spec.Rows, moistOctaves, func(r int) float64 { return float64(y(r)/l.Scale*1.3) - 40 }, hashY),
+	}
+}
+
+func (f *fields) elevation(r, c int) float64 {
+	return fbmCells(f.l.Seed^elevSeed, f.elevX[c*elevOctaves:][:elevOctaves], f.elevY[r*elevOctaves:][:elevOctaves])
+}
+
+func (f *fields) moisture(r, c int) float64 {
+	return fbmCells(f.l.Seed^moistSeed, f.moistX[c*moistOctaves:][:moistOctaves], f.moistY[r*moistOctaves:][:moistOctaves])
 }
 
 // surface is the latent surface at one world point, each field in [0, 1].
@@ -114,14 +159,12 @@ type surface struct {
 	elev, veg, water, soil float64
 }
 
-// surfaceAt evaluates every latent field at a world point once. Vegetation
-// responds to moisture and elevation plus the seasonal cycle s, with an
-// amplitude that grows with moisture so arid regions stay flat across
-// seasons, as real NDVI does; water is 1 where elevation falls below the
-// water table; soil is what neither covers.
-func (l *Landscape) surfaceAt(x, y, s float64) surface {
-	m := l.moisture(x, y)
-	e := l.elevation(x, y)
+// surfaceOf derives every latent field from moisture m and elevation e.
+// Vegetation responds to moisture and elevation plus the seasonal cycle
+// s, with an amplitude that grows with moisture so arid regions stay
+// flat across seasons, as real NDVI does; water is 1 where elevation
+// falls below the water table; soil is what neither covers.
+func surfaceOf(m, e, s float64) surface {
 	veg := clamp(float64(m*0.7)+float64((1-e)*0.2)+float64(0.25*s*m), 0, 1)
 	var wat float64
 	if e < 0.22 {
@@ -226,13 +269,12 @@ func (l *Landscape) GenerateScene(spec SceneSpec, bands []Band) ([]*Image, error
 	// Vegetation's seasonal cycle, in [0, 1]; the year shifts it slightly.
 	day := spec.DayOfYear + float64(float64(spec.Year%7)*3.1)
 	s := 0.5 + float64(0.5*math.Sin(2*math.Pi*(day-80)/365))
+	f := l.sceneFields(spec)
 	var hx [4]uint64 // a pixel's noise column hashes, shared by every band
 	i := 0
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
-			x := spec.OriginX + float64(float64(c)*spec.CellSize)
-			y := spec.OriginY + float64(float64(r)*spec.CellSize)
-			surf := l.surfaceAt(x, y, s)
+			surf := surfaceOf(f.moisture(r, c), f.elevation(r, c), s)
 			if spec.Noise > 0 {
 				for k := range hx {
 					hx[k] = hashX(int64(i)*4 + int64(k))
@@ -277,12 +319,11 @@ func (l *Landscape) RainfallField(spec SceneSpec) (*Image, error) {
 		return nil, err
 	}
 	vals := make([]float64, spec.Rows*spec.Cols)
+	f := l.sceneFields(spec)
 	i := 0
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
-			x := spec.OriginX + float64(float64(c)*spec.CellSize)
-			y := spec.OriginY + float64(float64(r)*spec.CellSize)
-			vals[i] = float64(1000*math.Pow(l.moisture(x, y), 1.5)) + float64(150*l.elevation(x, y))
+			vals[i] = float64(1000*math.Pow(f.moisture(r, c), 1.5)) + float64(150*f.elevation(r, c))
 			i++
 		}
 	}
@@ -305,12 +346,11 @@ func (l *Landscape) TemperatureField(spec SceneSpec) (*Image, error) {
 	}
 	season := float64(10 * math.Sin(2*math.Pi*(spec.DayOfYear-80)/365))
 	vals := make([]float64, spec.Rows*spec.Cols)
+	f := l.sceneFields(spec)
 	i := 0
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
-			x := spec.OriginX + float64(float64(c)*spec.CellSize)
-			y := spec.OriginY + float64(float64(r)*spec.CellSize)
-			vals[i] = 32 - float64(28*l.elevation(x, y)) + season
+			vals[i] = 32 - float64(28*f.elevation(r, c)) + season
 			i++
 		}
 	}

@@ -28,6 +28,108 @@ func referenceNoise(seed uint64, x, y float64) float64 {
 	return a + (b-a)*ty
 }
 
+// valueNoise2D, fbm, elevation, moisture and surfaceAt are the latent
+// fields evaluated point by point, as the generator did before it shared
+// each octave's lattice cells across a scene's columns and rows; they are
+// the reference the shared cells must match bit for bit.
+func valueNoise2D(seed uint64, x, y float64) float64 {
+	x0, y0 := math.Floor(x), math.Floor(y)
+	tx, ty := smooth(x-x0), smooth(y-y0)
+	ix, iy := int64(x0), int64(y0)
+	hx0, hx1 := hashX(ix), hashX(ix+1)
+	hy0, hy1 := hashY(iy), hashY(iy+1)
+	v00 := unitHash(seed ^ hx0 ^ hy0)
+	v10 := unitHash(seed ^ hx1 ^ hy0)
+	v01 := unitHash(seed ^ hx0 ^ hy1)
+	v11 := unitHash(seed ^ hx1 ^ hy1)
+	a := v00 + float64((v10-v00)*tx)
+	b := v01 + float64((v11-v01)*tx)
+	return a + float64((b-a)*ty)
+}
+
+func fbm(seed uint64, x, y float64, octaves int) float64 {
+	var sum, norm float64
+	amp, freq := 1.0, 1.0
+	for o := 0; o < octaves; o++ {
+		sum += float64(amp * valueNoise2D(seed+uint64(o)*1000003, x*freq, y*freq))
+		norm += amp
+		amp *= 0.5
+		freq *= 2
+	}
+	return sum / norm
+}
+
+func (l *Landscape) elevation(x, y float64) float64 {
+	return fbm(l.Seed^0xE1E7, x/l.Scale, y/l.Scale, 5)
+}
+
+func (l *Landscape) moisture(x, y float64) float64 {
+	return fbm(l.Seed^0x301C, float64(x/l.Scale*1.3)+100, float64(y/l.Scale*1.3)-40, 4)
+}
+
+func (l *Landscape) surfaceAt(x, y, s float64) surface {
+	m := l.moisture(x, y)
+	e := l.elevation(x, y)
+	veg := clamp(float64(m*0.7)+float64((1-e)*0.2)+float64(0.25*s*m), 0, 1)
+	var wat float64
+	if e < 0.22 {
+		wat = 1
+	}
+	return surface{elev: e, veg: veg, water: wat, soil: clamp(1-veg-wat, 0, 1)}
+}
+
+// randomSpec draws a scene spec: origins far from and near 0, cell sizes
+// from 1 to 250, and up to 9×9 pixels.
+func randomSpec(r *rand.Rand) SceneSpec {
+	return SceneSpec{
+		OriginX: r.NormFloat64() * 1e4, OriginY: r.NormFloat64() * 1e4,
+		CellSize: []float64{1, 7.5, 30, 250}[r.Intn(4)],
+		Rows:     1 + r.Intn(9), Cols: 1 + r.Intn(9),
+		DayOfYear: float64(r.Intn(365)) + []float64{0, 0.5, r.Float64()}[r.Intn(3)],
+		Year:      1970 + r.Intn(60) - 2000*r.Intn(2),
+	}
+}
+
+// TestSceneFieldsMatchPointwise holds the shared lattice cells to the
+// point-wise fields: at every pixel of a spec, elevation, moisture and the
+// surface are the same bits, and RainfallField and TemperatureField are
+// their point-wise formulas.
+func TestSceneFieldsMatchPointwise(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		l := NewLandscape(r.Uint64())
+		spec := randomSpec(r)
+		f := l.sceneFields(spec)
+		rain, err := l.RainfallField(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		temp, err := l.TemperatureField(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		season := float64(10 * math.Sin(2*math.Pi*(spec.DayOfYear-80)/365))
+		s := r.Float64()
+		for row := 0; row < spec.Rows; row++ {
+			for c := 0; c < spec.Cols; c++ {
+				x := spec.OriginX + float64(float64(c)*spec.CellSize)
+				y := spec.OriginY + float64(float64(row)*spec.CellSize)
+				e, m := l.elevation(x, y), l.moisture(x, y)
+				if f.elevation(row, c) != e || f.moisture(row, c) != m || surfaceOf(m, e, s) != l.surfaceAt(x, y, s) {
+					t.Fatalf("spec %+v pixel (%d, %d): shared cells differ from the point-wise fields", spec, row, c)
+				}
+				wantRain := float32(float64(1000*math.Pow(m, 1.5)) + float64(150*e))
+				wantTemp := float32(32 - float64(28*e) + season)
+				gotRain, _ := rain.At(row, c)
+				gotTemp, _ := temp.At(row, c)
+				if float32(gotRain) != wantRain || float32(gotTemp) != wantTemp {
+					t.Fatalf("spec %+v pixel (%d, %d): rainfall %v, temperature %v; want %v, %v", spec, row, c, gotRain, gotTemp, wantRain, wantTemp)
+				}
+			}
+		}
+	}
+}
+
 func TestValueNoiseMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 100000; i++ {
@@ -139,13 +241,7 @@ func TestGenerateSceneMatchesPerBand(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 192; trial++ {
 		l := NewLandscape(r.Uint64())
-		spec := SceneSpec{
-			OriginX: r.NormFloat64() * 1e4, OriginY: r.NormFloat64() * 1e4,
-			CellSize: []float64{1, 7.5, 30, 250}[r.Intn(4)],
-			Rows:     1 + r.Intn(9), Cols: 1 + r.Intn(9),
-			DayOfYear: float64(r.Intn(365)) + []float64{0, 0.5, r.Float64()}[r.Intn(3)],
-			Year:      1970 + r.Intn(60) - 2000*r.Intn(2),
-		}
+		spec := randomSpec(r)
 		for _, noise := range []float64{0, 0.01} {
 			for _, pt := range []PixType{"", PixChar, PixFloat8} {
 				spec.Noise, spec.PixType = noise, pt

@@ -168,6 +168,32 @@ func readResp(t *testing.T, conn net.Conn, fr *wire.FrameReader) (uint64, *wire.
 	return id, resp
 }
 
+// TestHandshakeRefusesOtherRevisions: a Hello of revision 3, which
+// shipped image blobs raw, or of the next revision, is dropped
+// unanswered: no magic echo, no HelloAck, the connection closed. The
+// current revision is answered.
+func TestHandshakeRefusesOtherRevisions(t *testing.T) {
+	path, _ := startFake(t, newFakeBackend(), Options{})
+	if wire.V2Version != 4 {
+		t.Fatalf("wire.V2Version = %d, want 4", wire.V2Version)
+	}
+	for _, v := range []uint64{3, 5} {
+		conn, err := net.DialTimeout("unix", path, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		writeFrame(t, conn, wire.V2Magic, wire.F2Hello, 0, func(f *wire.Frame) {
+			wire.EncodeHello(f, &wire.Hello2{Version: v, User: "old"})
+		})
+		if n, err := io.ReadFull(conn, make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Errorf("revision %d: read %d bytes, %v; want the connection closed unanswered", v, n, err)
+		}
+		conn.Close()
+	}
+	rawDial(t, path)
+}
+
 // TestRequestCancelledOnDisconnect: a client that goes away mid-request
 // cancels the kernel work instead of occupying the connection slot
 // until the work completes on its own.

@@ -38,7 +38,7 @@ const segmentBytes = 32 << 20
 // record appended to a segment file under blobs/, and an in-memory index
 // maps its id to (segment, offset, length).
 //
-// A record's layout is README's "On-disk format 5", *Blob record*; its
+// A record's layout is README's "On-disk format 6", *Blob record*; its
 // checksum covers the id, the length and the data, and every Get
 // verifies it.
 //

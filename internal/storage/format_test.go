@@ -53,14 +53,16 @@ func TestOpenIgnoresLeftoverMetaTmp(t *testing.T) {
 
 // TestReplayRefusesPreGroupRecords: a mutation logged as a record by
 // itself, or a group without an epoch — what writers logged before every
-// record was an epoch-stamped group — stops replay: nothing from it, or
-// after it, is applied.
+// record was an epoch-stamped group — or a group holding a meta delete,
+// op 4, which formats up to 5 could log, stops replay: nothing from it,
+// or after it, is applied.
 func TestReplayRefusesPreGroupRecords(t *testing.T) {
 	lone := insertPayload("old", RID{}, []byte("lone"))
 	for name, rec := range map[string][]byte{
 		"lone insert":     lone,
 		"lone meta set":   metaSetPayload("old/lone", []byte("1")),
 		"unstamped group": groupPayload(false, 0, lone, metaSetPayload("old/group", []byte("1"))),
+		"meta delete":     groupPayload(true, 4, metaSetPayload("old/group", []byte("1")), metaDelPayload("before")),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -104,4 +106,6 @@ func deletePayload(heap string, rid RID) []byte { return appendDelete(nil, heap,
 
 func metaSetPayload(key string, val []byte) []byte { return appendMetaSet(nil, key, val) }
 
-func metaDelPayload(key string) []byte { return appendString([]byte{opMetaDel}, key) }
+// metaDelPayload is a meta delete, op 4, as formats up to 5 logged it;
+// replay refuses it as any unknown op.
+func metaDelPayload(key string) []byte { return appendString([]byte{4}, key) }

@@ -18,7 +18,7 @@ import (
 const PageSize = 8192
 
 // The page layout — header, slot array, records in slot order — is
-// README's "On-disk format 5", *Page and slot*. A dead slot's bytes are
+// README's "On-disk format 6", *Page and slot*. A dead slot's bytes are
 // a hole that compact squeezes out or a reusing insert resizes.
 const (
 	pageMagic  = 0x6AEB

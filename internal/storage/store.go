@@ -223,8 +223,6 @@ func (s *Store) recover() error {
 			}
 		case opMetaSet:
 			s.meta[e.key] = e.val
-		case opMetaDel:
-			delete(s.meta, e.key)
 		}
 	}
 	// Make the replayed state durable and clear the log.
@@ -443,14 +441,15 @@ func (s *Store) closeFiles() {
 	s.blobs.close()
 }
 
-// The meta snapshot's layout is README's "On-disk format 5", *Meta
+// The meta snapshot's layout is README's "On-disk format 6", *Meta
 // snapshot*. Its magic carries the directory's format number,
-// formatVersion: Open reads no other. Format 5 stores no stale marks;
-// a format-4 directory can hold a derived version whose mark is the only
-// record that it is stale, so it is refused like the older ones.
+// formatVersion: Open reads no other. Format 6 stores each image blob in
+// the byte-plane form (raster.Pack), which no format-5 reader knows, and
+// its WAL holds no meta-delete op; a format-5 directory's blobs are raw,
+// so it is refused like the older ones.
 const (
-	formatVersion = 5
-	metaMagic     = "GMETA5\n"
+	formatVersion = 6
+	metaMagic     = "GMETA6\n"
 )
 
 // writeMetaSnapshot replaces meta.db durably: the new snapshot is synced

@@ -18,8 +18,8 @@ import (
 // after the last checkpoint are replayed into the heaps, which makes the
 // store crash-safe: a crash loses nothing that was logged and synced.
 //
-// Every record is a group, opEpochBatch, whose sub-entries are the four
-// mutation ops; the layout is README's "On-disk format 5", *WAL group*.
+// Every record is a group, opEpochBatch, whose sub-entries are the three
+// mutation ops; the layout is README's "On-disk format 6", *WAL group*.
 // A group shares one length/crc header, so replay sees all of its
 // mutations or none. Replay reads no other record: it stops at the first
 // torn or corrupt record, or one that is not a group (standard redo-log
@@ -31,7 +31,6 @@ const (
 	opInsert     byte = 1
 	opDelete     byte = 2
 	opMetaSet    byte = 3
-	opMetaDel    byte = 4 // replayed; no format-5 store writes one
 	opEpochBatch byte = 6
 )
 
@@ -376,10 +375,6 @@ func decodeEntry(p []byte) (walEntry, error) {
 			return e, fmt.Errorf("storage: truncated wal meta value")
 		}
 		e.val = append([]byte(nil), rest[:n]...)
-	case opMetaDel:
-		if e.key, err = readString(); err != nil {
-			return e, err
-		}
 	default:
 		return e, fmt.Errorf("storage: unknown wal opcode %d", e.op)
 	}

@@ -39,20 +39,21 @@ func groupPayload(stamped bool, epoch uint64, subs ...[]byte) []byte {
 // walSeeds are the seed payloads of FuzzWALReplay, as committed under
 // testdata/fuzz/FuzzWALReplay: a group of every op, the same group torn
 // short, and five records replay refuses — each op as a top-level
-// record, and the unstamped group form.
+// record, the unstamped group form, and a group holding op 4, the meta
+// delete formats up to 5 wrote.
 func walSeeds() [][]byte {
 	ops := [][]byte{
 		insertPayload("fz", RID{Page: 0, Slot: 1}, []byte("second")),
 		metaSetPayload("k", []byte("v")),
 		deletePayload("fz", RID{Page: 0, Slot: 0}),
-		metaDelPayload("fuzz/before"),
 	}
 	group := groupPayload(true, 7, ops...)
 	return [][]byte{
 		group,
 		group[:len(group)-1],
-		ops[0], ops[2], ops[1], ops[3],
+		ops[0], ops[2], ops[1],
 		groupPayload(false, 0, ops[0], ops[1]),
+		groupPayload(true, 7, ops[1], metaDelPayload("fuzz/before")),
 	}
 }
 
@@ -97,8 +98,6 @@ func FuzzWALReplay(f *testing.F) {
 				delete(heaps[e.heap], e.rid)
 			case opMetaSet:
 				meta[e.key] = string(e.val)
-			case opMetaDel:
-				delete(meta, e.key)
 			}
 		}
 		if wellFormed {

@@ -7,7 +7,7 @@ package task
 // task generated, so a crash keeps both or neither.
 //
 // Both forms lead with a form byte; their layouts are README's "On-disk
-// format 5", *Task record*. The full form stands alone. The delta form
+// format 6", *Task record*. The full form stands alone. The delta form
 // names an earlier task as its base and stores only the fields that
 // differ from it, under a mask: a field whose bit is clear is the
 // base's, and a mask bit this decoder does not know is corruption. The

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -322,5 +323,27 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _, _ = Encode(v) }); n != 1 {
 			t.Errorf("Encode(%v): %v allocations, want 1", v, n)
 		}
+	}
+}
+
+// TestImageEncodingPinned: an image value encodes inline as raster.Marshal
+// writes it (GOB3's form, and what bench counts as user bytes), not in
+// the byte planes the blob store keeps, and its bytes stay as they were.
+func TestImageEncodingPinned(t *testing.T) {
+	im := raster.MustNew(2, 3, raster.PixInt2)
+	if err := im.SetFloat64s([]float64{-1, 0, 1, 2, 300, -32768}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Encode(Image{Img: im})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "08" + "1f000000" + "47494d470100020000000300000004696e7432ffff0000010002002c010080"
+	if got := fmt.Sprintf("%x", b); got != want {
+		t.Errorf("Encode(image) = %s, want %s", got, want)
+	}
+	back, err := Decode(b)
+	if err != nil || !back.(Image).Img.EqualPixels(im) {
+		t.Errorf("Decode = %v, %v", back, err)
 	}
 }

@@ -53,8 +53,9 @@ const V2Magic = "GAEAWP2\n"
 
 // V2Version is the frame-layout revision carried in Hello/HelloAck. Both
 // ends require an exact match: 3 dropped the request's user and the
-// response's cursor slots.
-const V2Version = 3
+// response's cursor slots; 4 ships a raw object's image blobs in the
+// byte-plane form the store keeps them in (raster.Pack), not raw.
+const V2Version = 4
 
 // The v2 frame types.
 const (

@@ -72,6 +72,10 @@ type Session struct {
 // (process-unique; a token never outlives the in-memory locks it names).
 var prepareTokens atomic.Uint64
 
+// sweepHook runs between a session's committed group and its sweep. Only
+// a test sets it, to commit a derivation in that window.
+var sweepHook func()
+
 // createRun is n consecutive creates of one class with one note, with
 // the schema they were validated against.
 type createRun struct {
@@ -355,6 +359,9 @@ func (s *Session) Commit() (err error) {
 			"updates": fmt.Sprint(len(ops.Updates)),
 			"deletes": fmt.Sprint(len(ops.Deletes)),
 		})
+	}
+	if sweepHook != nil {
+		sweepHook()
 	}
 	// Durable and published: propagate all mutations in ONE sweep under
 	// the batch's commit epoch (so snapshot readers pinned before it do

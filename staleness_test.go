@@ -2,11 +2,13 @@ package gaea
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"gaea/internal/catalog"
 	"gaea/internal/object"
 	"gaea/internal/raster"
 	"gaea/internal/sptemp"
@@ -151,4 +153,97 @@ func TestUnsweptUpdateReadsStaleAfterReopen(t *testing.T) {
 	}
 	servedFresh(t, k2, "the refreshed land cover", classify.Output)
 	servedFresh(t, k2, "the refreshed smoothing", smooth.Output)
+}
+
+// defineScalarChain defines base class c0 and derived classes c1 = p1(c0),
+// c2 = p2(c1) and c3 = p3(c2, c0), each carrying one float v.
+func defineScalarChain(t *testing.T, k *Kernel) {
+	t.Helper()
+	for i, by := range []string{"", "p1", "p2", "p3"} {
+		c := &catalog.Class{Name: fmt.Sprintf("c%d", i), Kind: catalog.KindDerived, DerivedBy: by,
+			Attrs: []catalog.Attr{{Name: "v", Type: value.TypeFloat}}, Frame: sptemp.DefaultFrame, HasSpatial: true}
+		if by == "" {
+			c.Kind = catalog.KindBase
+		}
+		if err := k.DefineClass(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{
+		"DEFINE PROCESS p1 ( OUTPUT o c1 ARGUMENT ( x c0 ) TEMPLATE { MAPPINGS: o.v = x.v; o.spatialextent = x.spatialextent; } )",
+		"DEFINE PROCESS p2 ( OUTPUT o c2 ARGUMENT ( x c1 ) TEMPLATE { MAPPINGS: o.v = x.v; o.spatialextent = x.spatialextent; } )",
+		"DEFINE PROCESS p3 ( OUTPUT o c3 ARGUMENT ( a c2 ) ARGUMENT ( b c0 ) TEMPLATE { MAPPINGS: o.v = a.v; o.spatialextent = b.spatialextent; } )",
+	} {
+		if _, err := k.DefineProcess(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSweepJudgesInputsFirst: a derivation commits between a session's
+// group and its sweep (sweepHook), reading an input that sweep is about
+// to find stale: d = p3(i, g), where i = p2(j) and j = p1(g), and the
+// session updated g. The sweep reaches j and d first (both read g), then
+// i. It must judge i before d: d is newer than the update and than each
+// of its inputs, and is stale only through i. The stale set is j, i and
+// d, and a reopen, which judges every derived object afresh, agrees.
+func TestSweepJudgesInputsFirst(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	opts := Options{NoSync: true, RefreshPolicy: ManualRefresh}
+	k, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { k.Close() }()
+	defineScalarChain(t, k)
+	g, err := k.CreateObject(ctx, &object.Object{Class: "c0", Attrs: map[string]value.Value{"v": value.Float(1)},
+		Extent: sptemp.TimelessExtent(sptemp.DefaultFrame, sptemp.NewBox(0, 0, 10, 10))}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(proc string, in map[string][]object.OID) object.OID {
+		tk, _, err := k.RunProcess(ctx, proc, in, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", proc, err)
+		}
+		return tk.Output
+	}
+	j := run("p1", map[string][]object.OID{"x": {g}})
+	i := run("p2", map[string][]object.OID{"x": {j}})
+
+	var d object.OID
+	defer func() { sweepHook = nil }()
+	sweepHook = func() {
+		sweepHook = nil
+		d = run("p3", map[string][]object.OID{"a": {i}, "b": {g}})
+	}
+	o, err := k.Objects.Get(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Attrs["v"] = value.Float(2)
+	s := k.Begin(ctx)
+	if err := s.Update(o); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if d == 0 {
+		t.Fatal("the hook did not run")
+	}
+	want := []object.OID{j, i, d}
+	if got := k.Deriv.Stale(); !slices.Equal(got, want) {
+		t.Errorf("stale after the sweep: %v, want %v (j, i, d)", got, want)
+	}
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if k, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.Deriv.Stale(); !slices.Equal(got, want) {
+		t.Errorf("stale after a reopen: %v, want %v (j, i, d)", got, want)
+	}
 }
